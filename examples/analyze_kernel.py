@@ -4,13 +4,14 @@ The tile-centric primitives (`producer_tile_notify`, `consumer_tile_wait`,
 ...) make compute/communication overlap easy to *write* — and easy to get
 subtly wrong: a deleted notify deadlocks the consumer, an inflated wait
 threshold can never be reached, a missing wait races a load against a
-remote store.  `repro.analyze` finds these statically, by abstractly
-interpreting the kernel IR at small concrete world sizes and pairing every
-wait site with the notify sites that feed it.
+remote store.  `repro.analyze` finds these statically: it runs a family's
+real launcher against a recording context at small concrete world sizes,
+abstractly interprets each launched kernel's IR, and pairs every wait site
+with the notify sites that feed it.
 
 Three acts:
 
-1. analyze a shipped kernel family and show the clean report;
+1. record a shipped launch from its launcher and show the clean report;
 2. plant a classic bug (delete the producer's notify) and watch the
    analyzer pinpoint the orphaned wait, with rule ids and source lines;
 3. show the compile-time structural gate rejecting a rank-divergent
@@ -23,20 +24,31 @@ from __future__ import annotations
 
 import copy
 
-from repro.analyze import analyze_plan, build_ag_gemm_plan
+from repro.analyze import analyze_plan, record_plan
 from repro.compiler.program import compile_kernel
 from repro.errors import AnalysisError
 from repro.kernels.ag_gemm import _ag_pull_producer
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.lang.ir import Primitive
+from repro.registry import get_family
+
+
+def registered(plan_name: str):
+    """``(family, name, world, build)`` of one registered plan: ``build``
+    calls the family's own launcher on tiny inputs."""
+    family = plan_name.split("/")[0]
+    for name, world, build in get_family(family).analyze_plans():
+        if name == plan_name:
+            return family, name, world, build
+    raise KeyError(plan_name)
 
 
 def act1_clean_sweep() -> None:
     print("=" * 72)
-    print("Act 1: the shipped AG+GEMM pull kernel analyzes clean")
+    print("Act 1: the shipped AG+GEMM pull launch analyzes clean")
     print("=" * 72)
-    plan, extra = build_ag_gemm_plan(world=4, mode="pull")
+    plan, extra = record_plan(*registered("ag_gemm/pull/w4"))
     report = analyze_plan(plan, extra=extra)
     print(f"plan {plan.name}: {len(plan.threads)} abstract threads, "
           f"{len(report.errors)} errors, {len(report.warnings)} warnings")
@@ -62,8 +74,10 @@ def act2_seeded_deadlock() -> None:
     print("=" * 72)
     ir = copy.deepcopy(_ag_pull_producer.ir)
     ir.body = _strip_notify(ir.body)
-    plan, extra = build_ag_gemm_plan(
-        world=2, mode="pull", ir_overrides={_ag_pull_producer.name: ir})
+    # the launcher runs unchanged; the recording context interprets the
+    # mutant IR wherever the launcher launches the pull producer
+    plan, extra = record_plan(*registered("ag_gemm/pull/w2"),
+                              ir_overrides={_ag_pull_producer.name: ir})
     report = analyze_plan(plan, extra=extra)
     print(f"plan {plan.name}: {len(report.errors)} errors")
     print(report.render())

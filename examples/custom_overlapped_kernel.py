@@ -10,17 +10,18 @@ Quickstart — the fastest path to your own kernel family:
 1. author the kernel body as a decorated Python function (``@kernel`` +
    the ``tl`` tile-centric primitives), annotating ``role``/``outputs``;
 2. wrap the shapes in a frozen config dataclass and write a launcher
-   that wires mappings, channels and the SPMD launch;
+   that wires mappings, channels and the SPMD launch through the
+   context (``ctx.make_block_channels``, ``ctx.launch_spmd``);
 3. describe the design space as a ``SearchSpace`` + ``TuneTask`` so the
    autotuner can search it;
-4. mirror the launch as an analyzer plan (``PlanBuilder``) so the
-   static synchronization verifier can prove it deadlock/race-free;
-5. make ONE ``repro.registry.register_family()`` call from this module.
+4. make ONE ``repro.registry.register_family()`` call from this module,
+   naming a few tiny analyzer instantiations of the launcher.
 
-After step 5 every consumer resolves the family through the registry
+After step 4 every consumer resolves the family through the registry
 with zero edits anywhere else: ``python -m repro.registry --list`` shows
-it, ``repro.analyze`` sweeps its plans, the tuner finds its space, the
-bench harness gets its builders.  A family can also contribute a serving
+it, ``repro.analyze`` records its plans from the launcher itself and
+proves them deadlock/race-free, the tuner finds its space, the bench
+harness gets its builders.  A family can also contribute a serving
 ``method`` (see ``repro/kernels/chunk_gemm_rs.py``, which registers
 ``"tilelink-chunk"`` the same way and appears in ``models.runner``).
 
@@ -34,14 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import DistContext, SimConfig
-from repro.analyze import analyze_plan
+from repro.analyze import analyze_registered
 from repro.errors import ShapeError
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import get_family, register_family
-from repro.runtime.launcher import launch_spmd
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
 
 WORLD = 4
@@ -122,7 +122,7 @@ def ag_softmax_overlapped(ctx: DistContext, cfg: AgSoftmaxConfig,
     channels = ctx.make_block_channels(
         tag, mapping=mapping, comm_grid=grid2d, consumer_grid=grid2d,
         comm_blocks=cfg.comm_blocks)
-    launch_spmd(ctx.machine, ag_softmax, grid=grid, args=dict(
+    ctx.launch_spmd(ag_softmax, grid=grid, args=dict(
         shards=ctx.heap.tensors(shards_name),
         gathered=ctx.heap.tensors(gathered_name),
         out=ctx.heap.tensors(out_name), channel=channels,
@@ -175,31 +175,7 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD,
 
 
 # ---------------------------------------------------------------------------
-# Step 4 — analyzer plan: the launch mirrored over abstract banks
-# ---------------------------------------------------------------------------
-
-def build_ag_softmax_plan(world: int = 2):
-    from repro.analyze.model import PlanBuilder
-
-    m, n, bm, comm_blocks = world * 32, 16, 16, 2
-    b = PlanBuilder(f"ag_softmax/w{world}", "ag_softmax", world)
-    b.tensor("shards", (m // world, n))
-    b.tensor("gathered", (m, n))
-    b.tensor("out", (m, n))
-    mapping = AffineTileMapping(m, bm, world)
-    grid2d = TileGrid(m, n, bm, n)
-    channels = b.make_block_channels(
-        "agsm", mapping=mapping, comm_grid=grid2d, consumer_grid=grid2d,
-        comm_blocks=comm_blocks)
-    b.launch(ag_softmax, 6,
-             dict(M=m, N=n, BM=bm, COMM_BLOCKS=comm_blocks),
-             dict(shards="shards", gathered="gathered", out="out"),
-             channels)
-    return b.build()
-
-
-# ---------------------------------------------------------------------------
-# Step 5 — ONE registration; every consumer resolves it from here
+# Step 4 — ONE registration; every consumer resolves it from here
 # ---------------------------------------------------------------------------
 
 def ag_softmax_builders(shape, world: int = WORLD, **_kw):
@@ -215,6 +191,25 @@ def ag_softmax_builders(shape, world: int = WORLD, **_kw):
     return {"TileLink-fused": fused}
 
 
+def ag_softmax_analyze_plans():
+    """Analyzer instantiations: ``(plan name, world, build)``, where
+    ``build`` runs the real launcher on tiny inputs — the analyzer
+    records the plan from it, so there is no plan to keep in sync."""
+    def plan(world: int):
+        m, n = world * 32, 16
+        cfg = AgSoftmaxConfig(m=m, n=n, block_m=16, comm_blocks=2)
+
+        def build(ctx: DistContext) -> None:
+            ctx.alloc("x", (m // world, n), "float16", fill=None)
+            ctx.alloc("g", (m, n), "float16", fill=None)
+            ctx.alloc("y", (m, n), "float32", fill=None)
+            ag_softmax_overlapped(ctx, cfg, "x", "g", "y", grid=4)
+
+        return f"ag_softmax/w{world}", world, build
+
+    return [plan(2), plan(4)]
+
+
 register_family(
     name="ag_softmax",
     doc="example: fused AllGather + row softmax (tile-pull producer)",
@@ -223,8 +218,7 @@ register_family(
     launch=ag_softmax_overlapped,
     search_space=lambda: ag_softmax_search_space(256, 64, WORLD),
     tune_task=lambda: ag_softmax_tune_task(256, 64),
-    analyze_plans=lambda: [lambda: build_ag_softmax_plan(world=2),
-                           lambda: build_ag_softmax_plan(world=4)],
+    analyze_plans=ag_softmax_analyze_plans,
     bench_builders=lambda: ag_softmax_builders,
     worlds=(2, 4),
 )
@@ -262,10 +256,8 @@ def main() -> None:
     print(f"numerics: correct on {WORLD} ranks (max err < 1e-2), "
           f"simulated {total * 1e6:.1f} us")
 
-    # static verification: the registered plans, checked strictly
-    for thunk in fam.analyze_plans():
-        plan, extra = thunk()
-        report = analyze_plan(plan, extra)
+    # static verification: plans recorded from the launcher, strictly
+    for plan, report in analyze_registered([fam.name]):
         assert report.ok(strict=True), report.findings
         print(f"analyzer: {plan.name} clean "
               f"({len(plan.threads)} abstract threads)")

@@ -1,10 +1,11 @@
 """repro.analyze: static synchronization verifier for tile-centric kernels.
 
 Checks the producer/consumer signal protocol of the overlapped kernels
-*without running them*: kernel IR is abstractly interpreted at small
-concrete instantiations into per-thread event traces, a signal-flow graph
-pairs every wait site with the notify sites feeding it, and the checkers
-prove (or refute) deadlock-freedom, guarded tile reads, single
+*without running them*: each family's real launcher runs against a
+:class:`RecordingContext` at small concrete instantiations, its kernel IR
+is abstractly interpreted into per-thread event traces, a signal-flow
+graph pairs every wait site with the notify sites feeding it, and the
+checkers prove (or refute) deadlock-freedom, guarded tile reads, single
 production and full output coverage.  ``python -m repro.analyze --all``
 sweeps every registered kernel family.
 """
@@ -22,18 +23,14 @@ from repro.analyze.model import (
     AbstractBank,
     Event,
     LaunchPlan,
-    PlanBuilder,
+    RecordingContext,
     Site,
     Thread,
 )
 from repro.analyze.registry import (
-    FAMILIES,
     analyze_registered,
-    build_ag_gemm_plan,
-    build_ag_moe_plan,
-    build_gemm_rs_plan,
-    build_moe_rs_plan,
     check_compiled_ir,
+    record_plan,
     structural_check_ir,
 )
 from repro.analyze.sfg import SignalFlow
@@ -41,21 +38,16 @@ from repro.analyze.sfg import SignalFlow
 __all__ = [
     "AbstractBank",
     "Event",
-    "FAMILIES",
     "Finding",
     "LaunchPlan",
-    "PlanBuilder",
     "RULES",
+    "RecordingContext",
     "Report",
     "SignalFlow",
     "Site",
     "Thread",
     "analyze_plan",
     "analyze_registered",
-    "build_ag_gemm_plan",
-    "build_ag_moe_plan",
-    "build_gemm_rs_plan",
-    "build_moe_rs_plan",
     "check_compiled_ir",
     "check_coverage",
     "check_races",
@@ -63,5 +55,6 @@ __all__ = [
     "check_thresholds",
     "dedupe",
     "interpret_launch",
+    "record_plan",
     "structural_check_ir",
 ]

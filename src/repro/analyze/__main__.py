@@ -17,7 +17,8 @@ import json
 import sys
 
 from repro.analyze.findings import Report
-from repro.analyze.registry import FAMILIES, analyze_registered
+from repro.analyze.registry import analyze_registered
+from repro.registry import families as registered_families
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,8 +42,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for family, thunks in FAMILIES.items():
-            print(f"{family}: {len(thunks)} plan(s)")
+        for family, fam in registered_families().items():
+            # a family without tile IR gets one informational plan
+            n = len(fam.analyze_plans()) if fam.tile_ir else 1
+            print(f"{family}: {n} plan(s)")
         return 0
     if not args.all and not args.kernel:
         parser.error("pick --all, --kernel FAMILY..., or --list")

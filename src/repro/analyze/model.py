@@ -6,11 +6,16 @@ trace of :class:`Event` records — signal waits/posts, tile reads/writes,
 barriers — obtained by abstractly interpreting the kernel IR at a small
 concrete instantiation (world size, tile-grid shape).
 
-Signals live in :class:`AbstractBank` objects.  A bank is a *name*, an
-owning rank, and a cell count — it deliberately implements ``__len__`` so
-it can be dropped into a real :class:`~repro.lang.block_channel.BlockChannel`
-where the runtime would hold a ``SignalArray``; all of the channel's
-tile-to-channel/threshold metadata resolution is then reused verbatim.
+Plans are recorded from the real launchers, never written by hand:
+:class:`RecordingContext` is a :class:`~repro.runtime.context.DistContext`
+whose heap hands out named tensor placeholders and :class:`AbstractBank`
+signal arrays, so the unchanged ``DistContext.make_block_channels`` builds
+the real :class:`~repro.lang.block_channel.BlockChannel` objects and all of
+the channel's tile-to-channel/threshold metadata resolution is production
+code.  Kernel launches (``ctx.launch_spmd``) are abstractly interpreted per
+(rank, block) instead of compiled and simulated; host procs enqueued on
+``ctx.stream(...)`` run to completion at once, their copies, waits and
+posts appended to a host thread.
 """
 
 from __future__ import annotations
@@ -18,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.lang.block_channel import BlockChannel
-from repro.mapping.dynamic import TableTileMapping
-from repro.mapping.layout import TileGrid
-from repro.mapping.static import AffineTileMapping
+from repro.analyze.findings import Finding
+from repro.compiler.program import CompileOptions
+from repro.config import SimConfig
+from repro.errors import RuntimeLaunchError
+from repro.lang.dsl import KernelDef
+from repro.lang.ir import KernelIR
+from repro.memory.symmetric import SymmetricHeap
+from repro.runtime.context import DistContext
 
 #: lattice top for scalar abstract values
 UNKNOWN = object()
@@ -31,9 +40,14 @@ BankKey = tuple[str, int]
 
 
 class AbstractBank:
-    """Stand-in for a ``SignalArray``: identity + size, no state."""
+    """Stand-in for a ``SignalArray``: identity + size, no state.
 
-    def __init__(self, name: str, rank: int, size: int):
+    A :meth:`post_add` from a host proc is recorded as a notify event on
+    that proc's thread.
+    """
+
+    def __init__(self, host: "_HostProc", name: str, rank: int, size: int):
+        self.host = host
         self.name = name
         self.rank = rank
         self.size = size
@@ -44,6 +58,10 @@ class AbstractBank:
     @property
     def key(self) -> BankKey:
         return (self.name, self.rank)
+
+    def post_add(self, index: int, amount: int, from_rank: int) -> None:
+        self.host.record("notify", f"rank_notify cell {index} += {amount}",
+                         bank=self.key, cell=index, amount=amount)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AbstractBank {self.name}@{self.rank} x{self.size}>"
@@ -101,44 +119,10 @@ class Thread:
     group: str                      # launch id (barrier scope, ordering)
     events: list[Event] = field(default_factory=list)
     #: groups that must fully complete before this thread starts
-    #: (same-stream launch ordering); transitively closed by the builder
+    #: (same-stream launch ordering, transitively closed)
     after: frozenset[str] = frozenset()
     #: barrier rendezvous scope: one SPMD launch across all ranks
     scope: str = ""
-
-
-class HostTrace:
-    """Recorder for a host-side comm thread (DMA / copy-engine proc)."""
-
-    def __init__(self, label: str, rank: int):
-        self.label = label
-        self.rank = rank
-        self.events: list[Event] = []
-
-    def _site(self, detail: str) -> Site:
-        return Site(self.label, None, detail)
-
-    def wait(self, bank: AbstractBank, cell: int, threshold: int) -> None:
-        self.events.append(Event(
-            "wait", self._site(f"rank_wait cell {cell} >= {threshold}"),
-            bank=bank.key, cell=cell, threshold=threshold))
-
-    def notify(self, bank: AbstractBank, cell: int, amount: int = 1) -> None:
-        self.events.append(Event(
-            "notify", self._site(f"rank_notify cell {cell} += {amount}"),
-            bank=bank.key, cell=cell, amount=amount))
-
-    def read(self, tensor: str, rank: int, rows: tuple[int, int],
-             cols: tuple[int, int]) -> None:
-        self.events.append(Event(
-            "read", self._site(f"rank_copy_data read {tensor}@{rank}"),
-            tensor=tensor, rank=rank, rows=rows, cols=cols))
-
-    def write(self, tensor: str, rank: int, rows: tuple[int, int],
-              cols: tuple[int, int]) -> None:
-        self.events.append(Event(
-            "write", self._site(f"rank_copy_data write {tensor}@{rank}"),
-            tensor=tensor, rank=rank, rows=rows, cols=cols))
 
 
 @dataclass
@@ -149,153 +133,193 @@ class LaunchPlan:
     family: str
     world: int
     threads: list[Thread] = field(default_factory=list)
-    #: plan tensor name -> per-rank (rows, cols); symmetric across ranks
-    tensors: dict[str, tuple[int, int]] = field(default_factory=dict)
+    #: plan tensor name -> per-rank shape; symmetric across ranks
+    tensors: dict[str, tuple[int, ...]] = field(default_factory=dict)
     #: tensor names whose full per-rank extent must be covered by writes
     outputs: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
 
-class PlanBuilder:
-    """Builds a :class:`LaunchPlan`, mirroring ``DistContext`` channel and
-    stream semantics (same-stream launches serialize; banks are shared)."""
+class _PlanMachine:
+    """The recording context's machine: ``world_size`` and ``config`` only,
+    so a launcher that reaches past the context's seams (devices,
+    interconnect, raw streams) fails loudly instead of dropping work from
+    the plan."""
 
-    def __init__(self, name: str, family: str, world: int):
+    def __init__(self, world: int):
+        self.config = SimConfig(world_size=world, execute_numerics=False)
+        self.world_size = world
+
+
+class _HostProc:
+    """The host proc a recording context is running, if any: host
+    primitives and :meth:`AbstractBank.post_add` append events to it.
+
+    Banks and the context share this slot rather than point back at the
+    context, so a finished recording is freed without the cycle
+    collector."""
+
+    def __init__(self):
+        self.thread: Thread | None = None
+
+    def record(self, kind: str, detail: str, **fields: Any) -> None:
+        if self.thread is None:
+            raise RuntimeLaunchError(
+                f"{detail} issued outside a host proc enqueued on "
+                "ctx.stream()")
+        self.thread.events.append(
+            Event(kind, Site(self.thread.kernel, None, detail), **fields))
+
+
+class _PlanHeap(SymmetricHeap):
+    """Symmetric heap of data-less tensor placeholders and abstract banks."""
+
+    def __init__(self, machine: "_PlanMachine", host: _HostProc):
+        super().__init__(machine)
+        self.host = host
+
+    def alloc_signals(self, name: str, n: int) -> list[AbstractBank]:
+        banks = [AbstractBank(self.host, name, rank, n)
+                 for rank in range(self.machine.world_size)]
+        self._signals[name] = banks
+        return banks
+
+
+class _PlanStream:
+    """A stream whose enqueued host procs run to completion at once."""
+
+    def __init__(self, ctx: "RecordingContext", rank: int, name: str):
+        self.ctx = ctx
+        self.rank = rank
         self.name = name
-        self.family = family
-        self.world = world
+
+    def enqueue(self, gen, name: str | None = None,
+                start_delay: float = 0.0) -> None:
+        ctx = self.ctx
+        label = name or f"{self.name}[{self.rank}]"
+        group, after = ctx._enqueue(self.rank, self.name, label)
+        thread = Thread(key=f"{label}@{self.rank}", kernel=label,
+                        rank=self.rank, group=group, after=after,
+                        scope=group)
+        ctx.host.thread = thread
+        try:
+            for awaited in gen:
+                raise RuntimeLaunchError(
+                    f"host proc {label!r} awaited {awaited!r} outside the "
+                    "recording context's rank_copy_data/rank_wait seams")
+        finally:
+            ctx.host.thread = None
+        ctx.plan.threads.append(thread)
+
+
+class RecordingContext(DistContext):
+    """A :class:`DistContext` that records a :class:`LaunchPlan` instead
+    of simulating.
+
+    Run a family's launcher against it; ``plan`` then holds one thread
+    per launched (rank, block) and per host proc, and ``findings`` what
+    abstract interpretation reported.  ``ir_overrides`` maps a kernel name
+    to a replacement IR interpreted in place of the kernel's own (how the
+    seeded-mutant tests plant bugs in shipped launches); ``launched`` maps
+    every launched kernel name to the IR that was interpreted.
+    """
+
+    def __init__(self, name: str, family: str, world: int,
+                 ir_overrides: dict[str, KernelIR] | None = None):
+        super().__init__(_PlanMachine(world))
+        self.host = _HostProc()
+        self.heap = _PlanHeap(self.machine, self.host)
         self.plan = LaunchPlan(name=name, family=family, world=world)
-        self._channel_count = 0
-        self._launch_count = 0
+        self.findings: list[Finding] = []
+        self.ir_overrides = dict(ir_overrides or {})
+        self.launched: dict[str, KernelIR] = {}
+        self._groups = 0
         #: (rank, stream) -> group label of the last enqueued work
-        self._stream_tail: dict[tuple[int, str], str] = {}
+        self._tails: dict[tuple[int, str], str] = {}
         #: group -> transitively-closed set of predecessor groups
-        self._closure: dict[str, frozenset[str]] = {}
-        self._pending: list[tuple] = []   # deferred kernel launches
+        self._after: dict[str, frozenset[str]] = {}
 
-    # -- channels (mirrors DistContext.make_block_channels) -----------------
+    # -- tensors --------------------------------------------------------------
 
-    def make_block_channels(
-        self,
-        name: str,
-        mapping: AffineTileMapping | TableTileMapping | None = None,
-        comm_grid: TileGrid | None = None,
-        consumer_grid: TileGrid | None = None,
-        peer_cells: int = 0,
-        notify_target: str = "local",
-        consumer_mapping: TableTileMapping | None = None,
-        threshold_scale: int = 1,
-        comm_blocks: int = 0,
-    ) -> list[BlockChannel]:
-        self._channel_count += 1
-        uname = f"{name}.{self._channel_count}"
-        n_channels = 1 if mapping is None else mapping.n_channels
-        barriers = [AbstractBank(f"{uname}.bar", r, max(1, n_channels))
-                    for r in range(self.world)]
-        peers: list[AbstractBank] = []
-        if peer_cells > 0:
-            peers = [AbstractBank(f"{uname}.peer", r, peer_cells)
-                     for r in range(self.world)]
-        channels = []
-        for rank in range(self.world):
-            ch = BlockChannel(
-                rank=rank,
-                num_ranks=self.world,
-                comm_blocks=comm_blocks,
-                comm_grid=comm_grid,
-                consumer_grid=consumer_grid,
-                producer_mapping=mapping,
-                barriers=barriers[rank],
-                all_barriers=barriers,
-                all_peer_barriers=peers,
-            )
-            ch.notify_target = notify_target
-            ch.consumer_mapping = consumer_mapping
-            ch.threshold_scale = threshold_scale
-            channels.append(ch)
-        return channels
+    def alloc(self, name: str, shape: tuple[int, ...], dtype: str,
+              fill: float | None = 0.0) -> list:
+        self.plan.tensors[name] = tuple(shape)
+        return super().alloc(name, shape, dtype, fill)
 
-    # -- tensors ------------------------------------------------------------
+    def bind(self, name: str, per_rank: list) -> list:
+        self.plan.tensors[name] = tuple(per_rank[0].shape)
+        return super().bind(name, per_rank)
 
-    def tensor(self, name: str, shape: tuple[int, int]) -> str:
-        self.plan.tensors[name] = shape
-        return name
+    # -- streams and launches -----------------------------------------------
 
-    def output(self, name: str) -> None:
-        if name not in self.plan.tensors:
-            raise KeyError(f"output {name!r} has no declared shape")
-        if name not in self.plan.outputs:
-            self.plan.outputs.append(name)
+    def _enqueue(self, rank: int, stream: str,
+                 label: str) -> tuple[str, frozenset[str]]:
+        """A new group on (rank, stream) and the groups it runs after."""
+        self._groups += 1
+        group = f"{label}#{self._groups}"
+        tail = self._tails.get((rank, stream))
+        after = frozenset() if tail is None else self._after[tail] | {tail}
+        self._after[group] = after
+        self._tails[(rank, stream)] = group
+        return group, after
 
-    def note(self, text: str) -> None:
-        self.plan.notes.append(text)
+    def stream(self, rank: int, name: str = "default") -> _PlanStream:
+        return _PlanStream(self, rank, name)
 
-    # -- enqueue ordering ----------------------------------------------------
-
-    def _enqueue(self, rank: int, stream: str, label: str) -> str:
-        """Reserve a group label on (rank, stream); returns the label with
-        its transitive predecessor closure recorded."""
-        self._launch_count += 1
-        group = f"{label}#{self._launch_count}"
-        tail = self._stream_tail.get((rank, stream))
-        preds: set[str] = set()
-        if tail is not None:
-            preds.add(tail)
-            preds |= self._closure[tail]
-        self._closure[group] = frozenset(preds)
-        self._stream_tail[(rank, stream)] = group
-        return group
-
-    def launch(self, kdef: Any, grid: int, constexprs: dict[str, Any],
-               tensors: dict[str, str], channels: list[BlockChannel],
-               stream: str = "default", ir: Any = None,
-               label: str | None = None) -> None:
-        """Record an SPMD launch (one group per rank, like launch_spmd)."""
-        label = label or kdef.name
-        for p in kdef.meta.get("outputs", ()):
-            if p in tensors:
-                self.output(tensors[p])
-        self._launch_count += 1
-        scope = f"{label}/{self._launch_count}"
-        for rank in range(self.world):
-            group = self._enqueue(rank, stream, f"{label}[r{rank}]")
-            self._pending.append(
-                (kdef, ir, grid, constexprs, dict(tensors),
-                 channels[rank], rank, group, scope))
-
-    def host(self, rank: int, label: str, stream: str = "comm") -> HostTrace:
-        """Record a host-side comm thread; returns its event recorder."""
-        trace = HostTrace(label, rank)
-        group = self._enqueue(rank, stream, label)
-        thread = Thread(key=f"{label}@{rank}", kernel=label, rank=rank,
-                        group=group, events=trace.events,
-                        after=self._closure[group], scope=group)
-        self.plan.threads.append(thread)
-        return trace
-
-    # -- build ----------------------------------------------------------------
-
-    def build(self) -> tuple[LaunchPlan, list]:
-        """Abstractly interpret all pending launches; returns the finished
-        plan plus any findings raised during interpretation."""
+    def launch_spmd(self, kdef: KernelDef, grid: int, args: dict[str, Any],
+                    options: CompileOptions | None = None,
+                    stream_name: str = "default",
+                    label: str | None = None) -> list:
+        """Interpret every (rank, block) of the launch into a thread."""
         from repro.analyze.absint import interpret_launch
 
-        findings: list = []
-        for (kdef, ir, grid, constexprs, tensors, channel, rank,
-             group, scope) in self._pending:
-            kir = ir if ir is not None else kdef.ir
+        kir = kdef.ir
+        ir = self.ir_overrides.get(kdef.name, kir)
+        self.launched[kdef.name] = ir
+        constexprs = {p: args[p] for p in kir.constexpr_params if p in args}
+        scalars = {*kir.constexpr_params, kir.channel_param}
+        tensors = {p: args[p][0].name for p in kir.params
+                   if p not in scalars}
+        meta = kdef.meta
+        for p in (*meta.get("inputs", ()), *meta.get("outputs", ())):
+            if p in tensors and tensors[p] not in self.plan.outputs:
+                self.plan.outputs.append(tensors[p])
+        channels = args.get(kir.channel_param) or [None] * self.world_size
+        label = label or kdef.name
+        self._groups += 1
+        scope = f"{label}/{self._groups}"
+        for rank in range(self.world_size):
+            group, after = self._enqueue(rank, stream_name,
+                                         f"{label}[r{rank}]")
             for bid in range(grid):
-                events, fs = interpret_launch(
-                    kir, constexprs, channel, tensors, self.plan.tensors,
-                    rank=rank, bid=bid, grid=grid, world=self.world)
-                findings.extend(fs)
+                events, findings = interpret_launch(
+                    ir, constexprs, channels[rank], tensors,
+                    self.plan.tensors, rank=rank, bid=bid, grid=grid,
+                    world=self.world_size)
+                self.findings.extend(findings)
                 self.plan.threads.append(Thread(
                     key=f"{kdef.name}[r{rank}b{bid}]#{group}",
                     kernel=kdef.name, rank=rank, group=group,
-                    events=events, after=self._closure[group],
-                    scope=scope))
-        self._pending = []
-        # host threads recorded before later launches captured a stale
-        # closure only if the host was enqueued first — recompute nothing:
-        # closures were frozen at enqueue time, matching stream semantics.
-        return self.plan, findings
+                    events=events, after=after, scope=scope))
+        return []
+
+    # -- host-side primitives ---------------------------------------------------
+
+    def rank_copy_data(self, name: str, src_rank: int, dst_rank: int,
+                       src_ranges, dst_ranges, src_name: str | None = None):
+        src = src_name or name
+        self.host.record("read", f"rank_copy_data read {src}@{src_rank}",
+                         tensor=src, rank=src_rank, rows=src_ranges[0],
+                         cols=src_ranges[1])
+        self.host.record("write", f"rank_copy_data write {name}@{dst_rank}",
+                         tensor=name, rank=dst_rank, rows=dst_ranges[0],
+                         cols=dst_ranges[1])
+        return
+        yield  # pragma: no cover - generator marker
+
+    def rank_wait(self, bank: AbstractBank, index: int, threshold: int,
+                  host_synced: bool = False):
+        self.host.record("wait", f"rank_wait cell {index} >= {threshold}",
+                         bank=bank.key, cell=index, threshold=threshold)
+        return
+        yield  # pragma: no cover - generator marker

@@ -33,7 +33,6 @@ from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_gemm_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
@@ -125,9 +124,11 @@ def _ag_push_producer(shards, gathered, channel: tl.BlockChannel,
 
 
 # analyzer annotations (repro.analyze): role in the producer/consumer
-# chain, the communicated axis, and which params must be fully covered
+# chain, the communicated axis, and which params must be fully covered —
+# the outputs, plus the inputs a consumer reads whole (the gathered
+# buffer, whether the copy engine or a producer kernel fills it)
 _ag_consumer_gemm.meta.update(role="consumer", comm_axis="m",
-                              outputs=("out",))
+                              outputs=("out",), inputs=("gathered",))
 _ag_pull_producer.meta.update(role="producer", comm_axis="m",
                               outputs=("gathered",))
 _ag_push_producer.meta.update(role="producer", comm_axis="m",
@@ -340,22 +341,22 @@ def ag_gemm_overlapped(
                        stream_name="comm",
                        segment_notifies=mapping.tiles_per_channel)
     elif cfg.mode == "pull":
-        launch_spmd(machine, _ag_pull_producer, grid, dict(
+        ctx.launch_spmd(_ag_pull_producer, grid, dict(
             shards=ctx.heap.tensors(shards_name),
             gathered=ctx.heap.tensors(gathered_name),
             channel=channels, M=cfg.m, K=cfg.k, BMP=cfg.block_mp,
             COMM_BLOCKS=cfg.comm_blocks,
         ), options=options, stream_name="comm", label=f"{tag}.pull")
     else:  # push
-        launch_spmd(machine, _ag_push_producer, grid, dict(
+        ctx.launch_spmd(_ag_push_producer, grid, dict(
             shards=ctx.heap.tensors(shards_name),
             gathered=ctx.heap.tensors(gathered_name),
             channel=channels, M=cfg.m, K=cfg.k, BMP=cfg.block_mp,
             COMM_BLOCKS=cfg.comm_blocks, WORLD=world,
         ), options=options, stream_name="comm", label=f"{tag}.push")
 
-    return launch_spmd(machine, _ag_consumer_gemm, grid, args_common,
-                       options=options, label=f"{tag}.gemm")
+    return ctx.launch_spmd(_ag_consumer_gemm, grid, args_common,
+                           options=options, label=f"{tag}.gemm")
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +364,25 @@ def ag_gemm_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
-    from repro.analyze.registry import build_ag_gemm_plan as p
+    def plan(world: int, mode: str, block_m: int = 16, suffix: str = ""):
+        m, n, k = world * 32, 32, 32
+        cfg = AgGemmConfig(m=m, n=n, k=k, block_m=block_m, block_n=16,
+                           block_k=16, block_mp=16, comm_blocks=2, mode=mode)
+
+        def build(ctx: DistContext) -> None:
+            ctx.alloc("x", (m // world, k), "float16", fill=None)
+            ctx.alloc("w", (k, n), "float16", fill=None)
+            ctx.alloc("y", (m, n), "float16", fill=None)
+            ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+
+        return f"ag_gemm/{mode}/w{world}{suffix}", world, build
 
     return [
-        lambda: p(world=2, mode="dma"),
-        lambda: p(world=4, mode="dma"),
-        lambda: p(world=8, mode="dma"),
+        plan(2, "dma"), plan(4, "dma"), plan(8, "dma"),
         # decoupled tile sizes: compute tile 2x the communication tile
-        lambda: p(world=4, mode="dma", block_m=32,
-                  name="ag_gemm/dma/w4/bm32"),
-        lambda: p(world=2, mode="pull"),
-        lambda: p(world=4, mode="pull"),
-        lambda: p(world=2, mode="push"),
-        lambda: p(world=8, mode="push"),
+        plan(4, "dma", block_m=32, suffix="/bm32"),
+        plan(2, "pull"), plan(4, "pull"),
+        plan(2, "push"), plan(8, "push"),
     ]
 
 

@@ -32,7 +32,6 @@ from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_moe_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
@@ -70,9 +69,11 @@ def _ag_moe_group_gemm(gathered, weights2d, ids, expert_of_tile, grouped_out,
 
 
 # analyzer annotations (repro.analyze); grouped_out rows are the padded
-# expert-grouped layout, fully covered by the NT consumer tiles
+# expert-grouped layout, fully covered by the NT consumer tiles, and the
+# gathered tokens are read whole, so the AllGather must cover them
 _ag_moe_group_gemm.meta.update(role="consumer", comm_axis="m",
-                               outputs=("grouped_out",))
+                               outputs=("grouped_out",),
+                               inputs=("gathered",))
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def ag_moe_overlapped(
                    stream_name="comm",
                    segment_notifies=ag_mapping.tiles_per_channel)
 
-    return launch_spmd(machine, _ag_moe_group_gemm, grid, dict(
+    return ctx.launch_spmd(_ag_moe_group_gemm, grid, dict(
         gathered=ctx.heap.tensors(gathered_name),
         weights2d=ctx.heap.tensors(weights_name),
         ids=ctx.heap.tensors(ids_name),
@@ -273,12 +274,21 @@ def ag_moe_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
-    from repro.analyze.registry import build_ag_moe_plan as p
+    def plan(world: int):
+        m, h, d = world * 32, 32, 32
+        cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=4, topk=2, block_m=16,
+                          block_n=16, block_k=16)
 
-    return [
-        lambda: p(world=2),
-        lambda: p(world=4),
-    ]
+        def build(ctx: DistContext) -> None:
+            routing = routing_memo(4, 2, world)(m, cfg.block_m)
+            ctx.alloc("x", (m // world, h), "float16", fill=None)
+            ctx.alloc("w1", (4 * h, d), "float16", fill=None)
+            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
+            ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g", grid=4)
+
+        return f"ag_moe/w{world}", world, build
+
+    return [plan(2), plan(4)]
 
 
 def _bench_builders():

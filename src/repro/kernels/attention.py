@@ -36,13 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tuner.cache import TuneCache
     from repro.tuner.search import TuneResult
 
-#: analyzer annotation (repro.analyze): this family has no tile IR — the
-#: flash consumer is a native simulated kernel, so the static analyzer
-#: records an informational plan instead of an event-trace analysis
-ANALYZE_META = dict(family="ag_attention", tile_ir=False,
-                    detail="KV AllGather on the copy engine + native "
-                           "flash-attention consumer")
-
 
 @dataclass(frozen=True)
 class AgAttentionConfig:
@@ -325,12 +318,6 @@ def ag_attention_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_ag_attention_plan
-
-    return [build_ag_attention_plan]
-
-
 def _bench_builders():
     from repro.bench.experiments import attention_builders
 
@@ -365,7 +352,9 @@ register_family(
     search_space=lambda: attention_search_space(4, 32, 512, 2,
                                                 preset="small"),
     tune_task=lambda: ag_attention_tune_task(4, 32, 512, world=2),
-    analyze_plans=_analyze_plans,
+    # the flash consumer is a native simulated kernel with no tile IR: the
+    # analyzer gives the family one informational plan, nothing to record
+    analyze_plans=lambda: [],
     bench_builders=_bench_builders,
     worlds=(1,),
     tile_ir=False,

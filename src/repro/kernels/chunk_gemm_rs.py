@@ -48,7 +48,6 @@ from repro.mapping.layout import TileGrid, ceil_div
 from repro.config import H800, HardwareSpec
 from repro.registry import ServeMethod, register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
@@ -381,7 +380,7 @@ def chunk_gemm_rs_overlapped(
         tag, mapping=mapping, comm_grid=reduce_grid,
         consumer_grid=reduce_grid, peer_cells=world * nc)
 
-    launch_spmd(machine, _chunk_gemm_producer, grid, dict(
+    ctx.launch_spmd(_chunk_gemm_producer, grid, dict(
         tokens=ctx.heap.tensors(tokens_name),
         weights=ctx.heap.tensors(weight_name),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
@@ -412,85 +411,16 @@ def chunk_gemm_rs_overlapped(
         return None
 
     for rank in range(world):
-        machine.stream(rank, "comm").enqueue(
+        ctx.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.scatter[{rank}]")
 
-    return launch_spmd(machine, _chunk_rs_reduce, grid, dict(
+    return ctx.launch_spmd(_chunk_rs_reduce, grid, dict(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
         out=ctx.heap.tensors(out_name), channel=channels,
         M=cfg.m, N=cfg.n, BM=cfg.block_m, BNR=cfg.block_nr,
         NC=nc, HALF=half, PER=per, WORLD=world,
     ), options=options, label=f"{tag}.reduce")
-
-
-# ---------------------------------------------------------------------------
-# Analyzer plans (mirroring the launcher at small instantiations)
-# ---------------------------------------------------------------------------
-
-_PLAN_GRID = 4
-
-
-def build_chunk_gemm_rs_plan(world: int = 2, n_chunks: int = 2, *,
-                             block_m: int = 16,
-                             ir_overrides: dict | None = None,
-                             name: str | None = None):
-    """Mirror of :func:`chunk_gemm_rs_overlapped` for the analyzer."""
-    from repro.analyze.model import PlanBuilder
-
-    m, n, k = world * 32, 32, 32
-    bn = bk = 16
-    bnr = 32
-    m_per = m // world
-    seg_tiles = m_per // block_m
-    spans = chunk_spans(seg_tiles, n_chunks)
-    nc = len(spans)
-    half = spans[0][1]
-    per = (spans[1][1] - spans[1][0]) if nc > 1 else 1
-
-    b = PlanBuilder(name or f"chunk_gemm_rs/w{world}", "chunk_gemm_rs",
-                    world)
-    b.tensor("tokens", (m, k))
-    b.tensor("weights", (k, n))
-    b.tensor("gemm_out", (m, n))
-    b.tensor("landing", (m, n))
-    b.tensor("out", (m_per, n))
-
-    gemm_grid = TileGrid(m, n, block_m, bn)
-    reduce_grid = TileGrid(m, n, block_m, bnr)
-    mapping, _ = build_chunk_mapping(m, block_m, world, n_chunks,
-                                     gemm_grid.tiles_n)
-
-    channels = b.make_block_channels(
-        "chunk_rs", mapping=mapping, comm_grid=reduce_grid,
-        consumer_grid=reduce_grid, peer_cells=world * nc)
-
-    b.launch(_chunk_gemm_producer, _PLAN_GRID,
-             dict(M=m, N=n, K=k, BM=block_m, BN=bn, BK=bk),
-             dict(tokens="tokens", weights="weights", gemm_out="gemm_out"),
-             channels,
-             ir=(ir_overrides or {}).get(_chunk_gemm_producer.name))
-
-    for rank in range(world):
-        t = b.host(rank, "chunk_rs.scatter")
-        ch = channels[rank]
-        for off in range(1, world):
-            q = (rank + off) % world
-            for ci, (lo, hi) in enumerate(spans):
-                t.wait(ch.barriers, q * nc + ci,
-                       (hi - lo) * gemm_grid.tiles_n)
-                t.read("gemm_out", rank, (q * m_per + lo * block_m,
-                                          q * m_per + hi * block_m), (0, n))
-                t.write("landing", q, (rank * m_per + lo * block_m,
-                                       rank * m_per + hi * block_m), (0, n))
-                t.notify(ch.all_peer_barriers[q], rank * nc + ci, 1)
-
-    b.launch(_chunk_rs_reduce, _PLAN_GRID,
-             dict(M=m, N=n, BM=block_m, BNR=bnr, NC=nc, HALF=half,
-                  PER=per, WORLD=world),
-             dict(landing="landing", gemm_out="gemm_out", out="out"),
-             channels, ir=(ir_overrides or {}).get(_chunk_rs_reduce.name))
-    return b.build()
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +492,23 @@ def _serve_gemm_rs(ctx: DistContext, m: int, n: int, k: int, x_name: str,
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
+    def plan(world: int, n_chunks: int, block_m: int = 16, suffix: str = ""):
+        m, n, k = world * 32, 32, 32
+        cfg = ChunkGemmRsConfig(m=m, n=n, k=k, block_m=block_m, block_n=16,
+                                block_k=16, block_nr=32, n_chunks=n_chunks)
+
+        def build(ctx: DistContext) -> None:
+            ctx.alloc("x", (m, k), "float16", fill=None)
+            ctx.alloc("w", (k, n), "float16", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
+            chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+
+        return f"chunk_gemm_rs/w{world}{suffix}", world, build
+
     return [
-        lambda: build_chunk_gemm_rs_plan(world=2, n_chunks=2),
-        lambda: build_chunk_gemm_rs_plan(world=4, n_chunks=2),
+        plan(2, 2), plan(4, 2),
         # variable-size chunks: a 2-tile head then two 1-tile tails
-        lambda: build_chunk_gemm_rs_plan(world=2, n_chunks=3, block_m=8,
-                                         name="chunk_gemm_rs/w2/nc3"),
+        plan(2, 3, block_m=8, suffix="/nc3"),
     ]
 
 

@@ -34,7 +34,6 @@ from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
@@ -361,7 +360,7 @@ def gemm_rs_overlapped(
             tag, mapping=mapping, comm_grid=reduce_grid,
             consumer_grid=reduce_grid, peer_cells=reduce_grid.n_tiles,
             threshold_scale=gemm_grid.tiles_n, comm_blocks=cfg.comm_blocks)
-        return launch_spmd(machine, _gemm_rs_ring, grid, dict(
+        return ctx.launch_spmd(_gemm_rs_ring, grid, dict(
             tokens=ctx.heap.tensors(tokens_name),
             weights=ctx.heap.tensors(weight_name),
             gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
@@ -379,7 +378,7 @@ def gemm_rs_overlapped(
         consumer_grid=reduce_grid, peer_cells=world,
         threshold_scale=gemm_grid.tiles_n)
 
-    launch_spmd(machine, _gemm_producer, grid, dict(
+    ctx.launch_spmd(_gemm_producer, grid, dict(
         tokens=ctx.heap.tensors(tokens_name),
         weights=ctx.heap.tensors(weight_name),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
@@ -408,10 +407,10 @@ def gemm_rs_overlapped(
         return None
 
     for rank in range(world):
-        machine.stream(rank, "comm").enqueue(
+        ctx.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.scatter[{rank}]")
 
-    return launch_spmd(machine, _rs_reduce, grid, dict(
+    return ctx.launch_spmd(_rs_reduce, grid, dict(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
         out=ctx.heap.tensors(out_name), channel=channels,
@@ -424,14 +423,22 @@ def gemm_rs_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
-    from repro.analyze.registry import build_gemm_rs_plan as p
+    def plan(world: int, mode: str):
+        m, n, k = world * 32, 32, 32
+        cfg = GemmRsConfig(m=m, n=n, k=k, block_m=16, block_n=16,
+                           block_k=16, block_mr=16, block_nr=32,
+                           comm_blocks=2, mode=mode)
 
-    return [
-        lambda: p(world=2, mode="ring"),
-        lambda: p(world=4, mode="ring"),
-        lambda: p(world=2, mode="hybrid"),
-        lambda: p(world=4, mode="hybrid"),
-    ]
+        def build(ctx: DistContext) -> None:
+            ctx.alloc("x", (m, k), "float16", fill=None)
+            ctx.alloc("w", (k, n), "float16", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
+            gemm_rs_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+
+        return f"gemm_rs/{mode}/w{world}", world, build
+
+    return [plan(2, "ring"), plan(4, "ring"),
+            plan(2, "hybrid"), plan(4, "hybrid")]
 
 
 def _bench_builders():

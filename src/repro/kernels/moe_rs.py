@@ -38,7 +38,6 @@ from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid
 from repro.registry import register_family
 from repro.runtime.context import DistContext
-from repro.runtime.launcher import launch_spmd
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import moe_rs_lower_bound
 from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
@@ -282,7 +281,7 @@ def moe_rs_overlapped(
     for ch in channels:
         ch.notify_counts = routing.segment_counts
 
-    launch_spmd(machine, _moe_rs_producer, grid, dict(
+    ctx.launch_spmd(_moe_rs_producer, grid, dict(
         grouped_in=ctx.heap.tensors(grouped_in_name),
         weights2d=ctx.heap.tensors(weights_name),
         ids=ctx.heap.tensors(ids_name),
@@ -309,10 +308,10 @@ def moe_rs_overlapped(
         return None
 
     for rank in range(world):
-        machine.stream(rank, "comm").enqueue(
+        ctx.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.scatter[{rank}]")
 
-    return launch_spmd(machine, _moe_rs_reduce, grid, dict(
+    return ctx.launch_spmd(_moe_rs_reduce, grid, dict(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         out=ctx.heap.tensors(out_name), channel=channels,
         MP=m_per, H=cfg.h, BMR=cfg.block_mr, BNR=cfg.block_nr, WORLD=world,
@@ -324,12 +323,21 @@ def moe_rs_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
-    from repro.analyze.registry import build_moe_rs_plan as p
+    def plan(world: int):
+        m, h, d = world * 32, 32, 32
+        cfg = MoeRsConfig(m=m, h=h, d=d, block_m=16, block_n=16, block_k=16,
+                          block_mr=16, block_nr=32)
 
-    return [
-        lambda: p(world=2),
-        lambda: p(world=4),
-    ]
+        def build(ctx: DistContext) -> None:
+            routing = routing_memo(4, 2, world)(m, cfg.block_m)
+            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
+            ctx.alloc("w2", (4 * d, h), "float16", fill=None)
+            ctx.alloc("y", (m // world, h), "float32", fill=None)
+            moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y", grid=4)
+
+        return f"moe_rs/w{world}", world, build
+
+    return [plan(2), plan(4)]
 
 
 def _bench_builders():

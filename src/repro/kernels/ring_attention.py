@@ -32,10 +32,6 @@ from repro.tuner.space import SearchSpace, register_space
 #: per-step host cost of the torch.distributed SendRecv pair
 HOP_DISPATCH_OVERHEAD = 30e-6
 
-#: analyzer annotation (repro.analyze): native simulated kernel, no tile IR
-ANALYZE_META = dict(family="ring_attention", tile_ir=False,
-                    detail="rotating-KV lockstep ring on host processes")
-
 # The ring baseline shares the flash-tile axes with the AG kernel — the
 # searched subspace is the same q/kv tiling; only the builder (and its
 # lockstep cost structure) differs.
@@ -172,12 +168,6 @@ def ring_attention(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _analyze_plans():
-    from repro.analyze.registry import build_ring_attention_plan
-
-    return [build_ring_attention_plan]
-
-
 def _bench_builders():
     # the ring baseline appears as the "RingAttn" column of the shared
     # attention method grid
@@ -205,7 +195,8 @@ register_family(
     search_space=lambda: attention_search_space(4, 32, 512, 2,
                                                 preset="small"),
     tune_task=lambda: ring_attention_tune_task(4, 32, 512, world=2),
-    analyze_plans=_analyze_plans,
+    # native host-process ring, no tile IR: one informational plan
+    analyze_plans=lambda: [],
     bench_builders=_bench_builders,
     worlds=(1,),
     tile_ir=False,

@@ -7,7 +7,8 @@ script and the serving ``method`` strings.  This module collapses all of
 that into one declarative :class:`KernelFamily` record and a single
 :func:`register_family` call made from the family's own module:
 
-* the static analyzer (``repro.analyze``) enumerates ``analyze_plans``,
+* the static analyzer (``repro.analyze``) records ``analyze_plans``
+  from the family's own launcher,
 * the tuner sweep drivers enumerate ``sweep_entries`` / ``warm_tasks``,
 * the bench harness resolves ``bench_builders``,
 * the serving stack resolves extra ``method`` names via ``serve_method``.
@@ -88,7 +89,8 @@ class KernelFamily:
     search_space: Callable[[], Any]
     #: zero-arg factory -> ``TuneTask`` for a representative small shape
     tune_task: Callable[[], Any]
-    #: zero-arg factory -> list of zero-arg analyzer plan thunks
+    #: zero-arg factory -> analyzer ``(plan name, world, build)`` entries;
+    #: ``build(ctx)`` allocates tiny inputs and calls ``launch`` on them
     analyze_plans: Callable[[], list]
     #: zero-arg factory -> the family's bench builders function
     bench_builders: Callable[[], Callable[..., dict]]
@@ -295,7 +297,8 @@ def _manifest() -> dict:
             "modes": list(fam.modes),
             "tile_ir": fam.tile_ir,
             "kernels": [k.name for k in fam.kernels],
-            "plans": len(fam.analyze_plans()),
+            # a family without tile IR gets one informational plan
+            "plans": len(fam.analyze_plans()) if fam.tile_ir else 1,
             "sweep_category": fam.sweep_category,
             "warm_cached": fam.warm_tasks is not None,
             "serve_method": (fam.serve_method.name

@@ -14,20 +14,31 @@ primitives of Table 3:
 These are what map communication onto the copy engine while compute kernels
 run on SMs (the paper's Figure 6 pattern and the DMA-mapped AllGather used
 by the MLP/MoE kernels).
+
+Launchers reach the machine only through the context — ``alloc``/``bind``,
+``make_block_channels``, :meth:`DistContext.launch_spmd`, ``stream`` and
+the host primitives — which is what lets the static analyzer's
+:class:`~repro.analyze.model.RecordingContext` record a launch plan from
+the same launcher code that simulates.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
+from repro.compiler.program import CompileOptions
 from repro.config import SimConfig
 from repro.lang.block_channel import BlockChannel
+from repro.lang.dsl import KernelDef
 from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.memory.signals import SignalArray
 from repro.memory.symmetric import SymmetricHeap
 from repro.memory.tensor import SimTensor
+from repro.runtime import launcher
 from repro.sim.engine import Join, Process, ProcessGen, Timeout
 from repro.sim.machine import Machine
 from repro.sim.stream import Stream
@@ -62,6 +73,16 @@ class DistContext:
 
     def stream(self, rank: int, name: str = "default") -> Stream:
         return self.machine.stream(rank, name)
+
+    def launch_spmd(self, kdef: KernelDef, grid: int, args: dict[str, Any],
+                    options: CompileOptions | None = None,
+                    stream_name: str = "default",
+                    label: str | None = None) -> list[Process]:
+        """Launch ``kdef`` on every rank (see
+        :func:`repro.runtime.launcher.launch_spmd`)."""
+        return launcher.launch_spmd(self.machine, kdef, grid, args,
+                                    options=options, stream_name=stream_name,
+                                    label=label)
 
     # -- BlockChannel construction ------------------------------------------------
 

@@ -51,10 +51,6 @@ engine reproduces it *bit-for-bit* while pricing decode in macro-steps:
   shortcuts would break bit-determinism.  Per-step samples are counted
   inline (runs of steps between events share one value) and adopted
   into :class:`~repro.serve.samples.StepStats` at the end.
-
-A duck-typed table whose ``interpolator`` returns a plain callable
-(no ``decode_coeffs`` — e.g. the fake tables unit tests use) is priced
-per-step through that callable, preserving its exact call trace.
 """
 
 from __future__ import annotations
@@ -130,7 +126,7 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
             "every downstream timeline)")
     pricer = table.interpolator(model, method, world=world, spec=spec,
                                 seed=seed)
-    coeffs_of = getattr(pricer, "decode_coeffs", None)
+    coeffs_of = pricer.decode_coeffs
     prio = POLICIES[server.policy]
     mgr = KVCacheManager(kv, model) if kv is not None else None
     with_pool = mgr is not None
@@ -464,12 +460,8 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
             pending: list[Request] = []
             last_q = 1      # last step whose queue-depth sample is flushed
             # pricing state: form -1 forces a resolve on the first step;
-            # forms 0/1/2 are decode_coeffs cells inlined below, form 3
-            # is the duck-typed per-call fallback
-            if coeffs_of is not None:
-                form, seg_end = -1, -1.0
-            else:
-                form, seg_end = 3, inf
+            # forms 0/1/2 are decode_coeffs cells inlined below
+            form, seg_end = -1, -1.0
             _f = _lt = _lc = _dn = _df = _n = _hi = _sl = _tc = 0.0
             s = 1
             if with_pool:
@@ -531,10 +523,8 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
                         clock += (_lt + ((ctx - _lc) / _dn) * _df) * _n
                     elif form == 0:
                         clock += _f
-                    elif form == 2:
-                        clock += (_hi + _sl * (ctx - _tc)) * _n
                     else:
-                        clock += pricer(B, ctx)
+                        clock += (_hi + _sl * (ctx - _tc)) * _n
                     if s == k:
                         executed = k
                         break
@@ -574,10 +564,8 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
                         clock += (_lt + ((ctx - _lc) / _dn) * _df) * _n
                     elif form == 0:
                         clock += _f
-                    elif form == 2:
-                        clock += (_hi + _sl * (ctx - _tc)) * _n
                     else:
-                        clock += pricer(B, ctx)
+                        clock += (_hi + _sl * (ctx - _tc)) * _n
                     if s == k:
                         executed = k
                         break

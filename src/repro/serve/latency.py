@@ -139,15 +139,15 @@ class StepPricer:
     Calling it reproduces the original interpolation arithmetic
     operation-for-operation (bit-identical floats), with an O(1) memo on
     every (row, tokens) lookup.  On top of the per-call form it exposes
-    the cell structure: :meth:`decode_segment` resolves the affine
-    context segment a ``(tokens, ctx)`` query falls in *once*, so the
+    the cell structure: :meth:`decode_coeffs` resolves the affine context
+    segment a ``(tokens, ctx)`` query falls in *once*, so the
     event-driven engine (:mod:`repro.serve.engine`) prices a whole
-    macro-step of decode iterations through one cached closure instead
-    of re-bisecting both axes every step.
+    macro-step of decode iterations through one cached cell instead of
+    re-bisecting both axes every step.
     """
 
     __slots__ = ("buckets", "ctx_buckets", "grid", "n_layers",
-                 "_rows", "_segments", "_coeffs")
+                 "_rows", "_coeffs")
 
     def __init__(self, buckets: list[int], ctx_buckets: list[int],
                  grid: list[list[float]], n_layers: int):
@@ -156,7 +156,6 @@ class StepPricer:
         self.grid = grid
         self.n_layers = n_layers
         self._rows: dict = {}       # (ctx-row index, tokens) -> per-layer s
-        self._segments: dict = {}   # (tokens, segment index) -> (fn, end)
         self._coeffs: dict = {}     # (tokens, segment index) -> coeff tuple
 
     def _row_at(self, row: int, tokens: int) -> float:
@@ -203,60 +202,10 @@ class StepPricer:
             per_layer = lo_t + frac * (hi_t - lo_t)
         return per_layer * self.n_layers
 
-    def decode_segment(self, tokens: int, ctx: int
-                       ) -> tuple[Callable[[int], float], float]:
-        """The context cell containing ``ctx`` at this step size.
-
-        Returns ``(price, end)``: ``price(c)`` equals ``self(tokens, c)``
-        bit-for-bit for every ``c`` in the cell, and ``end`` is the
-        largest context the cell covers — past it the caller re-resolves.
-        Cells are cached per ``(tokens, segment)``, so a long decode run
-        prices each step through one closure call.
-
-        Segment ends are conservative about the branch boundaries of
-        ``__call__``: the last interior cell stops one token short of
-        the top context bucket (where the extrapolation branch takes
-        over), and the extrapolation cell keeps its own
-        ``hi + slope * (ctx - top)`` form — the interior affine
-        rearrangement would match only to rounding.
-        """
-        cb = self.ctx_buckets
-        if ctx <= cb[0]:
-            seg = 0
-        elif ctx >= cb[-1]:
-            seg = len(cb)
-        else:
-            seg = bisect_left(cb, ctx)
-        key = (tokens, seg)
-        cached = self._segments.get(key)
-        if cached is not None:
-            return cached
-        nl = self.n_layers
-        if seg == 0:
-            flat = self._row_at(0, tokens) * nl
-            cached = ((lambda c, _t=flat: _t), float(cb[0]))
-        elif seg == len(cb):
-            hi = self._row_at(len(cb) - 1, tokens)
-            lo = self._row_at(len(cb) - 2, tokens)
-            slope = (hi - lo) / (cb[-1] - cb[-2])
-            cached = ((lambda c, _h=hi, _s=slope, _c=cb[-1], _n=nl:
-                       (_h + _s * (c - _c)) * _n), float("inf"))
-        else:
-            lo_c, hi_c = cb[seg - 1], cb[seg]
-            lo_t = self._row_at(seg - 1, tokens)
-            hi_t = self._row_at(seg, tokens)
-            den = hi_c - lo_c
-            diff = hi_t - lo_t
-            end = float(hi_c if hi_c < cb[-1] else hi_c - 1)
-            cached = ((lambda c, _lt=lo_t, _lc=lo_c, _d=den, _df=diff,
-                       _n=nl: (_lt + ((c - _lc) / _d) * _df) * _n), end)
-        self._segments[key] = cached
-        return cached
-
     def decode_coeffs(self, tokens: int, ctx: int) -> tuple:
-        """:meth:`decode_segment`'s cell as raw coefficients, so the
-        engine's tight loop can inline the pricing expression instead of
-        paying a closure call per decode step.  Returns one of
+        """The context cell containing ``ctx`` at this step size, as raw
+        coefficients the engine's tight loop inlines instead of paying a
+        call per decode step.  Returns one of
 
         * ``(0, total, end)`` — flat cell: the price is ``total``;
         * ``(1, lo_t, lo_c, den, diff, nl, end)`` — interior cell:
@@ -265,9 +214,15 @@ class StepPricer:
         * ``(2, hi, slope, top_c, nl, inf)`` — extrapolation cell:
           ``(hi + slope * (c - top_c)) * nl``.
 
-        The expressions (and their operation order) are exactly the
-        closures :meth:`decode_segment` builds — inlining them yields
-        bit-identical floats.
+        ``end`` is the largest context the cell covers; past it the
+        caller re-resolves.  Each expression equals ``self(tokens, c)``
+        bit-for-bit for every ``c`` in the cell.  Cell ends are
+        conservative about the branch boundaries of ``__call__``: the
+        last interior cell stops one token short of the top context
+        bucket (where the extrapolation branch takes over), and the
+        extrapolation cell keeps its own ``hi + slope * (c - top)`` form
+        — the interior affine rearrangement would match only to
+        rounding.  Cells are cached per ``(tokens, segment)``.
         """
         cb = self.ctx_buckets
         if ctx <= cb[0]:
@@ -400,8 +355,8 @@ class StepLatencyTable(VersionedJsonStore):
         times; resolving the entry once into a :class:`StepPricer` over
         plain lists keeps the per-step cost to two memoised bisects and
         a handful of multiplies — and gives the event-driven engine the
-        per-cell :meth:`StepPricer.decode_segment` closures it macro-
-        steps through.
+        per-cell :meth:`StepPricer.decode_coeffs` it macro-steps
+        through.
         """
         key = entry_key(model, method, world, spec, seed)
         entry = self._load().get(key)

@@ -1,9 +1,10 @@
 """Static synchronization analyzer: clean kernels, seeded mutants, CLI.
 
 The mutant tests are the analyzer's ground truth: each one plants a known
-synchronization bug in a shipped kernel's IR (or channel wiring) and
-asserts the analyzer reports exactly that bug class, with the right rule
-id and a source line.
+synchronization bug in a shipped kernel's IR, its channel wiring or its
+launcher, records the family's registered plan from the real launcher,
+and asserts the analyzer reports exactly that bug class, with the right
+rule id and a source line.
 """
 
 from __future__ import annotations
@@ -13,22 +14,26 @@ import json
 
 import pytest
 
+import repro.kernels.ag_gemm as ag_gemm_mod
+import repro.runtime.launcher as launcher_mod
 from repro.analyze import (
-    FAMILIES,
+    RecordingContext,
     analyze_plan,
     analyze_registered,
-    build_ag_gemm_plan,
-    build_gemm_rs_plan,
     check_compiled_ir,
+    record_plan,
     structural_check_ir,
 )
 from repro.analyze.__main__ import main as analyze_main
+from repro.collectives.copy_engine import dma_all_gather
 from repro.compiler.program import CompileOptions, compile_kernel
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RuntimeLaunchError
 from repro.kernels.ag_gemm import (
+    AgGemmConfig,
     _ag_consumer_gemm,
     _ag_pull_producer,
     _ag_push_producer,
+    ag_gemm_overlapped,
 )
 from repro.kernels.ag_moe import _ag_moe_group_gemm
 from repro.kernels.gemm_rs import _gemm_producer, _gemm_rs_ring, _rs_reduce
@@ -36,6 +41,8 @@ from repro.kernels.moe_rs import _moe_rs_producer, _moe_rs_reduce
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.lang.ir import For, Primitive
+from repro.registry import families, get_family
+from repro.sim.engine import Timeout
 
 SHIPPED_KERNELS = [
     _ag_consumer_gemm, _ag_pull_producer, _ag_push_producer,
@@ -55,7 +62,7 @@ def test_all_registered_plans_analyze_clean():
         assert report.ok(strict=True), (
             f"{plan.name} not clean:\n{report.render()}")
         seen.append(plan.family)
-    for family in FAMILIES:
+    for family in families():
         assert family in seen
 
 
@@ -83,6 +90,15 @@ def test_kernel_meta_annotations_present():
 # ---------------------------------------------------------------------------
 
 
+def _registered(plan_name: str):
+    """``(family, name, world, build)`` of one registered plan."""
+    family = plan_name.split("/")[0]
+    for name, world, build in get_family(family).analyze_plans():
+        if name == plan_name:
+            return family, name, world, build
+    raise KeyError(plan_name)
+
+
 def _strip_notify(body):
     out = []
     for s in body:
@@ -97,8 +113,8 @@ def _strip_notify(body):
 def test_mutant_missing_notify_is_deadlock():
     ir = copy.deepcopy(_ag_pull_producer.ir)
     ir.body = _strip_notify(ir.body)
-    plan, extra = build_ag_gemm_plan(
-        world=2, mode="pull", ir_overrides={_ag_pull_producer.name: ir})
+    plan, extra = record_plan(*_registered("ag_gemm/pull/w2"),
+                              ir_overrides={_ag_pull_producer.name: ir})
     report = analyze_plan(plan, extra=extra)
     rules = {f.rule for f in report.errors}
     assert "deadlock.unmatched-wait" in rules
@@ -109,10 +125,19 @@ def test_mutant_missing_notify_is_deadlock():
     assert all(isinstance(f.lineno, int) and f.lineno > 0 for f in hits)
 
 
+class _InflatedThresholds(RecordingContext):
+    """Every channel the launcher builds waits for twice its posts."""
+
+    def make_block_channels(self, *args, **kwargs):
+        return super().make_block_channels(
+            *args, **dict(kwargs, threshold_scale=2))
+
+
 def test_mutant_inflated_threshold_is_unreachable():
-    plan, extra = build_ag_gemm_plan(world=2, mode="pull",
-                                     threshold_scale=2)
-    report = analyze_plan(plan, extra=extra)
+    family, name, world, build = _registered("ag_gemm/pull/w2")
+    ctx = _InflatedThresholds(name, family, world)
+    build(ctx)
+    report = analyze_plan(ctx.plan, extra=ctx.findings)
     rules = {f.rule for f in report.errors}
     assert "deadlock.unreachable-threshold" in rules
     hit = next(f for f in report.errors
@@ -138,8 +163,8 @@ def _duplicate_producer_loop(body) -> bool:
 def test_mutant_duplicated_tile_loop_is_double_produce():
     ir = copy.deepcopy(_ag_pull_producer.ir)
     assert _duplicate_producer_loop(ir.body)
-    plan, extra = build_ag_gemm_plan(
-        world=2, mode="pull", ir_overrides={_ag_pull_producer.name: ir})
+    plan, extra = record_plan(*_registered("ag_gemm/pull/w2"),
+                              ir_overrides={_ag_pull_producer.name: ir})
     report = analyze_plan(plan, extra=extra)
     hits = [f for f in report.errors if f.rule == "race.double-produce"]
     assert hits, report.render()
@@ -163,13 +188,72 @@ def test_mutant_unguarded_read_is_race():
         return out
 
     ir.body = strip_wait(ir.body)
-    plan, extra = build_gemm_rs_plan(
-        world=2, mode="ring", ir_overrides={_gemm_rs_ring.name: ir})
+    plan, extra = record_plan(*_registered("gemm_rs/ring/w2"),
+                              ir_overrides={_gemm_rs_ring.name: ir})
     report = analyze_plan(plan, extra=extra)
     hits = [f for f in report.findings if f.rule == "race.unguarded-read"]
     assert hits, report.render()
     assert all(f.kernel == _gemm_rs_ring.name for f in hits)
     assert all(isinstance(f.lineno, int) and f.lineno > 0 for f in hits)
+
+
+# ---------------------------------------------------------------------------
+# launcher bugs: only a plan recorded from the real launcher can see these
+# ---------------------------------------------------------------------------
+
+def test_dma_launch_with_two_channels_per_rank_is_clean():
+    # the consumer waits on every channel of a landed shard, so the copy
+    # engine must post them all; it once posted one cell per shard, which
+    # deadlocked the simulator and recorded as deadlock.unmatched-wait
+    world = 4
+    cfg = AgGemmConfig(m=256, n=96, k=64, block_m=32, block_mp=32,
+                       mode="dma", channels_per_rank=2)
+
+    def build(ctx):
+        ctx.alloc("x", (cfg.m // world, cfg.k), "float16", fill=None)
+        ctx.alloc("w", (cfg.k, cfg.n), "float16", fill=None)
+        ctx.alloc("y", (cfg.m, cfg.n), "float16", fill=None)
+        ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=4)
+
+    plan, extra = record_plan("ag_gemm", "ag_gemm/dma/w4/c2", world, build)
+    report = analyze_plan(plan, extra=extra)
+    assert report.ok(strict=True), report.render()
+
+
+def test_launcher_mutant_silent_allgather_is_unmatched_wait(monkeypatch):
+    # the copy engine still moves every shard but publishes no signal
+    def silent(ctx, src_name, dst_name, banks, **kwargs):
+        return dma_all_gather(ctx, src_name, dst_name, None, **kwargs)
+
+    monkeypatch.setattr(ag_gemm_mod, "dma_all_gather", silent)
+    plan, extra = record_plan(*_registered("ag_gemm/dma/w2"))
+    report = analyze_plan(plan, extra=extra)
+    hits = [f for f in report.errors if f.rule == "deadlock.unmatched-wait"]
+    assert hits, report.render()
+    wait_line = next(s.lineno for s in _ag_consumer_gemm.ir.walk_stmts()
+                     if isinstance(s, Primitive)
+                     and s.name == "consumer_tile_wait")
+    assert {(f.kernel, f.lineno) for f in hits} == {
+        (_ag_consumer_gemm.name, wait_line)}
+
+
+def test_recording_never_compiles_and_rejects_bypassed_seams(monkeypatch):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("recording compiled a kernel")
+
+    monkeypatch.setattr(launcher_mod, "compile_kernel", no_compile)
+    assert all(report.ok(strict=True) for _plan, report
+               in analyze_registered(["ag_gemm", "gemm_rs"]))
+
+    ctx = RecordingContext("bypass", "ag_gemm", 2)
+
+    def sleeps():
+        yield Timeout(1e-6)
+
+    with pytest.raises(RuntimeLaunchError, match="outside the recording"):
+        ctx.stream(0, "comm").enqueue(sleeps(), name="sleeper")
+    with pytest.raises(AttributeError):
+        ctx.machine.stream(0, "comm")
 
 
 # ---------------------------------------------------------------------------
@@ -263,5 +347,5 @@ def test_cli_unknown_family_errors(capsys):
 def test_cli_list(capsys):
     assert analyze_main(["--list"]) == 0
     out = capsys.readouterr().out
-    for family in FAMILIES:
+    for family in families():
         assert family in out

@@ -45,17 +45,12 @@ from repro.serve.kv import KVCacheConfig
 from repro.serve.samples import StepStats
 from repro.serve.scheduler import ServerConfig, serve
 from repro.serve.workload import generate_requests
+from tests.conftest import AffineTable
 
 TINY = ModelConfig("tiny", n_layers=4, hidden=512, heads=4, head_dim=128,
                    intermediate=2048, batch=1, seq_len=2048)
 
-
-class FakeTable:
-    def interpolator(self, model, method, world=8, spec=None, seed=0):
-        return lambda tokens, ctx=0: 1e-3 + tokens * 1e-5
-
-
-TABLE = FakeTable()
+TABLE = AffineTable()
 
 #: A thrashing config: small pool + naive admission, so the recording
 #: covers preemption, recompute, re-admission and watermark crossings.

@@ -4,9 +4,9 @@ method axis, and the ``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
 resolve must expose a working hook for *each* consumer — tuner (search
-space + tune task), analyzer (plans covering its declared worlds), bench
-(builders) and launch — so a family can never be half-wired into the
-stack.
+space + tune task), analyzer (plans recorded from its launcher, covering
+its declared worlds), bench (builders) and launch — so a family can never
+be half-wired into the stack.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.analyze import analyze_registered
 from repro.errors import RegistryError
 from repro.registry import (
     BASE_SERVE_METHODS,
@@ -55,11 +56,12 @@ def test_family_record_is_complete(name):
     assert task.kernel == name
     assert callable(get_space(name))
 
-    # analyzer: at least one plan per declared world
-    plans = [thunk() for thunk in fam.analyze_plans()]
+    # analyzer: at least one plan per declared world, each recorded from
+    # the family's own launcher (a native family gets one note plan)
+    plans = [plan for plan, _report in analyze_registered([name])]
     assert plans, "family ships no analyzer plans"
-    plan_worlds = {plan.world for plan, _extra in plans}
-    assert plan_worlds >= set(fam.worlds)
+    assert {plan.world for plan in plans} >= set(fam.worlds)
+    assert all(plan.family == name for plan in plans)
 
     # bench: the builders hook resolves to a callable
     assert callable(fam.bench_builders())

@@ -11,8 +11,7 @@ event boundaries (finish ties, arrivals mid-macro-step, pool watermark
 hits).  A second family runs against a real in-memory
 :class:`StepLatencyTable` (analytically faked simulator) so the inlined
 ``decode_coeffs`` pricing is exercised across context-segment
-transitions and extrapolation — and a duck-typed table without
-``decode_coeffs`` pins the fallback path.
+transitions and extrapolation.
 """
 
 from __future__ import annotations
@@ -33,23 +32,12 @@ from repro.serve.scheduler import (
     serve_reference,
 )
 from repro.serve.workload import Request, generate_requests
+from tests.conftest import FLOOR, PER_TOKEN, AffineTable
 
 TINY = ModelConfig("tiny", n_layers=4, hidden=512, heads=4, head_dim=128,
                    intermediate=2048, batch=1, seq_len=2048)
 
-FLOOR = 1e-3
-PER_TOKEN = 1e-5
-
-
-class FakeTable:
-    """Duck-typed table with *no* ``decode_coeffs``: the engine must fall
-    back to calling the pricer per decode step (and still be exact)."""
-
-    def interpolator(self, model, method, world=8, spec=None, seed=0):
-        return lambda tokens, ctx=0: FLOOR + tokens * PER_TOKEN
-
-
-TABLE = FakeTable()
+TABLE = AffineTable()
 
 
 def _req(rid, arrival, prompt, output):

@@ -26,22 +26,12 @@ from repro.serve.kv import (
 from repro.serve.metrics import summarize
 from repro.serve.scheduler import ServerConfig, serve
 from repro.serve.workload import Request, generate_requests
+from tests.conftest import AffineTable
 
 TINY = ModelConfig("tiny", n_layers=4, hidden=512, heads=4, head_dim=128,
                    intermediate=2048, batch=1, seq_len=2048)
 
-FLOOR = 1e-3
-PER_TOKEN = 1e-5
-
-
-class FakeTable:
-    """Duck-typed StepLatencyTable: affine in tokens, ignores context."""
-
-    def interpolator(self, model, method, world=8, spec=None, seed=0):
-        return lambda tokens, ctx=0: FLOOR + tokens * PER_TOKEN
-
-
-TABLE = FakeTable()
+TABLE = AffineTable()
 
 
 def _req(rid, arrival, prompt, output):

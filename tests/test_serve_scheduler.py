@@ -12,25 +12,13 @@ import pytest
 from repro.errors import ServeError
 from repro.serve.scheduler import ServerConfig, serve
 from repro.serve.workload import Request, generate_requests
-
-FLOOR = 1e-3
-PER_TOKEN = 1e-5
-
-
-class FakeTable:
-    """Duck-typed StepLatencyTable: affine step law, no simulator.
-
-    Ignores the context axis, so resident KV never changes a step's
-    price here — timeline tests stay exactly predictable.  Context
-    pricing itself is covered in test_serve_latency / test_serve_kv.
-    """
-
-    def interpolator(self, model, method, world=8, spec=None, seed=0):
-        return lambda tokens, ctx=0: FLOOR + tokens * PER_TOKEN
-
+from tests.conftest import FLOOR, PER_TOKEN, AffineTable
 
 MODEL = object()        # the stub never inspects it
-TABLE = FakeTable()
+#: ignores the context axis, so resident KV never changes a step's price
+#: here — timeline tests stay exactly predictable.  Context pricing
+#: itself is covered in test_serve_latency / test_serve_kv.
+TABLE = AffineTable()
 
 
 def _req(rid, arrival, prompt, output):
@@ -142,24 +130,13 @@ def test_decode_steps_price_the_batch_resident_context():
     """Even without a KV pool, decode steps pass the batch's total
     resident KV tokens to the latency table's context axis."""
 
-    class CtxRecordingTable:
-        def __init__(self):
-            self.decode_calls = []
-
-        def interpolator(self, model, method, world=8, spec=None, seed=0):
-            def f(tokens, ctx=0):
-                if ctx:
-                    self.decode_calls.append((tokens, ctx))
-                return FLOOR + tokens * PER_TOKEN
-            return f
-
-    table = CtxRecordingTable()
+    calls = []
     reqs = [_req(0, 0.0, 100, 3), _req(1, 0.0, 100, 3)]
-    res = serve(reqs, MODEL, "tilelink", table,
+    res = serve(reqs, MODEL, "tilelink", AffineTable(calls=calls),
                 ServerConfig(max_batch=2, max_prefill_tokens=200))
     # after the joint prefill both requests hold 100 resident tokens;
     # each decode step grows both by one
-    assert table.decode_calls == [(2, 200), (2, 202)]
+    assert calls == [(2, 200), (2, 202)]
     assert res.peak_resident_tokens == 202
 
 

@@ -14,8 +14,8 @@ Three acts:
 1. record a shipped launch from its launcher and show the clean report;
 2. plant a classic bug (delete the producer's notify) and watch the
    analyzer pinpoint the orphaned wait, with rule ids and source lines;
-3. show the compile-time structural gate rejecting a rank-divergent
-   ``barrier_all`` before the kernel can ever run.
+3. show the compile-time structural gate rejecting a misused primitive
+   (a notify with an unknown mode) before the kernel can ever run.
 
 Run:  python examples/analyze_kernel.py
 """
@@ -90,24 +90,25 @@ def act2_seeded_deadlock() -> None:
 
 
 @kernel
-def _divergent_barrier(x, channel: tl.BlockChannel, N: tl.constexpr):
-    if channel.rank == 0:
-        tl.barrier_all()   # rank 0 waits forever: nobody else arrives
+def _multicast_notify(x, channel: tl.BlockChannel, N: tl.constexpr):
+    # producer_tile_notify routes "p2p" or "broadcast"; there is no multicast
+    tl.producer_tile_notify(0, "multicast")
 
 
 def act3_compile_gate() -> None:
     print()
     print("=" * 72)
-    print("Act 3: the compile-time gate rejects a rank-divergent barrier")
+    print("Act 3: the compile-time gate rejects a misused primitive")
     print("=" * 72)
     try:
-        compile_kernel(_divergent_barrier, dict(N=4))
+        compile_kernel(_multicast_notify, dict(N=4))
     except AnalysisError as e:
         for f in e.findings:
             print(f"  {f.render()}")
-        print("\nCompilation refused: a barrier_all under a rank-dependent "
-              "branch is a\ncollective only some ranks join — a guaranteed "
-              "hang on real hardware.")
+        assert [f.rule for f in e.findings] == ["struct.bad-mode"]
+        print("\nCompilation refused: the runtime has no 'multicast' "
+              "routing, so this kernel\nwould fail mid-launch; the gate "
+              "names the line before it can run.")
     else:
         raise AssertionError("expected the structural gate to fire")
 

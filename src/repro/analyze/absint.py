@@ -14,10 +14,14 @@ race/coverage checks (data-dependent addressing — e.g. ``gather_rows``
 through a routing table — is out of scope by design).  Branches on
 UNKNOWN conditions are explored both ways with ``guaranteed=False``.
 
-Semantics mirror ``repro.compiler.interp.BlockInterp`` — the op table,
-``consumer_wait_list`` threshold resolution, notify target selection and
-``tile_pull_data`` shard-local row arithmetic are the same code paths
-(the channel objects are real; only the signal arrays are abstract).
+The semantics are the interpreter's, not a copy of them: scalar operators
+come from :data:`repro.lang.ir.BINARY_OPS`/:data:`~repro.lang.ir.UNARY_OPS`,
+and every primitive resolves through the real
+:class:`~repro.lang.block_channel.BlockChannel` (``notify_posts``,
+``consumer_wait_list``, ``peer_bank``, ``comm_tile_ranges``,
+``pull_source``) that :class:`repro.compiler.interp.BlockInterp` calls —
+only the signal arrays are abstract.  This module adds just the UNKNOWN
+handling and the event emission.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from typing import Any
 from repro.errors import LoweringError, MappingError
 from repro.lang.block_channel import BlockChannel
 from repro.lang.ir import (
+    BINARY_OPS,
+    UNARY_OPS,
     AssignScalar,
     BinOp,
     ChannelField,
@@ -50,28 +56,6 @@ from repro.analyze.model import UNKNOWN, Event, Site
 MAX_EVENTS = 50_000
 #: per-loop iteration budget
 MAX_TRIPS = 4_096
-
-_BINOP_FNS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "//": lambda a, b: a // b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "**": lambda a, b: a ** b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "min": min,
-    "max": max,
-    "cdiv": lambda a, b: -(-a // b),
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
-}
-
 
 class _Return(Exception):
     pass
@@ -141,21 +125,19 @@ class AbstractEvaluator:
                 return UNKNOWN
         if isinstance(e, UnaryOp):
             v = self.eval(e.operand)
-            if v is UNKNOWN:
-                return UNKNOWN
-            return -v if e.op == "-" else (not v)
+            fn = UNARY_OPS.get(e.op)
+            return UNKNOWN if v is UNKNOWN or fn is None else fn(v)
         if isinstance(e, BinOp):
             left = self.eval(e.left)
             # short-circuit like Python so `k and f(k)` stays decidable
-            if e.op == "and" and left is not UNKNOWN and not left:
-                return left
-            if e.op == "or" and left is not UNKNOWN and left:
-                return left
+            if e.op == "and":
+                return left if left is UNKNOWN or not left \
+                    else self.eval(e.right)
+            if e.op == "or":
+                return left if left is UNKNOWN or left else self.eval(e.right)
             right = self.eval(e.right)
-            if left is UNKNOWN or right is UNKNOWN:
-                return UNKNOWN
-            fn = _BINOP_FNS.get(e.op)
-            if fn is None:
+            fn = BINARY_OPS.get(e.op)
+            if left is UNKNOWN or right is UNKNOWN or fn is None:
                 return UNKNOWN
             try:
                 return fn(left, right)
@@ -341,158 +323,87 @@ class AbstractEvaluator:
 
     # -- primitives -----------------------------------------------------------
 
+    def known(self, s: Primitive, *values: Any) -> bool:
+        """False (and a warning) if a primitive operand is UNKNOWN."""
+        if UNKNOWN in values:
+            self.warn_once("analysis.error",
+                           f"{s.name} has a statically-unknown tile id, "
+                           "cell, rank or count", s)
+            return False
+        return True
+
     def exec_primitive(self, s: Primitive) -> None:
         ch = self.channel
         if ch is None:
             raise LoweringError(
                 f"primitive {s.name} needs a BlockChannel argument")
         name = s.name
+        if name in ("tile_push_data", "tile_pull_data") \
+                and not isinstance(s.args[0], TensorRef):
+            raise LoweringError(f"{name} needs a tensor argument")
 
         if name == "producer_tile_notify":
             tid = self.eval_int(s.args[0])
-            if tid is UNKNOWN:
-                self.warn_once("analysis.error",
-                               "producer_tile_notify tile id is unknown", s)
+            to = self.eval_int(s.kwargs["to"]) if "to" in s.kwargs else None
+            if not self.known(s, tid, to):
                 return
             mode = s.args[1] if len(s.args) > 1 else \
                 s.kwargs.get("mode", "p2p")
-            if ch.notify_counts is not None and mode == "broadcast":
-                for channel_idx, amount in enumerate(ch.notify_counts[tid]):
-                    if amount > 0:
-                        self.emit(Event(
-                            "notify",
-                            self.site(s, f"notify t{tid} c{channel_idx}"),
-                            guaranteed=self.guaranteed,
-                            bank=ch.barriers.key, cell=int(channel_idx),
-                            amount=int(amount)))
-                return
-            channel_idx = ch.producer_channel(tid)
-            if mode == "p2p":
-                target = s.kwargs.get("to")
-                if target is not None:
-                    dst = self.eval_int(target)
-                    if dst is UNKNOWN:
-                        self.warn_once("analysis.error",
-                                       "notify target rank is unknown", s)
-                        return
-                elif getattr(ch, "notify_target", "local") == "mapped":
-                    dst = ch.producer_rank(tid)
-                else:
-                    dst = self.rank
+            for bank, cell, amount in ch.notify_posts(tid, mode, to):
                 self.emit(Event(
-                    "notify", self.site(s, f"notify t{tid} -> r{dst}"),
-                    guaranteed=self.guaranteed,
-                    bank=ch.all_barriers[dst].key, cell=channel_idx,
-                    amount=1))
-            elif mode == "broadcast":
-                for dst in range(ch.num_ranks):
-                    self.emit(Event(
-                        "notify", self.site(s, f"notify t{tid} -> r{dst}"),
-                        guaranteed=self.guaranteed,
-                        bank=ch.all_barriers[dst].key, cell=channel_idx,
-                        amount=1))
-            else:
-                raise LoweringError(f"unknown notify mode {mode!r}")
-            return
-
-        if name == "consumer_tile_wait":
+                    "notify", self.site(s, f"notify t{tid} -> r{bank.rank}"),
+                    guaranteed=self.guaranteed, bank=bank.key, cell=cell,
+                    amount=amount))
+        elif name == "consumer_tile_wait":
             tid = self.eval_int(s.args[0])
-            if tid is UNKNOWN:
-                self.warn_once("analysis.error",
-                               "consumer_tile_wait tile id is unknown", s)
+            if not self.known(s, tid):
                 return
             for channel_idx, threshold in ch.consumer_wait_list(tid):
                 self.emit(Event(
-                    "wait",
-                    self.site(s, f"wait t{tid} c{channel_idx}"),
+                    "wait", self.site(s, f"wait t{tid} c{channel_idx}"),
                     guaranteed=self.guaranteed, bank=ch.barriers.key,
                     cell=int(channel_idx), threshold=int(threshold)))
-            return
-
-        if name == "peer_tile_notify":
+        elif name == "peer_tile_notify":
             cell = self.eval_int(s.args[0])
             dst = self.eval_int(s.args[1])
-            if UNKNOWN in (cell, dst):
-                self.warn_once("analysis.error",
-                               "peer_tile_notify cell/rank unknown", s)
+            if not self.known(s, cell, dst):
                 return
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
             self.emit(Event(
                 "notify", self.site(s, f"peer notify cell {cell} -> r{dst}"),
-                guaranteed=self.guaranteed,
-                bank=ch.all_peer_barriers[dst].key, cell=cell, amount=1))
-            return
-
-        if name == "peer_tile_wait":
+                guaranteed=self.guaranteed, bank=ch.peer_bank(dst).key,
+                cell=cell, amount=1))
+        elif name == "peer_tile_wait":
             cell = self.eval_int(s.args[0])
             rank = self.eval_int(s.args[1])
             count = self.eval_int(s.kwargs["count"]) \
                 if "count" in s.kwargs else 1
-            if UNKNOWN in (cell, rank, count):
-                self.warn_once("analysis.error",
-                               "peer_tile_wait cell/rank/count unknown", s)
+            if not self.known(s, cell, rank, count):
                 return
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
             self.emit(Event(
                 "wait", self.site(s, f"peer wait cell {cell} @ r{rank}"),
-                guaranteed=self.guaranteed,
-                bank=ch.all_peer_barriers[rank].key, cell=cell,
-                threshold=count))
-            return
-
-        if name == "tile_push_data":
-            ref = s.args[0]
-            if not isinstance(ref, TensorRef):
-                raise LoweringError("tile_push_data needs a tensor argument")
+                guaranteed=self.guaranteed, bank=ch.peer_bank(rank).key,
+                cell=cell, threshold=count))
+        elif name == "tile_push_data":
             tid_m = self.eval_int(s.args[1])
             tid_n = self.eval_int(s.args[2])
-            if ch.comm_grid is None:
-                raise LoweringError("tile_push_data needs a comm grid")
-            if UNKNOWN in (tid_m, tid_n):
-                self.access("write", s, ref, None, None, "tile_push_data")
-                return
-            (r0, r1), (c0, c1) = ch.comm_grid.ranges(
-                ch.comm_grid.tile_id(tid_m, tid_n))
-            self.access("write", s, ref, (r0, r1), (c0, c1),
-                        "tile_push_data")
-            return
-
-        if name == "tile_pull_data":
-            ref = s.args[0]
-            if not isinstance(ref, TensorRef):
-                raise LoweringError("tile_pull_data needs a tensor argument")
+            rows = cols = None
+            if UNKNOWN not in (tid_m, tid_n):
+                rows, cols = ch.comm_tile_ranges(tid_m, tid_n)
+            self.access("write", s, s.args[0], rows, cols, name)
+        elif name == "tile_pull_data":
             tid_m = self.eval_int(s.args[1])
             tid_n = self.eval_int(s.args[2]) if len(s.args) > 2 else 0
-            if ch.comm_grid is None:
-                raise LoweringError("tile_pull_data needs a comm grid")
-            mapping = ch.require_mapping()
-            if UNKNOWN in (tid_m, tid_n):
-                self.warn_once("analysis.error",
-                               "tile_pull_data tile id is unknown", s)
+            if not self.known(s, tid_m, tid_n):
                 return
-            src_rank = mapping.rank_of(tid_m)
-            (r0, r1), (c0, c1) = ch.comm_grid.ranges(
-                ch.comm_grid.tile_id(tid_m, tid_n))
-            per_rank = getattr(mapping, "per_rank", None)
-            rows = None
-            if per_rank is not None:
-                rows = (r0 - src_rank * per_rank, r1 - src_rank * per_rank)
-            resolved = self.tensors.get(ref.name)
-            if resolved is not None:
+            src_rank, rows, cols = ch.pull_source(tid_m, tid_n)
+            tensor = self.tensors.get(s.args[0].name)
+            if tensor is not None:
                 self.emit(Event(
                     "read", self.site(s, f"pull t{tid_m} from r{src_rank}"),
-                    guaranteed=self.guaranteed, tensor=resolved,
-                    rank=src_rank, rows=rows, cols=(c0, c1)))
-            return
-
-        if name == "barrier_all":
-            self.emit(Event("barrier", self.site(s, "barrier_all"),
-                            guaranteed=self.guaranteed))
-            return
-
-        raise LoweringError(f"unsupported primitive {name!r}")
+                    guaranteed=self.guaranteed, tensor=tensor,
+                    rank=src_rank, rows=rows, cols=cols))
+        else:
+            raise LoweringError(f"unsupported primitive {name!r}")
 
 
 def interpret_launch(ir: KernelIR, constexprs: dict[str, Any],

@@ -1,4 +1,4 @@
-"""The analyzer's checkers: deadlock, race, coverage, barrier divergence.
+"""The analyzer's checkers: deadlock, race and coverage.
 
 All checkers run over a fully-built :class:`~repro.analyze.model.LaunchPlan`
 and its :class:`~repro.analyze.sfg.SignalFlow`:
@@ -9,11 +9,10 @@ and its :class:`~repro.analyze.sfg.SignalFlow`:
   short *guaranteed* total means satisfaction hinges on an undecided
   branch (warning).
 * :func:`check_schedule` — an abstract scheduler: every thread advances
-  through its trace, waits block on monotonic counters, barriers
-  rendezvous per launch scope, and conditional notifies fire
-  optimistically.  A wedged fixpoint is a deadlock even in the best case;
-  the blocked waits are reported and the inter-rank wait-for graph is
-  condensed (SCC) to surface cross-rank cycles.
+  through its trace, waits block on monotonic counters, and conditional
+  notifies fire optimistically.  A wedged fixpoint is a deadlock even in
+  the best case; the blocked waits are reported and the inter-rank
+  wait-for graph is condensed (SCC) to surface cross-rank cycles.
 * :func:`check_races` — reads of tile buffers must be ordered after the
   overlapping writer: either by stream/launch ordering, or by a wait the
   reader issued earlier on a cell the writer posts at-or-after the write
@@ -98,15 +97,11 @@ def check_schedule(plan: LaunchPlan) -> list[Finding]:
     counters: dict[Cell, int] = {}
     ptr = [0] * n
     finished = [len(t.events) == 0 for t in threads]
-    at_barrier = [False] * n
 
     remaining: dict[str, int] = {}
     for t in threads:
         remaining[t.group] = remaining.get(t.group, 0) + (
             0 if len(t.events) == 0 else 1)
-    scope_members: dict[str, list[int]] = {}
-    for i, t in enumerate(threads):
-        scope_members.setdefault(t.scope, []).append(i)
 
     def group_done(group: str) -> bool:
         return remaining.get(group, 0) == 0
@@ -136,11 +131,6 @@ def check_schedule(plan: LaunchPlan) -> list[Finding]:
                 counters[cell] = counters.get(cell, 0) + ev.amount
                 ptr[i] += 1
                 moved = True
-            elif ev.kind == "barrier":
-                if not at_barrier[i]:
-                    at_barrier[i] = True
-                    moved = True
-                break
             else:
                 ptr[i] += 1
                 moved = True
@@ -155,21 +145,7 @@ def check_schedule(plan: LaunchPlan) -> list[Finding]:
         for i in range(n):
             if finished[i] or not started(i):
                 continue
-            if at_barrier[i]:
-                continue
             if advance(i):
-                progress = True
-        # barrier rendezvous per launch scope: release when every live
-        # member is parked at its barrier
-        for scope, members in scope_members.items():
-            live = [i for i in members if not finished[i]]
-            if live and all(at_barrier[i] for i in live):
-                if any(finished[i] for i in members):
-                    # some siblings exited without this barrier: divergence
-                    continue
-                for i in live:
-                    at_barrier[i] = False
-                    ptr[i] += 1
                 progress = True
 
     findings: list[Finding] = []
@@ -181,25 +157,15 @@ def check_schedule(plan: LaunchPlan) -> list[Finding]:
     blocked_waits: list[tuple[int, Cell]] = []
     for i in blocked:
         ev = threads[i].events[ptr[i]]
-        if ev.kind == "barrier":
-            exited = [threads[j].key for j in scope_members[threads[i].scope]
-                      if finished[j]]
-            findings.append(Finding(
-                rule="barrier.rank-divergent", plan=plan_name,
-                kernel=ev.site.kernel, lineno=ev.site.lineno,
-                message=f"thread {threads[i].key} waits at barrier_all but "
-                        f"launch siblings exited without reaching it "
-                        f"({', '.join(exited[:3]) or 'peers blocked'})"))
-        elif ev.kind == "wait":
-            cell = (ev.bank, ev.cell)
-            blocked_waits.append((i, cell))
-            findings.append(Finding(
-                rule="deadlock.stall", plan=plan_name,
-                kernel=ev.site.kernel, lineno=ev.site.lineno,
-                message=f"thread {threads[i].key} wedges at wait on "
-                        f"{_fmt_cell(cell)}: counter stuck at "
-                        f"{counters.get(cell, 0)} < {ev.threshold} even "
-                        f"with all conditional notifies fired"))
+        cell = (ev.bank, ev.cell)
+        blocked_waits.append((i, cell))
+        findings.append(Finding(
+            rule="deadlock.stall", plan=plan_name,
+            kernel=ev.site.kernel, lineno=ev.site.lineno,
+            message=f"thread {threads[i].key} wedges at wait on "
+                    f"{_fmt_cell(cell)}: counter stuck at "
+                    f"{counters.get(cell, 0)} < {ev.threshold} even "
+                    f"with all conditional notifies fired"))
 
     # inter-rank wait-for graph: blocked rank -> ranks holding unfired
     # posts for the blocked cell

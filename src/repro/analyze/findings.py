@@ -36,12 +36,6 @@ RULES: dict[str, tuple[str, str]] = {
     "coverage.hole": (
         "error", "declared output extents are not fully covered by "
                  "guaranteed tile stores"),
-    "barrier.rank-divergent": (
-        "error", "barrier_all under an If whose condition depends on "
-                 "channel.rank (some ranks never arrive)"),
-    "barrier.block-divergent": (
-        "error", "barrier_all under an If whose condition depends on the "
-                 "block id (some blocks never arrive)"),
     "struct.arity": (
         "error", "a tile-centric primitive was called with the wrong "
                  "number of positional arguments"),

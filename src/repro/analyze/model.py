@@ -2,9 +2,9 @@
 
 The analyzer never runs the simulator.  Instead each kernel launch (and
 each host-side comm thread) becomes a :class:`Thread`: a straight-line
-trace of :class:`Event` records — signal waits/posts, tile reads/writes,
-barriers — obtained by abstractly interpreting the kernel IR at a small
-concrete instantiation (world size, tile-grid shape).
+trace of :class:`Event` records — signal waits/posts and tile
+reads/writes — obtained by abstractly interpreting the kernel IR at a
+small concrete instantiation (world size, tile-grid shape).
 
 Plans are recorded from the real launchers, never written by hand:
 :class:`RecordingContext` is a :class:`~repro.runtime.context.DistContext`
@@ -87,8 +87,8 @@ class Event:
     """One abstract action in a thread's trace.
 
     ``kind`` is one of ``wait`` / ``notify`` / ``read`` / ``write`` /
-    ``accum`` / ``barrier``.  Signal events carry ``(bank, cell)`` plus an
-    ``amount`` (notify) or ``threshold`` (wait).  Access events carry the
+    ``accum``.  Signal events carry ``(bank, cell)`` plus an ``amount``
+    (notify) or ``threshold`` (wait).  Access events carry the
     tensor's plan name, the instance rank, and half-open row/col ranges —
     ``None`` when the extent could not be resolved statically (such
     accesses are excluded from the race/coverage checks).
@@ -116,13 +116,11 @@ class Thread:
     key: str
     kernel: str
     rank: int
-    group: str                      # launch id (barrier scope, ordering)
+    group: str                      # launch id (stream ordering)
     events: list[Event] = field(default_factory=list)
     #: groups that must fully complete before this thread starts
     #: (same-stream launch ordering, transitively closed)
     after: frozenset[str] = frozenset()
-    #: barrier rendezvous scope: one SPMD launch across all ranks
-    scope: str = ""
 
 
 @dataclass
@@ -199,8 +197,7 @@ class _PlanStream:
         label = name or f"{self.name}[{self.rank}]"
         group, after = ctx._enqueue(self.rank, self.name, label)
         thread = Thread(key=f"{label}@{self.rank}", kernel=label,
-                        rank=self.rank, group=group, after=after,
-                        scope=group)
+                        rank=self.rank, group=group, after=after)
         ctx.host.thread = thread
         try:
             for awaited in gen:
@@ -286,8 +283,6 @@ class RecordingContext(DistContext):
                 self.plan.outputs.append(tensors[p])
         channels = args.get(kir.channel_param) or [None] * self.world_size
         label = label or kdef.name
-        self._groups += 1
-        scope = f"{label}/{self._groups}"
         for rank in range(self.world_size):
             group, after = self._enqueue(rank, stream_name,
                                          f"{label}[r{rank}]")
@@ -300,7 +295,7 @@ class RecordingContext(DistContext):
                 self.plan.threads.append(Thread(
                     key=f"{kdef.name}[r{rank}b{bid}]#{group}",
                     kernel=kdef.name, rank=rank, group=group,
-                    events=events, after=after, scope=scope))
+                    events=events, after=after))
         return []
 
     # -- host-side primitives ---------------------------------------------------

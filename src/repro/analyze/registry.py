@@ -14,8 +14,7 @@ repro.analyze`` CLI drives.
 
 :func:`structural_check_ir` is the compile-time half: purely syntactic
 rules over one :class:`~repro.lang.ir.KernelIR` (primitive arity, notify
-modes, missing channels, rank/block-divergent ``barrier_all``) that run
-on every ``compile_kernel(..., validate=True)`` via
+modes, missing channels, non-positive wait counts) that run on every ``compile_kernel(..., validate=True)`` via
 :func:`check_compiled_ir`.
 """
 
@@ -27,14 +26,7 @@ from repro.analyze.checks import analyze_plan
 from repro.analyze.findings import Finding, Report
 from repro.analyze.model import LaunchPlan, RecordingContext
 from repro.errors import AnalysisError
-from repro.lang.ir import (
-    Const,
-    If,
-    KernelIR,
-    Primitive,
-    expr_refs,
-    walk_with_parents,
-)
+from repro.lang.ir import Const, KernelIR, Primitive
 from repro.registry import families as registered_families
 
 # ---------------------------------------------------------------------------
@@ -49,7 +41,6 @@ _PRIMITIVE_ARITY: dict[str, tuple[int, int]] = {
     "peer_tile_wait": (2, 2),
     "tile_push_data": (4, 4),
     "tile_pull_data": (2, 3),
-    "barrier_all": (0, 0),
 }
 
 _NOTIFY_MODES = ("p2p", "broadcast")
@@ -59,39 +50,19 @@ def _const_value(arg: Any) -> Any:
     return arg.value if isinstance(arg, Const) else arg
 
 
-def _taint_sets(ir: KernelIR) -> tuple[set[str], set[str]]:
-    """Scalar names (transitively) derived from channel.rank / block id."""
-    rank_taint = {"channel.rank"}
-    bid_taint = {"$bid"}
-    for _ in range(2):  # two passes reach a fixpoint for straight-line defs
-        for s in ir.walk_stmts():
-            target = getattr(s, "target", None)
-            value = getattr(s, "value", None)
-            if target is None or value is None:
-                continue
-            refs = expr_refs(value)
-            if refs & rank_taint:
-                rank_taint.add(target)
-            if refs & bid_taint:
-                bid_taint.add(target)
-    return rank_taint, bid_taint
-
-
 def structural_check_ir(ir: KernelIR) -> list[Finding]:
     """Syntactic rules over one kernel IR; no instantiation needed."""
     findings: list[Finding] = []
-    prims = [(s, parents) for s, parents in walk_with_parents(ir.body)
-             if isinstance(s, Primitive)]
+    prims = [s for s in ir.walk_stmts() if isinstance(s, Primitive)]
     if prims and ir.channel_param is None:
-        s = prims[0][0]
+        s = prims[0]
         findings.append(Finding(
             rule="struct.no-channel", kernel=ir.name,
             lineno=getattr(s, "lineno", None),
             message="kernel uses tile-centric primitives but declares no "
                     "BlockChannel parameter"))
 
-    rank_taint, bid_taint = _taint_sets(ir)
-    for s, parents in prims:
+    for s in prims:
         lo_hi = _PRIMITIVE_ARITY.get(s.name)
         if lo_hi is not None:
             lo, hi = lo_hi
@@ -119,27 +90,6 @@ def structural_check_ir(ir: KernelIR) -> list[Finding]:
                     lineno=getattr(s, "lineno", None),
                     message=f"peer_tile_wait count={count} is satisfied "
                             "before any notify (not a synchronization)"))
-        if s.name == "barrier_all":
-            for p in parents:
-                if not isinstance(p, If):
-                    continue
-                refs = expr_refs(p.cond)
-                if refs & rank_taint:
-                    findings.append(Finding(
-                        rule="barrier.rank-divergent", kernel=ir.name,
-                        lineno=getattr(s, "lineno", None),
-                        message="barrier_all under an If whose condition "
-                                "depends on channel.rank: diverging ranks "
-                                "never arrive"))
-                    break
-                if refs & bid_taint:
-                    findings.append(Finding(
-                        rule="barrier.block-divergent", kernel=ir.name,
-                        lineno=getattr(s, "lineno", None),
-                        message="barrier_all under an If whose condition "
-                                "depends on the block id: diverging blocks "
-                                "never arrive"))
-                    break
     return findings
 
 

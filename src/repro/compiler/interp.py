@@ -33,6 +33,8 @@ import numpy as np
 from repro.errors import LoweringError, RuntimeLaunchError, ShapeError, SimulationError
 from repro.lang.block_channel import BlockChannel
 from repro.lang.ir import (
+    BINARY_OPS,
+    UNARY_OPS,
     AssignScalar,
     BinOp,
     ChannelField,
@@ -142,9 +144,8 @@ class BlockInterp:
     # -------------------------------------------------------------- expressions
 
     def eval(self, e: Expr, env: dict[str, Any] | None = None) -> Any:
+        # node kinds in order of how often kernels evaluate them
         scope = env if env is not None else self.scalars
-        if isinstance(e, Const):
-            return e.value
         if isinstance(e, Name):
             if e.id in scope:
                 return scope[e.id]
@@ -152,52 +153,23 @@ class BlockInterp:
                 return self.scalars[e.id]
             raise LoweringError(
                 f"{self.program.name}: undefined scalar {e.id!r}")
-        if isinstance(e, ChannelField):
-            return self.require_channel().scalar_field(e.field_name)
-        if isinstance(e, UnaryOp):
-            v = self.eval(e.operand, env)
-            return -v if e.op == "-" else (not v)
         if isinstance(e, BinOp):
             op = e.op
             if op == "and":
                 return self.eval(e.left, env) and self.eval(e.right, env)
             if op == "or":
                 return self.eval(e.left, env) or self.eval(e.right, env)
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "//":
-                return a // b
-            if op == "/":
-                return a / b
-            if op == "%":
-                return a % b
-            if op == "**":
-                return a ** b
-            if op == "cdiv":
-                return -(-a // b)
-            if op == "min":
-                return min(a, b)
-            if op == "max":
-                return max(a, b)
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            raise LoweringError(f"unknown scalar op {op!r}")
+            try:
+                fn = BINARY_OPS[op]
+            except KeyError:
+                raise LoweringError(f"unknown scalar op {op!r}") from None
+            return fn(self.eval(e.left, env), self.eval(e.right, env))
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, ChannelField):
+            return self.require_channel().scalar_field(e.field_name)
+        if isinstance(e, UnaryOp):
+            return UNARY_OPS[e.op](self.eval(e.operand, env))
         raise LoweringError(f"cannot evaluate expression {e!r}")
 
     def _range_pair(self, arg: Any, env: dict[str, Any] | None) -> tuple[int, int]:
@@ -485,29 +457,11 @@ class BlockInterp:
         if name == "producer_tile_notify":
             tid = int(self.eval(s.args[0], env))
             mode = s.args[1] if len(s.args) > 1 else s.kwargs.get("mode", "p2p")
-            if ch.notify_counts is not None and mode == "broadcast":
-                # dynamic fan-out: one tile feeds several local channels
-                for channel_idx, amount in enumerate(ch.notify_counts[tid]):
-                    if amount > 0:
-                        ch.barriers.post_add(int(channel_idx), int(amount),
-                                             from_rank=self.rank)
-                return
-            channel_idx = ch.producer_channel(tid)
-            if mode == "p2p":
-                target = s.kwargs.get("to")
-                if target is not None:
-                    dst = int(self.eval(target, env))
-                elif getattr(ch, "notify_target", "local") == "mapped":
-                    dst = ch.producer_rank(tid)
-                else:
-                    dst = self.rank
-                ch.all_barriers[dst].post_add(channel_idx, 1, from_rank=self.rank)
-            elif mode == "broadcast":
-                for dst in range(ch.num_ranks):
-                    ch.all_barriers[dst].post_add(channel_idx, 1,
-                                                  from_rank=self.rank)
-            else:
-                raise LoweringError(f"unknown notify mode {mode!r}")
+            to = s.kwargs.get("to")
+            if to is not None:
+                to = int(self.eval(to, env))
+            for bank, cell, amount in ch.notify_posts(tid, mode, to):
+                bank.post_add(cell, amount, from_rank=self.rank)
             return
 
         if name == "consumer_tile_wait":
@@ -521,9 +475,7 @@ class BlockInterp:
         if name == "peer_tile_notify":
             cell = int(self.eval(s.args[0], env))
             dst = int(self.eval(s.args[1], env))
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
-            ch.all_peer_barriers[dst].post_add(cell, 1, from_rank=self.rank)
+            ch.peer_bank(dst).post_add(cell, 1, from_rank=self.rank)
             return
 
         if name == "peer_tile_wait":
@@ -531,10 +483,9 @@ class BlockInterp:
             rank = int(self.eval(s.args[1], env))
             count = int(self.eval(s.kwargs["count"], env)) \
                 if "count" in s.kwargs else 1
-            if not ch.all_peer_barriers:
-                raise LoweringError("BlockChannel has no peer barriers")
+            bank = ch.peer_bank(rank)
             t0 = self.machine.now
-            yield ch.all_peer_barriers[rank].wait_geq(cell, count)
+            yield bank.wait_geq(cell, count)
             self._trace("sync", t0, self.machine.now)
             return
 
@@ -545,10 +496,8 @@ class BlockInterp:
             tid_m = int(self.eval(s.args[1], env))
             tid_n = int(self.eval(s.args[2], env))
             val = self._operand(s.args[3], env)
-            if ch.comm_grid is None:
-                raise LoweringError("tile_push_data needs a comm grid")
+            ranges = ch.comm_tile_ranges(tid_m, tid_n)
             dst_tensor, dst_rank = self.resolve_tensor(ref, env)
-            ranges = ch.comm_grid.ranges(ch.comm_grid.tile_id(tid_m, tid_n))
             t0 = self.machine.now
             if dst_rank == self.rank:
                 rec = CostRec(load=val.nbytes / self.cost.spec.smem_bandwidth_per_sm,
@@ -586,30 +535,20 @@ class BlockInterp:
             raise LoweringError("tile_pull_data needs a tensor argument")
         tid_m = int(self.eval(s.args[1], env))
         tid_n = int(self.eval(s.args[2], env)) if len(s.args) > 2 else 0
-        if ch.comm_grid is None:
-            raise LoweringError("tile_pull_data needs a comm grid")
-        mapping = ch.require_mapping()
-        src_rank = mapping.rank_of(tid_m)
-        (r0, r1), (c0, c1) = ch.comm_grid.ranges(
-            ch.comm_grid.tile_id(tid_m, tid_n))
+        src_rank, rows, cols = ch.pull_source(tid_m, tid_n)
         bound = self.bindings.get(ref.name)
         if not isinstance(bound, list):
             raise LoweringError("tile_pull_data source must be symmetric")
         src = bound[src_rank]
-        per_rank = mapping.per_rank if hasattr(mapping, "per_rank") else \
-            src.shape[0]
-        lo_local = r0 - src_rank * per_rank
-        hi_local = r1 - src_rank * per_rank
-        if lo_local < 0 or hi_local > src.shape[0]:
+        if rows[0] < 0 or rows[1] > src.shape[0]:
             raise LoweringError(
-                f"tile_pull_data tile {tid_m} rows [{r0},{r1}) fall outside "
+                f"tile_pull_data tile {tid_m} rows {rows} fall outside "
                 f"rank {src_rank}'s shard")
-        shape = (r1 - r0, c1 - c0)
+        shape = (rows[1] - rows[0], cols[1] - cols[0])
         nbytes = int(np.prod(shape)) * src.itemsize
         data = None
         if self.execute:
-            data = padded_to(src.read_tile(((lo_local, hi_local), (c0, c1))),
-                             shape, src.dtype)
+            data = padded_to(src.read_tile((rows, cols)), shape, src.dtype)
         if src_rank == self.rank:
             delay = nbytes / self.cost.spec.smem_bandwidth_per_sm
         else:
@@ -632,20 +571,13 @@ class BlockInterp:
             # prefetched value available? (pipelined loop hoisting)
             cached = self.tiles.pop(f"$prefetch:{id(s)}", None)
             if cached is not None:
-                if s.target is not None:
-                    self.tiles[s.target] = cached
+                self._bind(s, cached)
                 return
             val, rec, effect = self.eval_tile_op(s, env)
-            category = "compute"
-            yield from self._charge(rec, category=category)
+            yield from self._charge(rec)
             if effect is not None:
                 effect()
-            if s.target is not None:
-                if s.op == "load_scalar":
-                    self.scalars[s.target] = val
-                else:
-                    assert val is not None
-                    self.tiles[s.target] = val
+            self._bind(s, val)
             return
         if isinstance(s, Primitive):
             if s.name == "tile_pull_data":
@@ -670,45 +602,54 @@ class BlockInterp:
             raise _ReturnSignal()
         raise LoweringError(f"unknown statement {type(s).__name__}")
 
+    def _bind(self, s: TileOp, val: Any) -> None:
+        """Bind a tile op's result: ``load_scalar`` yields a scalar, every
+        other op with a target a tile."""
+        if s.target is not None:
+            if s.op == "load_scalar":
+                self.scalars[s.target] = val
+            else:
+                self.tiles[s.target] = val
+
     # ------------------------------------------------------------------- loops
 
-    def _iter_bounds(self, s: For, env: dict[str, Any] | None
-                     ) -> tuple[int, int, int]:
+    def _loop_range(self, s: For, env: dict[str, Any] | None) -> range:
+        """The loop's iteration values; ``len`` of it is the trip count."""
         start = int(self.eval(s.start, env))
         stop = int(self.eval(s.stop, env))
         step = int(self.eval(s.step, env))
         if step == 0:
             raise SimulationError("loop step of 0")
-        return start, stop, step
+        return range(start, stop, step)
+
+    @staticmethod
+    def _iter_cost(s: For, rec: CostRec) -> float:
+        """One iteration's time: pipelined loops overlap load and compute."""
+        if s.pipelined:
+            return max(rec.load, rec.compute)
+        return rec.load + rec.compute
 
     def exec_for(self, s: For, env: dict[str, Any] | None):
-        start, stop, step = self._iter_bounds(s, env)
-        trips = max(0, -(-(stop - start) // step)) if step > 0 else \
-            max(0, -((stop - start) // -step))
-        if trips == 0:
-            return
-        if s.aggregable and trips > 1:
-            yield from self._exec_aggregable(s, start, stop, step, trips, env)
+        iters = self._loop_range(s, env)
+        if s.aggregable and len(iters) > 1:
+            yield from self._exec_aggregable(s, iters, env)
             return
         # ordinary (or single-trip) loop: step iterations
-        for i in range(trips):
-            self.scalars[s.var] = start + i * step
+        for i in iters:
+            self.scalars[s.var] = i
             if s.pipelined:
                 self._prefetch(s, env)
             yield from self.exec_body(s.body, env)
 
-    def _exec_aggregable(self, s: For, start: int, stop: int, step: int,
-                         trips: int, env: dict[str, Any] | None):
+    def _exec_aggregable(self, s: For, iters: range,
+                         env: dict[str, Any] | None):
         """Analytic pricing of a primitive-free loop (+ full numeric effects)."""
         # cost probe on the first iteration
-        self.scalars[s.var] = start
+        self.scalars[s.var] = iters[0]
         probe = CostRec()
-        self._probe_body(s.body, env, probe)
-        if s.pipelined:
-            per_iter = max(probe.load, probe.compute)
-        else:
-            per_iter = probe.load + probe.compute
-        total = self.cost.MMA_PROLOGUE + trips * per_iter
+        self._untimed_body(s.body, env, probe)
+        trips = len(iters)
+        total = self.cost.MMA_PROLOGUE + trips * self._iter_cost(s, probe)
         hbm = trips * probe.hbm_bytes * self.AGG_DRAM_DISCOUNT
         t0 = self.machine.now
         arrival = self.device.reserve_hbm(hbm) if hbm > 0 else t0
@@ -716,71 +657,44 @@ class BlockInterp:
         yield Timeout(dur)
         self._trace("compute", t0, self.machine.now)
         if self.execute:
-            for i in range(trips):
-                self.scalars[s.var] = start + i * step
-                self._exec_numeric_body(s.body, env)
+            for i in iters:
+                self.scalars[s.var] = i
+                self._untimed_body(s.body, env, None)
 
-    def _probe_body(self, body: list[Stmt], env: dict[str, Any] | None,
-                    acc: CostRec) -> None:
-        """Accumulate one iteration's cost without effects or yields."""
+    def _untimed_body(self, body: list[Stmt], env: dict[str, Any] | None,
+                      probe: CostRec | None) -> None:
+        """Walk an aggregable loop's body without advancing time.
+
+        With a ``probe``, accumulate one iteration's cost (nested loops
+        count as trips x their first iteration) and skip numeric data;
+        without one, apply the iteration's numpy effects.
+        """
         for s in body:
             if isinstance(s, AssignScalar):
                 self.scalars[s.target] = self.eval(s.value, env)
             elif isinstance(s, TileOp):
-                val, rec, _ = self.eval_tile_op(s, env, snapshot=False)
-                acc.add(rec)
-                if s.target is not None:
-                    if s.op == "load_scalar":
-                        self.scalars[s.target] = val
-                    elif val is not None:
-                        self.tiles[s.target] = val
-            elif isinstance(s, If):
-                branch = s.then if self.eval(s.cond, env) else s.orelse
-                self._probe_body(branch, env, acc)
-            elif isinstance(s, For):
-                st, sp, stp = self._iter_bounds(s, env)
-                inner_trips = max(0, -(-(sp - st) // stp)) if stp > 0 else 0
-                if inner_trips == 0:
-                    continue
-                self.scalars[s.var] = st
-                inner = CostRec()
-                self._probe_body(s.body, env, inner)
-                factor = inner_trips
-                if s.pipelined:
-                    acc.compute += factor * max(inner.load, inner.compute)
-                else:
-                    acc.compute += factor * (inner.load + inner.compute)
-                acc.hbm_bytes += factor * inner.hbm_bytes
-            elif isinstance(s, Return):
-                raise _ReturnSignal()
-            elif isinstance(s, Primitive):
-                raise LoweringError("primitive inside aggregable loop")
-
-    def _exec_numeric_body(self, body: list[Stmt],
-                           env: dict[str, Any] | None) -> None:
-        """Apply one iteration's numpy effects (no time advanced)."""
-        for s in body:
-            if isinstance(s, AssignScalar):
-                self.scalars[s.target] = self.eval(s.value, env)
-            elif isinstance(s, TileOp):
-                val, _rec, effect = self.eval_tile_op(s, env)
-                if effect is not None:
+                val, rec, effect = self.eval_tile_op(s, env,
+                                                     snapshot=probe is None)
+                if probe is not None:
+                    probe.add(rec)
+                elif effect is not None:
                     effect()
-                if s.target is not None:
-                    if s.op == "load_scalar":
-                        self.scalars[s.target] = val
-                    elif val is not None:
-                        self.tiles[s.target] = val
+                self._bind(s, val)
             elif isinstance(s, If):
                 branch = s.then if self.eval(s.cond, env) else s.orelse
-                self._exec_numeric_body(branch, env)
+                self._untimed_body(branch, env, probe)
             elif isinstance(s, For):
-                st, sp, stp = self._iter_bounds(s, env)
-                i = st
-                while (stp > 0 and i < sp) or (stp < 0 and i > sp):
-                    self.scalars[s.var] = i
-                    self._exec_numeric_body(s.body, env)
-                    i += stp
+                iters = self._loop_range(s, env)
+                if probe is None:
+                    for i in iters:
+                        self.scalars[s.var] = i
+                        self._untimed_body(s.body, env, None)
+                elif iters:
+                    self.scalars[s.var] = iters[0]
+                    inner = CostRec()
+                    self._untimed_body(s.body, env, inner)
+                    probe.compute += len(iters) * self._iter_cost(s, inner)
+                    probe.hbm_bytes += len(iters) * inner.hbm_bytes
             elif isinstance(s, Return):
                 raise _ReturnSignal()
             else:

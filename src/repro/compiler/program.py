@@ -38,8 +38,9 @@ class CompileOptions:
         Run the consistency checker after passes (raises
         :class:`repro.errors.ConsistencyError` on a bad schedule) and the
         structural half of the static synchronization analyzer (raises
-        :class:`repro.errors.AnalysisError` on primitive misuse or a
-        divergent ``barrier_all``).
+        :class:`repro.errors.AnalysisError` on primitive misuse: wrong
+        arity, an unknown notify mode, a non-positive wait count, or
+        primitives in a kernel without a BlockChannel parameter).
     """
 
     num_stages: int = 3

@@ -56,8 +56,8 @@ class AnalysisError(TileLinkError):
     """The static synchronization analyzer rejected a kernel or plan.
 
     Raised at compile time (``CompileOptions(validate=True)``) when a
-    structural rule fires at error severity, e.g. ``barrier_all`` under a
-    rank-divergent ``If``.  ``findings`` carries the machine-readable
+    structural rule fires at error severity, e.g. a ``producer_tile_notify``
+    whose mode is neither ``"p2p"`` nor ``"broadcast"``.  ``findings`` carries the machine-readable
     :class:`repro.analyze.Finding` records behind the message.
     """
 

@@ -6,6 +6,10 @@ producer/consumer block relationships and the tile-centric mapping used to
 resolve primitives.  The backend "decomposes" it during compilation /
 interpretation: scalar fields feed ``channel.<field>`` reads, mappings feed
 primitive lowering, and the signal banks are the physical barriers.
+
+Primitive resolution (which bank and cell a notify or wait touches, which
+rows a data primitive moves) lives here once; the backend interpreter and
+the static analyzer both call it.
 """
 
 from __future__ import annotations
@@ -116,3 +120,58 @@ class BlockChannel:
 
     def producer_range(self, producer_tile_id: int) -> tuple[int, int]:
         return self.require_mapping().shape_range(producer_tile_id)
+
+    def notify_posts(self, tile_id: int, mode: str, to: int | None = None
+                     ) -> list[tuple[SignalArray, int, int]]:
+        """``(bank, cell, amount)`` posts of ``producer_tile_notify(tile_id,
+        mode, to=to)`` issued on this channel's rank.
+
+        A p2p notify lands on ``to``, else on the tile's mapped rank
+        (``notify_target="mapped"``), else locally; a broadcast lands on
+        every rank, unless ``notify_counts`` fans the tile out over the
+        local channels instead.
+        """
+        if self.notify_counts is not None and mode == "broadcast":
+            return [(self.barriers, int(cell), int(amount))
+                    for cell, amount in enumerate(self.notify_counts[tile_id])
+                    if amount > 0]
+        cell = self.producer_channel(tile_id)
+        if mode == "p2p":
+            if to is None:
+                to = self.producer_rank(tile_id) \
+                    if self.notify_target == "mapped" else self.rank
+            return [(self.all_barriers[to], cell, 1)]
+        if mode == "broadcast":
+            return [(self.all_barriers[dst], cell, 1)
+                    for dst in range(self.num_ranks)]
+        raise LoweringError(f"unknown notify mode {mode!r}")
+
+    def peer_bank(self, rank: int) -> SignalArray:
+        """``rank``'s peer barrier bank (``peer_tile_notify``/``_wait``)."""
+        if not self.all_peer_barriers:
+            raise LoweringError("BlockChannel has no peer barriers")
+        return self.all_peer_barriers[rank]
+
+    def comm_tile_ranges(self, tid_m: int, tid_n: int
+                         ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Row and column ranges of communication tile ``(tid_m, tid_n)``."""
+        if self.comm_grid is None:
+            raise LoweringError("BlockChannel has no comm grid")
+        return self.comm_grid.ranges(self.comm_grid.tile_id(tid_m, tid_n))
+
+    def pull_source(self, tid_m: int, tid_n: int
+                    ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+        """``tile_pull_data`` source: ``(rank, shard-local rows, cols)``.
+
+        The pulled tensor is sharded by rows along the affine producer
+        mapping, so the tile's rows shift by its owner's shard offset.
+        """
+        mapping = self.require_mapping()
+        if not isinstance(mapping, AffineTileMapping):
+            raise LoweringError(
+                "tile_pull_data needs an affine producer mapping, got "
+                f"{type(mapping).__name__}")
+        rank = mapping.rank_of(tid_m)
+        (r0, r1), cols = self.comm_tile_ranges(tid_m, tid_n)
+        base = rank * mapping.per_rank
+        return rank, (r0 - base, r1 - base), cols

@@ -253,6 +253,8 @@ class _Translator:
         if fname in tl_mod.EFFECT_FNS:
             stmts, op = self._tile_call(call, fname, target=None)
             return stmts + [op]
+        if fname not in tl_mod.VOCABULARY:
+            raise self.err(f"unknown tl function tl.{fname}", node)
         raise self.err(f"tl.{fname} produces a value; assign it", node)
 
     def _for(self, node: ast.For) -> list[Stmt]:

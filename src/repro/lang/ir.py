@@ -12,13 +12,19 @@ Two value categories exist at run time:
 
 Statements are structured (no CFG): ``For`` and ``If`` nest blocks of
 statements.  Passes attach scheduling annotations directly to the nodes
-(``For.aggregable``, ``For.pipelined``, ``For.prefetch``, ``Load.guards``).
+(``For.aggregable``, ``For.pipelined``, ``TileOp.prefetchable``,
+``TileOp.guards``).
+
+Scalar operators have one meaning, :data:`BINARY_OPS` and
+:data:`UNARY_OPS`, shared by the backend interpreter and the static
+analyzer's abstract evaluator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 # ---------------------------------------------------------------------------
 # scalar expressions
@@ -27,9 +33,6 @@ from typing import Any, Iterator
 
 class Expr:
     """Base scalar expression."""
-
-    def walk(self) -> Iterator["Expr"]:
-        yield self
 
 
 @dataclass(frozen=True)
@@ -52,27 +55,47 @@ class Name(Expr):
 
 @dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # + - * // % min max < <= > >= == != and or
+    op: str  # a BINARY_OPS key, or the short-circuiting "and" / "or"
     left: Expr
     right: Expr
-
-    def walk(self) -> Iterator[Expr]:
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
+#: BinOp.op -> its value on two evaluated operands.  ``and``/``or`` are
+#: absent: evaluators short-circuit them before reaching this table.
+BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "//": operator.floordiv,
+    "/": operator.truediv,
+    "%": operator.mod,
+    "**": operator.pow,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "min": min,
+    "max": max,
+    "cdiv": lambda a, b: -(-a // b),
+}
+
+
 @dataclass(frozen=True)
 class UnaryOp(Expr):
-    op: str  # - not
+    op: str  # a UNARY_OPS key
     operand: Expr
 
-    def walk(self) -> Iterator[Expr]:
-        yield self
-        yield from self.operand.walk()
+
+#: UnaryOp.op -> its value on the evaluated operand
+UNARY_OPS: dict[str, Callable[[Any], Any]] = {
+    "-": operator.neg,
+    "not": operator.not_,
+}
 
 
 @dataclass(frozen=True)
@@ -128,9 +151,10 @@ class AssignScalar(Stmt):
 class TileOp(Stmt):
     """A tile-producing/consuming operation assigned to a local name.
 
-    ``op`` selects the semantics (see repro.compiler.ops_registry);
-    ``args`` holds Exprs, TensorRefs, strings and nested (lo, hi) Expr
-    pairs, per-op.  ``target`` is None for pure-effect ops (store).
+    ``op`` selects the semantics (see
+    ``repro.compiler.interp.BlockInterp.eval_tile_op``); ``args`` holds
+    Exprs, TensorRefs, strings and nested (lo, hi) Expr pairs, per-op.
+    ``target`` is None for pure-effect ops (store).
     """
 
     op: str
@@ -149,7 +173,7 @@ class Primitive(Stmt):
     """A TileLink tile-centric primitive (Table 3)."""
 
     name: str  # producer_tile_notify | consumer_tile_wait | peer_tile_notify
-    #        | peer_tile_wait | tile_push_data | tile_pull_data | barrier_all
+    #        | peer_tile_wait | tile_push_data | tile_pull_data
     args: tuple[Any, ...]
     kwargs: dict[str, Any] = field(default_factory=dict)
     target: str | None = None  # tile_pull_data produces a value
@@ -157,13 +181,7 @@ class Primitive(Stmt):
 
     @property
     def is_wait(self) -> bool:
-        return self.name in ("consumer_tile_wait", "peer_tile_wait", "rank_wait",
-                             "barrier_all")
-
-    @property
-    def is_notify(self) -> bool:
-        return self.name in ("producer_tile_notify", "peer_tile_notify",
-                             "rank_notify")
+        return self.name in ("consumer_tile_wait", "peer_tile_wait")
 
 
 @dataclass
@@ -218,12 +236,7 @@ class KernelIR:
 
     def walk_stmts(self) -> Iterator[Stmt]:
         """All statements, depth first."""
-        stack: list[Stmt] = list(reversed(self.body))
-        while stack:
-            node = stack.pop()
-            yield node
-            for block in node.children():
-                stack.extend(reversed(block))
+        return walk_block(self.body)
 
 
 def walk_block(body: list[Stmt]) -> Iterator[Stmt]:
@@ -234,46 +247,6 @@ def walk_block(body: list[Stmt]) -> Iterator[Stmt]:
         yield node
         for block in node.children():
             stack.extend(reversed(block))
-
-
-def contains_sync(body: list[Stmt]) -> bool:
-    """True if any statement in the block is a primitive (sync/comm)."""
-    return any(isinstance(s, Primitive) for s in walk_block(body))
-
-
-def walk_with_parents(
-    body: list[Stmt], parents: tuple[Stmt, ...] = (),
-) -> Iterator[tuple[Stmt, tuple[Stmt, ...]]]:
-    """All statements depth first, each with its chain of enclosing nodes.
-
-    The analyzer uses this for structural rules that depend on context
-    (e.g. a ``barrier_all`` nested under a rank-divergent ``If``).
-    """
-    for s in body:
-        yield s, parents
-        for block in s.children():
-            yield from walk_with_parents(block, parents + (s,))
-
-
-def stmt_lineno(s: Stmt) -> int | None:
-    """Source line of a statement, if the frontend recorded one."""
-    return getattr(s, "lineno", None)
-
-
-def expr_refs(e: Expr) -> set[str]:
-    """Names referenced by a scalar expression.
-
-    Plain locals/params appear by name; channel metadata fields appear as
-    ``"channel.<field>"`` — so rank-divergence is a membership test for
-    ``"channel.rank"``.
-    """
-    refs: set[str] = set()
-    for node in e.walk():
-        if isinstance(node, Name):
-            refs.add(node.id)
-        elif isinstance(node, ChannelField):
-            refs.add(f"channel.{node.field_name}")
-    return refs
 
 
 def inherit_linenos(body: list[Stmt], default: int | None = None) -> None:

@@ -13,17 +13,20 @@ tile creation           ``zeros(shape, dtype)``, ``full(shape, value, dtype)``
 memory                  ``load(t, rows, cols)``, ``store(t, rows, cols, v)``,
                         ``load_vec(t, span)``, ``store_vec(t, span, v)``,
                         ``gather_rows(t, idx, cols)``, ``atomic_add(t, rows,
-                        cols, v)``
+                        cols, v)``, ``scatter_add_rows(t, idx, cols, v)``
 math                    ``dot(a, b, acc=None)``, ``exp``, ``log``, ``silu``,
                         ``gelu``, ``relu``, ``cast``, ``expand_dims``,
-                        ``row_max``, ``row_sum``, ``maximum_tile``
+                        ``row_max``, ``row_sum``, ``maximum_tile``,
+                        ``minimum_tile``
 scalars                 ``block_id()``, ``num_blocks()``, ``cdiv``,
-                        ``minimum``, ``maximum``
+                        ``minimum``, ``maximum``, ``load_scalar(t, index)``
 signal primitives       ``producer_tile_notify``, ``consumer_tile_wait``,
                         ``peer_tile_notify``, ``peer_tile_wait``
 data primitives         ``tile_push_data``, ``tile_pull_data``
-misc                    ``barrier_all()``
 ======================  =====================================================
+
+A ``tl.<name>`` outside this vocabulary (:data:`VOCABULARY`) is a
+:class:`~repro.errors.CompileError`.
 
 The host-side primitives of Table 3 (``rank_notify``, ``rank_wait``,
 ``rank_copy_data``) are methods on :class:`repro.runtime.context.DistContext`
@@ -88,14 +91,15 @@ PRIMITIVES = {
     "peer_tile_wait": False,
     "tile_push_data": False,
     "tile_pull_data": True,
-    "barrier_all": False,
 }
+
+#: every name the frontend accepts after ``tl.``
+VOCABULARY = (TILE_FNS | SCALAR_LOAD_FNS | EFFECT_FNS | SCALAR_FNS
+              | PRIMITIVES.keys())
 
 
 def __getattr__(name: str) -> Any:
     """Any marker used at plain-Python runtime raises with a clear message."""
-    if name in TILE_FNS or name in EFFECT_FNS or name in PRIMITIVES or name in (
-        "block_id", "num_blocks",
-    ):
+    if name in VOCABULARY:
         return lambda *a, **k: _kernel_only(name)
     raise AttributeError(f"module 'tl' has no attribute {name!r}")

@@ -262,20 +262,6 @@ def test_recording_never_compiles_and_rejects_bypassed_seams(monkeypatch):
 
 
 @kernel
-def _divergent_barrier(x, channel: tl.BlockChannel, N: tl.constexpr):
-    if channel.rank == 0:
-        tl.barrier_all()
-
-
-@kernel
-def _block_divergent_barrier(x, channel: tl.BlockChannel,
-                             N: tl.constexpr):
-    bid = tl.block_id()
-    if bid == 0:
-        tl.barrier_all()
-
-
-@kernel
 def _bad_notify_mode(x, channel: tl.BlockChannel, N: tl.constexpr):
     tl.producer_tile_notify(0, "multicast")
 
@@ -285,24 +271,12 @@ def _zero_count_wait(x, channel: tl.BlockChannel, N: tl.constexpr):
     tl.peer_tile_wait(0, 0, count=0)
 
 
-def test_rank_divergent_barrier_rejected_at_compile():
-    with pytest.raises(AnalysisError) as exc:
-        compile_kernel(_divergent_barrier, dict(N=4))
-    finding = exc.value.findings[0]
-    assert finding.rule == "barrier.rank-divergent"
-    assert isinstance(finding.lineno, int) and finding.lineno > 0
-
-
-def test_block_divergent_barrier_rejected_at_compile():
-    with pytest.raises(AnalysisError) as exc:
-        compile_kernel(_block_divergent_barrier, dict(N=4))
-    assert exc.value.findings[0].rule == "barrier.block-divergent"
-
-
 def test_bad_notify_mode_rejected_at_compile():
     with pytest.raises(AnalysisError) as exc:
         compile_kernel(_bad_notify_mode, dict(N=4))
-    assert exc.value.findings[0].rule == "struct.bad-mode"
+    finding = exc.value.findings[0]
+    assert finding.rule == "struct.bad-mode"
+    assert isinstance(finding.lineno, int) and finding.lineno > 0
 
 
 def test_nonpositive_wait_count_rejected_at_compile():
@@ -312,9 +286,9 @@ def test_nonpositive_wait_count_rejected_at_compile():
 
 
 def test_validate_false_skips_structural_gate():
-    program = compile_kernel(_divergent_barrier, dict(N=4),
+    program = compile_kernel(_bad_notify_mode, dict(N=4),
                              CompileOptions(validate=False))
-    assert program.name == _divergent_barrier.name
+    assert program.name == _bad_notify_mode.name
 
 
 # ---------------------------------------------------------------------------

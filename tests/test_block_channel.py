@@ -80,3 +80,69 @@ def test_banks_are_shared_across_ranks(ctx2):
     channels = _channels(ctx2)
     # rank 0's view of rank 1's bank is the same object rank 1 waits on
     assert channels[0].all_barriers[1] is channels[1].barriers
+
+
+# -- primitive resolution shared by the interpreter and the analyzer ----------
+
+
+def test_notify_posts_local_mapped_and_explicit(ctx2):
+    channels = _channels(ctx2)
+    ch = channels[1]
+    banks = ch.all_barriers
+    # tile 0 is rank 0's, channel 0: local lands here, mapped on rank 0
+    assert ch.notify_posts(0, "p2p") == [(banks[1], 0, 1)]
+    ch.notify_target = "mapped"
+    assert ch.notify_posts(0, "p2p") == [(banks[0], 0, 1)]
+    # an explicit target wins over the channel's routing
+    assert ch.notify_posts(0, "p2p", to=1) == [(banks[1], 0, 1)]
+    assert ch.notify_posts(3, "p2p", to=0) == [(banks[0], 1, 1)]
+
+
+def test_notify_posts_broadcast_and_fan_out(ctx2):
+    ch = _channels(ctx2)[0]
+    banks = ch.all_barriers
+    assert ch.notify_posts(2, "broadcast") == [(banks[0], 1, 1),
+                                              (banks[1], 1, 1)]
+    # notify_counts fans one tile out over the local channels instead
+    ch.notify_counts = [[0, 0], [3, 0], [0, 0], [1, 2]]
+    assert ch.notify_posts(1, "broadcast") == [(ch.barriers, 0, 3)]
+    assert ch.notify_posts(3, "broadcast") == [(ch.barriers, 0, 1),
+                                              (ch.barriers, 1, 2)]
+    assert ch.notify_posts(0, "broadcast") == []
+    # p2p ignores the fan-out table
+    assert ch.notify_posts(1, "p2p") == [(ch.barriers, 0, 1)]
+
+
+def test_notify_posts_unknown_mode_raises(ctx2):
+    ch = _channels(ctx2)[0]
+    with pytest.raises(LoweringError, match="unknown notify mode"):
+        ch.notify_posts(0, "multicast")
+
+
+def test_peer_bank(ctx2):
+    channels = _channels(ctx2, peer_cells=4)
+    assert channels[0].peer_bank(1) is channels[1].all_peer_barriers[1]
+    assert len(channels[0].peer_bank(0)) == 4
+    with pytest.raises(LoweringError, match="no peer barriers"):
+        _channels(ctx2)[0].peer_bank(0)
+
+
+def test_comm_tile_ranges(ctx2):
+    ch = _channels(ctx2)[0]
+    assert ch.comm_tile_ranges(2, 0) == ((32, 48), (0, 32))
+    with pytest.raises(LoweringError, match="no comm grid"):
+        BlockChannel(rank=0, num_ranks=2, comm_blocks=0).comm_tile_ranges(0, 0)
+
+
+def test_pull_source_shard_local_rows(ctx2):
+    ch = _channels(ctx2)[0]
+    # tile 3 covers global rows [48, 64): rank 1's shard rows [16, 32)
+    assert ch.pull_source(3, 0) == (1, (16, 32), (0, 32))
+    assert ch.pull_source(1, 0) == (0, (16, 32), (0, 32))
+
+
+def test_pull_source_needs_affine_mapping(ctx2):
+    table = TableTileMapping(4, 2, 2)
+    ch = _channels(ctx2, mapping=table)[0]
+    with pytest.raises(LoweringError, match="affine"):
+        ch.pull_source(0, 0)

@@ -161,6 +161,20 @@ def test_rejects_unknown_channel_field():
     assert "BlockChannel field" in _compile_err(bad)
 
 
+def test_rejects_barrier_all():
+    def bad(x, channel: tl.BlockChannel):
+        tl.barrier_all()
+
+    assert "unknown tl function tl.barrier_all" in _compile_err(bad)
+
+
+def test_rejects_misspelled_tl_statement():
+    def bad(x, channel: tl.BlockChannel):
+        tl.producer_tile_notfy(0)
+
+    assert "unknown tl function tl.producer_tile_notfy" in _compile_err(bad)
+
+
 def test_rejects_value_call_as_statement():
     def bad(a, N: tl.constexpr):
         tl.load(a, (0, N), (0, N))

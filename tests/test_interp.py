@@ -184,6 +184,49 @@ def test_pipelined_loop_faster_than_unpipelined():
     assert fast < slow
 
 
+@kernel
+def _k_forward(a, b, c, M: tl.constexpr, N: tl.constexpr,
+               BM: tl.constexpr, BK: tl.constexpr):
+    for m in range(0, M, BM):
+        acc = tl.zeros((BM, BM), "float32")
+        for k in range(0, N, BK):
+            x = tl.load(a, (m, m + BM), (k, k + BK))
+            y = tl.load(b, (k, k + BK), (0, BM))
+            acc += tl.dot(x, y)
+        tl.store(c, (m, m + BM), (0, BM), acc)
+
+
+@kernel
+def _k_backward(a, b, c, M: tl.constexpr, N: tl.constexpr,
+                BM: tl.constexpr, BK: tl.constexpr):
+    for m in range(0, M, BM):
+        acc = tl.zeros((BM, BM), "float32")
+        for k in range(N - BK, -1, -BK):
+            x = tl.load(a, (m, m + BM), (k, k + BK))
+            y = tl.load(b, (k, k + BK), (0, BM))
+            acc += tl.dot(x, y)
+        tl.store(c, (m, m + BM), (0, BM), acc)
+
+
+@pytest.mark.parametrize("numerics", [False, True])
+def test_reversed_inner_loop_prices_like_forward(rng, numerics):
+    # the outer loop is aggregable, so its cost comes from probing one
+    # iteration; the probe must count the backward K loop's trips too
+    M, N, BM, BK = 64, 256, 32, 32
+    a = rng.standard_normal((M, N)).astype(np.float32)
+    b = rng.standard_normal((N, BM)).astype(np.float32)
+    args = {"a": a, "b": b, "c": np.zeros((M, BM), np.float32),
+            "M": M, "N": N, "BM": BM, "BK": BK}
+    fwd_ctx, fwd = run1(_k_forward, 1, dict(args), numerics=numerics)
+    bwd_ctx, bwd = run1(_k_backward, 1, dict(args), numerics=numerics)
+    assert bwd == fwd
+    if numerics:
+        ref = a @ b
+        for ctx in (fwd_ctx, bwd_ctx):
+            assert np.allclose(ctx.heap.tensor("c", 0).numpy(), ref,
+                               rtol=1e-4, atol=1e-3)
+
+
 def test_missing_tensor_binding_raises():
     ctx = make_ctx(world=1)
     with pytest.raises(RuntimeLaunchError, match="missing argument"):

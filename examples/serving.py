@@ -19,8 +19,8 @@ Every ``serve()`` call below runs the event-driven macro-stepping core
 (``repro.serve.engine``): decode steps between batch-composition events
 are priced in one vectorized run, so fleet-scale what-ifs — a million
 requests, hundreds of configs — finish in seconds while staying
-bit-identical to the auditable per-step loop
-(``repro.serve.scheduler.serve_reference``).  ``method`` accepts any
+bit-identical to the auditable per-step loop the test suite keeps as
+its oracle (``tests/oracle_serve.py``).  ``method`` accepts any
 registry-contributed serving method (e.g. ``"tilelink-chunk"``) in
 addition to the three compared here.
 

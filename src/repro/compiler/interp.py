@@ -1,18 +1,26 @@
-"""Backend interpreter: executes a CompiledProgram block on the simulator.
+"""Backend: lowers each compiled kernel once into closures and runs its blocks.
 
-One invocation of :func:`run_block` is one block (CTA) of the launch grid:
-a simulation process that walks the annotated IR, advancing simulated time
-per tile operation (cost model), applying numpy effects in numeric mode,
-and interacting with signal banks / the interconnect for TileLink
-primitives.
+``compile_kernel`` calls :func:`lower` once per compiled program.
+Expressions become closures over a block's scalar environment, with their
+constants, the constexprs the kernel never reassigns and their
+``BINARY_OPS``/``UNARY_OPS`` entries bound at lowering time; each tile op
+and primitive becomes one closure over already-lowered operands.  One
+:func:`run_block` call is one block (CTA) of the launch grid: a simulation
+process running the lowered statements.  A statement runs in three modes:
+``st(block)`` in the block's process advances simulated time (cost model),
+applies numpy effects in numeric mode and drives signal banks and the
+interconnect, returning None, a Timeout to yield or a generator to drive;
+inside an aggregable loop, ``st(block, acc)`` adds one iteration's compute
+seconds, load seconds and HBM bytes to ``acc`` (shapes and costs only) and
+``st(block, REPLAY)`` applies its numpy effects untimed.
 
-Scheduling semantics implemented here (see compiler/passes.py for how the
-annotations are produced):
+Scheduling semantics (compiler/passes.py sets the annotations):
 
 * **aggregable loops** are priced analytically: the first iteration is
-  cost-probed, then one timed event covers all iterations (pipelined loops
+  probed, then one timed event covers all iterations (pipelined loops
   price ``max(load, compute)`` per iteration, otherwise the sum).  In
-  numeric mode every iteration's numpy effect still runs.
+  numeric mode every iteration then replays, starting from the scalars
+  and tiles the probe saw.
 * **pipelined non-aggregable loops** prefetch their ``prefetchable`` loads
   at iteration start — address computation replayed from the body's scalar
   statements, value snapshotted *before* any wait primitive runs.  Loads
@@ -25,8 +33,8 @@ annotations are produced):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,6 +50,7 @@ from repro.lang.ir import (
     Expr,
     For,
     If,
+    KernelIR,
     Name,
     Primitive,
     Return,
@@ -49,8 +58,9 @@ from repro.lang.ir import (
     TensorRef,
     TileOp,
     UnaryOp,
+    scalar_target,
+    walk_block,
 )
-from repro.compiler.program import CompiledProgram
 from repro.compiler.values import (
     ELEMENTWISE_FLOPS,
     TileVal,
@@ -60,694 +70,762 @@ from repro.compiler.values import (
 )
 from repro.memory.tensor import SimTensor, resolve_dtype
 from repro.sim.engine import Timeout
-from repro.sim.machine import Machine
+
+#: fraction of aggregable-loop load bytes that miss L2 and hit HBM
+AGG_DRAM_DISCOUNT = 0.22
+#: the scalar-environment slot of the block's BlockChannel
+CHANNEL = "$channel"
+#: slots of a probe's cost accumulator
+COMPUTE, LOAD, HBM = 0, 1, 2
+#: the accumulator argument that makes a statement replay numpy effects
+REPLAY = "replay"
+#: tile ops whose seconds are load time; the other ops' are compute time
+LOAD_TIME_OPS = frozenset({"load", "load_vec", "gather_rows", "store",
+                           "store_vec", "atomic_add", "load_scalar",
+                           "scatter_add_rows"})
+F32 = np.dtype(np.float32)
+_new = object.__new__
 
 
-class _ReturnSignal(Exception):
-    """Internal: a Return statement unwound the block."""
+class _Return(Exception):
+    """A Return statement unwound the block."""
 
 
-@dataclass
-class CostRec:
-    """Per-op cost: SM compute time, SM load time, HBM bytes to charge."""
-
-    compute: float = 0.0
-    load: float = 0.0
-    hbm_bytes: float = 0.0
-
-    def add(self, other: "CostRec") -> None:
-        self.compute += other.compute
-        self.load += other.load
-        self.hbm_bytes += other.hbm_bytes
+def _tile(shape: tuple[int, ...], dtype: np.dtype, data=None) -> TileVal:
+    """A TileVal from a tuple of ints and an np.dtype, unchecked."""
+    v = _new(TileVal)
+    v.shape, v.dtype, v.data = shape, dtype, data
+    return v
 
 
-class BlockInterp:
-    """Interpreter state for one block of one rank's launch."""
+def _drive(b: "Block", stmts: tuple):
+    """Run timed statements, yielding what they wait for."""
+    for st in stmts:
+        r = st(b)
+        if r is not None:
+            if r.__class__ is Timeout:
+                yield r
+            else:
+                yield from r
 
-    #: fraction of aggregable-loop load bytes that miss L2 and hit HBM
-    AGG_DRAM_DISCOUNT = 0.22
 
-    def __init__(self, program: CompiledProgram, machine: Machine, rank: int,
-                 block_id: int, n_blocks: int, bindings: dict[str, Any],
-                 label: str = ""):
-        self.program = program
-        self.machine = machine
-        self.rank = rank
-        self.device = machine.device(rank)
-        self.cost = machine.cost
-        self.bindings = bindings
-        self.execute = machine.config.execute_numerics
-        self.label = label or program.name
-        self.channel: BlockChannel | None = None
-        if program.ir.channel_param is not None:
-            ch = bindings.get(program.ir.channel_param)
-            if not isinstance(ch, BlockChannel):
+def _charged(b: "Block", dur: float, t0: float, category: str, effect=None):
+    yield Timeout(dur)
+    b.record(category, t0)
+    if effect is not None:
+        effect()
+
+
+class Block:
+    """One block's run-time state: its scalar and tile environments and
+    the machine it runs on."""
+
+    __slots__ = ("s", "t", "prefetched", "name", "machine", "sim", "rank",
+                 "device", "cost", "feed", "bindings", "execute", "trace",
+                 "label")
+
+    def __init__(self, program, machine, rank: int, block_id: int,
+                 n_blocks: int, bindings: dict[str, Any], label: str):
+        self.name, param = program.name, program.ir.channel_param
+        s: dict[str, Any] = {"$bid": block_id, "$nblocks": n_blocks}
+        if param is not None:
+            s[CHANNEL] = bindings.get(param)
+            if not isinstance(s[CHANNEL], BlockChannel):
                 raise RuntimeLaunchError(
                     f"kernel {program.name!r} expects a BlockChannel for "
-                    f"parameter {program.ir.channel_param!r}")
-            self.channel = ch
-        self.scalars: dict[str, Any] = {"$bid": block_id, "$nblocks": n_blocks}
-        self.scalars.update(program.constexprs)
+                    f"parameter {param!r}")
+        s.update(program.constexprs)
         for p in program.tensor_params:
             if p not in bindings:
                 raise RuntimeLaunchError(
                     f"kernel {program.name!r} missing argument {p!r}")
-            v = bindings[p]
-            if isinstance(v, (int, float)):
-                self.scalars[p] = v
-        self.tiles: dict[str, TileVal] = {}
+            if isinstance(bindings[p], (int, float)):
+                s[p] = bindings[p]
+        self.s, self.t = s, {}
+        #: pipelined loops' loads issued one iteration early, by op
+        self.prefetched: dict[int, TileVal] = {}
+        self.machine, self.sim, self.cost = machine, machine.sim, machine.cost
+        self.rank, self.device = rank, machine.device(rank)
+        self.feed = machine.cost.spec.smem_bandwidth_per_sm
+        self.bindings, self.label = bindings, label or program.name
+        self.execute = machine.config.execute_numerics
+        self.trace = machine.config.trace
 
-    # ------------------------------------------------------------------ utils
+    def record(self, category: str, t0: float) -> None:
+        """Trace ``category`` from ``t0`` to now, if time passed."""
+        if self.trace and self.sim.now > t0:
+            self.machine.record(self.rank, category, self.label, t0,
+                                self.sim.now)
 
-    def _trace(self, category: str, start: float, end: float) -> None:
-        if self.machine.config.trace and end > start:
-            self.machine.record(self.rank, category, self.label, start, end)
-
-    def _charge(self, rec: CostRec, category: str = "compute"):
-        """Generator: advance simulated time for a cost record."""
-        t0 = self.machine.now
-        arrival = t0
-        if rec.hbm_bytes > 0:
-            arrival = self.device.reserve_hbm(rec.hbm_bytes)
-        dur = max(rec.compute + rec.load, arrival - t0)
+    def charge(self, seconds: float, hbm: float, category: str, effect=None):
+        """Take ``seconds``, at least until ``hbm`` bytes cross the HBM pipe,
+        then apply ``effect``: None if no time passes, else a Timeout or
+        generator to drive."""
+        t0 = self.sim.now
+        arrival = self.device.reserve_hbm(hbm) if hbm > 0 else t0
+        dur = max(seconds, arrival - t0)
         if dur > 0:
-            yield Timeout(dur)
-        self._trace(category, t0, self.machine.now)
+            if effect is None and not self.trace:
+                return Timeout(dur)
+            return _charged(self, dur, t0, category, effect)
+        if effect is not None:
+            effect()
+        return None
 
-    def require_channel(self) -> BlockChannel:
-        if self.channel is None:
-            raise LoweringError(
-                f"kernel {self.program.name!r} uses primitives but has no "
-                "BlockChannel parameter")
-        return self.channel
+    def transfer(self, src: int, dst: int, nbytes: float) -> float:
+        """Reserve the interconnect path; seconds until the data lands."""
+        _start, arrival = self.machine.interconnect.reserve(src, dst, nbytes,
+                                                            "p2p")
+        return max(0.0, arrival - self.sim.now)
 
-    # -------------------------------------------------------------- expressions
 
-    def eval(self, e: Expr, env: dict[str, Any] | None = None) -> Any:
-        # node kinds in order of how often kernels evaluate them
-        scope = env if env is not None else self.scalars
-        if isinstance(e, Name):
-            if e.id in scope:
-                return scope[e.id]
-            if e.id in self.scalars:
-                return self.scalars[e.id]
-            raise LoweringError(
-                f"{self.program.name}: undefined scalar {e.id!r}")
-        if isinstance(e, BinOp):
-            op = e.op
-            if op == "and":
-                return self.eval(e.left, env) and self.eval(e.right, env)
-            if op == "or":
-                return self.eval(e.left, env) or self.eval(e.right, env)
-            try:
-                fn = BINARY_OPS[op]
-            except KeyError:
-                raise LoweringError(f"unknown scalar op {op!r}") from None
-            return fn(self.eval(e.left, env), self.eval(e.right, env))
+def run_block(program, machine, rank: int, block_id: int, n_blocks: int,
+              bindings: dict[str, Any], label: str = ""):
+    """Build the simulation-process generator for one block."""
+    return _process(program.lowered, Block(program, machine, rank, block_id,
+                                           n_blocks, bindings, label))
+
+
+def _process(stmts: tuple, b: Block):
+    try:
+        yield from _drive(b, stmts)
+    except _Return:
+        pass
+    return None
+
+
+def lower(ir: KernelIR, constexprs: dict[str, Any]) -> tuple:
+    """Lower ``ir``, annotated by the passes, into the statement closures
+    :func:`run_block` drives."""
+    return _Lowering(ir, constexprs).block(ir.body)
+
+
+class _Lowering:
+    """Builds one kernel's closures."""
+
+    def __init__(self, ir: KernelIR, constexprs: dict[str, Any]):
+        self.name, self.has_channel = ir.name, ir.channel_param is not None
+        assigned = {scalar_target(s) for s in ir.walk_stmts()}
+        #: constexprs no statement reassigns are constants
+        self.consts = {k: v for k, v in constexprs.items()
+                       if k not in assigned}
+        self.ops: dict[int, Callable] = {}
+
+    # ------------------------------------------------------------ expressions
+
+    def expr(self, e: Any) -> tuple[bool, Any]:
+        """``(True, value)`` for a constant, else ``(False, closure)`` over
+        the scalar environment, which raises KeyError on an undefined
+        scalar (:meth:`fn` reports it)."""
         if isinstance(e, Const):
-            return e.value
-        if isinstance(e, ChannelField):
-            return self.require_channel().scalar_field(e.field_name)
+            return True, e.value
+        if isinstance(e, Name):
+            if e.id in self.consts:
+                return True, self.consts[e.id]
+            return False, itemgetter(e.id)
         if isinstance(e, UnaryOp):
-            return UNARY_OPS[e.op](self.eval(e.operand, env))
-        raise LoweringError(f"cannot evaluate expression {e!r}")
-
-    def _range_pair(self, arg: Any, env: dict[str, Any] | None) -> tuple[int, int]:
-        if not (isinstance(arg, tuple) and len(arg) == 2):
-            raise LoweringError(f"expected (lo, hi) range, got {arg!r}")
-        return int(self.eval(arg[0], env)), int(self.eval(arg[1], env))
-
-    def _operand(self, arg: Any, env: dict[str, Any] | None) -> Any:
-        """A TileOp operand: tile name -> TileVal, Expr -> scalar."""
-        if isinstance(arg, str):
-            if arg in self.tiles:
-                return self.tiles[arg]
-            raise LoweringError(f"undefined tile {arg!r}")
-        if isinstance(arg, Expr):
-            return self.eval(arg, env)
-        raise LoweringError(f"bad tile operand {arg!r}")
-
-    def resolve_tensor(self, ref: TensorRef,
-                       env: dict[str, Any] | None) -> tuple[SimTensor, int]:
-        """Bind a TensorRef to a concrete instance; returns (tensor, rank)."""
-        bound = self.bindings.get(ref.name)
-        if bound is None:
-            raise RuntimeLaunchError(
-                f"kernel {self.program.name!r}: no binding for tensor "
-                f"{ref.name!r}")
-        if isinstance(bound, list):
-            rank = self.rank if ref.rank is None else int(self.eval(ref.rank, env))
-            if not 0 <= rank < len(bound):
-                raise RuntimeLaunchError(
-                    f"tensor {ref.name!r} indexed with rank {rank} out of "
-                    f"range [0, {len(bound)})")
-            return bound[rank], rank
-        if isinstance(bound, SimTensor):
-            if ref.rank is not None:
-                rank = int(self.eval(ref.rank, env))
-                if rank != bound.rank:
-                    raise RuntimeLaunchError(
-                        f"tensor {ref.name!r} is not symmetric; cannot index "
-                        f"rank {rank}")
-            return bound, bound.rank
-        raise RuntimeLaunchError(
-            f"binding for {ref.name!r} must be SimTensor or list, got "
-            f"{type(bound).__name__}")
-
-    # ------------------------------------------------------------- tile ops
-
-    def eval_tile_op(self, s: TileOp, env: dict[str, Any] | None,
-                     snapshot: bool = True
-                     ) -> tuple[TileVal | None, CostRec, Any]:
-        """Evaluate one tile op: (value, cost, deferred_effect).
-
-        ``deferred_effect`` is a zero-arg callable applying the numpy write
-        (store/atomic ops), or None.  ``snapshot=False`` skips numeric data
-        (pure cost probe).
-        """
-        op = s.op
-        numeric = self.execute and snapshot
-        spec = self.cost.spec
-        feed = spec.smem_bandwidth_per_sm
-
-        if op in ("zeros", "full"):
-            shape = tuple(int(self.eval(x, env)) for x in s.args[0]) \
-                if isinstance(s.args[0], tuple) else (int(self.eval(s.args[0], env)),)
-            if op == "zeros":
-                dtype = resolve_dtype(s.args[1] if len(s.args) > 1 else "float32")
-                data = np.zeros(shape, dtype) if numeric else None
-            else:
-                value = self.eval(s.args[1], env)
-                dtype = resolve_dtype(s.args[2] if len(s.args) > 2 else "float32")
-                data = np.full(shape, value, dtype) if numeric else None
-            return TileVal(shape, dtype, data), CostRec(), None
-
-        if op == "copy":
-            src = self._operand(s.args[0], env)
-            data = None
-            if numeric and src.data is not None:
-                data = src.data.copy()
-            return TileVal(src.shape, src.dtype, data), CostRec(), None
-
-        if op in ("load", "load_vec"):
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if op == "load":
-                rows = self._range_pair(s.args[1], env)
-                cols = self._range_pair(s.args[2], env)
-                shape = (rows[1] - rows[0], cols[1] - cols[0])
-                ranges = (rows, cols)
-            else:
-                span = self._range_pair(s.args[1], env)
-                shape = (span[1] - span[0],)
-                ranges = (span,)
-            if any(d < 0 for d in shape):
-                raise ShapeError(f"negative load extent {shape}")
-            nbytes = int(np.prod(shape)) * tensor.itemsize
-            data = None
-            if numeric:
-                data = padded_to(tensor.read_tile(ranges), shape, tensor.dtype)
-            if owner != self.rank:
-                # remote read over the interconnect (pull)
-                _st, arrival = self.machine.interconnect.reserve(
-                    owner, self.rank, nbytes, "p2p")
-                rec = CostRec(load=max(0.0, arrival - self.machine.now))
-                return TileVal(shape, tensor.dtype, data), rec, None
-            rec = CostRec(load=nbytes / feed, hbm_bytes=nbytes)
-            return TileVal(shape, tensor.dtype, data), rec, None
-
-        if op == "gather_rows":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("gather_rows requires a local tensor")
-            idx = self._operand(s.args[1], env)
-            cols = self._range_pair(s.args[2], env)
-            n_rows = idx.shape[0]
-            shape = (n_rows, cols[1] - cols[0])
-            nbytes = int(np.prod(shape)) * tensor.itemsize
-            data = None
-            if numeric:
-                if idx.data is None:
-                    raise ShapeError("gather_rows index tile has no data")
-                ids = np.clip(idx.data.astype(np.int64), 0, tensor.shape[0] - 1)
-                data = tensor.data[ids, cols[0]:cols[1]].astype(tensor.dtype)
-                data = padded_to(data, shape, tensor.dtype)
-            # random-access gather: 1.5x streaming cost
-            rec = CostRec(load=1.5 * nbytes / feed, hbm_bytes=1.5 * nbytes)
-            return TileVal(shape, tensor.dtype, data), rec, None
-
-        if op in ("store", "store_vec", "atomic_add"):
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError(
-                    f"{op} targets a remote tensor; use tl.tile_push_data")
-            if op == "store_vec":
-                ranges = (self._range_pair(s.args[1], env),)
-                val = self._operand(s.args[2], env)
-            else:
-                ranges = (self._range_pair(s.args[1], env),
-                          self._range_pair(s.args[2], env))
-                val = self._operand(s.args[3], env)
-            if not isinstance(val, TileVal):
-                raise LoweringError(f"{op} value must be a tile")
-            nbytes = val.nbytes
-            factor = 2.0 if op == "atomic_add" else 1.0
-            rec = CostRec(load=factor * nbytes / feed,
-                          hbm_bytes=factor * nbytes)
-            effect = None
-            if numeric:
-                data = val.data
-
-                def effect(t=tensor, r=ranges, d=data, acc=(op == "atomic_add")):
-                    if acc:
-                        t.accumulate_tile(r, d)
-                    else:
-                        t.write_tile(r, d)
-            return None, rec, effect
-
-        if op == "load_scalar":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("load_scalar requires a local tensor")
-            idx = int(self.eval(s.args[1], env))
-            value = 0
-            if numeric and tensor.data is not None:
-                flat = tensor.data.reshape(-1)
-                if not 0 <= idx < flat.shape[0]:
-                    raise ShapeError(
-                        f"load_scalar index {idx} out of range "
-                        f"({tensor.name}, {tensor.size} elements)")
-                value = int(flat[idx])
-            return value, CostRec(load=tensor.itemsize / feed,
-                                  hbm_bytes=tensor.itemsize), None
-
-        if op == "scatter_add_rows":
-            ref = s.args[0]
-            tensor, owner = self.resolve_tensor(ref, env)
-            if owner != self.rank:
-                raise LoweringError("scatter_add_rows requires a local tensor")
-            idx = self._operand(s.args[1], env)
-            cols = self._range_pair(s.args[2], env)
-            val = self._operand(s.args[3], env)
-            if not isinstance(val, TileVal):
-                raise LoweringError("scatter_add_rows value must be a tile")
-            nbytes = val.nbytes
-            rec = CostRec(load=2.5 * nbytes / feed, hbm_bytes=2.5 * nbytes)
-            effect = None
-            if numeric:
-                if idx.data is None or val.data is None:
-                    raise ShapeError("scatter_add_rows needs numeric operands")
-                ids = idx.data.astype(np.int64)
-                data = val.data
-
-                def effect(t=tensor, i=ids, c=cols, d=data):
-                    if i.max(initial=-1) >= t.shape[0] or i.min(initial=0) < 0:
-                        raise ShapeError(
-                            f"scatter_add_rows index out of range on {t.name}")
-                    region = t.data[:, c[0]:c[1]]
-                    np.add.at(region, i[:d.shape[0]],
-                              d[:len(i)].astype(t.dtype))
-            return None, rec, effect
-
-        if op == "dot":
-            a = self._operand(s.args[0], env)
-            b = self._operand(s.args[1], env)
-            acc = s.kwargs.get("acc")
-            acc_val = self._operand(acc, env) if acc is not None else None
-            if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-                raise ShapeError(f"dot shape mismatch {a.shape} x {b.shape}")
-            m, k = a.shape
-            n = b.shape[1]
-            eff = self.cost.tile_efficiency(m, n, k)
-            compute = 2.0 * m * n * k / (self.cost.per_sm_tensor_flops * eff)
-            data = None
-            if numeric:
-                lhs = a.data.astype(np.float32)
-                rhs = b.data.astype(np.float32)
-                data = lhs @ rhs
-                if acc_val is not None and acc_val.data is not None:
-                    data = data + acc_val.data.astype(np.float32)
-            return TileVal((m, n), np.dtype(np.float32), data), \
-                CostRec(compute=compute), None
-
-        if op in ("exp", "log", "relu", "neg", "silu", "gelu"):
-            x = self._operand(s.args[0], env)
-            out = apply_unary(op, x) if numeric else \
-                TileVal.stub(x.shape, np.float32 if op in
-                             ("exp", "log", "silu", "gelu") else x.dtype)
-            compute = self.cost.vector_tile_time(
-                x.size, ELEMENTWISE_FLOPS[op], 0.0)
-            return out, CostRec(compute=compute), None
-
-        if op in ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile"):
-            a = self._operand(s.args[0], env)
-            b = self._operand(s.args[1], env)
-            if numeric:
-                out = apply_binary(op, a, b)
-            else:
-                sa = a.shape if isinstance(a, TileVal) else ()
-                sb = b.shape if isinstance(b, TileVal) else ()
-                da = a.dtype if isinstance(a, TileVal) else np.dtype(np.float32)
-                db = b.dtype if isinstance(b, TileVal) else np.dtype(np.float32)
-                out = TileVal.stub(tuple(np.broadcast_shapes(sa, sb)),
-                                   np.result_type(da, db))
-            compute = self.cost.vector_tile_time(
-                out.size, ELEMENTWISE_FLOPS[op], 0.0)
-            return out, CostRec(compute=compute), None
-
-        if op == "cast":
-            x = self._operand(s.args[0], env)
-            dtype = resolve_dtype(s.args[1])
-            data = x.data.astype(dtype) if (numeric and x.data is not None) else None
-            return TileVal(x.shape, dtype, data), \
-                CostRec(compute=self.cost.vector_tile_time(x.size, 1.0, 0.0)), None
-
-        if op == "expand_dims":
-            x = self._operand(s.args[0], env)
-            shape = (*x.shape, 1)
-            data = x.data.reshape(shape) if (numeric and x.data is not None) else None
-            return TileVal(shape, x.dtype, data), CostRec(), None
-
-        if op in ("row_max", "row_sum"):
-            x = self._operand(s.args[0], env)
-            if len(x.shape) != 2:
-                raise ShapeError(f"{op} expects a 2-d tile, got {x.shape}")
-            shape = (x.shape[0],)
-            data = None
-            if numeric and x.data is not None:
-                fn = np.max if op == "row_max" else np.sum
-                data = fn(x.data.astype(np.float32), axis=1)
-            compute = self.cost.vector_tile_time(x.size,
-                                                 ELEMENTWISE_FLOPS[op], 0.0)
-            return TileVal(shape, np.dtype(np.float32), data), \
-                CostRec(compute=compute), None
-
-        raise LoweringError(f"unknown tile op {op!r}")
-
-    # ------------------------------------------------------------ primitives
-
-    def exec_primitive(self, s: Primitive, env: dict[str, Any] | None):
-        """Generator executing one TileLink primitive."""
-        ch = self.require_channel()
-        name = s.name
-
-        if name == "producer_tile_notify":
-            tid = int(self.eval(s.args[0], env))
-            mode = s.args[1] if len(s.args) > 1 else s.kwargs.get("mode", "p2p")
-            to = s.kwargs.get("to")
-            if to is not None:
-                to = int(self.eval(to, env))
-            for bank, cell, amount in ch.notify_posts(tid, mode, to):
-                bank.post_add(cell, amount, from_rank=self.rank)
-            return
-
-        if name == "consumer_tile_wait":
-            tid = int(self.eval(s.args[0], env))
-            t0 = self.machine.now
-            for channel_idx, threshold in ch.consumer_wait_list(tid):
-                yield ch.barriers.wait_geq(channel_idx, threshold)
-            self._trace("sync", t0, self.machine.now)
-            return
-
-        if name == "peer_tile_notify":
-            cell = int(self.eval(s.args[0], env))
-            dst = int(self.eval(s.args[1], env))
-            ch.peer_bank(dst).post_add(cell, 1, from_rank=self.rank)
-            return
-
-        if name == "peer_tile_wait":
-            cell = int(self.eval(s.args[0], env))
-            rank = int(self.eval(s.args[1], env))
-            count = int(self.eval(s.kwargs["count"], env)) \
-                if "count" in s.kwargs else 1
-            bank = ch.peer_bank(rank)
-            t0 = self.machine.now
-            yield bank.wait_geq(cell, count)
-            self._trace("sync", t0, self.machine.now)
-            return
-
-        if name == "tile_push_data":
-            ref = s.args[0]
-            if not isinstance(ref, TensorRef):
-                raise LoweringError("tile_push_data needs a tensor argument")
-            tid_m = int(self.eval(s.args[1], env))
-            tid_n = int(self.eval(s.args[2], env))
-            val = self._operand(s.args[3], env)
-            ranges = ch.comm_tile_ranges(tid_m, tid_n)
-            dst_tensor, dst_rank = self.resolve_tensor(ref, env)
-            t0 = self.machine.now
-            if dst_rank == self.rank:
-                rec = CostRec(load=val.nbytes / self.cost.spec.smem_bandwidth_per_sm,
-                              hbm_bytes=val.nbytes)
-                yield from self._charge(rec, category="comm")
-                if self.execute:
-                    dst_tensor.write_tile(ranges, val.data)
-            else:
-                _st, arrival = self.machine.interconnect.reserve(
-                    self.rank, dst_rank, val.nbytes, "p2p")
-                delay = max(0.0, arrival - self.machine.now)
-                if self.execute:
-                    data = val.data
-
-                    def apply(t=dst_tensor, r=ranges, d=data):
-                        t.write_tile(r, d)
-                    self.machine.sim.call_later(delay, apply)
-                if delay > 0:
-                    yield Timeout(delay)
-                self._trace("comm", t0, self.machine.now)
-            return
-
-        raise LoweringError(f"unsupported primitive {name!r}")
-
-    def eval_pull(self, s: Primitive, env: dict[str, Any] | None
-                  ) -> tuple[TileVal, float]:
-        """tile_pull_data: returns (value, arrival_delay).
-
-        The payload is snapshotted at issue time on the source rank —
-        matching NVSHMEM get semantics.
-        """
-        ch = self.require_channel()
-        ref = s.args[0]
-        if not isinstance(ref, TensorRef):
-            raise LoweringError("tile_pull_data needs a tensor argument")
-        tid_m = int(self.eval(s.args[1], env))
-        tid_n = int(self.eval(s.args[2], env)) if len(s.args) > 2 else 0
-        src_rank, rows, cols = ch.pull_source(tid_m, tid_n)
-        bound = self.bindings.get(ref.name)
-        if not isinstance(bound, list):
-            raise LoweringError("tile_pull_data source must be symmetric")
-        src = bound[src_rank]
-        if rows[0] < 0 or rows[1] > src.shape[0]:
-            raise LoweringError(
-                f"tile_pull_data tile {tid_m} rows {rows} fall outside "
-                f"rank {src_rank}'s shard")
-        shape = (rows[1] - rows[0], cols[1] - cols[0])
-        nbytes = int(np.prod(shape)) * src.itemsize
-        data = None
-        if self.execute:
-            data = padded_to(src.read_tile((rows, cols)), shape, src.dtype)
-        if src_rank == self.rank:
-            delay = nbytes / self.cost.spec.smem_bandwidth_per_sm
-        else:
-            _st, arrival = self.machine.interconnect.reserve(
-                src_rank, self.rank, nbytes, "p2p")
-            delay = max(0.0, arrival - self.machine.now)
-        return TileVal(shape, src.dtype, data), delay
-
-    # -------------------------------------------------------------- statements
-
-    def exec_body(self, body: list[Stmt], env: dict[str, Any] | None = None):
-        for s in body:
-            yield from self.exec_stmt(s, env)
-
-    def exec_stmt(self, s: Stmt, env: dict[str, Any] | None = None):
-        if isinstance(s, AssignScalar):
-            self.scalars[s.target] = self.eval(s.value, env)
-            return
-        if isinstance(s, TileOp):
-            # prefetched value available? (pipelined loop hoisting)
-            cached = self.tiles.pop(f"$prefetch:{id(s)}", None)
-            if cached is not None:
-                self._bind(s, cached)
-                return
-            val, rec, effect = self.eval_tile_op(s, env)
-            yield from self._charge(rec)
-            if effect is not None:
-                effect()
-            self._bind(s, val)
-            return
-        if isinstance(s, Primitive):
-            if s.name == "tile_pull_data":
-                t0 = self.machine.now
-                val, delay = self.eval_pull(s, env)
-                if delay > 0:
-                    yield Timeout(delay)
-                self._trace("comm", t0, self.machine.now)
-                if s.target is not None:
-                    self.tiles[s.target] = val
-                return
-            yield from self.exec_primitive(s, env)
-            return
-        if isinstance(s, If):
-            branch = s.then if self.eval(s.cond, env) else s.orelse
-            yield from self.exec_body(branch, env)
-            return
-        if isinstance(s, For):
-            yield from self.exec_for(s, env)
-            return
-        if isinstance(s, Return):
-            raise _ReturnSignal()
-        raise LoweringError(f"unknown statement {type(s).__name__}")
-
-    def _bind(self, s: TileOp, val: Any) -> None:
-        """Bind a tile op's result: ``load_scalar`` yields a scalar, every
-        other op with a target a tile."""
-        if s.target is not None:
-            if s.op == "load_scalar":
-                self.scalars[s.target] = val
-            else:
-                self.tiles[s.target] = val
-
-    # ------------------------------------------------------------------- loops
-
-    def _loop_range(self, s: For, env: dict[str, Any] | None) -> range:
-        """The loop's iteration values; ``len`` of it is the trip count."""
-        start = int(self.eval(s.start, env))
-        stop = int(self.eval(s.stop, env))
-        step = int(self.eval(s.step, env))
-        if step == 0:
-            raise SimulationError("loop step of 0")
-        return range(start, stop, step)
+            fn, (c, v) = UNARY_OPS[e.op], self.expr(e.operand)
+            return (True, fn(v)) if c else (False, lambda s: fn(v(s)))
+        if isinstance(e, ChannelField):
+            if not self.has_channel:
+                raise self._no_channel()
+            field = e.field_name
+            return False, lambda s: s[CHANNEL].scalar_field(field)
+        if not isinstance(e, BinOp):
+            raise LoweringError(f"cannot evaluate expression {e!r}")
+        (lc, lv), op = self.expr(e.left), e.op
+        if op in ("and", "or"):
+            if lc:  # short-circuits at lowering time
+                return (True, lv) if bool(lv) == (op == "or") \
+                    else self.expr(e.right)
+            rf = self._closure(*self.expr(e.right))
+            if op == "and":
+                return False, lambda s: lv(s) and rf(s)
+            return False, lambda s: lv(s) or rf(s)
+        if op not in BINARY_OPS:
+            raise LoweringError(f"unknown scalar op {op!r}")
+        (rc, rv), fn = self.expr(e.right), BINARY_OPS[op]
+        if lc and rc:
+            return True, fn(lv, rv)
+        if lc:
+            return False, lambda s: fn(lv, rv(s))
+        if rc:
+            return False, lambda s: fn(lv(s), rv)
+        return False, lambda s: fn(lv(s), rv(s))
 
     @staticmethod
-    def _iter_cost(s: For, rec: CostRec) -> float:
-        """One iteration's time: pipelined loops overlap load and compute."""
-        if s.pipelined:
-            return max(rec.load, rec.compute)
-        return rec.load + rec.compute
+    def _closure(const: bool, v: Any) -> Callable:
+        return (lambda s: v) if const else v
 
-    def exec_for(self, s: For, env: dict[str, Any] | None):
-        iters = self._loop_range(s, env)
-        if s.aggregable and len(iters) > 1:
-            yield from self._exec_aggregable(s, iters, env)
-            return
-        # ordinary (or single-trip) loop: step iterations
-        for i in iters:
-            self.scalars[s.var] = i
-            if s.pipelined:
-                self._prefetch(s, env)
-            yield from self.exec_body(s.body, env)
+    def fn(self, e: Any, cast: Callable | None = None) -> Callable:
+        """``e``, passed through ``cast`` if given, as a closure over the
+        scalar environment."""
+        c, f = self.expr(e)
+        if c:
+            value = f if cast is None else cast(f)
+            return lambda s: value
+        undefined = self._undefined
 
-    def _exec_aggregable(self, s: For, iters: range,
-                         env: dict[str, Any] | None):
-        """Analytic pricing of a primitive-free loop (+ full numeric effects)."""
-        # cost probe on the first iteration
-        self.scalars[s.var] = iters[0]
-        probe = CostRec()
-        self._untimed_body(s.body, env, probe)
-        trips = len(iters)
-        total = self.cost.MMA_PROLOGUE + trips * self._iter_cost(s, probe)
-        hbm = trips * probe.hbm_bytes * self.AGG_DRAM_DISCOUNT
-        t0 = self.machine.now
-        arrival = self.device.reserve_hbm(hbm) if hbm > 0 else t0
-        dur = max(total, arrival - t0)
-        yield Timeout(dur)
-        self._trace("compute", t0, self.machine.now)
-        if self.execute:
-            for i in iters:
-                self.scalars[s.var] = i
-                self._untimed_body(s.body, env, None)
+        def root(s):
+            try:
+                return f(s) if cast is None else cast(f(s))
+            except KeyError as exc:
+                raise undefined(exc) from None
+        return root
 
-    def _untimed_body(self, body: list[Stmt], env: dict[str, Any] | None,
-                      probe: CostRec | None) -> None:
-        """Walk an aggregable loop's body without advancing time.
+    def pair(self, arg: Any) -> Callable:
+        """A ``(lo, hi)`` range argument as a closure returning two ints."""
+        if not (isinstance(arg, tuple) and len(arg) == 2):
+            raise LoweringError(f"expected (lo, hi) range, got {arg!r}")
+        (lc, lo), (hc, hi) = self.expr(arg[0]), self.expr(arg[1])
+        if lc and hc:
+            value = int(lo), int(hi)
+            return lambda s: value
+        lo, hi = self._closure(lc, lo), self._closure(hc, hi)
+        undefined, h, step = self._undefined, arg[1], None
+        if isinstance(h, BinOp) and h.op == "+" and h.left == arg[0]:
+            const, c = self.expr(h.right)  # (lo, lo + c) evaluates lo once
+            step = c if const else None
 
-        With a ``probe``, accumulate one iteration's cost (nested loops
-        count as trips x their first iteration) and skip numeric data;
-        without one, apply the iteration's numpy effects.
-        """
-        for s in body:
-            if isinstance(s, AssignScalar):
-                self.scalars[s.target] = self.eval(s.value, env)
-            elif isinstance(s, TileOp):
-                val, rec, effect = self.eval_tile_op(s, env,
-                                                     snapshot=probe is None)
-                if probe is not None:
-                    probe.add(rec)
-                elif effect is not None:
-                    effect()
-                self._bind(s, val)
-            elif isinstance(s, If):
-                branch = s.then if self.eval(s.cond, env) else s.orelse
-                self._untimed_body(branch, env, probe)
-            elif isinstance(s, For):
-                iters = self._loop_range(s, env)
-                if probe is None:
-                    for i in iters:
-                        self.scalars[s.var] = i
-                        self._untimed_body(s.body, env, None)
-                elif iters:
-                    self.scalars[s.var] = iters[0]
-                    inner = CostRec()
-                    self._untimed_body(s.body, env, inner)
-                    probe.compute += len(iters) * self._iter_cost(s, inner)
-                    probe.hbm_bytes += len(iters) * inner.hbm_bytes
-            elif isinstance(s, Return):
-                raise _ReturnSignal()
+        def pair(s):
+            try:
+                if step is not None:
+                    v = lo(s)
+                    return int(v), int(v + step)
+                return int(lo(s)), int(hi(s))
+            except KeyError as exc:
+                raise undefined(exc) from None
+        return pair
+
+    def _undefined(self, exc: KeyError) -> LoweringError:
+        return LoweringError(f"{self.name}: undefined scalar {exc.args[0]!r}")
+
+    def operand(self, arg: Any) -> Callable:
+        """A tile op operand: tile name -> TileVal, Expr -> scalar."""
+        if isinstance(arg, str):
+            def tile(b):
+                try:
+                    return b.t[arg]
+                except KeyError:
+                    raise LoweringError(f"undefined tile {arg!r}") from None
+            return tile
+        if not isinstance(arg, Expr):
+            raise LoweringError(f"bad tile operand {arg!r}")
+        f = self.fn(arg)
+        return lambda b: f(b.s)
+
+    def ref(self, ref: Any, local: str | None = None) -> Callable:
+        """A tensor argument as ``block -> (SimTensor, owning rank)``, or,
+        given ``local`` (the error for a remote one), ``block -> SimTensor``
+        on the block's own rank."""
+        if not isinstance(ref, TensorRef):
+            raise LoweringError(f"expected a tensor argument, got {ref!r}")
+        name = ref.name
+        rank_f = None if ref.rank is None else self.fn(ref.rank, int)
+
+        def resolve(b):
+            bound = b.bindings.get(name)
+            if isinstance(bound, list):
+                rank = b.rank if rank_f is None else rank_f(b.s)
+                if not 0 <= rank < len(bound):
+                    raise RuntimeLaunchError(
+                        f"tensor {name!r} indexed with rank {rank} out of "
+                        f"range [0, {len(bound)})")
+                return bound[rank], rank
+            if isinstance(bound, SimTensor):
+                if rank_f is not None and rank_f(b.s) != bound.rank:
+                    raise RuntimeLaunchError(
+                        f"tensor {name!r} is not symmetric; cannot index "
+                        f"rank {rank_f(b.s)}")
+                return bound, bound.rank
+            raise RuntimeLaunchError(
+                f"kernel {b.name!r}: no binding for tensor {name!r}"
+                if bound is None else f"binding for {name!r} must be "
+                f"SimTensor or list, got {type(bound).__name__}")
+        if local is None:
+            return resolve
+
+        def resolve_local(b):
+            tensor, owner = resolve(b)
+            if owner != b.rank:
+                raise LoweringError(local)
+            return tensor
+        return resolve_local
+
+    def _no_channel(self) -> LoweringError:
+        return LoweringError(f"kernel {self.name!r} uses primitives but has "
+                             "no BlockChannel parameter")
+
+    # ------------------------------------------------------------- statements
+
+    def block(self, stmts: list[Stmt]) -> tuple:
+        return tuple(self.stmt(s) for s in stmts)
+
+    def stmt(self, s: Stmt) -> Callable:
+        try:
+            return self._stmt(s)
+        except Exception as exc:  # raises when (and only if) it runs
+            def fail(b, acc=None):
+                raise exc.with_traceback(None)
+            return fail
+
+    def _stmt(self, s: Stmt) -> Callable:
+        if isinstance(s, AssignScalar):
+            target, f = s.target, self.fn(s.value)
+
+            def assign(b, acc=None):
+                b.s[target] = f(b.s)
+            return assign
+        if isinstance(s, TileOp):
+            return self._tile_stmt(s)
+        if isinstance(s, If):
+            cond = self.fn(s.cond)
+            then, orelse = self.block(s.then), self.block(s.orelse)
+
+            def branch(b, acc=None):
+                body = then if cond(b.s) else orelse
+                if acc is None:
+                    return _drive(b, body)
+                for st in body:
+                    st(b, acc)
+            return branch
+        if isinstance(s, For):
+            return self._loop(s)
+        if isinstance(s, Return):
+            def ret(b, acc=None):
+                raise _Return
+            return ret
+        if not isinstance(s, Primitive):
+            raise LoweringError(f"unknown statement {type(s).__name__}")
+        if not self.has_channel:
+            raise self._no_channel()
+        return self._primitive(s)
+
+    def _tile_stmt(self, s: TileOp) -> Callable:
+        # a result binds at once: only its own block reads it, and that
+        # block stays suspended until the op's time has passed
+        op, target, scalar = self.tile_op(s), s.target, s.op == "load_scalar"
+        slot = LOAD if s.op in LOAD_TIME_OPS else COMPUTE
+        key = id(s) if s.prefetchable and s.op in ("load", "load_vec") \
+            and target is not None else None
+
+        def tile_stmt(b, acc=None):
+            if acc is None:
+                val = None if key is None else b.prefetched.pop(key, None)
+                if val is not None:  # issued one iteration early
+                    b.t[target] = val
+                    return None
+                val, t, hbm, effect = op(b, b.execute)
             else:
-                raise LoweringError("primitive inside aggregable loop")
+                val, t, hbm, effect = op(b, acc is REPLAY)
+            if target is not None:
+                (b.s if scalar else b.t)[target] = val
+            if acc is None:
+                return b.charge(t, hbm, "compute", effect)
+            if acc is not REPLAY:
+                acc[slot] += t
+                acc[HBM] += hbm
+            elif effect is not None:
+                effect()
+        return tile_stmt
 
-    def _prefetch(self, s: For, env: dict[str, Any] | None) -> None:
+    def _loop(self, s: For) -> Callable:
+        start, stop, step = (self.fn(s.start, int), self.fn(s.stop, int),
+                             self.fn(s.step, int))
+        var, pipelined, aggregable = s.var, s.pipelined, s.aggregable
+        body = self.block(s.body)
+        prefetch = self._prefetcher(s, body) if pipelined else None
+        if aggregable and any(isinstance(t, Primitive)
+                              for t in walk_block(s.body)):
+            raise LoweringError("primitive inside aggregable loop")
+
+        def steps(b, it):
+            sc = b.s
+            for i in it:
+                sc[var] = i
+                if prefetch is not None:
+                    prefetch(b)
+                for st in body:  # _drive, inlined: this runs per iteration
+                    r = st(b)
+                    if r is not None:
+                        if r.__class__ is Timeout:
+                            yield r
+                        else:
+                            yield from r
+
+        def replay(b, dur, t0, before):
+            yield Timeout(dur)
+            b.record("compute", t0)
+            if before is not None:
+                for env, saved in zip((b.s, b.t), before):
+                    env.clear()
+                    env.update(saved)
+                loop(b, REPLAY)
+
+        def loop(b, acc=None):
+            sc = b.s
+            lo, hi, inc = start(sc), stop(sc), step(sc)
+            if inc == 0:
+                raise SimulationError("loop step of 0")
+            it = range(lo, hi, inc)
+            if acc is REPLAY:
+                for i in it:
+                    sc[var] = i
+                    for st in body:
+                        st(b, REPLAY)
+            elif acc is not None:
+                # probe: the trips times the cost of the first iteration
+                if it:
+                    sc[var] = it[0]
+                    one = [0.0, 0.0, 0.0]
+                    for st in body:
+                        st(b, one)
+                    acc[COMPUTE] += len(it) * (
+                        max(one[LOAD], one[COMPUTE]) if pipelined
+                        else one[LOAD] + one[COMPUTE])
+                    acc[HBM] += len(it) * one[HBM]
+            elif not aggregable or len(it) < 2:
+                return steps(b, it)
+            else:
+                # analytic pricing of a primitive-free loop
+                before = (dict(sc), dict(b.t)) if b.execute else None
+                acc = [0.0, 0.0, 0.0]
+                loop(b, acc)
+                hbm = acc[HBM] * AGG_DRAM_DISCOUNT
+                t0 = b.sim.now
+                arrival = b.device.reserve_hbm(hbm) if hbm > 0 else t0
+                dur = max(b.cost.MMA_PROLOGUE + acc[COMPUTE], arrival - t0)
+                if before is None and not b.trace:
+                    return Timeout(dur)
+                return replay(b, dur, t0, before)
+        return loop
+
+    def _prefetcher(self, s: For, body: tuple) -> Callable | None:
         """Hoist prefetchable loads to iteration start (pipeliner model).
 
         Scalar statements are replayed to materialize addresses; values are
         snapshotted *now*, i.e. potentially before the body's waits run —
         which is safe only for loads the consistency pass left unpinned.
         The prefetched value costs nothing at its use point (it overlapped
-        with the previous iteration).
+        with the previous iteration).  None when there is no such load.
         """
-        saved: dict[str, Any] = {}
-        replayed: list[str] = []
-        for t in s.body:
+        plan: list[tuple[Callable | None, Any]] = []
+        for t, st in zip(s.body, body):
             if isinstance(t, AssignScalar):
-                if t.target in self.scalars and t.target not in saved:
-                    saved[t.target] = self.scalars[t.target]
-                replayed.append(t.target)
-                try:
-                    self.scalars[t.target] = self.eval(t.value, env)
-                except LoweringError:
-                    break  # address depends on a tile/wait result; stop
+                plan.append((st, None))
             elif isinstance(t, TileOp) and t.prefetchable and t.op in (
                     "load", "load_vec"):
                 try:
-                    val, _rec, _eff = self.eval_tile_op(t, env)
+                    plan.append((None, (id(t), self.tile_op(t))))
                 except (LoweringError, ShapeError):
+                    pass  # its statement raises when it runs
+        while plan and plan[-1][1] is None:
+            plan.pop()  # assignments after the last load address nothing
+        if not plan:
+            return None
+
+        def prefetch(b):
+            sc = b.s
+            saved = dict(sc)
+            for assign, load in plan:
+                if load is None:
+                    try:
+                        assign(b)
+                    except LoweringError:
+                        break  # address depends on a tile/wait result; stop
                     continue
-                self.tiles[f"$prefetch:{id(t)}"] = val
-        for name in replayed:
-            if name in saved:
-                self.scalars[name] = saved[name]
+                try:
+                    b.prefetched[load[0]] = load[1](b, b.execute)[0]
+                except (LoweringError, ShapeError):
+                    pass
+            sc.clear()  # the replayed assignments happen again in the body
+            sc.update(saved)
+        return prefetch
+
+    # --------------------------------------------------------------- tile ops
+
+    def tile_op(self, s: TileOp) -> Callable:
+        """``op(block, numeric) -> (value, seconds, hbm_bytes, effect)``:
+        ``effect`` is None or applies a numpy write, and ``numeric=False``
+        computes shapes and costs only."""
+        if id(s) not in self.ops:
+            self.ops[id(s)] = self._tile_op(s.op, s.args, s.kwargs)
+        return self.ops[id(s)]
+
+    def _tile_op(self, op: str, a: tuple, kw: dict) -> Callable:
+        if op in ("zeros", "full"):
+            exprs = a[0] if isinstance(a[0], tuple) else (a[0],)
+            dims = [self.fn(x, int) for x in exprs]
+            fill, n = (None, 1) if op == "zeros" else (self.fn(a[1]), 2)
+            dtype = resolve_dtype(a[n] if len(a) > n else "float32")
+
+            def new(b, numeric):
+                shape = tuple([d(b.s) for d in dims])
+                value = None if fill is None else fill(b.s)
+                data = None if not numeric else np.zeros(shape, dtype) \
+                    if fill is None else np.full(shape, value, dtype)
+                return _tile(shape, dtype, data), 0.0, 0.0, None
+            return new
+
+        if op in ("load", "load_vec"):
+            ref, rows = self.ref(a[0]), self.pair(a[1])
+            cols = self.pair(a[2]) if op == "load" else None
+
+            def load(b, numeric):
+                tensor, owner = ref(b)
+                if cols is None:
+                    span = rows(b.s)
+                    ranges, shape = (span,), (span[1] - span[0],)
+                    nbytes = shape[0] * tensor.itemsize
+                else:
+                    ranges = (r0, r1), (c0, c1) = rows(b.s), cols(b.s)
+                    shape = (r1 - r0, c1 - c0)
+                    nbytes = shape[0] * shape[1] * tensor.itemsize
+                if min(shape) < 0:
+                    raise ShapeError(f"negative load extent {shape}")
+                data = padded_to(tensor.read_tile(ranges), shape,
+                                 tensor.dtype) if numeric else None
+                val = _tile(shape, tensor.dtype, data)
+                if owner == b.rank:
+                    return val, nbytes / b.feed, nbytes, None
+                # remote read over the interconnect (pull)
+                return val, b.transfer(owner, b.rank, nbytes), 0.0, None
+            return load
+
+        if op in ("gather_rows", "load_scalar"):
+            tensor_f = self.ref(a[0], f"{op} requires a local tensor")
+            if op == "load_scalar":
+                idx = self.fn(a[1], int)
+
+                def load_scalar(b, numeric):
+                    tensor, i = tensor_f(b), idx(b.s)
+                    value = tensor.read_scalar(i) \
+                        if numeric and tensor.data is not None else 0
+                    return value, tensor.itemsize / b.feed, tensor.itemsize, \
+                        None
+                return load_scalar
+            idx, cols = self.operand(a[1]), self.pair(a[2])
+
+            def gather(b, numeric):
+                tensor, iv, (c0, c1) = tensor_f(b), idx(b), cols(b.s)
+                shape = (iv.shape[0], c1 - c0)
+                nbytes = shape[0] * shape[1] * tensor.itemsize
+                data = None
+                if numeric:
+                    if iv.data is None:
+                        raise ShapeError("gather_rows index tile has no data")
+                    data = padded_to(tensor.gather_rows(iv.data, (c0, c1)),
+                                     shape, tensor.dtype)
+                # random-access gather: 1.5x streaming cost
+                return (_tile(shape, tensor.dtype, data),
+                        1.5 * nbytes / b.feed, 1.5 * nbytes, None)
+            return gather
+
+        if op in ("store", "store_vec", "atomic_add", "scatter_add_rows"):
+            tensor_f = self.ref(a[0], f"{op} requires a local tensor"
+                                if op == "scatter_add_rows" else
+                                f"{op} targets a remote tensor; use "
+                                "tl.tile_push_data")
+            rows = self.operand(a[1]) if op == "scatter_add_rows" \
+                else self.pair(a[1])
+            cols = None if op == "store_vec" else self.pair(a[2])
+            val_f = self.operand(a[-1])
+            factor = {"atomic_add": 2.0, "scatter_add_rows": 2.5}.get(op, 1.0)
+
+            def store(b, numeric):
+                tensor = tensor_f(b)
+                where = rows(b) if op == "scatter_add_rows" else rows(b.s)
+                ranges = (where,) if cols is None else (where, cols(b.s))
+                val = val_f(b)
+                if not isinstance(val, TileVal):
+                    raise LoweringError(f"{op} value must be a tile")
+                nbytes, data, effect = val.nbytes, val.data, None
+                if numeric and op == "scatter_add_rows":
+                    if where.data is None or data is None:
+                        raise ShapeError(
+                            "scatter_add_rows needs numeric operands")
+                    ids = where.data.astype(np.int64)
+
+                    def effect():
+                        tensor.scatter_add_rows(ids, ranges[1], data)
+                elif numeric:
+                    write = tensor.accumulate_tile if op == "atomic_add" \
+                        else tensor.write_tile
+
+                    def effect():
+                        write(ranges, data)
+                return None, factor * nbytes / b.feed, factor * nbytes, effect
+            return store
+
+        if op == "dot":
+            lhs, rhs = self.operand(a[0]), self.operand(a[1])
+            acc = None if kw.get("acc") is None else self.operand(kw["acc"])
+
+            def dot(b, numeric):
+                x, y = lhs(b), rhs(b)
+                acc_val = None if acc is None else acc(b)
+                if len(x.shape) != 2 or len(y.shape) != 2 or \
+                        x.shape[1] != y.shape[0]:
+                    raise ShapeError(
+                        f"dot shape mismatch {x.shape} x {y.shape}")
+                (m, k), n = x.shape, y.shape[1]
+                data = None
+                if numeric:
+                    data = x.data.astype(np.float32) @ \
+                        y.data.astype(np.float32)
+                    if acc_val is not None and acc_val.data is not None:
+                        data = data + acc_val.data.astype(np.float32)
+                return (_tile((m, n), F32, data), b.cost.mma_time(m, n, k),
+                        0.0, None)
+            return dot
+
+        if op not in ELEMENTWISE_FLOPS:
+            raise LoweringError(f"unknown tile op {op!r}")
+        flops, x_f = ELEMENTWISE_FLOPS[op], self.operand(a[0])
+        if op in ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile"):
+            y_f, stubs = self.operand(a[1]), {}
+
+            def binary(b, numeric):
+                x, y = x_f(b), y_f(b)
+                if numeric:
+                    out = apply_binary(op, x, y)
+                else:
+                    key = tuple((v.shape, v.dtype) if isinstance(v, TileVal)
+                                else ((), F32) for v in (x, y))
+                    if key not in stubs:
+                        (sa, da), (sb, db) = key
+                        stubs[key] = (tuple(np.broadcast_shapes(sa, sb)),
+                                      np.result_type(da, db))
+                    out = _tile(*stubs[key])
+                return out, b.cost.vector_tile_time(out.size, flops, 0.0), \
+                    0.0, None
+            return binary
+        dtype = resolve_dtype(a[1]) if op == "cast" else \
+            F32 if op in ("exp", "log", "silu", "gelu", "row_max", "row_sum") \
+            else None
+        if op in ("row_max", "row_sum"):
+            reduce = np.max if op == "row_max" else np.sum
+
+        def elementwise(b, numeric):
+            x = x_f(b)
+            if numeric and op in ("exp", "log", "relu", "neg", "silu", "gelu"):
+                out = apply_unary(op, x)
             else:
-                self.scalars.pop(name, None)
+                data = x.data if numeric else None
+                shape = x.shape
+                if op == "cast" and data is not None:
+                    data = data.astype(dtype)
+                elif op == "copy" and data is not None:
+                    data = data.copy()
+                elif op == "expand_dims":
+                    shape = (*x.shape, 1)
+                    data = None if data is None else data.reshape(shape)
+                elif op in ("row_max", "row_sum"):
+                    if len(x.shape) != 2:
+                        raise ShapeError(
+                            f"{op} expects a 2-d tile, got {x.shape}")
+                    shape = (x.shape[0],)
+                    data = None if data is None else reduce(
+                        data.astype(np.float32), axis=1)
+                out = _tile(shape, dtype or x.dtype, data)
+            seconds = 0.0 if op in ("copy", "expand_dims") else \
+                b.cost.vector_tile_time(x.size, flops, 0.0)
+            return out, seconds, 0.0, None
+        return elementwise
 
-    # --------------------------------------------------------------------- top
+    # ------------------------------------------------------------- primitives
 
-    def run(self):
-        """The block's simulation process."""
-        try:
-            yield from self.exec_body(self.program.ir.body)
-        except _ReturnSignal:
-            pass
-        return None
+    def _primitive(self, s: Primitive) -> Callable:
+        a, kw, name = s.args, s.kwargs, s.name
+        if name == "producer_tile_notify":
+            tid = self.fn(a[0], int)
+            mode = a[1] if len(a) > 1 else kw.get("mode", "p2p")
+            to = None if kw.get("to") is None else self.fn(kw["to"], int)
 
+            def notify(b):
+                sc = b.s
+                for bank, cell, amount in sc[CHANNEL].notify_posts(
+                        tid(sc), mode, None if to is None else to(sc)):
+                    bank.post_add(cell, amount, from_rank=b.rank)
+            return notify
 
-def run_block(program: CompiledProgram, machine: Machine, rank: int,
-              block_id: int, n_blocks: int, bindings: dict[str, Any],
-              label: str = ""):
-    """Build the simulation-process generator for one block."""
-    interp = BlockInterp(program, machine, rank, block_id, n_blocks,
-                         bindings, label=label)
-    return interp.run()
+        if name == "peer_tile_notify":
+            cell, dst = self.fn(a[0], int), self.fn(a[1], int)
+
+            def peer_notify(b):
+                sc = b.s
+                sc[CHANNEL].peer_bank(dst(sc)).post_add(cell(sc), 1,
+                                                       from_rank=b.rank)
+            return peer_notify
+
+        if name in ("consumer_tile_wait", "peer_tile_wait"):
+            cell = self.fn(a[0], int)
+            rank = self.fn(a[1], int) if name == "peer_tile_wait" else None
+            count = self.fn(kw.get("count", Const(1)), int)
+
+            def wait(b):
+                sc, t0 = b.s, b.sim.now
+                ch = sc[CHANNEL]
+                if rank is None:
+                    for channel_idx, threshold in ch.consumer_wait_list(
+                            cell(sc)):
+                        yield ch.barriers.wait_geq(channel_idx, threshold)
+                else:
+                    c, r, n = cell(sc), rank(sc), count(sc)
+                    yield ch.peer_bank(r).wait_geq(c, n)
+                b.record("sync", t0)
+            return wait
+
+        if name not in ("tile_push_data", "tile_pull_data"):
+            raise LoweringError(f"unsupported primitive {name!r}")
+        if not isinstance(a[0], TensorRef):
+            raise LoweringError(f"{name} needs a tensor argument")
+        tid_m = self.fn(a[1], int)
+        tid_n = self.fn(a[2] if len(a) > 2 else Const(0), int)
+        if name == "tile_push_data":
+            val_f, ref = self.operand(a[3]), self.ref(a[0])
+
+            def push(b):
+                sc, t0 = b.s, b.sim.now
+                i, j, val = tid_m(sc), tid_n(sc), val_f(b)
+                ranges = sc[CHANNEL].comm_tile_ranges(i, j)
+                dst, dst_rank = ref(b)
+                data = val.data
+
+                def effect():
+                    dst.write_tile(ranges, data)
+                if dst_rank == b.rank:
+                    return b.charge(val.nbytes / b.feed, val.nbytes, "comm",
+                                    effect if b.execute else None)
+                delay = b.transfer(b.rank, dst_rank, val.nbytes)
+                if b.execute:
+                    b.sim.call_later(delay, effect)
+                return _charged(b, delay, t0, "comm") if delay > 0 else None
+            return push
+
+        # the payload is snapshotted at issue time on the source rank,
+        # matching NVSHMEM get semantics
+        source, target = a[0].name, s.target
+
+        def pull(b):
+            t0, sc = b.sim.now, b.s
+            i = tid_m(sc)
+            src_rank, rows, cols = sc[CHANNEL].pull_source(i, tid_n(sc))
+            bound = b.bindings.get(source)
+            if not isinstance(bound, list):
+                raise LoweringError("tile_pull_data source must be symmetric")
+            src = bound[src_rank]
+            if rows[0] < 0 or rows[1] > src.shape[0]:
+                raise LoweringError(
+                    f"tile_pull_data tile {i} rows {rows} fall outside "
+                    f"rank {src_rank}'s shard")
+            shape = (int(rows[1] - rows[0]), int(cols[1] - cols[0]))
+            nbytes = shape[0] * shape[1] * src.itemsize
+            data = padded_to(src.read_tile((rows, cols)), shape, src.dtype) \
+                if b.execute else None
+            if target is not None:
+                b.t[target] = _tile(shape, src.dtype, data)
+            delay = nbytes / b.feed if src_rank == b.rank \
+                else b.transfer(src_rank, b.rank, nbytes)
+            return _charged(b, delay, t0, "comm") if delay > 0 else None
+        return pull

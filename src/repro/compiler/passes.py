@@ -1,13 +1,16 @@
 """Compiler passes over the tile IR.
 
-Three passes run between the frontend and the backend interpreter:
+Three passes run between the frontend and the backend:
 
 1. :func:`annotate_loops` — marks loops *aggregable* when their bodies
-   contain no primitives or nested control flow with primitives.  The
-   backend prices an aggregable loop analytically (trip count x body cost)
-   instead of stepping every iteration — this is what makes paper-scale
-   benchmark runs tractable, and it is faithful: such loops have no
-   externally visible scheduling events.
+   contain no primitives or nested control flow with primitives, and
+   carry no scalar from one iteration to the next.  The backend prices an
+   aggregable loop analytically (trip count x the cost of its first
+   iteration) instead of stepping every iteration — this is what makes
+   paper-scale benchmark runs tractable, and it is faithful: such loops
+   have no externally visible scheduling events, every iteration costs
+   what the first does, and numeric mode still replays every iteration
+   from the state the loop was entered with.
 
 2. :func:`pipeline_loops` — Triton-style software pipelining (paper §4.3).
    Aggregable loops become multi-stage pipelines (load/compute overlap: the
@@ -34,7 +37,10 @@ from repro.lang.ir import (
     KernelIR,
     Primitive,
     Stmt,
+    TensorRef,
     TileOp,
+    scalar_reads,
+    scalar_target,
     walk_block,
 )
 
@@ -44,7 +50,9 @@ LOAD_OPS = {"load", "load_vec", "gather_rows"}
 
 def annotate_loops(ir: KernelIR) -> None:
     """Mark ``For.aggregable`` bottom-up: no primitives, no nested control
-    flow that itself fails aggregation."""
+    flow that itself fails aggregation, and no scalar carried from one
+    iteration to the next (a counter ``n = n + 1``), since one probed
+    iteration prices the whole loop."""
 
     def block_aggregable(body: list[Stmt]) -> bool:
         for s in body:
@@ -52,9 +60,8 @@ def annotate_loops(ir: KernelIR) -> None:
                 return False
             if isinstance(s, TileOp) and _is_remote(s):
                 return False  # interconnect traffic must be scheduled per-op
-            if isinstance(s, For):
-                if not block_aggregable(s.body):
-                    return False
+            if isinstance(s, For) and not loop_aggregable(s):
+                return False
             if isinstance(s, If):
                 # branch conditions may depend on loop vars; keep simple
                 # branches aggregable only when primitive-free
@@ -62,9 +69,10 @@ def annotate_loops(ir: KernelIR) -> None:
                     return False
         return True
 
-    def _is_remote(op: TileOp) -> bool:
-        from repro.lang.ir import TensorRef
+    def loop_aggregable(loop: For) -> bool:
+        return block_aggregable(loop.body) and not _carries_scalar(loop)
 
+    def _is_remote(op: TileOp) -> bool:
         return any(
             isinstance(a, TensorRef) and a.rank is not None
             for a in (*op.args, *op.kwargs.values())
@@ -73,13 +81,33 @@ def annotate_loops(ir: KernelIR) -> None:
     def visit(body: list[Stmt]) -> None:
         for s in body:
             if isinstance(s, For):
-                s.aggregable = block_aggregable(s.body)
+                s.aggregable = loop_aggregable(s)
                 visit(s.body)
             elif isinstance(s, If):
                 visit(s.then)
                 visit(s.orelse)
 
     visit(ir.body)
+
+
+def _carries_scalar(loop: For) -> bool:
+    """Whether an iteration of ``loop`` may read a scalar the body assigns
+    before this iteration has assigned it."""
+    assigned = {scalar_target(s) for s in walk_block(loop.body)} - {None}
+
+    def carried(body: list[Stmt], written: set[str]) -> bool:
+        written = set(written)
+        for s in body:
+            if scalar_reads(s) & (assigned - written):
+                return True
+            inner = written | {s.var} if isinstance(s, For) else written
+            if any(carried(block, inner) for block in s.children()):
+                return True
+            if not isinstance(s, For) and scalar_target(s) is not None:
+                written.add(scalar_target(s))
+        return False
+
+    return carried(loop.body, {loop.var})
 
 
 def pipeline_loops(ir: KernelIR, num_stages: int = 3) -> None:

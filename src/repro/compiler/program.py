@@ -7,12 +7,14 @@ Specializations are cached per (constexpr binding, options) on the
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.errors import CompileError
 from repro.lang.dsl import KernelDef
 from repro.lang.ir import KernelIR
+from repro.compiler.interp import lower
 from repro.compiler.passes import (
     annotate_loops,
     enforce_consistency,
@@ -56,8 +58,11 @@ class CompiledProgram:
     ir: KernelIR
     constexprs: dict[str, Any]
     options: CompileOptions
+    #: the IR's statements lowered into closures
+    #: (:func:`repro.compiler.interp.lower`)
+    lowered: tuple = field(default=(), repr=False)
 
-    @property
+    @cached_property
     def tensor_params(self) -> list[str]:
         skip = set(self.ir.constexpr_params)
         if self.ir.channel_param:
@@ -91,11 +96,8 @@ def compile_kernel(kdef: KernelDef, constexprs: dict[str, Any],
         from repro.analyze.registry import check_compiled_ir
 
         check_compiled_ir(ir)
-    program = CompiledProgram(
-        name=kdef.name,
-        ir=ir,
-        constexprs={p: constexprs[p] for p in ir.constexpr_params},
-        options=options,
-    )
+    bound = {p: constexprs[p] for p in ir.constexpr_params}
+    program = CompiledProgram(name=kdef.name, ir=ir, constexprs=bound,
+                              options=options, lowered=lower(ir, bound))
     kdef._programs[key] = program
     return program

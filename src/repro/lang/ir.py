@@ -1,7 +1,8 @@
 """Structured tile IR.
 
 The frontend compiles a kernel's Python AST into this IR; compiler passes
-annotate it; the backend interprets it per block on the simulated device.
+annotate it; the backend lowers it once into closures and runs them per
+block on the simulated device.
 
 Two value categories exist at run time:
 
@@ -16,8 +17,8 @@ statements.  Passes attach scheduling annotations directly to the nodes
 ``TileOp.guards``).
 
 Scalar operators have one meaning, :data:`BINARY_OPS` and
-:data:`UNARY_OPS`, shared by the backend interpreter and the static
-analyzer's abstract evaluator.
+:data:`UNARY_OPS`, shared by the backend and the static analyzer's
+abstract evaluator.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ class AssignScalar(Stmt):
 class TileOp(Stmt):
     """A tile-producing/consuming operation assigned to a local name.
 
-    ``op`` selects the semantics (see
-    ``repro.compiler.interp.BlockInterp.eval_tile_op``); ``args`` holds
-    Exprs, TensorRefs, strings and nested (lo, hi) Expr pairs, per-op.
+    ``op`` selects the semantics (see the op closures
+    ``repro.compiler.interp`` lowers it to); ``args`` holds Exprs,
+    TensorRefs, strings and nested (lo, hi) Expr pairs, per-op.
     ``target`` is None for pure-effect ops (store).
     """
 
@@ -247,6 +248,43 @@ def walk_block(body: list[Stmt]) -> Iterator[Stmt]:
         yield node
         for block in node.children():
             stack.extend(reversed(block))
+
+
+def scalar_reads(s: Stmt) -> set[str]:
+    """The scalar names ``s``'s own operands read (not its nested
+    blocks')."""
+    if isinstance(s, AssignScalar):
+        return _names(s.value)
+    if isinstance(s, (TileOp, Primitive)):
+        return _names((*s.args, *s.kwargs.values()))
+    if isinstance(s, If):
+        return _names(s.cond)
+    if isinstance(s, For):
+        return _names((s.start, s.stop, s.step))
+    return set()
+
+
+def _names(x: Any) -> set[str]:
+    if isinstance(x, Name):
+        return {x.id}
+    if isinstance(x, BinOp):
+        return _names(x.left) | _names(x.right)
+    if isinstance(x, UnaryOp):
+        return _names(x.operand)
+    if isinstance(x, TensorRef):
+        return _names(x.rank)
+    if isinstance(x, tuple):
+        return set().union(*map(_names, x))
+    return set()
+
+
+def scalar_target(s: Stmt) -> str | None:
+    """The scalar ``s`` assigns: an assignment's or ``load_scalar``'s
+    target, or a loop's variable."""
+    if isinstance(s, AssignScalar) or isinstance(s, TileOp) \
+            and s.op == "load_scalar":
+        return s.target
+    return s.var if isinstance(s, For) else None
 
 
 def inherit_linenos(body: list[Stmt], default: int | None = None) -> None:

@@ -20,6 +20,7 @@ and how many producer notifies make each channel "ready" (the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import MappingError
 from repro.mapping.layout import ceil_div
@@ -66,28 +67,28 @@ class AffineTileMapping:
 
     # -- derived quantities (the paper's M_per_rank / M_per_channel) -----------
 
-    @property
+    @cached_property
     def per_rank(self) -> int:
         return ceil_div(self.extent, self.world_size)
 
-    @property
+    @cached_property
     def per_channel(self) -> int:
         return ceil_div(self.extent, self.world_size * self.channels_per_rank)
 
-    @property
+    @cached_property
     def n_tiles(self) -> int:
         return ceil_div(self.extent, self.tile)
 
-    @property
+    @cached_property
     def n_channels(self) -> int:
         """Global channel count (R * C)."""
         return self.world_size * self.channels_per_rank
 
-    @property
+    @cached_property
     def tiles_per_rank(self) -> int:
         return max(1, self.per_rank // self.tile)
 
-    @property
+    @cached_property
     def tiles_per_channel(self) -> int:
         return max(1, self.per_channel // self.tile)
 

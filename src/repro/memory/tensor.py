@@ -147,6 +147,30 @@ class SimTensor:
         self.data[slices] = (region.astype(np.float32) + add.astype(np.float32)
                              ).astype(self.dtype)
 
+    def gather_rows(self, ids: np.ndarray, cols: tuple[int, int]
+                    ) -> np.ndarray:
+        """Rows ``ids`` (clamped into range) of the columns ``cols``."""
+        ids = np.clip(ids.astype(np.int64), 0, self.shape[0] - 1)
+        return self.data[ids, cols[0]:cols[1]].astype(self.dtype)
+
+    def scatter_add_rows(self, ids: np.ndarray, cols: tuple[int, int],
+                         value: np.ndarray) -> None:
+        """Add the rows of ``value`` into rows ``ids`` of the columns
+        ``cols`` (repeated ids accumulate)."""
+        if ids.max(initial=-1) >= self.shape[0] or ids.min(initial=0) < 0:
+            raise ShapeError(f"scatter_add_rows index out of range on "
+                             f"{self.name}")
+        np.add.at(self.data[:, cols[0]:cols[1]], ids[:value.shape[0]],
+                  value[:len(ids)].astype(self.dtype))
+
+    def read_scalar(self, index: int) -> int:
+        """One element of the flattened tensor, as a Python int."""
+        flat = self.data.reshape(-1)
+        if not 0 <= index < flat.shape[0]:
+            raise ShapeError(f"load_scalar index {index} out of range "
+                             f"({self.name}, {self.size} elements)")
+        return int(flat[index])
+
     def numpy(self) -> np.ndarray:
         """The full backing array (raises in timing mode)."""
         if self.data is None:

@@ -22,10 +22,10 @@ traffic.  Four stages, one module each:
   admission, pluggable queue policies (FCFS, shortest-prompt-first) and,
   given a :class:`KVCacheConfig`, memory-aware admission with
   preemption-by-recompute under pool pressure;
-* :mod:`repro.serve.engine` — the event-driven core ``serve()`` actually
-  runs: struct-of-arrays batch state and decode macro-stepping between
-  batch-composition events, bit-identical to the reference loop
-  (:func:`serve_reference`) at ~10x the throughput, with per-step
+* :mod:`repro.serve.engine` — the event-driven core ``serve()`` runs:
+  struct-of-arrays batch state and decode macro-stepping between
+  batch-composition events, bit-identical to the per-step reference loop
+  the tests keep as an oracle at ~10x its throughput, with per-step
   samples folded into :class:`StepStats` streaming accumulators;
 * :mod:`repro.serve.metrics` — throughput, p50/p99 TTFT and TPOT,
   queue depth/wait, preemption and pool-occupancy statistics and SLO
@@ -79,7 +79,6 @@ from repro.serve.scheduler import (
     ServeResult,
     ServerConfig,
     serve,
-    serve_reference,
 )
 from repro.serve.workload import (
     SCENARIOS,
@@ -97,5 +96,5 @@ __all__ = [
     "StepLatencyTable", "StepPricer", "StepStats", "VICTIM_POLICIES",
     "entry_key", "format_reports", "generate_requests",
     "latency_table_path", "model_key", "percentile", "replay_trace",
-    "resolve_latency_table", "serve", "serve_reference", "summarize",
+    "resolve_latency_table", "serve", "summarize",
 ]

@@ -1,9 +1,10 @@
 """Event-driven serving core: macro-stepped decode over columnar state.
 
-The reference loop (:func:`repro.serve.scheduler.serve_reference`)
-interprets every engine step — ~1.5M steps for a 100k-request chat run —
-and spends most of its time on per-step Python object traffic.  This
-engine reproduces it *bit-for-bit* while pricing decode in macro-steps:
+The per-step reference loop (kept with the tests as an oracle,
+``tests/oracle_serve.py``) interprets every engine step — ~1.5M steps
+for a 100k-request chat run — and spends most of its time on per-step
+Python object traffic.  This engine reproduces it *bit-for-bit* while
+pricing decode in macro-steps:
 
 * **struct-of-arrays batch state** — the running batch lives in parallel
   columns instead of ``_Running`` objects, and the per-step quantities
@@ -100,7 +101,7 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
     """Serve ``requests`` through the event-driven core.
 
     Same contract as :func:`repro.serve.scheduler.serve` (which wraps
-    this), same bits as :func:`~repro.serve.scheduler.serve_reference`.
+    this), same bits as the per-step reference loop.
 
     ``recorder`` (an enabled :class:`repro.obs.Recorder`, duck-typed:
     ``.enabled`` plus an ``events`` list) captures the full request

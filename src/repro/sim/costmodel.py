@@ -44,6 +44,9 @@ class CostModel:
 
     def __init__(self, spec: HardwareSpec):
         self.spec = spec
+        #: memoized tile prices: kernels price a few shapes millions of times
+        self._mma: dict[tuple[int, int, int], float] = {}
+        self._vector: dict[tuple[int, float, float], float] = {}
 
     # -- basic rates ---------------------------------------------------------
 
@@ -74,6 +77,14 @@ class CostModel:
         shallow = min(1.0, (bk / 32.0) ** 0.5)
         area = min(1.0, (bm * bn) / (128.0 * 128.0)) ** 0.25
         return max(self.MIN_TILE_EFFICIENCY, narrow * shallow * area)
+
+    def mma_time(self, m: int, n: int, k: int) -> float:
+        """One SM's tensor-core time for an (m x k) @ (k x n) tile product."""
+        t = self._mma.get((m, n, k))
+        if t is None:
+            t = self._mma[m, n, k] = 2.0 * m * n * k / (
+                self.per_sm_tensor_flops * self.tile_efficiency(m, n, k))
+        return t
 
     def gemm_tile_time(self, bm: int, bn: int, k: int, bk: int = 64,
                        dtype_bytes: int = 2) -> GemmTileCost:
@@ -137,9 +148,13 @@ class CostModel:
     def vector_tile_time(self, n_elements: int, flops_per_element: float,
                          bytes_per_element: float) -> float:
         """Elementwise/reduction tile cost on one SM (softmax, SiLU, topk)."""
-        compute = n_elements * flops_per_element / self.per_sm_vector_flops
-        memory = self.memory_tile_time(n_elements * bytes_per_element)
-        return max(compute, memory)
+        key = (n_elements, flops_per_element, bytes_per_element)
+        t = self._vector.get(key)
+        if t is None:
+            compute = n_elements * flops_per_element / self.per_sm_vector_flops
+            memory = self.memory_tile_time(n_elements * bytes_per_element)
+            t = self._vector[key] = max(compute, memory)
+        return t
 
     # -- attention --------------------------------------------------------------
 

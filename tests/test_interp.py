@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler.program import CompileOptions
+from repro.compiler.program import CompileOptions, compile_kernel
 from repro.errors import LoweringError, RuntimeLaunchError
 from repro.lang import tl
 from repro.lang.dsl import kernel
+from repro.lang.ir import For
 from repro.runtime.launcher import launch_kernel, launch_spmd
 from tests.conftest import make_ctx
 
@@ -254,3 +255,80 @@ def test_grid_must_be_positive():
         launch_kernel(ctx.machine, _elementwise, 0, 0,
                       {"a": ctx.heap.tensors("out"),
                        "out": ctx.heap.tensors("out"), "N": 4})
+
+
+# -- aggregable loops: the cost probe must not leak into numeric results --
+
+
+@kernel
+def _bias_gemm(x, w, bias, out, M: tl.constexpr, K: tl.constexpr,
+               BK: tl.constexpr):
+    acc = tl.load(bias, (0, M), (0, M))
+    for k in range(0, K, BK):
+        a = tl.load(x, (0, M), (k, k + BK))
+        b = tl.load(w, (k, k + BK), (0, M))
+        acc += tl.dot(a, b)
+    tl.store(out, (0, M), (0, M), acc)
+
+
+def test_aggregable_loop_keeps_tile_carried_in(rng):
+    # the accumulator enters the loop loaded, not zeroed: numeric replay
+    # must start from it, not from the probe's shape-only stub
+    M, K, BK = 4, 16, 4
+    x = rng.standard_normal((M, K)).astype(np.float32)
+    w = rng.standard_normal((K, M)).astype(np.float32)
+    bias = np.full((M, M), 100.0, np.float32)
+    ctx, _ = run1(_bias_gemm, 1, {"x": x, "w": w, "bias": bias,
+                                  "out": np.zeros((M, M), np.float32),
+                                  "M": M, "K": K, "BK": BK})
+    assert np.allclose(ctx.heap.tensor("out", 0).numpy(), bias + x @ w,
+                       atol=1e-3)
+
+
+@kernel
+def _running_sum(x, out, M: tl.constexpr, K: tl.constexpr, BK: tl.constexpr):
+    acc = tl.zeros((M, BK), "float32")
+    for k in range(0, K, BK):
+        t = tl.load(x, (0, M), (k, k + BK))
+        acc = acc + t
+    tl.store(out, (0, M), (0, BK), acc)
+
+
+def test_aggregable_loop_elementwise_accumulator(rng):
+    M, K, BK = 4, 12, 4
+    x = rng.standard_normal((M, K)).astype(np.float32)
+    ctx, _ = run1(_running_sum, 1, {"x": x,
+                                    "out": np.zeros((M, BK), np.float32),
+                                    "M": M, "K": K, "BK": BK})
+    ref = x.reshape(M, K // BK, BK).sum(axis=1)
+    assert np.allclose(ctx.heap.tensor("out", 0).numpy(), ref, atol=1e-5)
+
+
+@kernel
+def _count_then_store(out, N: tl.constexpr):
+    n = 0
+    for _ in range(N):
+        n = n + 1
+    v = tl.full((n,), 1.0, "float32")
+    tl.store_vec(out, (0, n), v)
+
+
+@kernel
+def _store_n(out, N: tl.constexpr):
+    v = tl.full((N,), 1.0, "float32")
+    tl.store_vec(out, (0, N), v)
+
+
+def test_loop_carrying_a_scalar_is_stepped():
+    N = 4
+    prog = compile_kernel(_count_then_store, {"N": N})
+    assert not [s for s in prog.ir.walk_stmts()
+                if isinstance(s, For) and s.aggregable]
+    ctx, _ = run1(_count_then_store, 1,
+                  {"out": np.zeros(8, np.float32), "N": N})
+    assert ctx.heap.tensor("out", 0).numpy().tolist() == [1.0] * N + [0.0] * 4
+    # timing mode counts to N as well: the store costs what N elements do
+    args = {"out": np.zeros(8, np.float32), "N": N}
+    _, counted = run1(_count_then_store, 1, dict(args), numerics=False)
+    _, direct = run1(_store_n, 1, dict(args), numerics=False)
+    assert counted == direct

@@ -1,6 +1,6 @@
 """Golden-equivalence and macro-step tests for the event-driven serving
 engine (repro.serve.engine) against the preserved reference loop
-(repro.serve.scheduler.serve_reference).
+(tests/oracle_serve.py, serve_reference).
 
 The engine's contract is *bit-identity*: every timestamp, counter and
 per-step sample series must match the reference loop exactly — not
@@ -25,14 +25,10 @@ from repro.serve.kv import KVCacheConfig
 from repro.serve.latency import StepLatencyTable
 from repro.serve.metrics import percentile
 from repro.serve.samples import StepStats
-from repro.serve.scheduler import (
-    RequestLog,
-    ServerConfig,
-    serve,
-    serve_reference,
-)
+from repro.serve.scheduler import RequestLog, ServerConfig, serve
 from repro.serve.workload import Request, generate_requests
 from tests.conftest import FLOOR, PER_TOKEN, AffineTable
+from tests.oracle_serve import serve_reference
 
 TINY = ModelConfig("tiny", n_layers=4, hidden=512, heads=4, head_dim=128,
                    intermediate=2048, batch=1, seq_len=2048)

@@ -2,11 +2,11 @@
 
 ``benchmarks/warm_cache.json`` is a checked-in :class:`repro.tuner.TuneCache`
 file holding the exhaustive-search winners for the Figure-8 MLP,
-Table-4 MoE and Figure-10 attention shape tables (world=8, H800,
-``preset="small"``).  When it resolves, the ``*_builders`` in
-:mod:`repro.bench.experiments` default to ``tuned=True`` and the
-Figure-8/9/10 tables grow a TileLink-tuned column at zero simulation
-cost — every autotune call is a warm hit.
+Table-4 MoE and Figure-10 attention shape tables (world=8, H800, each
+family's ``*_tune_task`` search space).  When it resolves, the
+``*_builders`` in :mod:`repro.bench.experiments` default to
+``tuned=True`` and the Figure-8/9/10 tables grow a TileLink-tuned column
+at zero simulation cost — every tuned-column lookup is a warm hit.
 
 Cache keys embed the hardware-spec and search-space fingerprints, so any
 change to a kernel's design space (or to ``HardwareSpec``) silently
@@ -37,8 +37,8 @@ DEFAULT_PATH = Path(__file__).resolve().parent / "warm_cache.json"
 
 def expected_tasks():
     """The task table the warm cache must cover (and nothing else),
-    derived from the kernel-family registry: every family with a
-    ``warm_tasks`` hook contributes its shape table (Figure-8 MLP,
+    derived from the kernel-family registry: every family registered
+    with ``warm_cached=True`` contributes its shape table (Figure-8 MLP,
     Table-4 MoE and Figure-10 attention shapes)."""
     return registry_sweep_tasks(world=WORLD, spec=H800)
 

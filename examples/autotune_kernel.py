@@ -18,9 +18,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.kernels.gemm_rs import GemmRsConfig
+from repro.kernels.gemm_rs import gemm_rs_tune_task
 from repro.models.configs import MLP_BENCHES
-from repro.tuner import TuneCache
+from repro.tuner import TuneCache, tune
 from repro.util.tables import format_table
 
 WORLD = 8
@@ -32,12 +32,14 @@ def main() -> None:
     k = SHAPE.i // WORLD
     cache_path = Path(tempfile.mkdtemp(prefix="repro-tune-")) / "cache.json"
     cache = TuneCache(cache_path)
+    # the task states GEMM+RS's search space, its paper default and the
+    # cost-model bound the pruner uses
+    task = gemm_rs_tune_task(m, n, k, world=WORLD)
 
     print(f"Tuning GEMM+RS on {SHAPE.name} ({SHAPE.source}), "
           f"m={m} n={n} k={k}, world={WORLD} ...")
     t0 = time.time()
-    res = GemmRsConfig.autotune(m, n, k, world=WORLD, cache=cache,
-                                full_result=True)
+    res = tune(task, world=WORLD, cache=cache)
     wall = time.time() - t0
 
     rows = [
@@ -57,8 +59,7 @@ def main() -> None:
     assert res.best_time <= res.default_time
 
     t0 = time.time()
-    res2 = GemmRsConfig.autotune(m, n, k, world=WORLD, cache=cache,
-                                 full_result=True)
+    res2 = tune(task, world=WORLD, cache=cache)
     print(f"\nsecond call: from_cache={res2.from_cache}, "
           f"simulations={res2.n_simulated}, "
           f"wall={time.time() - t0:.3f}s (cache: {cache_path})")

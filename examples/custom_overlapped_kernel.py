@@ -12,15 +12,16 @@ Quickstart — the fastest path to your own kernel family:
 2. wrap the shapes in a frozen config dataclass and write a launcher
    that wires mappings, channels and the SPMD launch through the
    context (``ctx.make_block_channels``, ``ctx.launch_spmd``);
-3. describe the design space as a ``SearchSpace`` + ``TuneTask`` so the
-   autotuner can search it;
+3. describe the design space as one ``TuneTask`` factory (its
+   ``SearchSpace``, the config's default and a bound) so the autotuner
+   can search it;
 4. make ONE ``repro.registry.register_family()`` call from this module,
    naming a few tiny analyzer instantiations of the launcher.
 
 After step 4 every consumer resolves the family through the registry
 with zero edits anywhere else: ``python -m repro.registry --list`` shows
 it, ``repro.analyze`` records its plans from the launcher itself and
-proves them deadlock/race-free, the tuner finds its space, the bench
+proves them deadlock/race-free, the tuner searches its task, the bench
 harness gets its builders.  A family can also contribute a serving
 ``method`` (see ``repro/kernels/chunk_gemm_rs.py``, which registers
 ``"tilelink-chunk"`` the same way and appears in ``models.runner``).
@@ -42,7 +43,8 @@ from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.registry import get_family, register_family
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
+from repro.tuner.search import TuneTask, tune
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 WORLD = 4
 
@@ -108,9 +110,6 @@ class AgSoftmaxConfig:
                 f"M={self.m} must tile evenly into block_m={self.block_m} "
                 f"rows across {world} ranks")
 
-    def tune_candidate(self) -> dict:
-        return dict(block_m=self.block_m, comm_blocks=self.comm_blocks)
-
 
 def ag_softmax_overlapped(ctx: DistContext, cfg: AgSoftmaxConfig,
                           shards_name: str, gathered_name: str,
@@ -131,24 +130,15 @@ def ag_softmax_overlapped(ctx: DistContext, cfg: AgSoftmaxConfig,
 
 
 # ---------------------------------------------------------------------------
-# Step 3 — tuner hooks: a design space and a task over it
+# Step 3 — the tuner hook: one task over the design space
 # ---------------------------------------------------------------------------
 
-def ag_softmax_search_space(m: int, n: int, world: int,
-                            preset: str = "small") -> SearchSpace:
-    per_rank = m // world
-    return SearchSpace(axes=(
-        Axis("block_m", divisors_of(per_rank, (16, 32, 64))),
+def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD) -> TuneTask:
+    # axis names are AgSoftmaxConfig fields: candidates feed the config
+    space = SearchSpace(axes=(
+        Axis("block_m", divisors_of(m // world, (16, 32, 64))),
         Axis("comm_blocks", (2, 4)),
     ))
-
-
-register_space("ag_softmax", ag_softmax_search_space)
-
-
-def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD,
-                         preset: str = "small"):
-    from repro.tuner.search import TuneTask
 
     def make_builder(cand: dict, scale: float = 1.0):
         align = world * int(cand["block_m"])
@@ -166,8 +156,8 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD,
 
     return TuneTask(
         kernel="ag_softmax", shape_key=f"m{m}n{n}",
-        space=ag_softmax_search_space(m, n, world, preset=preset),
-        default=AgSoftmaxConfig(m=m, n=n).tune_candidate(),
+        space=space,
+        default=space.project(AgSoftmaxConfig(m=m, n=n)),
         make_builder=make_builder,
         bound=lambda c: 0.0,        # no analytic floor: simulate everything
         finalize=lambda c: AgSoftmaxConfig(m=m, n=n, **c),
@@ -216,7 +206,6 @@ register_family(
     config_cls=AgSoftmaxConfig,
     kernels=(ag_softmax,),
     launch=ag_softmax_overlapped,
-    search_space=lambda: ag_softmax_search_space(256, 64, WORLD),
     tune_task=lambda: ag_softmax_tune_task(256, 64),
     analyze_plans=ag_softmax_analyze_plans,
     bench_builders=lambda: ag_softmax_builders,
@@ -262,8 +251,7 @@ def main() -> None:
         print(f"analyzer: {plan.name} clean "
               f"({len(plan.threads)} abstract threads)")
 
-    # autotuning: search the registered space (6 candidates here)
-    from repro.tuner.search import tune
+    # autotuning: search the registered task (6 candidates here)
     result = tune(fam.tune_task(), world=WORLD)
     print(f"tuner: best {result.best} at {result.best_time * 1e6:.1f} us "
           f"(default {result.default_time * 1e6:.1f} us, "

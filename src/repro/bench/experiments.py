@@ -37,12 +37,19 @@ from repro.kernels.moe_common import build_moe_routing, random_router_logits
 from repro.kernels.moe_layer import MoeConfig, moe_layer_tilelink
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_overlapped, moe_rs_tune_task
 from repro.kernels.ring_attention import ring_attention
-from repro.models.configs import AttnShape, MlpShape, MoeShape
+from repro.models.configs import (
+    ATTENTION_BENCHES,
+    MLP_BENCHES,
+    MOE_BENCHES,
+    AttnShape,
+    MlpShape,
+    MoeShape,
+)
 from repro.ops.attention import flash_attention_op
-from repro.registry import get_family
+from repro.registry import families, get_family
 from repro.runtime.context import DistContext
 from repro.tuner.cache import TuneCache
-from repro.tuner.search import TuneTask, task_cache_key
+from repro.tuner.search import TuneTask, task_cache_key, tune
 from repro.tuner.warm import (  # noqa: F401  (re-exported API)
     ENV_WARM_CACHE,
     resolve_warm_cache,
@@ -70,53 +77,48 @@ from repro.tuner.warm import (  # noqa: F401  (re-exported API)
 # them.
 
 
-def _resolve_tuned(tuned: bool | None, tune_cache: TuneCache | None,
-                   make_task: Callable[[int, HardwareSpec], TuneTask],
-                   world: int, max_trials: int | None = None,
-                   ) -> tuple[bool, TuneCache | None, bool]:
-    """Resolve a builder's ``tuned=None`` default.
+def _tuned_column(tuned: bool | None, tune_cache: TuneCache | None,
+                  make_task: Callable[[int, HardwareSpec], TuneTask],
+                  world: int, max_trials: int | None = None,
+                  ) -> Callable[[DistContext], object] | None:
+    """Resolve a builder's ``tuned`` flag into its TileLink-tuned column.
 
-    Auto mode turns the TileLink-tuned column on exactly when a cache (an
+    Returns ``None`` when the column is off, else ``config(ctx)``: the
+    tuned config for the launch's runtime world and spec, where
+    ``make_task(world, spec)`` builds the family's tune task.
+
+    ``tuned=None`` (auto) turns the column on exactly when a cache (an
     explicit ``tune_cache``, else the shipped warm cache) already holds
-    this task's entry — enabling it costs one key lookup, never a
-    simulation.  ``make_task(world, spec)`` builds the probe task.
-    Returns the resolved flag, the cache the tuned closure should
-    consult, and whether auto mode made the call (an auto-enabled column
-    must re-check the key at launch time — see :func:`_warm_at_runtime`).
+    the task's entry for the builder's ``world`` and H800 — enabling it
+    costs one key lookup, never a simulation.  The closure then launches
+    against the *runtime* ``ctx.world_size``/spec; if those diverged,
+    the key misses and ``config`` returns ``None`` (callers fall back to
+    the paper config) instead of running a search inside the timed
+    bench.  ``tuned=True`` tunes on a miss, through ``tune_cache`` or the
+    default persistent cache.
     """
-    if tuned is not None:
-        return bool(tuned), tune_cache, False
-    cache = tune_cache if tune_cache is not None else resolve_warm_cache()
-    if cache is None:
-        return False, tune_cache, False
-    key = task_cache_key(make_task(world, H800), world=world, spec=H800,
-                         max_trials=max_trials)
-    if key in cache:
-        return True, cache, True
-    return False, tune_cache, False
-
-
-def _warm_tuned_config(cache: TuneCache | None,
-                       make_task: Callable[[int, HardwareSpec], TuneTask],
-                       ctx: DistContext, max_trials: int | None = None):
-    """Resolve an *auto-enabled* tuned column straight from the cache.
-
-    The build-time probe keys on the builder's ``world`` and the default
-    H800 spec, but the closure launches against the *runtime*
-    ``ctx.world_size``/``ctx.machine.config.spec`` — if those diverged,
-    the warm key misses and ``autotune`` would silently run a full
-    search inside the timed bench.  Auto mode never simulates: this
-    returns the finalized config on a hit and ``None`` on a runtime
-    miss (callers fall back to the paper config).  Explicitly requested
-    ``tuned=True`` bypasses this and keeps autotune's tune-on-miss
-    behaviour.
-    """
-    if cache is None:
+    auto = tuned is None
+    cache = tune_cache
+    if auto:
+        cache = cache if cache is not None else resolve_warm_cache()
+        if cache is None or task_cache_key(
+                make_task(world, H800), world=world, spec=H800,
+                max_trials=max_trials) not in cache:
+            return None
+    elif not tuned:
         return None
-    spec = ctx.machine.config.spec
-    return warm_tuned_config(cache, make_task(ctx.world_size, spec),
-                             world=ctx.world_size, spec=spec,
-                             max_trials=max_trials)
+
+    def config(ctx: DistContext):
+        spec = ctx.machine.config.spec
+        task = make_task(ctx.world_size, spec)
+        if auto:
+            return warm_tuned_config(cache, task, world=ctx.world_size,
+                                     spec=spec, max_trials=max_trials)
+        return tune(task, world=ctx.world_size, spec=spec,
+                    cache=cache if cache is not None else TuneCache(),
+                    max_trials=max_trials).best_config
+
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +142,14 @@ def _alloc_rs(ctx: DistContext, m: int, n: int, k: int) -> None:
 def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
-                     tune_preset: str = "small",
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
     m, k = shape.s, shape.h
     n = shape.i // world
-
-    def make_task(w: int, spec: HardwareSpec) -> TuneTask:
-        return ag_gemm_tune_task(m, n, k, world=w, spec=spec,
-                                 preset=tune_preset)
-
-    tuned, tune_cache, auto = _resolve_tuned(
-        tuned, tune_cache, make_task, world, max_trials=tune_max_trials)
+    tuned_config = _tuned_column(
+        tuned, tune_cache,
+        lambda w, spec: ag_gemm_tune_task(m, n, k, world=w, spec=spec),
+        world, tune_max_trials)
 
     def non(ctx: DistContext) -> None:
         _alloc_ag(ctx, m, n, k)
@@ -171,20 +169,10 @@ def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
         ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
 
     out = {"cuBLAS+NCCL": non, "Async-TP": dec, "FLUX": flx, "TileLink": tl}
-    if tuned:
+    if tuned_config:
         def tl_tuned(ctx: DistContext) -> None:
             _alloc_ag(ctx, m, n, k)
-            if auto:
-                cfg = _warm_tuned_config(tune_cache, make_task, ctx,
-                                         max_trials=tune_max_trials) \
-                    or AgGemmConfig(m=m, n=n, k=k, mode="dma")
-            else:
-                cfg = AgGemmConfig.autotune(
-                    m, n, k, world=ctx.world_size,
-                    spec=ctx.machine.config.spec,
-                    cache=(tune_cache if tune_cache is not None
-                           else TuneCache()),
-                    preset=tune_preset, max_trials=tune_max_trials)
+            cfg = tuned_config(ctx) or AgGemmConfig(m=m, n=n, k=k, mode="dma")
             ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
 
         out["TileLink-tuned"] = tl_tuned
@@ -194,18 +182,14 @@ def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
 def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
-                     tune_preset: str = "small",
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
     m, n = shape.s, shape.h
     k = shape.i // world
-
-    def make_task(w: int, spec: HardwareSpec) -> TuneTask:
-        return gemm_rs_tune_task(m, n, k, world=w, spec=spec,
-                                 preset=tune_preset)
-
-    tuned, tune_cache, auto = _resolve_tuned(
-        tuned, tune_cache, make_task, world, max_trials=tune_max_trials)
+    tuned_config = _tuned_column(
+        tuned, tune_cache,
+        lambda w, spec: gemm_rs_tune_task(m, n, k, world=w, spec=spec),
+        world, tune_max_trials)
 
     def non(ctx: DistContext) -> None:
         _alloc_rs(ctx, m, n, k)
@@ -225,20 +209,11 @@ def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
         gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
     out = {"cuBLAS+NCCL": non, "Async-TP": dec, "FLUX": flx, "TileLink": tl}
-    if tuned:
+    if tuned_config:
         def tl_tuned(ctx: DistContext) -> None:
             _alloc_rs(ctx, m, n, k)
-            if auto:
-                cfg = _warm_tuned_config(tune_cache, make_task, ctx,
-                                         max_trials=tune_max_trials) \
-                    or GemmRsConfig(m=m, n=n, k=k, mode="hybrid")
-            else:
-                cfg = GemmRsConfig.autotune(
-                    m, n, k, world=ctx.world_size,
-                    spec=ctx.machine.config.spec,
-                    cache=(tune_cache if tune_cache is not None
-                           else TuneCache()),
-                    preset=tune_preset, max_trials=tune_max_trials)
+            cfg = tuned_config(ctx) \
+                or GemmRsConfig(m=m, n=n, k=k, mode="hybrid")
             gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         out["TileLink-tuned"] = tl_tuned
@@ -287,8 +262,8 @@ def run_method_times(builders: dict[str, Callable[[DistContext], None]],
 def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
                    world: int = DEFAULT_WORLD, *,
                    strategy: str = "exhaustive",
-                   max_trials: int | None = None, cache=None,
-                   preset: str = "small") -> dict[str, object]:
+                   max_trials: int | None = None,
+                   cache=None) -> dict[str, object]:
     """Autotune one MLP/MoE kernel on ``shape``; report both columns.
 
     ``shape`` is an :class:`MlpShape` for the dense kernels and a
@@ -298,18 +273,16 @@ def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
     full :class:`repro.tuner.TuneResult` (prune statistics, trial log,
     cache provenance).
 
-    Dispatch is registry-driven: any family registered with a
-    ``shape_autotune`` hook is tunable here.
+    Dispatch is registry-driven: any family whose ``sweep_entries`` hook
+    turns ``shape`` into exactly one tune task is tunable here.
     """
-    try:
-        fam = get_family(kernel)
-    except RegistryError:
-        fam = None
-    if fam is None or fam.shape_autotune is None:
-        raise ValueError(f"unknown tunable kernel {kernel!r}")
-    res = fam.shape_autotune(shape, world, strategy=strategy,
-                             max_trials=max_trials, cache=cache,
-                             preset=preset)
+    fam = _sweep_family(kernel)
+    tasks = fam.sweep_entries(shape, world=world)
+    if len(tasks) != 1:
+        raise ValueError(f"{kernel!r} sweeps {len(tasks)} tasks on "
+                         f"{shape.name}; tuned_vs_paper needs one")
+    res = tune(tasks[0][1], world=world, strategy=strategy,
+               max_trials=max_trials, cache=cache)
     return {
         "paper_time": res.default_time, "tuned_time": res.best_time,
         "speedup": (res.default_time / res.best_time
@@ -329,61 +302,61 @@ def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
 # hook builds its own (name, task) pairs, and the per-table functions
 # below only gate on the family's ``sweep_category``.
 
-def _sweep_family(kernel: str, category: str, label: str):
+#: the paper shape table of each ``sweep_category``
+_PAPER_TABLES = {"mlp": MLP_BENCHES, "moe": MOE_BENCHES,
+                 "attention": ATTENTION_BENCHES}
+
+
+def _sweep_family(kernel: str, category: str | None = None,
+                  label: str = "tunable"):
     """Resolve a sweep kernel name, enforcing its table membership."""
     try:
         fam = get_family(kernel)
     except RegistryError:
         fam = None
-    if fam is None or fam.sweep_category != category \
-            or fam.sweep_entries is None:
+    if fam is None or fam.sweep_entries is None or (
+            category is not None and fam.sweep_category != category):
         raise ValueError(f"unknown {label} sweep kernel {kernel!r}")
     return fam
+
+
+def _table_tasks(shapes: Sequence, kernels: Sequence[str], category: str,
+                 label: str, world: int, spec: HardwareSpec,
+                 **kw) -> list[tuple[str, TuneTask]]:
+    tasks: list[tuple[str, TuneTask]] = []
+    for shape in shapes:
+        for kernel in kernels:
+            fam = _sweep_family(kernel, category, label)
+            tasks.extend(fam.sweep_entries(shape, world=world, spec=spec,
+                                           **kw))
+    return tasks
 
 
 def mlp_sweep_tasks(shapes: Sequence[MlpShape],
                     kernels: Sequence[str] = ("ag_gemm", "gemm_rs"),
                     world: int = DEFAULT_WORLD, *, spec: HardwareSpec = H800,
-                    preset: str = "small") -> list[tuple[str, TuneTask]]:
+                    ) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Figure-8 MLP shape table."""
-    tasks: list[tuple[str, TuneTask]] = []
-    for shape in shapes:
-        for kernel in kernels:
-            fam = _sweep_family(kernel, "mlp", "MLP")
-            tasks.extend(fam.sweep_entries(shape, world=world, spec=spec,
-                                           preset=preset))
-    return tasks
+    return _table_tasks(shapes, kernels, "mlp", "MLP", world, spec)
 
 
 def moe_sweep_tasks(shapes: Sequence[MoeShape],
                     kernels: Sequence[str] = ("ag_moe", "moe_rs"),
                     world: int = DEFAULT_WORLD, *, spec: HardwareSpec = H800,
-                    preset: str = "small",
                     router_seed: int = 17) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Table-4 MoE shape table."""
-    tasks: list[tuple[str, TuneTask]] = []
-    for shape in shapes:
-        for kernel in kernels:
-            fam = _sweep_family(kernel, "moe", "MoE")
-            tasks.extend(fam.sweep_entries(shape, world=world, spec=spec,
-                                           preset=preset,
-                                           router_seed=router_seed))
-    return tasks
+    return _table_tasks(shapes, kernels, "moe", "MoE", world, spec,
+                        router_seed=router_seed)
 
 
 def attention_sweep_tasks(shapes: Sequence[AttnShape],
                           kernels: Sequence[str] = ("ag_attention",),
                           world: int = DEFAULT_WORLD, *,
-                          spec: HardwareSpec = H800, preset: str = "small",
+                          spec: HardwareSpec = H800,
                           causal: bool = True) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Figure-10 attention sweep."""
-    tasks: list[tuple[str, TuneTask]] = []
-    for shape in shapes:
-        for kernel in kernels:
-            fam = _sweep_family(kernel, "attention", "attention")
-            tasks.extend(fam.sweep_entries(shape, world=world, spec=spec,
-                                           preset=preset, causal=causal))
-    return tasks
+    return _table_tasks(shapes, kernels, "attention", "attention", world,
+                        spec, causal=causal)
 
 
 def family_builders(kernel: str, *args, **kwargs):
@@ -394,18 +367,19 @@ def family_builders(kernel: str, *args, **kwargs):
 def registry_sweep_tasks(world: int = DEFAULT_WORLD, *,
                          spec: HardwareSpec = H800,
                          ) -> list[tuple[str, TuneTask]]:
-    """Every warm-cached family's shipped sweep tasks, registry-driven.
+    """Every warm-cached family's sweep tasks over its whole paper table.
 
-    This is the warm-cache refresh script's expected task set: exactly
-    the families registered with a ``warm_tasks`` hook contribute.
+    This is the warm-cache refresh script's expected task set: each
+    family registered with ``warm_cached=True`` contributes its
+    ``sweep_entries`` over its ``sweep_category`` table, in registry
+    order.
     """
-    from repro.registry import families
-
     tasks: list[tuple[str, TuneTask]] = []
     for fam in families().values():
-        if fam.warm_tasks is None:
-            continue
-        tasks.extend(fam.warm_tasks(world, spec) or [])
+        if fam.warm_cached:
+            for shape in _PAPER_TABLES[fam.sweep_category]:
+                tasks.extend(fam.sweep_entries(shape, world=world,
+                                               spec=spec))
     return tasks
 
 
@@ -426,16 +400,14 @@ def _moe_setup(ctx: DistContext, shape: MoeShape, block_m: int = 128):
 def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
-                       tune_preset: str = "small",
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    def make_task(w: int, spec: HardwareSpec) -> TuneTask:
-        return ag_moe_tune_task(shape.s, shape.h, shape.i // w, shape.e,
-                                shape.topk, world=w, spec=spec,
-                                preset=tune_preset)
-
-    tuned, tune_cache, auto = _resolve_tuned(
-        tuned, tune_cache, make_task, world, max_trials=tune_max_trials)
+    tuned_config = _tuned_column(
+        tuned, tune_cache,
+        lambda w, spec: ag_moe_tune_task(shape.s, shape.h, shape.i // w,
+                                         shape.e, shape.topk, world=w,
+                                         spec=spec),
+        world, tune_max_trials)
 
     def make(impl: str) -> Callable[[DistContext], None]:
         def build(ctx: DistContext) -> None:
@@ -444,17 +416,7 @@ def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
             if impl == "tilelink-tuned":
                 # resolve the tuned config first: the routing granularity
                 # must follow the tuned row tile
-                if auto:
-                    p1 = _warm_tuned_config(tune_cache, make_task, ctx,
-                                            max_trials=tune_max_trials)
-                else:
-                    p1 = AgMoeConfig.autotune(
-                        shape.s, shape.h, shape.i // ctx.world_size,
-                        shape.e, shape.topk, world=ctx.world_size,
-                        spec=ctx.machine.config.spec,
-                        cache=(tune_cache if tune_cache is not None
-                               else TuneCache()),
-                        preset=tune_preset, max_trials=tune_max_trials)
+                p1 = tuned_config(ctx)
                 if p1 is not None:
                     block_m = p1.block_m
             cfg, routing = _moe_setup(ctx, shape, block_m=block_m)
@@ -482,7 +444,7 @@ def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
 
     out = {"cuBLAS+NCCL": make("cublas"), "CUTLASS+NCCL": make("cutlass"),
            "vLLM-Op": make("vllm"), "TileLink": make("tilelink")}
-    if tuned:
+    if tuned_config:
         out["TileLink-tuned"] = make("tilelink-tuned")
     return out
 
@@ -490,33 +452,21 @@ def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
 def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
-                       tune_preset: str = "small",
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    def make_task(w: int, spec: HardwareSpec) -> TuneTask:
-        return moe_rs_tune_task(shape.s, shape.h, shape.i // w, shape.e,
-                                shape.topk, world=w, spec=spec,
-                                preset=tune_preset)
-
-    tuned, tune_cache, auto = _resolve_tuned(
-        tuned, tune_cache, make_task, world, max_trials=tune_max_trials)
+    tuned_config = _tuned_column(
+        tuned, tune_cache,
+        lambda w, spec: moe_rs_tune_task(shape.s, shape.h, shape.i // w,
+                                         shape.e, shape.topk, world=w,
+                                         spec=spec),
+        world, tune_max_trials)
 
     def make(impl: str) -> Callable[[DistContext], None]:
         def build(ctx: DistContext) -> None:
             p2 = None
             block_m = 128
             if impl == "tilelink-tuned":
-                if auto:
-                    p2 = _warm_tuned_config(tune_cache, make_task, ctx,
-                                            max_trials=tune_max_trials)
-                else:
-                    p2 = MoeRsConfig.autotune(
-                        shape.s, shape.h, shape.i // ctx.world_size,
-                        shape.e, shape.topk, world=ctx.world_size,
-                        spec=ctx.machine.config.spec,
-                        cache=(tune_cache if tune_cache is not None
-                               else TuneCache()),
-                        preset=tune_preset, max_trials=tune_max_trials)
+                p2 = tuned_config(ctx)
                 if p2 is not None:
                     block_m = p2.block_m
             cfg, routing = _moe_setup(ctx, shape, block_m=block_m)
@@ -543,7 +493,7 @@ def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
 
     out = {"cuBLAS+NCCL": make("cublas"), "CUTLASS+NCCL": make("cutlass"),
            "vLLM-Op": make("vllm"), "TileLink": make("tilelink")}
-    if tuned:
+    if tuned_config:
         out["TileLink-tuned"] = make("tilelink-tuned")
     return out
 
@@ -585,19 +535,16 @@ def attention_builders(shape: AttnShape, seq_len: int,
                        world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
-                       tune_preset: str = "small",
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
     cfg = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
                             seq_len=seq_len, causal=True)
-
-    def make_task(w: int, spec: HardwareSpec) -> TuneTask:
-        return ag_attention_tune_task(shape.heads, shape.head_dim, seq_len,
-                                      causal=True, world=w, spec=spec,
-                                      preset=tune_preset)
-
-    tuned, tune_cache, auto = _resolve_tuned(
-        tuned, tune_cache, make_task, world, max_trials=tune_max_trials)
+    tuned_config = _tuned_column(
+        tuned, tune_cache,
+        lambda w, spec: ag_attention_tune_task(
+            shape.heads, shape.head_dim, seq_len, causal=True, world=w,
+            spec=spec),
+        world, tune_max_trials)
 
     def _alloc(ctx: DistContext) -> None:
         s_per = cfg.seq_len // ctx.world_size
@@ -619,19 +566,10 @@ def attention_builders(shape: AttnShape, seq_len: int,
 
     out = {"Torch": torch_build, "RingAttn": ring_build,
            "TileLink": tl_build}
-    if tuned:
+    if tuned_config:
         def tl_tuned(ctx: DistContext) -> None:
             _alloc(ctx)
-            if auto:
-                tcfg = _warm_tuned_config(tune_cache, make_task, ctx,
-                                          max_trials=tune_max_trials) or cfg
-            else:
-                tcfg = AgAttentionConfig.autotune(
-                    shape.heads, shape.head_dim, seq_len, causal=True,
-                    world=ctx.world_size, spec=ctx.machine.config.spec,
-                    cache=(tune_cache if tune_cache is not None
-                           else TuneCache()),
-                    preset=tune_preset, max_trials=tune_max_trials)
+            tcfg = tuned_config(ctx) or cfg
             ag_attention_overlapped(ctx, tcfg, "q", "k", "v", "o")
 
         out["TileLink-tuned"] = tl_tuned

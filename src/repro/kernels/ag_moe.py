@@ -19,12 +19,11 @@ are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.compiler.program import CompileOptions
 from repro.config import H800, HardwareSpec
-from repro.errors import RuntimeLaunchError, ShapeError
+from repro.errors import ShapeError
 from repro.kernels.moe_common import MoeRouting, routing_memo
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -34,11 +33,8 @@ from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_moe_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.search import TuneTask
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -96,40 +92,12 @@ class AgMoeConfig:
         if (self.m // world) % self.block_m != 0:
             raise ShapeError("per-rank tokens must align to block_m")
 
-    def tune_candidate(self) -> dict:
-        """This config as a tuner candidate dict (the searched axes)."""
-        return dict(block_m=self.block_m, block_n=self.block_n,
-                    block_k=self.block_k)
-
-    @classmethod
-    def autotune(cls, m: int, h: int, d: int, n_experts: int, topk: int, *,
-                 world: int = 8, spec: HardwareSpec = H800,
-                 strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, router_seed: int = 17,
-                 full_result: bool = False) -> "AgMoeConfig | TuneResult":
-        """Search the routing-aware design space for this MoE shape; return
-        the winning config (or the full :class:`~repro.tuner.TuneResult`
-        when ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = ag_moe_tune_task(m, h, d, n_experts, topk, world=world,
-                                spec=spec, space=space, preset=preset,
-                                router_seed=router_seed)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
-        return result if full_result else result.best_config
-
 
 # ---------------------------------------------------------------------------
 # Tuner integration: the AG+MoE slice of the decoupled design space
 # ---------------------------------------------------------------------------
 
-def ag_moe_search_space(m: int, h: int, d: int, world: int,
-                        preset: str = "default") -> SearchSpace:
+def ag_moe_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
     """The routing-aware design space of AG+MoE part 1 for one shape.
 
     ``block_m`` is both the grouped-GEMM row tile and the routing/AG
@@ -138,31 +106,17 @@ def ag_moe_search_space(m: int, h: int, d: int, world: int,
     expert shard width and the GEMM depth.  The AllGather itself rides the
     copy engine, so there is no mode or ``comm_blocks`` axis here.
     """
-    per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown AG+MoE space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("ag_moe", ag_moe_search_space)
+    return SearchSpace(axes=(
+        Axis("block_m", divisors_of(m // world, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+    ))
 
 
 def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None, preset: str = "small",
-                     router_seed: int = 17):
+                     space: SearchSpace | None = None,
+                     router_seed: int = 17) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+MoE on a shape.
 
     Routing is block_m-dependent (the grouped layout pads per expert to
@@ -171,9 +125,7 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     logits; the seed is part of the shape key so differently-routed
     problems never alias in the cache.
     """
-    from repro.tuner.search import TuneTask
-
-    space = space or ag_moe_search_space(m, h, d, world, preset=preset)
+    space = space or ag_moe_search_space(m, h, d, world)
     routing_for = routing_memo(n_experts, topk, world, router_seed)
 
     def make_builder(cand: dict, scale: float = 1.0):
@@ -200,8 +152,8 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
         kernel="ag_moe",
         shape_key=f"m{m}h{h}d{d}e{n_experts}t{topk}r{router_seed}",
         space=space,
-        default=AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts,
-                            topk=topk).tune_candidate(),
+        default=space.project(AgMoeConfig(m=m, h=h, d=d,
+                                          n_experts=n_experts, topk=topk)),
         make_builder=make_builder,
         bound=bound,
         finalize=lambda c: AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts,
@@ -298,26 +250,11 @@ def _bench_builders():
 
 
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", router_seed: int = 17, **_kw):
+                   router_seed: int = 17, **_kw):
     task = ag_moe_tune_task(shape.s, shape.h, shape.i // world, shape.e,
                             shape.topk, world=world, spec=spec,
-                            preset=preset, router_seed=router_seed)
+                            router_seed=router_seed)
     return [(f"{shape.name}/ag_moe", task)]
-
-
-def _warm_tasks(world: int, spec: HardwareSpec):
-    from repro.models.configs import MOE_BENCHES
-
-    tasks = []
-    for shape in MOE_BENCHES:
-        tasks.extend(_sweep_entries(shape, world=world, spec=spec))
-    return tasks
-
-
-def _shape_autotune(shape, world: int, **tune_kw):
-    return AgMoeConfig.autotune(shape.s, shape.h, shape.i // world,
-                                shape.e, shape.topk, world=world,
-                                full_result=True, **tune_kw)
 
 
 register_family(
@@ -326,14 +263,11 @@ register_family(
     config_cls=AgMoeConfig,
     kernels=(_ag_moe_group_gemm,),
     launch=ag_moe_overlapped,
-    search_space=lambda: ag_moe_search_space(512, 128, 128, 2,
-                                             preset="small"),
     tune_task=lambda: ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
     worlds=(2, 4),
     sweep_category="moe",
     sweep_entries=_sweep_entries,
-    warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
+    warm_cached=True,
 )

@@ -36,7 +36,6 @@ serving ``method`` axis ("tilelink-chunk") with zero edits elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
@@ -49,12 +48,10 @@ from repro.config import H800, HardwareSpec
 from repro.registry import ServeMethod, register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
+from repro.tuner.cache import TuneCache
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.search import TuneTask, tune
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +235,6 @@ class ChunkGemmRsConfig:
             raise RuntimeLaunchError(
                 f"n_chunks must be >= 1, got {self.n_chunks}")
 
-    def tune_candidate(self) -> dict:
-        """This config as a tuner candidate dict (the searched axes)."""
-        return dict(block_m=self.block_m, block_n=self.block_n,
-                    block_k=self.block_k, block_nr=self.block_nr,
-                    n_chunks=self.n_chunks)
-
-    @classmethod
-    def autotune(cls, m: int, n: int, k: int, *, world: int = 8,
-                 spec: HardwareSpec = H800, strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, full_result: bool = False,
-                 ) -> "ChunkGemmRsConfig | TuneResult":
-        """Search tile sizes and chunk counts for this shape."""
-        from repro.tuner.search import tune
-
-        task = chunk_gemm_rs_tune_task(m, n, k, world=world, spec=spec,
-                                       space=space, preset=preset)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
-        return result if full_result else result.best_config
-
 
 def _default_chunk_config(m: int, n: int, k: int,
                           world: int) -> ChunkGemmRsConfig:
@@ -279,43 +252,23 @@ def _default_chunk_config(m: int, n: int, k: int,
 # Tuner integration
 # ---------------------------------------------------------------------------
 
-def chunk_gemm_rs_search_space(m: int, n: int, k: int, world: int,
-                               preset: str = "default") -> SearchSpace:
+def chunk_gemm_rs_search_space(m: int, n: int, k: int,
+                               world: int) -> SearchSpace:
     """Design space of chunked GEMM+RS: tiles plus the chunk schedule."""
-    per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_nr", (256,)),
-            Axis("n_chunks", (1, 2, 4)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_nr", (128, 256, 512)),
-            Axis("n_chunks", (1, 2, 4, 8)),
-        )
-    else:
-        raise RuntimeLaunchError(
-            f"unknown chunk GEMM+RS space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("chunk_gemm_rs", chunk_gemm_rs_search_space)
+    return SearchSpace(axes=(
+        Axis("block_m", divisors_of(m // world, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_nr", (256,)),
+        Axis("n_chunks", (1, 2, 4)),
+    ))
 
 
 def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
                             spec: HardwareSpec = H800,
-                            space: SearchSpace | None = None,
-                            preset: str = "small"):
+                            space: SearchSpace | None = None) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning chunked GEMM+RS."""
-    from repro.tuner.search import TuneTask
-
-    space = space or chunk_gemm_rs_search_space(m, n, k, world, preset=preset)
+    space = space or chunk_gemm_rs_search_space(m, n, k, world)
 
     def make_builder(cand: dict, scale: float = 1.0):
         align = world * int(cand["block_m"])
@@ -336,7 +289,7 @@ def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
         kernel="chunk_gemm_rs",
         shape_key=f"m{m}n{n}k{k}",
         space=space,
-        default=_default_chunk_config(m, n, k, world).tune_candidate(),
+        default=space.project(_default_chunk_config(m, n, k, world)),
         make_builder=make_builder,
         bound=lambda c: gemm_rs_lower_bound(c, m=m, n=n, k=k, world=world,
                                             spec=spec),
@@ -429,8 +382,7 @@ def chunk_gemm_rs_overlapped(
 
 def chunk_gemm_rs_builders(shape, world: int = 8, *,
                            tuned: bool | None = None,
-                           tune_cache: "TuneCache | None" = None,
-                           tune_preset: str = "small",
+                           tune_cache: TuneCache | None = None,
                            tune_max_trials: int | None = None):
     """Method grid comparing the chunked kernel against its siblings."""
     from repro.baselines import nonoverlap
@@ -462,14 +414,14 @@ def chunk_gemm_rs_builders(shape, world: int = 8, *,
            "TileLink-chunk": tl_chunk}
     if tuned:
         def tl_chunk_tuned(ctx: DistContext) -> None:
-            from repro.tuner.cache import TuneCache
-
             _alloc(ctx)
-            cfg = ChunkGemmRsConfig.autotune(
-                m, n, k, world=ctx.world_size,
-                spec=ctx.machine.config.spec,
-                cache=(tune_cache if tune_cache is not None else TuneCache()),
-                preset=tune_preset, max_trials=tune_max_trials)
+            spec = ctx.machine.config.spec
+            task = chunk_gemm_rs_tune_task(m, n, k, world=ctx.world_size,
+                                           spec=spec)
+            cfg = tune(task, world=ctx.world_size, spec=spec,
+                       cache=(tune_cache if tune_cache is not None
+                              else TuneCache()),
+                       max_trials=tune_max_trials).best_config
             chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         out["TileLink-chunk-tuned"] = tl_chunk_tuned
@@ -512,17 +464,10 @@ def _analyze_plans():
     ]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", **_kw):
+def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
     task = chunk_gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                                   world=world, spec=spec, preset=preset)
+                                   world=world, spec=spec)
     return [(f"{shape.name}/chunk_gemm_rs", task)]
-
-
-def _shape_autotune(shape, world: int, **tune_kw):
-    return ChunkGemmRsConfig.autotune(shape.s, shape.h, shape.i // world,
-                                      world=world, full_result=True,
-                                      **tune_kw)
 
 
 register_family(
@@ -531,8 +476,6 @@ register_family(
     config_cls=ChunkGemmRsConfig,
     kernels=(_chunk_gemm_producer, _chunk_rs_reduce),
     launch=chunk_gemm_rs_overlapped,
-    search_space=lambda: chunk_gemm_rs_search_space(512, 128, 128, 2,
-                                                    preset="small"),
     tune_task=lambda: chunk_gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=lambda: chunk_gemm_rs_builders,
@@ -540,7 +483,6 @@ register_family(
     modes=("chunk",),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
-    shape_autotune=_shape_autotune,
     serve_method=ServeMethod(name="tilelink-chunk", base="tilelink",
                              op_overrides={"gemm_rs": _serve_gemm_rs}),
 )

@@ -23,7 +23,6 @@ subspace).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
@@ -35,12 +34,10 @@ from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
+from repro.tuner.cache import TuneCache
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.search import TuneTask, tune
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -209,33 +206,6 @@ class GemmRsConfig:
         if self.mode not in ("ring", "hybrid", "auto"):
             raise RuntimeLaunchError(f"unknown GEMM+RS mode {self.mode!r}")
 
-    def tune_candidate(self) -> dict:
-        """This config as a tuner candidate dict (the searched axes)."""
-        return dict(block_m=self.block_m, block_n=self.block_n,
-                    block_k=self.block_k, block_mr=self.block_mr,
-                    block_nr=self.block_nr, comm_blocks=self.comm_blocks,
-                    mode=self.mode)
-
-    @classmethod
-    def autotune(cls, m: int, n: int, k: int, *, world: int = 8,
-                 spec: HardwareSpec = H800, strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0,
-                 full_result: bool = False) -> "GemmRsConfig | TuneResult":
-        """Search the decoupled design space for this shape; return the
-        winning config (or the full :class:`~repro.tuner.TuneResult` when
-        ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = gemm_rs_tune_task(m, n, k, world=world, spec=spec,
-                                 space=space, preset=preset)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
-        return result if full_result else result.best_config
-
 
 # ---------------------------------------------------------------------------
 # Tuner integration: the GEMM+RS slice of the decoupled design space
@@ -245,8 +215,7 @@ class GemmRsConfig:
 _HYBRID_CANONICAL_COMM_BLOCKS = 20
 
 
-def gemm_rs_search_space(m: int, n: int, k: int, world: int,
-                         preset: str = "default") -> SearchSpace:
+def gemm_rs_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
     """The §3.1 design space of GEMM+RS for one shape.
 
     Decoupled compute tile (``block_m/n/k``) and reduction/communication
@@ -255,28 +224,15 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int,
     engine and reduces on all SMs.
     """
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_mr", divisors_of(per_rank, (128, 256))),
-            Axis("block_nr", (256,)),
-            Axis("comm_blocks", (4, 20, 40)),
-            Axis("mode", ("hybrid", "ring")),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_mr", divisors_of(per_rank, (64, 128, 256, 512))),
-            Axis("block_nr", (128, 256, 512)),
-            Axis("comm_blocks", (4, 8, 16, 20, 32, 48)),
-            Axis("mode", ("hybrid", "ring")),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown GEMM+RS space preset {preset!r}")
+    axes = (
+        Axis("block_m", divisors_of(per_rank, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_mr", divisors_of(per_rank, (128, 256))),
+        Axis("block_nr", (256,)),
+        Axis("comm_blocks", (4, 20, 40)),
+        Axis("mode", ("hybrid", "ring")),
+    )
 
     def valid(cand: dict) -> bool:
         if cand["mode"] == "hybrid":
@@ -286,17 +242,11 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int,
     return SearchSpace(axes=axes, constraint=valid)
 
 
-register_space("gemm_rs", gemm_rs_search_space)
-
-
 def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
                       spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None,
-                      preset: str = "small"):
+                      space: SearchSpace | None = None) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning GEMM+RS on a shape."""
-    from repro.tuner.search import TuneTask
-
-    space = space or gemm_rs_search_space(m, n, k, world, preset=preset)
+    space = space or gemm_rs_search_space(m, n, k, world)
 
     def make_builder(cand: dict, scale: float = 1.0):
         align = world * max(int(cand["block_m"]), int(cand["block_mr"]))
@@ -315,7 +265,7 @@ def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
         kernel="gemm_rs",
         shape_key=f"m{m}n{n}k{k}",
         space=space,
-        default=GemmRsConfig(m=m, n=n, k=k).tune_candidate(),
+        default=space.project(GemmRsConfig(m=m, n=n, k=k)),
         make_builder=make_builder,
         bound=lambda c: gemm_rs_lower_bound(c, m=m, n=n, k=k, world=world,
                                             spec=spec),
@@ -336,15 +286,14 @@ def gemm_rs_overlapped(
     """Launch overlapped GEMM+RS; ``out`` receives (m/world x n) sums."""
     machine = ctx.machine
     world = machine.world_size
+    spec = machine.config.spec
     if cfg.mode == "auto":
-        from repro.tuner.cache import TuneCache
-
-        tuned = GemmRsConfig.autotune(cfg.m, cfg.n, cfg.k, world=world,
-                                      spec=machine.config.spec,
-                                      cache=TuneCache())
+        task = gemm_rs_tune_task(cfg.m, cfg.n, cfg.k, world=world, spec=spec)
+        tuned = tune(task, world=world, spec=spec,
+                     cache=TuneCache()).best_config
         cfg = replace(tuned, channels_per_rank=cfg.channels_per_rank)
     cfg.validate(world)
-    grid = grid or machine.config.spec.n_sms
+    grid = grid or spec.n_sms
     m_per = cfg.m // world
 
     gemm_out = ctx.alloc(f"{tag}.gemm_out", (cfg.m, cfg.n), "float16",
@@ -447,25 +396,10 @@ def _bench_builders():
     return gemm_rs_builders
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", **_kw):
+def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
     task = gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                             world=world, spec=spec, preset=preset)
+                             world=world, spec=spec)
     return [(f"{shape.name}/gemm_rs", task)]
-
-
-def _warm_tasks(world: int, spec: HardwareSpec):
-    from repro.models.configs import MLP_BENCHES
-
-    tasks = []
-    for shape in MLP_BENCHES:
-        tasks.extend(_sweep_entries(shape, world=world, spec=spec))
-    return tasks
-
-
-def _shape_autotune(shape, world: int, **tune_kw):
-    return GemmRsConfig.autotune(shape.s, shape.h, shape.i // world,
-                                 world=world, full_result=True, **tune_kw)
 
 
 register_family(
@@ -474,8 +408,6 @@ register_family(
     config_cls=GemmRsConfig,
     kernels=(_gemm_rs_ring, _gemm_producer, _rs_reduce),
     launch=gemm_rs_overlapped,
-    search_space=lambda: gemm_rs_search_space(512, 128, 128, 2,
-                                              preset="small"),
     tune_task=lambda: gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
@@ -483,6 +415,5 @@ register_family(
     modes=("ring", "hybrid"),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
-    warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
+    warm_cached=True,
 )

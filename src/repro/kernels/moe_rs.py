@@ -26,11 +26,10 @@ Chain realized here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.compiler.program import CompileOptions
 from repro.config import H800, HardwareSpec
-from repro.errors import RuntimeLaunchError, ShapeError
+from repro.errors import ShapeError
 from repro.kernels.moe_common import MoeRouting, routing_memo
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -40,11 +39,8 @@ from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import moe_rs_lower_bound
-from repro.tuner.space import Axis, SearchSpace, divisors_of, register_space
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuner.cache import TuneCache
-    from repro.tuner.search import TuneResult
+from repro.tuner.search import TuneTask
+from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
 @kernel
@@ -123,41 +119,12 @@ class MoeRsConfig:
         if self.m % world != 0:
             raise ShapeError(f"M={self.m} not divisible by world={world}")
 
-    def tune_candidate(self) -> dict:
-        """This config as a tuner candidate dict (the searched axes)."""
-        return dict(block_m=self.block_m, block_n=self.block_n,
-                    block_k=self.block_k, block_mr=self.block_mr,
-                    block_nr=self.block_nr)
-
-    @classmethod
-    def autotune(cls, m: int, h: int, d: int, n_experts: int, topk: int, *,
-                 world: int = 8, spec: HardwareSpec = H800,
-                 strategy: str = "exhaustive",
-                 cache: "TuneCache | None" = None, preset: str = "small",
-                 space: SearchSpace | None = None,
-                 max_trials: int | None = None, seed: int = 0,
-                 slack: float = 0.0, router_seed: int = 17,
-                 full_result: bool = False) -> "MoeRsConfig | TuneResult":
-        """Search the routing-aware design space for this MoE shape; return
-        the winning config (or the full :class:`~repro.tuner.TuneResult`
-        when ``full_result`` is set)."""
-        from repro.tuner.search import tune
-
-        task = moe_rs_tune_task(m, h, d, n_experts, topk, world=world,
-                                spec=spec, space=space, preset=preset,
-                                router_seed=router_seed)
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack)
-        return result if full_result else result.best_config
-
 
 # ---------------------------------------------------------------------------
 # Tuner integration: the MoE+RS slice of the decoupled design space
 # ---------------------------------------------------------------------------
 
-def moe_rs_search_space(m: int, h: int, d: int, world: int,
-                        preset: str = "default") -> SearchSpace:
+def moe_rs_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
     """The routing-aware design space of MoE part 2 for one shape.
 
     Decoupled compute tile (``block_m/n/k`` — ``block_m`` doubles as the
@@ -166,43 +133,26 @@ def moe_rs_search_space(m: int, h: int, d: int, world: int,
     (hybrid mapping), so no ``comm_blocks``/mode axis.
     """
     per_rank = m // world
-    if preset == "small":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (128, 256))),
-            Axis("block_n", (128,)),
-            Axis("block_k", (64,)),
-            Axis("block_mr", divisors_of(per_rank, (128, 256))),
-            Axis("block_nr", (256,)),
-        )
-    elif preset == "default":
-        axes = (
-            Axis("block_m", divisors_of(per_rank, (64, 128, 256))),
-            Axis("block_n", (64, 128, 256)),
-            Axis("block_k", (32, 64, 128)),
-            Axis("block_mr", divisors_of(per_rank, (64, 128, 256, 512))),
-            Axis("block_nr", (128, 256, 512)),
-        )
-    else:
-        raise RuntimeLaunchError(f"unknown MoE+RS space preset {preset!r}")
-    return SearchSpace(axes=axes)
-
-
-register_space("moe_rs", moe_rs_search_space)
+    return SearchSpace(axes=(
+        Axis("block_m", divisors_of(per_rank, (128, 256))),
+        Axis("block_n", (128,)),
+        Axis("block_k", (64,)),
+        Axis("block_mr", divisors_of(per_rank, (128, 256))),
+        Axis("block_nr", (256,)),
+    ))
 
 
 def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None, preset: str = "small",
-                     router_seed: int = 17):
+                     space: SearchSpace | None = None,
+                     router_seed: int = 17) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning MoE+RS on a shape.
 
     Like :func:`repro.kernels.ag_moe.ag_moe_tune_task`, routing is
     rebuilt (and memoised) per (token count, ``block_m``); the router seed
     joins the shape key.
     """
-    from repro.tuner.search import TuneTask
-
-    space = space or moe_rs_search_space(m, h, d, world, preset=preset)
+    space = space or moe_rs_search_space(m, h, d, world)
     routing_for = routing_memo(n_experts, topk, world, router_seed)
 
     def make_builder(cand: dict, scale: float = 1.0):
@@ -228,7 +178,7 @@ def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
         kernel="moe_rs",
         shape_key=f"m{m}h{h}d{d}e{n_experts}t{topk}r{router_seed}",
         space=space,
-        default=MoeRsConfig(m=m, h=h, d=d).tune_candidate(),
+        default=space.project(MoeRsConfig(m=m, h=h, d=d)),
         make_builder=make_builder,
         bound=bound,
         finalize=lambda c: MoeRsConfig(m=m, h=h, d=d, **c),
@@ -347,26 +297,11 @@ def _bench_builders():
 
 
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   preset: str = "small", router_seed: int = 17, **_kw):
+                   router_seed: int = 17, **_kw):
     task = moe_rs_tune_task(shape.s, shape.h, shape.i // world, shape.e,
                             shape.topk, world=world, spec=spec,
-                            preset=preset, router_seed=router_seed)
+                            router_seed=router_seed)
     return [(f"{shape.name}/moe_rs", task)]
-
-
-def _warm_tasks(world: int, spec: HardwareSpec):
-    from repro.models.configs import MOE_BENCHES
-
-    tasks = []
-    for shape in MOE_BENCHES:
-        tasks.extend(_sweep_entries(shape, world=world, spec=spec))
-    return tasks
-
-
-def _shape_autotune(shape, world: int, **tune_kw):
-    return MoeRsConfig.autotune(shape.s, shape.h, shape.i // world,
-                                shape.e, shape.topk, world=world,
-                                full_result=True, **tune_kw)
 
 
 register_family(
@@ -375,14 +310,11 @@ register_family(
     config_cls=MoeRsConfig,
     kernels=(_moe_rs_producer, _moe_rs_reduce),
     launch=moe_rs_overlapped,
-    search_space=lambda: moe_rs_search_space(512, 128, 128, 2,
-                                             preset="small"),
     tune_task=lambda: moe_rs_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
     bench_builders=_bench_builders,
     worlds=(2, 4),
     sweep_category="moe",
     sweep_entries=_sweep_entries,
-    warm_tasks=_warm_tasks,
-    shape_autotune=_shape_autotune,
+    warm_cached=True,
 )

@@ -9,7 +9,8 @@ that into one declarative :class:`KernelFamily` record and a single
 
 * the static analyzer (``repro.analyze``) records ``analyze_plans``
   from the family's own launcher,
-* the tuner sweep drivers enumerate ``sweep_entries`` / ``warm_tasks``,
+* the tuner (``tune_task``) and its sweep drivers (``sweep_entries``,
+  over the family's paper table when it is ``warm_cached``),
 * the bench harness resolves ``bench_builders``,
 * the serving stack resolves extra ``method`` names via ``serve_method``.
 
@@ -85,8 +86,6 @@ class KernelFamily:
     config_cls: type
     #: launcher: ``launch(ctx, cfg, *tensor_names, ...)``
     launch: Callable[..., Any]
-    #: zero-arg factory -> ``SearchSpace`` for a representative small shape
-    search_space: Callable[[], Any]
     #: zero-arg factory -> ``TuneTask`` for a representative small shape
     tune_task: Callable[[], Any]
     #: zero-arg factory -> analyzer ``(plan name, world, build)`` entries;
@@ -104,13 +103,11 @@ class KernelFamily:
     tile_ir: bool = True
     #: which sweep table the family belongs to ("mlp" / "moe" / "attention")
     sweep_category: str | None = None
-    #: ``fn(shape, *, world, spec, preset, **kw) -> [(task_name, TuneTask)]``
+    #: ``fn(shape, *, world, spec, **kw) -> [(task_name, TuneTask)]``
     sweep_entries: Callable[..., list] | None = None
-    #: ``fn(world, spec) -> [(task_name, TuneTask)]`` for the warm cache,
-    #: or None when the family ships no warm-cache entries
-    warm_tasks: Callable[..., list | None] | None = None
-    #: ``fn(shape, world, **tune_kw) -> TuneResult`` (``tuned_vs_paper`` hook)
-    shape_autotune: Callable[..., Any] | None = None
+    #: True when the shipped warm cache holds this family's winners over
+    #: its whole ``sweep_category`` paper table
+    warm_cached: bool = False
     #: extra serving method contributed by this family
     serve_method: ServeMethod | None = None
     #: one-line description
@@ -127,7 +124,6 @@ _discovered = False
 #: partial registration fails loudly, naming the missing piece.
 _REQUIRED_CALLABLES = (
     ("launch", "launch builder"),
-    ("search_space", "search_space factory"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
     ("bench_builders", "bench_builders factory"),
@@ -139,7 +135,6 @@ def register_family(
     name: str,
     config_cls: type | None = None,
     launch: Callable | None = None,
-    search_space: Callable | None = None,
     tune_task: Callable | None = None,
     analyze_plans: Callable | None = None,
     bench_builders: Callable | None = None,
@@ -149,8 +144,7 @@ def register_family(
     tile_ir: bool = True,
     sweep_category: str | None = None,
     sweep_entries: Callable | None = None,
-    warm_tasks: Callable | None = None,
-    shape_autotune: Callable | None = None,
+    warm_cached: bool = False,
     serve_method: ServeMethod | None = None,
     doc: str = "",
 ) -> KernelFamily:
@@ -181,6 +175,9 @@ def register_family(
             raise bad(f"{piece} ({fname})")
     if not worlds:
         raise bad("supported world sizes (worlds)")
+    if warm_cached and (sweep_category is None or sweep_entries is None):
+        raise bad("paper-table sweep (sweep_category + sweep_entries) "
+                  "that warm_cached needs")
     if tile_ir:
         if not kernels:
             raise bad("@kernel entry points (kernels)")
@@ -216,12 +213,11 @@ def register_family(
     provenance = f"{caller.f_globals.get('__name__', '?')}:{caller.f_lineno}"
     family = KernelFamily(
         name=name, config_cls=config_cls, launch=launch,
-        search_space=search_space, tune_task=tune_task,
-        analyze_plans=analyze_plans, bench_builders=bench_builders,
-        worlds=tuple(worlds), modes=tuple(modes), kernels=tuple(kernels),
-        tile_ir=tile_ir, sweep_category=sweep_category,
-        sweep_entries=sweep_entries, warm_tasks=warm_tasks,
-        shape_autotune=shape_autotune, serve_method=serve_method,
+        tune_task=tune_task, analyze_plans=analyze_plans,
+        bench_builders=bench_builders, worlds=tuple(worlds),
+        modes=tuple(modes), kernels=tuple(kernels), tile_ir=tile_ir,
+        sweep_category=sweep_category, sweep_entries=sweep_entries,
+        warm_cached=warm_cached, serve_method=serve_method,
         doc=doc, provenance=provenance,
     )
     _REGISTRY[name] = family
@@ -300,7 +296,7 @@ def _manifest() -> dict:
             # a family without tile IR gets one informational plan
             "plans": len(fam.analyze_plans()) if fam.tile_ir else 1,
             "sweep_category": fam.sweep_category,
-            "warm_cached": fam.warm_tasks is not None,
+            "warm_cached": fam.warm_cached,
             "serve_method": (fam.serve_method.name
                              if fam.serve_method else None),
             "provenance": fam.provenance,

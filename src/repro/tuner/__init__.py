@@ -6,7 +6,7 @@ each:
 
 * :mod:`repro.tuner.space` — declarative :class:`SearchSpace` of named
   axes (tile m/n/k, comm tile, ``comm_blocks``, push/pull/hybrid mode,
-  SM vs. copy-engine transport) plus the per-kernel registry;
+  SM vs. copy-engine transport);
 * :mod:`repro.tuner.costprune` — analytic lower bounds from
   :class:`repro.sim.costmodel.CostModel` + wave-quantization arithmetic
   that discard dominated candidates before any simulation runs;
@@ -29,15 +29,18 @@ each:
   zero-simulation hit-or-fallback step behind the tuned-by-default bench
   columns and ``method="tilelink-tuned"``).
 
-One-call API::
+One-call API — each kernel family's ``*_tune_task(...)`` states its
+search space, default and bound; :func:`tune` searches it::
 
-    from repro.tuner import tune
+    from repro.kernels.ag_gemm import ag_gemm_tune_task
+    from repro.tuner import TuneCache, tune
+    task = ag_gemm_tune_task(m, n, k, world=8, spec=H800)
     result = tune(task, world=8, spec=H800, cache=TuneCache(path))
-    cfg = result.best_config          # e.g. an AgGemmConfig
+    cfg = result.best_config          # an AgGemmConfig
 
-or, one level higher, the kernels' classmethods::
-
-    cfg = AgGemmConfig.autotune(m, n, k, world=8, spec=H800)
+``mode="auto"`` launches and the bench builders' tuned columns make the
+same call; every registered family exposes a representative task as
+``repro.registry.get_family(name).tune_task()``.
 """
 
 from repro.tuner.cache import TuneCache, default_cache_path, make_key
@@ -71,9 +74,6 @@ from repro.tuner.space import (
     SearchSpace,
     TunerError,
     divisors_of,
-    get_space,
-    register_space,
-    registered_kernels,
 )
 from repro.tuner.parallel import parallel_sweep
 from repro.tuner.sweep import SweepEntry, SweepReport, sweep
@@ -88,10 +88,9 @@ __all__ = [
     "SweepReport", "TuneCache", "TuneResult", "TuneTask", "TunerError",
     "ag_attention_lower_bound", "ag_gemm_lower_bound", "ag_moe_lower_bound",
     "default_cache_path", "divisors_of", "flash_segment_floor",
-    "gemm_rs_lower_bound", "gemm_wave_time", "get_space",
-    "link_transfer_time", "make_key", "model_guided_search",
-    "moe_rs_lower_bound", "parallel_sweep", "prune",
-    "register_space", "registered_kernels", "ring_attention_lower_bound",
+    "gemm_rs_lower_bound", "gemm_wave_time", "link_transfer_time",
+    "make_key", "model_guided_search", "moe_rs_lower_bound",
+    "parallel_sweep", "prune", "ring_attention_lower_bound",
     "resolve_warm_cache", "search_signature", "stratified_probe_indices",
     "sweep", "task_cache_key", "tune", "warm_cache_path",
     "warm_tuned_config",

@@ -60,7 +60,9 @@ class TuneTask:
     """Everything the searcher needs to tune one kernel on one shape.
 
     Kernel modules construct these next to their config dataclasses (see
-    ``AgGemmConfig.autotune``).  ``make_builder(candidate, scale)`` must
+    ``repro.kernels.ag_gemm.ag_gemm_tune_task``); ``default`` is the
+    shipped config projected onto ``space`` (:meth:`SearchSpace.project`).
+    ``make_builder(candidate, scale)`` must
     return a fresh-context builder for the candidate with the problem's
     row dimension shrunk by ``scale`` (``1.0`` = full size; used by the
     halving strategy's cheap low-fidelity rungs).  ``bound(candidate)`` is
@@ -161,7 +163,7 @@ def task_cache_key(task: TuneTask, *, world: int, spec: HardwareSpec,
 def _simulate(task: TuneTask, cand: Candidate, scale: float, *,
               world: int, spec: HardwareSpec) -> float:
     # Imported lazily: repro.bench pulls in the kernel zoo, which itself
-    # imports the tuner to register search spaces.
+    # imports the tuner to build its tune tasks.
     from repro.bench.harness import run_builder
 
     return run_builder(task.make_builder(cand, scale), world=world, spec=spec)

@@ -8,18 +8,20 @@ tuple of named :class:`Axis` objects plus an optional constraint that
 rejects invalid/duplicate combinations (e.g. shape-divisibility rules, or
 the fact that a copy-engine mapping ignores the ``comm_blocks`` axis).
 
-Each kernel registers a *space factory* next to its config dataclass (see
-``repro.kernels.ag_gemm``) via :func:`register_space`; the tuner resolves
-it by kernel name with :func:`get_space`.  To add a new kernel to the
+A kernel family's tuning is stated once, in its ``*_tune_task(...)``
+factory (see ``repro.kernels.ag_gemm``), and reached through its
+:func:`repro.registry.register_family` record.  To add a kernel to the
 tuner:
 
-1. write ``def my_kernel_search_space(m, n, k, world, preset="default")``
-   returning a :class:`SearchSpace` whose axis names match the kernel's
-   config-dataclass fields,
-2. call ``register_space("my_kernel", my_kernel_search_space)`` at module
-   scope, and
-3. expose an ``autotune`` classmethod that builds a
-   :class:`repro.tuner.search.TuneTask` from it.
+1. write ``def my_kernel_tune_task(m, n, k, *, world, spec, space=None)``
+   returning a :class:`repro.tuner.search.TuneTask` over a
+   :class:`SearchSpace` whose axis names are fields of the kernel's
+   config dataclass; its ``default`` is ``space.project(MyConfig(m, n,
+   k))``, the shipped config's values on those axes;
+2. pass ``tune_task=lambda: my_kernel_tune_task(<small shape>)`` (plus
+   ``sweep_entries``/``sweep_category`` to join a paper-table sweep) to
+   the family's one ``register_family()`` call;
+3. tune with ``tune(my_kernel_tune_task(m, n, k, world=8), world=8)``.
 """
 
 from __future__ import annotations
@@ -97,32 +99,10 @@ class SearchSpace:
             [[a.name, [repr(v) for v in a.values]] for a in self.axes])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
-
-# ---------------------------------------------------------------------------
-# Per-kernel space registry
-# ---------------------------------------------------------------------------
-
-#: kernel name -> factory(m, n, k, world, preset=...) -> SearchSpace
-_SPACE_REGISTRY: dict[str, Callable[..., SearchSpace]] = {}
-
-
-def register_space(kernel: str, factory: Callable[..., SearchSpace]) -> None:
-    """Register ``factory`` as the search-space builder for ``kernel``."""
-    _SPACE_REGISTRY[kernel] = factory
-
-
-def get_space(kernel: str) -> Callable[..., SearchSpace]:
-    """Resolve the registered space factory for ``kernel``."""
-    try:
-        return _SPACE_REGISTRY[kernel]
-    except KeyError:
-        raise TunerError(
-            f"no search space registered for kernel {kernel!r}; "
-            f"known: {sorted(_SPACE_REGISTRY)}") from None
-
-
-def registered_kernels() -> tuple[str, ...]:
-    return tuple(sorted(_SPACE_REGISTRY))
+    def project(self, config) -> Candidate:
+        """``config``'s values on this space's axes, as a candidate (how a
+        task states its default: the shipped config, seen by the tuner)."""
+        return {name: getattr(config, name) for name in self.axis_names}
 
 
 def divisors_of(extent: int, values: Sequence[int]) -> tuple[int, ...]:

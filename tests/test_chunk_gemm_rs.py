@@ -22,11 +22,13 @@ from repro.kernels.chunk_gemm_rs import (
     ChunkGemmRsConfig,
     build_chunk_mapping,
     chunk_gemm_rs_overlapped,
+    chunk_gemm_rs_tune_task,
     chunk_layout,
     chunk_spans,
 )
 from repro.models.configs import MLP_BENCHES, MlpShape, ModelConfig
 from repro.models.runner import layer_time
+from repro.tuner import tune
 
 from conftest import make_ctx
 
@@ -127,7 +129,8 @@ def test_registered_plan_population_grew():
 
 
 def test_autotune_small_shape():
-    cfg = ChunkGemmRsConfig.autotune(512, 128, 128, world=2, max_trials=2)
+    cfg = tune(chunk_gemm_rs_tune_task(512, 128, 128, world=2), world=2,
+               max_trials=2).best_config
     assert isinstance(cfg, ChunkGemmRsConfig)
     assert (cfg.m, cfg.n, cfg.k) == (512, 128, 128)
     cfg.validate(2)

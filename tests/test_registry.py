@@ -3,8 +3,8 @@ registered record, loud failure on partial registrations, the serving
 method axis, and the ``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
-resolve must expose a working hook for *each* consumer — tuner (search
-space + tune task), analyzer (plans recorded from its launcher, covering
+resolve must expose a working hook for *each* consumer — tuner (tune
+task), analyzer (plans recorded from its launcher, covering
 its declared worlds), bench (builders) and launch — so a family can never
 be half-wired into the stack.
 """
@@ -28,7 +28,6 @@ from repro.registry import (
     resolve_serve_method,
     serve_method_names,
 )
-from repro.tuner.space import get_space
 
 
 def test_all_shipped_families_registered():
@@ -48,13 +47,11 @@ def test_family_record_is_complete(name):
     assert dataclasses.is_dataclass(fam.config_cls)
     assert callable(fam.launch)
 
-    # tuner: the search space and representative task resolve, and the
-    # task routes back to this family
-    space = fam.search_space()
-    assert len(list(space.candidates())) >= 1
+    # tuner: the representative task resolves, routes back to this
+    # family and searches a non-empty space
     task = fam.tune_task()
     assert task.kernel == name
-    assert callable(get_space(name))
+    assert len(list(task.space.candidates())) >= 1
 
     # analyzer: at least one plan per declared world, each recorded from
     # the family's own launcher (a native family gets one note plan)
@@ -72,14 +69,16 @@ def test_family_record_is_complete(name):
         for kdef in fam.kernels:
             assert kdef.meta.get("role") in ("producer", "consumer", "fused")
             assert "outputs" in kdef.meta
-    # sweep hooks come in pairs: a category implies entries
+    # sweep hooks come in pairs: a category implies entries, and a
+    # warm-cached family sweeps a paper table
     if fam.sweep_category is not None:
         assert fam.sweep_entries is not None
+    if fam.warm_cached:
+        assert fam.sweep_category is not None
 
 
 @pytest.mark.parametrize("drop,piece", [
     ("launch", "launch builder"),
-    ("search_space", "search_space factory"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
     ("bench_builders", "bench_builders factory"),
@@ -95,9 +94,8 @@ def test_partial_registration_raises_naming_the_piece(drop, piece):
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
-        analyze_plans=lambda: [], bench_builders=lambda: dict,
-        worlds=(2,), tile_ir=False,
+        tune_task=lambda: None, analyze_plans=lambda: [],
+        bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
     )
     kwargs[drop] = None if drop != "worlds" else ()
     with pytest.raises(RegistryError, match=piece):
@@ -112,9 +110,8 @@ def test_tile_ir_family_requires_annotated_kernels():
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
-        analyze_plans=lambda: [], bench_builders=lambda: dict,
-        worlds=(2,),
+        tune_task=lambda: None, analyze_plans=lambda: [],
+        bench_builders=lambda: dict, worlds=(2,),
     )
     with pytest.raises(RegistryError, match="kernel entry points"):
         register_family(**kwargs)
@@ -127,6 +124,23 @@ def test_tile_ir_family_requires_annotated_kernels():
     assert "mutant_family" not in families()
 
 
+def test_warm_cached_family_requires_a_sweep_table():
+    """The warm-cache task set is each warm-cached family's sweep over
+    its paper table, so the flag without a table is a partial record."""
+    @dataclasses.dataclass
+    class Cfg:
+        m: int = 1
+
+    with pytest.raises(RegistryError, match="sweep_category"):
+        register_family(
+            name="mutant_family", config_cls=Cfg,
+            launch=lambda ctx, cfg: None, tune_task=lambda: None,
+            analyze_plans=lambda: [], bench_builders=lambda: dict,
+            worlds=(2,), tile_ir=False, warm_cached=True,
+        )
+    assert "mutant_family" not in families()
+
+
 def test_duplicate_registration_names_the_incumbent():
     @dataclasses.dataclass
     class Cfg:
@@ -136,9 +150,8 @@ def test_duplicate_registration_names_the_incumbent():
                        match=r"already registered.*repro\.kernels\.ag_gemm"):
         register_family(
             name="ag_gemm", config_cls=Cfg, launch=lambda ctx, cfg: None,
-            search_space=lambda: [], tune_task=lambda: None,
-            analyze_plans=lambda: [], bench_builders=lambda: dict,
-            worlds=(2,), tile_ir=False,
+            tune_task=lambda: None, analyze_plans=lambda: [],
+            bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
         )
 
 
@@ -173,9 +186,8 @@ def test_serve_method_validation():
 
     kwargs = dict(
         name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        search_space=lambda: [], tune_task=lambda: None,
-        analyze_plans=lambda: [], bench_builders=lambda: dict,
-        worlds=(2,), tile_ir=False,
+        tune_task=lambda: None, analyze_plans=lambda: [],
+        bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
     )
     with pytest.raises(RegistryError, match="collides with a base method"):
         register_family(**kwargs, serve_method=ServeMethod(name="torch"))

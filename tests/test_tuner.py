@@ -13,24 +13,23 @@ import json
 
 import pytest
 
+from repro.bench.experiments import registry_sweep_tasks
 from repro.config import H800
-from repro.kernels.ag_gemm import (
-    AgGemmConfig,
-    ag_gemm_overlapped,
-    ag_gemm_search_space,
-    ag_gemm_tune_task,
-)
+from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_tune_task
+from repro.kernels.ag_moe import ag_moe_tune_task
+from repro.kernels.attention import ag_attention_tune_task
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_tune_task
+from repro.kernels.moe_rs import moe_rs_tune_task
+from repro.kernels.ring_attention import ring_attention_tune_task
 from repro.models.configs import MLP_BENCHES
+from repro.registry import families
 from repro.tuner import (
     Axis,
     SearchSpace,
     TuneCache,
     TunerError,
     divisors_of,
-    get_space,
     prune,
-    registered_kernels,
     tune,
 )
 
@@ -85,21 +84,40 @@ def test_divisors_of():
 
 
 def test_kernel_registry():
-    assert {"ag_gemm", "gemm_rs"} <= set(registered_kernels())
-    space = get_space("ag_gemm")(8192, 1376, 4096, 8, preset="small")
+    assert {"ag_gemm", "gemm_rs"} <= set(families())
+    space = ag_gemm_tune_task(8192, 1376, 4096, world=8).space
     assert set(space.axis_names) == {"block_m", "block_n", "block_k",
                                      "block_mp", "comm_blocks", "mode"}
     # dma ignores comm_blocks: exactly one canonical value survives
     dma = [c for c in space.candidates() if c["mode"] == "dma"]
     assert len({c["comm_blocks"] for c in dma}) == 1
-    with pytest.raises(TunerError):
-        get_space("nonexistent_kernel")
 
 
-def test_default_config_is_in_its_space():
-    for task in (small_task(),
-                 gemm_rs_tune_task(1024, 512, 512, world=4)):
-        assert task.default in list(task.space.candidates())
+#: every registered family's representative task, the small world-4
+#: shapes the search tests tune, then the 32 tasks the shipped warm cache
+#: covers (Figure-8 MLP, Table-4 MoE, Figure-10 attention)
+DEFAULT_TASKS = (
+    [(name, fam.tune_task()) for name, fam in families().items()]
+    + [(f"{task.kernel}/{task.shape_key}/w{SMALL_WORLD}", task) for task in (
+        small_task(),
+        gemm_rs_tune_task(1024, 512, 512, world=SMALL_WORLD),
+        ag_moe_tune_task(1024, 256, 256, 4, 2, world=SMALL_WORLD),
+        moe_rs_tune_task(1024, 256, 256, 4, 2, world=SMALL_WORLD),
+        ag_attention_tune_task(4, 64, 4096, world=SMALL_WORLD),
+        ring_attention_tune_task(4, 64, 4096, world=SMALL_WORLD))]
+    + registry_sweep_tasks(world=8))
+
+
+@pytest.mark.parametrize("task", [task for _, task in DEFAULT_TASKS],
+                         ids=[name for name, _ in DEFAULT_TASKS])
+def test_default_config_is_in_its_space(task):
+    """A task's default is its shipped config seen on the space's axes:
+    a candidate of the space, which ``finalize`` turns back into a config
+    carrying exactly those axis values."""
+    assert task.default in list(task.space.candidates())
+    cfg = task.finalize(task.default)
+    assert {name: getattr(cfg, name)
+            for name in task.space.axis_names} == task.default
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +224,8 @@ def test_halving_eta_below_two_rejected(tmp_path):
 
 
 def test_gemm_rs_autotune_small_shape():
-    res = GemmRsConfig.autotune(1024, 512, 512, world=4, max_trials=3,
-                                full_result=True)
+    res = tune(gemm_rs_tune_task(1024, 512, 512, world=4), world=4,
+               max_trials=3)
     assert res.best_time <= res.default_time
     cfg = res.best_config
     assert isinstance(cfg, GemmRsConfig)
@@ -595,9 +613,9 @@ def test_acceptance_mlp1_ag_gemm_tune(tmp_path):
     m, k = shape.s, shape.h
     n = shape.i // world
     cache = TuneCache(tmp_path / "tune.json")
+    task = ag_gemm_tune_task(m, n, k, world=world)
 
-    res = AgGemmConfig.autotune(m, n, k, world=world, cache=cache,
-                                max_trials=6, full_result=True)
+    res = tune(task, world=world, cache=cache, max_trials=6)
     # tuned config is no slower than the paper's hand-picked default
     assert res.best_time <= res.default_time
     # the cost-model pruner discards >= 50% of candidates pre-simulation
@@ -606,29 +624,27 @@ def test_acceptance_mlp1_ag_gemm_tune(tmp_path):
     res.best_config.validate(world)
 
     # second call: served from the persistent cache, zero simulations
-    res2 = AgGemmConfig.autotune(m, n, k, world=world, cache=cache,
-                                 max_trials=6, full_result=True)
+    res2 = tune(task, world=world, cache=cache, max_trials=6)
     assert res2.from_cache and res2.n_simulated == 0
     assert res2.best == res.best
 
 
-def test_mode_auto_resolves_through_tuner(tmp_path, monkeypatch):
+@pytest.mark.parametrize("make_task", [
+    small_task,
+    lambda: gemm_rs_tune_task(1024, 512, 512, world=SMALL_WORLD),
+], ids=["ag_gemm", "gemm_rs"])
+def test_mode_auto_resolves_through_tuner(make_task, tmp_path, monkeypatch):
     """mode='auto' consults the tuner (default cache honours the env
     override) and launches a concrete tuned config."""
     from repro.bench.harness import run_builder
 
     monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "auto.json"))
-    m, n, k = SMALL["m"], SMALL["n"], SMALL["k"]
+    task = make_task()
+    # the task's own builder, launching its default config in auto mode
+    auto = task.make_builder(dict(task.default, mode="auto"), 1.0)
 
-    def build(ctx):
-        ctx.alloc("x", (m // SMALL_WORLD, k), "float16", fill=None)
-        ctx.alloc("w", (k, n), "float16", fill=None)
-        ctx.alloc("y", (m, n), "float16", fill=None)
-        cfg = AgGemmConfig(m=m, n=n, k=k, mode="auto")
-        ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
-
-    t_auto = run_builder(build, world=SMALL_WORLD)
-    t_default = tune(small_task(), world=SMALL_WORLD,
+    t_auto = run_builder(auto, world=SMALL_WORLD)
+    t_default = tune(task, world=SMALL_WORLD,
                      cache=TuneCache(tmp_path / "auto.json")).default_time
     assert t_auto <= t_default * 1.001
     assert (tmp_path / "auto.json").exists()      # cache was populated

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-# importing the zoo registers every kernel's search space
-import repro.kernels  # noqa: F401
 from repro.bench.experiments import (
     attention_sweep_tasks,
     mlp_sweep_tasks,
@@ -22,7 +20,8 @@ from repro.kernels.attention import AgAttentionConfig, ag_attention_tune_task
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_tune_task
 from repro.kernels.ring_attention import ring_attention_tune_task
 from repro.models.configs import ATTENTION_BENCHES, MOE_BENCHES
-from repro.tuner import TuneCache, TunerError, get_space, registered_kernels
+from repro.registry import families
+from repro.tuner import TuneCache, TunerError, tune
 from repro.tuner.sweep import sweep
 
 SMALL_WORLD = 4
@@ -42,21 +41,14 @@ def small_moe_task(**kw):
 
 def test_registry_includes_moe_and_attention_kernels():
     assert {"ag_gemm", "gemm_rs", "ag_moe", "moe_rs", "ag_attention",
-            "ring_attention"} <= set(registered_kernels())
-    moe_space = get_space("ag_moe")(8192, 2048, 192, 8, preset="small")
+            "ring_attention"} <= set(families())
+    moe_space = ag_moe_tune_task(8192, 2048, 192, 8, 2, world=8).space
     assert set(moe_space.axis_names) == {"block_m", "block_n", "block_k"}
-    attn_space = get_space("ag_attention")(32, 128, 16384, 8, preset="small")
+    attn_space = ag_attention_tune_task(32, 128, 16384, world=8).space
     assert set(attn_space.axis_names) == {"block_q", "block_kv"}
     # the ring baseline shares the flash-tile axes
-    assert get_space("ring_attention") is get_space("ag_attention")
-
-
-def test_moe_default_configs_are_in_their_spaces():
-    for task in (small_moe_task(),
-                 moe_rs_tune_task(1024, 256, 256, 4, 2, world=SMALL_WORLD),
-                 ag_attention_tune_task(4, 64, 4096, world=SMALL_WORLD),
-                 ring_attention_tune_task(4, 64, 4096, world=SMALL_WORLD)):
-        assert task.default in list(task.space.candidates())
+    ring_space = ring_attention_tune_task(32, 128, 16384, world=8).space
+    assert ring_space.fingerprint() == attn_space.fingerprint()
 
 
 def test_moe_and_attention_bounds_are_lower_bounds():
@@ -76,35 +68,31 @@ def test_moe_and_attention_bounds_are_lower_bounds():
 
 
 def test_moe_autotune_classmethods(tmp_path):
+    """Both MoE tasks tune through one cache into their config classes."""
     cache = TuneCache(tmp_path / "cache.json")
-    res1 = AgMoeConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                full_result=True)
+    res1 = tune(small_moe_task(), world=SMALL_WORLD, cache=cache)
     assert res1.best_time <= res1.default_time
     assert isinstance(res1.best_config, AgMoeConfig)
     res1.best_config.validate(SMALL_WORLD)
 
-    res2 = MoeRsConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                full_result=True)
+    res2 = tune(moe_rs_tune_task(**SMALL_MOE, world=SMALL_WORLD),
+                world=SMALL_WORLD, cache=cache)
     assert res2.best_time <= res2.default_time
     assert isinstance(res2.best_config, MoeRsConfig)
 
     # distinct router seeds must not alias in the cache
-    res3 = AgMoeConfig.autotune(**SMALL_MOE, world=SMALL_WORLD, cache=cache,
-                                router_seed=23, full_result=True)
+    res3 = tune(small_moe_task(router_seed=23), world=SMALL_WORLD,
+                cache=cache)
     assert not res3.from_cache
 
 
 def test_attention_autotune_both_kernels(tmp_path):
     cache = TuneCache(tmp_path / "cache.json")
-    for kernel in ("ag_attention", "ring_attention"):
-        res = AgAttentionConfig.autotune(4, 64, 4096, kernel=kernel,
-                                         world=SMALL_WORLD, cache=cache,
-                                         full_result=True)
+    for make_task in (ag_attention_tune_task, ring_attention_tune_task):
+        res = tune(make_task(4, 64, 4096, world=SMALL_WORLD),
+                   world=SMALL_WORLD, cache=cache)
         assert res.best_time <= res.default_time
         assert isinstance(res.best_config, AgAttentionConfig)
-    with pytest.raises(Exception):
-        AgAttentionConfig.autotune(4, 64, 4096, kernel="warp_attention",
-                                   world=SMALL_WORLD)
 
 
 # ---------------------------------------------------------------------------

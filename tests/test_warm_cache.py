@@ -3,8 +3,8 @@
 ``benchmarks/warm_cache.json`` is a checked-in tuner cache covering the
 Figure-8 MLP, Table-4 MoE and Figure-10 attention shape tables; when it
 resolves, the ``*_builders`` in :mod:`repro.bench.experiments` grow a
-TileLink-tuned column *by default* and every autotune lookup at bench
-time is a warm hit — zero simulations.
+TileLink-tuned column *by default* and every tuned-column lookup at
+bench time is a warm hit — zero simulations.
 ``benchmarks/refresh_warm_cache.py --check`` is the CI staleness
 tripwire; the tests here are its tier-1 shadow.
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-# importing the zoo registers every kernel's search space
-import repro.kernels  # noqa: F401
 from repro.bench.experiments import (
     ENV_WARM_CACHE,
     ag_gemm_builders,
@@ -27,9 +25,9 @@ from repro.bench.experiments import (
     warm_cache_path,
 )
 from repro.config import H800
-from repro.kernels.ag_gemm import AgGemmConfig
+from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
-from repro.tuner import task_cache_key
+from repro.tuner import task_cache_key, tune
 
 WORLD = 8
 
@@ -53,9 +51,8 @@ def test_warm_cache_ships_and_covers_the_paper_tables():
 
 def test_warm_cache_resolution_performs_zero_simulations():
     shape = MLP_BENCHES[0]
-    res = AgGemmConfig.autotune(shape.s, shape.i // WORLD, shape.h,
-                                world=WORLD, cache=resolve_warm_cache(),
-                                full_result=True)
+    task = ag_gemm_tune_task(shape.s, shape.i // WORLD, shape.h, world=WORLD)
+    res = tune(task, world=WORLD, cache=resolve_warm_cache())
     assert res.from_cache and res.n_simulated == 0
     assert res.best_time <= res.default_time
 
@@ -86,17 +83,17 @@ def test_auto_tuned_column_never_simulates_on_runtime_mismatch(monkeypatch):
     launches at ctx world/spec: on a runtime key miss it must fall back
     to the paper config, never tune inside the timed bench."""
     from repro.bench.harness import run_builder
-    from repro.kernels import ag_gemm as ag_gemm_mod
+    from repro.tuner import search
 
     builders = ag_gemm_builders(MLP_BENCHES[0], WORLD)   # probed at world=8
     assert "TileLink-tuned" in builders
 
     def boom(*args, **kwargs):
-        raise AssertionError("autotune ran on a warm-cache runtime miss")
+        raise AssertionError("the tuner simulated on a warm-cache miss")
 
-    monkeypatch.setattr(ag_gemm_mod.AgGemmConfig, "autotune", boom)
+    monkeypatch.setattr(search, "_simulate", boom)
     # world=4 has no warm entry: the tuned builder must still run (paper
-    # config) without ever reaching autotune
+    # config) without ever reaching a tuner simulation
     t_tuned = run_builder(builders["TileLink-tuned"], world=4)
     t_paper = run_builder(builders["TileLink"], world=4)
     assert t_tuned == pytest.approx(t_paper)
@@ -134,18 +131,19 @@ def test_attention_builders_default_to_tuned_column_when_warm():
 
 def test_attention_tuned_column_resolves_without_simulating(monkeypatch):
     """The auto-enabled Figure-10 column runs the tuned config straight
-    from the warm cache — zero bench-time simulations (autotune must
-    never be reached), never slower than the paper-config TileLink."""
+    from the warm cache — zero bench-time simulations (the tuner's
+    simulate step is never reached), never slower than the paper-config
+    TileLink."""
     from repro.bench.harness import run_builder
-    from repro.kernels import attention as attention_mod
+    from repro.tuner import search
 
     shape, seq_len = ATTENTION_BENCHES[0], ATTENTION_BENCHES[0].seq_lens[0]
     builders = attention_builders(shape, seq_len, WORLD)
 
     def boom(*args, **kwargs):
-        raise AssertionError("autotune simulated inside the timed bench")
+        raise AssertionError("the tuner simulated inside the timed bench")
 
-    monkeypatch.setattr(attention_mod.AgAttentionConfig, "autotune", boom)
+    monkeypatch.setattr(search, "_simulate", boom)
     t_paper = run_builder(builders["TileLink"], world=WORLD)
     t_tuned = run_builder(builders["TileLink-tuned"], world=WORLD)
     assert t_tuned <= t_paper * 1.001
@@ -156,16 +154,16 @@ def test_attention_auto_column_never_simulates_on_runtime_mismatch(
     """Runtime world/spec diverging from the build-time probe must fall
     back to the paper config, never tune inside the timed bench."""
     from repro.bench.harness import run_builder
-    from repro.kernels import attention as attention_mod
+    from repro.tuner import search
 
     shape, seq_len = ATTENTION_BENCHES[0], ATTENTION_BENCHES[0].seq_lens[0]
     builders = attention_builders(shape, seq_len, WORLD)  # probed at world=8
     assert "TileLink-tuned" in builders
 
     def boom(*args, **kwargs):
-        raise AssertionError("autotune ran on a warm-cache runtime miss")
+        raise AssertionError("the tuner simulated on a warm-cache miss")
 
-    monkeypatch.setattr(attention_mod.AgAttentionConfig, "autotune", boom)
+    monkeypatch.setattr(search, "_simulate", boom)
     # world=4 has no warm entry: still runs, on the paper config
     t_tuned = run_builder(builders["TileLink-tuned"], world=4)
     t_paper = run_builder(builders["TileLink"], world=4)

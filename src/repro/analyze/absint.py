@@ -19,9 +19,9 @@ come from :data:`repro.lang.ir.BINARY_OPS`/:data:`~repro.lang.ir.UNARY_OPS`,
 and every primitive resolves through the real
 :class:`~repro.lang.block_channel.BlockChannel` (``notify_posts``,
 ``consumer_wait_list``, ``peer_bank``, ``comm_tile_ranges``,
-``pull_source``) that the backend's lowered primitives call
-(:mod:`repro.compiler.interp`) — only the signal arrays are abstract.  This module adds just the UNKNOWN
-handling and the event emission.
+``pull_source``) that the backend's generated primitive code calls
+(:mod:`repro.compiler.interp`) — only the signal arrays are abstract.  This
+module adds just the UNKNOWN handling and the event emission.
 """
 
 from __future__ import annotations

@@ -1,30 +1,28 @@
-"""Backend: lowers each compiled kernel once into closures and runs its blocks.
+"""Backend: one generated Python generator function per compiled kernel.
 
-``compile_kernel`` calls :func:`lower` once per compiled program.
-Expressions become closures over a block's scalar environment, with their
-constants, the constexprs the kernel never reassigns and their
-``BINARY_OPS``/``UNARY_OPS`` entries bound at lowering time; each tile op
-and primitive becomes one closure over already-lowered operands.  One
-:func:`run_block` call is one block (CTA) of the launch grid: a simulation
-process running the lowered statements.  A statement runs in three modes:
-``st(block)`` in the block's process advances simulated time (cost model),
-applies numpy effects in numeric mode and drives signal banks and the
-interconnect, returning None, a Timeout to yield or a generator to drive;
-inside an aggregable loop, ``st(block, acc)`` adds one iteration's compute
-seconds, load seconds and HBM bytes to ``acc`` (shapes and costs only) and
-``st(block, REPLAY)`` applies its numpy effects untimed.
+:func:`run_block` runs one block (CTA) of a launch grid as a simulation
+process: the program's function for the launch's mode (numeric x trace),
+which :func:`generate` writes as Python source and compiles on the mode's
+first run.  Block scalars and tiles are Python locals, constants are folded
+in, scalar operators take the syntax of their ``BINARY_OPS``/``UNARY_OPS``
+function and timed ops yield their ``Timeout`` inline.  Timing variants
+carry no numpy effects, untraced ones no trace records.  A statement that
+fails to generate raises its error when it runs.
 
 Scheduling semantics (compiler/passes.py sets the annotations):
 
-* **aggregable loops** are priced analytically: the first iteration is
-  probed, then one timed event covers all iterations (pipelined loops
-  price ``max(load, compute)`` per iteration, otherwise the sum).  In
-  numeric mode every iteration then replays, starting from the scalars
-  and tiles the probe saw.
-* **pipelined non-aggregable loops** prefetch their ``prefetchable`` loads
-  at iteration start — address computation replayed from the body's scalar
-  statements, value snapshotted *before* any wait primitive runs.  Loads
-  pinned by the consistency pass execute in place, after their guards.
+* **aggregable loops** of two or more trips are priced analytically: inline
+  probe code prices the first iteration (shapes and costs only), then one
+  timed event covers all iterations (pipelined loops price
+  ``max(load, compute)`` per iteration, otherwise the sum).  In numeric mode
+  every iteration then replays, starting from the scalars and tiles the
+  probe saw.
+* **pipelined loops** stepped one iteration at a time prefetch their
+  ``prefetchable`` loads at iteration start — address computation replayed
+  from the body's scalar statements, value snapshotted *before* any wait
+  primitive runs.  Loads pinned by the consistency pass execute in place,
+  after their guards.  A prefetched load charges neither SM time nor HBM
+  bytes.
 * **signal primitives** lower to release-semantics posts (fire and forget)
   and acquire-semantics waits on :class:`repro.memory.signals.SignalArray`.
 * **data primitives and remote loads** reserve interconnect pipes; payloads
@@ -33,62 +31,41 @@ Scheduling semantics (compiler/passes.py sets the annotations):
 
 from __future__ import annotations
 
-from operator import itemgetter
+import math
+import operator
+import re
+from collections import Counter
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import LoweringError, RuntimeLaunchError, ShapeError, SimulationError
-from repro.lang.block_channel import BlockChannel
-from repro.lang.ir import (
-    BINARY_OPS,
-    UNARY_OPS,
-    AssignScalar,
-    BinOp,
-    ChannelField,
-    Const,
-    Expr,
-    For,
-    If,
-    KernelIR,
-    Name,
-    Primitive,
-    Return,
-    Stmt,
-    TensorRef,
-    TileOp,
-    UnaryOp,
-    scalar_target,
-    walk_block,
-)
-from repro.compiler.values import (
-    ELEMENTWISE_FLOPS,
-    TileVal,
-    apply_binary,
-    apply_unary,
-    padded_to,
-)
+from repro.compiler.values import ELEMENTWISE_FLOPS, TileVal
+from repro.errors import LoweringError, RuntimeLaunchError, ShapeError
+from repro.lang.ir import (BINARY_OPS, UNARY_OPS, AssignScalar, BinOp,
+                           ChannelField, Const, Expr, For, If, Name,
+                           Primitive, Return, Stmt, TensorRef, TileOp,
+                           UnaryOp, scalar_reads, scalar_target, walk_block)
 from repro.memory.tensor import SimTensor, resolve_dtype
-from repro.sim.engine import Timeout
+# names only the generated code uses
+from repro.compiler.values import apply_binary, apply_unary, padded_to  # noqa: F401
+from repro.errors import SimulationError  # noqa: F401
+from repro.lang.block_channel import BlockChannel  # noqa: F401
+from repro.sim.engine import Timeout  # noqa: F401
 
 #: fraction of aggregable-loop load bytes that miss L2 and hit HBM
 AGG_DRAM_DISCOUNT = 0.22
-#: the scalar-environment slot of the block's BlockChannel
-CHANNEL = "$channel"
-#: slots of a probe's cost accumulator
-COMPUTE, LOAD, HBM = 0, 1, 2
-#: the accumulator argument that makes a statement replay numpy effects
-REPLAY = "replay"
-#: tile ops whose seconds are load time; the other ops' are compute time
-LOAD_TIME_OPS = frozenset({"load", "load_vec", "gather_rows", "store",
-                           "store_vec", "atomic_add", "load_scalar",
-                           "scatter_add_rows"})
 F32 = np.dtype(np.float32)
+#: Python syntax of the scalar operator functions that have one
+_SYNTAX: dict[Callable, str] = {
+    operator.add: "+", operator.sub: "-", operator.mul: "*",
+    operator.floordiv: "//", operator.truediv: "/", operator.mod: "%",
+    operator.pow: "**", operator.lt: "<", operator.le: "<=",
+    operator.gt: ">", operator.ge: ">=", operator.eq: "==",
+    operator.ne: "!=", operator.neg: "-", operator.not_: "not ",
+}
+#: a local the probe of an aggregable loop found unbound
+_UNSET = object()
 _new = object.__new__
-
-
-class _Return(Exception):
-    """A Return statement unwound the block."""
 
 
 def _tile(shape: tuple[int, ...], dtype: np.dtype, data=None) -> TileVal:
@@ -98,734 +75,741 @@ def _tile(shape: tuple[int, ...], dtype: np.dtype, data=None) -> TileVal:
     return v
 
 
-def _drive(b: "Block", stmts: tuple):
-    """Run timed statements, yielding what they wait for."""
-    for st in stmts:
-        r = st(b)
-        if r is not None:
-            if r.__class__ is Timeout:
-                yield r
-            else:
-                yield from r
-
-
-def _charged(b: "Block", dur: float, t0: float, category: str, effect=None):
-    yield Timeout(dur)
-    b.record(category, t0)
-    if effect is not None:
-        effect()
-
-
-class Block:
-    """One block's run-time state: its scalar and tile environments and
-    the machine it runs on."""
-
-    __slots__ = ("s", "t", "prefetched", "name", "machine", "sim", "rank",
-                 "device", "cost", "feed", "bindings", "execute", "trace",
-                 "label")
-
-    def __init__(self, program, machine, rank: int, block_id: int,
-                 n_blocks: int, bindings: dict[str, Any], label: str):
-        self.name, param = program.name, program.ir.channel_param
-        s: dict[str, Any] = {"$bid": block_id, "$nblocks": n_blocks}
-        if param is not None:
-            s[CHANNEL] = bindings.get(param)
-            if not isinstance(s[CHANNEL], BlockChannel):
-                raise RuntimeLaunchError(
-                    f"kernel {program.name!r} expects a BlockChannel for "
-                    f"parameter {param!r}")
-        s.update(program.constexprs)
-        for p in program.tensor_params:
-            if p not in bindings:
-                raise RuntimeLaunchError(
-                    f"kernel {program.name!r} missing argument {p!r}")
-            if isinstance(bindings[p], (int, float)):
-                s[p] = bindings[p]
-        self.s, self.t = s, {}
-        #: pipelined loops' loads issued one iteration early, by op
-        self.prefetched: dict[int, TileVal] = {}
-        self.machine, self.sim, self.cost = machine, machine.sim, machine.cost
-        self.rank, self.device = rank, machine.device(rank)
-        self.feed = machine.cost.spec.smem_bandwidth_per_sm
-        self.bindings, self.label = bindings, label or program.name
-        self.execute = machine.config.execute_numerics
-        self.trace = machine.config.trace
-
-    def record(self, category: str, t0: float) -> None:
-        """Trace ``category`` from ``t0`` to now, if time passed."""
-        if self.trace and self.sim.now > t0:
-            self.machine.record(self.rank, category, self.label, t0,
-                                self.sim.now)
-
-    def charge(self, seconds: float, hbm: float, category: str, effect=None):
-        """Take ``seconds``, at least until ``hbm`` bytes cross the HBM pipe,
-        then apply ``effect``: None if no time passes, else a Timeout or
-        generator to drive."""
-        t0 = self.sim.now
-        arrival = self.device.reserve_hbm(hbm) if hbm > 0 else t0
-        dur = max(seconds, arrival - t0)
-        if dur > 0:
-            if effect is None and not self.trace:
-                return Timeout(dur)
-            return _charged(self, dur, t0, category, effect)
-        if effect is not None:
-            effect()
-        return None
-
-    def transfer(self, src: int, dst: int, nbytes: float) -> float:
-        """Reserve the interconnect path; seconds until the data lands."""
-        _start, arrival = self.machine.interconnect.reserve(src, dst, nbytes,
-                                                            "p2p")
-        return max(0.0, arrival - self.sim.now)
-
-
 def run_block(program, machine, rank: int, block_id: int, n_blocks: int,
               bindings: dict[str, Any], label: str = ""):
-    """Build the simulation-process generator for one block."""
-    return _process(program.lowered, Block(program, machine, rank, block_id,
-                                           n_blocks, bindings, label))
+    """Build the simulation-process generator for one block, generating
+    the program's function for the launch's mode on the mode's first run."""
+    mode = (machine.config.execute_numerics, machine.config.trace)
+    fn = program.generated.get(mode)
+    if fn is None:
+        fn = program.generated[mode] = _Emitter(program, *mode).function()
+    return fn(machine, rank, block_id, n_blocks, bindings,
+              label or program.name)
 
 
-def _process(stmts: tuple, b: Block):
+# -- run-time helpers the generated code calls ---------------------------------
+
+
+def _ref(bindings: dict, name: str, rank: int, kernel: str,
+         index: int | None = None) -> tuple:
+    """Tensor argument ``name`` as ``(tensor, owning rank)``: rank
+    ``index``'s instance, or, resolved once per block, the block's own
+    rank's, returning ``(error, None)`` for the op that needs it to raise."""
+    bound = bindings.get(name)
     try:
-        yield from _drive(b, stmts)
-    except _Return:
-        pass
-    return None
+        if isinstance(bound, list):
+            r = rank if index is None else index
+            if not 0 <= r < len(bound):
+                raise RuntimeLaunchError(
+                    f"tensor {name!r} indexed with rank {r} out of range "
+                    f"[0, {len(bound)})")
+            return bound[r], r
+        if isinstance(bound, SimTensor):
+            if index is not None and index != bound.rank:
+                raise RuntimeLaunchError(f"tensor {name!r} is not symmetric; "
+                                         f"cannot index rank {index}")
+            return bound, bound.rank
+        raise RuntimeLaunchError(
+            f"kernel {kernel!r}: no binding for tensor {name!r}"
+            if bound is None else f"binding for {name!r} must be SimTensor "
+            f"or list, got {type(bound).__name__}")
+    except RuntimeLaunchError as exc:
+        if index is not None:
+            raise
+        return exc, None
 
 
-def lower(ir: KernelIR, constexprs: dict[str, Any]) -> tuple:
-    """Lower ``ir``, annotated by the passes, into the statement closures
-    :func:`run_block` drives."""
-    return _Lowering(ir, constexprs).block(ir.body)
+def _undefined(exc: NameError, kernel: str, names: dict[str, tuple]) -> None:
+    """Re-raise an unbound generated local as the IR's undefined scalar or
+    tile; return for any other NameError."""
+    m = re.search(r"'(\w+)'", str(exc))
+    kind, name = names.get(m.group(1), (None, None)) if m else (None, None)
+    if kind == "scalar":
+        raise LoweringError(f"{kernel}: undefined scalar {name!r}") from None
+    if kind == "tile":
+        raise LoweringError(f"undefined tile {name!r}") from None
 
 
-class _Lowering:
-    """Builds one kernel's closures."""
+def _binary_stub(stubs: dict, x: Any, y: Any) -> TileVal:
+    """Shape-only result of an elementwise binary op."""
+    key = tuple((v.shape, v.dtype) if isinstance(v, TileVal) else ((), F32)
+                for v in (x, y))
+    if key not in stubs:
+        (sa, da), (sb, db) = key
+        stubs[key] = (tuple(np.broadcast_shapes(sa, sb)),
+                      np.result_type(da, db))
+    return _tile(*stubs[key])
 
-    def __init__(self, ir: KernelIR, constexprs: dict[str, Any]):
-        self.name, self.has_channel = ir.name, ir.channel_param is not None
-        assigned = {scalar_target(s) for s in ir.walk_stmts()}
-        #: constexprs no statement reassigns are constants
-        self.consts = {k: v for k, v in constexprs.items()
+
+# -- the emitter -----------------------------------------------------------------
+
+
+class _Emitter:
+    """Writes one program's block function for one mode.
+
+    Statements emit in one of three modes: ``timed`` code runs in the
+    block's process and yields what it waits for; ``probe`` code adds one
+    iteration's compute seconds, load seconds and HBM bytes to the
+    accumulator locals it is given (shapes and costs only); ``replay`` code
+    applies an aggregable loop's numpy effects untimed.
+    """
+
+    def __init__(self, program, numeric: bool, trace: bool):
+        ir = self.ir = program.ir
+        self.program, self.numeric, self.trace = program, numeric, trace
+        self.name, self.has_channel = program.name, ir.channel_param is not None
+        assigned = Counter(scalar_target(s) for s in ir.walk_stmts())
+        #: constexprs no statement reassigns are constants, and so are
+        #: top-level scalars assigned once, after their constant assignment
+        self.consts = {k: v for k, v in program.constexprs.items()
                        if k not in assigned}
-        self.ops: dict[int, Callable] = {}
+        self.once = {s.target for s in ir.body if isinstance(s, AssignScalar)
+                     and assigned[s.target] == 1}
+        self.reassigned = {k: v for k, v in program.constexprs.items()
+                           if k in assigned}
+        self.ns: dict[str, Any] = dict(globals())
+        self.lines: list[str] = []
+        self.pad = ""
+        self.n = 0
+        #: generated local -> (kind, IR name), for undefined-name errors
+        self.names: dict[str, tuple[str, str]] = {}
+        self.locals: dict[tuple[str, str], str] = {}
+        #: scalar -> the local a prefetch assigned it to
+        self.shadow: dict[str, str] = {}
+        self.failed: dict[int, Exception] = {}
+        #: rank-less tensor argument -> its per-block (tensor, owner) locals
+        self.refs: dict[str, tuple[str, str]] = {}
+        #: id(load) -> the local holding its prefetched value
+        self.slots: dict[int, str] = {}
+
+    # ----------------------------------------------------------------- output
+
+    def w(self, *lines: str) -> None:
+        self.lines.extend(self.pad + line for line in lines)
+
+    def nest(self, emit: Callable[[], None]) -> None:
+        """Emit an indented suite (``pass`` if it comes out empty)."""
+        self.pad += "    "
+        mark = len(self.lines)
+        emit()
+        if len(self.lines) == mark:
+            self.w("pass")
+        self.pad = self.pad[:-4]
+
+    def fresh(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def const(self, value: Any) -> str:
+        name = self.fresh("K")
+        self.ns[name] = value
+        return name
+
+    def lit(self, value: Any) -> str:
+        kind = type(value)
+        if kind in (bool, int, str) or kind is float and math.isfinite(value):
+            return f"({value!r})"
+        return self.const(value)
+
+    def local(self, kind: str, name: str) -> str:
+        """The Python local holding IR scalar or tile ``name``."""
+        if kind == "scalar" and name in ("$bid", "$nblocks"):
+            return name[1:]  # the function's parameters
+        if kind == "scalar" and name in self.shadow:
+            return self.shadow[name]
+        loc = self.locals.get((kind, name))
+        if loc is None:
+            loc = kind[0] + "_" + (name if name.isidentifier()
+                                   else str(len(self.locals)))
+            self.locals[kind, name] = loc
+            self.names[loc] = (kind, name)
+        return loc
 
     # ------------------------------------------------------------ expressions
 
     def expr(self, e: Any) -> tuple[bool, Any]:
-        """``(True, value)`` for a constant, else ``(False, closure)`` over
-        the scalar environment, which raises KeyError on an undefined
-        scalar (:meth:`fn` reports it)."""
+        """``(True, value)`` for a constant, else ``(False, source)``."""
         if isinstance(e, Const):
             return True, e.value
         if isinstance(e, Name):
             if e.id in self.consts:
                 return True, self.consts[e.id]
-            return False, itemgetter(e.id)
+            return False, self.local("scalar", e.id)
         if isinstance(e, UnaryOp):
             fn, (c, v) = UNARY_OPS[e.op], self.expr(e.operand)
-            return (True, fn(v)) if c else (False, lambda s: fn(v(s)))
+            return (True, fn(v)) if c else (False, self.apply(fn, v))
         if isinstance(e, ChannelField):
             if not self.has_channel:
-                raise self._no_channel()
-            field = e.field_name
-            return False, lambda s: s[CHANNEL].scalar_field(field)
+                raise self.no_channel()
+            return False, f"ch.scalar_field({e.field_name!r})"
         if not isinstance(e, BinOp):
             raise LoweringError(f"cannot evaluate expression {e!r}")
         (lc, lv), op = self.expr(e.left), e.op
         if op in ("and", "or"):
-            if lc:  # short-circuits at lowering time
+            if lc:  # short-circuits at generation time
                 return (True, lv) if bool(lv) == (op == "or") \
                     else self.expr(e.right)
-            rf = self._closure(*self.expr(e.right))
-            if op == "and":
-                return False, lambda s: lv(s) and rf(s)
-            return False, lambda s: lv(s) or rf(s)
+            return False, f"({lv} {op} {self.src(e.right)})"
         if op not in BINARY_OPS:
             raise LoweringError(f"unknown scalar op {op!r}")
         (rc, rv), fn = self.expr(e.right), BINARY_OPS[op]
         if lc and rc:
             return True, fn(lv, rv)
-        if lc:
-            return False, lambda s: fn(lv, rv(s))
-        if rc:
-            return False, lambda s: fn(lv(s), rv)
-        return False, lambda s: fn(lv(s), rv(s))
+        return False, self.apply(fn, self.lit(lv) if lc else lv,
+                                 self.lit(rv) if rc else rv)
 
-    @staticmethod
-    def _closure(const: bool, v: Any) -> Callable:
-        return (lambda s: v) if const else v
+    def apply(self, fn: Callable, *args: str) -> str:
+        """Source applying a scalar operator: its syntax, else a call."""
+        syntax = _SYNTAX.get(fn)
+        if syntax is None:
+            return f"{self.const(fn)}({', '.join(args)})"
+        if len(args) == 1:
+            return f"({syntax}{args[0]})"
+        return f"({args[0]} {syntax} {args[1]})"
 
-    def fn(self, e: Any, cast: Callable | None = None) -> Callable:
-        """``e``, passed through ``cast`` if given, as a closure over the
-        scalar environment."""
-        c, f = self.expr(e)
-        if c:
-            value = f if cast is None else cast(f)
-            return lambda s: value
-        undefined = self._undefined
+    def src(self, e: Any, to_int: bool = False) -> str:
+        """Source of expression ``e``, passed through ``int`` if asked."""
+        c, v = self.expr(e)
+        return self.lit(int(v) if to_int else v) if c else \
+            f"int({v})" if to_int else v
 
-        def root(s):
-            try:
-                return f(s) if cast is None else cast(f(s))
-            except KeyError as exc:
-                raise undefined(exc) from None
-        return root
-
-    def pair(self, arg: Any) -> Callable:
-        """A ``(lo, hi)`` range argument as a closure returning two ints."""
+    def pair(self, arg: Any) -> str:
+        """Source of a ``(lo, hi)`` range argument as a tuple of ints."""
         if not (isinstance(arg, tuple) and len(arg) == 2):
             raise LoweringError(f"expected (lo, hi) range, got {arg!r}")
-        (lc, lo), (hc, hi) = self.expr(arg[0]), self.expr(arg[1])
-        if lc and hc:
-            value = int(lo), int(hi)
-            return lambda s: value
-        lo, hi = self._closure(lc, lo), self._closure(hc, hi)
-        undefined, h, step = self._undefined, arg[1], None
-        if isinstance(h, BinOp) and h.op == "+" and h.left == arg[0]:
-            const, c = self.expr(h.right)  # (lo, lo + c) evaluates lo once
-            step = c if const else None
+        return f"{self.src(arg[0], True)}, {self.src(arg[1], True)}"
 
-        def pair(s):
-            try:
-                if step is not None:
-                    v = lo(s)
-                    return int(v), int(v + step)
-                return int(lo(s)), int(hi(s))
-            except KeyError as exc:
-                raise undefined(exc) from None
-        return pair
-
-    def _undefined(self, exc: KeyError) -> LoweringError:
-        return LoweringError(f"{self.name}: undefined scalar {exc.args[0]!r}")
-
-    def operand(self, arg: Any) -> Callable:
-        """A tile op operand: tile name -> TileVal, Expr -> scalar."""
+    def operand(self, arg: Any) -> str:
+        """A tile op operand: tile name -> its TileVal, Expr -> scalar."""
         if isinstance(arg, str):
-            def tile(b):
-                try:
-                    return b.t[arg]
-                except KeyError:
-                    raise LoweringError(f"undefined tile {arg!r}") from None
-            return tile
+            return self.local("tile", arg)
         if not isinstance(arg, Expr):
             raise LoweringError(f"bad tile operand {arg!r}")
-        f = self.fn(arg)
-        return lambda b: f(b.s)
+        return self.src(arg)
 
-    def ref(self, ref: Any, local: str | None = None) -> Callable:
-        """A tensor argument as ``block -> (SimTensor, owning rank)``, or,
-        given ``local`` (the error for a remote one), ``block -> SimTensor``
-        on the block's own rank."""
+    def ref(self, ref: Any, local: str | None = None) -> tuple[str, str]:
+        """Emit the resolution of a tensor argument; returns its tensor and
+        owner locals.  Given ``local`` (the error for a remote tensor), the
+        tensor must be on the block's own rank."""
         if not isinstance(ref, TensorRef):
             raise LoweringError(f"expected a tensor argument, got {ref!r}")
-        name = ref.name
-        rank_f = None if ref.rank is None else self.fn(ref.rank, int)
-
-        def resolve(b):
-            bound = b.bindings.get(name)
-            if isinstance(bound, list):
-                rank = b.rank if rank_f is None else rank_f(b.s)
-                if not 0 <= rank < len(bound):
-                    raise RuntimeLaunchError(
-                        f"tensor {name!r} indexed with rank {rank} out of "
-                        f"range [0, {len(bound)})")
-                return bound[rank], rank
-            if isinstance(bound, SimTensor):
-                if rank_f is not None and rank_f(b.s) != bound.rank:
-                    raise RuntimeLaunchError(
-                        f"tensor {name!r} is not symmetric; cannot index "
-                        f"rank {rank_f(b.s)}")
-                return bound, bound.rank
-            raise RuntimeLaunchError(
-                f"kernel {b.name!r}: no binding for tensor {name!r}"
-                if bound is None else f"binding for {name!r} must be "
-                f"SimTensor or list, got {type(bound).__name__}")
+        if ref.rank is not None:
+            self.w(f"_T, _O = _ref(bindings, {ref.name!r}, rank, "
+                   f"{self.name!r}, {self.src(ref.rank, True)})")
+            if local is not None:
+                self.w(f"if _O != rank: raise LoweringError({local!r})")
+            return "_T", "_O"
+        if ref.name not in self.refs:
+            self.refs[ref.name] = (self.fresh("T"), self.fresh("O"))
+        tensor, owner = self.refs[ref.name]
         if local is None:
-            return resolve
+            self.w(f"if {owner} is None: raise {tensor}.with_traceback(None)")
+        else:
+            self.w(f"if {owner} != rank: raise {tensor}.with_traceback(None) "
+                   f"if {owner} is None else LoweringError({local!r})")
+        return tensor, owner
 
-        def resolve_local(b):
-            tensor, owner = resolve(b)
-            if owner != b.rank:
-                raise LoweringError(local)
-            return tensor
-        return resolve_local
-
-    def _no_channel(self) -> LoweringError:
+    def no_channel(self) -> LoweringError:
         return LoweringError(f"kernel {self.name!r} uses primitives but has "
                              "no BlockChannel parameter")
 
     # ------------------------------------------------------------- statements
 
-    def block(self, stmts: list[Stmt]) -> tuple:
-        return tuple(self.stmt(s) for s in stmts)
+    def block(self, stmts: list[Stmt], mode: str, acc: tuple = ()) -> None:
+        for s in stmts:
+            mark, pad = len(self.lines), self.pad
+            try:
+                self.stmt(s, mode, acc)
+            except Exception as exc:  # raises when (and only if) it runs
+                del self.lines[mark:]
+                self.pad = pad
+                self.fail(s, exc)
 
-    def stmt(self, s: Stmt) -> Callable:
-        try:
-            return self._stmt(s)
-        except Exception as exc:  # raises when (and only if) it runs
-            def fail(b, acc=None):
-                raise exc.with_traceback(None)
-            return fail
+    def fail(self, s: Stmt, exc: Exception) -> None:
+        exc = self.failed.setdefault(id(s), exc)
+        self.w(f"raise {self.const(exc)}.with_traceback(None)")
 
-    def _stmt(self, s: Stmt) -> Callable:
+    def stmt(self, s: Stmt, mode: str, acc: tuple) -> None:
         if isinstance(s, AssignScalar):
-            target, f = s.target, self.fn(s.value)
-
-            def assign(b, acc=None):
-                b.s[target] = f(b.s)
-            return assign
-        if isinstance(s, TileOp):
-            return self._tile_stmt(s)
-        if isinstance(s, If):
-            cond = self.fn(s.cond)
-            then, orelse = self.block(s.then), self.block(s.orelse)
-
-            def branch(b, acc=None):
-                body = then if cond(b.s) else orelse
-                if acc is None:
-                    return _drive(b, body)
-                for st in body:
-                    st(b, acc)
-            return branch
-        if isinstance(s, For):
-            return self._loop(s)
-        if isinstance(s, Return):
-            def ret(b, acc=None):
-                raise _Return
-            return ret
-        if not isinstance(s, Primitive):
+            c, v = self.expr(s.value)
+            self.w(f"{self.local('scalar', s.target)} = "
+                   f"{self.lit(v) if c else v}")
+            if c and s.target in self.once:
+                self.consts[s.target] = v
+        elif isinstance(s, TileOp):
+            self.tile_stmt(s, mode, acc)
+        elif isinstance(s, If):
+            self.w(f"if {self.src(s.cond)}:")
+            self.nest(lambda: self.block(s.then, mode, acc))
+            if s.orelse:
+                self.w("else:")
+                self.nest(lambda: self.block(s.orelse, mode, acc))
+        elif isinstance(s, For):
+            self.loop(s, mode, acc)
+        elif isinstance(s, Return):
+            self.w("return")
+        elif not isinstance(s, Primitive):
             raise LoweringError(f"unknown statement {type(s).__name__}")
-        if not self.has_channel:
-            raise self._no_channel()
-        return self._primitive(s)
+        elif not self.has_channel:
+            raise self.no_channel()
+        else:
+            self.primitive(s)
 
-    def _tile_stmt(self, s: TileOp) -> Callable:
+    def tile_stmt(self, s: TileOp, mode: str, acc: tuple) -> None:
         # a result binds at once: only its own block reads it, and that
         # block stays suspended until the op's time has passed
-        op, target, scalar = self.tile_op(s), s.target, s.op == "load_scalar"
-        slot = LOAD if s.op in LOAD_TIME_OPS else COMPUTE
-        key = id(s) if s.prefetchable and s.op in ("load", "load_vec") \
-            and target is not None else None
+        target = None if s.target is None else self.local(
+            "scalar" if s.op == "load_scalar" else "tile", s.target)
+        slot = self.slots.get(id(s)) if mode == "timed" else None
+        if slot is not None:  # issued one iteration early, free to use
+            self.w(f"if {slot} is not None:")
+            self.nest(lambda: self.w(f"{target}, {slot} = {slot}, None"))
+            self.w("else:")
+            self.pad += "    "
+        sec, hbm, effect = self.tile_op(
+            s, mode == "replay" or mode == "timed" and self.numeric)
+        if target is not None:
+            self.w(f"{target} = _v")
+        if mode == "timed":
+            self.charge(sec, hbm, "compute", effect)
+        elif mode == "replay":
+            self.w(*effect)
+        else:
+            # the ops that move HBM bytes spend load time, the others compute
+            compute, load, nbytes = acc
+            if sec is not None:
+                self.w(f"{compute if hbm is None else load} += {sec}")
+            if hbm is not None:
+                self.w(f"{nbytes} += {hbm}")
+        if slot is not None:
+            self.pad = self.pad[:-4]
 
-        def tile_stmt(b, acc=None):
-            if acc is None:
-                val = None if key is None else b.prefetched.pop(key, None)
-                if val is not None:  # issued one iteration early
-                    b.t[target] = val
-                    return None
-                val, t, hbm, effect = op(b, b.execute)
-            else:
-                val, t, hbm, effect = op(b, acc is REPLAY)
-            if target is not None:
-                (b.s if scalar else b.t)[target] = val
-            if acc is None:
-                return b.charge(t, hbm, "compute", effect)
-            if acc is not REPLAY:
-                acc[slot] += t
-                acc[HBM] += hbm
-            elif effect is not None:
-                effect()
-        return tile_stmt
+    def charge(self, sec: str | None, hbm: str | None, category: str,
+               effect: tuple = ()) -> None:
+        """Emit: take ``sec`` seconds, at least until ``hbm`` bytes cross the
+        HBM pipe (None: nothing), then apply ``effect``."""
+        if sec is None:  # takes no time, has no effect
+            return
+        if self.trace or hbm is not None:
+            self.w("_t0 = sim.now")
+        if hbm is None:
+            self.w(f"_d = {sec}")
+        else:
+            self.w(f"_a = reserve_hbm({hbm}) if {hbm} > 0 else _t0")
+            self.w(f"_d = max({sec}, _a - _t0)")
+        self.w("if _d > 0:")
+        self.nest(lambda: self.timeout("_d", category, effect))
+        if effect:
+            self.w("else:")
+            self.nest(lambda: self.w(*effect))
 
-    def _loop(self, s: For) -> Callable:
-        start, stop, step = (self.fn(s.start, int), self.fn(s.stop, int),
-                             self.fn(s.step, int))
-        var, pipelined, aggregable = s.var, s.pipelined, s.aggregable
-        body = self.block(s.body)
-        prefetch = self._prefetcher(s, body) if pipelined else None
-        if aggregable and any(isinstance(t, Primitive)
-                              for t in walk_block(s.body)):
-            raise LoweringError("primitive inside aggregable loop")
+    def timeout(self, dur: str, category: str, effect: tuple = ()) -> None:
+        self.w(f"yield Timeout({dur})")
+        self.record(category)
+        self.w(*effect)
 
-        def steps(b, it):
-            sc = b.s
-            for i in it:
-                sc[var] = i
-                if prefetch is not None:
-                    prefetch(b)
-                for st in body:  # _drive, inlined: this runs per iteration
-                    r = st(b)
-                    if r is not None:
-                        if r.__class__ is Timeout:
-                            yield r
-                        else:
-                            yield from r
-
-        def replay(b, dur, t0, before):
-            yield Timeout(dur)
-            b.record("compute", t0)
-            if before is not None:
-                for env, saved in zip((b.s, b.t), before):
-                    env.clear()
-                    env.update(saved)
-                loop(b, REPLAY)
-
-        def loop(b, acc=None):
-            sc = b.s
-            lo, hi, inc = start(sc), stop(sc), step(sc)
-            if inc == 0:
-                raise SimulationError("loop step of 0")
-            it = range(lo, hi, inc)
-            if acc is REPLAY:
-                for i in it:
-                    sc[var] = i
-                    for st in body:
-                        st(b, REPLAY)
-            elif acc is not None:
-                # probe: the trips times the cost of the first iteration
-                if it:
-                    sc[var] = it[0]
-                    one = [0.0, 0.0, 0.0]
-                    for st in body:
-                        st(b, one)
-                    acc[COMPUTE] += len(it) * (
-                        max(one[LOAD], one[COMPUTE]) if pipelined
-                        else one[LOAD] + one[COMPUTE])
-                    acc[HBM] += len(it) * one[HBM]
-            elif not aggregable or len(it) < 2:
-                return steps(b, it)
-            else:
-                # analytic pricing of a primitive-free loop
-                before = (dict(sc), dict(b.t)) if b.execute else None
-                acc = [0.0, 0.0, 0.0]
-                loop(b, acc)
-                hbm = acc[HBM] * AGG_DRAM_DISCOUNT
-                t0 = b.sim.now
-                arrival = b.device.reserve_hbm(hbm) if hbm > 0 else t0
-                dur = max(b.cost.MMA_PROLOGUE + acc[COMPUTE], arrival - t0)
-                if before is None and not b.trace:
-                    return Timeout(dur)
-                return replay(b, dur, t0, before)
-        return loop
-
-    def _prefetcher(self, s: For, body: tuple) -> Callable | None:
-        """Hoist prefetchable loads to iteration start (pipeliner model).
-
-        Scalar statements are replayed to materialize addresses; values are
-        snapshotted *now*, i.e. potentially before the body's waits run —
-        which is safe only for loads the consistency pass left unpinned.
-        The prefetched value costs nothing at its use point (it overlapped
-        with the previous iteration).  None when there is no such load.
-        """
-        plan: list[tuple[Callable | None, Any]] = []
-        for t, st in zip(s.body, body):
-            if isinstance(t, AssignScalar):
-                plan.append((st, None))
-            elif isinstance(t, TileOp) and t.prefetchable and t.op in (
-                    "load", "load_vec"):
-                try:
-                    plan.append((None, (id(t), self.tile_op(t))))
-                except (LoweringError, ShapeError):
-                    pass  # its statement raises when it runs
-        while plan and plan[-1][1] is None:
-            plan.pop()  # assignments after the last load address nothing
-        if not plan:
-            return None
-
-        def prefetch(b):
-            sc = b.s
-            saved = dict(sc)
-            for assign, load in plan:
-                if load is None:
-                    try:
-                        assign(b)
-                    except LoweringError:
-                        break  # address depends on a tile/wait result; stop
-                    continue
-                try:
-                    b.prefetched[load[0]] = load[1](b, b.execute)[0]
-                except (LoweringError, ShapeError):
-                    pass
-            sc.clear()  # the replayed assignments happen again in the body
-            sc.update(saved)
-        return prefetch
+    def record(self, category: str) -> None:
+        """Emit a trace record from ``_t0`` to now, if time passed."""
+        if self.trace:
+            self.w(f"if sim.now > _t0: record(rank, {category!r}, label, "
+                   "_t0, sim.now)")
 
     # --------------------------------------------------------------- tile ops
 
-    def tile_op(self, s: TileOp) -> Callable:
-        """``op(block, numeric) -> (value, seconds, hbm_bytes, effect)``:
-        ``effect`` is None or applies a numpy write, and ``numeric=False``
-        computes shapes and costs only."""
-        if id(s) not in self.ops:
-            self.ops[id(s)] = self._tile_op(s.op, s.args, s.kwargs)
-        return self.ops[id(s)]
-
-    def _tile_op(self, op: str, a: tuple, kw: dict) -> Callable:
+    def tile_op(self, s: TileOp, numeric: bool) -> tuple:
+        """Emit tile op ``s``, binding its value to ``_v``; returns its
+        seconds and HBM bytes (sources, None for none) and the lines of its
+        numpy effect.  ``numeric=False`` computes shapes and costs only."""
+        op, a, kw, w = s.op, s.args, s.kwargs, self.w
         if op in ("zeros", "full"):
             exprs = a[0] if isinstance(a[0], tuple) else (a[0],)
-            dims = [self.fn(x, int) for x in exprs]
-            fill, n = (None, 1) if op == "zeros" else (self.fn(a[1]), 2)
-            dtype = resolve_dtype(a[n] if len(a) > n else "float32")
-
-            def new(b, numeric):
-                shape = tuple([d(b.s) for d in dims])
-                value = None if fill is None else fill(b.s)
-                data = None if not numeric else np.zeros(shape, dtype) \
-                    if fill is None else np.full(shape, value, dtype)
-                return _tile(shape, dtype, data), 0.0, 0.0, None
-            return new
+            w(f"_sh = ({''.join(self.src(x, True) + ', ' for x in exprs)})")
+            fill, n = (None, 1) if op == "zeros" else (self.src(a[1]), 2)
+            dtype = self.const(resolve_dtype(a[n] if len(a) > n else "float32"))
+            if fill is not None:
+                w(f"_f = {fill}")
+            data = "None" if not numeric else f"np.zeros(_sh, {dtype})" \
+                if fill is None else f"np.full(_sh, _f, {dtype})"
+            w(f"_v = _tile(_sh, {dtype}, {data})")
+            return None, None, ()
 
         if op in ("load", "load_vec"):
-            ref, rows = self.ref(a[0]), self.pair(a[1])
-            cols = self.pair(a[2]) if op == "load" else None
-
-            def load(b, numeric):
-                tensor, owner = ref(b)
-                if cols is None:
-                    span = rows(b.s)
-                    ranges, shape = (span,), (span[1] - span[0],)
-                    nbytes = shape[0] * tensor.itemsize
-                else:
-                    ranges = (r0, r1), (c0, c1) = rows(b.s), cols(b.s)
-                    shape = (r1 - r0, c1 - c0)
-                    nbytes = shape[0] * shape[1] * tensor.itemsize
-                if min(shape) < 0:
-                    raise ShapeError(f"negative load extent {shape}")
-                data = padded_to(tensor.read_tile(ranges), shape,
-                                 tensor.dtype) if numeric else None
-                val = _tile(shape, tensor.dtype, data)
-                if owner == b.rank:
-                    return val, nbytes / b.feed, nbytes, None
-                # remote read over the interconnect (pull)
-                return val, b.transfer(owner, b.rank, nbytes), 0.0, None
-            return load
+            tensor, owner = self.ref(a[0])
+            w(f"_r0, _r1 = {self.pair(a[1])}")
+            if op == "load":
+                w(f"_c0, _c1 = {self.pair(a[2])}")
+                w("_sh = (_r1 - _r0, _c1 - _c0)")
+                ranges, size = "((_r0, _r1), (_c0, _c1))", "_sh[0] * _sh[1]"
+            else:
+                w("_sh = (_r1 - _r0,)")
+                ranges, size = "((_r0, _r1),)", "_sh[0]"
+            w(f"_nb = {size} * {tensor}.itemsize")
+            w("if min(_sh) < 0: raise ShapeError("
+              "f'negative load extent {_sh}')")
+            data = f"padded_to({tensor}.read_tile({ranges}), _sh, " \
+                f"{tensor}.dtype)" if numeric else "None"
+            w(f"_v = _tile(_sh, {tensor}.dtype, {data})")
+            w(f"if {owner} == rank: _s = _nb / feed; _h = _nb")
+            # a remote read reserves the interconnect
+            w(f"else: _s = max(0.0, reserve({owner}, rank, _nb, 'p2p')[1] "
+              "- sim.now); _h = 0.0")
+            return "_s", "_h", ()
 
         if op in ("gather_rows", "load_scalar"):
-            tensor_f = self.ref(a[0], f"{op} requires a local tensor")
+            tensor, _ = self.ref(a[0], f"{op} requires a local tensor")
             if op == "load_scalar":
-                idx = self.fn(a[1], int)
-
-                def load_scalar(b, numeric):
-                    tensor, i = tensor_f(b), idx(b.s)
-                    value = tensor.read_scalar(i) \
-                        if numeric and tensor.data is not None else 0
-                    return value, tensor.itemsize / b.feed, tensor.itemsize, \
-                        None
-                return load_scalar
-            idx, cols = self.operand(a[1]), self.pair(a[2])
-
-            def gather(b, numeric):
-                tensor, iv, (c0, c1) = tensor_f(b), idx(b), cols(b.s)
-                shape = (iv.shape[0], c1 - c0)
-                nbytes = shape[0] * shape[1] * tensor.itemsize
-                data = None
-                if numeric:
-                    if iv.data is None:
-                        raise ShapeError("gather_rows index tile has no data")
-                    data = padded_to(tensor.gather_rows(iv.data, (c0, c1)),
-                                     shape, tensor.dtype)
-                # random-access gather: 1.5x streaming cost
-                return (_tile(shape, tensor.dtype, data),
-                        1.5 * nbytes / b.feed, 1.5 * nbytes, None)
-            return gather
+                w(f"_i = {self.src(a[1], True)}")
+                w(f"_v = {tensor}.read_scalar(_i) if {tensor}.data is not None "
+                  "else 0" if numeric else "_v = 0")
+                w(f"_h = {tensor}.itemsize")
+                return "_h / feed", "_h", ()
+            w(f"_x = {self.operand(a[1])}")
+            w(f"_c0, _c1 = {self.pair(a[2])}")
+            w("_sh = (_x.shape[0], _c1 - _c0)")
+            w(f"_nb = _sh[0] * _sh[1] * {tensor}.itemsize")
+            data = "None"
+            if numeric:
+                w("if _x.data is None: raise ShapeError("
+                  "'gather_rows index tile has no data')")
+                data = f"padded_to({tensor}.gather_rows(_x.data, (_c0, _c1)), " \
+                    f"_sh, {tensor}.dtype)"
+            w(f"_v = _tile(_sh, {tensor}.dtype, {data})")
+            # random-access gather: 1.5x streaming cost
+            return "1.5 * _nb / feed", "1.5 * _nb", ()
 
         if op in ("store", "store_vec", "atomic_add", "scatter_add_rows"):
-            tensor_f = self.ref(a[0], f"{op} requires a local tensor"
-                                if op == "scatter_add_rows" else
-                                f"{op} targets a remote tensor; use "
-                                "tl.tile_push_data")
-            rows = self.operand(a[1]) if op == "scatter_add_rows" \
-                else self.pair(a[1])
-            cols = None if op == "store_vec" else self.pair(a[2])
-            val_f = self.operand(a[-1])
+            tensor, _ = self.ref(a[0], f"{op} requires a local tensor"
+                                 if op == "scatter_add_rows" else
+                                 f"{op} targets a remote tensor; use "
+                                 "tl.tile_push_data")
+            w(f"_w = {self.operand(a[1])}" if op == "scatter_add_rows"
+              else f"_r0, _r1 = {self.pair(a[1])}")
+            if op != "store_vec":
+                w(f"_c0, _c1 = {self.pair(a[2])}")
+            w(f"_x = {self.operand(a[-1])}")
+            w("if not isinstance(_x, TileVal): raise LoweringError("
+              f"{op + ' value must be a tile'!r})")
+            w("_nb, _v = _x.nbytes, None")
             factor = {"atomic_add": 2.0, "scatter_add_rows": 2.5}.get(op, 1.0)
-
-            def store(b, numeric):
-                tensor = tensor_f(b)
-                where = rows(b) if op == "scatter_add_rows" else rows(b.s)
-                ranges = (where,) if cols is None else (where, cols(b.s))
-                val = val_f(b)
-                if not isinstance(val, TileVal):
-                    raise LoweringError(f"{op} value must be a tile")
-                nbytes, data, effect = val.nbytes, val.data, None
-                if numeric and op == "scatter_add_rows":
-                    if where.data is None or data is None:
-                        raise ShapeError(
-                            "scatter_add_rows needs numeric operands")
-                    ids = where.data.astype(np.int64)
-
-                    def effect():
-                        tensor.scatter_add_rows(ids, ranges[1], data)
-                elif numeric:
-                    write = tensor.accumulate_tile if op == "atomic_add" \
-                        else tensor.write_tile
-
-                    def effect():
-                        write(ranges, data)
-                return None, factor * nbytes / b.feed, factor * nbytes, effect
-            return store
+            effect = ()
+            if numeric and op == "scatter_add_rows":
+                w("if _w.data is None or _x.data is None: raise ShapeError("
+                  "'scatter_add_rows needs numeric operands')")
+                w("_ids = _w.data.astype(np.int64)")
+                effect = (f"{tensor}.scatter_add_rows(_ids, (_c0, _c1), "
+                          "_x.data)",)
+            elif numeric:
+                write = "accumulate" if op == "atomic_add" else "write"
+                ranges = "((_r0, _r1),)" if op == "store_vec" \
+                    else "((_r0, _r1), (_c0, _c1))"
+                effect = (f"{tensor}.{write}_tile({ranges}, _x.data)",)
+            return f"{factor!r} * _nb / feed", f"{factor!r} * _nb", effect
 
         if op == "dot":
-            lhs, rhs = self.operand(a[0]), self.operand(a[1])
-            acc = None if kw.get("acc") is None else self.operand(kw["acc"])
-
-            def dot(b, numeric):
-                x, y = lhs(b), rhs(b)
-                acc_val = None if acc is None else acc(b)
-                if len(x.shape) != 2 or len(y.shape) != 2 or \
-                        x.shape[1] != y.shape[0]:
-                    raise ShapeError(
-                        f"dot shape mismatch {x.shape} x {y.shape}")
-                (m, k), n = x.shape, y.shape[1]
-                data = None
-                if numeric:
-                    data = x.data.astype(np.float32) @ \
-                        y.data.astype(np.float32)
-                    if acc_val is not None and acc_val.data is not None:
-                        data = data + acc_val.data.astype(np.float32)
-                return (_tile((m, n), F32, data), b.cost.mma_time(m, n, k),
-                        0.0, None)
-            return dot
+            w(f"_x, _y = {self.operand(a[0])}, {self.operand(a[1])}")
+            acc = kw.get("acc")
+            w(f"_z = {'None' if acc is None else self.operand(acc)}")
+            w("_xs, _ys = _x.shape, _y.shape")
+            w("if len(_xs) != 2 or len(_ys) != 2 or _xs[1] != _ys[0]: "
+              "raise ShapeError(f'dot shape mismatch {_xs} x {_ys}')")
+            if numeric:
+                w("_p = _x.data.astype(F32) @ _y.data.astype(F32)")
+                w("if _z is not None and _z.data is not None: "
+                  "_p = _p + _z.data.astype(F32)")
+            w(f"_v = _tile((_xs[0], _ys[1]), F32, {'_p' if numeric else None})")
+            return "mma_time(_xs[0], _ys[1], _xs[1])", None, ()
 
         if op not in ELEMENTWISE_FLOPS:
             raise LoweringError(f"unknown tile op {op!r}")
-        flops, x_f = ELEMENTWISE_FLOPS[op], self.operand(a[0])
+        flops, x = self.lit(ELEMENTWISE_FLOPS[op]), self.operand(a[0])
         if op in ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile"):
-            y_f, stubs = self.operand(a[1]), {}
-
-            def binary(b, numeric):
-                x, y = x_f(b), y_f(b)
-                if numeric:
-                    out = apply_binary(op, x, y)
-                else:
-                    key = tuple((v.shape, v.dtype) if isinstance(v, TileVal)
-                                else ((), F32) for v in (x, y))
-                    if key not in stubs:
-                        (sa, da), (sb, db) = key
-                        stubs[key] = (tuple(np.broadcast_shapes(sa, sb)),
-                                      np.result_type(da, db))
-                    out = _tile(*stubs[key])
-                return out, b.cost.vector_tile_time(out.size, flops, 0.0), \
-                    0.0, None
-            return binary
+            w(f"_x, _y = {x}, {self.operand(a[1])}")
+            w(f"_v = apply_binary({op!r}, _x, _y)" if numeric else
+              f"_v = _binary_stub({self.const({})}, _x, _y)")
+            return f"vtime(_v.size, {flops}, 0.0)", None, ()
         dtype = resolve_dtype(a[1]) if op == "cast" else \
             F32 if op in ("exp", "log", "silu", "gelu", "row_max", "row_sum") \
             else None
-        if op in ("row_max", "row_sum"):
-            reduce = np.max if op == "row_max" else np.sum
-
-        def elementwise(b, numeric):
-            x = x_f(b)
-            if numeric and op in ("exp", "log", "relu", "neg", "silu", "gelu"):
-                out = apply_unary(op, x)
-            else:
-                data = x.data if numeric else None
-                shape = x.shape
-                if op == "cast" and data is not None:
-                    data = data.astype(dtype)
-                elif op == "copy" and data is not None:
-                    data = data.copy()
-                elif op == "expand_dims":
-                    shape = (*x.shape, 1)
-                    data = None if data is None else data.reshape(shape)
-                elif op in ("row_max", "row_sum"):
-                    if len(x.shape) != 2:
-                        raise ShapeError(
-                            f"{op} expects a 2-d tile, got {x.shape}")
-                    shape = (x.shape[0],)
-                    data = None if data is None else reduce(
-                        data.astype(np.float32), axis=1)
-                out = _tile(shape, dtype or x.dtype, data)
-            seconds = 0.0 if op in ("copy", "expand_dims") else \
-                b.cost.vector_tile_time(x.size, flops, 0.0)
-            return out, seconds, 0.0, None
-        return elementwise
+        dtype = "_x.dtype" if dtype is None else self.const(dtype)
+        w(f"_x = {x}")
+        if numeric:
+            w(f"_v = apply_unary({op!r}, _x, {dtype})")
+        elif op == "expand_dims":
+            w("_v = _tile((*_x.shape, 1), _x.dtype)")
+        elif op in ("row_max", "row_sum"):
+            w("if len(_x.shape) != 2: raise ShapeError("
+              f"f'{op} expects a 2-d tile, got {{_x.shape}}')")
+            w(f"_v = _tile((_x.shape[0],), {dtype})")
+        else:
+            w(f"_v = _tile(_x.shape, {dtype})")
+        if op in ("copy", "expand_dims"):
+            return None, None, ()
+        return f"vtime(_x.size, {flops}, 0.0)", None, ()
 
     # ------------------------------------------------------------- primitives
 
-    def _primitive(self, s: Primitive) -> Callable:
-        a, kw, name = s.args, s.kwargs, s.name
+    def primitive(self, s: Primitive) -> None:
+        a, kw, name, w = s.args, s.kwargs, s.name, self.w
         if name == "producer_tile_notify":
-            tid = self.fn(a[0], int)
+            tid = self.src(a[0], True)
             mode = a[1] if len(a) > 1 else kw.get("mode", "p2p")
-            to = None if kw.get("to") is None else self.fn(kw["to"], int)
-
-            def notify(b):
-                sc = b.s
-                for bank, cell, amount in sc[CHANNEL].notify_posts(
-                        tid(sc), mode, None if to is None else to(sc)):
-                    bank.post_add(cell, amount, from_rank=b.rank)
-            return notify
-
+            to = "None" if kw.get("to") is None else self.src(kw["to"], True)
+            w(f"for _b, _c, _n in ch.notify_posts({tid}, {self.lit(mode)}, "
+              f"{to}):")
+            self.nest(lambda: w("_b.post_add(_c, _n, from_rank=rank)"))
+            return
         if name == "peer_tile_notify":
-            cell, dst = self.fn(a[0], int), self.fn(a[1], int)
-
-            def peer_notify(b):
-                sc = b.s
-                sc[CHANNEL].peer_bank(dst(sc)).post_add(cell(sc), 1,
-                                                       from_rank=b.rank)
-            return peer_notify
-
+            cell, dst = self.src(a[0], True), self.src(a[1], True)
+            w(f"ch.peer_bank({dst}).post_add({cell}, 1, from_rank=rank)")
+            return
         if name in ("consumer_tile_wait", "peer_tile_wait"):
-            cell = self.fn(a[0], int)
-            rank = self.fn(a[1], int) if name == "peer_tile_wait" else None
-            count = self.fn(kw.get("count", Const(1)), int)
-
-            def wait(b):
-                sc, t0 = b.s, b.sim.now
-                ch = sc[CHANNEL]
-                if rank is None:
-                    for channel_idx, threshold in ch.consumer_wait_list(
-                            cell(sc)):
-                        yield ch.barriers.wait_geq(channel_idx, threshold)
-                else:
-                    c, r, n = cell(sc), rank(sc), count(sc)
-                    yield ch.peer_bank(r).wait_geq(c, n)
-                b.record("sync", t0)
-            return wait
+            cell = self.src(a[0], True)
+            rank = self.src(a[1], True) if name == "peer_tile_wait" else None
+            count = self.src(kw.get("count", Const(1)), True)
+            if self.trace:
+                w("_t0 = sim.now")
+            if rank is None:
+                w(f"for _c, _n in ch.consumer_wait_list({cell}):")
+                self.nest(lambda: w("yield ch.barriers.wait_geq(_c, _n)"))
+            else:
+                w(f"_c, _r, _n = {cell}, {rank}, {count}")
+                w("yield ch.peer_bank(_r).wait_geq(_c, _n)")
+            self.record("sync")
+            return
 
         if name not in ("tile_push_data", "tile_pull_data"):
             raise LoweringError(f"unsupported primitive {name!r}")
         if not isinstance(a[0], TensorRef):
             raise LoweringError(f"{name} needs a tensor argument")
-        tid_m = self.fn(a[1], int)
-        tid_n = self.fn(a[2] if len(a) > 2 else Const(0), int)
+        tid_m = self.src(a[1], True)
+        tid_n = self.src(a[2] if len(a) > 2 else Const(0), True)
+        if self.trace:
+            w("_t0 = sim.now")
         if name == "tile_push_data":
-            val_f, ref = self.operand(a[3]), self.ref(a[0])
-
-            def push(b):
-                sc, t0 = b.s, b.sim.now
-                i, j, val = tid_m(sc), tid_n(sc), val_f(b)
-                ranges = sc[CHANNEL].comm_tile_ranges(i, j)
-                dst, dst_rank = ref(b)
-                data = val.data
-
-                def effect():
-                    dst.write_tile(ranges, data)
-                if dst_rank == b.rank:
-                    return b.charge(val.nbytes / b.feed, val.nbytes, "comm",
-                                    effect if b.execute else None)
-                delay = b.transfer(b.rank, dst_rank, val.nbytes)
-                if b.execute:
-                    b.sim.call_later(delay, effect)
-                return _charged(b, delay, t0, "comm") if delay > 0 else None
-            return push
-
+            w(f"_i, _j, _x = {tid_m}, {tid_n}, {self.operand(a[3])}")
+            w("_rg = ch.comm_tile_ranges(_i, _j)")
+            tensor, owner = self.ref(a[0])
+            w("_nb = _x.nbytes")
+            write = f"{tensor}.write_tile(_rg, _x.data)"
+            w(f"if {owner} == rank:")
+            self.nest(lambda: self.charge("_nb / feed", "_nb", "comm",
+                                          (write,) if self.numeric else ()))
+            w("else:")
+            self.pad += "    "
+            w(f"_d = max(0.0, reserve(rank, {owner}, _nb, 'p2p')[1] - sim.now)")
+            if self.numeric:
+                w(f"sim.call_later(_d, lambda t={tensor}, r=_rg, d=_x.data: "
+                  "t.write_tile(r, d))")
+            w("if _d > 0:")
+            self.nest(lambda: self.timeout("_d", "comm"))
+            self.pad = self.pad[:-4]
+            return
         # the payload is snapshotted at issue time on the source rank,
         # matching NVSHMEM get semantics
-        source, target = a[0].name, s.target
+        w(f"_i = {tid_m}")
+        w(f"_src, _rows, _cols = ch.pull_source(_i, {tid_n})")
+        w(f"_B = bindings.get({a[0].name!r})")
+        w("if not isinstance(_B, list): raise LoweringError("
+          "'tile_pull_data source must be symmetric')")
+        w("_T = _B[_src]")
+        w("if _rows[0] < 0 or _rows[1] > _T.shape[0]: raise LoweringError("
+          "f\"tile_pull_data tile {_i} rows {_rows} fall outside rank "
+          "{_src}'s shard\")")
+        w("_sh = (int(_rows[1] - _rows[0]), int(_cols[1] - _cols[0]))")
+        w("_nb = _sh[0] * _sh[1] * _T.itemsize")
+        data = "padded_to(_T.read_tile((_rows, _cols)), _sh, _T.dtype)" \
+            if self.numeric else "None"
+        w(f"_v = _tile(_sh, _T.dtype, {data})")
+        if s.target is not None:
+            w(f"{self.local('tile', s.target)} = _v")
+        w("_d = _nb / feed if _src == rank else "
+          "max(0.0, reserve(_src, rank, _nb, 'p2p')[1] - sim.now)")
+        w("if _d > 0:")
+        self.nest(lambda: self.timeout("_d", "comm"))
 
-        def pull(b):
-            t0, sc = b.sim.now, b.s
-            i = tid_m(sc)
-            src_rank, rows, cols = sc[CHANNEL].pull_source(i, tid_n(sc))
-            bound = b.bindings.get(source)
-            if not isinstance(bound, list):
-                raise LoweringError("tile_pull_data source must be symmetric")
-            src = bound[src_rank]
-            if rows[0] < 0 or rows[1] > src.shape[0]:
-                raise LoweringError(
-                    f"tile_pull_data tile {i} rows {rows} fall outside "
-                    f"rank {src_rank}'s shard")
-            shape = (int(rows[1] - rows[0]), int(cols[1] - cols[0]))
-            nbytes = shape[0] * shape[1] * src.itemsize
-            data = padded_to(src.read_tile((rows, cols)), shape, src.dtype) \
-                if b.execute else None
-            if target is not None:
-                b.t[target] = _tile(shape, src.dtype, data)
-            delay = nbytes / b.feed if src_rank == b.rank \
-                else b.transfer(src_rank, b.rank, nbytes)
-            return _charged(b, delay, t0, "comm") if delay > 0 else None
-        return pull
+    # ------------------------------------------------------------------ loops
+
+    def loop(self, s: For, mode: str, acc: tuple) -> None:
+        bounds = [self.expr(e) for e in (s.start, s.stop, s.step)]
+        srcs = [self.lit(int(v)) if c else f"int({v})" for c, v in bounds]
+        plan = self.plan(s) if s.pipelined else []
+        if s.aggregable and any(isinstance(t, Primitive)
+                                for t in walk_block(s.body)):
+            raise LoweringError("primitive inside aggregable loop")
+        known = None  # the iterations, when the bounds are constants
+        if all(c for c, _ in bounds) and int(bounds[2][1]) != 0:
+            known = range(*(int(v) for _, v in bounds))
+            it = f"range({', '.join(srcs)})"
+        else:
+            it = self.fresh("_it")
+            self.w(f"{it} = ({', '.join(srcs)})")
+            self.w(f"if {it}[2] == 0: raise SimulationError('loop step of 0')")
+            self.w(f"{it} = range(*{it})")
+        var = self.local("scalar", s.var)
+        trips = f"len({it})" if known is None else str(len(known))
+        first = f"{it}[0]" if known is None or not known else str(known[0])
+
+        def steps():
+            self.w(f"for {var} in {it}:")
+            self.nest(lambda: (self.prefetch(plan),
+                               self.block(s.body, "timed")))
+
+        if mode == "replay":
+            self.w(f"for {var} in {it}:")
+            self.nest(lambda: self.block(s.body, "replay"))
+        elif mode == "probe":
+            # the trips times the cost of the first iteration
+            def probe():
+                per, nbytes = self.probe(s, var, first)
+                self.w(f"{acc[0]} += {trips} * ({per})")
+                self.w(f"{acc[2]} += {trips} * {nbytes}")
+            if known is None:
+                self.w(f"if {it}:")
+                self.nest(probe)
+            elif known:
+                probe()
+        elif not s.aggregable or known is not None and len(known) < 2:
+            steps()
+        elif known is not None:
+            self.aggregate(s, var, it, trips, first)
+        else:
+            self.w(f"if {trips} < 2:")
+            self.nest(steps)
+            self.w("else:")
+            self.nest(lambda: self.aggregate(s, var, it, trips, first))
+
+    def probe(self, s: For, var: str, first: str) -> tuple[str, str]:
+        """Emit the probe of ``s``'s first iteration; returns the sources of
+        one iteration's seconds and HBM bytes."""
+        compute, load, nbytes = acc = \
+            self.fresh("_ac"), self.fresh("_al"), self.fresh("_ah")
+        self.w(f"{var} = {first}")
+        self.w(f"{' = '.join(acc)} = 0.0")
+        self.block(s.body, "probe", acc)
+        # pipelined loops overlap load and compute
+        return (f"max({load}, {compute})" if s.pipelined
+                else f"{load} + {compute}"), nbytes
+
+    def aggregate(self, s: For, var: str, it: str, trips: str,
+                  first: str) -> None:
+        """Analytic pricing of a primitive-free loop, then, in numeric mode,
+        every iteration replayed from the state before the probe."""
+        if self.numeric:
+            stmts = list(walk_block([s]))  # no primitives: no pulled tiles
+            names = sorted({self.local("scalar", n) for n in map(
+                scalar_target, stmts) if n} | {self.local("tile", t.target)
+                for t in stmts if isinstance(t, TileOp) and t.target
+                and t.op != "load_scalar"})
+            saved = self.fresh("_sv")
+            self.w(f"{saved} = tuple(map(locals().get, {tuple(names)!r}, "
+                   f"(_UNSET,) * {len(names)}))")
+        per, nbytes = self.probe(s, var, first)
+        self.w(f"{nbytes} = {trips} * {nbytes} * AGG_DRAM_DISCOUNT")
+        self.w("_t0 = sim.now")
+        self.w(f"_a = reserve_hbm({nbytes}) if {nbytes} > 0 else _t0")
+        self.w(f"yield Timeout(max(cost.MMA_PROLOGUE + {trips} * ({per}), "
+               "_a - _t0))")
+        self.record("compute")
+        if self.numeric:
+            self.w(f"{', '.join(names)}, = {saved}")
+            for name in names:
+                self.w(f"if {name} is _UNSET: del {name}")
+            self.w(f"for {var} in {it}:")
+            self.nest(lambda: self.block(s.body, "replay"))
+
+    def plan(self, s: For) -> list[Stmt]:
+        """The body statements a pipelined loop's prefetch replays: scalar
+        assignments up to the last prefetchable load, and those loads."""
+        plan: list[Stmt] = []
+        for t in s.body:
+            if isinstance(t, AssignScalar):
+                plan.append(t)
+            elif isinstance(t, TileOp) and t.prefetchable and t.op in (
+                    "load", "load_vec"):
+                mark = len(self.lines)
+                try:
+                    self.tile_op(t, self.numeric)
+                except (LoweringError, ShapeError):
+                    continue  # its statement raises when it runs
+                finally:
+                    del self.lines[mark:]
+                plan.append(t)
+        while plan and isinstance(plan[-1], AssignScalar):
+            plan.pop()  # assignments after the last load address nothing
+        return plan
+
+    def prefetch(self, plan: list[Stmt]) -> None:
+        """Hoist prefetchable loads to iteration start (pipeliner model):
+        the assignments replay into shadow locals to materialize addresses,
+        and values are snapshotted *now*, before the body's waits run, which
+        is safe only for loads the consistency pass left unpinned.  A failed
+        assignment ends the prefetch; a failed load is skipped."""
+        if not plan:
+            return
+        self.w("try:")
+        try:
+            self.nest(lambda: [self.prefetch_one(t) for t in plan])
+        finally:
+            self.shadow = {}
+        self.w("except (LoweringError, NameError): pass")
+
+    def prefetch_one(self, t: Stmt) -> None:
+        if isinstance(t, AssignScalar):
+            try:
+                value = self.src(t.value)
+            except Exception as exc:
+                self.fail(t, exc)
+                return
+            self.shadow[t.target] = "p" + self.local("scalar", t.target)
+            self.w(f"{self.shadow[t.target]} = {value}")
+            return
+        slot = None if t.target is None else \
+            self.slots.setdefault(id(t), self.fresh("pf"))
+        self.w("try:")
+        self.nest(lambda: (self.tile_op(t, self.numeric),
+                           slot and self.w(f"{slot} = _v")))
+        self.w("except (LoweringError, ShapeError, NameError): pass")
+
+    # --------------------------------------------------------------- function
+
+    def function(self) -> Callable:
+        ir, name, w = self.ir, self.name, self.w
+        self.pad = "        "
+        self.block(ir.body, "timed")
+        body, self.lines, self.pad = self.lines, [], "    "
+        param = ir.channel_param
+        if param is not None:
+            message = f"kernel {name!r} expects a BlockChannel for " \
+                f"parameter {param!r}"
+            w(f"ch = bindings.get({param!r})")
+            w("if not isinstance(ch, BlockChannel): "
+              f"raise RuntimeLaunchError({message!r})")
+        reads = set().union(*map(scalar_reads, ir.walk_stmts()))
+        for p in self.program.tensor_params:
+            w(f"if {p!r} not in bindings: raise RuntimeLaunchError("
+              f"{f'kernel {name!r} missing argument {p!r}'!r})")
+            if p in reads:
+                w(f"if isinstance(bindings[{p!r}], (int, float)): "
+                  f"{self.local('scalar', p)} = bindings[{p!r}]")
+        for k, v in self.reassigned.items():
+            w(f"{self.local('scalar', k)} = {self.lit(v)}")
+        w("sim, cost, device = machine.sim, machine.cost, "
+          "machine.device(rank)")
+        w("feed = cost.spec.smem_bandwidth_per_sm")
+        w("reserve_hbm, reserve = device.reserve_hbm, "
+          "machine.interconnect.reserve")
+        w("mma_time, vtime = cost.mma_time, cost.vector_tile_time")
+        if self.trace:
+            w("record = machine.record")
+        for tensor, (t, o) in self.refs.items():
+            w(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})")
+        for slot in self.slots.values():
+            w(f"{slot} = None")
+        source = "\n".join([
+            "def block(machine, rank, bid, nblocks, bindings, label):",
+            *self.lines, "    try:", *(body or ["        pass"]),
+            "    except NameError as exc:",
+            f"        _undefined(exc, {name!r}, {self.const(self.names)})",
+            "        raise", "    if 0:", "        yield"])
+        exec(compile(source, f"<kernel {name}>", "exec"), self.ns)
+        return self.ns["block"]

@@ -6,15 +6,13 @@ Specializations are cached per (constexpr binding, options) on the
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
 from repro.errors import CompileError
 from repro.lang.dsl import KernelDef
-from repro.lang.ir import KernelIR
-from repro.compiler.interp import lower
+from repro.lang.ir import KernelIR, copy_block
 from repro.compiler.passes import (
     annotate_loops,
     enforce_consistency,
@@ -58,9 +56,9 @@ class CompiledProgram:
     ir: KernelIR
     constexprs: dict[str, Any]
     options: CompileOptions
-    #: the IR's statements lowered into closures
-    #: (:func:`repro.compiler.interp.lower`)
-    lowered: tuple = field(default=(), repr=False)
+    #: the block functions :func:`repro.compiler.interp.generate` wrote,
+    #: by mode ``(execute_numerics, trace)``, each on the mode's first run
+    generated: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def tensor_params(self) -> list[str]:
@@ -79,7 +77,8 @@ def compile_kernel(kdef: KernelDef, constexprs: dict[str, Any],
     if cached is not None:
         return cached
 
-    ir = copy.deepcopy(kdef.ir)
+    # the passes annotate statements only: share the frozen expressions
+    ir = replace(kdef.ir, body=copy_block(kdef.ir.body))
     for p, v in constexprs.items():
         if p not in ir.constexpr_params:
             raise CompileError(
@@ -98,6 +97,6 @@ def compile_kernel(kdef: KernelDef, constexprs: dict[str, Any],
         check_compiled_ir(ir)
     bound = {p: constexprs[p] for p in ir.constexpr_params}
     program = CompiledProgram(name=kdef.name, ir=ir, constexprs=bound,
-                              options=options, lowered=lower(ir, bound))
+                              options=options)
     kdef._programs[key] = program
     return program

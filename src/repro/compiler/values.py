@@ -107,13 +107,30 @@ ELEMENTWISE_FLOPS = {
 }
 
 
-def apply_unary(op: str, x: TileVal) -> TileVal:
-    fn = _UNARY[op]
-    data = fn(x.data) if x.data is not None else None
-    dtype = np.float32 if op in ("exp", "log", "silu", "gelu") else x.dtype
-    if data is not None:
-        data = data.astype(dtype, copy=False)
-    return TileVal(x.shape, dtype, data)
+def apply_unary(op: str, x: TileVal, dtype: np.dtype | None = None
+                ) -> TileVal:
+    """One-operand tile op ``op`` on ``x`` (``dtype``: a cast's target)."""
+    data, shape = x.data, x.shape
+    if op in _UNARY:
+        dtype = np.float32 if op in ("exp", "log", "silu", "gelu") \
+            else x.dtype
+        if data is not None:
+            data = _UNARY[op](data).astype(dtype, copy=False)
+    elif op in ("row_max", "row_sum"):
+        if len(shape) != 2:
+            raise ShapeError(f"{op} expects a 2-d tile, got {shape}")
+        shape, dtype = (shape[0],), np.float32
+        if data is not None:
+            data = (np.max if op == "row_max" else np.sum)(
+                data.astype(np.float32), axis=1)
+    elif op == "expand_dims":
+        shape, dtype = (*shape, 1), x.dtype
+        data = None if data is None else data.reshape(shape)
+    else:  # cast, copy
+        dtype = dtype or x.dtype
+        if data is not None:
+            data = data.astype(dtype) if op == "cast" else data.copy()
+    return TileVal(shape, dtype, data)
 
 
 def apply_binary(op: str, a: TileVal | float, b: TileVal | float) -> TileVal:

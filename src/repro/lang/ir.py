@@ -1,8 +1,8 @@
 """Structured tile IR.
 
 The frontend compiles a kernel's Python AST into this IR; compiler passes
-annotate it; the backend lowers it once into closures and runs them per
-block on the simulated device.
+annotate it; the backend generates Python code for it once per mode and
+runs that per block on the simulated device.
 
 Two value categories exist at run time:
 
@@ -152,9 +152,9 @@ class AssignScalar(Stmt):
 class TileOp(Stmt):
     """A tile-producing/consuming operation assigned to a local name.
 
-    ``op`` selects the semantics (see the op closures
-    ``repro.compiler.interp`` lowers it to); ``args`` holds Exprs,
-    TensorRefs, strings and nested (lo, hi) Expr pairs, per-op.
+    ``op`` selects the semantics (see the code ``repro.compiler.interp``
+    generates for it); ``args`` holds Exprs, TensorRefs, strings and nested
+    (lo, hi) Expr pairs, per-op.
     ``target`` is None for pure-effect ops (store).
     """
 
@@ -238,6 +238,23 @@ class KernelIR:
     def walk_stmts(self) -> Iterator[Stmt]:
         """All statements, depth first."""
         return walk_block(self.body)
+
+
+def copy_block(body: list[Stmt]) -> list[Stmt]:
+    """A copy of ``body``'s statement tree, for passes to annotate; the
+    frozen expressions and tensor references stay shared."""
+    out = []
+    for s in body:
+        c = object.__new__(type(s))
+        c.__dict__.update(s.__dict__)
+        if isinstance(s, For):
+            c.body = copy_block(s.body)
+        elif isinstance(s, If):
+            c.then, c.orelse = copy_block(s.then), copy_block(s.orelse)
+        elif isinstance(s, TileOp):
+            c.guards = list(s.guards)
+        out.append(c)
+    return out
 
 
 def walk_block(body: list[Stmt]) -> Iterator[Stmt]:

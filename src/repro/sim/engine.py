@@ -112,20 +112,6 @@ class Process:
         state = "done" if self.done else "live"
         return f"<Process {self.name} {state}>"
 
-    def _step(self, value: Any) -> None:
-        """Advance the generator by one yield, arming the next awaitable."""
-        try:
-            awaited = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        if not isinstance(awaited, Awaitable):
-            raise SimulationError(
-                f"process {self.name!r} yielded {type(awaited).__name__}, "
-                "expected an Awaitable (Timeout, Join, resource/signal wait)"
-            )
-        awaited.arm(self.sim, self)
-
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
@@ -200,11 +186,12 @@ class Simulator:
         Raises :class:`DeadlockError` if live processes remain blocked when
         the queue drains — the signature of a lost notify in a fused kernel.
         """
-        while self._heap:
-            t, _seq, proc, value = heapq.heappop(self._heap)
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        while heap:
+            t, _seq, proc, value = pop(heap)
             if until is not None and t > until:
                 # push back and stop at the horizon
-                heapq.heappush(self._heap, (t, _seq, proc, value))
+                push(heap, (t, _seq, proc, value))
                 self.now = until
                 return self.now
             if t < self.now - 1e-18:
@@ -215,7 +202,23 @@ class Simulator:
                 continue
             if proc.done:
                 continue
-            proc._step(value)
+            # resume the process by one yield and arm what it awaits; a
+            # Timeout, by far the most common, is scheduled in place
+            try:
+                awaited = proc.gen.send(value)
+            except StopIteration as stop:
+                proc._finish(stop.value)
+                continue
+            if awaited.__class__ is Timeout:
+                self._seq += 1
+                push(heap, (t + awaited.delay, self._seq, proc, awaited.value))
+            elif isinstance(awaited, Awaitable):
+                awaited.arm(self, proc)
+            else:
+                raise SimulationError(
+                    f"process {proc.name!r} yielded {type(awaited).__name__}, "
+                    "expected an Awaitable (Timeout, Join, resource/signal "
+                    "wait)")
         if self._live > 0 and until is None:
             blocked = [p.name for p in self._procs if not p.done]
             raise DeadlockError(

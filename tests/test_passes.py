@@ -164,3 +164,23 @@ def test_remote_load_blocks_aggregation():
 
     prog = compile_kernel(remote, {"W": 2, "BM": 8})
     assert not _loops(prog.ir)[0].aggregable
+
+
+def test_specializations_copy_statements_and_share_expressions():
+    piped = compile_kernel(_gemm_like, {"K": 96, "BK": 16})
+    flat = compile_kernel(_gemm_like, {"K": 96, "BK": 16},
+                          CompileOptions(num_stages=1))
+    frontend = list(walk_block(_gemm_like.ir.body))
+    stmts = [list(walk_block(p.ir.body)) for p in (piped, flat)]
+    assert not {id(s) for s in stmts[0]} & {id(s) for s in stmts[1]}
+    assert not {id(s) for s in frontend} & {id(s) for p in stmts for s in p}
+    assert _loops(piped.ir)[0].pipelined
+    assert not _loops(flat.ir)[0].pipelined
+    assert not any(l.prefetchable for l in _loads(flat.ir))
+    # the passes annotate copies: the kernel's own IR stays unannotated
+    assert not any(getattr(s, "aggregable", False)
+                   or getattr(s, "pipelined", False)
+                   or getattr(s, "prefetchable", False)
+                   or getattr(s, "guards", None) for s in frontend)
+    # the frozen expressions are shared, not copied
+    assert _loads(piped.ir)[0].args[1] is _loads(_gemm_like.ir)[0].args[1]

@@ -13,6 +13,8 @@ trace intervals and every tensor's contents.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,81 @@ def test_op_coverage_kernels_match_oracle(name, numeric, trace, monkeypatch):
     if numeric:
         assert any(np.any(data) for (tensor, _), data in sim["tensors"].items()
                    if tensor in ("out", "mx", "c"))
+
+
+# -- run-time errors: raised by the same statement, at the same time ---------
+
+
+@kernel
+def _undefined_tile(out, N: tl.constexpr):
+    v = tl.full((N,), 1.0, "float32")
+    if N > 100:
+        w = v
+    tl.store_vec(out, (0, N), w)
+
+
+@kernel
+def _zero_step(out, N: tl.constexpr):
+    s = N * 0
+    for _ in range(0, N, s):
+        v = tl.full((N,), 1.0, "float32")
+        tl.store_vec(out, (0, N), v)
+
+
+@kernel
+def _negative_extent(out, N: tl.constexpr):
+    x = tl.load(out, (N, 0), (0, N))
+    tl.store(out, (0, N), (0, N), x)
+
+
+@kernel
+def _fails_when_run(out, N: tl.constexpr):
+    v = tl.full((N,), 1.0, "float32")
+    tl.store_vec(out, (0, N), v)
+    if N > 100:
+        bad = 1 // 0  # never runs: must not raise
+    tl.store_vec(out, (0, N), v)
+    worse = N // 0
+
+
+@kernel
+def _undefined_in_replay(out, N: tl.constexpr):
+    for i in range(N):
+        v = tl.full((N,), 1.0, "float32")
+        tl.store_vec(out, (0, N), v)
+        if i > 1:
+            q = missing + 1  # noqa: F821, F841
+
+
+ERRORS = [
+    (_undefined_tile, "undefined tile 'w'"),
+    (_zero_step, "loop step of 0"),
+    (_negative_extent, r"negative load extent \(-4, 4\)"),
+    (_fails_when_run, "integer division or modulo by zero"),
+    (_undefined_in_replay, "undefined scalar 'missing'"),
+]
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["timing", "numeric"])
+@pytest.mark.parametrize("kdef,error", ERRORS,
+                         ids=[kdef.name for kdef, _ in ERRORS])
+def test_errors_match_oracle(kdef, error, numeric, monkeypatch):
+    def run():
+        ctx = DistContext.create(SimConfig(world_size=1,
+                                           execute_numerics=numeric))
+        ctx.alloc("out", (4, 4) if kdef is _negative_extent else (4,),
+                  "float32")
+        ctx.launch_spmd(kdef, 1, {"out": ctx.heap.tensors("out"), "N": 4})
+        try:
+            ctx.run()
+        except Exception as exc:  # the error, and when the block raised it
+            return type(exc), str(exc), ctx.machine.sim._seq, ctx.machine.now
+        return None, None, ctx.machine.sim._seq, ctx.machine.now
+
+    generated = run()
+    monkeypatch.setattr(launcher, "run_block", oracle_interp.run_block)
+    assert generated == run()
+    if kdef is _undefined_in_replay and not numeric:
+        assert generated[0] is None  # only numeric mode replays the loop
+    else:
+        assert re.search(error, generated[1])

@@ -56,8 +56,8 @@ class CompiledProgram:
     ir: KernelIR
     constexprs: dict[str, Any]
     options: CompileOptions
-    #: the block functions :func:`repro.compiler.interp.generate` wrote,
-    #: by mode ``(execute_numerics, trace)``, each on the mode's first run
+    #: the block functions :func:`repro.compiler.interp.run_block`
+    #: generates, by mode ``(execute_numerics, trace)``, on its first run
     generated: dict = field(default_factory=dict, repr=False)
 
     @cached_property

@@ -1,12 +1,12 @@
-"""Test oracle: the tree-walking interpreter the lowered backend replaced.
+"""Test oracle: the tree-walking interpreter the compiled backend replaced.
 
-``repro.compiler.interp`` lowers each compiled kernel once into closures;
-this module keeps the previous backend, which re-dispatched on every
+``repro.compiler.interp`` generates one Python function per compiled kernel
+and mode; this module keeps the first backend, which re-dispatched on every
 statement and expression of every block, unchanged so that
 ``tests/test_backend_oracle.py`` can swap it in through the
 ``repro.runtime.launcher.run_block`` seam and require both backends to
 produce the same simulation.  Only tests import it.  Its aggregable-loop
-numeric replay still starts from the probed state (the lowered backend
+numeric replay still starts from the probed state (the compiled backend
 replays from the state before the probe), which no registered kernel
 observes.
 

@@ -163,7 +163,8 @@ def _check_event(i: int, event: object) -> tuple:
     if not isinstance(event, (list, tuple)) or not event:
         raise ObsError(f"event {i}: not a non-empty list: {event!r}")
     kind = event[0]
-    fields = EVENT_FIELDS.get(kind)
+    # a list or object kind is unhashable: reject it before the lookup
+    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ObsError(f"event {i}: unknown event kind {kind!r}; "
                        f"expected one of {sorted(EVENT_FIELDS)}")

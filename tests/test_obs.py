@@ -197,6 +197,9 @@ def test_load_rejects_malformed_recordings(tmp_path):
     with pytest.raises(ObsError, match="unknown event kind"):
         load(dump({"format": "repro-obs/1", "kind": "serve",
                    "events": [["teleport", 0.0]]}))
+    with pytest.raises(ObsError, match="unknown event kind"):
+        load(dump({"format": "repro-obs/1", "kind": "serve",
+                   "events": [[["finish"], 1.0, 3]]}))
     with pytest.raises(ObsError, match="expected fields"):
         load(dump({"format": "repro-obs/1", "kind": "serve",
                    "events": [["finish", 1.0]]}))

@@ -17,15 +17,13 @@ must hold O(distinct values) sample state, not O(steps) — the seed's
 per-step lists were tens of MB per result.
 
 ``REPRO_FAST=1`` trims the request count (the floor still applies; the
-engine's throughput is flat in n).  ``REPRO_SERVE_PERF_ROWS=PATH`` dumps
-the measurement as strict JSON for
-``validate_bench_json.py --schema serving-perf``.
+engine's throughput is flat in n).  The floor is asserted here, on the
+measurement itself; ``--json PATH`` records the wall time as a bench row.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -81,14 +79,6 @@ def test_serving_engine_throughput_floor(benchmark) -> None:
           f"= {sim_rps:,.0f} simulated req/s (floor "
           f"{cfg['min_sim_rps']:,.0f})")
     emit_json("Serving perf", f"{cfg['scenario']}/{method}/wall", wall_s)
-
-    rows_path = os.environ.get("REPRO_SERVE_PERF_ROWS")
-    if rows_path:
-        row = {"scenario": cfg["scenario"], "method": method,
-               "n_requests": n, "wall_s": wall_s, "sim_rps": sim_rps,
-               "min_sim_rps": cfg["min_sim_rps"]}
-        with open(rows_path, "w") as fh:
-            json.dump([row], fh, indent=1, sort_keys=True, allow_nan=False)
 
     # the run is real work, not a no-op that games the floor
     assert len(res.logs) == n
@@ -174,7 +164,6 @@ def test_serving_engine_recorder_overhead(benchmark) -> None:
     print(f"\nRecorder overhead — {n} requests: plain {w_plain:.3f}s, "
           f"recorded {w_rec:.3f}s ({overhead:+.1%}, "
           f"{len(recorder.events)} events)")
-    emit_json("Serving perf", "recorder/overhead", max(0.0, overhead))
     # 15% budget with a small absolute epsilon so a sub-100ms baseline
     # doesn't turn timer noise into a flake
     assert w_rec <= w_plain * 1.15 + 0.05, (

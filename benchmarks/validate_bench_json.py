@@ -1,50 +1,18 @@
 """Validate the machine-readable bench emitters' JSON schemas.
 
-Three row shapes are covered, selected with ``--schema``:
-
-* ``bench`` (default) — the ``--json PATH`` option of the benchmark
-  suite (see ``benchmarks/common.py``) dumps every simulated measurement
-  as ``{"bench": str, "config": str, "time_s": float}`` rows; successive
-  PRs diff these files to track a perf trajectory.
-* ``sweep`` — ``SweepReport.rows()`` dumps (one object per shape) as
-  written by ``benchmarks/bench_autotune_sweep.py`` when
-  ``REPRO_SWEEP_ROWS`` is set.  A cache hit without a recorded baseline
-  carries ``default_ms``/``speedup`` as JSON ``null`` — and *only* the
-  null form: a bare ``NaN``/``Infinity`` token is not valid JSON, so the
-  file is parsed with ``parse_constant`` rejecting constants outright.
-* ``serving`` — ``ServingReport.row()`` dumps (one object per
-  (scenario, method) cell) as written by ``benchmarks/bench_serving.py``
-  when ``REPRO_SERVE_ROWS`` is set: throughput, TTFT/TPOT percentiles,
-  queue depth/wait, preemption and recompute totals, pool occupancy and
-  SLO attainment.  TPOT is ``null`` (on *both* percentile fields)
-  exactly when no request ever decoded; the pool-occupancy pair is
-  ``null`` together exactly when the run had no KV pool.
-* ``serving-perf`` — the engine-throughput smoke rows written by
-  ``benchmarks/bench_serving_perf.py`` when ``REPRO_SERVE_PERF_ROWS``
-  is set: wall seconds and simulated requests per wall second for the
-  acceptance workload, plus the floor the run was held to.  A row whose
-  ``sim_rps`` sits below its ``min_sim_rps`` fails validation — the
-  floor travels with the measurement, so a stale file cannot pass.
-* ``obs-trace`` — Chrome trace-event JSON written by
-  ``repro.obs.export.write_trace`` / ``python -m repro.obs export``
-  (dict top-level, not a row list): metadata events first, every slice
-  with finite non-negative ``ts``/``dur`` in non-decreasing ``ts``
-  order, per-request ``cat:"phase"`` slices restricted to the request
-  lifecycle vocabulary and engine slices to prefill/decode/idle — the
-  names Perfetto users grep for, pinned so a rename cannot slip out
-  silently.
-* ``obs-metrics`` — ``MetricsRegistry.snapshot()`` payloads
-  (``{"format": "repro-obs-metrics/1", "metrics": [...]}``): counters
-  are non-negative ints, gauges numbers-or-null, and a histogram's
-  ``max``/``p50``/``p90``/``p99`` are null *together* exactly when its
-  ``count`` is zero.
-
-This validator is the CI tripwire that keeps the contracts from
-rotting: it fails loudly when the file is missing, empty, non-strict
-JSON, or any row drifts off schema.
+Each ``--schema`` is one table of ``{field: (types, rule)}`` below, and
+one walker, :meth:`Schema.__call__`, checks a document against it: ``bench``
+(default) for the benchmark suite's ``--json PATH`` rows, ``sweep`` for
+``SweepReport.rows()``, ``serving`` for ``ServingReport.row()``,
+``obs-trace`` for ``python -m repro.obs export`` traces (``--min-rows``
+counts their slices, the non-metadata events) and ``obs-metrics`` for
+``MetricsRegistry.snapshot()``.  Files are strict JSON: a missing value
+is ``null``, never a bare ``NaN`` or ``Infinity``.  This CI tripwire
+fails loudly on a missing, empty or non-strict file or a row off schema,
+and it reports foreign input as a violation instead of raising.
 
 Usage:  python benchmarks/validate_bench_json.py PATH [--min-rows N]
-          [--schema bench|sweep|serving|serving-perf|obs-trace|obs-metrics]
+          [--schema bench|sweep|serving|obs-trace|obs-metrics]
 """
 
 from __future__ import annotations
@@ -52,411 +20,247 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
-#: schemas: field -> tuple of allowed types; None in the tuple = nullable.
-#: bool is only accepted where it is listed explicitly (it subclasses int).
-ROW_SCHEMA = {
-    "bench": (str,),
-    "config": (str,),
-    "time_s": (int, float),
+#: a types tuple holding NULL makes its field nullable; bool is only
+#: accepted where it is listed explicitly (it subclasses int)
+NULL = type(None)
+NUMBER = (int, float)
+NUMBER_OR_NULL = (int, float, NULL)
+
+
+class Rule(NamedTuple):
+    """A ``test`` that a value or object must pass, and ``what`` it asks."""
+
+    what: str
+    test: Callable[[object], bool]
+
+
+POSITIVE = Rule("positive", lambda v: v > 0)
+NON_NEGATIVE = Rule(">= 0", lambda v: v >= 0)
+FRACTION = Rule("in [0, 1]", lambda v: 0 <= v <= 1)
+NON_EMPTY = Rule("a non-empty string", lambda s: bool(s.strip()))
+
+
+def null_together(*group: str) -> Rule:
+    return Rule(f"{' and '.join(group)} must be null together",
+                lambda row: len({row[name] is None for name in group}) == 1)
+
+
+class Table(NamedTuple):
+    """One object shape: ``{field: (types, rule)}`` plus object rules."""
+
+    fields: dict[str, tuple[tuple, Rule | None]]
+    rules: tuple[Rule, ...] = ()
+    #: whether an object of this shape counts towards ``--min-rows``
+    counted: bool = True
+
+
+class Schema(NamedTuple):
+    """Called on a document, checks its rows, a top-level list or the
+    ``key`` field of a ``top`` object, against ``rows[row[tag]]``."""
+
+    noun: str
+    unit: str
+    rows: dict[str | None, Table]
+    #: reject row fields the table does not name (a top level never does)
+    closed: bool = True
+    tag: str | None = None
+    top: Table | None = None
+    key: str | None = None
+    #: the sort keys of well-formed rows must not decrease
+    order: Callable[[dict], tuple] | None = None
+
+    def __call__(self, doc: object, min_rows: int = 1) -> list[str]:
+        """The walker: return the violations in ``doc`` (empty == valid)."""
+        if not isinstance(doc, dict if self.key else list):
+            shape = "an object" if self.key else "a list"
+            return [f"top-level JSON must be {shape}, "
+                    f"got {type(doc).__name__}"]
+        if self.key:
+            errors = _check("top-level JSON", doc, self.top, closed=False)
+            if errors:
+                return errors
+            doc = doc[self.key]
+        errors, n, last = [], 0, None
+        for i, row in enumerate(doc):
+            where = f"{self.noun} {i}"
+            if not isinstance(row, dict):
+                errors.append(f"{where}: not an object: {row!r}")
+                continue
+            variant = row.get(self.tag) if self.tag else None
+            # a list or object is unhashable: report it, never look it up
+            table = (self.rows.get(variant)
+                     if isinstance(variant, (str, NULL)) else None)
+            if table is None:
+                errors.append(f"{where}: unknown {self.tag} {variant!r} "
+                              f"(allowed: {list(self.rows)})")
+                continue
+            n += table.counted
+            row_errors = _check(where, row, table, self.closed)
+            errors += row_errors
+            if self.order and not row_errors:
+                key = self.order(row)
+                if last is not None and key < last:
+                    errors.append(f"{where}: out of order, sort key {key} "
+                                  f"after {last}")
+                last = key
+        if n < min_rows:
+            errors.append(f"expected >= {min_rows} {self.unit}, got {n}")
+        return errors
+
+
+def _check(where: str, obj: dict, table: Table, closed: bool) -> list[str]:
+    """Violations of one object against one table."""
+    errors = []
+    extra = set(obj) - set(table.fields)
+    if closed and extra:
+        errors.append(f"{where}: unknown fields {sorted(extra, key=str)}")
+    for name, (types, rule) in table.fields.items():
+        if name not in obj:
+            errors.append(f"{where}: missing field {name!r}")
+            continue
+        value = obj[name]
+        if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types):
+            errors.append(f"{where}: field {name!r} has wrong type "
+                          f"{type(value).__name__}")
+        elif value is not None and rule is not None and not rule.test(value):
+            errors.append(f"{where}: field {name!r} must be {rule.what}, "
+                          f"got {value!r}")
+    return errors or [f"{where}: {rule.what}" for rule in table.rules
+                      if not rule.test(obj)]
+
+
+validate_rows = Schema("row", "bench rows", {None: Table({
+    "bench": ((str,), NON_EMPTY),
+    "config": ((str,), NON_EMPTY),
+    "time_s": (NUMBER, POSITIVE),
+})})
+
+validate_sweep_rows = Schema("row", "sweep rows", {None: Table({
+    "name": ((str,), None),
+    "kernel": ((str,), None),
+    "shape": ((str,), None),
+    "default_ms": (NUMBER_OR_NULL, None),
+    "tuned_ms": (NUMBER, POSITIVE),
+    "speedup": (NUMBER_OR_NULL, None),
+    "n_simulated": ((int,), None),
+    "from_cache": ((bool,), None),
+    "deduped_from": ((str, NULL), None),
+    "best": ((dict,), None),
+    # a cache hit without a recorded baseline nulls BOTH fields: one
+    # null side means the emitter fabricated the other
+}, rules=(null_together("default_ms", "speedup"),))})
+
+validate_serving_rows = Schema("row", "serving rows", {None: Table({
+    "scenario": ((str,), NON_EMPTY),
+    "method": ((str,), NON_EMPTY),
+    "policy": ((str,), NON_EMPTY),
+    "n_requests": ((int,), POSITIVE),
+    "makespan_s": (NUMBER, POSITIVE),
+    "throughput_rps": (NUMBER, POSITIVE),
+    "output_tok_per_s": (NUMBER, POSITIVE),
+    "ttft_p50_s": (NUMBER, POSITIVE),
+    "ttft_p99_s": (NUMBER, POSITIVE),
+    "tpot_p50_s": (NUMBER_OR_NULL, None),
+    "tpot_p99_s": (NUMBER_OR_NULL, None),
+    "queue_depth_p50": (NUMBER, None),
+    "queue_depth_max": ((int,), None),
+    "slo_attainment": (NUMBER, FRACTION),
+    "queue_wait_p50_s": (NUMBER, NON_NEGATIVE),
+    "queue_wait_p99_s": (NUMBER, NON_NEGATIVE),
+    "preempt_stall_p99_s": (NUMBER, NON_NEGATIVE),
+    "n_preemptions": ((int,), NON_NEGATIVE),
+    "recompute_tokens": ((int,), NON_NEGATIVE),
+    "pool_occupancy_p50": (NUMBER_OR_NULL, FRACTION),
+    "pool_occupancy_max": (NUMBER_OR_NULL, FRACTION),
+    # TPOT is null exactly when no request decoded, pool occupancy
+    # exactly when the run had no KV pool
+}, rules=(null_together("tpot_p50_s", "tpot_p99_s"),
+          null_together("pool_occupancy_p50", "pool_occupancy_max")))})
+
+#: event names by ``cat``, pinned since Perfetto users grep for them
+#: (``idle`` is engine-level and never appears on a request track)
+NAMES = {
+    "phase": ("queue", "prefill", "decode", "preempt-stall"),
+    "engine": ("prefill", "decode", "idle",
+               "watermark_above", "watermark_below"),
+}
+_EVENT = {"ph": ((str,), None), "ts": (NUMBER, NON_NEGATIVE)}
+_SLICE = {**_EVENT, "name": ((str,), NON_EMPTY)}
+
+#: events by ``ph`` (metadata, slice, counter, instant) with free pid,
+#: tid and other fields, sorted as the exporter sorts them
+validate_obs_trace = Schema("event", "slices", {
+    "M": Table({
+        **_EVENT,
+        "name": ((str,), Rule("process_name or thread_name",
+                              lambda v: v in ("process_name", "thread_name"))),
+        "args": ((dict,), Rule("an object with a non-empty string name",
+                               lambda args: isinstance(args.get("name"), str)
+                               and bool(args["name"].strip()))),
+    }, counted=False),
+    "X": Table({
+        **_SLICE,
+        "dur": (NUMBER, NON_NEGATIVE),
+        "cat": ((str,), NON_EMPTY),
+    }, rules=(Rule("named from the vocabulary of its cat",
+                   lambda e: e["cat"] not in NAMES
+                   or e["name"] in NAMES[e["cat"]]),)),
+    "C": Table({
+        **_SLICE,
+        "args": ((dict,), Rule("a non-empty object of numbers",
+                               lambda args: bool(args) and all(
+                                   isinstance(v, NUMBER)
+                                   and not isinstance(v, bool)
+                                   for v in args.values()))),
+    }),
+    "i": Table(_SLICE, rules=(Rule("named from the engine vocabulary",
+                                   lambda e: e.get("cat") != "engine"
+                                   or e["name"] in NAMES["engine"]),)),
+}, closed=False, tag="ph", top=Table({"traceEvents": ((list,), None)}),
+    key="traceEvents",
+    # metadata first, then slices by non-decreasing ts
+    order=lambda event: (0, 0) if event["ph"] == "M" else (1, event["ts"]))
+
+QUANTILES = ("max", "p50", "p90", "p99")
+_METRIC = {
+    "name": ((str,), NON_EMPTY),
+    "type": ((str,), None),
+    "labels": ((dict,), Rule("an object of strings", lambda labels: all(
+        isinstance(k, str) and isinstance(v, str)
+        for k, v in labels.items()))),
 }
 
-SWEEP_ROW_SCHEMA = {
-    "name": (str,),
-    "kernel": (str,),
-    "shape": (str,),
-    "default_ms": (int, float, None),
-    "tuned_ms": (int, float),
-    "speedup": (int, float, None),
-    "n_simulated": (int,),
-    "from_cache": (bool,),
-    "deduped_from": (str, None),
-    "best": (dict,),
-}
+#: metrics by ``type``, each with exactly the fields of its table, sorted
+#: by (name, labels) so reruns diff cleanly
+validate_obs_metrics = Schema("metric", "metrics", {
+    "counter": Table({**_METRIC, "value": ((int,), NON_NEGATIVE)}),
+    "gauge": Table({**_METRIC, "value": (NUMBER_OR_NULL, None)}),
+    "histogram": Table({
+        **_METRIC,
+        "count": ((int,), NON_NEGATIVE),
+        **{q: (NUMBER_OR_NULL, None) for q in QUANTILES},
+    }, rules=(Rule(f"{', '.join(QUANTILES)} must be null together, "
+                   f"exactly when count is 0",
+                   lambda h: all((h[q] is None) == (h["count"] == 0)
+                                 for q in QUANTILES)),)),
+}, tag="type", top=Table({
+    "format": ((str,), Rule("'repro-obs-metrics/1'",
+                            lambda v: v == "repro-obs-metrics/1")),
+    "metrics": ((list,), None),
+}), key="metrics",
+    order=lambda metric: (metric["name"], sorted(metric["labels"].items())))
 
-SERVING_ROW_SCHEMA = {
-    "scenario": (str,),
-    "method": (str,),
-    "policy": (str,),
-    "n_requests": (int,),
-    "makespan_s": (int, float),
-    "throughput_rps": (int, float),
-    "output_tok_per_s": (int, float),
-    "ttft_p50_s": (int, float),
-    "ttft_p99_s": (int, float),
-    "tpot_p50_s": (int, float, None),
-    "tpot_p99_s": (int, float, None),
-    "queue_depth_p50": (int, float),
-    "queue_depth_max": (int,),
-    "slo_attainment": (int, float),
-    "queue_wait_p50_s": (int, float),
-    "queue_wait_p99_s": (int, float),
-    "preempt_stall_p99_s": (int, float),
-    "n_preemptions": (int,),
-    "recompute_tokens": (int,),
-    "pool_occupancy_p50": (int, float, None),
-    "pool_occupancy_max": (int, float, None),
-}
-
-SERVING_PERF_ROW_SCHEMA = {
-    "scenario": (str,),
-    "method": (str,),
-    "n_requests": (int,),
-    "wall_s": (int, float),
-    "sim_rps": (int, float),
-    "min_sim_rps": (int, float),
-}
+SCHEMAS = {"bench": validate_rows, "sweep": validate_sweep_rows,
+           "serving": validate_serving_rows, "obs-trace": validate_obs_trace,
+           "obs-metrics": validate_obs_metrics}
 
 
 def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite JSON constant {token!r} is not allowed; "
                      f"emit null instead")
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_against(rows: object, schema: dict[str, tuple],
-                      min_rows: int,
-                      row_check: Callable[[int, dict], list[str]]
-                      ) -> list[str]:
-    """Generic row validator: shape, unknown/missing fields, types (with
-    nullability), then ``row_check`` for per-schema value rules."""
-    errors: list[str] = []
-    if not isinstance(rows, list):
-        return [f"top-level JSON must be a list, got {type(rows).__name__}"]
-    if len(rows) < min_rows:
-        errors.append(f"expected >= {min_rows} rows, got {len(rows)}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            errors.append(f"row {i}: not an object: {row!r}")
-            continue
-        extra = set(row) - set(schema)
-        if extra:
-            errors.append(f"row {i}: unknown fields {sorted(extra)}")
-        for field, types in schema.items():
-            if field not in row:
-                errors.append(f"row {i}: missing field {field!r}")
-                continue
-            value = row[field]
-            if value is None:
-                if None not in types:
-                    errors.append(f"row {i}: field {field!r} must not be "
-                                  f"null")
-                continue
-            concrete = tuple(t for t in types if t is not None)
-            if not isinstance(value, concrete) or (
-                    isinstance(value, bool) and bool not in concrete):
-                errors.append(f"row {i}: field {field!r} has wrong type "
-                              f"{type(value).__name__}")
-        errors.extend(row_check(i, row))
-    return errors
-
-
-def _bench_row_check(i: int, row: dict) -> list[str]:
-    errors = []
-    if _is_number(row.get("time_s")) and not row["time_s"] > 0:
-        errors.append(f"row {i}: time_s must be positive, "
-                      f"got {row['time_s']}")
-    for field in ("bench", "config"):
-        if isinstance(row.get(field), str) and not row[field].strip():
-            errors.append(f"row {i}: field {field!r} is empty")
-    return errors
-
-
-def _sweep_row_check(i: int, row: dict) -> list[str]:
-    errors = []
-    if _is_number(row.get("tuned_ms")) and not row["tuned_ms"] > 0:
-        errors.append(f"row {i}: tuned_ms must be positive, "
-                      f"got {row['tuned_ms']}")
-    # a missing baseline must take the null form on BOTH fields: a null
-    # default with a numeric speedup (or vice versa) means the emitter
-    # fabricated one side (the old 0.0/NaN bug)
-    if (row.get("default_ms") is None) != (row.get("speedup") is None):
-        errors.append(f"row {i}: default_ms and speedup must be null "
-                      f"together (got default_ms={row.get('default_ms')!r}"
-                      f", speedup={row.get('speedup')!r})")
-    return errors
-
-
-def _serving_row_check(i: int, row: dict) -> list[str]:
-    errors = []
-    for field in ("scenario", "method", "policy"):
-        if isinstance(row.get(field), str) and not row[field].strip():
-            errors.append(f"row {i}: field {field!r} is empty")
-    for field in ("n_requests", "makespan_s", "throughput_rps",
-                  "output_tok_per_s", "ttft_p50_s", "ttft_p99_s"):
-        if _is_number(row.get(field)) and not row[field] > 0:
-            errors.append(f"row {i}: field {field!r} must be positive, "
-                          f"got {row[field]}")
-    if _is_number(row.get("slo_attainment")) and \
-            not 0.0 <= row["slo_attainment"] <= 1.0:
-        errors.append(f"row {i}: slo_attainment must be in [0, 1], "
-                      f"got {row['slo_attainment']}")
-    # TPOT is null exactly when no request decoded — on both fields, or
-    # the emitter fabricated one side
-    if (row.get("tpot_p50_s") is None) != (row.get("tpot_p99_s") is None):
-        errors.append(f"row {i}: tpot_p50_s and tpot_p99_s must be null "
-                      f"together (got {row.get('tpot_p50_s')!r}, "
-                      f"{row.get('tpot_p99_s')!r})")
-    for field in ("queue_wait_p50_s", "queue_wait_p99_s",
-                  "preempt_stall_p99_s", "n_preemptions",
-                  "recompute_tokens"):
-        if _is_number(row.get(field)) and row[field] < 0:
-            errors.append(f"row {i}: field {field!r} must be >= 0, "
-                          f"got {row[field]}")
-    for field in ("pool_occupancy_p50", "pool_occupancy_max"):
-        if _is_number(row.get(field)) and not 0.0 <= row[field] <= 1.0:
-            errors.append(f"row {i}: field {field!r} must be in [0, 1], "
-                          f"got {row[field]}")
-    # pool stats are null exactly when the run had no KV pool — same
-    # null-together discipline as TPOT
-    if (row.get("pool_occupancy_p50") is None) != \
-            (row.get("pool_occupancy_max") is None):
-        errors.append(f"row {i}: pool_occupancy_p50 and pool_occupancy_max "
-                      f"must be null together "
-                      f"(got {row.get('pool_occupancy_p50')!r}, "
-                      f"{row.get('pool_occupancy_max')!r})")
-    return errors
-
-
-def _serving_perf_row_check(i: int, row: dict) -> list[str]:
-    errors = []
-    for field in ("scenario", "method"):
-        if isinstance(row.get(field), str) and not row[field].strip():
-            errors.append(f"row {i}: field {field!r} is empty")
-    for field in ("n_requests", "wall_s", "sim_rps", "min_sim_rps"):
-        if _is_number(row.get(field)) and not row[field] > 0:
-            errors.append(f"row {i}: field {field!r} must be positive, "
-                          f"got {row[field]}")
-    if _is_number(row.get("sim_rps")) and _is_number(row.get("min_sim_rps")) \
-            and row["sim_rps"] < row["min_sim_rps"]:
-        errors.append(f"row {i}: sim_rps {row['sim_rps']:.0f} is below the "
-                      f"min_sim_rps floor {row['min_sim_rps']:.0f} — the "
-                      f"serving engine regressed")
-    return errors
-
-
-#: Allowed trace-event phase codes: metadata, complete slice, counter
-#: sample, instant marker — everything the exporter emits.
-_TRACE_PHS = ("M", "X", "C", "i")
-#: ``cat:"phase"`` slice names: the request lifecycle vocabulary
-#: (``idle`` is engine-level and never appears on a request track).
-_REQUEST_PHASE_NAMES = ("queue", "prefill", "decode", "preempt-stall")
-#: ``cat:"engine"`` names: the engine-track slices plus the two
-#: KV-pool watermark-crossing instants.
-_ENGINE_NAMES = ("prefill", "decode", "idle",
-                 "watermark_above", "watermark_below")
-
-
-def validate_obs_trace(doc: object, min_rows: int = 1) -> list[str]:
-    """Return a list of obs-trace-schema violations (empty == valid).
-
-    ``min_rows`` counts *slices* (non-metadata events): a trace with
-    nothing but process/thread names renders an empty timeline.
-    """
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"top-level JSON must be an object, "
-                f"got {type(doc).__name__}"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return [f"traceEvents must be a list, "
-                f"got {type(events).__name__}"]
-    n_slices = 0
-    last_ts = None
-    for i, event in enumerate(events):
-        if not isinstance(event, dict):
-            errors.append(f"event {i}: not an object: {event!r}")
-            continue
-        ph = event.get("ph")
-        if ph not in _TRACE_PHS:
-            errors.append(f"event {i}: unknown ph {ph!r} "
-                          f"(allowed: {list(_TRACE_PHS)})")
-            continue
-        ts = event.get("ts")
-        if not _is_number(ts) or ts < 0:
-            errors.append(f"event {i}: ts must be a number >= 0, "
-                          f"got {ts!r}")
-            continue
-        if ph == "M":
-            if n_slices:
-                errors.append(f"event {i}: metadata event after the "
-                              f"first slice — metadata must come first")
-            if event.get("name") not in ("process_name", "thread_name"):
-                errors.append(f"event {i}: metadata name must be "
-                              f"process_name/thread_name, "
-                              f"got {event.get('name')!r}")
-            args = event.get("args")
-            if not (isinstance(args, dict)
-                    and isinstance(args.get("name"), str)
-                    and args["name"].strip()):
-                errors.append(f"event {i}: metadata args.name must be a "
-                              f"non-empty string")
-            continue
-        # slices: file order must be non-decreasing ts (the exporter
-        # sorts; an unsorted file means a foreign/hand-edited producer)
-        n_slices += 1
-        if last_ts is not None and ts < last_ts:
-            errors.append(f"event {i}: ts {ts} decreases (previous "
-                          f"slice at {last_ts}) — slices must be sorted")
-        last_ts = ts
-        name = event.get("name")
-        if not (isinstance(name, str) and name.strip()):
-            errors.append(f"event {i}: name must be a non-empty string")
-            continue
-        if ph == "X":
-            dur = event.get("dur")
-            if not _is_number(dur) or dur < 0:
-                errors.append(f"event {i}: dur must be a number >= 0, "
-                              f"got {dur!r}")
-            cat = event.get("cat")
-            if not (isinstance(cat, str) and cat.strip()):
-                errors.append(f"event {i}: slice cat must be a non-empty "
-                              f"string")
-            elif cat == "phase" and name not in _REQUEST_PHASE_NAMES:
-                errors.append(f"event {i}: unknown request phase {name!r} "
-                              f"(allowed: {list(_REQUEST_PHASE_NAMES)})")
-            elif cat == "engine" and name not in _ENGINE_NAMES:
-                errors.append(f"event {i}: unknown engine slice {name!r} "
-                              f"(allowed: {list(_ENGINE_NAMES)})")
-        elif ph == "C":
-            args = event.get("args")
-            if not (isinstance(args, dict) and args
-                    and all(_is_number(v) for v in args.values())):
-                errors.append(f"event {i}: counter args must be a "
-                              f"non-empty object of numbers")
-        elif ph == "i" and event.get("cat") == "engine" \
-                and name not in _ENGINE_NAMES:
-            errors.append(f"event {i}: unknown engine instant {name!r} "
-                          f"(allowed: {list(_ENGINE_NAMES)})")
-    if n_slices < min_rows:
-        errors.append(f"expected >= {min_rows} slices (non-metadata "
-                      f"events), got {n_slices}")
-    return errors
-
-
-#: Fields (beyond name/type/labels) each metric type must carry.
-_METRIC_FIELDS = {
-    "counter": ("value",),
-    "gauge": ("value",),
-    "histogram": ("count", "max", "p50", "p90", "p99"),
-}
-
-
-def _obs_metric_check(i: int, row: dict) -> list[str]:
-    errors = []
-    mtype = row["type"]
-    if mtype == "counter":
-        value = row.get("value")
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            errors.append(f"metric {i}: counter value must be an int "
-                          f">= 0, got {value!r}")
-    elif mtype == "gauge":
-        value = row.get("value")
-        if value is not None and not _is_number(value):
-            errors.append(f"metric {i}: gauge value must be a number or "
-                          f"null, got {value!r}")
-    else:
-        count = row.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) \
-                or count < 0:
-            errors.append(f"metric {i}: histogram count must be an int "
-                          f">= 0, got {count!r}")
-            return errors
-        quantiles = ("max", "p50", "p90", "p99")
-        nulls = [q for q in quantiles if row.get(q) is None]
-        bad = [q for q in quantiles
-               if row.get(q) is not None and not _is_number(row.get(q))]
-        if bad:
-            errors.append(f"metric {i}: histogram fields {bad} must be "
-                          f"numbers or null")
-        elif count == 0 and len(nulls) != len(quantiles):
-            errors.append(f"metric {i}: empty histogram must have null "
-                          f"{list(quantiles)} (null-together), "
-                          f"got non-null {sorted(set(quantiles) - set(nulls))}")
-        elif count > 0 and nulls:
-            errors.append(f"metric {i}: non-empty histogram "
-                          f"(count={count}) has null fields {nulls}")
-    return errors
-
-
-def validate_obs_metrics(doc: object, min_rows: int = 1) -> list[str]:
-    """Return a list of obs-metrics-schema violations (empty == valid)."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"top-level JSON must be an object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("format") != "repro-obs-metrics/1":
-        return [f"format must be 'repro-obs-metrics/1', "
-                f"got {doc.get('format')!r}"]
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        return [f"metrics must be a list, got {type(metrics).__name__}"]
-    if len(metrics) < min_rows:
-        errors.append(f"expected >= {min_rows} metrics, "
-                      f"got {len(metrics)}")
-    last_key = None
-    for i, row in enumerate(metrics):
-        if not isinstance(row, dict):
-            errors.append(f"metric {i}: not an object: {row!r}")
-            continue
-        name = row.get("name")
-        if not (isinstance(name, str) and name.strip()):
-            errors.append(f"metric {i}: name must be a non-empty string")
-            continue
-        labels = row.get("labels")
-        if not isinstance(labels, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in labels.items()):
-            errors.append(f"metric {i}: labels must be an object of "
-                          f"strings, got {labels!r}")
-            continue
-        mtype = row.get("type")
-        if mtype not in _METRIC_FIELDS:
-            errors.append(f"metric {i}: unknown type {mtype!r} "
-                          f"(allowed: {sorted(_METRIC_FIELDS)})")
-            continue
-        expected = {"name", "type", "labels", *_METRIC_FIELDS[mtype]}
-        if set(row) != expected:
-            errors.append(f"metric {i}: fields {sorted(row)} != expected "
-                          f"{sorted(expected)} for a {mtype}")
-            continue
-        # the snapshot sorts by (name, label items) so reruns diff
-        # cleanly; an unsorted file means a foreign producer
-        key = (name, tuple(sorted(labels.items())))
-        if last_key is not None and key < last_key:
-            errors.append(f"metric {i}: {name!r} out of sorted "
-                          f"(name, labels) order")
-        last_key = key
-        errors.extend(_obs_metric_check(i, row))
-    return errors
-
-
-def validate_rows(rows: object, min_rows: int = 1) -> list[str]:
-    """Return a list of measurement-schema violations (empty == valid)."""
-    return _validate_against(rows, ROW_SCHEMA, min_rows, _bench_row_check)
-
-
-def validate_sweep_rows(rows: object, min_rows: int = 1) -> list[str]:
-    """Return a list of sweep-rows-schema violations (empty == valid)."""
-    return _validate_against(rows, SWEEP_ROW_SCHEMA, min_rows,
-                             _sweep_row_check)
-
-
-def validate_serving_rows(rows: object, min_rows: int = 1) -> list[str]:
-    """Return a list of serving-rows-schema violations (empty == valid)."""
-    return _validate_against(rows, SERVING_ROW_SCHEMA, min_rows,
-                             _serving_row_check)
-
-
-def validate_serving_perf_rows(rows: object, min_rows: int = 1) -> list[str]:
-    """Return a list of serving-perf-schema violations (empty == valid)."""
-    return _validate_against(rows, SERVING_PERF_ROW_SCHEMA, min_rows,
-                             _serving_perf_row_check)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -465,17 +269,13 @@ def main(argv: list[str] | None = None) -> int:
                                      "REPRO_SWEEP_ROWS")
     parser.add_argument("--min-rows", type=int, default=1,
                         help="minimum number of rows")
-    parser.add_argument("--schema",
-                        choices=("bench", "sweep", "serving",
-                                 "serving-perf", "obs-trace",
-                                 "obs-metrics"),
-                        default="bench",
+    parser.add_argument("--schema", choices=tuple(SCHEMAS), default="bench",
                         help="row shape to validate (default: bench)")
     args = parser.parse_args(argv)
 
     try:
         with open(args.path) as fh:
-            rows = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         print(f"FAIL: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -484,25 +284,14 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
 
-    validate = {"bench": validate_rows, "sweep": validate_sweep_rows,
-                "serving": validate_serving_rows,
-                "serving-perf": validate_serving_perf_rows,
-                "obs-trace": validate_obs_trace,
-                "obs-metrics": validate_obs_metrics}[args.schema]
-    errors = validate(rows, min_rows=args.min_rows)
+    schema = SCHEMAS[args.schema]
+    errors = schema(doc, args.min_rows)
     if errors:
         for err in errors:
             print(f"FAIL: {err}", file=sys.stderr)
         return 1
-    # the obs schemas have dict top-levels; count their payload entries
-    if args.schema == "obs-trace":
-        n = sum(1 for e in rows["traceEvents"] if e.get("ph") != "M")
-        unit = "slices"
-    elif args.schema == "obs-metrics":
-        n, unit = len(rows["metrics"]), "metrics"
-    else:
-        n, unit = len(rows), f"{args.schema} rows"
-    print(f"OK: {args.path} — {n} {unit}, schema valid")
+    rows = doc[schema.key] if schema.key else doc
+    print(f"OK: {args.path} — {len(rows)} {schema.noun}s, schema valid")
     return 0
 
 

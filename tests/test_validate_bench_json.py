@@ -49,6 +49,9 @@ TINY = ModelConfig("tiny", n_layers=4, hidden=512, heads=4, head_dim=128,
 THRASH_KV = KVCacheConfig(block_tokens=16, pool_blocks=40,
                           admission="naive", victim="longest-context")
 
+#: foreign values written into every field of every valid document
+FOREIGN = (None, -1, 0, 1.5, True, "", "x", [], {})
+
 DROP = object()
 
 
@@ -321,6 +324,30 @@ def test_top_level_shape_and_row_count_are_checked(docs, schema):
     assert validate(doc, min_rows=10**6) != []
 
 
+def _paths(node, path=()):
+    """Every (container path, key) of a JSON document, at any depth."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path, key
+        yield from _paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("schema", VALIDATE)
+def test_foreign_values_never_raise(docs, schema):
+    validate = VALIDATE[schema]
+    for value in FOREIGN:
+        assert isinstance(validate(value), list)
+    for path, key in _paths(docs[schema]):
+        for value in FOREIGN:
+            doc = copy.deepcopy(docs[schema])
+            target = doc
+            for step in path:
+                target = target[step]
+            target[key] = value
+            assert isinstance(validate(doc), list), (path, key, value)
+
+
 @pytest.mark.parametrize("schema", VALIDATE)
 def test_cli_accepts_a_valid_file(docs, schema, tmp_path, capsys):
     path = tmp_path / "doc.json"
@@ -339,3 +366,14 @@ def test_cli_rejects_a_bare_nan(tmp_path, capsys):
 def test_cli_reports_a_missing_file(tmp_path, capsys):
     assert main([str(tmp_path / "missing.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mtype", [[], {}])
+def test_cli_reports_an_unhashable_metric_type(docs, mtype, tmp_path,
+                                               capsys):
+    doc = copy.deepcopy(docs["obs-metrics"])
+    doc["metrics"][0]["type"] = mtype
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--schema", "obs-metrics"]) == 1
+    assert "FAIL:" in capsys.readouterr().err

@@ -89,7 +89,7 @@ class Schema(NamedTuple):
                 errors.append(f"{where}: not an object: {row!r}")
                 continue
             variant = row.get(self.tag) if self.tag else None
-            # a list or object is unhashable: report it, never look it up
+            # None keys an untagged table; an unhashable tag is never looked up
             table = (self.rows.get(variant)
                      if isinstance(variant, (str, NULL)) else None)
             if table is None:

@@ -10,13 +10,13 @@ resolves ``from_cache=True``.  The tuned configs are then surfaced as the
 
 ``REPRO_FAST=1`` (the CI path) swaps the paper shapes for a tiny shape
 table so the ``--json`` emitter contract can be validated in seconds.
-``REPRO_SWEEP_WORKERS=N`` routes the sweep through the process-pool
-execution layer (``sweep(..., workers=N)``); ``REPRO_SWEEP_ROWS=PATH``
+``REPRO_SWEEP_WORKERS=N`` fans the sweep's cold tasks out over N forked
+workers (``sweep(..., workers=N)``); ``REPRO_SWEEP_ROWS=PATH``
 additionally dumps the cold sweep's ``SweepReport.rows()`` as strict
 JSON for ``validate_bench_json.py --schema sweep``;
-``REPRO_SWEEP_STRATEGY=model`` (or ``random``/``halving``) swaps the
-search strategy driving the sweep — CI runs the tiny table under both
-``exhaustive`` and ``model`` and validates both JSON contracts.
+``REPRO_SWEEP_STRATEGY=model`` swaps the search strategy driving the
+sweep (``exhaustive``, the default, is the only other one) — CI runs the
+tiny table under both and validates both JSON contracts.
 """
 
 from __future__ import annotations

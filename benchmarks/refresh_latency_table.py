@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.config import H800
 from repro.models.configs import E2E_MODELS, ModelConfig
-from repro.registry import serve_method_names
+from repro.registry import BASE_SERVE_METHODS
 from repro.serve.latency import (
     DEFAULT_BUCKETS,
     DEFAULT_CTX_BUCKETS,
@@ -49,10 +49,9 @@ from repro.serve.latency import (
 
 WORLD = 8
 SEED = 0
-#: the shipped method axis — base methods plus any registered serving
-#: method marked ``shipped=True`` (experimental methods stay out of the
-#: checked-in table until promoted)
-METHODS = serve_method_names(shipped_only=True)
+#: the shipped method axis — the base methods only (registered serving
+#: methods such as ``tilelink-chunk`` stay out of the checked-in table)
+METHODS = BASE_SERVE_METHODS
 #: the serving roster: one dense + one MoE model (the Figure-11 FAST pair)
 MODEL_NAMES = ("LLaMA2-7B", "Mixtral-8x7B")
 DEFAULT_PATH = Path(__file__).resolve().parent / "latency_table.json"

@@ -65,10 +65,6 @@ def main() -> None:
           f"wall={time.time() - t0:.3f}s (cache: {cache_path})")
     assert res2.from_cache and res2.n_simulated == 0
 
-    # mode="auto" does the same resolution inside the kernel launch path:
-    # GemmRsConfig(m, n, k, mode="auto") consults the tuner (and its
-    # persistent cache) the first time the shape is launched.
-
 
 if __name__ == "__main__":
     main()

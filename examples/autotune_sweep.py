@@ -10,11 +10,11 @@ the whole sweep performs zero simulations: cache warm-up is paid once per
 table, after which the Figure-9 ``TileLink-tuned`` columns
 (``moe_part1_builders(..., tuned=True)``) resolve instantly.
 
-``workers=N`` fans the cold, non-aliasing tasks out over a process pool
-(``repro.tuner.parallel``): each worker tunes against its own cache file
-and the parent merges the results through the flock-protected flush, so
-the report — entry order, dedup labels, simulation counts — is identical
-to the serial run's.
+``workers=N`` fans the cold, non-aliasing tasks out over forked
+processes: each worker tunes against its own cache file and the parent
+merges the results through the flock-protected flush, so the report —
+entry order, dedup labels, simulation counts — is identical to the
+serial run's.
 
 ``strategy="model"`` swaps the exhaustive survivor scan for
 *model-guided* search (``repro.tuner.model``): a ridge-regularized

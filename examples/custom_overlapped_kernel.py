@@ -140,16 +140,13 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD) -> TuneTask:
         Axis("comm_blocks", (2, 4)),
     ))
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * int(cand["block_m"])
-        m_s = m if scale >= 1.0 else max(align,
-                                         int(m * scale) // align * align)
-        cfg = AgSoftmaxConfig(m=m_s, n=n, **cand)
+    def make_builder(cand: dict):
+        cfg = AgSoftmaxConfig(m=m, n=n, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s // world, n), "float16", fill=None)
-            ctx.alloc("g", (m_s, n), "float16", fill=None)
-            ctx.alloc("y", (m_s, n), "float32", fill=None)
+            ctx.alloc("x", (m // world, n), "float16", fill=None)
+            ctx.alloc("g", (m, n), "float16", fill=None)
+            ctx.alloc("y", (m, n), "float32", fill=None)
             ag_softmax_overlapped(ctx, cfg, "x", "g", "y")
 
         return build

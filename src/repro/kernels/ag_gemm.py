@@ -20,7 +20,7 @@ segments are still in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.compiler.program import CompileOptions
@@ -33,9 +33,8 @@ from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
-from repro.tuner.cache import TuneCache
 from repro.tuner.costprune import ag_gemm_lower_bound
-from repro.tuner.search import TuneTask, tune
+from repro.tuner.search import TuneTask
 from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
@@ -151,14 +150,14 @@ class AgGemmConfig:
     block_mp: int = 128
     comm_blocks: int = 20
     channels_per_rank: int = 1
-    mode: str = "dma"  # dma | pull | push | auto (resolved by the tuner)
+    mode: str = "dma"  # dma | pull | push
 
     def validate(self, world: int) -> None:
         if self.m % world != 0:
             raise ShapeError(f"M={self.m} not divisible by world={world}")
         if (self.m // world) % self.block_mp != 0:
             raise ShapeError("per-rank rows must align to the comm tile")
-        if self.mode not in ("dma", "pull", "push", "auto"):
+        if self.mode not in ("dma", "pull", "push"):
             raise RuntimeLaunchError(f"unknown AG+GEMM mode {self.mode!r}")
 
 
@@ -203,15 +202,13 @@ def ag_gemm_tune_task(m: int, n: int, k: int, *, world: int = 8,
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+GEMM on a shape."""
     space = space or ag_gemm_search_space(m, n, k, world)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_mp"]), int(cand["block_m"]))
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        cfg = AgGemmConfig(m=m_s, n=n, k=k, **cand)
+    def make_builder(cand: dict):
+        cfg = AgGemmConfig(m=m, n=n, k=k, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s // world, k), "float16", fill=None)
+            ctx.alloc("x", (m // world, k), "float16", fill=None)
             ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m_s, n), "float16", fill=None)
+            ctx.alloc("y", (m, n), "float16", fill=None)
             ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
 
         return build
@@ -248,14 +245,6 @@ def ag_gemm_overlapped(
     machine = ctx.machine
     world = machine.world_size
     spec = machine.config.spec
-    if cfg.mode == "auto":
-        # Resolve through the tuner (persistent default cache makes this a
-        # one-time cost per shape/spec/world); candidates all carry
-        # concrete modes, so the nested launches cannot recurse.
-        task = ag_gemm_tune_task(cfg.m, cfg.n, cfg.k, world=world, spec=spec)
-        tuned = tune(task, world=world, spec=spec,
-                     cache=TuneCache()).best_config
-        cfg = replace(tuned, channels_per_rank=cfg.channels_per_rank)
     cfg.validate(world)
     grid = grid or spec.n_sms
 

@@ -128,15 +128,13 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     space = space or ag_moe_search_space(m, h, d, world)
     routing_for = routing_memo(n_experts, topk, world, router_seed)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * int(cand["block_m"])
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        routing = routing_for(m_s, int(cand["block_m"]))
-        cfg = AgMoeConfig(m=m_s, h=h, d=d, n_experts=n_experts, topk=topk,
+    def make_builder(cand: dict):
+        routing = routing_for(m, int(cand["block_m"]))
+        cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts, topk=topk,
                           **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s // world, h), "float16", fill=None)
+            ctx.alloc("x", (m // world, h), "float16", fill=None)
             ctx.alloc("w1", (n_experts * h, d), "float16", fill=None)
             ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
             ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g")

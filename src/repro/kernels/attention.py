@@ -78,15 +78,12 @@ def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
     space = space or attention_search_space(heads, head_dim, seq_len, world)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_q"]), int(cand["block_kv"]))
-        s_s = seq_len if scale >= 1.0 else \
-            max(align, int(seq_len * scale) // align * align)
-        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim, seq_len=s_s,
-                                causal=causal, **cand)
+    def make_builder(cand: dict):
+        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
+                                seq_len=seq_len, causal=causal, **cand)
 
         def build(ctx: DistContext) -> None:
-            s_per = s_s // world
+            s_per = seq_len // world
             for name in ("q", "k", "v"):
                 ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
             ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)

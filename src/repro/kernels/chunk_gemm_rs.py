@@ -270,15 +270,13 @@ def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
     """Build the :class:`~repro.tuner.TuneTask` tuning chunked GEMM+RS."""
     space = space or chunk_gemm_rs_search_space(m, n, k, world)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * int(cand["block_m"])
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        cfg = ChunkGemmRsConfig(m=m_s, n=n, k=k, **cand)
+    def make_builder(cand: dict):
+        cfg = ChunkGemmRsConfig(m=m, n=n, k=k, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s, k), "float16", fill=None)
+            ctx.alloc("x", (m, k), "float16", fill=None)
             ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, n), "float32", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
             chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         return build

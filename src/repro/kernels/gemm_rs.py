@@ -22,7 +22,7 @@ subspace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
@@ -34,9 +34,8 @@ from repro.config import H800, HardwareSpec
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
-from repro.tuner.cache import TuneCache
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.search import TuneTask, tune
+from repro.tuner.search import TuneTask
 from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
@@ -195,7 +194,7 @@ class GemmRsConfig:
     block_nr: int = 256   # comm tile cols
     comm_blocks: int = 20
     channels_per_rank: int = 1
-    mode: str = "hybrid"  # ring | hybrid | auto (resolved by the tuner)
+    mode: str = "hybrid"  # ring | hybrid
 
     def validate(self, world: int) -> None:
         if self.m % world != 0:
@@ -203,7 +202,7 @@ class GemmRsConfig:
         m_per = self.m // world
         if m_per % self.block_m != 0 or m_per % self.block_mr != 0:
             raise ShapeError("per-rank rows must align to both tile sizes")
-        if self.mode not in ("ring", "hybrid", "auto"):
+        if self.mode not in ("ring", "hybrid"):
             raise RuntimeLaunchError(f"unknown GEMM+RS mode {self.mode!r}")
 
 
@@ -248,15 +247,13 @@ def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
     """Build the :class:`~repro.tuner.TuneTask` tuning GEMM+RS on a shape."""
     space = space or gemm_rs_search_space(m, n, k, world)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_m"]), int(cand["block_mr"]))
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        cfg = GemmRsConfig(m=m_s, n=n, k=k, **cand)
+    def make_builder(cand: dict):
+        cfg = GemmRsConfig(m=m, n=n, k=k, **cand)
 
         def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m_s, k), "float16", fill=None)
+            ctx.alloc("x", (m, k), "float16", fill=None)
             ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, n), "float32", fill=None)
+            ctx.alloc("y", (m // world, n), "float32", fill=None)
             gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
 
         return build
@@ -287,11 +284,6 @@ def gemm_rs_overlapped(
     machine = ctx.machine
     world = machine.world_size
     spec = machine.config.spec
-    if cfg.mode == "auto":
-        task = gemm_rs_tune_task(cfg.m, cfg.n, cfg.k, world=world, spec=spec)
-        tuned = tune(task, world=world, spec=spec,
-                     cache=TuneCache()).best_config
-        cfg = replace(tuned, channels_per_rank=cfg.channels_per_rank)
     cfg.validate(world)
     grid = grid or spec.n_sms
     m_per = cfg.m // world

@@ -153,10 +153,9 @@ def routing_memo(n_experts: int, topk: int, world_size: int,
     """Memoised ``(n_tokens, block_m) -> MoeRouting`` builder.
 
     The tuner needs routing rebuilt per candidate ``block_m`` (the grouped
-    layout pads every expert group to the row tile) and per scaled token
-    count (halving rungs), always from the *same* seeded logits so shapes
-    stay comparable; this factory shares that memo between the MoE tune
-    tasks.
+    layout pads every expert group to the row tile), always from the
+    *same* seeded logits so candidates stay comparable; this factory
+    shares that memo between a MoE tune task's builders and its bound.
     """
     routings: dict[tuple[int, int], MoeRouting] = {}
 

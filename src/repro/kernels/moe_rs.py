@@ -155,16 +155,14 @@ def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
     space = space or moe_rs_search_space(m, h, d, world)
     routing_for = routing_memo(n_experts, topk, world, router_seed)
 
-    def make_builder(cand: dict, scale: float = 1.0):
-        align = world * max(int(cand["block_m"]), int(cand["block_mr"]))
-        m_s = m if scale >= 1.0 else max(align, int(m * scale) // align * align)
-        routing = routing_for(m_s, int(cand["block_m"]))
-        cfg = MoeRsConfig(m=m_s, h=h, d=d, **cand)
+    def make_builder(cand: dict):
+        routing = routing_for(m, int(cand["block_m"]))
+        cfg = MoeRsConfig(m=m, h=h, d=d, **cand)
 
         def build(ctx: DistContext) -> None:
             ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
             ctx.alloc("w2", (n_experts * d, h), "float16", fill=None)
-            ctx.alloc("y", (m_s // world, h), "float32", fill=None)
+            ctx.alloc("y", (m // world, h), "float32", fill=None)
             moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y")
 
         return build

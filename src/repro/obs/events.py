@@ -224,15 +224,16 @@ def save_recording(path, *, kind: str, meta: dict | None = None,
 def load(path) -> Recording:
     """Read a recording back, validating every event field.
 
-    Raises :class:`ObsError` on a missing/unreadable file, non-strict
-    JSON, a foreign format tag, or any malformed event/interval.
+    Raises :class:`ObsError` on a missing/unreadable file, non-UTF-8 or
+    non-strict JSON, a foreign format tag, or any malformed
+    event/interval.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ObsError(f"cannot read recording {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ObsError(f"recording {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ObsError(f"recording {path}: top level must be an object, "

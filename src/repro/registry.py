@@ -65,15 +65,14 @@ class ServeMethod:
     ``base`` names the built-in method whose layer construction is reused;
     ``op_overrides`` swaps individual op slots (``"ag_gemm"``/``"gemm_rs"``)
     for the family's own launcher, with signature
-    ``fn(ctx, m, n, k, x, w, out, *, tag, warm=None)``.  ``shipped`` marks
-    methods baked into the shipped latency table (the refresh scripts only
-    expect shipped methods).
+    ``fn(ctx, m, n, k, x, w, out, *, tag, warm=None)``.  Registered
+    methods stay out of the shipped latency table, which covers
+    :data:`BASE_SERVE_METHODS` only.
     """
 
     name: str
     base: str = "tilelink"
     op_overrides: dict[str, Callable[..., Any]] = field(default_factory=dict)
-    shipped: bool = False
 
 
 @dataclass(frozen=True)
@@ -254,14 +253,10 @@ def get_family(name: str) -> KernelFamily:
         ) from None
 
 
-def serve_method_names(*, shipped_only: bool = False) -> tuple[str, ...]:
+def serve_method_names() -> tuple[str, ...]:
     """The serving ``method`` axis: base methods + registered extras."""
     discover()
-    extras = [
-        m.name for m in _SERVE_METHODS.values()
-        if m.shipped or not shipped_only
-    ]
-    return tuple(BASE_SERVE_METHODS) + tuple(extras)
+    return tuple(BASE_SERVE_METHODS) + tuple(_SERVE_METHODS)
 
 
 def resolve_serve_method(name: str) -> tuple[str, dict[str, Callable]]:
@@ -304,7 +299,6 @@ def _manifest() -> dict:
     return {
         "families": fams,
         "serve_methods": list(serve_method_names()),
-        "shipped_serve_methods": list(serve_method_names(shipped_only=True)),
     }
 
 

@@ -10,8 +10,8 @@ each:
 * :mod:`repro.tuner.costprune` — analytic lower bounds from
   :class:`repro.sim.costmodel.CostModel` + wave-quantization arithmetic
   that discard dominated candidates before any simulation runs;
-* :mod:`repro.tuner.search` — exhaustive / random / successive-halving /
-  model-guided strategies executing survivors through
+* :mod:`repro.tuner.search` — :func:`tune`, the one tuning entry point:
+  exhaustive or model-guided search executing survivors through
   :func:`repro.bench.harness.run_builder`;
 * :mod:`repro.tuner.model` — :class:`ResidualModel`, the ridge-regularized
   per-axis residual predictor behind ``strategy="model"`` (rank before
@@ -22,9 +22,8 @@ each:
 * :mod:`repro.tuner.sweep` — multi-shape driver tuning a whole shape
   table (Table 4, Figure 8) through one shared cache, deduplicating
   candidate simulation across shapes that alias in key space;
-* :mod:`repro.tuner.parallel` — ``sweep(..., workers=N)`` execution
-  layer fanning the non-aliasing cold tasks out over a process pool,
-  merging per-worker cache files through the flock-protected flush;
+  ``workers=N`` fans the cold tasks out over forked processes and merges
+  their per-worker cache files through the flock-protected flush;
 * :mod:`repro.tuner.warm` — shipped warm-cache resolution (the
   zero-simulation hit-or-fallback step behind the tuned-by-default bench
   columns and ``method="tilelink-tuned"``).
@@ -38,8 +37,8 @@ search space, default and bound; :func:`tune` searches it::
     result = tune(task, world=8, spec=H800, cache=TuneCache(path))
     cfg = result.best_config          # an AgGemmConfig
 
-``mode="auto"`` launches and the bench builders' tuned columns make the
-same call; every registered family exposes a representative task as
+The bench builders' tuned columns make the same call; every registered
+family exposes a representative task as
 ``repro.registry.get_family(name).tune_task()``.
 """
 
@@ -75,7 +74,6 @@ from repro.tuner.space import (
     TunerError,
     divisors_of,
 )
-from repro.tuner.parallel import parallel_sweep
 from repro.tuner.sweep import SweepEntry, SweepReport, sweep
 from repro.tuner.warm import (
     resolve_warm_cache,
@@ -90,7 +88,7 @@ __all__ = [
     "default_cache_path", "divisors_of", "flash_segment_floor",
     "gemm_rs_lower_bound", "gemm_wave_time", "link_transfer_time",
     "make_key", "model_guided_search", "moe_rs_lower_bound",
-    "parallel_sweep", "prune", "ring_attention_lower_bound",
+    "prune", "ring_attention_lower_bound",
     "resolve_warm_cache", "search_signature", "stratified_probe_indices",
     "sweep", "task_cache_key", "tune", "warm_cache_path",
     "warm_tuned_config",

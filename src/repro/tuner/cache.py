@@ -9,10 +9,11 @@ key is built from everything that changes the answer —
     | SearchSpace.fingerprint() [| search signature]
 
 so retuning happens exactly when the workload, the simulated hardware, or
-the candidate space itself changes.  Restricted searches (random, capped
-``max_trials``) carry a signature suffix so their possibly-weaker winners
-never alias a later full exhaustive search (see ``tune()``).  Repeated bench runs hit the cache and
-skip simulation entirely, which also makes published numbers reproducible:
+the candidate space itself changes.  Restricted searches (model-guided,
+capped ``max_trials``) carry a signature suffix so their possibly-weaker
+winners never alias a later full exhaustive search (see
+``search_signature()``).  Repeated bench runs hit the cache and skip
+simulation entirely, which also makes published numbers reproducible:
 the cache file records *which* config produced them.
 
 The default location is ``$REPRO_TUNE_CACHE`` or
@@ -22,7 +23,9 @@ hermetic runs (tests use ``tmp_path``).  Writes are atomic
 sidecar lockfile and re-reads + merges the on-disk entries before
 renaming, so two processes tuning different kernels against one cache
 file cannot drop each other's results.  A corrupt/foreign file is
-treated as empty rather than raising.
+treated as empty rather than raising; a well-formed file holding a
+malformed entry raises :class:`~repro.tuner.space.TunerError` when that
+entry is read.
 """
 
 from __future__ import annotations
@@ -121,8 +124,28 @@ class TuneCache(VersionedJsonStore):
     # -- dict-ish API -------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
+        """The entry stored under ``key``, or ``None``.
+
+        Raises :class:`TunerError` naming the key and the file when the
+        entry is not an object, its ``best`` is not an object, or its
+        ``time_s`` does not convert with ``float()``.
+        """
         entry = self._load().get(key)
-        return dict(entry) if entry is not None else None
+        if entry is None:
+            return None
+        if not isinstance(entry, dict) or not isinstance(entry.get("best"),
+                                                         dict):
+            raise TunerError(f"malformed tuner-cache entry {key!r} in "
+                             f"{self.path}: expected an object with an "
+                             f"object 'best'")
+        try:
+            float(entry.get("time_s"))
+        except (TypeError, ValueError, OverflowError):
+            raise TunerError(f"malformed tuner-cache entry {key!r} in "
+                             f"{self.path}: time_s "
+                             f"{entry.get('time_s')!r} is not a number"
+                             ) from None
+        return dict(entry)
 
     def put(self, key: str, best: dict, time_s: float,
             meta: dict[str, Any] | None = None) -> None:

@@ -1,7 +1,7 @@
 """Model-guided search (the *model* strategy, ``tune(strategy="model")``).
 
-The exhaustive/halving strategies still pay one full-fidelity simulation
-per cost-model survivor.  But the pruner's analytic lower bound
+The exhaustive strategy still pays one simulation per cost-model
+survivor.  But the pruner's analytic lower bound
 (:mod:`repro.tuner.costprune`) is already a good *shape* of the truth —
 what it misses is a per-candidate residual: how much slower than its
 floor a candidate actually runs once wave quantization, signal waits and
@@ -30,10 +30,9 @@ that).
 2. repeatedly refit on every trial paid so far, re-rank the remaining
    survivors by predicted time, and simulate the best-ranked candidate
    **only while its optimistic prediction still beats the incumbent** —
-   ``optimistic = bound + optimism * (predicted - bound)``, so
-   ``optimism=0`` degrades to pure bound-based dynamic pruning (never
-   stops earlier than exhaustive would) and ``optimism=1`` trusts the
-   fitted prediction outright;
+   ``optimistic = bound + OPTIMISM * (predicted - bound)``, where an
+   optimism of 0 would degrade to pure bound-based dynamic pruning and 1
+   would trust the fitted prediction outright;
 3. stop the moment no remaining candidate's optimistic prediction beats
    the incumbent.
 
@@ -41,9 +40,9 @@ The fallback is provable: the default config is always simulated at full
 fidelity and stays in the trial list, so ``best_time <= default_time``
 holds no matter how wrong the model is — early stopping can only cost
 optimality, never correctness.  Because the stop budget *does* change
-the winner, ``search_signature()`` folds the probe count and optimism
-into the cache key: a model-search entry never aliases an exhaustive
-one.
+the winner, ``search_signature()`` folds :data:`PROBES` and
+:data:`OPTIMISM` into the cache key: a model-search entry never aliases
+an exhaustive one.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ from typing import Callable, Sequence
 
 from repro.tuner.space import Candidate, TunerError
 
-#: default probe-set size (bound-stratified seeds before the first fit)
-DEFAULT_PROBES = 4
-#: default optimism: fraction of the predicted residual the stop rule
-#: trusts (0 = pure bound / exhaustive behaviour, 1 = trust the model).
-DEFAULT_OPTIMISM = 0.75
+#: probe-set size (bound-stratified seeds before the first fit)
+PROBES = 4
+#: fraction of the predicted residual the stop rule trusts
+#: (0 = pure bound / exhaustive behaviour, 1 = trust the model).
+OPTIMISM = 0.75
 
 #: numeric guards: log-residuals are clamped so exp() cannot overflow
 _MAX_LOG = 16.0
@@ -188,9 +187,7 @@ def model_guided_search(
     survivors: Sequence[Candidate], bounds: Sequence[float],
     trials: list[tuple[Candidate, float]], incumbent: float,
     simulate: Callable[[Candidate], float],
-    bound_of: Callable[[Candidate], float], *,
-    slack: float = 0.0, probes: int = DEFAULT_PROBES,
-    optimism: float = DEFAULT_OPTIMISM, ridge: float = 1.0,
+    bound_of: Callable[[Candidate], float],
 ) -> tuple[float, int, int, int]:
     """Run the model-guided loop over ``survivors`` (ascending bound).
 
@@ -199,22 +196,15 @@ def model_guided_search(
     n_pruned_dynamic, n_model_skipped)`` — the last being the candidates
     abandoned when no remaining optimistic prediction beat the incumbent.
     """
-    if not 0.0 <= optimism <= 1.0:
-        raise TunerError(f"model optimism must be in [0, 1], got {optimism}")
-    if probes < 1:
-        raise TunerError(f"model probe count must be >= 1, got {probes}")
     n_sim = n_dyn = 0
     remaining = list(zip(survivors, bounds))
 
-    def cutoff() -> float:
-        return incumbent * (1.0 + slack)
-
     # -- phase 1: bound-stratified probes seed the first fit --------------
-    picked = set(stratified_probe_indices(len(remaining), probes))
+    picked = set(stratified_probe_indices(len(remaining), PROBES))
     probe_set = [cb for i, cb in enumerate(remaining) if i in picked]
     remaining = [cb for i, cb in enumerate(remaining) if i not in picked]
     for cand, bound in probe_set:
-        if bound > cutoff():
+        if bound > incumbent:
             n_dyn += 1
             continue
         t = simulate(cand)
@@ -223,20 +213,20 @@ def model_guided_search(
         incumbent = min(incumbent, t)
 
     # -- phase 2: refit, re-rank, simulate while the model says it pays ---
-    model = ResidualModel(ridge=ridge)
+    model = ResidualModel()
     while remaining:
         model.fit([c for c, _ in trials],
                   [bound_of(c) for c, _ in trials],
                   [t for _, t in trials])
         ranked = sorted(
-            ((b + optimism * (model.predict(c, b) - b), c, b)
+            ((b + OPTIMISM * (model.predict(c, b) - b), c, b)
              for c, b in remaining), key=lambda obc: obc[0])
         optimistic, cand, bound = ranked[0]
-        if optimistic > cutoff():
+        if optimistic > incumbent:
             # no remaining candidate is predicted to beat the incumbent,
             # even optimistically: stop paying for simulations.  (This
             # subsumes bound-based pruning: optimistic >= bound, so a
-            # bound above the cutoff can never reach a simulation.)
+            # bound above the incumbent never reaches a simulation.)
             return incumbent, n_sim, n_dyn, len(remaining)
         remaining = [(c, b) for c, b in remaining if c is not cand]
         t = simulate(cand)

@@ -18,8 +18,26 @@ across shapes.  :func:`sweep` drives a list of
   warm rerun of the whole sweep does **zero** simulations
   (``from_cache=True`` on every shape) — cache warm-up is paid once per
   table, not once per bench invocation;
-* ``workers=N`` fans the cold, non-aliasing groups out over a process
-  pool (:mod:`repro.tuner.parallel`) with identical report semantics.
+* ``workers=N`` first fans the cold first-occurrence keys (those the
+  shared cache does not hold yet) out over forked processes through
+  :func:`repro.util.forkpool.fork_run`, with identical report semantics.
+
+The fan-out: :class:`~repro.tuner.search.TuneTask` carries closures
+(builder factories, analytic bounds) that cannot cross a pickle boundary,
+so workers inherit the task list over ``fork()`` and receive only an
+index.  Each worker tunes against its own cache file (written atomically
+when its tune finishes), and the parent folds the finished files into the
+shared cache through :meth:`~repro.tuner.cache.TuneCache.merge_from` —
+the same flock-protected read-merge-rename path every other cache write
+takes.  A worker that crashes therefore cannot corrupt the shared file or
+drop other keys' results: its file never exists, while finished files
+are merged before the failure propagates.  The report is then assembled
+by the same loop a serial sweep runs, so entry order, dedup labels,
+progress lines and ``n_simulated`` accounting are identical (the
+simulator is deterministic, and a cold key tunes against an empty
+private cache exactly like it would against a shared cache that does not
+hold it).  Without ``fork``, or with fewer than two cold keys, the loop
+simply tunes every key itself against the shared cache.
 
 The returned :class:`SweepReport` carries one :class:`SweepEntry` per
 task, formats as a paper-style per-shape table, and exports plain dict
@@ -30,15 +48,19 @@ rows for the machine-readable bench path
 from __future__ import annotations
 
 import math
+import shutil
+import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, Union
 
 from repro.config import H800, HardwareSpec
 from repro.tuner import cache as cache_mod
-from repro.tuner.model import DEFAULT_OPTIMISM, DEFAULT_PROBES
 from repro.tuner.search import TuneResult, TuneTask, task_cache_key, tune
 from repro.tuner.space import TunerError
+from repro.util.forkpool import fork_available, fork_run
 
 #: A sweep input: a bare task (named after its kernel/shape) or a
 #: (display name, task) pair.
@@ -169,13 +191,58 @@ def _normalize(tasks: Iterable[SweepInput]) -> list[tuple[str, TuneTask]]:
     return named
 
 
+def _fan_out(cold: list[tuple[str, str, TuneTask]],
+             cache: cache_mod.TuneCache | None, workers: int,
+             tune_one: Callable[[TuneTask, cache_mod.TuneCache | None],
+                                TuneResult]) -> dict[str, TuneResult]:
+    """Tune the ``(key, name, task)`` list ``cold`` over forked workers,
+    each against a private cache file; returns results by key.
+
+    Finished private files are merged into ``cache`` even when a worker
+    fails.  A readonly (or absent) shared cache gets no private files:
+    nothing would be merged into it, as a serial ``put`` never persists.
+    """
+    cache_dir = (tempfile.mkdtemp(prefix="repro-sweep-workers-")
+                 if cache is not None and not cache.readonly else None)
+
+    def private(index: int) -> Path:
+        return Path(cache_dir) / f"task{index}.json"
+
+    def run(index: int) -> TuneResult:
+        """Tune one cold key (inherited over ``fork()``; only ``index``
+        crosses the process boundary)."""
+        own = cache_mod.TuneCache(private(index)) if cache_dir else None
+        return tune_one(cold[index][2], own)
+
+    try:
+        results, failures = fork_run(run, len(cold), workers)
+    finally:
+        if cache_dir is not None:
+            try:
+                # in task order, so the shared file lists keys as a
+                # serial sweep would write them
+                cache.merge_from(*(private(i) for i in range(len(cold))))
+            finally:
+                shutil.rmtree(cache_dir, ignore_errors=True)
+    if failures:
+        # a dead worker fails *every* unfinished job with
+        # BrokenProcessPool, so prefer a real exception (the root cause)
+        # for the re-raise; name no specific task otherwise
+        for _, exc in failures:
+            if not isinstance(exc, BrokenProcessPool):
+                raise exc
+        names = sorted(cold[i][1] for i, _ in failures)
+        raise TunerError(
+            f"a sweep worker died while tuning one of {names}; "
+            f"completed tasks were merged into the shared cache"
+        ) from failures[0][1]
+    return {cold[i][0]: result for i, result in results.items()}
+
+
 def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
           spec: HardwareSpec = H800, strategy: str = "exhaustive",
           cache: cache_mod.TuneCache | None = None,
-          max_trials: int | None = None, seed: int = 0, slack: float = 0.0,
-          halving_scale: float = 0.25, halving_eta: int = 2,
-          model_probes: int = DEFAULT_PROBES,
-          model_optimism: float = DEFAULT_OPTIMISM,
+          max_trials: int | None = None,
           workers: int | None = None,
           progress: Callable[[str], None] | None = None,
           recorder=None) -> SweepReport:
@@ -184,14 +251,14 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
     ``tasks`` is a sequence of :class:`TuneTask` (or ``(name, task)``
     pairs for nicer report labels); every search parameter is shared by
     the whole sweep so the per-task cache keys stay comparable.
-    ``workers=N`` (N > 1) fans the non-aliasing cold tasks out over a
-    process pool (see :mod:`repro.tuner.parallel`) with identical report
+    ``workers=N`` (N > 1) first tunes the cold first-occurrence keys over
+    N forked processes (see the module docstring) with identical report
     semantics; the default tunes serially.  ``progress`` (e.g. ``print``)
     receives one line per shape as it resolves.  ``recorder`` (an
     enabled :class:`repro.obs.Recorder`, duck-typed) collects wall-clock
-    spans — one ``tune`` span per shape plus the per-stage spans
-    :func:`tune` records inside it; under ``workers>1`` only the
-    parent-side spans survive (fork-pool children cannot report back).
+    spans — one ``tune`` span per shape tuned in this process plus the
+    per-stage spans :func:`tune` records inside it, and one ``fanout``
+    span around the forked workers, whose own spans die with them.
     """
     named = _normalize(tasks)
     if not named:
@@ -202,49 +269,55 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
     if rec is not None:
         rec.meta.setdefault("kind", "spans")
 
-    if workers is not None and workers > 1:
-        from repro.tuner.parallel import parallel_sweep
+    def tune_one(task: TuneTask, against: cache_mod.TuneCache | None,
+                 recorder=None) -> TuneResult:
+        return tune(task, world=world, spec=spec, strategy=strategy,
+                    cache=against, max_trials=max_trials, recorder=recorder)
 
-        return parallel_sweep(
-            named, world=world, spec=spec, strategy=strategy, cache=cache,
-            max_trials=max_trials, seed=seed, slack=slack,
-            halving_scale=halving_scale, halving_eta=halving_eta,
-            model_probes=model_probes, model_optimism=model_optimism,
-            workers=workers, progress=progress, recorder=recorder)
+    keyed = [(name, task, task_cache_key(task, world=world, spec=spec,
+                                         strategy=strategy,
+                                         max_trials=max_trials))
+             for name, task in named]
 
-    memo: dict[str, tuple[str, TuneResult]] = {}
+    results: dict[str, TuneResult] = {}
+    if workers is not None and workers > 1 and fork_available():
+        cold: dict[str, tuple[str, str, TuneTask]] = {}
+        for name, task, key in keyed:
+            if key not in cold and (cache is None or key not in cache):
+                cold[key] = (key, name, task)
+        if len(cold) > 1:
+            t_fan = perf_counter() if rec is not None else 0.0
+            results = _fan_out(list(cold.values()), cache, workers, tune_one)
+            if rec is not None:
+                rec.span(t_fan, perf_counter(), "fanout",
+                         f"{len(cold)} tasks x {workers} workers")
+
+    first_name: dict[str, str] = {}
     entries: list[SweepEntry] = []
-    for name, task in named:
-        key = task_cache_key(task, world=world, spec=spec, strategy=strategy,
-                             max_trials=max_trials, seed=seed, slack=slack,
-                             halving_scale=halving_scale,
-                             halving_eta=halving_eta,
-                             model_probes=model_probes,
-                             model_optimism=model_optimism)
-        if key in memo:
-            first_name, shared = memo[key]
+    for name, task, key in keyed:
+        if key in first_name:
             entries.append(SweepEntry(
                 name=name, kernel=task.kernel, shape_key=task.shape_key,
-                cache_key=key, result=shared, deduped_from=first_name))
+                cache_key=key, result=results[key],
+                deduped_from=first_name[key]))
             if rec is not None:
                 t_now = perf_counter()
-                rec.span(t_now, t_now, "cache", f"dedup:{name}<-{first_name}")
+                rec.span(t_now, t_now, "cache",
+                         f"dedup:{name}<-{first_name[key]}")
             if progress is not None:
                 # dedup keys on the FULL cache key (shape, world, spec and
                 # search signature included), not just the space
                 # fingerprint — say so, and name the shared key
                 progress(f"[sweep] {name}: deduplicated (same cache key "
-                         f"as {first_name}: {key})")
+                         f"as {first_name[key]}: {key})")
             continue
-        t_tune = perf_counter() if rec is not None else 0.0
-        result = tune(task, world=world, spec=spec, strategy=strategy,
-                      cache=cache, max_trials=max_trials, seed=seed,
-                      slack=slack, halving_scale=halving_scale,
-                      halving_eta=halving_eta, model_probes=model_probes,
-                      model_optimism=model_optimism, recorder=recorder)
-        if rec is not None:
-            rec.span(t_tune, perf_counter(), "tune", name)
-        memo[key] = (name, result)
+        first_name[key] = name
+        if key not in results:
+            t_tune = perf_counter() if rec is not None else 0.0
+            results[key] = tune_one(task, cache, recorder)
+            if rec is not None:
+                rec.span(t_tune, perf_counter(), "tune", name)
+        result = results[key]
         entries.append(SweepEntry(
             name=name, kernel=task.kernel, shape_key=task.shape_key,
             cache_key=key, result=result))

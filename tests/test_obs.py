@@ -213,6 +213,9 @@ def test_load_rejects_malformed_recordings(tmp_path):
     with pytest.raises(ObsError, match="start <= end"):
         load(dump({"format": "repro-obs/1", "kind": "sim",
                    "intervals": [[0, "compute", "gemm", 2.0, 1.0]]}))
+    with pytest.raises(ObsError, match="not valid JSON"):
+        path.write_bytes(b"\xff\xfe{}")          # not UTF-8
+        load(path)
 
 
 def test_event_fields_cover_every_emitted_kind():
@@ -357,7 +360,7 @@ def test_tuner_sweep_records_spans_without_perturbing(tmp_path):
 
     def run(cache_path, recorder=None):
         cache = TuneCache(cache_path)
-        return sweep([task, task], world=4, strategy="random", max_trials=3,
+        return sweep([task, task], world=4, max_trials=3,
                      cache=cache, recorder=recorder)
 
     recorder = Recorder()
@@ -366,7 +369,7 @@ def test_tuner_sweep_records_spans_without_perturbing(tmp_path):
     assert recorded.rows() == plain.rows()
 
     attr = span_attribution(recorder.recording())
-    # default + 3 random trials, each span-labelled by stage
+    # default + up to 3 capped trials, each span-labelled by stage
     assert attr["simulate"]["count"] == recorded.n_simulated
     labels = attr["simulate"]["labels"]
     assert any(l.endswith(":default") for l in labels)

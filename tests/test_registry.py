@@ -28,6 +28,7 @@ from repro.registry import (
     resolve_serve_method,
     serve_method_names,
 )
+from repro.serve.latency import resolve_latency_table
 
 
 def test_all_shipped_families_registered():
@@ -164,8 +165,10 @@ def test_serve_method_axis():
     names = serve_method_names()
     assert names[:3] == BASE_SERVE_METHODS
     assert "tilelink-chunk" in names
-    # nothing experimental leaks into the shipped latency table
-    assert serve_method_names(shipped_only=True) == BASE_SERVE_METHODS
+    # registered methods stay out of the shipped latency table
+    table = resolve_latency_table()
+    assert {key.split("|")[1] for key in table.keys()} == \
+        set(BASE_SERVE_METHODS)
 
 
 def test_resolve_serve_method():
@@ -211,7 +214,7 @@ def test_cli_manifest_json(capsys):
     chunk = by_name["chunk_gemm_rs"]
     assert chunk["serve_method"] == "tilelink-chunk"
     assert chunk["provenance"].startswith("repro.kernels.chunk_gemm_rs:")
-    assert manifest["shipped_serve_methods"] == list(BASE_SERVE_METHODS)
+    assert manifest["serve_methods"][:3] == list(BASE_SERVE_METHODS)
 
 
 def test_cli_list_plain(capsys):

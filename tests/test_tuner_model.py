@@ -4,7 +4,7 @@ Covers the PR's acceptance scenario: ``strategy="model"`` runs strictly
 fewer full-fidelity simulations than ``strategy="exhaustive"`` on the
 Figure-8 MLP shapes while ``best_time <= default_time`` holds on every
 shape, and a model-search cache entry never aliases an exhaustive one
-(the probe budget and stop optimism are folded into the search
+(the fixed probe budget and stop optimism are folded into the search
 signature).
 """
 
@@ -124,15 +124,6 @@ def test_model_strategy_never_worse_than_default():
         + res.n_model_skipped == survivors
 
 
-def test_model_strategy_rejects_bad_parameters():
-    with pytest.raises(TunerError):
-        tune(small_task(), world=SMALL_WORLD, strategy="model",
-             model_optimism=1.5)
-    with pytest.raises(TunerError):
-        tune(small_task(), world=SMALL_WORLD, strategy="model",
-             model_probes=0)
-
-
 def test_model_strategy_respects_max_trials():
     res = tune(small_task(), world=SMALL_WORLD, strategy="model",
                max_trials=3)
@@ -142,14 +133,8 @@ def test_model_strategy_respects_max_trials():
 def test_model_signature_and_cache_non_aliasing(tmp_path):
     """A model-search entry must never be served to an exhaustive request
     (or vice versa), while an identical model request hits its own key."""
-    assert search_signature("model", None, 0) == "|model-mtall-s0-p4-o0.75"
-    assert search_signature("model", 5, 2, model_probes=6,
-                            model_optimism=0.5) == "|model-mt5-s2-p6-o0.5"
-    # distinct budgets produce distinct keys
-    sigs = {search_signature("model", None, 0, model_probes=p,
-                             model_optimism=o)
-            for p in (2, 4) for o in (0.5, 0.75)}
-    assert len(sigs) == 4
+    assert search_signature("model", None) == "|model-mtall-s0-p4-o0.75"
+    assert search_signature("model", 5) == "|model-mt5-s0-p4-o0.75"
 
     cache = TuneCache(tmp_path / "cache.json")
     mo = tune(small_task(), world=SMALL_WORLD, strategy="model", cache=cache)
@@ -157,31 +142,13 @@ def test_model_signature_and_cache_non_aliasing(tmp_path):
     assert not ex.from_cache                  # model entry not served
     assert ex.best_time <= mo.best_time       # exhaustive is the floor
     assert len(cache) == 2
+    assert task_cache_key(small_task(), world=SMALL_WORLD, spec=H800,
+                          strategy="model") in cache
     # an identical model request hits its own entry, zero simulations
     again = tune(small_task(), world=SMALL_WORLD, strategy="model",
                  cache=cache)
     assert again.from_cache and again.n_simulated == 0
     assert again.best == mo.best
-    # a different optimism re-searches instead of aliasing
-    other = tune(small_task(), world=SMALL_WORLD, strategy="model",
-                 model_optimism=0.5, cache=cache)
-    assert not other.from_cache
-    assert task_cache_key(small_task(), world=SMALL_WORLD, spec=H800,
-                          strategy="model", model_optimism=0.5) in cache
-
-
-def test_model_optimism_zero_degrades_to_bound_pruning():
-    """optimism=0 makes the optimistic prediction the analytic bound
-    itself: the stop rule can only fire where bound-based dynamic
-    re-pruning would have skipped anyway, so nothing that exhaustive
-    simulates is skipped and the winner matches exhaustive's."""
-    ex = tune(small_task(), world=SMALL_WORLD)
-    mo = tune(small_task(), world=SMALL_WORLD, strategy="model",
-              model_optimism=0.0)
-    assert mo.best == ex.best
-    assert mo.best_time == pytest.approx(ex.best_time)
-    assert mo.n_simulated + mo.n_pruned_dynamic + mo.n_model_skipped \
-        >= ex.n_simulated
 
 
 # ---------------------------------------------------------------------------

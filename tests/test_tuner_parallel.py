@@ -1,16 +1,17 @@
-"""Tests for the parallel sweep execution layer (``tuner/parallel.py``).
+"""Tests for the forked fan-out of ``sweep(tasks, workers=N)``.
 
 The contract under test: ``sweep(tasks, workers=N)`` is a drop-in upgrade
 of the serial driver — byte-identical ``SweepReport.rows()`` (entry
 order, dedup labels, ``n_simulated`` accounting, winning configs), the
 same shared-cache contents afterwards, a zero-simulation warm rerun, and
 a crashing worker that can neither corrupt nor drop entries from the
-shared cache file.
+shared cache file, and the same report again where ``fork`` is missing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import multiprocessing
 import os
@@ -127,11 +128,11 @@ def test_single_cold_group_runs_inline(tmp_path):
     assert len(cache) == 1
 
 
-def _boom_make_builder(cand, scale):
+def _boom_make_builder(cand):
     raise RuntimeError("injected mid-sweep crash")
 
 
-def _exit_make_builder(cand, scale):
+def _exit_make_builder(cand):
     os._exit(3)
 
 
@@ -198,3 +199,27 @@ def test_parallel_progress_lines_match_serial(tmp_path):
     sweep(tasks, world=SMALL_WORLD, cache=TuneCache(tmp_path / "p.json"),
           workers=2, progress=par_lines.append)
     assert par_lines == serial_lines
+
+
+def test_no_fork_falls_back_to_the_serial_loop(tmp_path, monkeypatch):
+    """Without the fork start method, sweep(workers=2) tunes every key
+    in-process against the shared cache: rows, progress lines and the
+    shared cache file equal the serial run's."""
+    tasks = aliasing_table()
+    serial_lines: list[str] = []
+    serial = sweep(tasks, world=SMALL_WORLD,
+                   cache=TuneCache(tmp_path / "s.json"),
+                   progress=serial_lines.append)
+
+    sweep_mod = importlib.import_module("repro.tuner.sweep")
+    monkeypatch.setattr(sweep_mod, "fork_available", lambda: False)
+    lines: list[str] = []
+    fallback = sweep(tasks, world=SMALL_WORLD,
+                     cache=TuneCache(tmp_path / "f.json"), workers=2,
+                     progress=lines.append)
+
+    assert json.dumps(fallback.rows(), sort_keys=True) == \
+        json.dumps(serial.rows(), sort_keys=True)
+    assert lines == serial_lines
+    assert (tmp_path / "f.json").read_text() == \
+        (tmp_path / "s.json").read_text()

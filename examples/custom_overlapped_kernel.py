@@ -16,15 +16,19 @@ Quickstart — the fastest path to your own kernel family:
    ``SearchSpace``, the config's default and a bound) so the autotuner
    can search it;
 4. make ONE ``repro.registry.register_family()`` call from this module,
-   naming a few tiny analyzer instantiations of the launcher.
+   naming the tune task and a few tiny analyzer instantiations of the
+   launcher.
 
-After step 4 every consumer resolves the family through the registry
-with zero edits anywhere else: ``python -m repro.registry --list`` shows
-it, ``repro.analyze`` records its plans from the launcher itself and
-proves them deadlock/race-free, the tuner searches its task, the bench
-harness gets its builders.  A family can also contribute a serving
-``method`` (see ``repro/kernels/chunk_gemm_rs.py``, which registers
-``"tilelink-chunk"`` the same way and appears in ``models.runner``).
+After step 4 the registry's consumers find the family with zero edits
+anywhere else: ``python -m repro.registry --list`` shows it, and
+``repro.analyze`` records its plans from the launcher itself and proves
+them deadlock/race-free.  A family that also declares a paper-table
+sweep (``sweep_category``/``sweep_entries``) joins the tuner sweeps, and
+one that declares a serving ``method`` joins the serving axis (see
+``repro/kernels/chunk_gemm_rs.py``, which registers ``"tilelink-chunk"``
+the same way and appears in ``models.runner``).  The launcher, the tune
+task and the bench builders are plain functions; this script calls them
+directly.
 
 Run:  python examples/custom_overlapped_kernel.py
 """
@@ -161,10 +165,6 @@ def ag_softmax_tune_task(m: int, n: int, *, world: int = WORLD) -> TuneTask:
     )
 
 
-# ---------------------------------------------------------------------------
-# Step 4 — ONE registration; every consumer resolves it from here
-# ---------------------------------------------------------------------------
-
 def ag_softmax_builders(shape, world: int = WORLD, **_kw):
     """Bench builders: label -> fresh-context builder (Figure-8 style)."""
     m, n = shape.s, shape.h
@@ -197,21 +197,21 @@ def ag_softmax_analyze_plans():
     return [plan(2), plan(4)]
 
 
+# ---------------------------------------------------------------------------
+# Step 4 — ONE registration; the analyzer and the manifest resolve it
+# ---------------------------------------------------------------------------
+
 register_family(
     name="ag_softmax",
     doc="example: fused AllGather + row softmax (tile-pull producer)",
-    config_cls=AgSoftmaxConfig,
     kernels=(ag_softmax,),
-    launch=ag_softmax_overlapped,
     tune_task=lambda: ag_softmax_tune_task(256, 64),
     analyze_plans=ag_softmax_analyze_plans,
-    bench_builders=lambda: ag_softmax_builders,
-    worlds=(2, 4),
 )
 
 
 # ---------------------------------------------------------------------------
-# The payoff: run it, verify it, tune it, bench it — all via the registry
+# The payoff: run it, verify it, tune it, bench it
 # ---------------------------------------------------------------------------
 
 M, N = 256, 64
@@ -220,7 +220,7 @@ M, N = 256, 64
 def main() -> None:
     fam = get_family("ag_softmax")
     print(f"registered: {fam.name} — {fam.doc}")
-    print(f"  provenance {fam.provenance}, worlds {fam.worlds}\n")
+    print(f"  provenance {fam.provenance}\n")
 
     # numerics: launch through the family's own launcher
     ctx = DistContext.create(SimConfig(world_size=WORLD, seed=1))
@@ -230,7 +230,7 @@ def main() -> None:
     ctx.bind("x", shards)
     ctx.alloc("g", (M, N), "float16", fill=None)
     ctx.alloc("y", (M, N), "float32")
-    fam.launch(ctx, AgSoftmaxConfig(m=M, n=N), "x", "g", "y")
+    ag_softmax_overlapped(ctx, AgSoftmaxConfig(m=M, n=N), "x", "g", "y")
     total = ctx.run()
 
     full = np.concatenate(shards).astype(np.float32)
@@ -242,14 +242,15 @@ def main() -> None:
     print(f"numerics: correct on {WORLD} ranks (max err < 1e-2), "
           f"simulated {total * 1e6:.1f} us")
 
-    # static verification: plans recorded from the launcher, strictly
+    # static verification through the registry: plans recorded from the
+    # launcher, strictly
     for plan, report in analyze_registered([fam.name]):
         assert report.ok(strict=True), report.findings
         print(f"analyzer: {plan.name} clean "
               f"({len(plan.threads)} abstract threads)")
 
-    # autotuning: search the registered task (6 candidates here)
-    result = tune(fam.tune_task(), world=WORLD)
+    # autotuning: search the task (6 candidates here)
+    result = tune(ag_softmax_tune_task(256, 64), world=WORLD)
     print(f"tuner: best {result.best} at {result.best_time * 1e6:.1f} us "
           f"(default {result.default_time * 1e6:.1f} us, "
           f"{result.n_candidates} candidates)")
@@ -258,15 +259,15 @@ def main() -> None:
     from repro.bench.experiments import run_method_times
     from repro.models.configs import MlpShape
     times = run_method_times(
-        fam.bench_builders()(MlpShape("demo", M, N, 4 * N, "example"),
-                             world=WORLD),
+        ag_softmax_builders(MlpShape("demo", M, N, 4 * N, "example"),
+                            world=WORLD),
         world=WORLD)
     for label, t in times.items():
         print(f"bench: {label} {t * 1e6:.1f} us")
 
     print("\nOne register_family() call wired the kernel into the "
-          "analyzer, tuner and bench harness; `python -m repro.registry "
-          "--list` now shows it beside the built-in families.")
+          "analyzer; `python -m repro.registry --list` now shows it "
+          "beside the built-in families.")
 
 
 if __name__ == "__main__":

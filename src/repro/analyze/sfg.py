@@ -61,16 +61,6 @@ class SignalFlow:
                         ti, pos, ev.threshold, ev.guaranteed, ev.site))
         return sfg
 
-    def optimistic_total(self, cell: Cell) -> int:
-        return sum(p.amount for p in self.posts.get(cell, []))
-
-    def guaranteed_total(self, cell: Cell) -> int:
-        return sum(p.amount for p in self.posts.get(cell, [])
-                   if p.guaranteed)
-
-    def notify_threads(self, cell: Cell) -> set[int]:
-        return {p.thread for p in self.posts.get(cell, [])}
-
     def notify_sites(self, cell: Cell) -> list[Site]:
         seen: set[tuple] = set()
         out: list[Site] = []

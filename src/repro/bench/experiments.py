@@ -359,11 +359,6 @@ def attention_sweep_tasks(shapes: Sequence[AttnShape],
                         spec, causal=causal)
 
 
-def family_builders(kernel: str, *args, **kwargs):
-    """Resolve ``kernel``'s registered bench builders and build the grid."""
-    return get_family(kernel).bench_builders()(*args, **kwargs)
-
-
 def registry_sweep_tasks(world: int = DEFAULT_WORLD, *,
                          spec: HardwareSpec = H800,
                          ) -> list[tuple[str, TuneTask]]:

@@ -8,6 +8,6 @@ DMA-mapped kernels use.
 """
 
 from repro.collectives.nccl import NcclCollectives
-from repro.collectives.copy_engine import dma_all_gather, dma_scatter_segments
+from repro.collectives.copy_engine import dma_all_gather
 
-__all__ = ["NcclCollectives", "dma_all_gather", "dma_scatter_segments"]
+__all__ = ["NcclCollectives", "dma_all_gather"]

@@ -67,48 +67,3 @@ def dma_all_gather(
             rank_proc(rank), name=f"dma.ag.{src_name}[{rank}]")
         for rank in range(world)
     ]
-
-
-def dma_scatter_segments(
-    ctx: DistContext,
-    src_name: str,
-    dst_name: str,
-    banks: list[SignalArray] | None,
-    stream_name: str = "comm",
-    segment_notifies: int = 1,
-) -> list[Process]:
-    """Push-mode scatter: rank r pushes row-segment q of its source to q.
-
-    The building block of the hybrid ReduceScatter (scatter on DMA,
-    reduction on SMs): destination rank ``q`` receives one partial segment
-    from every peer at rows ``[r*seg, (r+1)*seg)`` of its landing buffer
-    and gets ``banks[q][r]`` posted per arrival.
-    """
-    world = ctx.world_size
-    srcs = ctx.heap.tensors(src_name)
-    dsts = ctx.heap.tensors(dst_name)
-    rows, cols = srcs[0].shape
-    if rows % world != 0:
-        raise ShapeError(f"scatter rows {rows} not divisible by {world}")
-    seg = rows // world
-    if dsts[0].shape[0] != rows:
-        raise ShapeError(
-            f"dma_scatter: landing buffer rows {dsts[0].shape[0]} != {rows}")
-
-    def rank_proc(rank: int) -> ProcessGen:
-        for off in range(world):
-            q = (rank + off) % world
-            yield from ctx.rank_copy_data(
-                dst_name, src_rank=rank, dst_rank=q,
-                src_ranges=((q * seg, (q + 1) * seg), (0, cols)),
-                dst_ranges=((rank * seg, (rank + 1) * seg), (0, cols)),
-                src_name=src_name)
-            if banks is not None:
-                banks[q].post_add(rank, segment_notifies, from_rank=rank)
-        return None
-
-    return [
-        ctx.stream(rank, stream_name).enqueue(
-            rank_proc(rank), name=f"dma.scatter.{src_name}[{rank}]")
-        for rank in range(world)
-    ]

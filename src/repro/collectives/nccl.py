@@ -191,65 +191,3 @@ class NcclCollectives:
             return None
 
         return self._launch(rank_proc, stream_name, f"nccl.rs.{src_name}")
-
-    # -- AllReduce -------------------------------------------------------------------
-
-    def all_reduce(self, src_name: str, dst_name: str,
-                   stream_name: str = "default") -> list[Process]:
-        """Ring AllReduce = ReduceScatter + AllGather (NCCL's algorithm).
-
-        Implemented by composition through an internal scratch tensor.
-        """
-        ctx = self.ctx
-        rows, cols = ctx.heap.tensors(src_name)[0].shape
-        world = self.machine.world_size
-        scratch = f"nccl.ar.scratch.{next(_UID)}"
-        ctx.heap.alloc(scratch, (rows // world, cols), "float32")
-        self.reduce_scatter(src_name, scratch, stream_name)
-        return self.all_gather(scratch, dst_name, stream_name)
-
-    # -- All2All ---------------------------------------------------------------------
-
-    def all_to_all(self, src_name: str, dst_name: str,
-                   stream_name: str = "default") -> list[Process]:
-        """Each rank scatters row-segment q of its source to rank q."""
-        ctx, machine = self.ctx, self.machine
-        world = machine.world_size
-        srcs = ctx.heap.tensors(src_name)
-        dsts = ctx.heap.tensors(dst_name)
-        rows, cols = srcs[0].shape
-        segments = self._row_segments(rows, world)
-        seg_rows = rows // world
-        seg_bytes = seg_rows * cols * srcs[0].itemsize
-        arrived = self._bank("a2a", world)
-
-        def rank_proc(rank: int) -> ProcessGen:
-            held = yield from self._occupy_sms(rank)
-            device = machine.device(rank)
-            try:
-                t0 = machine.now
-                for off in range(world):
-                    dst = (rank + off) % world
-                    lo, hi = segments[dst]
-                    payload = srcs[rank].read_tile(((lo, hi), (0, cols)))
-                    if dst == rank:
-                        arrival = device.reserve_hbm(2 * seg_bytes)
-                        yield Timeout(max(0.0, arrival - machine.now))
-                    else:
-                        yield machine.interconnect.transfer(
-                            rank, dst, seg_bytes, "nccl")
-                    if machine.config.execute_numerics:
-                        dsts[dst].write_tile(
-                            ((rank * seg_rows, (rank + 1) * seg_rows),
-                             (0, cols)), payload)
-                    arrived[dst].post_add(rank, 1, from_rank=rank)
-                for q in range(world):
-                    yield arrived[rank].wait_geq(q, 1)
-                if machine.config.trace:
-                    machine.record(rank, "comm", f"nccl.a2a:{src_name}",
-                                   t0, machine.now)
-            finally:
-                device.sms.release(held)
-            return None
-
-        return self._launch(rank_proc, stream_name, f"nccl.a2a.{src_name}")

@@ -323,12 +323,6 @@ def _analyze_plans():
     ]
 
 
-def _bench_builders():
-    from repro.bench.experiments import ag_gemm_builders
-
-    return ag_gemm_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
     task = ag_gemm_tune_task(shape.s, shape.i // world, shape.h,
                              world=world, spec=spec)
@@ -338,14 +332,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
 register_family(
     name="ag_gemm",
     doc="AllGather + GEMM (tensor-parallel MLP part 1)",
-    config_cls=AgGemmConfig,
     kernels=(_ag_consumer_gemm, _ag_pull_producer, _ag_push_producer),
-    launch=ag_gemm_overlapped,
     tune_task=lambda: ag_gemm_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    bench_builders=_bench_builders,
-    worlds=(2, 4, 8),
-    modes=("dma", "pull", "push"),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_cached=True,

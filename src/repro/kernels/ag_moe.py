@@ -241,12 +241,6 @@ def _analyze_plans():
     return [plan(2), plan(4)]
 
 
-def _bench_builders():
-    from repro.bench.experiments import moe_part1_builders
-
-    return moe_part1_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
                    router_seed: int = 17, **_kw):
     task = ag_moe_tune_task(shape.s, shape.h, shape.i // world, shape.e,
@@ -258,13 +252,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
 register_family(
     name="ag_moe",
     doc="AllGather + MoE GroupGEMM (expert-parallel MoE part 1)",
-    config_cls=AgMoeConfig,
     kernels=(_ag_moe_group_gemm,),
-    launch=ag_moe_overlapped,
     tune_task=lambda: ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
-    bench_builders=_bench_builders,
-    worlds=(2, 4),
     sweep_category="moe",
     sweep_entries=_sweep_entries,
     warm_cached=True,

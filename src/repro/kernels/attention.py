@@ -151,9 +151,6 @@ def ag_attention_overlapped(
     k_shards_name: str,
     v_shards_name: str,
     out_name: str,
-    gathered_k_name: str | None = None,
-    gathered_v_name: str | None = None,
-    comm_sms: int = 0,
     tag: str = "ag_attn",
 ) -> list[Process]:
     """Launch the overlapped AG-KV + flash attention on every rank.
@@ -167,8 +164,8 @@ def ag_attention_overlapped(
     s_per = cfg.seq_len // world
     width = cfg.width
 
-    gk = gathered_k_name or f"{tag}.K"
-    gv = gathered_v_name or f"{tag}.V"
+    gk = f"{tag}.K"
+    gv = f"{tag}.V"
     ctx.alloc(gk, (cfg.seq_len, width), "float16", fill=None)
     ctx.alloc(gv, (cfg.seq_len, width), "float16", fill=None)
     banks = ctx.heap.alloc_signals(f"{tag}.seg", world)
@@ -199,7 +196,7 @@ def ag_attention_overlapped(
 
     def compute_proc(rank: int) -> ProcessGen:
         device = machine.device(rank)
-        want = device.sms.capacity - comm_sms
+        want = device.sms.capacity
         yield device.sms.acquire(want)
         try:
             t0 = machine.now
@@ -251,12 +248,6 @@ def ag_attention_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _bench_builders():
-    from repro.bench.experiments import attention_builders
-
-    return attention_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
                    causal: bool = True, **_kw):
     tasks = []
@@ -270,14 +261,10 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
 register_family(
     name="ag_attention",
     doc="KV AllGather + flash attention (sequence parallel)",
-    config_cls=AgAttentionConfig,
-    launch=ag_attention_overlapped,
     tune_task=lambda: ag_attention_tune_task(4, 32, 512, world=2),
     # the flash consumer is a native simulated kernel with no tile IR: the
     # analyzer gives the family one informational plan, nothing to record
     analyze_plans=lambda: [],
-    bench_builders=_bench_builders,
-    worlds=(1,),
     tile_ir=False,
     sweep_category="attention",
     sweep_entries=_sweep_entries,

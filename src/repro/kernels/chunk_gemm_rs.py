@@ -15,7 +15,9 @@ tuned axis (``n_chunks``) of the search space.
 
 Synchronization is fully tile-centric and statically analyzable:
 
-* the producer notifies per output tile (``producer_tile_notify``), and a
+* the producer is the hybrid variant's ring-ordered GEMM
+  (``gemm_rs._gemm_producer``), which notifies per output tile
+  (``producer_tile_notify``); here a
   :class:`~repro.mapping.dynamic.TableTileMapping` routes each row tile to
   its ``(segment, chunk)`` channel with the chunk's full tile count baked
   into ``channel_threshold`` — so ``consumer_tile_wait`` gates a reduce
@@ -29,8 +31,8 @@ Synchronization is fully tile-centric and statically analyzable:
 
 This family is also the registry's proof artifact: it is registered *only*
 from this module via :func:`repro.registry.register_family`, yet shows up
-in ``repro.analyze --all``, the tuner sweeps, the bench tables and the
-serving ``method`` axis ("tilelink-chunk") with zero edits elsewhere.
+in ``repro.analyze --all``, the tuner sweeps and the serving ``method``
+axis ("tilelink-chunk") with zero edits elsewhere.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
-from repro.kernels.gemm_rs import gemm_rs_overlapped  # noqa: F401  (bench)
+from repro.kernels.gemm_rs import _gemm_producer
 from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.mapping.dynamic import TableTileMapping
@@ -48,9 +50,8 @@ from repro.config import H800, HardwareSpec
 from repro.registry import ServeMethod, register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
-from repro.tuner.cache import TuneCache
 from repro.tuner.costprune import gemm_rs_lower_bound
-from repro.tuner.search import TuneTask, tune
+from repro.tuner.search import TuneTask
 from repro.tuner.space import Axis, SearchSpace, divisors_of
 
 
@@ -117,40 +118,6 @@ def build_chunk_mapping(m: int, block_m: int, world: int, n_chunks: int,
 # ---------------------------------------------------------------------------
 
 @kernel
-def _chunk_gemm_producer(tokens, weights, gemm_out, channel: tl.BlockChannel,
-                         M: tl.constexpr, N: tl.constexpr, K: tl.constexpr,
-                         BM: tl.constexpr, BN: tl.constexpr,
-                         BK: tl.constexpr):
-    """Producer GEMM, ring-ordered, notifying per output tile.
-
-    The chunk structure lives entirely in the channel mapping: each
-    ``producer_tile_notify(tid_m)`` lands in the (segment, chunk) channel
-    the :func:`build_chunk_mapping` table routes that row tile to.
-    """
-    bid = tl.block_id()
-    nb = tl.num_blocks()
-    world = channel.num_ranks
-    tiles_m = tl.cdiv(M, BM)
-    tiles_n = tl.cdiv(N, BN)
-    total = tiles_m * tiles_n
-    seg_tiles = (tiles_m // world) * tiles_n
-    start = ((channel.rank + 1) % world) * seg_tiles
-    for i in range(bid, total, nb):
-        t = (start + i) % total
-        tid_m = t // tiles_n
-        tid_n = t % tiles_n
-        acc = tl.zeros((BM, BN), "float32")
-        for k in range(0, K, BK):
-            a = tl.load(tokens, (tid_m * BM, tid_m * BM + BM), (k, k + BK))
-            b = tl.load(weights, (k, k + BK), (tid_n * BN, tid_n * BN + BN))
-            acc += tl.dot(a, b)
-        c = tl.cast(acc, "float16")
-        tl.store(gemm_out, (tid_m * BM, tid_m * BM + BM),
-                 (tid_n * BN, tid_n * BN + BN), c)
-        tl.producer_tile_notify(tid_m, "p2p")
-
-
-@kernel
 def _chunk_rs_reduce(landing, gemm_out, out, channel: tl.BlockChannel,
                      M: tl.constexpr, N: tl.constexpr, BM: tl.constexpr,
                      BNR: tl.constexpr, NC: tl.constexpr,
@@ -195,8 +162,6 @@ def _chunk_rs_reduce(landing, gemm_out, out, channel: tl.BlockChannel,
 
 
 # analyzer annotations (repro.analyze)
-_chunk_gemm_producer.meta.update(role="producer", comm_axis="m",
-                                 outputs=("gemm_out",))
 _chunk_rs_reduce.meta.update(role="consumer", comm_axis="m",
                              outputs=("out",))
 
@@ -331,7 +296,7 @@ def chunk_gemm_rs_overlapped(
         tag, mapping=mapping, comm_grid=reduce_grid,
         consumer_grid=reduce_grid, peer_cells=world * nc)
 
-    ctx.launch_spmd(_chunk_gemm_producer, grid, dict(
+    ctx.launch_spmd(_gemm_producer, grid, dict(
         tokens=ctx.heap.tensors(tokens_name),
         weights=ctx.heap.tensors(weight_name),
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
@@ -372,58 +337,6 @@ def chunk_gemm_rs_overlapped(
         M=cfg.m, N=cfg.n, BM=cfg.block_m, BNR=cfg.block_nr,
         NC=nc, HALF=half, PER=per, WORLD=world,
     ), options=options, label=f"{tag}.reduce")
-
-
-# ---------------------------------------------------------------------------
-# Bench builders (Figure-8-style method grid for the RS half)
-# ---------------------------------------------------------------------------
-
-def chunk_gemm_rs_builders(shape, world: int = 8, *,
-                           tuned: bool | None = None,
-                           tune_cache: TuneCache | None = None,
-                           tune_max_trials: int | None = None):
-    """Method grid comparing the chunked kernel against its siblings."""
-    from repro.baselines import nonoverlap
-    from repro.kernels.gemm_rs import GemmRsConfig
-
-    m, n = shape.s, shape.h
-    k = shape.i // world
-
-    def _alloc(ctx: DistContext) -> None:
-        ctx.alloc("x", (m, k), "float16", fill=None)
-        ctx.alloc("w", (k, n), "float16", fill=None)
-        ctx.alloc("y", (m // ctx.world_size, n), "float32", fill=None)
-
-    def non(ctx: DistContext) -> None:
-        _alloc(ctx)
-        nonoverlap.gemm_rs_nonoverlap(ctx, m, n, k, "x", "w", "y")
-
-    def tl_hybrid(ctx: DistContext) -> None:
-        _alloc(ctx)
-        cfg = GemmRsConfig(m=m, n=n, k=k, mode="hybrid")
-        gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-    def tl_chunk(ctx: DistContext) -> None:
-        _alloc(ctx)
-        cfg = _default_chunk_config(m, n, k, ctx.world_size)
-        chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-    out = {"cuBLAS+NCCL": non, "TileLink": tl_hybrid,
-           "TileLink-chunk": tl_chunk}
-    if tuned:
-        def tl_chunk_tuned(ctx: DistContext) -> None:
-            _alloc(ctx)
-            spec = ctx.machine.config.spec
-            task = chunk_gemm_rs_tune_task(m, n, k, world=ctx.world_size,
-                                           spec=spec)
-            cfg = tune(task, world=ctx.world_size, spec=spec,
-                       cache=(tune_cache if tune_cache is not None
-                              else TuneCache()),
-                       max_trials=tune_max_trials).best_config
-            chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-        out["TileLink-chunk-tuned"] = tl_chunk_tuned
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +384,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
 register_family(
     name="chunk_gemm_rs",
     doc="chunk-centric GEMM + ReduceScatter (variable-size chunk overlap)",
-    config_cls=ChunkGemmRsConfig,
-    kernels=(_chunk_gemm_producer, _chunk_rs_reduce),
-    launch=chunk_gemm_rs_overlapped,
+    kernels=(_gemm_producer, _chunk_rs_reduce),
     tune_task=lambda: chunk_gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    bench_builders=lambda: chunk_gemm_rs_builders,
-    worlds=(2, 4),
-    modes=("chunk",),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     serve_method=ServeMethod(name="tilelink-chunk", base="tilelink",

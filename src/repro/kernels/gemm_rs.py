@@ -110,7 +110,12 @@ def _gemm_rs_ring(tokens, weights, gemm_out, buffers, out,
 def _gemm_producer(tokens, weights, gemm_out, channel: tl.BlockChannel,
                    M: tl.constexpr, N: tl.constexpr, K: tl.constexpr,
                    BM: tl.constexpr, BN: tl.constexpr, BK: tl.constexpr):
-    """Standalone producer GEMM (hybrid variant), ring-ordered, notifying."""
+    """Standalone producer GEMM, ring-ordered, notifying per output tile.
+
+    The hybrid variant launches it, and so does the chunk-centric family,
+    whose channel mapping routes each notify to a (segment, chunk)
+    channel.
+    """
     bid = tl.block_id()
     nb = tl.num_blocks()
     world = channel.num_ranks
@@ -382,12 +387,6 @@ def _analyze_plans():
             plan(2, "hybrid"), plan(4, "hybrid")]
 
 
-def _bench_builders():
-    from repro.bench.experiments import gemm_rs_builders
-
-    return gemm_rs_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
     task = gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
                              world=world, spec=spec)
@@ -397,14 +396,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
 register_family(
     name="gemm_rs",
     doc="GEMM + ReduceScatter (tensor-parallel MLP part 2)",
-    config_cls=GemmRsConfig,
     kernels=(_gemm_rs_ring, _gemm_producer, _rs_reduce),
-    launch=gemm_rs_overlapped,
     tune_task=lambda: gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    bench_builders=_bench_builders,
-    worlds=(2, 4),
-    modes=("ring", "hybrid"),
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_cached=True,

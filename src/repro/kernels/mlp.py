@@ -35,9 +35,6 @@ class MlpConfig:
     block_k: int = 64
     block_mr: int = 128
     block_nr: int = 256
-    comm_blocks: int = 20
-    ag_mode: str = "dma"
-    rs_mode: str = "hybrid"
 
     def validate(self, world: int) -> None:
         if self.i % world != 0:
@@ -56,55 +53,33 @@ def mlp_layer_tilelink(
     out_name: str,
     options: CompileOptions | None = None,
     tag: str = "mlp",
-    ag_cfg: AgGemmConfig | None = None,
-    rs_cfg: GemmRsConfig | None = None,
 ) -> list[Process]:
     """Launch the full overlapped MLP layer on every rank.
 
     ``x_shards`` are (m/world x h) per rank; ``w1`` (h x i/world); ``w2``
-    (i/world x h); ``out`` receives (m/world x h).
-
-    ``ag_cfg``/``rs_cfg`` optionally replace the per-half kernel configs
-    derived from ``cfg`` — the two halves are tuned independently (their
-    design spaces are separate), so a caller holding per-half winners
-    (e.g. the warm-cache resolution behind ``method="tilelink-tuned"``)
-    can inject them without collapsing both halves onto one tile set.
-    Overrides must keep the layer's problem shape.
+    (i/world x h); ``out`` receives (m/world x h).  AG+GEMM runs on the
+    copy engine (``"dma"``) and GEMM+RS as ``"hybrid"``.
     """
     world = ctx.world_size
     cfg.validate(world)
     ishard = cfg.i_shard(world)
-    if ag_cfg is not None and (ag_cfg.m, ag_cfg.n, ag_cfg.k) != \
-            (cfg.m, ishard, cfg.h):
-        raise ShapeError(
-            f"ag_cfg shape ({ag_cfg.m}, {ag_cfg.n}, {ag_cfg.k}) does not "
-            f"match the layer's ({cfg.m}, {ishard}, {cfg.h})")
-    if rs_cfg is not None and (rs_cfg.m, rs_cfg.n, rs_cfg.k) != \
-            (cfg.m, cfg.h, ishard):
-        raise ShapeError(
-            f"rs_cfg shape ({rs_cfg.m}, {rs_cfg.n}, {rs_cfg.k}) does not "
-            f"match the layer's ({cfg.m}, {cfg.h}, {ishard})")
 
     inter = ctx.alloc(f"{tag}.inter", (cfg.m, ishard), "float16", fill=None)
     act = ctx.alloc(f"{tag}.act", (cfg.m, ishard), "float16", fill=None)
 
-    if ag_cfg is None:
-        ag_cfg = AgGemmConfig(
-            m=cfg.m, n=ishard, k=cfg.h, block_m=cfg.block_m,
-            block_n=cfg.block_n, block_k=cfg.block_k,
-            comm_blocks=cfg.comm_blocks, mode=cfg.ag_mode,
-            block_mp=cfg.block_m)
+    ag_cfg = AgGemmConfig(
+        m=cfg.m, n=ishard, k=cfg.h, block_m=cfg.block_m,
+        block_n=cfg.block_n, block_k=cfg.block_k, mode="dma",
+        block_mp=cfg.block_m)
     ag_gemm_overlapped(ctx, ag_cfg, x_shards_name, w1_name,
                        f"{tag}.inter", options=options, tag=f"{tag}.p1")
 
     for rank in range(world):
         silu_op(ctx, rank, inter[rank], act[rank])
 
-    if rs_cfg is None:
-        rs_cfg = GemmRsConfig(
-            m=cfg.m, n=cfg.h, k=ishard, block_m=cfg.block_m,
-            block_n=cfg.block_n, block_k=cfg.block_k, block_mr=cfg.block_mr,
-            block_nr=cfg.block_nr, comm_blocks=cfg.comm_blocks,
-            mode=cfg.rs_mode)
+    rs_cfg = GemmRsConfig(
+        m=cfg.m, n=cfg.h, k=ishard, block_m=cfg.block_m,
+        block_n=cfg.block_n, block_k=cfg.block_k, block_mr=cfg.block_mr,
+        block_nr=cfg.block_nr, mode="hybrid")
     return gemm_rs_overlapped(ctx, rs_cfg, f"{tag}.act", w2_name, out_name,
                               options=options, tag=f"{tag}.p2")

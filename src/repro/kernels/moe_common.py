@@ -36,7 +36,7 @@ class MoeRouting:
     expert_tile_offsets: np.ndarray  # (E+1,)
     n_tiles: int             # padded grouped tiles
     padded_rows: int         # n_tiles * block_m
-    padded_token_ids: np.ndarray  # (padded_rows,) token id, dump_row for pads
+    padded_token_ids: np.ndarray  # (padded_rows,) token id, n_tokens for pads
     padded_expert_of_row: np.ndarray  # (padded_rows,)
     padded_weights: np.ndarray  # (padded_rows,) fp32, 0 for pads
     valid_mask: np.ndarray   # (padded_rows,) bool
@@ -45,11 +45,6 @@ class MoeRouting:
     segment_counts: np.ndarray
     #: total expected contributions per segment = tokens_per_rank * topk
     segment_thresholds: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def dump_row(self) -> int:
-        """Scratch row index for padded scatter targets (== n_tokens)."""
-        return self.n_tokens
 
 
 def build_moe_routing(

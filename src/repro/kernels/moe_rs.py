@@ -288,12 +288,6 @@ def _analyze_plans():
     return [plan(2), plan(4)]
 
 
-def _bench_builders():
-    from repro.bench.experiments import moe_part2_builders
-
-    return moe_part2_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
                    router_seed: int = 17, **_kw):
     task = moe_rs_tune_task(shape.s, shape.h, shape.i // world, shape.e,
@@ -305,13 +299,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
 register_family(
     name="moe_rs",
     doc="GroupGEMM + Scatter + TopkReduce + ReduceScatter (MoE part 2)",
-    config_cls=MoeRsConfig,
     kernels=(_moe_rs_producer, _moe_rs_reduce),
-    launch=moe_rs_overlapped,
     tune_task=lambda: moe_rs_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
-    bench_builders=_bench_builders,
-    worlds=(2, 4),
     sweep_category="moe",
     sweep_entries=_sweep_entries,
     warm_cached=True,

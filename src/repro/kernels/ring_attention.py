@@ -157,14 +157,6 @@ def ring_attention(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _bench_builders():
-    # the ring baseline appears as the "RingAttn" column of the shared
-    # attention method grid
-    from repro.bench.experiments import attention_builders
-
-    return attention_builders
-
-
 def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
                    causal: bool = True, **_kw):
     tasks = []
@@ -179,13 +171,9 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
 register_family(
     name="ring_attention",
     doc="RingAttention baseline (rotating-KV lockstep ring)",
-    config_cls=AgAttentionConfig,
-    launch=ring_attention,
     tune_task=lambda: ring_attention_tune_task(4, 32, 512, world=2),
     # native host-process ring, no tile IR: one informational plan
     analyze_plans=lambda: [],
-    bench_builders=_bench_builders,
-    worlds=(1,),
     tile_ir=False,
     sweep_category="attention",
     sweep_entries=_sweep_entries,

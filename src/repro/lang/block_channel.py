@@ -96,10 +96,6 @@ class BlockChannel:
             )
         return self.producer_mapping
 
-    @property
-    def is_dynamic(self) -> bool:
-        return isinstance(self.producer_mapping, TableTileMapping)
-
     def consumer_wait_list(self, consumer_tid_m: int) -> list[tuple[int, int]]:
         """(channel, threshold) pairs a consumer row-tile must wait on."""
         if self.consumer_mapping is not None:
@@ -117,9 +113,6 @@ class BlockChannel:
 
     def producer_rank(self, producer_tile_id: int) -> int:
         return self.require_mapping().rank_of(producer_tile_id)
-
-    def producer_range(self, producer_tile_id: int) -> tuple[int, int]:
-        return self.require_mapping().shape_range(producer_tile_id)
 
     def notify_posts(self, tile_id: int, mode: str, to: int | None = None
                      ) -> list[tuple[SignalArray, int, int]]:

@@ -319,49 +319,3 @@ def inherit_linenos(body: list[Stmt], default: int | None = None) -> None:
             last = getattr(s, "lineno", last)
         for block in s.children():
             inherit_linenos(block, last)
-
-
-# ---------------------------------------------------------------------------
-# pretty printing (debugging / golden tests)
-# ---------------------------------------------------------------------------
-
-
-def pretty(ir: KernelIR) -> str:
-    lines = [f"kernel {ir.name}({', '.join(ir.params)})"]
-
-    def emit(body: list[Stmt], depth: int) -> None:
-        pad = "  " * depth
-        for s in body:
-            if isinstance(s, AssignScalar):
-                lines.append(f"{pad}{s.target} = {s.value!r}")
-            elif isinstance(s, TileOp):
-                tgt = f"{s.target} = " if s.target else ""
-                flags = " [prefetch]" if s.prefetchable else ""
-                lines.append(f"{pad}{tgt}{s.op}{s.args!r}{flags}")
-            elif isinstance(s, Primitive):
-                tgt = f"{s.target} = " if s.target else ""
-                lines.append(f"{pad}{tgt}@{s.name}{s.args!r}")
-            elif isinstance(s, For):
-                tags = []
-                if s.aggregable:
-                    tags.append("agg")
-                if s.pipelined:
-                    tags.append("pipe")
-                tag = f" [{','.join(tags)}]" if tags else ""
-                lines.append(
-                    f"{pad}for {s.var} in range({s.start!r}, {s.stop!r}, "
-                    f"{s.step!r}){tag}:")
-                emit(s.body, depth + 1)
-            elif isinstance(s, If):
-                lines.append(f"{pad}if {s.cond!r}:")
-                emit(s.then, depth + 1)
-                if s.orelse:
-                    lines.append(f"{pad}else:")
-                    emit(s.orelse, depth + 1)
-            elif isinstance(s, Return):
-                lines.append(f"{pad}return")
-            else:  # pragma: no cover
-                lines.append(f"{pad}<?{type(s).__name__}>")
-
-    emit(ir.body, 1)
-    return "\n".join(lines)

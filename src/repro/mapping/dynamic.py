@@ -25,9 +25,9 @@ from repro.mapping.layout import ceil_div
 class TableTileMapping:
     """Lookup-table f_S / f_R / f_C with the same query interface as affine.
 
-    Tables may be filled incrementally (``fill``) or all at once
-    (``fill_all``); querying an unfilled entry raises, mirroring how a real
-    kernel reading an unwritten table would be a bug.
+    Tables are filled one tile at a time (``fill``); querying an unfilled
+    entry raises, mirroring how a real kernel reading an unwritten table
+    would be a bug.
     """
 
     UNFILLED = -1
@@ -67,16 +67,6 @@ class TableTileMapping:
                 if not 0 <= c < self.n_channels:
                     raise MappingError(f"fill: wait-set channel {c} out of range")
             self.wait_sets[tile_id] = list(wait_set)
-
-    def fill_all(self, lows: np.ndarray, highs: np.ndarray,
-                 ranks: np.ndarray, channels: np.ndarray) -> None:
-        for arr in (lows, highs, ranks, channels):
-            if len(arr) != self.n_tiles:
-                raise MappingError("fill_all: table length mismatch")
-        self.fS_low[:] = lows
-        self.fS_high[:] = highs
-        self.fR[:] = ranks
-        self.fC[:] = channels
 
     def _check(self, tile_id: int) -> None:
         if not 0 <= tile_id < self.n_tiles:

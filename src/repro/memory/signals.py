@@ -86,18 +86,6 @@ class SignalArray:
 
         self.sim.call_later(latency, apply)
 
-    def post_set(self, index: int, value: int, from_rank: int) -> None:
-        """Fire-and-forget atomic max-set (used by host-side rank_notify)."""
-        self._check(index)
-        latency = self.cost.atomic_latency(remote=(from_rank != self.rank))
-        self.posts += 1
-
-        def apply() -> None:
-            self.values[index] = max(self.values[index], value)
-            self._wake(index)
-
-        self.sim.call_later(latency, apply)
-
     # -- consumer side ---------------------------------------------------------
 
     def read(self, index: int) -> int:
@@ -142,11 +130,3 @@ class SignalArray:
     @property
     def blocked_waiters(self) -> int:
         return sum(len(ws) for ws in self._waiters.values())
-
-    def reset(self) -> None:
-        """Zero all counters (between layer invocations)."""
-        if self.blocked_waiters:
-            raise SimulationError(
-                f"cannot reset {self.name!r} with {self.blocked_waiters} blocked waiters"
-            )
-        self.values[:] = 0

@@ -4,8 +4,10 @@ The paper's runtime allocates tensors and barriers in NVSHMEM symmetric
 memory so any rank can address a peer's buffer by (symbol, rank) — Figure 7
 ("NVSHMEM init / Alloc SHMEM / ... / Free SHMEM").  :class:`SymmetricHeap`
 reproduces that contract: :meth:`alloc` creates one identically-shaped
-tensor per rank under a shared name; remote puts/gets move tile payloads
-over the interconnect and apply them at arrival time, so an unguarded read
+tensor per rank under a shared name.  The kernel backend
+(``tl.tile_push_data``/``tl.tile_pull_data``) and the host's
+``rank_copy_data`` move tiles between these tensors: a write lands at
+link arrival and a pull reads its source at issue, so an unguarded read
 of a peer buffer observes stale data exactly like real hardware would.
 """
 
@@ -16,10 +18,7 @@ import numpy as np
 from repro.errors import RuntimeLaunchError, ShapeError
 from repro.memory.signals import SignalArray
 from repro.memory.tensor import SimTensor, resolve_dtype
-from repro.sim.engine import Awaitable, Timeout
 from repro.sim.machine import Machine
-
-Ranges = tuple[tuple[int, int], ...]
 
 
 class SymmetricHeap:
@@ -109,67 +108,5 @@ class SymmetricHeap:
         except KeyError:
             raise RuntimeLaunchError(f"no symmetric tensor named {name!r}") from None
 
-    def signals(self, name: str, rank: int) -> SignalArray:
-        try:
-            return self._signals[name][rank]
-        except KeyError:
-            raise RuntimeLaunchError(f"no signal bank named {name!r}") from None
-
     def names(self) -> list[str]:
         return sorted(self._tensors)
-
-    # -- remote data movement -------------------------------------------------------
-
-    def put_tile(self, name: str, src_rank: int, dst_rank: int,
-                 src_ranges: Ranges, dst_ranges: Ranges,
-                 protocol: str = "p2p",
-                 src_name: str | None = None) -> Awaitable:
-        """Push a tile from ``src_rank``'s buffer into ``dst_rank``'s buffer.
-
-        Returns an awaitable that completes at data-arrival time; the numpy
-        effect is applied *at arrival*, not at issue, so unsynchronized
-        remote reads see stale data (this is what the memory-consistency
-        tests rely on).
-        """
-        src = self.tensor(src_name or name, src_rank)
-        dst = self.tensor(name, dst_rank)
-        nbytes = src.tile_bytes(src_ranges)
-        payload = src.read_tile(src_ranges)
-        _start, arrival = self.machine.interconnect.reserve(
-            src_rank, dst_rank, nbytes, protocol)
-        delay = max(0.0, arrival - self.machine.sim.now)
-
-        if payload is not None or not self.machine.config.execute_numerics:
-            def apply() -> None:
-                dst.write_tile(dst_ranges, payload)
-            self.machine.sim.call_later(delay, apply)
-        if self.machine.config.trace:
-            self.machine.record(src_rank, "comm", f"put:{name}",
-                                self.machine.sim.now, arrival)
-        return Timeout(delay)
-
-    def get_tile(self, name: str, src_rank: int, dst_rank: int,
-                 src_ranges: Ranges, dst_ranges: Ranges,
-                 protocol: str = "p2p",
-                 dst_name: str | None = None) -> Awaitable:
-        """Pull a tile from a peer into the local buffer (pull mode).
-
-        The payload is snapshotted at *issue* time on the source — a pull
-        that races an unsynchronized producer reads whatever was there.
-        """
-        src = self.tensor(name, src_rank)
-        dst = self.tensor(dst_name or name, dst_rank)
-        nbytes = src.tile_bytes(src_ranges)
-        payload = src.read_tile(src_ranges)
-        _start, arrival = self.machine.interconnect.reserve(
-            src_rank, dst_rank, nbytes, protocol)
-        delay = max(0.0, arrival - self.machine.sim.now)
-
-        if payload is not None or not self.machine.config.execute_numerics:
-            def apply() -> None:
-                dst.write_tile(dst_ranges, payload)
-            self.machine.sim.call_later(delay, apply)
-        if self.machine.config.trace:
-            self.machine.record(dst_rank, "comm", f"get:{name}",
-                                self.machine.sim.now, arrival)
-        return Timeout(delay)

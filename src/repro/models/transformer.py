@@ -44,7 +44,7 @@ from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped, \
 from repro.kernels.moe_common import MoeRouting, build_moe_routing, \
     random_router_logits
 from repro.kernels.moe_layer import MoeConfig, moe_layer_tilelink
-from repro.kernels.mlp import MlpConfig, mlp_layer_tilelink
+from repro.kernels.mlp import MlpConfig
 from repro.models.configs import ModelConfig
 from repro.ops.activation import silu_op
 from repro.ops.attention import flash_attention_op
@@ -209,41 +209,23 @@ def build_ffn_block(ctx: DistContext, model: ModelConfig, method: str,
             nonoverlap.mlp_nonoverlap(ctx, cfg, f"{sub}.x", f"{sub}.w1",
                                       f"{sub}.w2", f"{sub}.out", tag=sub)
             return
-        if ov:
-            # an op slot is overridden — assemble AG+GEMM -> SiLU ->
-            # GEMM+RS through the dispatchers so the override lands on
-            # its slot while the other half keeps the base-method path
-            ishard = i // world
-            inter = ctx.alloc(f"{sub}.inter", (tokens, ishard), "float16",
-                              fill=None)
-            act = ctx.alloc(f"{sub}.act", (tokens, ishard), "float16",
-                            fill=None)
-            _ag_gemm(ctx, method, tokens, ishard, h,
-                     f"{sub}.x", f"{sub}.w1", f"{sub}.inter",
-                     tag=f"{sub}.p1", warm=warm, override=ov.get("ag_gemm"))
-            for rank in range(world):
-                silu_op(ctx, rank, inter[rank], act[rank])
-            _gemm_rs(ctx, method, tokens, h, ishard,
-                     f"{sub}.act", f"{sub}.w2", f"{sub}.out",
-                     tag=f"{sub}.p2", warm=warm, override=ov.get("gemm_rs"))
-            return
-        bm = _row_tile(BM, tokens, world)
-        bmr = _row_tile(BMR, tokens, world)
-        cfg = MlpConfig(m=tokens, h=h, i=i, block_m=bm, block_n=BN,
-                        block_k=BK, block_mr=bmr, block_nr=BNR)
-        # the two halves tune independently — inject whichever winners
-        # the warm cache holds for these exact shapes
-        ag_cfg = _warm_cfg(
-            warm, lambda: ag_gemm_tune_task(tokens, i // world, h,
-                                            world=world, spec=_spec(ctx)),
-            ctx)
-        rs_cfg = _warm_cfg(
-            warm, lambda: gemm_rs_tune_task(tokens, h, i // world,
-                                            world=world, spec=_spec(ctx)),
-            ctx)
-        mlp_layer_tilelink(ctx, cfg, f"{sub}.x", f"{sub}.w1",
-                           f"{sub}.w2", f"{sub}.out", tag=sub,
-                           ag_cfg=ag_cfg, rs_cfg=rs_cfg)
+        # AG+GEMM -> SiLU -> GEMM+RS through the op dispatchers: an
+        # overridden slot takes the family's launcher, and each half
+        # resolves its own warm-cache winner (the halves tune
+        # independently)
+        ishard = i // world
+        inter = ctx.alloc(f"{sub}.inter", (tokens, ishard), "float16",
+                          fill=None)
+        act = ctx.alloc(f"{sub}.act", (tokens, ishard), "float16",
+                        fill=None)
+        _ag_gemm(ctx, method, tokens, ishard, h,
+                 f"{sub}.x", f"{sub}.w1", f"{sub}.inter",
+                 tag=f"{sub}.p1", warm=warm, override=ov.get("ag_gemm"))
+        for rank in range(world):
+            silu_op(ctx, rank, inter[rank], act[rank])
+        _gemm_rs(ctx, method, tokens, h, ishard,
+                 f"{sub}.act", f"{sub}.w2", f"{sub}.out",
+                 tag=f"{sub}.p2", warm=warm, override=ov.get("gemm_rs"))
 
     if not model.moe:
         dense(model.intermediate, f"{tag}.mlp")

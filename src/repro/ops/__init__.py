@@ -18,7 +18,6 @@ from repro.ops.attention import (
     flash_attention_op,
     naive_attention_op,
 )
-from repro.ops.activation import silu_mul_op, silu_mul_ref
 from repro.ops.topk import topk_reduce_op, topk_route
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "group_gemm_ref",
     "naive_attention_op",
     "per_expert_gemm_op",
-    "silu_mul_op",
-    "silu_mul_ref",
     "topk_reduce_op",
     "topk_route",
 ]

@@ -1,6 +1,6 @@
-"""Activation epilogues: the SiLUMul / GeLUMul between the two MLP GEMMs.
+"""Activation epilogue: the SiLU between the two MLP GEMMs.
 
-Memory-bound elementwise kernels: read two operands, write one result.
+A memory-bound elementwise kernel: read the operand, write the result.
 """
 
 from __future__ import annotations
@@ -11,12 +11,6 @@ from repro.errors import ShapeError
 from repro.memory.tensor import SimTensor
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
-
-
-def silu_mul_ref(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Gold-standard SiLU(gate) * up in fp32."""
-    g = gate.astype(np.float32)
-    return (g / (1.0 + np.exp(-g))) * up.astype(np.float32)
 
 
 def _elementwise_gen(ctx: DistContext, rank: int, inputs: list[SimTensor],
@@ -39,19 +33,6 @@ def _elementwise_gen(ctx: DistContext, rank: int, inputs: list[SimTensor],
     if machine.config.trace:
         machine.record(rank, "compute", label, t0, machine.now)
     return None
-
-
-def silu_mul_op(ctx: DistContext, rank: int, gate: SimTensor, up: SimTensor,
-                out: SimTensor, stream_name: str = "default") -> Process:
-    """SwiGLU epilogue: ``out = silu(gate) * up``."""
-    if gate.shape != up.shape or gate.shape != out.shape:
-        raise ShapeError(
-            f"silu_mul shapes differ: {gate.shape}, {up.shape}, {out.shape}")
-    return ctx.machine.stream(rank, stream_name).enqueue(
-        _elementwise_gen(ctx, rank, [gate, up], out, silu_mul_ref,
-                         "silu_mul", flops_per_element=14.0),
-        name=f"silu_mul[{rank}]",
-        start_delay=ctx.machine.cost.launch_overhead())
 
 
 def silu_ref(x: np.ndarray) -> np.ndarray:

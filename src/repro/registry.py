@@ -8,11 +8,14 @@ that into one declarative :class:`KernelFamily` record and a single
 :func:`register_family` call made from the family's own module:
 
 * the static analyzer (``repro.analyze``) records ``analyze_plans``
-  from the family's own launcher,
-* the tuner (``tune_task``) and its sweep drivers (``sweep_entries``,
-  over the family's paper table when it is ``warm_cached``),
-* the bench harness resolves ``bench_builders``,
-* the serving stack resolves extra ``method`` names via ``serve_method``.
+  from the family's own launcher, checks its ``kernels`` and prints its
+  ``doc`` beside a native (``tile_ir=False``) plan,
+* ``tune_task`` is the family's representative tuning task, and the
+  sweep drivers and the warm-cache refresh (``sweep_entries``, over the
+  ``sweep_category`` paper table when it is ``warm_cached``) tune it at
+  paper shapes,
+* the serving stack resolves extra ``method`` names via ``serve_method``,
+* the ``--list`` manifest shows all of the above.
 
 Discovery is import-driven: :func:`discover` imports every module under
 ``repro.kernels`` once, and each module registers itself at import time.
@@ -30,7 +33,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import pkgutil
@@ -81,21 +83,11 @@ class KernelFamily:
 
     #: registry key; also the tuner kernel name and analyzer family name
     name: str
-    #: the launch config dataclass (``XxxConfig``)
-    config_cls: type
-    #: launcher: ``launch(ctx, cfg, *tensor_names, ...)``
-    launch: Callable[..., Any]
     #: zero-arg factory -> ``TuneTask`` for a representative small shape
     tune_task: Callable[[], Any]
     #: zero-arg factory -> analyzer ``(plan name, world, build)`` entries;
-    #: ``build(ctx)`` allocates tiny inputs and calls ``launch`` on them
+    #: ``build(ctx)`` allocates tiny inputs and calls the family's launcher
     analyze_plans: Callable[[], list]
-    #: zero-arg factory -> the family's bench builders function
-    bench_builders: Callable[[], Callable[..., dict]]
-    #: world sizes the analyzer plans cover
-    worlds: tuple[int, ...]
-    #: mapping modes the family exposes (empty when there is only one)
-    modes: tuple[str, ...] = ()
     #: ``@kernel`` entry points (empty only for native, non-tile-IR families)
     kernels: tuple = ()
     #: False for natively-simulated families with no tile IR to analyze
@@ -122,23 +114,16 @@ _discovered = False
 #: (field, human-readable requirement) — validated before insertion so a
 #: partial registration fails loudly, naming the missing piece.
 _REQUIRED_CALLABLES = (
-    ("launch", "launch builder"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
-    ("bench_builders", "bench_builders factory"),
 )
 
 
 def register_family(
     *,
     name: str,
-    config_cls: type | None = None,
-    launch: Callable | None = None,
     tune_task: Callable | None = None,
     analyze_plans: Callable | None = None,
-    bench_builders: Callable | None = None,
-    worlds: tuple[int, ...] = (),
-    modes: tuple[str, ...] = (),
     kernels: tuple = (),
     tile_ir: bool = True,
     sweep_category: str | None = None,
@@ -158,8 +143,8 @@ def register_family(
     def bad(piece: str) -> RegistryError:
         return RegistryError(
             f"kernel family {name!r} is missing its {piece}; "
-            f"register_family() needs every consumer hook (tuner, analyzer, "
-            f"bench, launch) to be provided"
+            f"register_family() needs every consumer hook (tuner, analyzer) "
+            f"to be provided"
         )
 
     if name in _REGISTRY:
@@ -167,13 +152,9 @@ def register_family(
             f"kernel family {name!r} is already registered "
             f"(from {_REGISTRY[name].provenance})"
         )
-    if config_cls is None or not dataclasses.is_dataclass(config_cls):
-        raise bad("config dataclass (config_cls)")
     for fname, piece in _REQUIRED_CALLABLES:
         if not callable(locals()[fname]):
             raise bad(f"{piece} ({fname})")
-    if not worlds:
-        raise bad("supported world sizes (worlds)")
     if warm_cached and (sweep_category is None or sweep_entries is None):
         raise bad("paper-table sweep (sweep_category + sweep_entries) "
                   "that warm_cached needs")
@@ -211,10 +192,8 @@ def register_family(
     caller = sys._getframe(1)
     provenance = f"{caller.f_globals.get('__name__', '?')}:{caller.f_lineno}"
     family = KernelFamily(
-        name=name, config_cls=config_cls, launch=launch,
-        tune_task=tune_task, analyze_plans=analyze_plans,
-        bench_builders=bench_builders, worlds=tuple(worlds),
-        modes=tuple(modes), kernels=tuple(kernels), tile_ir=tile_ir,
+        name=name, tune_task=tune_task, analyze_plans=analyze_plans,
+        kernels=tuple(kernels), tile_ir=tile_ir,
         sweep_category=sweep_category, sweep_entries=sweep_entries,
         warm_cached=warm_cached, serve_method=serve_method,
         doc=doc, provenance=provenance,
@@ -283,9 +262,6 @@ def _manifest() -> dict:
         fams.append({
             "name": fam.name,
             "doc": fam.doc,
-            "config": fam.config_cls.__name__,
-            "worlds": list(fam.worlds),
-            "modes": list(fam.modes),
             "tile_ir": fam.tile_ir,
             "kernels": [k.name for k in fam.kernels],
             # a family without tile IR gets one informational plan
@@ -318,10 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(manifest, indent=2))
         return 0
     for fam in manifest["families"]:
-        modes = ",".join(fam["modes"]) or "-"
-        print(f"{fam['name']}: worlds={fam['worlds']} modes={modes} "
-              f"plans={fam['plans']} kernels={len(fam['kernels'])} "
-              f"[{fam['provenance']}]")
+        print(f"{fam['name']}: plans={fam['plans']} "
+              f"kernels={len(fam['kernels'])} [{fam['provenance']}]")
     print(f"serving methods: {', '.join(manifest['serve_methods'])}")
     return 0
 

@@ -39,7 +39,7 @@ from repro.memory.signals import SignalArray
 from repro.memory.symmetric import SymmetricHeap
 from repro.memory.tensor import SimTensor
 from repro.runtime import launcher
-from repro.sim.engine import Join, Process, ProcessGen, Timeout
+from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.sim.machine import Machine
 from repro.sim.stream import Stream
 
@@ -199,10 +199,3 @@ class DistContext:
 
     def run(self, until: float | None = None) -> float:
         return self.machine.run(until)
-
-    def join_all(self, procs: list[Process]) -> ProcessGen:
-        """Helper generator: wait for a set of processes."""
-        for p in procs:
-            if not p.done:
-                yield Join(p)
-        return None

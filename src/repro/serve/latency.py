@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from bisect import bisect_left
 from pathlib import Path
@@ -121,6 +122,45 @@ def entry_key(model: ModelConfig, method: str, world: int,
     if method == "tilelink-tuned":
         key += f"|wc{_warm_cache_fingerprint()}"
     return key
+
+
+def _ladder(rungs: object) -> bool:
+    """At least two strictly increasing ints: the interpolator needs a
+    segment to extrapolate from above the last rung."""
+    return (isinstance(rungs, list) and len(rungs) >= 2
+            and all(type(r) is int for r in rungs)
+            and all(a < b for a, b in zip(rungs, rungs[1:])))
+
+
+def _token_ladder(rungs: object) -> bool:
+    return _ladder(rungs) and rungs[0] >= 8
+
+
+def _ctx_ladder(rungs: object) -> bool:
+    # the 0 rung is the prefill form
+    return _ladder(rungs) and rungs[0] == 0
+
+
+def _entry_problem(entry: object) -> str | None:
+    """Why a stored entry cannot be priced, or ``None`` when it can."""
+    if not isinstance(entry, dict):
+        return "expected an object"
+    buckets, ctx = entry.get("buckets"), entry.get("ctx_buckets")
+    if not _token_ladder(buckets):
+        return (f"buckets {buckets!r} is not >= 2 strictly increasing "
+                f"ints from 8")
+    if not _ctx_ladder(ctx):
+        return (f"ctx_buckets {ctx!r} is not >= 2 strictly increasing "
+                f"ints from 0")
+    grid = entry.get("layer_s")
+    if not (isinstance(grid, list) and len(grid) == len(ctx) and all(
+            isinstance(row, list) and len(row) == len(buckets)
+            and all(type(t) in (int, float) and math.isfinite(t)
+                    for t in row)
+            for row in grid)):
+        return (f"layer_s needs one row of {len(buckets)} finite numbers "
+                f"per context bucket ({len(ctx)} rows)")
+    return None
 
 
 def resolve_latency_table(path: str | os.PathLike | None = None
@@ -272,14 +312,21 @@ class StepLatencyTable(VersionedJsonStore):
 
     # -- building -----------------------------------------------------------
 
-    def has(self, model: ModelConfig, method: str, world: int = 8,
-            spec: HardwareSpec = H800, seed: int = 0) -> bool:
-        return entry_key(model, method, world, spec, seed) in self._load()
-
     def entry(self, key: str) -> dict | None:
         """The raw stored entry for ``key`` (a copy), or ``None``."""
         e = self._load().get(key)
         return dict(e) if e is not None else None
+
+    def _stored(self, key: str) -> dict | None:
+        """The entry under ``key`` as ``ensure`` and ``interpolator`` read
+        it, or ``None``; raises :class:`ServeError` naming the key and
+        the file when it cannot be priced."""
+        entry = self._load().get(key)
+        problem = None if entry is None else _entry_problem(entry)
+        if problem is not None:
+            raise ServeError(f"malformed latency-table entry {key!r} in "
+                             f"{self.path}: {problem}")
+        return entry
 
     def ensure(self, model: ModelConfig, method: str, world: int = 8,
                spec: HardwareSpec = H800,
@@ -307,20 +354,15 @@ class StepLatencyTable(VersionedJsonStore):
             simulate = layer_time
 
         buckets = sorted(set(int(b) for b in buckets))
-        if len(buckets) < 2 or buckets[0] < 8:
-            # >= 2 points: the interpolator needs a segment to
-            # extrapolate from above the largest bucket
+        if not _token_ladder(buckets):
             raise ServeError(f"invalid bucket ladder {buckets}")
         ctx_buckets = sorted(set(int(c) for c in ctx_buckets))
-        if len(ctx_buckets) < 2 or ctx_buckets[0] != 0:
-            # the 0 rung is the prefill form; >= 2 rungs give the
-            # context axis a segment to extrapolate from
+        if not _ctx_ladder(ctx_buckets):
             raise ServeError(f"invalid context-bucket ladder {ctx_buckets}")
         key = entry_key(model, method, world, spec, seed)
-        entry = self._load().get(key)
-        if entry is not None and \
-                list(entry.get("buckets", ())) == buckets and \
-                list(entry.get("ctx_buckets", ())) == ctx_buckets:
+        entry = self._stored(key)
+        if entry is not None and entry["buckets"] == buckets and \
+                entry["ctx_buckets"] == ctx_buckets:
             return entry
         grid = []
         for c in ctx_buckets:
@@ -359,7 +401,7 @@ class StepLatencyTable(VersionedJsonStore):
         through.
         """
         key = entry_key(model, method, world, spec, seed)
-        entry = self._load().get(key)
+        entry = self._stored(key)
         if entry is None:
             raise ServeError(
                 f"no latency-table entry for {model.name}/{method} "

@@ -12,8 +12,7 @@ bandwidth realistically.
 from __future__ import annotations
 
 from repro.config import HardwareSpec
-from repro.errors import SimulationError
-from repro.sim.engine import Awaitable, Simulator, Timeout
+from repro.sim.engine import Simulator
 from repro.sim.resources import Pipe, Resource
 
 
@@ -37,16 +36,6 @@ class Device:
         return f"<Device rank={self.rank} sms={self.sms.available}/{self.spec.n_sms}>"
 
     # -- timed work -----------------------------------------------------------
-
-    def compute(self, seconds: float) -> Awaitable:
-        """Pure compute occupancy on the calling block's SM."""
-        if seconds < 0:
-            raise SimulationError("negative compute time")
-        return Timeout(seconds)
-
-    def hbm_traffic(self, nbytes: float) -> Awaitable:
-        """Charge ``nbytes`` of DRAM traffic to the shared HBM pipe."""
-        return self.hbm.transfer(nbytes)
 
     def reserve_hbm(self, nbytes: float) -> float:
         """Reserve HBM traffic and return the arrival time (non-blocking)."""

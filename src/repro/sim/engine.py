@@ -227,8 +227,3 @@ class Simulator:
                 blocked=blocked,
             )
         return self.now
-
-    @property
-    def live_processes(self) -> int:
-        """Number of spawned processes that have not finished."""
-        return self._live

@@ -59,10 +59,3 @@ class Host:
         yield Timeout(self.cost.host_sync_overhead())
         self._record("sync", start, self.sim.now)
         return None
-
-    def sleep(self, seconds: float) -> ProcessGen:
-        """Host-side delay (e.g. CPU-side routing/bookkeeping work)."""
-        start = self.sim.now
-        yield Timeout(seconds)
-        self._record("work", start, self.sim.now)
-        return None

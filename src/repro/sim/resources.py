@@ -162,10 +162,3 @@ def reserve_transfer(pipes: list[Pipe], nbytes: float) -> tuple[float, float]:
         p.total_bytes += nbytes
         p.busy_time += occupancy
     return start, start + occupancy + latency
-
-
-def transfer_through(pipes: list[Pipe], nbytes: float) -> Awaitable:
-    """Awaitable for a joint multi-pipe transfer (see reserve_transfer)."""
-    sim = pipes[0].sim
-    _start, arrival = reserve_transfer(pipes, nbytes)
-    return Timeout(max(0.0, arrival - sim.now))

@@ -49,22 +49,7 @@ class Stream:
         self._tail = proc
         return proc
 
-    def wait_for(self, other: Process) -> Process:
-        """Insert a dependency: later work waits until ``other`` completes.
-
-        Mirrors ``cudaStreamWaitEvent`` — device-side, no host overhead.
-        """
-        def waiter() -> ProcessGen:
-            if not other.done:
-                yield Join(other)
-            return None
-
-        return self.enqueue(waiter(), name=f"{self.name}.wait")
-
     @property
     def tail(self) -> Process | None:
         """The most recently enqueued operation (None if never used)."""
         return self._tail
-
-    def drained(self) -> bool:
-        return self._tail is None or self._tail.done

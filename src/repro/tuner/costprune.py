@@ -191,14 +191,13 @@ def ag_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
     s_per = seq_len // world
     bq = int(cand.get("block_q", 128))
     bkv = int(cand.get("block_kv", 128))
-    n_sms = max(1, spec.n_sms - int(cand.get("comm_sms", 0)))
     steps_full = math.ceil(s_per / bkv)
     compute = 0.0
     for seg in range(world):
         frac = 0.5 if (causal and seg == world - 1) else 1.0
         compute += flash_segment_floor(
             spec, heads, s_per, head_dim, block_q=bq, block_kv=bkv,
-            n_sms=n_sms, steps=math.ceil(steps_full * frac))
+            n_sms=spec.n_sms, steps=math.ceil(steps_full * frac))
     width = heads * head_dim
     comm_bytes = 2.0 * (world - 1) * s_per * width * dtype_bytes  # K and V
     comm = link_transfer_time(spec, comm_bytes)

@@ -1,6 +1,6 @@
-"""Shared small utilities: statistics, ASCII tables, size formatting."""
+"""Shared small utilities: statistics, ASCII tables, duration formatting."""
 
-from repro.util.stats import geomean, mean, speedup_table
-from repro.util.tables import format_table, render_bar_chart
+from repro.util.stats import geomean, mean
+from repro.util.tables import format_table
 
-__all__ = ["geomean", "mean", "speedup_table", "format_table", "render_bar_chart"]
+__all__ = ["geomean", "mean", "format_table"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 
 
 def mean(values: Iterable[float]) -> float:
@@ -25,22 +25,3 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def speedup_table(
-    times: Mapping[str, Sequence[float]], baseline: str
-) -> dict[str, list[float]]:
-    """Convert absolute times per method into relative performance.
-
-    Relative performance is ``t_baseline / t_method`` per workload — the
-    y-axis of the paper's figures (baseline == 1.0, higher is better).
-    """
-    if baseline not in times:
-        raise KeyError(f"baseline {baseline!r} not in results")
-    base = times[baseline]
-    out: dict[str, list[float]] = {}
-    for name, series in times.items():
-        if len(series) != len(base):
-            raise ValueError(f"series {name!r} length mismatch with baseline")
-        out[name] = [b / t for b, t in zip(base, series)]
-    return out

@@ -1,13 +1,12 @@
-"""Plain-text table / bar-chart rendering for the benchmark harness.
+"""Plain-text tables and durations for the benchmarks and examples.
 
-The harness prints results in the same rows/series the paper reports; these
-helpers keep that output readable in a terminal and in the committed
-``bench_output.txt``.
+The benchmarks print results in the same rows the paper reports; these
+helpers keep that output readable in a terminal.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 
 def format_table(
@@ -44,45 +43,6 @@ def format_table(
     out.append(sep)
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
-
-
-def render_bar_chart(
-    series: Mapping[str, Sequence[float]],
-    labels: Sequence[str],
-    title: str | None = None,
-    width: int = 40,
-) -> str:
-    """Render grouped horizontal bars (one group per label) in ASCII.
-
-    Used to echo the paper's bar figures next to the numeric tables.
-    """
-    peak = max((max(vals) for vals in series.values() if len(vals)), default=1.0)
-    peak = max(peak, 1e-12)
-    name_w = max((len(n) for n in series), default=0)
-    label_w = max((len(str(lab)) for lab in labels), default=0)
-    out = []
-    if title:
-        out.append(title)
-    for i, label in enumerate(labels):
-        out.append(f"{str(label):<{label_w}}")
-        for name, vals in series.items():
-            if i >= len(vals):
-                continue
-            v = vals[i]
-            bar = "#" * max(1, round(width * v / peak)) if v > 0 else ""
-            out.append(f"  {name:<{name_w}} |{bar} {v:.3f}")
-    return "\n".join(out)
-
-
-def format_bytes(n: float) -> str:
-    """Human-readable byte count (binary units)."""
-    units = ["B", "KiB", "MiB", "GiB", "TiB"]
-    x = float(n)
-    for u in units:
-        if abs(x) < 1024.0 or u == units[-1]:
-            return f"{x:.2f} {u}" if u != "B" else f"{int(x)} B"
-        x /= 1024.0
-    raise AssertionError("unreachable")
 
 
 def format_time(seconds: float) -> str:

@@ -88,7 +88,7 @@ def test_full_mlp_baselines_numerics(rng, impl):
     ctx.bind("w2", w2)
     ctx.alloc("y", (m // world, h), "float32")
     cfg = MlpConfig(m=m, h=h, i=i, block_m=16, block_n=16, block_k=16,
-                    block_mr=16, block_nr=16, comm_blocks=2)
+                    block_mr=16, block_nr=16)
     impl(ctx, cfg, "x", "w1", "w2", "y")
     ctx.run()
     full = np.concatenate(xs).astype(np.float32)

@@ -60,18 +60,8 @@ def test_missing_mapping_raises(ctx2):
         ch.consumer_wait_list(0)
 
 
-def test_is_dynamic_flag(ctx2):
-    static_ch = _channels(ctx2)[0]
-    assert not static_ch.is_dynamic
-    dyn = TableTileMapping(2, 2, 2)
-    dyn_ch = BlockChannel(rank=0, num_ranks=2, comm_blocks=0,
-                          producer_mapping=dyn)
-    assert dyn_ch.is_dynamic
-
-
 def test_producer_queries(ctx2):
     ch = _channels(ctx2)[0]
-    assert ch.producer_range(0) == (0, 16)
     assert ch.producer_rank(3) == 1
     assert ch.producer_channel(3) == 1
 

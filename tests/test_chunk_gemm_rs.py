@@ -1,7 +1,7 @@
 """The chunk-centric GEMM+ReduceScatter family — and, through it, the
 registry's core promise: a family registered purely from its own module
-shows up in the analyzer, the tuner, the bench tables and the serving
-method axis with zero edits anywhere else.
+shows up in the analyzer, the tuner sweeps and the serving method axis
+with zero edits anywhere else.
 
 The grep-isolation test at the bottom enforces that promise machine-
 checkably: no other source file under ``src/`` or ``benchmarks/`` may
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analyze import analyze_registered
-from repro.bench.experiments import family_builders, mlp_sweep_tasks
+from repro.bench.experiments import mlp_sweep_tasks
 from repro.errors import ShapeError
 from repro.kernels.chunk_gemm_rs import (
     ChunkGemmRsConfig,
@@ -26,14 +26,11 @@ from repro.kernels.chunk_gemm_rs import (
     chunk_layout,
     chunk_spans,
 )
-from repro.models.configs import MLP_BENCHES, MlpShape, ModelConfig
+from repro.models.configs import MLP_BENCHES, ModelConfig
 from repro.models.runner import layer_time
 from repro.tuner import tune
 
 from conftest import make_ctx
-
-#: small enough to simulate in-test, large enough for the default tiles
-TINY_SHAPE = MlpShape("tiny-mlp", 512, 256, 512, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,7 @@ def test_chunk_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the four consumers, each reached only through the registry
+# the consumers, each reached only through the registry
 # ---------------------------------------------------------------------------
 
 def test_analyzer_plans_are_strict_clean():
@@ -146,14 +143,6 @@ def test_sweep_entries_via_registry():
     from repro.models.configs import MOE_BENCHES
     with pytest.raises(ValueError, match="unknown MoE sweep kernel"):
         moe_sweep_tasks(MOE_BENCHES[:1], kernels=("chunk_gemm_rs",))
-
-
-def test_bench_builders_via_registry():
-    builders = family_builders("chunk_gemm_rs", TINY_SHAPE, world=2)
-    assert set(builders) == {"cuBLAS+NCCL", "TileLink", "TileLink-chunk"}
-    from repro.bench.experiments import run_method_times
-    times = run_method_times(builders, world=2)
-    assert all(t > 0 for t in times.values())
 
 
 def test_serving_method_via_registry():

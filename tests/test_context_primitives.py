@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.sim.engine import Join, Timeout
 from tests.conftest import make_ctx
@@ -99,21 +98,6 @@ def test_rank_wait_host_synced_costs_more(ctx2):
         ctx.run()
         times[synced] = p.result
     assert times[True] > times[False]
-
-
-def test_join_all_helper(ctx2):
-    def work():
-        yield Timeout(1e-6)
-
-    procs = [ctx2.machine.spawn(work()) for _ in range(3)]
-
-    def joiner():
-        yield from ctx2.join_all(procs)
-        return ctx2.machine.now
-
-    p = ctx2.machine.spawn(joiner())
-    ctx2.run()
-    assert p.result == pytest.approx(1e-6)
 
 
 def test_make_block_channels_unique_names(ctx2):

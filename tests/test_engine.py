@@ -222,16 +222,3 @@ def test_clock_monotonic_under_random_timeouts(delays):
     total = sim.run()
     assert seen == sorted(seen)
     assert total == pytest.approx(max(delays))
-
-
-def test_live_process_count():
-    sim = Simulator()
-
-    def proc():
-        yield Timeout(1.0)
-
-    sim.spawn(proc())
-    sim.spawn(proc())
-    assert sim.live_processes == 2
-    sim.run()
-    assert sim.live_processes == 0

@@ -15,7 +15,6 @@ from repro.lang.ir import (
     Primitive,
     Return,
     TileOp,
-    pretty,
 )
 
 
@@ -192,11 +191,6 @@ def test_rejects_varargs():
 def test_kernels_not_directly_callable():
     with pytest.raises(CompileError, match="launch"):
         _simple(1, 2, 3)
-
-
-def test_pretty_printer_runs():
-    text = pretty(_simple.ir)
-    assert "_simple" in text and "load" in text
 
 
 def test_missing_constexpr_binding_raises():

@@ -160,7 +160,7 @@ def test_full_mlp_layer_numerics(rng):
     ctx.bind("w2", w2)
     ctx.alloc("y", (m // world, h), "float32")
     cfg = MlpConfig(m=m, h=h, i=i, block_m=16, block_n=16, block_k=16,
-                    block_mr=16, block_nr=16, comm_blocks=2)
+                    block_mr=16, block_nr=16)
     mlp_layer_tilelink(ctx, cfg, "x", "w1", "w2", "y")
     ctx.run()
 

@@ -44,15 +44,6 @@ def test_table_mapping_validation():
         m.fill(0, 0, 1, 0, 0, wait_set=[(9, 1)])
 
 
-def test_fill_all_and_lengths():
-    m = TableTileMapping(3, 3, 3)
-    m.fill_all(np.array([0, 4, 8]), np.array([4, 8, 12]),
-               np.array([0, 1, 2]), np.array([0, 1, 2]))
-    assert [m.rank_of(t) for t in range(3)] == [0, 1, 2]
-    with pytest.raises(MappingError):
-        m.fill_all(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
-
-
 def test_wait_set_override():
     m = TableTileMapping(1, 4, 4)
     m.fill(0, 0, 8, 3, 3, wait_set=[(0, 2), (3, 1)])

@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SimConfig
 from repro.errors import RuntimeLaunchError, ShapeError
+from repro.lang import tl
+from repro.lang.dsl import kernel
+from repro.mapping.layout import TileGrid
+from repro.mapping.static import AffineTileMapping
 from repro.memory.tensor import SimTensor, resolve_dtype
 from repro.memory.symmetric import SymmetricHeap
 from repro.sim.engine import Timeout
@@ -122,49 +126,74 @@ def test_bind_validates(ctx2, rng):
         ctx2.heap.tensor("nope", 0)
 
 
-def test_put_tile_applies_at_arrival(ctx2):
-    """Data pushed between ranks is not visible before link arrival —
-    the property the memory-consistency machinery relies on."""
-    ctx2.bind("x", [np.full((4, 4), float(r), dtype=np.float32)
-                    for r in range(2)])
-    machine = ctx2.machine
-    observed = {}
-
-    def pusher(rank):
-        if rank == 0:
-            yield ctx2.heap.put_tile("x", 0, 1, ((0, 4), (0, 4)),
-                                     ((0, 4), (0, 4)))
-        else:
-            return
-
-    def early_reader(rank):
-        if rank == 1:
-            yield Timeout(1e-9)   # long before the transfer lands
-            observed["early"] = ctx2.heap.tensor("x", 1).numpy()[0, 0]
-
-    machine.spawn_per_rank(pusher, "push")
-    machine.spawn_per_rank(early_reader, "read")
-    ctx2.run()
-    assert observed["early"] == 1.0        # stale value
-    assert ctx2.heap.tensor("x", 1).numpy()[0, 0] == 0.0   # eventually lands
+@kernel
+def _push_tile0(x, channel: tl.BlockChannel, BM: tl.constexpr,
+                N: tl.constexpr):
+    if channel.rank == 0:
+        v = tl.load(x, (0, BM), (0, N))
+        tl.tile_push_data(x[1], 0, 0, v)
 
 
-def test_get_tile_snapshot_at_issue(ctx2):
-    ctx2.bind("x", [np.full((2, 2), 7.0, dtype=np.float32),
-                    np.zeros((2, 2), dtype=np.float32)])
+@kernel
+def _pull_tile0(x, y, channel: tl.BlockChannel, BM: tl.constexpr,
+                N: tl.constexpr):
+    if channel.rank == 1:
+        v = tl.tile_pull_data(x, 0, 0)
+        tl.store(y, (0, BM), (0, N), v)
 
-    def puller(rank):
-        if rank == 1:
-            aw = ctx2.heap.get_tile("x", 0, 1, ((0, 2), (0, 2)),
-                                    ((0, 2), (0, 2)))
-            # source mutates after issue: the pull carries the snapshot
-            ctx2.heap.tensor("x", 0).write_tile(((0, 2), (0, 2)),
-                                                np.zeros((2, 2)))
-            yield aw
 
-    ctx2.machine.spawn_per_rank(puller, "pull")
-    ctx2.run()
-    assert (ctx2.heap.tensor("x", 1).numpy() == 7.0).all()
+def _move_tile0(kdef, mover: int, probe=None, at: float = 0.0):
+    """Launch ``kdef`` on 2 ranks over an 8x4 ``x`` whose rank ``r`` holds
+    ``r + 1`` (row tile 0 belongs to rank 0); ``probe(ctx)`` runs at
+    simulated time ``at``.  Returns the context and the moving rank's
+    (issue, arrival) comm span."""
+    ctx = make_ctx(2, trace=True)
+    ctx.bind("x", [np.full((8, 4), r + 1.0, dtype=np.float32)
+                   for r in range(2)])
+    ctx.alloc("y", (8, 4), "float32")
+    channels = ctx.make_block_channels(
+        "mv", mapping=AffineTileMapping(8, 4, 2),
+        comm_grid=TileGrid(8, 4, 4, 4))
+    args = dict(x=ctx.heap.tensors("x"), channel=channels, BM=4, N=4)
+    if "y" in kdef.ir.params:
+        args["y"] = ctx.heap.tensors("y")
+    ctx.launch_spmd(kdef, 1, args)
+    if probe is not None:
+        def probing():
+            yield Timeout(at)
+            probe(ctx)
+        ctx.machine.spawn(probing(), "probe")
+    ctx.run()
+    [span] = ctx.machine.trace.spans("comm", rank=mover)
+    return ctx, span
+
+
+def test_put_tile_applies_at_arrival():
+    """A tile pushed between ranks (``tl.tile_push_data``) is not visible
+    before link arrival — the property the memory-consistency machinery
+    relies on."""
+    _, (issue, arrival) = _move_tile0(_push_tile0, mover=0)
+    assert issue < arrival
+    seen = {}
+    ctx, _ = _move_tile0(
+        _push_tile0, mover=0, at=(issue + arrival) / 2,
+        probe=lambda c: seen.update(mid=c.heap.tensor("x", 1).numpy()[0, 0]))
+    assert seen["mid"] == 2.0                               # stale in flight
+    assert (ctx.heap.tensor("x", 1).numpy()[:4] == 1.0).all()   # landed
+    assert (ctx.heap.tensor("x", 1).numpy()[4:] == 2.0).all()
+
+
+def test_get_tile_snapshot_at_issue():
+    """A pull (``tl.tile_pull_data``) carries the source value at issue:
+    a source write while the tile is in flight does not reach it."""
+    _, (issue, arrival) = _move_tile0(_pull_tile0, mover=1)
+    assert issue < arrival
+    ctx, _ = _move_tile0(
+        _pull_tile0, mover=1, at=(issue + arrival) / 2,
+        probe=lambda c: c.heap.tensor("x", 0).write_tile(
+            ((0, 4), (0, 4)), np.full((4, 4), 7.0)))
+    assert (ctx.heap.tensor("x", 0).numpy()[:4] == 7.0).all()   # mutated
+    assert (ctx.heap.tensor("y", 1).numpy()[:4] == 1.0).all()   # snapshot
 
 
 def test_signal_bank_alloc_and_free(ctx2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
-from repro.ops.activation import silu_mul_op, silu_mul_ref, silu_op, silu_ref
+from repro.ops.activation import silu_op, silu_ref
 from repro.ops.attention import (
     attention_ref,
     flash_attention_op,
@@ -178,16 +178,10 @@ def test_naive_attention_slower_than_flash():
 def test_silu_ops(rng):
     ctx = make_ctx(1)
     g = rng.standard_normal((6, 6)).astype(np.float16)
-    u = rng.standard_normal((6, 6)).astype(np.float16)
-    ctx.bind("g", [g]); ctx.bind("u", [u])
-    ctx.alloc("o1", (6, 6), "float32")
+    ctx.bind("g", [g])
     ctx.alloc("o2", (6, 6), "float32")
-    silu_mul_op(ctx, 0, ctx.heap.tensor("g", 0), ctx.heap.tensor("u", 0),
-                ctx.heap.tensor("o1", 0))
     silu_op(ctx, 0, ctx.heap.tensor("g", 0), ctx.heap.tensor("o2", 0))
     ctx.run()
-    assert np.allclose(ctx.heap.tensor("o1", 0).numpy(), silu_mul_ref(g, u),
-                       atol=1e-2)
     assert np.allclose(ctx.heap.tensor("o2", 0).numpy(), silu_ref(g),
                        atol=1e-2)
 

@@ -4,14 +4,12 @@ method axis, and the ``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
 resolve must expose a working hook for *each* consumer — tuner (tune
-task), analyzer (plans recorded from its launcher, covering
-its declared worlds), bench (builders) and launch — so a family can never
-be half-wired into the stack.
+task) and analyzer (plans recorded from its launcher) — so a family can
+never be half-wired into the stack.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -45,8 +43,6 @@ def test_family_record_is_complete(name):
     fam = get_family(name)
     assert fam.doc, "family needs a one-line doc"
     assert fam.provenance and ":" in fam.provenance
-    assert dataclasses.is_dataclass(fam.config_cls)
-    assert callable(fam.launch)
 
     # tuner: the representative task resolves, routes back to this
     # family and searches a non-empty space
@@ -54,15 +50,11 @@ def test_family_record_is_complete(name):
     assert task.kernel == name
     assert len(list(task.space.candidates())) >= 1
 
-    # analyzer: at least one plan per declared world, each recorded from
-    # the family's own launcher (a native family gets one note plan)
+    # analyzer: plans recorded from the family's own launcher (a native
+    # family gets one note plan)
     plans = [plan for plan, _report in analyze_registered([name])]
     assert plans, "family ships no analyzer plans"
-    assert {plan.world for plan in plans} >= set(fam.worlds)
     assert all(plan.family == name for plan in plans)
-
-    # bench: the builders hook resolves to a callable
-    assert callable(fam.bench_builders())
 
     # tile-IR families ship annotated kernel entry points
     if fam.tile_ir:
@@ -79,40 +71,26 @@ def test_family_record_is_complete(name):
 
 
 @pytest.mark.parametrize("drop,piece", [
-    ("launch", "launch builder"),
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
-    ("bench_builders", "bench_builders factory"),
-    ("config_cls", "config dataclass"),
-    ("worlds", "world sizes"),
 ])
 def test_partial_registration_raises_naming_the_piece(drop, piece):
     """A registration missing any consumer hook fails loudly, names the
     missing piece, and inserts nothing."""
-    @dataclasses.dataclass
-    class Cfg:
-        m: int = 1
-
     kwargs = dict(
-        name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        tune_task=lambda: None, analyze_plans=lambda: [],
-        bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
+        name="mutant_family", tune_task=lambda: None,
+        analyze_plans=lambda: [], tile_ir=False,
     )
-    kwargs[drop] = None if drop != "worlds" else ()
+    kwargs[drop] = None
     with pytest.raises(RegistryError, match=piece):
         register_family(**kwargs)
     assert "mutant_family" not in families()
 
 
 def test_tile_ir_family_requires_annotated_kernels():
-    @dataclasses.dataclass
-    class Cfg:
-        m: int = 1
-
     kwargs = dict(
-        name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        tune_task=lambda: None, analyze_plans=lambda: [],
-        bench_builders=lambda: dict, worlds=(2,),
+        name="mutant_family", tune_task=lambda: None,
+        analyze_plans=lambda: [],
     )
     with pytest.raises(RegistryError, match="kernel entry points"):
         register_family(**kwargs)
@@ -128,31 +106,20 @@ def test_tile_ir_family_requires_annotated_kernels():
 def test_warm_cached_family_requires_a_sweep_table():
     """The warm-cache task set is each warm-cached family's sweep over
     its paper table, so the flag without a table is a partial record."""
-    @dataclasses.dataclass
-    class Cfg:
-        m: int = 1
-
     with pytest.raises(RegistryError, match="sweep_category"):
         register_family(
-            name="mutant_family", config_cls=Cfg,
-            launch=lambda ctx, cfg: None, tune_task=lambda: None,
-            analyze_plans=lambda: [], bench_builders=lambda: dict,
-            worlds=(2,), tile_ir=False, warm_cached=True,
+            name="mutant_family", tune_task=lambda: None,
+            analyze_plans=lambda: [], tile_ir=False, warm_cached=True,
         )
     assert "mutant_family" not in families()
 
 
 def test_duplicate_registration_names_the_incumbent():
-    @dataclasses.dataclass
-    class Cfg:
-        m: int = 1
-
     with pytest.raises(RegistryError,
                        match=r"already registered.*repro\.kernels\.ag_gemm"):
         register_family(
-            name="ag_gemm", config_cls=Cfg, launch=lambda ctx, cfg: None,
-            tune_task=lambda: None, analyze_plans=lambda: [],
-            bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
+            name="ag_gemm", tune_task=lambda: None,
+            analyze_plans=lambda: [], tile_ir=False,
         )
 
 
@@ -183,14 +150,9 @@ def test_resolve_serve_method():
 
 
 def test_serve_method_validation():
-    @dataclasses.dataclass
-    class Cfg:
-        m: int = 1
-
     kwargs = dict(
-        name="mutant_family", config_cls=Cfg, launch=lambda ctx, cfg: None,
-        tune_task=lambda: None, analyze_plans=lambda: [],
-        bench_builders=lambda: dict, worlds=(2,), tile_ir=False,
+        name="mutant_family", tune_task=lambda: None,
+        analyze_plans=lambda: [], tile_ir=False,
     )
     with pytest.raises(RegistryError, match="collides with a base method"):
         register_family(**kwargs, serve_method=ServeMethod(name="torch"))

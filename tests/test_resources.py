@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.resources import Pipe, Resource, reserve_transfer, transfer_through
+from repro.sim.resources import Pipe, Resource, reserve_transfer
 
 
 def test_resource_fifo_order():
@@ -154,20 +154,6 @@ def test_reserve_transfer_validations():
     pipe = Pipe(sim, bandwidth=1.0)
     with pytest.raises(SimulationError):
         reserve_transfer([pipe], -1.0)
-
-
-def test_transfer_through_awaits_arrival():
-    sim = Simulator()
-    a = Pipe(sim, bandwidth=10.0)
-    b = Pipe(sim, bandwidth=20.0)
-
-    def proc():
-        yield transfer_through([a, b], 10.0)
-        return sim.now
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.result == pytest.approx(1.0)
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1,

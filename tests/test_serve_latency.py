@@ -8,6 +8,7 @@ shape.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -156,6 +157,50 @@ def test_invalid_context_ladder_raises(tmp_path):
     # a single rung leaves the ctx axis no segment to extrapolate from
     with pytest.raises(ServeError, match="context-bucket ladder"):
         table.ensure(TINY, "tilelink", buckets=BUCKETS, ctx_buckets=(0,))
+
+
+#: stored-entry mutations that used to raise a bare KeyError, TypeError,
+#: IndexError or ValueError, or to price a step wrong without an error
+MALFORMED = {
+    "not-an-object": lambda e: [e["buckets"], e["layer_s"]],
+    "missing-layer_s": lambda e: {k: v for k, v in e.items()
+                                  if k != "layer_s"},
+    "buckets-not-a-list": lambda e: {**e, "buckets": 64},
+    "buckets-reversed": lambda e: {**e, "buckets": e["buckets"][::-1]},
+    "buckets-below-8": lambda e: {**e, "buckets": [4, 128, 256]},
+    "single-bucket": lambda e: {**e, "buckets": [64]},
+    "float-bucket": lambda e: {**e, "buckets": [64.5, 128, 256]},
+    "ctx-not-from-0": lambda e: {**e, "ctx_buckets": [512, 1024]},
+    "row-too-short": lambda e: {**e, "layer_s": [e["layer_s"][0][:2],
+                                                 e["layer_s"][1]]},
+    "row-missing": lambda e: {**e, "layer_s": e["layer_s"][:1]},
+    "cell-not-a-number": lambda e: {**e, "layer_s": [
+        ["fast"] + e["layer_s"][0][1:], e["layer_s"][1]]},
+    "cell-nan": lambda e: {**e, "layer_s": [
+        e["layer_s"][0], [float("nan")] + e["layer_s"][1][1:]]},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_entry_raises_serve_error(tmp_path, fake_sim, mutation):
+    """Both readers of a stored entry (``interpolator`` and ``ensure``'s
+    reuse test) raise a ServeError naming the key and the file, and
+    ``ensure`` simulates nothing."""
+    path = tmp_path / "lat.json"
+    StepLatencyTable(path).ensure(TINY, "tilelink", buckets=BUCKETS,
+                                  ctx_buckets=CTX)
+    payload = json.loads(path.read_text())
+    key = entry_key(TINY, "tilelink", 8, H800, 0)
+    payload["entries"][key] = MALFORMED[mutation](payload["entries"][key])
+    path.write_text(json.dumps(payload))
+    table = StepLatencyTable(path, readonly=True)
+    for read in (lambda: table.interpolator(TINY, "tilelink"),
+                 lambda: table.ensure(TINY, "tilelink", buckets=BUCKETS,
+                                      ctx_buckets=CTX)):
+        with pytest.raises(ServeError, match="malformed") as err:
+            read()
+        assert key in str(err.value) and str(path) in str(err.value)
+    assert len(fake_sim) == len(BUCKETS) * len(CTX)
 
 
 def test_corrupt_file_reads_as_empty(tmp_path):

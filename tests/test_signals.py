@@ -84,14 +84,6 @@ def test_lost_notify_deadlocks():
     assert bank.blocked_waiters == 1
 
 
-def test_post_set_is_monotonic_max():
-    sim, bank = make_bank()
-    bank.post_set(0, 5, from_rank=0)
-    bank.post_set(0, 3, from_rank=0)
-    sim.run()
-    assert bank.read(0) == 5
-
-
 def test_multiple_waiters_distinct_thresholds():
     sim, bank = make_bank()
     wakes = {}
@@ -110,22 +102,6 @@ def test_multiple_waiters_distinct_thresholds():
     sim.spawn(poster())
     sim.run()
     assert wakes["low"] < wakes["high"]
-
-
-def test_reset_guards_blocked_waiters():
-    sim, bank = make_bank()
-
-    def waiter():
-        yield bank.wait_geq(0, 1)
-
-    sim.spawn(waiter())
-    sim.run(until=1.0)
-    with pytest.raises(SimulationError):
-        bank.reset()
-    bank.post_add(0, 1, from_rank=0)
-    sim.run()
-    bank.reset()
-    assert bank.read(0) == 0
 
 
 def test_validation():

@@ -171,24 +171,6 @@ def test_streams_run_concurrently():
     assert ends == [pytest.approx(1.0), pytest.approx(1.0)]
 
 
-def test_stream_wait_for_cross_stream_dependency():
-    m = Machine(SimConfig(world_size=1))
-    a, b = m.stream(0, "a"), m.stream(0, "b")
-
-    def slow():
-        yield Timeout(3.0)
-
-    def fast():
-        return m.now
-        yield  # pragma: no cover
-
-    p_slow = a.enqueue(slow())
-    b.wait_for(p_slow)
-    p = b.enqueue(fast())
-    m.run()
-    assert p.result == pytest.approx(3.0)
-
-
 def test_host_launch_and_sync_cost():
     m = Machine(SimConfig(world_size=1))
     host = m.hosts[0]

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench.harness import make_ctx, run_builder, run_builder_traced
-from repro.util.stats import geomean, mean, speedup_table
-from repro.util.tables import (
-    format_bytes,
-    format_table,
-    format_time,
-    render_bar_chart,
-)
+from repro.util.stats import geomean, mean
+from repro.util.tables import format_table, format_time
 
 
 def test_mean_and_geomean():
@@ -33,16 +28,6 @@ def test_geomean_between_min_and_max(vals):
     assert min(vals) - 1e-9 <= g <= max(vals) + 1e-9
 
 
-def test_speedup_table():
-    rel = speedup_table({"base": [2.0, 4.0], "fast": [1.0, 2.0]}, "base")
-    assert rel["base"] == [1.0, 1.0]
-    assert rel["fast"] == [2.0, 2.0]
-    with pytest.raises(KeyError):
-        speedup_table({"a": [1.0]}, "missing")
-    with pytest.raises(ValueError):
-        speedup_table({"base": [1.0], "b": [1.0, 2.0]}, "base")
-
-
 def test_format_table_alignment():
     out = format_table(["name", "val"], [["a", 1.5], ["bb", 2.0]],
                        title="T")
@@ -53,16 +38,7 @@ def test_format_table_alignment():
         format_table(["one"], [["a", "b"]])
 
 
-def test_render_bar_chart():
-    out = render_bar_chart({"m1": [1.0, 2.0], "m2": [0.5, 1.0]},
-                           ["w1", "w2"], title="chart")
-    assert "#" in out and "m1" in out
-
-
 def test_format_bytes_and_time():
-    assert format_bytes(512) == "512 B"
-    assert format_bytes(2048) == "2.00 KiB"
-    assert "MiB" in format_bytes(5 * 1024 * 1024)
     assert "us" in format_time(5e-6)
     assert "ms" in format_time(5e-3)
     assert format_time(2.0) == "2.0000 s"

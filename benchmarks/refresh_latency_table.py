@@ -11,9 +11,9 @@ millions of requests without a single ``build_layer`` simulation.
 Entry keys embed the architecture fields, the method, the world size,
 the seed and ``HardwareSpec.fingerprint()`` — so a change to the
 hardware model (or the roster) silently orphans the shipped entries.
-``--check`` recomputes every expected key from the *current* code and
-fails when the file drifted; CI runs it so such a change cannot land
-without a refresh:
+``--check`` recomputes every expected key from the *current* code, reads
+each entry as serving does, and fails when the file drifted or an entry
+is malformed; CI runs it so such a change cannot land without a refresh:
 
     python benchmarks/refresh_latency_table.py --check      # CI tripwire
     python benchmarks/refresh_latency_table.py              # regenerate
@@ -38,6 +38,7 @@ import time
 from pathlib import Path
 
 from repro.config import H800
+from repro.errors import ServeError
 from repro.models.configs import E2E_MODELS, ModelConfig
 from repro.registry import BASE_SERVE_METHODS
 from repro.serve.latency import (
@@ -68,11 +69,6 @@ def expected_entries() -> list[tuple[str, ModelConfig, str]]:
             for model in serving_models() for method in METHODS]
 
 
-def expected_keys() -> dict[str, str]:
-    return {label: entry_key(model, method, WORLD, H800, SEED)
-            for label, model, method in expected_entries()}
-
-
 def check(path: Path) -> int:
     if not path.is_file():
         print(f"STALE: {path} does not exist — run "
@@ -80,32 +76,34 @@ def check(path: Path) -> int:
               file=sys.stderr)
         return 1
     table = StepLatencyTable(path, readonly=True)
-    expected = expected_keys()
-    missing = sorted(label for label, key in expected.items()
-                     if key not in table.keys())
-    extra = sorted(set(table.keys()) - set(expected.values()))
-    stale_buckets = sorted(
-        label for label, key in expected.items()
-        if key in table.keys()
-        and (list((table.entry(key) or {}).get("buckets", ())) !=
-             list(DEFAULT_BUCKETS)
-             or list((table.entry(key) or {}).get("ctx_buckets", ())) !=
-             list(DEFAULT_CTX_BUCKETS)))
-    if missing or extra or stale_buckets:
-        for label in missing:
-            print(f"STALE: no entry for {label} (spec fingerprint or "
-                  f"roster changed?)", file=sys.stderr)
-        for key in extra:
-            print(f"STALE: orphaned entry {key}", file=sys.stderr)
-        for label in stale_buckets:
-            print(f"STALE: {label} bucket axis is stale — built on a "
-                  f"different ladder than {list(DEFAULT_BUCKETS)} x "
-                  f"{list(DEFAULT_CTX_BUCKETS)}", file=sys.stderr)
+    keys, problems = set(), []
+    for label, model, method in expected_entries():
+        key = entry_key(model, method, WORLD, H800, SEED)
+        keys.add(key)
+        if key not in table:
+            problems.append(f"STALE: no entry for {label} (spec "
+                            f"fingerprint or roster changed?)")
+            continue
+        try:                        # the reader serve() prices through
+            pricer = table.interpolator(model, method, WORLD, H800, SEED)
+        except ServeError as exc:
+            problems.append(f"MALFORMED: {label}: {exc}")
+            continue
+        if [pricer.buckets, pricer.ctx_buckets] != [list(DEFAULT_BUCKETS),
+                                                    list(DEFAULT_CTX_BUCKETS)]:
+            problems.append(f"STALE: {label} bucket axis is stale — built "
+                            f"on a different ladder than "
+                            f"{list(DEFAULT_BUCKETS)} x "
+                            f"{list(DEFAULT_CTX_BUCKETS)}")
+    problems += [f"STALE: orphaned entry {key}"
+                 for key in sorted(set(table.keys()) - keys)]
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
         print(f"STALE: refresh with "
               f"`python benchmarks/refresh_latency_table.py`",
               file=sys.stderr)
         return 1
-    print(f"OK: {path} — {len(expected)} entries match the current "
+    print(f"OK: {path} — {len(keys)} entries match the current "
           f"roster/spec fingerprints")
     return 0
 

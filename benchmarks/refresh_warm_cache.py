@@ -11,8 +11,9 @@ at zero simulation cost — every tuned-column lookup is a warm hit.
 Cache keys embed the hardware-spec and search-space fingerprints, so any
 change to a kernel's design space (or to ``HardwareSpec``) silently
 orphans the shipped entries.  ``--check`` recomputes every expected key
-from the *current* code and fails when the file drifted; CI runs it so a
-space change cannot land without a refresh:
+from the *current* code, reads each entry as the tuner does, and fails
+when the file drifted or an entry is malformed; CI runs it so a space
+change cannot land without a refresh:
 
     python benchmarks/refresh_warm_cache.py --check      # CI tripwire
     python benchmarks/refresh_warm_cache.py --workers 4  # regenerate
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from repro.bench.experiments import registry_sweep_tasks
 from repro.config import H800
-from repro.tuner import TuneCache, sweep, task_cache_key
+from repro.tuner import TuneCache, TunerError, sweep, task_cache_key
 
 WORLD = 8
 DEFAULT_PATH = Path(__file__).resolve().parent / "warm_cache.json"
@@ -43,32 +44,33 @@ def expected_tasks():
     return registry_sweep_tasks(world=WORLD, spec=H800)
 
 
-def expected_keys() -> dict[str, str]:
-    """name -> current full cache key, recomputed from the live spaces."""
-    return {name: task_cache_key(task, world=WORLD, spec=H800)
-            for name, task in expected_tasks()}
-
-
 def check(path: Path) -> int:
     if not path.is_file():
         print(f"STALE: {path} does not exist — run "
               f"`python benchmarks/refresh_warm_cache.py`", file=sys.stderr)
         return 1
     cache = TuneCache(path, readonly=True)
-    expected = expected_keys()
-    missing = sorted(name for name, key in expected.items()
-                     if key not in cache)
-    extra = sorted(set(cache.keys()) - set(expected.values()))
-    if missing or extra:
-        for name in missing:
-            print(f"STALE: no entry for {name} (space/spec fingerprint "
-                  f"changed?)", file=sys.stderr)
-        for key in extra:
-            print(f"STALE: orphaned entry {key}", file=sys.stderr)
+    tasks = expected_tasks()
+    keys, problems = set(), []
+    for name, task in tasks:
+        key = task_cache_key(task, world=WORLD, spec=H800)
+        keys.add(key)
+        try:                        # the reader tune()'s hits go through
+            hit = cache.get(key, task.space)
+        except TunerError as exc:
+            problems.append(f"MALFORMED: {name}: {exc}")
+            continue
+        if hit is None:
+            problems.append(f"STALE: no entry for {name} (space/spec "
+                            f"fingerprint changed?)")
+    problems += [f"STALE: orphaned entry {key}"
+                 for key in sorted(set(cache.keys()) - keys)]
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
         print(f"STALE: refresh with `python benchmarks/refresh_warm_cache.py`",
               file=sys.stderr)
         return 1
-    print(f"OK: {path} — {len(expected)} entries match the current space "
+    print(f"OK: {path} — {len(tasks)} entries match the current space "
           f"fingerprints")
     return 0
 

@@ -1,18 +1,20 @@
 """Validate the machine-readable bench emitters' JSON schemas.
 
-Each ``--schema`` is one table of ``{field: (types, rule)}`` below, and
-one walker, :meth:`Schema.__call__`, checks a document against it: ``bench``
-(default) for the benchmark suite's ``--json PATH`` rows, ``sweep`` for
-``SweepReport.rows()``, ``serving`` for ``ServingReport.row()``,
-``obs-trace`` for ``python -m repro.obs export`` traces (``--min-rows``
-counts their slices, the non-metadata events) and ``obs-metrics`` for
-``MetricsRegistry.snapshot()``.  Files are strict JSON: a missing value
-is ``null``, never a bare ``NaN`` or ``Infinity``.  This CI tripwire
-fails loudly on a missing, empty or non-strict file or a row off schema,
-and it reports foreign input as a violation instead of raising.
+Each ``--schema`` is one table of ``{field: (types, rule)}`` below, which
+the walker every artifact reader shares (:mod:`repro.util.schema`) checks
+a document against: ``bench`` (default) for the suite's ``--json`` rows,
+``sweep`` for ``SweepReport.rows()``, ``serving`` for
+``ServingReport.row()``, ``obs-trace`` for ``python -m repro.obs export``
+traces (``--min-rows`` counts their slices, the non-metadata events) and
+``obs-metrics`` for ``MetricsRegistry.snapshot()``.  Files are strict
+JSON: a missing value is ``null``, never a bare ``NaN`` or ``Infinity``.
+This CI tripwire fails loudly on a missing, empty or non-strict file or
+a row off schema, and it reports foreign input as a violation instead of
+raising.
 
-Usage:  python benchmarks/validate_bench_json.py PATH [--min-rows N]
-          [--schema bench|sweep|serving|obs-trace|obs-metrics]
+Usage:  PYTHONPATH=src python benchmarks/validate_bench_json.py PATH
+          [--min-rows N] [--schema bench|sweep|serving|obs-trace|obs-metrics]
+(``PYTHONPATH=src`` makes ``repro`` importable; an install does too.)
 """
 
 from __future__ import annotations
@@ -20,116 +22,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
 
-#: a types tuple holding NULL makes its field nullable; bool is only
-#: accepted where it is listed explicitly (it subclasses int)
-NULL = type(None)
+from repro.util.schema import (
+    NON_EMPTY,
+    NON_NEGATIVE,
+    NULL,
+    Rule,
+    Schema,
+    Table,
+    reject_constant,
+)
+
 NUMBER = (int, float)
 NUMBER_OR_NULL = (int, float, NULL)
-
-
-class Rule(NamedTuple):
-    """A ``test`` that a value or object must pass, and ``what`` it asks."""
-
-    what: str
-    test: Callable[[object], bool]
-
-
 POSITIVE = Rule("positive", lambda v: v > 0)
-NON_NEGATIVE = Rule(">= 0", lambda v: v >= 0)
 FRACTION = Rule("in [0, 1]", lambda v: 0 <= v <= 1)
-NON_EMPTY = Rule("a non-empty string", lambda s: bool(s.strip()))
 
 
 def null_together(*group: str) -> Rule:
     return Rule(f"{' and '.join(group)} must be null together",
                 lambda row: len({row[name] is None for name in group}) == 1)
-
-
-class Table(NamedTuple):
-    """One object shape: ``{field: (types, rule)}`` plus object rules."""
-
-    fields: dict[str, tuple[tuple, Rule | None]]
-    rules: tuple[Rule, ...] = ()
-    #: whether an object of this shape counts towards ``--min-rows``
-    counted: bool = True
-
-
-class Schema(NamedTuple):
-    """Called on a document, checks its rows, a top-level list or the
-    ``key`` field of a ``top`` object, against ``rows[row[tag]]``."""
-
-    noun: str
-    unit: str
-    rows: dict[str | None, Table]
-    #: reject row fields the table does not name (a top level never does)
-    closed: bool = True
-    tag: str | None = None
-    top: Table | None = None
-    key: str | None = None
-    #: the sort keys of well-formed rows must not decrease
-    order: Callable[[dict], tuple] | None = None
-
-    def __call__(self, doc: object, min_rows: int = 1) -> list[str]:
-        """The walker: return the violations in ``doc`` (empty == valid)."""
-        if not isinstance(doc, dict if self.key else list):
-            shape = "an object" if self.key else "a list"
-            return [f"top-level JSON must be {shape}, "
-                    f"got {type(doc).__name__}"]
-        if self.key:
-            errors = _check("top-level JSON", doc, self.top, closed=False)
-            if errors:
-                return errors
-            doc = doc[self.key]
-        errors, n, last = [], 0, None
-        for i, row in enumerate(doc):
-            where = f"{self.noun} {i}"
-            if not isinstance(row, dict):
-                errors.append(f"{where}: not an object: {row!r}")
-                continue
-            variant = row.get(self.tag) if self.tag else None
-            # None keys an untagged table; an unhashable tag is never looked up
-            table = (self.rows.get(variant)
-                     if isinstance(variant, (str, NULL)) else None)
-            if table is None:
-                errors.append(f"{where}: unknown {self.tag} {variant!r} "
-                              f"(allowed: {list(self.rows)})")
-                continue
-            n += table.counted
-            row_errors = _check(where, row, table, self.closed)
-            errors += row_errors
-            if self.order and not row_errors:
-                key = self.order(row)
-                if last is not None and key < last:
-                    errors.append(f"{where}: out of order, sort key {key} "
-                                  f"after {last}")
-                last = key
-        if n < min_rows:
-            errors.append(f"expected >= {min_rows} {self.unit}, got {n}")
-        return errors
-
-
-def _check(where: str, obj: dict, table: Table, closed: bool) -> list[str]:
-    """Violations of one object against one table."""
-    errors = []
-    extra = set(obj) - set(table.fields)
-    if closed and extra:
-        errors.append(f"{where}: unknown fields {sorted(extra, key=str)}")
-    for name, (types, rule) in table.fields.items():
-        if name not in obj:
-            errors.append(f"{where}: missing field {name!r}")
-            continue
-        value = obj[name]
-        if not isinstance(value, types) or (
-                isinstance(value, bool) and bool not in types):
-            errors.append(f"{where}: field {name!r} has wrong type "
-                          f"{type(value).__name__}")
-        elif value is not None and rule is not None and not rule.test(value):
-            errors.append(f"{where}: field {name!r} must be {rule.what}, "
-                          f"got {value!r}")
-    return errors or [f"{where}: {rule.what}" for rule in table.rules
-                      if not rule.test(obj)]
 
 
 validate_rows = Schema("row", "bench rows", {None: Table({
@@ -197,9 +109,7 @@ validate_obs_trace = Schema("event", "slices", {
         **_EVENT,
         "name": ((str,), Rule("process_name or thread_name",
                               lambda v: v in ("process_name", "thread_name"))),
-        "args": ((dict,), Rule("an object with a non-empty string name",
-                               lambda args: isinstance(args.get("name"), str)
-                               and bool(args["name"].strip()))),
+        "args": ((dict,), Table({"name": ((str,), NON_EMPTY)})),
     }, counted=False),
     "X": Table({
         **_SLICE,
@@ -258,11 +168,6 @@ SCHEMAS = {"bench": validate_rows, "sweep": validate_sweep_rows,
            "obs-metrics": validate_obs_metrics}
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"non-finite JSON constant {token!r} is not allowed; "
-                     f"emit null instead")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="JSON file emitted by --json or "
@@ -275,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         with open(args.path) as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         print(f"FAIL: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,9 @@ which is real time, not simulated time.
 Recordings persist as strict JSON (``{"format": "repro-obs/1", ...}``,
 never a bare NaN/Infinity token) via :meth:`Recorder.save` /
 :func:`save_recording` and come back as :class:`Recording` via
-:func:`load`, which validates the layout field-by-field and raises
-:class:`repro.errors.ObsError` on anything malformed — the CLI and the
+:func:`load`, which checks the file against :data:`RECORDING` with the
+shared walker (:mod:`repro.util.schema`) and raises
+:class:`repro.errors.ObsError` on its first violation — the CLI and the
 exporters never operate on half-checked data.
 """
 
@@ -32,6 +33,14 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.errors import ObsError
+from repro.util.schema import (
+    NON_EMPTY,
+    NON_NEGATIVE,
+    Rule,
+    Schema,
+    Table,
+    reject_constant,
+)
 
 __all__ = [
     "EVENT_FIELDS", "FORMAT", "KINDS", "NULL_RECORDER", "NullRecorder",
@@ -67,9 +76,36 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "span": ("t0", "t1", "category", "label"),
 }
 
-#: ``EVENT_FIELDS`` payload slots holding strings (everything else is a
-#: finite number).
-_STR_FIELDS = {("span", "category"), ("span", "label")}
+_FINITE = ((int, float), Rule("a finite number", math.isfinite))
+_TEXT = ((str,), NON_EMPTY)
+
+#: events by kind: a ``span``'s category and label are strings, every
+#: other payload field a finite number
+EVENTS = Schema("event", "events", {
+    kind: Table({"kind": ((str,), None), **{
+        name: _TEXT if name in ("category", "label") else _FINITE
+        for name in fields}})
+    for kind, fields in EVENT_FIELDS.items()},
+    tag="event kind", positional=True)
+
+INTERVALS = Schema("interval", "intervals", {None: Table({
+    "rank": ((int,), NON_NEGATIVE),
+    "category": _TEXT,
+    "label": _TEXT,
+    "start": _FINITE,
+    "end": _FINITE,
+}, rules=(Rule("needs start <= end", lambda iv: iv[3] <= iv[4]),))},
+    positional=True)
+
+#: one recording by kind; an omitted ``meta``, ``events`` or
+#: ``intervals`` reads as empty
+RECORDING = Schema("recording", "recordings", dict.fromkeys(KINDS, Table({
+    "format": ((str,), Rule(repr(FORMAT), lambda v: v == FORMAT)),
+    "kind": ((str,), None),
+    "meta": ((dict,), None),
+    "events": ((list,), EVENTS),
+    "intervals": ((list,), INTERVALS),
+}, optional=("meta", "events", "intervals"))), closed=False, tag="kind")
 
 
 class Recorder:
@@ -154,56 +190,6 @@ class Recording:
         return [e for e in self.events if e[0] == kind]
 
 
-def _is_num(value: object) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_event(i: int, event: object) -> tuple:
-    if not isinstance(event, (list, tuple)) or not event:
-        raise ObsError(f"event {i}: not a non-empty list: {event!r}")
-    kind = event[0]
-    # a list or object kind is unhashable: reject it before the lookup
-    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        raise ObsError(f"event {i}: unknown event kind {kind!r}; "
-                       f"expected one of {sorted(EVENT_FIELDS)}")
-    if len(event) != 1 + len(fields):
-        raise ObsError(f"event {i} ({kind}): expected fields {fields}, "
-                       f"got {len(event) - 1} values")
-    for name, value in zip(fields, event[1:]):
-        if (kind, name) in _STR_FIELDS:
-            if not isinstance(value, str) or not value:
-                raise ObsError(f"event {i} ({kind}): field {name!r} must be "
-                               f"a non-empty string, got {value!r}")
-        elif not _is_num(value):
-            raise ObsError(f"event {i} ({kind}): field {name!r} must be a "
-                           f"finite number, got {value!r}")
-    return tuple(event)
-
-
-def _check_interval(i: int, iv: object) -> tuple:
-    if not isinstance(iv, (list, tuple)) or len(iv) != 5:
-        raise ObsError(f"interval {i}: expected "
-                       f"[rank, category, label, start, end], got {iv!r}")
-    rank, category, label, start, end = iv
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise ObsError(f"interval {i}: rank must be an int >= 0, got {rank!r}")
-    for name, value in (("category", category), ("label", label)):
-        if not isinstance(value, str) or not value:
-            raise ObsError(f"interval {i}: {name} must be a non-empty "
-                           f"string, got {value!r}")
-    if not _is_num(start) or not _is_num(end) or end < start:
-        raise ObsError(f"interval {i}: needs finite start <= end, "
-                       f"got {start!r}..{end!r}")
-    return tuple(iv)
-
-
-def _reject_constant(token: str) -> float:
-    raise ObsError(f"non-finite JSON constant {token!r} in recording; "
-                   f"the emitter must write null instead")
-
-
 def save_recording(path, *, kind: str, meta: dict | None = None,
                    events=(), intervals=()) -> None:
     """Write one recording as strict ``repro-obs/1`` JSON."""
@@ -222,7 +208,7 @@ def save_recording(path, *, kind: str, meta: dict | None = None,
 
 
 def load(path) -> Recording:
-    """Read a recording back, validating every event field.
+    """Read a recording back, checked against :data:`RECORDING`.
 
     Raises :class:`ObsError` on a missing/unreadable file, non-UTF-8 or
     non-strict JSON, a foreign format tag, or any malformed
@@ -230,30 +216,15 @@ def load(path) -> Recording:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
+            payload = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ObsError(f"cannot read recording {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:           # not UTF-8, not JSON, NaN
         raise ObsError(f"recording {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ObsError(f"recording {path}: top level must be an object, "
-                       f"got {type(payload).__name__}")
-    if payload.get("format") != FORMAT:
-        raise ObsError(f"recording {path}: format "
-                       f"{payload.get('format')!r} is not {FORMAT!r}")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise ObsError(f"recording {path}: unknown kind {kind!r}; "
-                       f"expected one of {KINDS}")
-    meta = payload.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ObsError(f"recording {path}: meta must be an object")
-    raw_events = payload.get("events", [])
-    raw_intervals = payload.get("intervals", [])
-    if not isinstance(raw_events, list) or not isinstance(raw_intervals, list):
-        raise ObsError(f"recording {path}: events and intervals must be "
-                       f"lists")
-    events = [_check_event(i, e) for i, e in enumerate(raw_events)]
-    intervals = [_check_interval(i, iv) for i, iv in enumerate(raw_intervals)]
-    return Recording(kind=kind, meta=meta, events=events,
-                     intervals=intervals)
+    problems = RECORDING.check(payload)
+    if problems:
+        raise ObsError(f"recording {path}: {problems[0]}")
+    return Recording(kind=payload["kind"], meta=payload.get("meta", {}),
+                     events=[tuple(e) for e in payload.get("events", ())],
+                     intervals=[tuple(iv)
+                                for iv in payload.get("intervals", ())])

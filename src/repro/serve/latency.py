@@ -41,7 +41,10 @@ staleness-check it with ``benchmarks/refresh_latency_table.py``.  Keys
 fold in everything that changes the answer — the architecture fields of
 the model, the method, the world size, the seed and
 ``HardwareSpec.fingerprint()`` — so a table built for different hardware
-misses cleanly instead of serving stale numbers.
+misses cleanly instead of serving stale numbers.  A stored entry is read
+against :data:`ENTRIES` by the shared walker (:mod:`repro.util.schema`):
+a malformed one raises :class:`~repro.errors.ServeError` naming the key
+and the file.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from repro.config import H800, HardwareSpec
 from repro.errors import ServeError
 from repro.models.configs import ModelConfig
 from repro.util.jsonstore import VersionedJsonStore
+from repro.util.schema import Rule, Schema, Table
 
 _VERSION = 2        # v2: entries grew the context-bucket axis
 
@@ -124,43 +128,33 @@ def entry_key(model: ModelConfig, method: str, world: int,
     return key
 
 
-def _ladder(rungs: object) -> bool:
-    """At least two strictly increasing ints: the interpolator needs a
-    segment to extrapolate from above the last rung."""
-    return (isinstance(rungs, list) and len(rungs) >= 2
-            and all(type(r) is int for r in rungs)
-            and all(a < b for a, b in zip(rungs, rungs[1:])))
+def _ladder_rule(first: str, first_ok: Callable[[int], bool]) -> Rule:
+    """At least two strictly increasing ints, the first ``first``: the
+    interpolator needs a segment to extrapolate from above the last
+    rung."""
+    return Rule(f">= 2 strictly increasing ints {first}",
+                lambda rungs: len(rungs) >= 2
+                and all(type(r) is int for r in rungs)
+                and all(a < b for a, b in zip(rungs, rungs[1:]))
+                and first_ok(rungs[0]))
 
 
-def _token_ladder(rungs: object) -> bool:
-    return _ladder(rungs) and rungs[0] >= 8
+TOKEN_LADDER = _ladder_rule("from 8", lambda r: r >= 8)
+#: the 0 rung is the prefill form
+CTX_LADDER = _ladder_rule("from 0", lambda r: r == 0)
 
-
-def _ctx_ladder(rungs: object) -> bool:
-    # the 0 rung is the prefill form
-    return _ladder(rungs) and rungs[0] == 0
-
-
-def _entry_problem(entry: object) -> str | None:
-    """Why a stored entry cannot be priced, or ``None`` when it can."""
-    if not isinstance(entry, dict):
-        return "expected an object"
-    buckets, ctx = entry.get("buckets"), entry.get("ctx_buckets")
-    if not _token_ladder(buckets):
-        return (f"buckets {buckets!r} is not >= 2 strictly increasing "
-                f"ints from 8")
-    if not _ctx_ladder(ctx):
-        return (f"ctx_buckets {ctx!r} is not >= 2 strictly increasing "
-                f"ints from 0")
-    grid = entry.get("layer_s")
-    if not (isinstance(grid, list) and len(grid) == len(ctx) and all(
-            isinstance(row, list) and len(row) == len(buckets)
-            and all(type(t) in (int, float) and math.isfinite(t)
-                    for t in row)
-            for row in grid)):
-        return (f"layer_s needs one row of {len(buckets)} finite numbers "
-                f"per context bucket ({len(ctx)} rows)")
-    return None
+#: stored entries; ``ensure`` checks its arguments with the two ladders
+ENTRIES = Schema("entry", "entries", {None: Table({
+    "buckets": ((list,), TOKEN_LADDER),
+    "ctx_buckets": ((list,), CTX_LADDER),
+    "layer_s": ((list,), None),
+}, rules=(Rule("layer_s needs one row of finite numbers per token bucket "
+               "for each context bucket",
+               lambda e: len(e["layer_s"]) == len(e["ctx_buckets"]) and all(
+                   isinstance(row, list) and len(row) == len(e["buckets"])
+                   and all(type(t) in (int, float) and math.isfinite(t)
+                           for t in row)
+                   for row in e["layer_s"])),))}, closed=False)
 
 
 def resolve_latency_table(path: str | os.PathLike | None = None
@@ -312,20 +306,15 @@ class StepLatencyTable(VersionedJsonStore):
 
     # -- building -----------------------------------------------------------
 
-    def entry(self, key: str) -> dict | None:
-        """The raw stored entry for ``key`` (a copy), or ``None``."""
-        e = self._load().get(key)
-        return dict(e) if e is not None else None
-
     def _stored(self, key: str) -> dict | None:
         """The entry under ``key`` as ``ensure`` and ``interpolator`` read
         it, or ``None``; raises :class:`ServeError` naming the key and
-        the file when it cannot be priced."""
+        the file when it breaks :data:`ENTRIES`."""
         entry = self._load().get(key)
-        problem = None if entry is None else _entry_problem(entry)
-        if problem is not None:
+        problems = [] if entry is None else ENTRIES.check(entry)
+        if problems:
             raise ServeError(f"malformed latency-table entry {key!r} in "
-                             f"{self.path}: {problem}")
+                             f"{self.path}: {problems[0]}")
         return entry
 
     def ensure(self, model: ModelConfig, method: str, world: int = 8,
@@ -354,10 +343,10 @@ class StepLatencyTable(VersionedJsonStore):
             simulate = layer_time
 
         buckets = sorted(set(int(b) for b in buckets))
-        if not _token_ladder(buckets):
+        if not TOKEN_LADDER.test(buckets):
             raise ServeError(f"invalid bucket ladder {buckets}")
         ctx_buckets = sorted(set(int(c) for c in ctx_buckets))
-        if not _ctx_ladder(ctx_buckets):
+        if not CTX_LADDER.test(ctx_buckets):
             raise ServeError(f"invalid context-bucket ladder {ctx_buckets}")
         key = entry_key(model, method, world, spec, seed)
         entry = self._stored(key)

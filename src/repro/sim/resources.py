@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SimulationError
-from repro.sim.engine import Awaitable, Process, Simulator, Timeout
+from repro.sim.engine import Awaitable, Process, Simulator
 
 
 class _Acquire(Awaitable):
@@ -117,7 +117,7 @@ class Pipe:
 
         ``arrival`` is the absolute simulated time at which the data is
         visible at the far end.  The caller is expected to ``yield`` a
-        :class:`Timeout` until arrival (see :meth:`transfer`).
+        ``Timeout(arrival - sim.now)``.
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
@@ -127,11 +127,6 @@ class Pipe:
         self.total_bytes += nbytes
         self.busy_time += occupancy
         return start, self.free_at + self.latency
-
-    def transfer(self, nbytes: float) -> Awaitable:
-        """Awaitable completing when ``nbytes`` have traversed the pipe."""
-        _start, arrival = self.reserve(nbytes)
-        return Timeout(max(0.0, arrival - self.sim.now))
 
     @property
     def utilization(self) -> float:

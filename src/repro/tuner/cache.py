@@ -25,18 +25,21 @@ renaming, so two processes tuning different kernels against one cache
 file cannot drop each other's results.  A corrupt/foreign file is
 treated as empty rather than raising; a well-formed file holding a
 malformed entry raises :class:`~repro.tuner.space.TunerError` when that
-entry is read.
+entry is read: the shared walker (:mod:`repro.util.schema`) checks the
+fields :func:`tune` reads, and ``best`` against the reader's space.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.tuner.space import TunerError
+from repro.tuner.space import SearchSpace, TunerError
 from repro.util.jsonstore import VersionedJsonStore
+from repro.util.schema import NON_NEGATIVE, NULL, Rule, Schema, Table
 
 try:
     import fcntl
@@ -47,6 +50,41 @@ _VERSION = 1
 
 #: Environment override for the default on-disk location.
 ENV_CACHE_PATH = "REPRO_TUNE_CACHE"
+
+
+def _positive_seconds(value: object) -> bool:
+    # a hand-edited file may hold a numeric string, which converts
+    try:
+        return 0 < float(value) < math.inf
+    except (ValueError, OverflowError):
+        return False
+
+
+_SECONDS = Rule("a positive finite number of seconds", _positive_seconds)
+
+#: the ``meta`` fields :func:`tune` reads back; all may be absent
+_META = Table({
+    "default_time": ((int, float, str, NULL), _SECONDS),
+    "n_candidates": ((int,), NON_NEGATIVE),
+    "n_pruned": ((int,), NON_NEGATIVE),
+    "strategy": ((str,), None),
+}, optional=("default_time", "n_candidates", "n_pruned", "strategy"))
+
+
+def _entries(space: SearchSpace | None) -> Schema:
+    """Tuner-cache entries; given ``space``, ``best`` must be one of its
+    candidates: exactly its axes, each set to one of its values of the
+    same type (``true`` is never ``1``)."""
+    best = None if space is None else Rule(
+        f"a candidate of the space over {space.axis_names}",
+        lambda best: best.keys() == set(space.axis_names) and all(
+            any(type(best[a.name]) is type(v) and best[a.name] == v
+                for v in a.values) for a in space.axes))
+    return Schema("entry", "entries", {None: Table({
+        "best": ((dict,), best),
+        "time_s": ((int, float, str), _SECONDS),
+        "meta": ((dict,), _META),
+    }, optional=("meta",))}, closed=False)
 
 
 def default_cache_path() -> Path:
@@ -123,29 +161,27 @@ class TuneCache(VersionedJsonStore):
 
     # -- dict-ish API -------------------------------------------------------
 
-    def get(self, key: str) -> dict | None:
-        """The entry stored under ``key``, or ``None``.
+    def get(self, key: str, space: SearchSpace | None = None) -> dict | None:
+        """The entry stored under ``key``, or ``None``, with ``time_s`` a
+        float and ``meta`` holding ``default_time`` (a float or ``None``),
+        ``n_candidates`` and ``n_pruned`` (0 when absent).
 
         Raises :class:`TunerError` naming the key and the file when the
-        entry is not an object, its ``best`` is not an object, or its
-        ``time_s`` does not convert with ``float()``.
+        entry is malformed or, given ``space``, its ``best`` is not a
+        candidate of it.
         """
         entry = self._load().get(key)
         if entry is None:
             return None
-        if not isinstance(entry, dict) or not isinstance(entry.get("best"),
-                                                         dict):
+        problems = _entries(space).check(entry)
+        if problems:
             raise TunerError(f"malformed tuner-cache entry {key!r} in "
-                             f"{self.path}: expected an object with an "
-                             f"object 'best'")
-        try:
-            float(entry.get("time_s"))
-        except (TypeError, ValueError, OverflowError):
-            raise TunerError(f"malformed tuner-cache entry {key!r} in "
-                             f"{self.path}: time_s "
-                             f"{entry.get('time_s')!r} is not a number"
-                             ) from None
-        return dict(entry)
+                             f"{self.path}: {problems[0]}")
+        meta = {"n_candidates": 0, "n_pruned": 0, **entry.get("meta", {})}
+        seconds = meta.get("default_time")
+        meta["default_time"] = None if seconds is None else float(seconds)
+        return {**entry, "best": dict(entry["best"]),
+                "time_s": float(entry["time_s"]), "meta": meta}
 
     def put(self, key: str, best: dict, time_s: float,
             meta: dict[str, Any] | None = None) -> None:

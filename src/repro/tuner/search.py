@@ -171,25 +171,20 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
                          max_trials=max_trials)
     if cache is not None:
         t_probe = perf_counter() if rec is not None else 0.0
-        hit = cache.get(key)
+        hit = cache.get(key, task.space)
         if rec is not None:
             rec.span(t_probe, perf_counter(), "cache",
                      f"{'hit' if hit is not None else 'miss'}:{shape}")
         if hit is not None:
-            best = dict(hit["best"])
-            default_time = hit.get("meta", {}).get("default_time")
+            meta = hit["meta"]
             return TuneResult(
-                best=best, best_time=float(hit["time_s"]),
-                best_config=task.finalize(best),
-                # coerce like time_s: a hand-edited or foreign cache file
-                # may carry the meta value as a JSON string, and a stringly
-                # default_time would leak into SweepReport.rows()
-                default_time=(float(default_time)
-                              if default_time is not None else None),
-                n_candidates=int(hit.get("meta", {}).get("n_candidates", 0)),
-                n_pruned=int(hit.get("meta", {}).get("n_pruned", 0)),
+                best=hit["best"], best_time=hit["time_s"],
+                best_config=task.finalize(hit["best"]),
+                default_time=meta["default_time"],
+                n_candidates=meta["n_candidates"],
+                n_pruned=meta["n_pruned"],
                 n_pruned_dynamic=0, n_simulated=0, from_cache=True,
-                strategy=str(hit.get("meta", {}).get("strategy", strategy)))
+                strategy=meta.get("strategy", strategy))
 
     candidates = list(task.space.candidates())
     if not candidates:

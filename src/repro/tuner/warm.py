@@ -53,14 +53,14 @@ def warm_tuned_config(cache: TuneCache | None, task: Any, *, world: int,
     :class:`~repro.tuner.search.TuneTask`; the key is computed for the
     given runtime ``world``/``spec`` so a deployment that diverged from
     the shipped sweep's testbed misses cleanly instead of being served a
-    config tuned for different hardware.
+    config tuned for different hardware.  A malformed entry, or one
+    whose ``best`` is not a candidate of ``task.space``, raises
+    :class:`~repro.tuner.space.TunerError` naming the key and the file.
     """
     if cache is None:
         return None
     from repro.tuner.search import task_cache_key
 
     hit = cache.get(task_cache_key(task, world=world, spec=spec,
-                                   max_trials=max_trials))
-    if hit is None:
-        return None
-    return task.finalize(dict(hit["best"]))
+                                   max_trials=max_trials), task.space)
+    return None if hit is None else task.finalize(hit["best"])

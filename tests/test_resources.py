@@ -85,7 +85,8 @@ def test_pipe_serializes_transfers():
     done = []
 
     def proc(i):
-        yield pipe.transfer(100.0)  # 1 second each
+        _start, arrival = pipe.reserve(100.0)  # 1 second each
+        yield Timeout(arrival - sim.now)
         done.append((i, sim.now))
 
     for i in range(3):
@@ -100,7 +101,8 @@ def test_pipe_latency_added_after_occupancy():
     pipe = Pipe(sim, bandwidth=10.0, latency=0.5)
 
     def proc():
-        yield pipe.transfer(10.0)
+        _start, arrival = pipe.reserve(10.0)
+        yield Timeout(arrival - sim.now)
         return sim.now
 
     p = sim.spawn(proc())
@@ -126,7 +128,8 @@ def test_pipe_utilization_and_totals():
     pipe = Pipe(sim, bandwidth=50.0)
 
     def proc():
-        yield pipe.transfer(100.0)
+        _start, arrival = pipe.reserve(100.0)
+        yield Timeout(arrival - sim.now)
         yield Timeout(2.0)  # idle time
 
     sim.spawn(proc())
@@ -164,7 +167,8 @@ def test_pipe_conserves_throughput(sizes):
     pipe = Pipe(sim, bandwidth=123.0)
 
     def proc(n):
-        yield pipe.transfer(n)
+        _start, arrival = pipe.reserve(n)
+        yield Timeout(arrival - sim.now)
 
     for n in sizes:
         sim.spawn(proc(n))

@@ -413,6 +413,31 @@ def test_malformed_cache_entries_raise_tuner_error(tmp_path):
                              spec=H800) == task.finalize(task.default)
 
 
+def test_cached_best_must_be_a_candidate_of_the_space(tmp_path):
+    """Both cache readers refuse a ``best`` that is not a point of the
+    task's space: an unknown key used to leak TypeError from the config
+    constructor, and an empty one resolved silently to the default."""
+    from repro.tuner import task_cache_key, warm_tuned_config
+
+    task = small_task()
+    key = task_cache_key(task, world=SMALL_WORLD, spec=H800)
+    path = tmp_path / "cache.json"
+    default = dict(task.default)
+    for best in ({}, {**default, "bogus": 1},
+                 {**default, "block_m": 64},          # not an axis value
+                 {**default, "block_m": float(default["block_m"])},
+                 {k: v for k, v in default.items() if k != "mode"}):
+        path.write_text(json.dumps({"version": 1, "entries": {
+            key: {"best": best, "time_s": 1e-5}}}))
+        for read in (lambda: tune(task, world=SMALL_WORLD,
+                                  cache=TuneCache(path)),
+                     lambda: warm_tuned_config(TuneCache(path), task,
+                                               world=SMALL_WORLD, spec=H800)):
+            with pytest.raises(TunerError, match="candidate") as err:
+                read()
+            assert key in str(err.value) and str(path) in str(err.value)
+
+
 def test_tune_cache_hit_skips_simulation(tmp_path):
     cache = TuneCache(tmp_path / "cache.json")
     first = tune(small_task(), world=SMALL_WORLD, cache=cache)

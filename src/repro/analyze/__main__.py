@@ -4,10 +4,10 @@ Usage::
 
     python -m repro.analyze --all [--strict] [--json PATH]
     python -m repro.analyze --kernel ag_gemm gemm_rs
-    python -m repro.analyze --list
 
 Exit status is 0 iff every analyzed plan passes (no error findings;
-with ``--strict`` no warnings either) — the CI lint gate.
+with ``--strict`` no warnings either) — the CI lint gate.  Each
+family's plan count is listed by ``python -m repro.registry --list``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 
 from repro.analyze.findings import Report
 from repro.analyze.registry import analyze_registered
-from repro.registry import families as registered_families
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,20 +34,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also write machine-readable findings to PATH "
                              "('-' for stdout)")
-    parser.add_argument("--list", action="store_true",
-                        help="list registered families and exit")
     parser.add_argument("--quiet", action="store_true",
                         help="only print the per-plan verdict lines")
     args = parser.parse_args(argv)
 
-    if args.list:
-        for family, fam in registered_families().items():
-            # a family without tile IR gets one informational plan
-            n = len(fam.analyze_plans()) if fam.tile_ir else 1
-            print(f"{family}: {n} plan(s)")
-        return 0
     if not args.all and not args.kernel:
-        parser.error("pick --all, --kernel FAMILY..., or --list")
+        parser.error("pick --all or --kernel FAMILY...")
 
     families = None if args.all else args.kernel
     combined = Report()

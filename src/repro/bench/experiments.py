@@ -1,7 +1,8 @@
 """Experiment drivers: one function per paper table/figure.
 
-Each driver returns plain dicts of simulated times so the benchmark files
-(benchmarks/) and EXPERIMENTS.md generation share one source of truth.
+Each driver returns plain dicts of simulated times, so the benchmark
+files (``benchmarks/``), the examples and the tests share one source of
+truth.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ from repro.registry import families, get_family
 from repro.runtime.context import DistContext
 from repro.tuner.cache import TuneCache
 from repro.tuner.search import TuneTask, task_cache_key, tune
-from repro.tuner.warm import (  # noqa: F401  (re-exported API)
-    ENV_WARM_CACHE,
-    resolve_warm_cache,
-    warm_cache_path,
-    warm_tuned_config,
-)
+from repro.tuner.warm import resolve_warm_cache, warm_tuned_config
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +68,7 @@ from repro.tuner.warm import (  # noqa: F401  (re-exported API)
 #
 # The file location and the hit-or-None resolution step live in
 # :mod:`repro.tuner.warm` (the end-to-end runner's
-# ``method="tilelink-tuned"`` shares them); they are re-exported here
-# because this module is where bench-side consumers historically found
-# them.
+# ``method="tilelink-tuned"`` shares them).
 
 
 def _tuned_column(tuned: bool | None, tune_cache: TuneCache | None,

@@ -19,18 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.config import H800, HardwareSpec
 from repro.errors import ShapeError
-from repro.ops.attention import flash_segment_time, heads_to_seq, seq_to_heads
+from repro.ops.attention import heads_to_seq, seq_to_heads
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ag_attention_lower_bound
 from repro.tuner.search import TuneTask
-from repro.tuner.space import Axis, SearchSpace
+from repro.tuner.space import Axis, Candidate, SearchSpace
 
 
 @dataclass(frozen=True)
@@ -71,40 +72,71 @@ def attention_search_space(heads: int, head_dim: int, seq_len: int,
     ))
 
 
-def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
-                           causal: bool = True, world: int = 8,
-                           spec: HardwareSpec = H800,
-                           space: SearchSpace | None = None) -> TuneTask:
-    """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
+def attention_tune_task(kernel: str, launch: Callable,
+                        bound: Callable[[Candidate], float], heads: int,
+                        head_dim: int, seq_len: int, *, causal: bool,
+                        world: int, space: SearchSpace | None) -> TuneTask:
+    """The :class:`~repro.tuner.TuneTask` of one attention family.
+
+    Both kernels share the flash-tile space, default, shape key, operands
+    and config; only the kernel name, the launcher (called as
+    ``launch(ctx, cfg, "q", "k", "v", "o")``) and the pruner bound differ.
+    """
     space = space or attention_search_space(heads, head_dim, seq_len, world)
 
-    def make_builder(cand: dict):
-        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
-                                seq_len=seq_len, causal=causal, **cand)
+    def finalize(cand: Candidate) -> AgAttentionConfig:
+        return AgAttentionConfig(heads=heads, head_dim=head_dim,
+                                 seq_len=seq_len, causal=causal, **cand)
+
+    def make_builder(cand: Candidate):
+        cfg = finalize(cand)
 
         def build(ctx: DistContext) -> None:
             s_per = seq_len // world
             for name in ("q", "k", "v"):
                 ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
             ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
-            ag_attention_overlapped(ctx, cfg, "q", "k", "v", "o")
+            launch(ctx, cfg, "q", "k", "v", "o")
 
         return build
 
     return TuneTask(
-        kernel="ag_attention",
+        kernel=kernel,
         shape_key=f"h{heads}d{head_dim}s{seq_len}c{int(causal)}",
         space=space,
-        default=space.project(AgAttentionConfig(
-            heads=heads, head_dim=head_dim, seq_len=seq_len, causal=causal)),
+        default=space.project(finalize({})),
         make_builder=make_builder,
-        bound=lambda c: ag_attention_lower_bound(
+        bound=bound,
+        finalize=finalize,
+    )
+
+
+def attention_sweep_entries(task_fn: Callable[..., TuneTask]):
+    """A family's ``sweep_entries`` hook: ``task_fn``'s task at each
+    sequence length of one Figure-10 shape."""
+    def entries(shape, *, world: int, spec: HardwareSpec = H800,
+                causal: bool = True, **_kw):
+        tasks = []
+        for seq_len in shape.seq_lens:
+            task = task_fn(shape.heads, shape.head_dim, seq_len,
+                           causal=causal, world=world, spec=spec)
+            tasks.append((f"{shape.name}/s{seq_len}/{task.kernel}", task))
+        return tasks
+
+    return entries
+
+
+def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
+                           causal: bool = True, world: int = 8,
+                           spec: HardwareSpec = H800,
+                           space: SearchSpace | None = None) -> TuneTask:
+    """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
+    return attention_tune_task(
+        "ag_attention", ag_attention_overlapped,
+        lambda c: ag_attention_lower_bound(
             c, heads=heads, head_dim=head_dim, seq_len=seq_len, world=world,
             spec=spec, causal=causal),
-        finalize=lambda c: AgAttentionConfig(heads=heads, head_dim=head_dim,
-                                             seq_len=seq_len, causal=causal,
-                                             **c),
-    )
+        heads, head_dim, seq_len, causal=causal, world=world, space=space)
 
 
 class _OnlineSoftmax:
@@ -211,8 +243,8 @@ def ag_attention_overlapped(
             for seg in segs:
                 yield banks[rank].wait_geq(seg, 1)
                 frac = 0.5 if (cfg.causal and seg == rank) else 1.0
-                duration = flash_segment_time(
-                    ctx, cfg.heads, s_per, s_per, cfg.head_dim, want, frac,
+                duration = machine.cost.flash_segment_time(
+                    cfg.heads, s_per, s_per, cfg.head_dim, want, frac,
                     cfg.block_q, cfg.block_kv)
                 kv_bytes = 2.0 * s_per * width * 2
                 arrival = device.reserve_hbm(kv_bytes)
@@ -248,16 +280,6 @@ def ag_attention_overlapped(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   causal: bool = True, **_kw):
-    tasks = []
-    for seq_len in shape.seq_lens:
-        task = ag_attention_tune_task(shape.heads, shape.head_dim, seq_len,
-                                      causal=causal, world=world, spec=spec)
-        tasks.append((f"{shape.name}/s{seq_len}/ag_attention", task))
-    return tasks
-
-
 register_family(
     name="ag_attention",
     doc="KV AllGather + flash attention (sequence parallel)",
@@ -267,6 +289,6 @@ register_family(
     analyze_plans=lambda: [],
     tile_ir=False,
     sweep_category="attention",
-    sweep_entries=_sweep_entries,
+    sweep_entries=attention_sweep_entries(ag_attention_tune_task),
     warm_cached=True,
 )

@@ -53,7 +53,6 @@ def build_moe_routing(
     world_size: int,
     topk: int,
     block_m: int = 128,
-    channels_per_rank: int = 1,
 ) -> MoeRouting:
     """Route tokens and precompute every layout the MoE kernels need."""
     n_tokens, n_experts = logits.shape
@@ -62,26 +61,18 @@ def build_moe_routing(
             f"router logits rows {n_tokens} != tokens_per_rank * world "
             f"({tokens_per_rank * world_size})")
     topk_ids, topk_weights = topk_route(logits, topk)
-    mapping, sorted_token_ids, expert_tile_offsets = \
+    # the padded arrays below lay out build_moe_consumer_mapping's grouping
+    mapping, order, sorted_token_ids, group_starts, expert_tile_offsets = \
         build_moe_consumer_mapping(topk_ids, n_experts, tokens_per_rank,
-                                   world_size, block_m, channels_per_rank)
+                                   world_size, block_m)
     n_tiles = int(expert_tile_offsets[-1])
     padded_rows = n_tiles * block_m
-
-    counts = np.bincount(topk_ids.reshape(-1), minlength=n_experts)
-    flat_experts = topk_ids.reshape(-1)
-    # same (expert, source-rank) ordering as build_moe_consumer_mapping
-    token_of_slot = np.arange(n_tokens).repeat(topk)
-    src_of_slot = token_of_slot // max(1, tokens_per_rank)
-    order = np.argsort(flat_experts * world_size + src_of_slot, kind="stable")
     slot_weights = topk_weights.reshape(-1)[order]
 
     padded_token_ids = np.full(padded_rows, n_tokens, dtype=np.int64)
     padded_expert = np.zeros(padded_rows, dtype=np.int64)
     padded_weights = np.zeros(padded_rows, dtype=np.float32)
     valid = np.zeros(padded_rows, dtype=bool)
-    group_starts = np.zeros(n_experts + 1, dtype=np.int64)
-    np.cumsum(counts, out=group_starts[1:])
     for e in range(n_experts):
         g0, g1 = int(group_starts[e]), int(group_starts[e + 1])
         p0 = int(expert_tile_offsets[e]) * block_m
@@ -118,7 +109,7 @@ def build_moe_routing(
         topk_weights=topk_weights,
         mapping=mapping,
         sorted_token_ids=sorted_token_ids,
-        sorted_expert_of_row=flat_experts[order],
+        sorted_expert_of_row=topk_ids.reshape(-1)[order],
         sorted_weights=slot_weights,
         expert_tile_offsets=expert_tile_offsets,
         n_tiles=n_tiles,

@@ -20,9 +20,10 @@ from repro.config import H800, HardwareSpec
 from repro.kernels.attention import (
     AgAttentionConfig,
     _OnlineSoftmax,
-    attention_search_space,
+    attention_sweep_entries,
+    attention_tune_task,
 )
-from repro.ops.attention import flash_segment_time, heads_to_seq, seq_to_heads
+from repro.ops.attention import heads_to_seq, seq_to_heads
 from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen, Timeout
@@ -45,35 +46,12 @@ def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
     searched subspace is the same q/kv tiling; only the builder (and its
     lockstep cost structure) differs.
     """
-    space = space or attention_search_space(heads, head_dim, seq_len, world)
-
-    def make_builder(cand: dict):
-        cfg = AgAttentionConfig(heads=heads, head_dim=head_dim,
-                                seq_len=seq_len, causal=causal, **cand)
-
-        def build(ctx: DistContext) -> None:
-            s_per = seq_len // world
-            for name in ("q", "k", "v"):
-                ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
-            ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
-            ring_attention(ctx, cfg, "q", "k", "v", "o")
-
-        return build
-
-    return TuneTask(
-        kernel="ring_attention",
-        shape_key=f"h{heads}d{head_dim}s{seq_len}c{int(causal)}",
-        space=space,
-        default=space.project(AgAttentionConfig(
-            heads=heads, head_dim=head_dim, seq_len=seq_len, causal=causal)),
-        make_builder=make_builder,
-        bound=lambda c: ring_attention_lower_bound(
+    return attention_tune_task(
+        "ring_attention", ring_attention,
+        lambda c: ring_attention_lower_bound(
             c, heads=heads, head_dim=head_dim, seq_len=seq_len, world=world,
             spec=spec),
-        finalize=lambda c: AgAttentionConfig(heads=heads, head_dim=head_dim,
-                                             seq_len=seq_len, causal=causal,
-                                             **c),
-    )
+        heads, head_dim, seq_len, causal=causal, world=world, space=space)
 
 
 def ring_attention(
@@ -115,8 +93,8 @@ def ring_attention(
                 # *inside* the kernel — plain RingAttention neither skips
                 # masked chunks nor rebalances the causal triangle, so each
                 # lockstep slot costs a full chunk of compute
-                duration = flash_segment_time(
-                    ctx, cfg.heads, s_per, s_per, cfg.head_dim, want,
+                duration = machine.cost.flash_segment_time(
+                    cfg.heads, s_per, s_per, cfg.head_dim, want,
                     1.0, cfg.block_q, cfg.block_kv)
                 arrival = device.reserve_hbm(kv_bytes)
                 yield Timeout(max(duration, arrival - machine.now))
@@ -157,17 +135,6 @@ def ring_attention(
 # Registry: the declarative family record (repro.registry)
 # ---------------------------------------------------------------------------
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   causal: bool = True, **_kw):
-    tasks = []
-    for seq_len in shape.seq_lens:
-        task = ring_attention_tune_task(shape.heads, shape.head_dim, seq_len,
-                                        causal=causal, world=world,
-                                        spec=spec)
-        tasks.append((f"{shape.name}/s{seq_len}/ring_attention", task))
-    return tasks
-
-
 register_family(
     name="ring_attention",
     doc="RingAttention baseline (rotating-KV lockstep ring)",
@@ -176,5 +143,5 @@ register_family(
     analyze_plans=lambda: [],
     tile_ir=False,
     sweep_category="attention",
-    sweep_entries=_sweep_entries,
+    sweep_entries=attention_sweep_entries(ring_attention_tune_task),
 )

@@ -117,8 +117,7 @@ def build_moe_consumer_mapping(
     tokens_per_rank: int,
     world_size: int,
     block_m: int,
-    channels_per_rank: int = 1,
-) -> tuple[TableTileMapping, np.ndarray, np.ndarray]:
+) -> tuple[TableTileMapping, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Runtime routing -> dynamic mapping for the AG + MoE kernel (Fig. 5).
 
     Tokens (already ordered rank-major in the gathered view: rank ``r``
@@ -128,10 +127,14 @@ def build_moe_consumer_mapping(
     learns, via the returned tables, the *source rank* whose AllGather shard
     must land before the tile may compute, and the channel that signals it.
 
-    Returns ``(mapping, sorted_token_ids, expert_tile_offsets)`` where
-    ``sorted_token_ids`` maps grouped rows back to original token indices
-    (the gather the kernel fuses into the GroupGEMM), and
-    ``expert_tile_offsets[e]`` is the first tile id of expert ``e``.
+    Returns ``(mapping, order, sorted_token_ids, group_starts,
+    expert_tile_offsets)``: ``order`` lists the flat (token, k) slots in
+    grouped-row order, ``sorted_token_ids`` maps grouped rows back to
+    original token indices (the gather the kernel fuses into the
+    GroupGEMM), ``group_starts[e]`` is the first grouped row of expert
+    ``e`` and ``expert_tile_offsets[e]`` its first tile id.  The padded
+    routing arrays of :func:`repro.kernels.moe_common.build_moe_routing`
+    derive from the same grouping.
     """
     if topk_ids.ndim != 2:
         raise MappingError("topk_ids must be (tokens, topk)")
@@ -152,7 +155,6 @@ def build_moe_consumer_mapping(
     src_of_slot = token_of_slot // max(1, tokens_per_rank)
     order = np.argsort(flat_experts * world_size + src_of_slot, kind="stable")
     sorted_token_ids = token_of_slot[order]
-    sorted_experts = flat_experts[order]
 
     # Pad each expert group to a multiple of block_m (vLLM-style alignment)
     counts = np.bincount(flat_experts, minlength=n_experts)
@@ -161,17 +163,11 @@ def build_moe_consumer_mapping(
     expert_tile_offsets = np.zeros(n_experts + 1, dtype=np.int64)
     np.cumsum(padded // block_m, out=expert_tile_offsets[1:])
 
-    n_channels = world_size * channels_per_rank
-    mapping = TableTileMapping(max(n_tiles, 1), n_channels, world_size)
-    # Channel c covers shard rows of rank c // channels_per_rank; threshold
-    # counts AllGather producer tiles per channel (one producer tile per
-    # block of shard rows — the producer grid must agree; see ag_moe kernel).
-    shard_tiles = ceil_div(tokens_per_rank, block_m)
-    per_channel_tiles = ceil_div(shard_tiles, channels_per_rank)
-    for c in range(n_channels):
-        in_rank = c % channels_per_rank
-        lo = in_rank * per_channel_tiles
-        mapping.channel_threshold[c] = max(0, min(per_channel_tiles, shard_tiles - lo))
+    mapping = TableTileMapping(max(n_tiles, 1), world_size, world_size)
+    # Channel r covers the shard rows of rank r; its threshold counts
+    # AllGather producer tiles (one producer tile per block of shard rows
+    # — the producer grid must agree; see ag_moe kernel).
+    mapping.channel_threshold[:] = ceil_div(tokens_per_rank, block_m)
 
     group_starts = np.zeros(n_experts + 1, dtype=np.int64)
     np.cumsum(counts, out=group_starts[1:])
@@ -195,15 +191,11 @@ def build_moe_consumer_mapping(
             src_ranks = np.unique(slots // tokens_per_rank)
             gate_rank = int(src_ranks.max())
             lo_g, hi_g = g0 + row_lo, g0 + row_hi
-            wait_set = [
-                (int(r) * channels_per_rank + c,
-                 int(mapping.channel_threshold[int(r) * channels_per_rank + c]))
-                for r in src_ranks
-                for c in range(channels_per_rank)
-            ]
+            wait_set = [(int(r), int(mapping.channel_threshold[r]))
+                        for r in src_ranks]
             mapping.fill(tile_id, int(lo_g), int(hi_g), gate_rank,
-                         gate_rank * channels_per_rank, wait_set=wait_set)
-    return mapping, sorted_token_ids, expert_tile_offsets
+                         gate_rank, wait_set=wait_set)
+    return mapping, order, sorted_token_ids, group_starts, expert_tile_offsets
 
 
 def ceil_div_vec(a: np.ndarray, b: int) -> np.ndarray:

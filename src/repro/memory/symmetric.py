@@ -13,6 +13,8 @@ of a peer buffer observes stale data exactly like real hardware would.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from repro.errors import RuntimeLaunchError, ShapeError
@@ -36,23 +38,25 @@ class SymmetricHeap:
         """Allocate a symmetric tensor: one instance per rank.
 
         ``fill=None`` leaves numeric-mode data uninitialised garbage
-        (uniform noise) to make missing-synchronization bugs observable.
+        (Gaussian noise seeded by the config seed and the name, the same
+        in every process) to make missing-synchronization bugs observable.
         """
         if name in self._tensors:
             raise RuntimeLaunchError(f"symmetric tensor {name!r} already allocated")
         materialize = self.machine.config.execute_numerics
+        if materialize and fill is None:
+            # crc32, not hash(): Python salts str hashes per process
+            rng = np.random.default_rng(
+                self.machine.config.seed ^ zlib.crc32(name.encode()))
         tensors = []
-        rng = np.random.default_rng(self.machine.config.seed ^ hash(name) & 0xFFFF)
         for rank in range(self.machine.world_size):
             if not materialize:
-                t = SimTensor(name, shape, dtype, rank, data=None)
+                data = None
             elif fill is None:
-                noise = rng.standard_normal(shape).astype(resolve_dtype(dtype))
-                t = SimTensor(name, shape, dtype, rank, data=noise)
+                data = rng.standard_normal(shape).astype(resolve_dtype(dtype))
             else:
                 data = np.full(shape, fill, dtype=resolve_dtype(dtype))
-                t = SimTensor(name, shape, dtype, rank, data=data)
-            tensors.append(t)
+            tensors.append(SimTensor(name, shape, dtype, rank, data=data))
         self._tensors[name] = tensors
         return tensors
 

@@ -11,9 +11,9 @@ window into all three:
   watermark crossings) in simulated-clock time; passed as
   ``tune(...)``/``sweep(..., recorder=...)`` it collects wall-time
   spans per candidate simulation, prune pass and cache probe.  The
-  default (``None`` / :data:`NULL_RECORDER`) keeps every instrumented
-  path at its zero-overhead baseline, and recording is read-only by
-  construction: results are bit-identical with the recorder on or off.
+  default ``recorder=None`` keeps every instrumented path at its
+  zero-overhead baseline, and recording is read-only by construction:
+  results are bit-identical with the recorder on or off.
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry with
   labelled series.  Histograms ride the serving engine's
   :class:`~repro.serve.samples.StepStats` multisets (O(distinct-values)
@@ -32,18 +32,15 @@ window into all three:
   ``export`` over ``repro-obs/1`` recording files.
 
 Layering: ``repro.serve`` and ``repro.tuner`` never import this
-package — their ``recorder`` hooks are duck-typed (``.enabled``,
-``.events.append``, ``.span``) — so the hot paths carry no
-observability dependency and a disabled recorder costs one boolean
-check per site.
+package — their ``recorder`` hooks are duck-typed (``.events``,
+``.meta``, ``.span``) — so the hot paths carry no observability
+dependency and ``recorder=None`` costs one ``is None`` check per site.
 """
 
 from repro.obs.events import (
     EVENT_FIELDS,
     FORMAT,
     KINDS,
-    NULL_RECORDER,
-    NullRecorder,
     Recorder,
     Recording,
     load,
@@ -73,9 +70,8 @@ from repro.obs.summary import (
 
 __all__ = [
     "Counter", "EVENT_FIELDS", "FORMAT", "Gauge", "Histogram", "KINDS",
-    "METRICS_FORMAT", "MetricsRegistry", "NULL_RECORDER", "NullRecorder",
-    "PHASES", "Recorder", "Recording", "build_metrics", "load",
-    "phase_attribution", "request_timelines", "save_recording",
-    "save_sim_recording", "sim_recording", "slowest_requests",
-    "span_attribution", "to_perfetto", "write_trace",
+    "METRICS_FORMAT", "MetricsRegistry", "PHASES", "Recorder", "Recording",
+    "build_metrics", "load", "phase_attribution", "request_timelines",
+    "save_recording", "save_sim_recording", "sim_recording",
+    "slowest_requests", "span_attribution", "to_perfetto", "write_trace",
 ]

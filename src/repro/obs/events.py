@@ -6,9 +6,9 @@ wall-time spans (``kind="spans"``), or a kernel simulation's busy
 intervals adapted from :class:`repro.sim.trace.TraceInterval`
 (``kind="sim"``).  Events are plain tuples with fixed per-kind layouts
 (:data:`EVENT_FIELDS`); the hot paths append tuples and nothing else, so
-an enabled recorder never perturbs what it observes and a disabled one
-(:data:`NULL_RECORDER`, or simply ``recorder=None``) costs one boolean
-check per instrumentation site.
+a recorder never perturbs what it observes, and ``recorder=None`` (the
+default everywhere) costs one ``is None`` check per instrumentation
+site.
 
 Serving events carry *simulated-clock* timestamps (the engine's
 seconds); span events carry *wall-clock* ``time.perf_counter`` seconds —
@@ -43,8 +43,8 @@ from repro.util.schema import (
 )
 
 __all__ = [
-    "EVENT_FIELDS", "FORMAT", "KINDS", "NULL_RECORDER", "NullRecorder",
-    "Recorder", "Recording", "load", "save_recording",
+    "EVENT_FIELDS", "FORMAT", "KINDS", "Recorder", "Recording", "load",
+    "save_recording",
 ]
 
 #: On-disk format tag (bump on layout changes; :func:`load` rejects
@@ -97,33 +97,37 @@ INTERVALS = Schema("interval", "intervals", {None: Table({
 }, rules=(Rule("needs start <= end", lambda iv: iv[3] <= iv[4]),))},
     positional=True)
 
+#: a serve recording's clock bounds, which every serve view reads
+SERVE_META = Table({"t0": _FINITE, "t1": _FINITE}, rules=(
+    Rule("needs t0 <= t1",
+         lambda m: m.get("t0", -math.inf) <= m.get("t1", math.inf)),),
+    optional=("t0", "t1"))
+
 #: one recording by kind; an omitted ``meta``, ``events`` or
 #: ``intervals`` reads as empty
-RECORDING = Schema("recording", "recordings", dict.fromkeys(KINDS, Table({
+RECORDING = Schema("recording", "recordings", {kind: Table({
     "format": ((str,), Rule(repr(FORMAT), lambda v: v == FORMAT)),
     "kind": ((str,), None),
-    "meta": ((dict,), None),
+    "meta": ((dict,), SERVE_META if kind == "serve" else None),
     "events": ((list,), EVENTS),
     "intervals": ((list,), INTERVALS),
-}, optional=("meta", "events", "intervals"))), closed=False, tag="kind")
+}, optional=("meta", "events", "intervals")) for kind in KINDS},
+    closed=False, tag="kind")
 
 
 class Recorder:
     """Collects one run's events.
 
     The instrumented code paths (``serve_events``, the tuner) treat this
-    purely as ``events.append`` plus the :attr:`enabled` gate — they
-    never import :mod:`repro.obs`, so the serving engine stays free of
-    any observability dependency.  Use one fresh recorder per run: the
-    engine refuses a recorder that already holds events (mixing two
-    runs' simulated clocks would corrupt every downstream view).
+    purely as ``events``, ``meta`` and :meth:`span`, and pass ``None``
+    to record nothing — they never import :mod:`repro.obs`, so the
+    serving engine stays free of any observability dependency.  Use one
+    fresh recorder per run: the engine refuses a recorder that already
+    holds events (mixing two runs' simulated clocks would corrupt every
+    downstream view).
     """
 
     __slots__ = ("events", "meta")
-
-    #: Instrumentation sites check this one flag; subclasses (the null
-    #: recorder) turn the whole layer off by flipping it.
-    enabled = True
 
     def __init__(self, meta: dict | None = None):
         self.events: list[tuple] = []
@@ -155,24 +159,6 @@ class Recorder:
         """Persist as strict ``repro-obs/1`` JSON."""
         rec = self.recording()
         save_recording(path, kind=rec.kind, meta=rec.meta, events=rec.events)
-
-
-class NullRecorder(Recorder):
-    """The default no-op recorder: every hook sees ``enabled`` False."""
-
-    enabled = False
-
-    def span(self, t0, t1, category, label) -> None:
-        pass
-
-    @contextmanager
-    def timed(self, category, label):
-        yield self
-
-
-#: Shared disabled recorder — pass this (or ``None``) to keep the
-#: instrumented paths at their zero-overhead baseline.
-NULL_RECORDER = NullRecorder()
 
 
 @dataclass
@@ -211,8 +197,8 @@ def load(path) -> Recording:
     """Read a recording back, checked against :data:`RECORDING`.
 
     Raises :class:`ObsError` on a missing/unreadable file, non-UTF-8 or
-    non-strict JSON, a foreign format tag, or any malformed
-    event/interval.
+    non-strict JSON, a foreign format tag, any malformed event/interval,
+    or a serve recording's malformed ``meta.t0``/``t1``.
     """
     try:
         with open(path, encoding="utf-8") as fh:

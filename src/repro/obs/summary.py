@@ -36,20 +36,15 @@ def _require(rec: Recording, kind: str, what: str) -> None:
 
 
 def clock_bounds(rec: Recording) -> tuple[float, float]:
-    """The recording's clock origin and end (meta, else event scan)."""
-    meta = rec.meta
-    if "t0" in meta and "t1" in meta:
-        return float(meta["t0"]), float(meta["t1"])
-    if rec.intervals:
+    """The recording's clock origin and end: a sim recording's interval
+    span, a serve recording's ``meta`` ``t0``/``t1``."""
+    if rec.kind == "sim" and rec.intervals:
         return (min(iv[3] for iv in rec.intervals),
                 max(iv[4] for iv in rec.intervals))
-    if not rec.events:
-        raise ObsError("recording is empty: no events, no intervals, and "
-                       "no t0/t1 meta")
-    starts = [e[1] for e in rec.events]
-    ends = [e[2] if len(e) > 2 and isinstance(e[2], (int, float)) else e[1]
-            for e in rec.events]
-    return min(starts), max(ends)
+    meta = rec.meta
+    if "t0" not in meta or "t1" not in meta:
+        raise ObsError(f"{rec.kind} recording has no t0/t1 in its meta")
+    return float(meta["t0"]), float(meta["t1"])
 
 
 def request_timelines(rec: Recording) -> dict[int, dict]:
@@ -63,6 +58,7 @@ def request_timelines(rec: Recording) -> dict[int, dict]:
     """
     _require(rec, "serve", "request_timelines()")
     reqs: dict[int, dict] = {}
+    stalled: set[int] = set()           # preempted, not yet re-admitted
     for event in rec.events:
         kind = event[0]
         if kind == "arrival":
@@ -75,38 +71,46 @@ def request_timelines(rec: Recording) -> dict[int, dict]:
                 "queue_wait": None, "preempt_stall": 0.0,
                 "segments": [], "_open": None,
             }
-        elif kind == "admit":
-            _, t0, t1, rid, fresh, resident = event
-            r = reqs.get(int(rid))
-            if r is None:
-                raise ObsError(f"admit event for rid {rid} without an "
-                               f"arrival event")
+            continue
+        if kind not in ("admit", "preempt", "finish"):
+            continue
+        rid = int(event[3] if kind == "admit" else event[2])
+        r = reqs.get(rid)
+        if r is None:
+            raise ObsError(f"{kind} event for rid {rid} without an "
+                           f"arrival event")
+        if kind == "admit":
+            _, t0, t1, _, fresh, _ = event
             if fresh:
                 r["segments"].append(("queue", r["arrival"], t0))
                 r["queue_wait"] = t0 - r["arrival"]
                 r["first_token"] = t1
-            else:
+            elif rid in stalled:
+                stalled.remove(rid)
                 # the stall the reference loop charges runs to the END
                 # of the re-prefill step; the visual segment ends where
                 # the prefill segment starts
                 r["segments"].append(("preempt-stall", r["_open"], t0))
                 r["preempt_stall"] += t1 - r["_open"]
+            else:
+                raise ObsError(f"re-admission of rid {rid} without an "
+                               f"earlier preempt event")
             r["segments"].append(("prefill", t0, t1))
             r["_open"] = t1              # decoding (or finished) from t1
         elif kind == "preempt":
-            _, ts, rid = event
-            r = reqs[int(rid)]
+            ts = event[1]
             if r["_open"] is not None and ts > r["_open"]:
                 r["segments"].append(("decode", r["_open"], ts))
             r["_open"] = ts              # stalled from ts
             r["n_preemptions"] += 1
-        elif kind == "finish":
-            _, ts, rid = event
-            r = reqs[int(rid)]
+            stalled.add(rid)
+        else:                           # finish
+            ts = event[1]
             if r["_open"] is not None and ts > r["_open"]:
                 r["segments"].append(("decode", r["_open"], ts))
             r["finish"] = ts
             r["_open"] = None
+            stalled.discard(rid)
     for r in reqs.values():
         del r["_open"]
     return reqs

@@ -61,29 +61,15 @@ def heads_to_seq(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(s, h * d))
 
 
-def flash_segment_time(ctx: DistContext, heads: int, sq: int, skv: int,
-                       dim: int, n_sms: int, frac: float = 1.0,
-                       bq: int = 128, bkv: int = 128) -> float:
-    """Makespan of flash attention over one KV segment.
-
-    ``frac`` scales the inner-step count (0.5 for the triangular diagonal
-    segment under causal masking).
-    """
-    cost = ctx.machine.cost
-    blocks = heads * math.ceil(sq / bq)
-    waves = math.ceil(blocks / max(1, n_sms))
-    steps = max(1, math.ceil(math.ceil(skv / bkv) * frac))
-    step_t = cost.flash_step_time(bq, bkv, dim)
-    return waves * (cost.MMA_PROLOGUE + steps * step_t)
-
-
 def flash_attention_op(ctx: DistContext, rank: int, q: SimTensor,
                        k: SimTensor, v: SimTensor, o: SimTensor,
                        heads: int, dim: int,
                        causal: bool = False, q_offset: int = 0,
                        stream_name: str = "default",
                        n_sms: int | None = None) -> Process:
-    """Fused flash-attention launch over 2-d sequence-layout tensors."""
+    """Fused flash-attention launch over 2-d sequence-layout tensors,
+    priced as one KV segment by
+    :meth:`~repro.sim.costmodel.CostModel.flash_segment_time`."""
     machine = ctx.machine
     sq = q.shape[0]
     skv = k.shape[0]
@@ -98,8 +84,8 @@ def flash_attention_op(ctx: DistContext, rank: int, q: SimTensor,
             if causal:
                 # queries at offset see ~(offset + sq/2) of skv keys
                 frac = min(1.0, (q_offset + sq / 2) / max(1, skv))
-            duration = flash_segment_time(ctx, heads, sq, skv, dim, want,
-                                          frac)
+            duration = machine.cost.flash_segment_time(heads, sq, skv, dim,
+                                                       want, frac)
             kv_bytes = 2.0 * skv * heads * dim * k.itemsize
             arrival = device.reserve_hbm(kv_bytes)
             yield Timeout(max(duration, arrival - machine.now))

@@ -103,23 +103,22 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
     Same contract as :func:`repro.serve.scheduler.serve` (which wraps
     this), same bits as the per-step reference loop.
 
-    ``recorder`` (an enabled :class:`repro.obs.Recorder`, duck-typed:
-    ``.enabled`` plus an ``events`` list) captures the full request
+    ``recorder`` (a :class:`repro.obs.Recorder`, duck-typed: an
+    ``events`` list and a ``meta`` dict) captures the full request
     lifecycle in simulated-clock time — arrivals, idle gaps, prefill
     steps, per-request admissions, decode macro-steps, preemptions,
     finishes, and (with a pool) per-step used-block levels and
     watermark crossings.  Recording is strictly read-only: it appends
-    event
-    tuples and touches no simulation state, so results are
-    bit-identical with the recorder on, off, or ``None`` — and with it
-    ``None`` (the default) every hook is a single predictable branch.
-    This module deliberately never imports :mod:`repro.obs`.
+    event tuples and touches no simulation state, so results are
+    bit-identical with a recorder or ``None`` — and with ``None`` (the
+    default) every hook is a single predictable branch.  This module
+    deliberately never imports :mod:`repro.obs`.
     """
     server = server or ServerConfig()
     server.validate()
     if not requests:
         raise ServeError("serve() needs at least one request")
-    recording = recorder is not None and recorder.enabled
+    recording = recorder is not None
     if recording and recorder.events:
         raise ServeError(
             "recorder already holds events; serve() needs a fresh "
@@ -179,12 +178,15 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
     # cluster); memoise the full (tokens, ctx=0) evaluation per run
     prefill_price: dict[int, float] = {}
 
+    pool_used = 0                   # blocks allocated across the batch
+    # a pool-less run decodes through the same macro-step loop with one
+    # growth phase that never grows
+    bt, cap, cnt = 1, 0, [0]
     if with_pool:
         # integer shadow of the block pool (see the module docstring)
         bt = mgr.pool.block_tokens
         cap = mgr.capacity_blocks
         wm = mgr.watermark_blocks
-        pool_used = 0               # blocks allocated across the batch
         held: dict[int, int] = {}   # rid -> blocks held
         #: per-phase growth buckets: ``pm[p]`` holds the rids that grow
         #: one block at decode steps ``D % bt == p``; ``cnt[p]`` caches
@@ -206,8 +208,6 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
         if with_pool:
             wm_lvl = cap - wm       # used-block level of the watermark
             wm_above = False
-        else:
-            pool_used = 0           # recorded as-is on prefill/decode
 
     def admit_entry(r: Request, emitted: int, resident: int) -> None:
         nonlocal sum_resb
@@ -465,113 +465,72 @@ def serve_events(requests: Sequence[Request], model: ModelConfig,
             form, seg_end = -1, -1.0
             _f = _lt = _lc = _dn = _df = _n = _hi = _sl = _tc = 0.0
             s = 1
-            if with_pool:
-                free_now = cap - pool_used
-                used = pool_used
-                last_o = 0      # last step whose occupancy is flushed
-                grow_phases: list[int] = []
-                ph = (d0 + 1) % bt
-                while True:
-                    # arrivals: at s == 1 the outer loop already drained
-                    # every arrival <= clock, so this stays False
-                    if next_arr_t <= clock:
-                        c = s - 1 - last_q
-                        if c:
-                            qd_counts[wl] = qd_counts.get(wl, 0) + c
-                            qd_last = wl
-                        last_q = s - 1
-                        while next_arr_t <= clock:
-                            pending.append(order[next_arrival])
-                            next_arrival += 1
-                            wl += 1
-                            next_arr_t = (arr_times[next_arrival]
-                                          if next_arrival < n_order
-                                          else inf)
-                        if arr_stop:
-                            executed = s - 1
-                            break               # the gate could now admit
-                    g = cnt[ph]
-                    if g:
-                        if g > free_now:
-                            executed = s - 1
-                            break               # pressure: slow path
-                        c = s - 1 - last_o
-                        if c:
-                            occ = used / cap
-                            occ_counts[occ] = occ_counts.get(occ, 0) + c
-                            occ_last = occ
-                        last_o = s - 1
-                        free_now -= g
-                        used += g
-                        grow_phases.append(ph)
-                        # upward watermark crossings happen only on
-                        # growth, so this is the one recording check
-                        # the tight loop carries (and only on the
-                        # already-rare growth branch)
-                        if recording and not wm_above and used > wm_lvl:
-                            wm_above = True
-                            ev(("watermark", clock, 1, used))
-                    if ctx > seg_end:
-                        co = coeffs_of(B, ctx)
-                        form = co[0]
-                        if form == 1:
-                            _, _lt, _lc, _dn, _df, _n, seg_end = co
-                        elif form == 0:
-                            _, _f, seg_end = co
-                        else:
-                            _, _hi, _sl, _tc, _n, seg_end = co
+            free_now = cap - pool_used
+            used = pool_used
+            last_o = 0      # last step whose occupancy is flushed
+            grow_phases: list[int] = []
+            ph = (d0 + 1) % bt
+            while True:
+                # arrivals: at s == 1 the outer loop already drained
+                # every arrival <= clock, so this stays False
+                if next_arr_t <= clock:
+                    c = s - 1 - last_q
+                    if c:
+                        qd_counts[wl] = qd_counts.get(wl, 0) + c
+                        qd_last = wl
+                    last_q = s - 1
+                    while next_arr_t <= clock:
+                        pending.append(order[next_arrival])
+                        next_arrival += 1
+                        wl += 1
+                        next_arr_t = (arr_times[next_arrival]
+                                      if next_arrival < n_order else inf)
+                    if arr_stop:
+                        executed = s - 1
+                        break               # the gate could now admit
+                g = cnt[ph]
+                if g:
+                    if g > free_now:
+                        executed = s - 1
+                        break               # pressure: slow path
+                    c = s - 1 - last_o
+                    if c:
+                        occ = used / cap
+                        occ_counts[occ] = occ_counts.get(occ, 0) + c
+                        occ_last = occ
+                    last_o = s - 1
+                    free_now -= g
+                    used += g
+                    grow_phases.append(ph)
+                    # upward watermark crossings happen only on growth,
+                    # so this is the one recording check the tight loop
+                    # carries (and only on the already-rare growth branch)
+                    if recording and not wm_above and used > wm_lvl:
+                        wm_above = True
+                        ev(("watermark", clock, 1, used))
+                if ctx > seg_end:
+                    co = coeffs_of(B, ctx)
+                    form = co[0]
                     if form == 1:
-                        clock += (_lt + ((ctx - _lc) / _dn) * _df) * _n
+                        _, _lt, _lc, _dn, _df, _n, seg_end = co
                     elif form == 0:
-                        clock += _f
+                        _, _f, seg_end = co
                     else:
-                        clock += (_hi + _sl * (ctx - _tc)) * _n
-                    if s == k:
-                        executed = k
-                        break
-                    ctx += B
-                    s += 1
-                    ph += 1
-                    if ph == bt:
-                        ph = 0
-            else:
-                while True:
-                    if next_arr_t <= clock:
-                        c = s - 1 - last_q
-                        if c:
-                            qd_counts[wl] = qd_counts.get(wl, 0) + c
-                            qd_last = wl
-                        last_q = s - 1
-                        while next_arr_t <= clock:
-                            pending.append(order[next_arrival])
-                            next_arrival += 1
-                            wl += 1
-                            next_arr_t = (arr_times[next_arrival]
-                                          if next_arrival < n_order
-                                          else inf)
-                        if arr_stop:
-                            executed = s - 1
-                            break
-                    if ctx > seg_end:
-                        co = coeffs_of(B, ctx)
-                        form = co[0]
-                        if form == 1:
-                            _, _lt, _lc, _dn, _df, _n, seg_end = co
-                        elif form == 0:
-                            _, _f, seg_end = co
-                        else:
-                            _, _hi, _sl, _tc, _n, seg_end = co
-                    if form == 1:
-                        clock += (_lt + ((ctx - _lc) / _dn) * _df) * _n
-                    elif form == 0:
-                        clock += _f
-                    else:
-                        clock += (_hi + _sl * (ctx - _tc)) * _n
-                    if s == k:
-                        executed = k
-                        break
-                    ctx += B
-                    s += 1
+                        _, _hi, _sl, _tc, _n, seg_end = co
+                if form == 1:
+                    clock += (_lt + ((ctx - _lc) / _dn) * _df) * _n
+                elif form == 0:
+                    clock += _f
+                else:
+                    clock += (_hi + _sl * (ctx - _tc)) * _n
+                if s == k:
+                    executed = k
+                    break
+                ctx += B
+                s += 1
+                ph += 1
+                if ph == bt:
+                    ph = 0
             c = executed - last_q
             if c > 0:
                 qd_counts[wl] = qd_counts.get(wl, 0) + c

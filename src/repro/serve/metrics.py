@@ -17,7 +17,8 @@ Per-step series (queue depth, batch size, pool occupancy) arrive as
 than per-step lists; their ``percentile``/``max`` reproduce the list
 forms bit-for-bit, so every JSON summary field is unchanged.
 
-All percentiles use deterministic linear interpolation (no numpy, no
+All percentiles use one deterministic linear interpolation,
+:func:`~repro.serve.samples.interpolate_percentile` (no numpy, no
 randomness), and :meth:`ServingReport.row` emits strict-JSON-safe rows
 (``None``, never ``NaN``) for ``validate_bench_json.py --schema
 serving``.
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ServeError
+from repro.serve.samples import interpolate_percentile
 from repro.serve.scheduler import ServeResult
 from repro.util.tables import format_table
 
@@ -40,17 +42,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """q-th percentile (0..100) with linear interpolation, deterministic."""
     if not values:
         raise ServeError("percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ServeError(f"percentile q must be in [0, 100], got {q}")
-    s = sorted(values)
-    if len(s) == 1:
-        return float(s[0])
-    pos = (len(s) - 1) * q / 100.0
-    lo = int(pos)
-    frac = pos - lo
-    if lo + 1 >= len(s):
-        return float(s[-1])
-    return float(s[lo] + frac * (s[lo + 1] - s[lo]))
+    return interpolate_percentile(len(values), q, sorted(values).__getitem__)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ and the series take few distinct values (queue depths are small ints,
 batch sizes are bounded by ``max_batch``, occupancies by the block
 count), so :class:`StepStats` stores a ``{value: count}`` multiset
 instead: O(distinct values) memory, O(1) appends, and percentiles that
-reproduce :func:`repro.serve.metrics.percentile` bit-for-bit.
+equal :func:`repro.serve.metrics.percentile` bit-for-bit, because both
+interpolate through :func:`interpolate_percentile`.
 
 ``add_repeat`` is the macro-stepping hook: the event-driven engine
 (:mod:`repro.serve.engine`) records a whole run of identical steps in
@@ -22,11 +23,28 @@ interleaving.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ServeError
 
-__all__ = ["StepStats"]
+__all__ = ["StepStats", "interpolate_percentile"]
+
+
+def interpolate_percentile(n: int, q: float, at: Callable[[int], float]
+                           ) -> float:
+    """q-th percentile (0..100) of ``n >= 1`` samples whose ``i``-th
+    smallest is ``at(i)``: deterministic linear interpolation."""
+    if not 0.0 <= q <= 100.0:
+        raise ServeError(f"percentile q must be in [0, 100], got {q}")
+    if n == 1:
+        return float(at(0))
+    pos = (n - 1) * q / 100.0
+    lo = int(pos)
+    frac = pos - lo
+    if lo + 1 >= n:
+        return float(at(n - 1))
+    v_lo = at(lo)
+    return float(v_lo + frac * (at(lo + 1) - v_lo))
 
 
 class StepStats:
@@ -100,26 +118,15 @@ class StepStats:
         return max(self._counts)
 
     def percentile(self, q: float) -> float:
-        """q-th percentile (0..100), bit-identical to
-        :func:`repro.serve.metrics.percentile` on the same samples."""
+        """q-th percentile (0..100) of the samples."""
         if not self._n:
             # a *named* ServeError, never a bare IndexError/KeyError from
             # the rank walk below: obs histograms snapshot empty series
             # routinely and must be able to catch this precisely
             raise ServeError("percentile of an empty sample series")
-        if not 0.0 <= q <= 100.0:
-            raise ServeError(f"percentile q must be in [0, 100], got {q}")
         values = sorted(self._counts)
-        if self._n == 1:
-            return float(values[0])
-        pos = (self._n - 1) * q / 100.0
-        lo = int(pos)
-        frac = pos - lo
-        if lo + 1 >= self._n:
-            return float(self._at_rank(values, self._n - 1))
-        v_lo = self._at_rank(values, lo)
-        v_hi = self._at_rank(values, lo + 1)
-        return float(v_lo + frac * (v_hi - v_lo))
+        return interpolate_percentile(
+            self._n, q, lambda rank: self._at_rank(values, rank))
 
     def _at_rank(self, sorted_values: list, rank: int):
         """The ``rank``-th (0-based) sample of the sorted multiset."""

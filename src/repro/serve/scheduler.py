@@ -169,8 +169,8 @@ def serve(requests: Sequence[Request], model: ModelConfig, method: str,
     results are bit-identical on every field to the per-step reference
     loop the tests keep as an oracle.
 
-    ``recorder`` (an enabled :class:`repro.obs.Recorder`; default
-    ``None`` = off) captures the request-lifecycle event log for the
+    ``recorder`` (a :class:`repro.obs.Recorder`; default ``None`` =
+    off) captures the request-lifecycle event log for the
     observability layer without perturbing the run — see
     :func:`serve_events` for the contract.
     """

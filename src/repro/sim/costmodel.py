@@ -172,6 +172,22 @@ class CostModel:
         kv_load = self.memory_tile_time(2 * bkv * head_dim * dtype_bytes)
         return max(mma + softmax, kv_load)
 
+    def flash_segment_time(self, heads: int, sq: int, skv: int, head_dim: int,
+                           n_sms: int, frac: float = 1.0, bq: int = 128,
+                           bkv: int = 128) -> float:
+        """Makespan of flash attention over one KV segment on ``n_sms`` SMs.
+
+        ``frac`` scales the inner-step count (0.5 for the triangular
+        diagonal segment under causal masking).  The flash op, both
+        attention kernels and both attention pruner bounds price a
+        segment here.
+        """
+        blocks = heads * math.ceil(sq / bq)
+        waves = math.ceil(blocks / max(1, n_sms))
+        steps = max(1, math.ceil(math.ceil(skv / bkv) * frac))
+        step_t = self.flash_step_time(bq, bkv, head_dim)
+        return waves * (self.MMA_PROLOGUE + steps * step_t)
+
     # -- synchronization --------------------------------------------------------
 
     def atomic_latency(self, remote: bool) -> float:

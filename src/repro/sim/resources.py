@@ -10,9 +10,9 @@ Two resource kinds cover everything the substrate needs:
   egress/ingress, HBM and NIC links.  A transfer of *n* bytes reserves the
   pipe for ``n / bandwidth`` seconds starting when the pipe frees up;
   serialization under contention conserves aggregate throughput, which is
-  the property the overlap experiments depend on.  Joint reservations across
-  two pipes (source egress + destination ingress) are computed atomically at
-  request time by :func:`reserve_transfer`.
+  the property the overlap experiments depend on.  A transfer through
+  several pipes (source egress + destination ingress) is reserved by
+  :meth:`repro.sim.interconnect.Interconnect.reserve`.
 """
 
 from __future__ import annotations
@@ -134,26 +134,3 @@ class Pipe:
         if self.sim.now <= 0:
             return 0.0
         return min(1.0, self.busy_time / self.sim.now)
-
-
-def reserve_transfer(pipes: list[Pipe], nbytes: float) -> tuple[float, float]:
-    """Jointly reserve several pipes for one transfer.
-
-    The transfer starts when *all* pipes are free, proceeds at the slowest
-    pipe's bandwidth, and each pipe is marked busy for the full duration.
-    Returns ``(start, arrival)`` where arrival includes the largest latency.
-    """
-    if not pipes:
-        raise SimulationError("reserve_transfer needs at least one pipe")
-    if nbytes < 0:
-        raise SimulationError("negative transfer size")
-    sim = pipes[0].sim
-    start = max([sim.now] + [p.free_at for p in pipes])
-    bandwidth = min(p.bandwidth for p in pipes)
-    occupancy = nbytes / bandwidth
-    latency = max(p.latency for p in pipes)
-    for p in pipes:
-        p.free_at = start + occupancy
-        p.total_bytes += nbytes
-        p.busy_time += occupancy
-    return start, start + occupancy + latency

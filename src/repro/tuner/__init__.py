@@ -48,7 +48,6 @@ from repro.tuner.costprune import (
     ag_attention_lower_bound,
     ag_gemm_lower_bound,
     ag_moe_lower_bound,
-    flash_segment_floor,
     gemm_rs_lower_bound,
     gemm_wave_time,
     link_transfer_time,
@@ -85,11 +84,10 @@ __all__ = [
     "Axis", "PruneResult", "ResidualModel", "SearchSpace", "SweepEntry",
     "SweepReport", "TuneCache", "TuneResult", "TuneTask", "TunerError",
     "ag_attention_lower_bound", "ag_gemm_lower_bound", "ag_moe_lower_bound",
-    "default_cache_path", "divisors_of", "flash_segment_floor",
-    "gemm_rs_lower_bound", "gemm_wave_time", "link_transfer_time",
-    "make_key", "model_guided_search", "moe_rs_lower_bound",
-    "prune", "ring_attention_lower_bound",
-    "resolve_warm_cache", "search_signature", "stratified_probe_indices",
-    "sweep", "task_cache_key", "tune", "warm_cache_path",
-    "warm_tuned_config",
+    "default_cache_path", "divisors_of", "gemm_rs_lower_bound",
+    "gemm_wave_time", "link_transfer_time", "make_key",
+    "model_guided_search", "moe_rs_lower_bound", "prune",
+    "ring_attention_lower_bound", "resolve_warm_cache", "search_signature",
+    "stratified_probe_indices", "sweep", "task_cache_key", "tune",
+    "warm_cache_path", "warm_tuned_config",
 ]

@@ -14,6 +14,10 @@ halves: total time is lower-bounded by
   ``comm_blocks * sm_copy_bandwidth`` when the transport is SM ``ld/st``
   loops instead of the copy engine.
 
+The attention bounds price every KV segment with
+:meth:`~repro.sim.costmodel.CostModel.flash_segment_time`, the call the
+simulated attention kernels make.
+
 :func:`prune` evaluates those closed-form bounds for every candidate and
 discards any whose *lower bound* already exceeds the incumbent (the
 simulated time of the best config seen so far, seeded with the hand-picked
@@ -24,7 +28,6 @@ that could actually win, up to the fidelity of the cost model itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -161,21 +164,6 @@ def moe_rs_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
     return max(compute, comm)
 
 
-def flash_segment_floor(spec: HardwareSpec, heads: int, sq: int, dim: int, *,
-                        block_q: int, block_kv: int, n_sms: int,
-                        steps: int) -> float:
-    """Makespan floor of one flash-attention segment pass.
-
-    Mirrors :func:`repro.ops.attention.flash_segment_time` so the pruner's
-    attention floor and the simulator's per-segment pricing cannot drift.
-    """
-    cm = CostModel(spec)
-    blocks = heads * math.ceil(sq / block_q)
-    waves = math.ceil(blocks / max(1, n_sms))
-    step_t = cm.flash_step_time(block_q, block_kv, dim)
-    return waves * (cm.MMA_PROLOGUE + max(1, steps) * step_t)
-
-
 def ag_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
                              seq_len: int, world: int, spec: HardwareSpec,
                              causal: bool = True,
@@ -191,13 +179,12 @@ def ag_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
     s_per = seq_len // world
     bq = int(cand.get("block_q", 128))
     bkv = int(cand.get("block_kv", 128))
-    steps_full = math.ceil(s_per / bkv)
+    cm = CostModel(spec)
     compute = 0.0
     for seg in range(world):
         frac = 0.5 if (causal and seg == world - 1) else 1.0
-        compute += flash_segment_floor(
-            spec, heads, s_per, head_dim, block_q=bq, block_kv=bkv,
-            n_sms=spec.n_sms, steps=math.ceil(steps_full * frac))
+        compute += cm.flash_segment_time(heads, s_per, s_per, head_dim,
+                                         spec.n_sms, frac, bq, bkv)
     width = heads * head_dim
     comm_bytes = 2.0 * (world - 1) * s_per * width * dtype_bytes  # K and V
     comm = link_transfer_time(spec, comm_bytes)
@@ -214,11 +201,9 @@ def ring_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
     rebalances the causal triangle).  Hop latencies only add on top.
     """
     s_per = seq_len // world
-    bq = int(cand.get("block_q", 128))
-    bkv = int(cand.get("block_kv", 128))
-    per_step = flash_segment_floor(
-        spec, heads, s_per, head_dim, block_q=bq, block_kv=bkv,
-        n_sms=spec.n_sms, steps=math.ceil(s_per / bkv))
+    per_step = CostModel(spec).flash_segment_time(
+        heads, s_per, s_per, head_dim, spec.n_sms,
+        bq=int(cand.get("block_q", 128)), bkv=int(cand.get("block_kv", 128)))
     return world * per_step
 
 

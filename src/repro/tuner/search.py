@@ -140,29 +140,27 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
     This is the subsystem's one-call API: prune with the cost model,
     search the survivors through the simulator, memoise the winner.
 
-    ``recorder`` (an enabled :class:`repro.obs.Recorder`, duck-typed —
-    this module never imports :mod:`repro.obs`) collects *wall-clock*
-    spans: one per candidate simulation (labelled by kernel/shape and
-    search stage), one per prune pass, one per cache probe/write — so a
-    sweep's wall time is attributable span by span.  ``None`` (the
+    ``recorder`` (a :class:`repro.obs.Recorder`, duck-typed — this
+    module never imports :mod:`repro.obs`) collects *wall-clock* spans:
+    one per candidate simulation (labelled by kernel/shape and search
+    stage), one per prune pass, one per cache probe/write — so a sweep's
+    wall time is attributable span by span.  ``None`` (the
     default) records nothing and skips every timing call.
     """
     if strategy not in ("exhaustive", "model"):
         raise TunerError(f"unknown search strategy {strategy!r}")
 
-    rec = (recorder if recorder is not None
-           and getattr(recorder, "enabled", False) else None)
-    if rec is not None:
-        rec.meta.setdefault("kind", "spans")
+    if recorder is not None:
+        recorder.meta.setdefault("kind", "spans")
     shape = f"{task.kernel}:{task.shape_key}"
 
     def sim(cand: Candidate, stage: str) -> float:
         """One candidate simulation, span-recorded when tracing."""
-        if rec is None:
+        if recorder is None:
             return _simulate(task, cand, world=world, spec=spec)
         t0 = perf_counter()
         t = _simulate(task, cand, world=world, spec=spec)
-        rec.span(t0, perf_counter(), "simulate", f"{shape}:{stage}")
+        recorder.span(t0, perf_counter(), "simulate", f"{shape}:{stage}")
         return t
 
     # The search signature is part of the key: a capped/model search must
@@ -170,11 +168,11 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
     key = task_cache_key(task, world=world, spec=spec, strategy=strategy,
                          max_trials=max_trials)
     if cache is not None:
-        t_probe = perf_counter() if rec is not None else 0.0
+        t_probe = perf_counter() if recorder is not None else 0.0
         hit = cache.get(key, task.space)
-        if rec is not None:
-            rec.span(t_probe, perf_counter(), "cache",
-                     f"{'hit' if hit is not None else 'miss'}:{shape}")
+        if recorder is not None:
+            recorder.span(t_probe, perf_counter(), "cache",
+                          f"{'hit' if hit is not None else 'miss'}:{shape}")
         if hit is not None:
             meta = hit["meta"]
             return TuneResult(
@@ -198,11 +196,11 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
 
     # -- static prune against the incumbent -------------------------------
     others = [c for c in candidates if c != task.default]
-    t_prune = perf_counter() if rec is not None else 0.0
+    t_prune = perf_counter() if recorder is not None else 0.0
     pruned: PruneResult = prune(others, task.bound, incumbent)
-    if rec is not None:
-        rec.span(t_prune, perf_counter(), "prune",
-                 f"{shape}:{pruned.n_pruned}/{len(others)}")
+    if recorder is not None:
+        recorder.span(t_prune, perf_counter(), "prune",
+                      f"{shape}:{pruned.n_pruned}/{len(others)}")
 
     # -- search the survivors, capped at max_trials in bound order --------
     survivors = list(pruned.survivors)[:max_trials]
@@ -233,13 +231,13 @@ def tune(task: TuneTask, *, world: int = 8, spec: HardwareSpec = H800,
         n_model_skipped=n_model_skipped, trials=trials)
 
     if cache is not None:
-        t_put = perf_counter() if rec is not None else 0.0
+        t_put = perf_counter() if recorder is not None else 0.0
         cache.put(key, best, best_time, meta={
             "default_time": default_time, "n_candidates": len(candidates),
             "n_pruned": pruned.n_pruned, "strategy": strategy,
             "n_simulated": n_simulated,
             "kernel": task.kernel, "shape": task.shape_key, "world": world,
         })
-        if rec is not None:
-            rec.span(t_put, perf_counter(), "cache", f"put:{shape}")
+        if recorder is not None:
+            recorder.span(t_put, perf_counter(), "cache", f"put:{shape}")
     return result

@@ -254,9 +254,9 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
     ``workers=N`` (N > 1) first tunes the cold first-occurrence keys over
     N forked processes (see the module docstring) with identical report
     semantics; the default tunes serially.  ``progress`` (e.g. ``print``)
-    receives one line per shape as it resolves.  ``recorder`` (an
-    enabled :class:`repro.obs.Recorder`, duck-typed) collects wall-clock
-    spans — one ``tune`` span per shape tuned in this process plus the
+    receives one line per shape as it resolves.  ``recorder`` (a
+    :class:`repro.obs.Recorder`, duck-typed) collects wall-clock spans —
+    one ``tune`` span per shape tuned in this process plus the
     per-stage spans :func:`tune` records inside it, and one ``fanout``
     span around the forked workers, whose own spans die with them.
     """
@@ -264,10 +264,8 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
     if not named:
         raise TunerError("sweep() needs at least one task")
 
-    rec = (recorder if recorder is not None
-           and getattr(recorder, "enabled", False) else None)
-    if rec is not None:
-        rec.meta.setdefault("kind", "spans")
+    if recorder is not None:
+        recorder.meta.setdefault("kind", "spans")
 
     def tune_one(task: TuneTask, against: cache_mod.TuneCache | None,
                  recorder=None) -> TuneResult:
@@ -286,11 +284,11 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
             if key not in cold and (cache is None or key not in cache):
                 cold[key] = (key, name, task)
         if len(cold) > 1:
-            t_fan = perf_counter() if rec is not None else 0.0
+            t_fan = perf_counter() if recorder is not None else 0.0
             results = _fan_out(list(cold.values()), cache, workers, tune_one)
-            if rec is not None:
-                rec.span(t_fan, perf_counter(), "fanout",
-                         f"{len(cold)} tasks x {workers} workers")
+            if recorder is not None:
+                recorder.span(t_fan, perf_counter(), "fanout",
+                              f"{len(cold)} tasks x {workers} workers")
 
     first_name: dict[str, str] = {}
     entries: list[SweepEntry] = []
@@ -300,10 +298,10 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
                 name=name, kernel=task.kernel, shape_key=task.shape_key,
                 cache_key=key, result=results[key],
                 deduped_from=first_name[key]))
-            if rec is not None:
+            if recorder is not None:
                 t_now = perf_counter()
-                rec.span(t_now, t_now, "cache",
-                         f"dedup:{name}<-{first_name[key]}")
+                recorder.span(t_now, t_now, "cache",
+                              f"dedup:{name}<-{first_name[key]}")
             if progress is not None:
                 # dedup keys on the FULL cache key (shape, world, spec and
                 # search signature included), not just the space
@@ -313,10 +311,10 @@ def sweep(tasks: Sequence[SweepInput], *, world: int = 8,
             continue
         first_name[key] = name
         if key not in results:
-            t_tune = perf_counter() if rec is not None else 0.0
+            t_tune = perf_counter() if recorder is not None else 0.0
             results[key] = tune_one(task, cache, recorder)
-            if rec is not None:
-                rec.span(t_tune, perf_counter(), "tune", name)
+            if recorder is not None:
+                recorder.span(t_tune, perf_counter(), "tune", name)
         result = results[key]
         entries.append(SweepEntry(
             name=name, kernel=task.kernel, shape_key=task.shape_key,

@@ -316,10 +316,3 @@ def test_cli_kernel_filter_and_json(tmp_path, capsys):
 def test_cli_unknown_family_errors(capsys):
     assert analyze_main(["--kernel", "nope"]) == 2
     capsys.readouterr()
-
-
-def test_cli_list(capsys):
-    assert analyze_main(["--list"]) == 0
-    out = capsys.readouterr().out
-    for family in families():
-        assert family in out

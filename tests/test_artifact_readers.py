@@ -7,11 +7,13 @@ writes one of the bench-schema test's ``FOREIGN`` values at one path of
 it, plus each value as the whole document.  A mutant either loads or
 raises the reader's named error (``ObsError``, ``TunerError`` or
 ``ServeError``); a bare ``KeyError``, ``TypeError``, ``IndexError``,
-``ValueError`` or ``AttributeError`` fails the test.
+``ValueError`` or ``AttributeError`` fails the test.  A recording that
+loads must also pass each of the four views of it or raise ``ObsError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 
@@ -23,7 +25,15 @@ from repro.config import H800
 from repro.errors import ObsError, ServeError
 from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import ModelConfig
-from repro.obs import Recorder, load, save_recording
+from repro.obs import (
+    Recorder,
+    build_metrics,
+    load,
+    phase_attribution,
+    save_recording,
+    slowest_requests,
+    to_perfetto,
+)
 from repro.serve.kv import KVCacheConfig
 from repro.serve.latency import StepLatencyTable
 from repro.serve.scheduler import ServerConfig, serve
@@ -57,16 +67,14 @@ def _first_of_each_kind(rows: list, kind) -> list:
 
 
 def _serve_recording(path) -> None:
-    """A pooled serving run's first event of each kind."""
+    """A complete pooled serving run of six requests."""
     recorder = Recorder()
-    serve(generate_requests("chat", 12, seed=5), TINY, "tilelink",
+    serve(generate_requests("chat", 6, seed=5), TINY, "tilelink",
           AffineTable(), ServerConfig(max_batch=8),
           kv=KVCacheConfig(block_tokens=16, pool_blocks=40,
                            admission="naive", victim="longest-context"),
           recorder=recorder)
-    rec = recorder.recording()
-    save_recording(path, kind=rec.kind, meta=rec.meta,
-                   events=_first_of_each_kind(rec.events, lambda e: e[0]))
+    recorder.save(path)
 
 
 def _sim_recording(path) -> None:
@@ -77,6 +85,16 @@ def _sim_recording(path) -> None:
     rec = load(path)
     save_recording(path, kind="sim", meta=rec.meta, intervals=(
         _first_of_each_kind(rec.intervals, lambda iv: iv[1])))
+
+
+def _load_and_view(path) -> None:
+    """Load a recording and run each view of it; a view may raise only
+    ``ObsError``."""
+    rec = load(path)
+    for view in (phase_attribution, slowest_requests, build_metrics,
+                 to_perfetto):
+        with contextlib.suppress(ObsError):
+            view(rec)
 
 
 def _tuner_cache(path) -> None:
@@ -90,8 +108,8 @@ def _latency_table(path) -> None:
 
 #: reader -> (artifact writer, read, the reader's named error)
 READERS = {
-    "obs.load (serve)": (_serve_recording, load, ObsError),
-    "obs.load (sim)": (_sim_recording, load, ObsError),
+    "obs.load (serve)": (_serve_recording, _load_and_view, ObsError),
+    "obs.load (sim)": (_sim_recording, _load_and_view, ObsError),
     "tune() cache hit": (
         _tuner_cache,
         lambda path: tune(TASK, world=4, cache=TuneCache(path)),

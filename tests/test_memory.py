@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +117,24 @@ def test_alloc_one_instance_per_rank(ctx4):
 def test_alloc_noise_fill_differs_across_ranks(ctx4):
     tensors = ctx4.alloc("x", (8, 8), "float32", fill=None)
     assert not np.array_equal(tensors[0].numpy(), tensors[1].numpy())
+
+
+def test_alloc_noise_fill_is_the_same_in_every_process():
+    """Uninitialised data must not depend on the per-process str hash
+    salt, or a kernel reading a buffer it never wrote would give a
+    different wrong answer in each process."""
+    script = ("from tests.conftest import make_ctx\n"
+              "t = make_ctx(2).alloc('ag_gemm.gathered', (4, 8), 'float32',"
+              " fill=None)\n"
+              "print(b''.join(x.numpy().tobytes() for x in t).hex())\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])}
+    outputs = [subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True,
+        text=True, check=True, timeout=60,
+        env={**env, "PYTHONHASHSEED": seed}).stdout for seed in ("1", "2")]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_bind_validates(ctx2, rng):

@@ -25,7 +25,6 @@ from repro.errors import ObsError, ServeError
 from repro.models.configs import ModelConfig
 from repro.obs import (
     EVENT_FIELDS,
-    NULL_RECORDER,
     PHASES,
     Recorder,
     build_metrics,
@@ -92,18 +91,6 @@ def test_recorder_does_not_perturb_the_engine(kv):
     assert _result_tuple(recorded) == _result_tuple(plain)
     assert recorded == plain
     assert len(recorder.events) > 2 * len(reqs)   # a real recording
-
-
-def test_null_recorder_records_nothing():
-    reqs = generate_requests("chat", 50, seed=0)
-    res = _serve(reqs, recorder=NULL_RECORDER)
-    assert not NULL_RECORDER.events
-    assert not NULL_RECORDER.enabled
-    with NULL_RECORDER.timed("x", "y"):
-        pass
-    NULL_RECORDER.span(0.0, 1.0, "x", "y")
-    assert not NULL_RECORDER.events
-    assert res.makespan_s > 0
 
 
 def test_engine_refuses_a_reused_recorder():
@@ -213,6 +200,12 @@ def test_load_rejects_malformed_recordings(tmp_path):
     with pytest.raises(ObsError, match="start <= end"):
         load(dump({"format": "repro-obs/1", "kind": "sim",
                    "intervals": [[0, "compute", "gemm", 2.0, 1.0]]}))
+    with pytest.raises(ObsError, match="'meta.t0' has wrong type str"):
+        load(dump({"format": "repro-obs/1", "kind": "serve",
+                   "meta": {"t0": "x", "t1": 1.0}}))
+    with pytest.raises(ObsError, match="t0 <= t1"):
+        load(dump({"format": "repro-obs/1", "kind": "serve",
+                   "meta": {"t0": 2.0, "t1": 1.0}}))
     with pytest.raises(ObsError, match="not valid JSON"):
         path.write_bytes(b"\xff\xfe{}")          # not UTF-8
         load(path)
@@ -418,3 +411,10 @@ def test_cli_fails_cleanly_on_bad_input(tmp_path, capsys):
     assert obs_main(["record", "--out", str(tmp_path / "x.json"),
                      "--model", "no-such-model"]) == 1
     assert "unknown model" in capsys.readouterr().err
+    # a serve recording's clock bounds come from its meta, never from
+    # payload fields of its events
+    _, recorder = _record(n=20)
+    del recorder.meta["t0"]
+    recorder.save(bad)
+    assert obs_main(["summarize", str(bad)]) == 1
+    assert "no t0/t1" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.resources import Pipe, Resource, reserve_transfer
+from repro.sim.resources import Pipe, Resource
 
 
 def test_resource_fifo_order():
@@ -137,26 +137,6 @@ def test_pipe_utilization_and_totals():
     assert pipe.total_bytes == pytest.approx(100.0)
     assert pipe.busy_time == pytest.approx(2.0)
     assert pipe.utilization == pytest.approx(0.5)
-
-
-def test_reserve_transfer_joint_pipes():
-    sim = Simulator()
-    fast = Pipe(sim, bandwidth=100.0, latency=0.1)
-    slow = Pipe(sim, bandwidth=10.0, latency=0.2)
-    start, arrival = reserve_transfer([fast, slow], 10.0)
-    assert start == pytest.approx(0.0)
-    # slowest pipe's bandwidth + largest latency
-    assert arrival == pytest.approx(1.0 + 0.2)
-    assert fast.free_at == slow.free_at == pytest.approx(1.0)
-
-
-def test_reserve_transfer_validations():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        reserve_transfer([], 1.0)
-    pipe = Pipe(sim, bandwidth=1.0)
-    with pytest.raises(SimulationError):
-        reserve_transfer([pipe], -1.0)
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1,

@@ -155,6 +155,28 @@ def test_bound_is_a_lower_bound_on_simulated_time():
         assert task.bound(cand) <= simulated
 
 
+@pytest.mark.parametrize("make_task", [ag_attention_tune_task,
+                                       ring_attention_tune_task])
+def test_attention_bounds_are_sound_over_the_whole_space(make_task):
+    """Every candidate of an attention family's space, at proxy shapes,
+    simulates to at least its pruner bound."""
+    from repro.bench.harness import run_builder
+
+    n = 0
+    for heads, head_dim, per_rank in ((2, 16, 256), (4, 32, 512)):
+        for world in (2, 4, 8):
+            for causal in (True, False):
+                task = make_task(heads, head_dim, per_rank * world,
+                                 causal=causal, world=world)
+                for cand in task.space.candidates():
+                    simulated = run_builder(task.make_builder(cand),
+                                            world=world)
+                    assert task.bound(cand) <= simulated, (task.shape_key,
+                                                           world, cand)
+                    n += 1
+    assert n == 48
+
+
 # ---------------------------------------------------------------------------
 # search strategies
 # ---------------------------------------------------------------------------

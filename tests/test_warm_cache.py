@@ -14,20 +14,18 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.experiments import (
-    ENV_WARM_CACHE,
     ag_gemm_builders,
     attention_builders,
     attention_sweep_tasks,
     mlp_sweep_tasks,
     moe_part2_builders,
     moe_sweep_tasks,
-    resolve_warm_cache,
-    warm_cache_path,
 )
 from repro.config import H800
 from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
 from repro.tuner import task_cache_key, tune
+from repro.tuner.warm import ENV_WARM_CACHE, resolve_warm_cache, warm_cache_path
 
 WORLD = 8
 

@@ -4,16 +4,19 @@
 file holding the exhaustive-search winners for the Figure-8 MLP,
 Table-4 MoE and Figure-10 attention shape tables (world=8, H800, each
 family's ``*_tune_task`` search space).  When it resolves, the
-``*_builders`` in :mod:`repro.bench.experiments` default to
-``tuned=True`` and the Figure-8/9/10 tables grow a TileLink-tuned column
-at zero simulation cost — every tuned-column lookup is a warm hit.
+``*_builders`` in :mod:`repro.bench.experiments` (``tuned=None``, which
+only looks the winner up) grow a TileLink-tuned column at zero
+simulation cost — every tuned-column lookup is a warm hit.
 
 Cache keys embed the hardware-spec and search-space fingerprints, so any
 change to a kernel's design space (or to ``HardwareSpec``) silently
 orphans the shipped entries.  ``--check`` recomputes every expected key
 from the *current* code, reads each entry as the tuner does, and fails
-when the file drifted or an entry is malformed; CI runs it so a space
-change cannot land without a refresh:
+when the file drifted or an entry is malformed.  Once every entry reads
+clean it re-simulates each winner as :func:`repro.tuner.tune` does and
+fails unless the stored ``time_s`` matches bit for bit, so a simulator
+change that keeps every fingerprint cannot leave stale times behind
+(about 9 s for the 32 shipped winners).  CI runs it:
 
     python benchmarks/refresh_warm_cache.py --check      # CI tripwire
     python benchmarks/refresh_warm_cache.py --workers 4  # regenerate
@@ -29,6 +32,7 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import registry_sweep_tasks
+from repro.bench.harness import run_builder
 from repro.config import H800
 from repro.tuner import TuneCache, TunerError, sweep, task_cache_key
 
@@ -51,7 +55,7 @@ def check(path: Path) -> int:
         return 1
     cache = TuneCache(path, readonly=True)
     tasks = expected_tasks()
-    keys, problems = set(), []
+    keys, hits, problems = set(), [], []
     for name, task in tasks:
         key = task_cache_key(task, world=WORLD, spec=H800)
         keys.add(key)
@@ -63,15 +67,25 @@ def check(path: Path) -> int:
         if hit is None:
             problems.append(f"STALE: no entry for {name} (space/spec "
                             f"fingerprint changed?)")
+        else:
+            hits.append((name, task, hit))
     problems += [f"STALE: orphaned entry {key}"
                  for key in sorted(set(cache.keys()) - keys)]
+    if not problems:
+        # every entry reads clean: replay each winner as tune() simulates it
+        for name, task, hit in hits:
+            replayed = run_builder(task.make_builder(hit["best"]),
+                                   world=WORLD, spec=H800)
+            if replayed != hit["time_s"]:
+                problems.append(f"STALE: {name}: stored time_s "
+                                f"{hit['time_s']!r}, replays to {replayed!r}")
     if problems:
         print("\n".join(problems), file=sys.stderr)
         print(f"STALE: refresh with `python benchmarks/refresh_warm_cache.py`",
               file=sys.stderr)
         return 1
     print(f"OK: {path} — {len(tasks)} entries match the current space "
-          f"fingerprints")
+          f"fingerprints and replay bit-identically")
     return 0
 
 
@@ -110,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
                         help="verify the shipped cache against the current "
-                             "space fingerprints instead of regenerating")
+                             "space fingerprints and replay every winner "
+                             "instead of regenerating")
     parser.add_argument("--out", type=Path, default=DEFAULT_PATH,
                         help=f"cache file to write/check "
                              f"(default: {DEFAULT_PATH})")

@@ -8,9 +8,9 @@ family's own launcher.  :func:`record_plan` runs one entry against a
 what the launcher actually wires — channels, constexprs, launch streams
 and the copy-engine host procs — at a small concrete instantiation (world
 in {2, 4, 8}, a few tile-grid shapes).  :func:`analyze_registered` sweeps
-every registered family; a family without tile IR (``tile_ir=False``)
-gets one informational native plan.  It is what the ``python -m
-repro.analyze`` CLI drives.
+every registered family's :func:`family_plans`, where a family without
+tile IR (``tile_ir=False``) has one informational native plan.  It is
+what the ``python -m repro.analyze`` CLI drives.
 
 :func:`structural_check_ir` is the compile-time half: purely syntactic
 rules over one :class:`~repro.lang.ir.KernelIR` (primitive arity, notify
@@ -124,6 +124,15 @@ def record_plan(family: str, name: str, world: int,
     return ctx.plan, findings + ctx.findings
 
 
+def family_plans(fam) -> list[tuple[str, int, Callable | None]]:
+    """``fam``'s ``(plan name, world, build)`` entries: its
+    ``analyze_plans()``, or for a family without tile IR one native entry
+    whose build is ``None``."""
+    if fam.tile_ir:
+        return fam.analyze_plans()
+    return [(f"{fam.name}/native", 1, None)]
+
+
 def analyze_registered(
         families: list[str] | None = None,
 ) -> Iterator[tuple[LaunchPlan, Report]]:
@@ -135,12 +144,12 @@ def analyze_registered(
             raise KeyError(
                 f"unknown kernel family {family!r}; registered: "
                 f"{', '.join(fams)}")
-        if not fam.tile_ir:
-            plan = LaunchPlan(f"{family}/native", family, 1, notes=[
-                f"{family} runs as a native simulator kernel with no tile "
-                f"IR to analyze: {fam.doc}"])
-            yield plan, analyze_plan(plan)
-            continue
-        for name, world, build in fam.analyze_plans():
+        for name, world, build in family_plans(fam):
+            if build is None:
+                plan = LaunchPlan(name, family, world, notes=[
+                    f"{family} runs as a native simulator kernel with no "
+                    f"tile IR to analyze: {fam.doc}"])
+                yield plan, analyze_plan(plan)
+                continue
             plan, findings = record_plan(family, name, world, build)
             yield plan, analyze_plan(plan, extra=findings)

@@ -12,8 +12,9 @@ paper measures are modelled directly:
   of the device (wave quantization + fixed prologue), so the sum of chunk
   GEMMs exceeds the monolithic GEMM's time.
 
-Chunk GEMMs reserve ``n_sms - comm_sms`` SMs because the copy kernels
-occupy SM channels concurrently (Async-TP's copies are SM-driven).
+Chunk GEMMs hold ``n_sms - COPY_SMS`` SMs because the copy kernels hold
+``COPY_SMS`` SM channels of the source rank concurrently (Async-TP's
+copies are SM-driven); each copy records its hold as a ``comm`` interval.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.memory.tensor import SimTensor
 from repro.ops.activation import silu_op
 from repro.ops.gemm import gemm_kernel_gen
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import native_kernel
 from repro.sim.engine import Join, Process, ProcessGen, Timeout
 
 #: SM channels the chunked copy kernels occupy.
@@ -38,10 +40,8 @@ def _chunk_copy(ctx: DistContext, src_rank: int, dst_rank: int, name: str,
                 dst_rows: tuple[int, int]) -> ProcessGen:
     """SM-driven P2P chunk copy (cudaMemcpyAsync peer access style)."""
     machine = ctx.machine
-    device = machine.device(src_rank)
-    held = min(COPY_SMS, device.sms.capacity)
-    yield device.sms.acquire(held)
-    try:
+
+    def body(_held: int) -> ProcessGen:
         src = ctx.heap.tensor(src_name, src_rank)
         nbytes = (rows[1] - rows[0]) * cols * src.itemsize
         payload = src.read_tile((rows, (0, cols)))
@@ -49,9 +49,10 @@ def _chunk_copy(ctx: DistContext, src_rank: int, dst_rank: int, name: str,
         if machine.config.execute_numerics:
             ctx.heap.tensor(name, dst_rank).write_tile(
                 (dst_rows, (0, cols)), payload)
-    finally:
-        device.sms.release(held)
-    return None
+        return None
+
+    return native_kernel(machine, src_rank, f"sm_copy:{name}", body,
+                         sms=COPY_SMS, category="comm")
 
 
 def ag_gemm_decomposed(ctx: DistContext, m: int, n: int, k: int,
@@ -104,7 +105,7 @@ def ag_gemm_decomposed(ctx: DistContext, m: int, n: int, k: int,
                 compute,
                 gemm_kernel_gen(ctx, rank, chunk.tensor(ctx, gathered, rank),
                                 w, out_view.tensor_out(ctx, out_name, rank),
-                                n_sms=machine.config.spec.n_sms - COPY_SMS),
+                                machine.config.spec.n_sms - COPY_SMS),
                 name=f"{tag}.gemm[{rank}.{src}]")
             # per-chunk event sync: staging-buffer recycling
             yield from host.sync(proc)
@@ -176,7 +177,7 @@ def gemm_rs_decomposed(ctx: DistContext, m: int, n: int, k: int,
                 compute,
                 gemm_kernel_gen(ctx, rank, chunk_in.tensor(ctx, x_name, rank),
                                 w, chunk_out.tensor(ctx, computed, rank),
-                                n_sms=machine.config.spec.n_sms - COPY_SMS),
+                                machine.config.spec.n_sms - COPY_SMS),
                 name=f"{tag}.gemm[{rank}.{step}]")
             # host sync on the chunk GEMM, then kick the send on the comm
             # stream so it overlaps the next chunk's GEMM

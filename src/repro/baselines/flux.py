@@ -20,12 +20,16 @@ points here.
 from __future__ import annotations
 
 import math
+from functools import partial
+
+import numpy as np
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped
 from repro.kernels.mlp import MlpConfig
 from repro.ops.activation import silu_op
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 
 #: hand-written CUDA main loop vs compiled code: a few percent faster
@@ -44,55 +48,40 @@ def ag_gemm_flux(ctx: DistContext, m: int, n: int, k: int,
     gathered = f"{tag}.gathered"
     ctx.alloc(gathered, (m, k), "float16", fill=None)
     banks = ctx.heap.alloc_signals(f"{tag}.seg", world)
-    dma_all_gather(ctx, x_name, gathered, banks, stream_name="comm")
+    dma_all_gather(ctx, x_name, gathered, banks)
 
-    def consumer(rank: int) -> ProcessGen:
+    def consumer(rank: int, held: int) -> ProcessGen:
         device = machine.device(rank)
-        want = device.sms.capacity
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            seg_tiles = math.ceil(m_per / block_m) * math.ceil(n / block_n)
-            tile = cost.gemm_tile_time(block_m, block_n, k)
-            seg_time = math.ceil(seg_tiles / want) * tile.total * HAND_TUNING
-            order = [rank] + [(rank + 1 + s) % world for s in range(world - 1)]
-            for seg in order:
-                yield banks[rank].wait_geq(seg, 1)
-                arrival = device.reserve_hbm(seg_tiles * tile.epilogue_bytes)
-                yield Timeout(max(seg_time, arrival - machine.now))
-            if machine.config.execute_numerics:
-                import numpy as np
-
-                gt = ctx.heap.tensor(gathered, rank).numpy()
-                w = ctx.heap.tensor(w_name, rank).numpy()
-                out = (gt.astype(np.float32) @ w.astype(np.float32))
-                ctx.heap.tensor(out_name, rank).write_tile(
-                    ((0, m), (0, n)), out)
-            if machine.config.trace:
-                machine.record(rank, "compute", tag, t0, machine.now)
-        finally:
-            device.sms.release(want)
+        seg_tiles = math.ceil(m_per / block_m) * math.ceil(n / block_n)
+        tile = cost.gemm_tile_time(block_m, block_n, k)
+        seg_time = math.ceil(seg_tiles / held) * tile.total * HAND_TUNING
+        order = [rank] + [(rank + 1 + s) % world for s in range(world - 1)]
+        for seg in order:
+            yield banks[rank].wait_geq(seg, 1)
+            arrival = device.reserve_hbm(seg_tiles * tile.epilogue_bytes)
+            yield Timeout(max(seg_time, arrival - machine.now))
+        if machine.config.execute_numerics:
+            gt = ctx.heap.tensor(gathered, rank).numpy()
+            w = ctx.heap.tensor(w_name, rank).numpy()
+            out = (gt.astype(np.float32) @ w.astype(np.float32))
+            ctx.heap.tensor(out_name, rank).write_tile(((0, m), (0, n)), out)
         return None
 
-    return [
-        machine.stream(rank).enqueue(
-            consumer(rank), name=f"{tag}[{rank}]",
-            start_delay=cost.launch_overhead())
-        for rank in range(world)
-    ]
+    return [launch_native(machine, rank, tag, partial(consumer, rank))
+            for rank in range(world)]
 
 
 def gemm_rs_flux(ctx: DistContext, m: int, n: int, k: int,
                  x_name: str, w_name: str, out_name: str,
                  block_m: int = 128, block_n: int = 128,
-                 comm_blocks: int = 20,
                  tag: str = "flux.rs") -> list[Process]:
     """Coupled-tile fused GEMM+RS: the ring kernel with comm == compute
-    tiles, SM-mapped communication (no DMA)."""
+    tiles, SM-mapped communication (no DMA) on the config's default
+    ``comm_blocks``."""
     cfg = GemmRsConfig(
         m=m, n=n, k=k, block_m=block_m, block_n=block_n,
         block_mr=block_m, block_nr=block_n,   # the coupling
-        comm_blocks=comm_blocks, mode="ring")
+        mode="ring")
     return gemm_rs_overlapped(ctx, cfg, x_name, w_name, out_name, tag=tag)
 
 

@@ -60,11 +60,11 @@ from repro.tuner.warm import resolve_warm_cache, warm_tuned_config
 # ``benchmarks/refresh_warm_cache.py`` sweeps the Figure-8 MLP, Table-4
 # MoE and Figure-10 attention shape tables offline and checks the
 # resulting cache file into the repo.  When that file resolves, the
-# ``*_builders`` below default to ``tuned=True`` — the TileLink-tuned
-# column appears in the Figure-8/9/10 tables with *zero* simulation at
-# bench time, because every lookup is a warm hit.  A builder whose task
-# key is missing (changed space, foreign spec, deleted file) silently
-# keeps the untuned column set.
+# ``*_builders`` below (``tuned=None`` by default, which only looks the
+# winner up) add the TileLink-tuned column to the Figure-8/9/10 tables
+# with *zero* simulation at bench time, because every lookup is a warm
+# hit.  A builder whose task key is missing (changed space, foreign spec,
+# deleted file) silently keeps the untuned column set.
 #
 # The file location and the hit-or-None resolution step live in
 # :mod:`repro.tuner.warm` (the end-to-end runner's
@@ -254,11 +254,9 @@ def run_method_times(builders: dict[str, Callable[[DistContext], None]],
 # ---------------------------------------------------------------------------
 
 def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
-                   world: int = DEFAULT_WORLD, *,
-                   strategy: str = "exhaustive",
-                   max_trials: int | None = None,
-                   cache=None) -> dict[str, object]:
-    """Autotune one MLP/MoE kernel on ``shape``; report both columns.
+                   world: int = DEFAULT_WORLD) -> dict[str, object]:
+    """Autotune one MLP/MoE kernel on ``shape`` (exhaustive search, no
+    cache); report both columns.
 
     ``shape`` is an :class:`MlpShape` for the dense kernels and a
     :class:`MoeShape` for the MoE pair.  Returns ``paper_time`` (the
@@ -275,8 +273,7 @@ def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
     if len(tasks) != 1:
         raise ValueError(f"{kernel!r} sweeps {len(tasks)} tasks on "
                          f"{shape.name}; tuned_vs_paper needs one")
-    res = tune(tasks[0][1], world=world, strategy=strategy,
-               max_trials=max_trials, cache=cache)
+    res = tune(tasks[0][1], world=world)
     return {
         "paper_time": res.default_time, "tuned_time": res.best_time,
         "speedup": (res.default_time / res.best_time
@@ -578,8 +575,7 @@ def attention_overlap_ratio(shape: AttnShape, seq_len: int,
             ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
             ctx.alloc(f"{name}.full", (cfg.seq_len, cfg.width), "float16",
                       fill=None)
-            dma_all_gather(ctx, name, f"{name}.full", None,
-                           stream_name="comm")
+            dma_all_gather(ctx, name, f"{name}.full", None)
 
     def comp_only(ctx: DistContext) -> None:
         ctx.alloc("q", (s_per, cfg.width), "float16", fill=None)

@@ -21,10 +21,10 @@ def dma_all_gather(
     src_name: str,
     dst_name: str,
     banks: list[SignalArray] | None,
-    stream_name: str = "comm",
     segment_notifies: int = 1,
 ) -> list[Process]:
-    """Pull-mode AllGather on copy engines, signalling per landed shard.
+    """Pull-mode AllGather on copy engines, driven from each rank's
+    ``comm`` stream, signalling per landed shard.
 
     Rank ``r`` copies its own shard locally, then pulls every peer shard
     ``q`` into rows ``[q*m, (q+1)*m)`` of its gathered buffer.  Each bank
@@ -63,7 +63,7 @@ def dma_all_gather(
         return None
 
     return [
-        ctx.stream(rank, stream_name).enqueue(
+        ctx.stream(rank, "comm").enqueue(
             rank_proc(rank), name=f"dma.ag.{src_name}[{rank}]")
         for rank in range(world)
     ]

@@ -3,10 +3,11 @@
 Ring algorithms with the classic cost shape: ``(R-1)/R`` of the data
 crosses each link, steps serialize on neighbour arrivals, protocol
 efficiency caps achievable bandwidth, and each collective is a kernel
-launch that occupies a handful of SM channels.  These are the
-``cuBLAS+NCCL`` baselines' communication ops and the paper's operator-
-centric primitives (§2.1): system-wide synchronization before/after, no
-overlap with compute unless the caller runs them on separate streams.
+launch on the rank's default stream that holds ``COMM_SMS`` SM channels
+from its start until its exit barrier passes (its trace interval spans
+exactly that hold).  These are the ``cuBLAS+NCCL`` baselines'
+communication ops and the paper's operator-centric primitives (§2.1):
+system-wide synchronization before/after, no overlap with compute.
 
 All collectives are SPMD: one process per rank enqueued on that rank's
 stream; numerics land in the destination symmetric tensors at arrival.
@@ -15,15 +16,18 @@ stream; numerics land in the destination symmetric tensors at arrival.
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 
-#: SM channels an NCCL kernel occupies while driving the protocol.
-DEFAULT_COMM_SMS = 20
+#: SM channels an NCCL kernel holds while driving the protocol.
+COMM_SMS = 20
 
 #: process-wide uid so several NcclCollectives instances on one context
 #: never collide on signal-bank names
@@ -33,30 +37,22 @@ _UID = itertools.count(1)
 class NcclCollectives:
     """Collective operations bound to a :class:`DistContext`."""
 
-    def __init__(self, ctx: DistContext, comm_sms: int = DEFAULT_COMM_SMS):
+    def __init__(self, ctx: DistContext):
         self.ctx = ctx
         self.machine = ctx.machine
-        self.comm_sms = comm_sms
 
     # -- helpers -----------------------------------------------------------------
 
     def _bank(self, tag: str, cells: int):
         return self.ctx.heap.alloc_signals(f"nccl.{tag}.{next(_UID)}", cells)
 
-    def _launch(self, gen_factory, stream_name: str, tag: str) -> list[Process]:
-        procs = []
-        for rank in range(self.machine.world_size):
-            stream = self.machine.stream(rank, stream_name)
-            procs.append(stream.enqueue(
-                gen_factory(rank), name=f"{tag}[{rank}]",
-                start_delay=self.machine.cost.launch_overhead()))
-        return procs
-
-    def _occupy_sms(self, rank: int) -> ProcessGen:
-        device = self.machine.device(rank)
-        n = min(self.comm_sms, device.sms.capacity)
-        yield device.sms.acquire(n)
-        return n
+    def _launch(self, rank_proc: Callable[[int, int], ProcessGen],
+                label: str) -> list[Process]:
+        return [
+            launch_native(self.machine, rank, label, partial(rank_proc, rank),
+                          sms=COMM_SMS, category="comm")
+            for rank in range(self.machine.world_size)
+        ]
 
     @staticmethod
     def _row_segments(rows: int, world: int) -> list[tuple[int, int]]:
@@ -68,8 +64,7 @@ class NcclCollectives:
 
     # -- AllGather -----------------------------------------------------------------
 
-    def all_gather(self, src_name: str, dst_name: str,
-                   stream_name: str = "default") -> list[Process]:
+    def all_gather(self, src_name: str, dst_name: str) -> list[Process]:
         """Ring AllGather: per-rank shards (m, n) -> full (m*R, n) everywhere."""
         ctx, machine = self.ctx, self.machine
         world = machine.world_size
@@ -83,49 +78,39 @@ class NcclCollectives:
         arrived = self._bank("ag", world)
         seg_bytes = shards[0].nbytes
 
-        def rank_proc(rank: int) -> ProcessGen:
-            held = yield from self._occupy_sms(rank)
-            device = machine.device(rank)
-            try:
-                t0 = machine.now
-                # local shard into the gathered view (HBM copy)
-                arrival = device.reserve_hbm(2 * seg_bytes)
-                yield Timeout(max(0.0, arrival - machine.now))
-                if machine.config.execute_numerics:
-                    dsts[rank].write_tile(
-                        ((rank * m, (rank + 1) * m), (0, dsts[rank].shape[1])),
-                        shards[rank].numpy())
-                arrived[rank].post_add(rank, 1, from_rank=rank)
-                nxt = (rank + 1) % world
-                for step in range(world - 1):
-                    seg = (rank - step) % world
-                    if step > 0:
-                        yield arrived[rank].wait_geq(seg, 1)
-                    payload = dsts[rank].read_tile(
-                        ((seg * m, (seg + 1) * m), (0, dsts[rank].shape[1])))
-                    yield machine.interconnect.transfer(
-                        rank, nxt, seg_bytes, "nccl")
-                    if machine.config.execute_numerics:
-                        dsts[nxt].write_tile(
-                            ((seg * m, (seg + 1) * m),
-                             (0, dsts[nxt].shape[1])), payload)
-                    arrived[nxt].post_add(seg, 1, from_rank=rank)
-                if machine.config.trace:
-                    machine.record(rank, "comm", f"nccl.ag:{src_name}",
-                                   t0, machine.now)
-                # SPMD exit barrier: every segment present locally
-                for seg in range(world):
+        def rank_proc(rank: int, _held: int) -> ProcessGen:
+            # local shard into the gathered view (HBM copy)
+            arrival = machine.device(rank).reserve_hbm(2 * seg_bytes)
+            yield Timeout(max(0.0, arrival - machine.now))
+            if machine.config.execute_numerics:
+                dsts[rank].write_tile(
+                    ((rank * m, (rank + 1) * m), (0, dsts[rank].shape[1])),
+                    shards[rank].numpy())
+            arrived[rank].post_add(rank, 1, from_rank=rank)
+            nxt = (rank + 1) % world
+            for step in range(world - 1):
+                seg = (rank - step) % world
+                if step > 0:
                     yield arrived[rank].wait_geq(seg, 1)
-            finally:
-                device.sms.release(held)
+                payload = dsts[rank].read_tile(
+                    ((seg * m, (seg + 1) * m), (0, dsts[rank].shape[1])))
+                yield machine.interconnect.transfer(
+                    rank, nxt, seg_bytes, "nccl")
+                if machine.config.execute_numerics:
+                    dsts[nxt].write_tile(
+                        ((seg * m, (seg + 1) * m),
+                         (0, dsts[nxt].shape[1])), payload)
+                arrived[nxt].post_add(seg, 1, from_rank=rank)
+            # SPMD exit barrier: every segment present locally
+            for seg in range(world):
+                yield arrived[rank].wait_geq(seg, 1)
             return None
 
-        return self._launch(rank_proc, stream_name, f"nccl.ag.{src_name}")
+        return self._launch(rank_proc, f"nccl.ag:{src_name}")
 
     # -- ReduceScatter ---------------------------------------------------------------
 
-    def reduce_scatter(self, src_name: str, dst_name: str,
-                       stream_name: str = "default") -> list[Process]:
+    def reduce_scatter(self, src_name: str, dst_name: str) -> list[Process]:
         """Ring ReduceScatter over rows: (M, n) per rank -> (M/R, n) sums.
 
         Rank r ends with ``sum_q src[q][seg_r]`` where seg_r is the r-th row
@@ -146,48 +131,40 @@ class NcclCollectives:
         # numeric working buffers: partial sums as they travel the ring
         partials: list[dict[int, np.ndarray]] = [dict() for _ in range(world)]
 
-        def rank_proc(rank: int) -> ProcessGen:
-            held = yield from self._occupy_sms(rank)
+        def rank_proc(rank: int, _held: int) -> ProcessGen:
             device = machine.device(rank)
-            try:
-                t0 = machine.now
-                nxt = (rank + 1) % world
-                for step in range(world - 1):
-                    seg = (rank - step - 1) % world
-                    lo, hi = segments[seg]
-                    if step > 0:
-                        # the partial for this segment landed here last step
-                        yield arrived[rank].wait_geq(seg, 1)
-                    if machine.config.execute_numerics:
-                        local = srcs[rank].read_tile(((lo, hi), (0, cols)))
-                        acc = partials[rank].pop(seg, None)
-                        payload = local.astype(np.float32) if acc is None \
-                            else local.astype(np.float32) + acc
-                    else:
-                        payload = None
-                    # reduction math on SMs, then the ring hop
-                    arrival = device.reserve_hbm(2 * seg_bytes)
-                    yield Timeout(max(0.0, arrival - machine.now))
-                    yield machine.interconnect.transfer(
-                        rank, nxt, seg_bytes, "nccl_rs")
-                    if machine.config.execute_numerics:
-                        partials[nxt][seg] = payload
-                    arrived[nxt].post_add(seg, 1, from_rank=rank)
-                # final: own segment arrives carrying world-1 partials
-                lo, hi = segments[rank]
-                yield arrived[rank].wait_geq(rank, 1)
-                arrival = device.reserve_hbm(2 * seg_bytes)
-                yield Timeout(max(0.0, arrival - machine.now))
+            nxt = (rank + 1) % world
+            for step in range(world - 1):
+                seg = (rank - step - 1) % world
+                lo, hi = segments[seg]
+                if step > 0:
+                    # the partial for this segment landed here last step
+                    yield arrived[rank].wait_geq(seg, 1)
                 if machine.config.execute_numerics:
                     local = srcs[rank].read_tile(((lo, hi), (0, cols)))
-                    acc = partials[rank].pop(rank)
-                    total = local.astype(np.float32) + acc
-                    dsts[rank].write_tile(((0, seg_rows), (0, cols)), total)
-                if machine.config.trace:
-                    machine.record(rank, "comm", f"nccl.rs:{src_name}",
-                                   t0, machine.now)
-            finally:
-                device.sms.release(held)
+                    acc = partials[rank].pop(seg, None)
+                    payload = local.astype(np.float32) if acc is None \
+                        else local.astype(np.float32) + acc
+                else:
+                    payload = None
+                # reduction math on SMs, then the ring hop
+                arrival = device.reserve_hbm(2 * seg_bytes)
+                yield Timeout(max(0.0, arrival - machine.now))
+                yield machine.interconnect.transfer(
+                    rank, nxt, seg_bytes, "nccl_rs")
+                if machine.config.execute_numerics:
+                    partials[nxt][seg] = payload
+                arrived[nxt].post_add(seg, 1, from_rank=rank)
+            # final: own segment arrives carrying world-1 partials
+            lo, hi = segments[rank]
+            yield arrived[rank].wait_geq(rank, 1)
+            arrival = device.reserve_hbm(2 * seg_bytes)
+            yield Timeout(max(0.0, arrival - machine.now))
+            if machine.config.execute_numerics:
+                local = srcs[rank].read_tile(((lo, hi), (0, cols)))
+                acc = partials[rank].pop(rank)
+                total = local.astype(np.float32) + acc
+                dsts[rank].write_tile(((0, seg_rows), (0, cols)), total)
             return None
 
-        return self._launch(rank_proc, stream_name, f"nccl.rs.{src_name}")
+        return self._launch(rank_proc, f"nccl.rs:{src_name}")

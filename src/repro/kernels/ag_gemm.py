@@ -231,7 +231,6 @@ def ag_gemm_overlapped(
     shards_name: str,
     weight_name: str,
     out_name: str,
-    gathered_name: str | None = None,
     grid: int | None = None,
     options: CompileOptions | None = None,
     tag: str = "ag_gemm",
@@ -248,7 +247,7 @@ def ag_gemm_overlapped(
     cfg.validate(world)
     grid = grid or spec.n_sms
 
-    gathered_name = gathered_name or f"{tag}.gathered"
+    gathered_name = f"{tag}.gathered"
     ctx.alloc(gathered_name, (cfg.m, cfg.k), "float16", fill=None)
 
     mapping = AffineTileMapping(cfg.m, cfg.block_mp, world,
@@ -275,7 +274,6 @@ def ag_gemm_overlapped(
     if cfg.mode == "dma":
         banks = [ch.barriers for ch in channels]
         dma_all_gather(ctx, shards_name, gathered_name, banks,
-                       stream_name="comm",
                        segment_notifies=mapping.tiles_per_channel)
     elif cfg.mode == "pull":
         ctx.launch_spmd(_ag_pull_producer, grid, dict(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.collectives.copy_engine import dma_all_gather
-from repro.compiler.program import CompileOptions
 from repro.config import H800, HardwareSpec
 from repro.errors import ShapeError
 from repro.kernels.moe_common import MoeRouting, routing_memo
@@ -166,9 +165,7 @@ def ag_moe_overlapped(
     shards_name: str,
     weights_name: str,
     grouped_out_name: str,
-    gathered_name: str | None = None,
     grid: int | None = None,
-    options: CompileOptions | None = None,
     tag: str = "ag_moe",
 ) -> list[Process]:
     """Launch the overlapped AG + MoE GroupGEMM on every rank.
@@ -184,7 +181,7 @@ def ag_moe_overlapped(
         raise ShapeError("routing block_m must match kernel block_m")
     grid = grid or machine.config.spec.n_sms
 
-    gathered_name = gathered_name or f"{tag}.gathered"
+    gathered_name = f"{tag}.gathered"
     ctx.alloc(gathered_name, (cfg.m, cfg.h), "float16", fill=None)
     ids_name = f"{tag}.ids"
     ctx.bind(ids_name, [routing.padded_token_ids.copy()
@@ -204,7 +201,6 @@ def ag_moe_overlapped(
 
     banks = [ch.barriers for ch in channels]
     dma_all_gather(ctx, shards_name, gathered_name, banks,
-                   stream_name="comm",
                    segment_notifies=ag_mapping.tiles_per_channel)
 
     return ctx.launch_spmd(_ag_moe_group_gemm, grid, dict(
@@ -216,7 +212,7 @@ def ag_moe_overlapped(
         channel=channels,
         NT=routing.n_tiles, H=cfg.h, D=cfg.d,
         BM=cfg.block_m, BN=cfg.block_n, BK=cfg.block_k,
-    ), options=options, label=f"{tag}.group_gemm")
+    ), label=f"{tag}.group_gemm")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.errors import ShapeError
 from repro.ops.attention import heads_to_seq, seq_to_heads
 from repro.registry import register_family
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ag_attention_lower_bound
 from repro.tuner.search import TuneTask
@@ -226,54 +228,41 @@ def ag_attention_overlapped(
         machine.stream(rank, "comm").enqueue(
             comm_proc(rank), name=f"{tag}.ag[{rank}]")
 
-    def compute_proc(rank: int) -> ProcessGen:
+    def compute_proc(rank: int, held: int) -> ProcessGen:
         device = machine.device(rank)
-        want = device.sms.capacity
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            q_t = ctx.heap.tensor(q_name, rank)
-            state = None
-            if machine.config.execute_numerics:
-                state = _OnlineSoftmax(
-                    seq_to_heads(q_t.numpy(), cfg.heads, cfg.head_dim),
-                    cfg.causal, rank * s_per)
-            segs = [s for s in comm_order(rank)
-                    if not cfg.causal or s <= rank]
-            for seg in segs:
-                yield banks[rank].wait_geq(seg, 1)
-                frac = 0.5 if (cfg.causal and seg == rank) else 1.0
-                duration = machine.cost.flash_segment_time(
-                    cfg.heads, s_per, s_per, cfg.head_dim, want, frac,
-                    cfg.block_q, cfg.block_kv)
-                kv_bytes = 2.0 * s_per * width * 2
-                arrival = device.reserve_hbm(kv_bytes)
-                yield Timeout(max(duration, arrival - machine.now))
-                if state is not None:
-                    k_seg = ctx.heap.tensor(gk, rank).read_tile(
-                        ((seg * s_per, (seg + 1) * s_per), (0, width)))
-                    v_seg = ctx.heap.tensor(gv, rank).read_tile(
-                        ((seg * s_per, (seg + 1) * s_per), (0, width)))
-                    state.update(
-                        seq_to_heads(k_seg, cfg.heads, cfg.head_dim),
-                        seq_to_heads(v_seg, cfg.heads, cfg.head_dim),
-                        kv_offset=seg * s_per)
+        q_t = ctx.heap.tensor(q_name, rank)
+        state = None
+        if machine.config.execute_numerics:
+            state = _OnlineSoftmax(
+                seq_to_heads(q_t.numpy(), cfg.heads, cfg.head_dim),
+                cfg.causal, rank * s_per)
+        segs = [s for s in comm_order(rank) if not cfg.causal or s <= rank]
+        for seg in segs:
+            yield banks[rank].wait_geq(seg, 1)
+            frac = 0.5 if (cfg.causal and seg == rank) else 1.0
+            duration = machine.cost.flash_segment_time(
+                cfg.heads, s_per, s_per, cfg.head_dim, held, frac,
+                cfg.block_q, cfg.block_kv)
+            kv_bytes = 2.0 * s_per * width * 2
+            arrival = device.reserve_hbm(kv_bytes)
+            yield Timeout(max(duration, arrival - machine.now))
             if state is not None:
-                ctx.heap.tensor(out_name, rank).write_tile(
-                    ((0, s_per), (0, width)), heads_to_seq(state.output()))
-            if machine.config.trace:
-                machine.record(rank, "compute", f"{tag}.flash", t0,
-                               machine.now)
-        finally:
-            device.sms.release(want)
+                k_seg = ctx.heap.tensor(gk, rank).read_tile(
+                    ((seg * s_per, (seg + 1) * s_per), (0, width)))
+                v_seg = ctx.heap.tensor(gv, rank).read_tile(
+                    ((seg * s_per, (seg + 1) * s_per), (0, width)))
+                state.update(
+                    seq_to_heads(k_seg, cfg.heads, cfg.head_dim),
+                    seq_to_heads(v_seg, cfg.heads, cfg.head_dim),
+                    kv_offset=seg * s_per)
+        if state is not None:
+            ctx.heap.tensor(out_name, rank).write_tile(
+                ((0, s_per), (0, width)), heads_to_seq(state.output()))
         return None
 
-    return [
-        machine.stream(rank).enqueue(
-            compute_proc(rank), name=f"{tag}.attn[{rank}]",
-            start_delay=machine.cost.launch_overhead())
-        for rank in range(world)
-    ]
+    return [launch_native(machine, rank, f"{tag}.flash",
+                          partial(compute_proc, rank))
+            for rank in range(world)]
 
 
 # ---------------------------------------------------------------------------

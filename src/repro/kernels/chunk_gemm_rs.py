@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
 from repro.kernels.gemm_rs import _gemm_producer
 from repro.lang import tl
@@ -271,7 +270,6 @@ def chunk_gemm_rs_overlapped(
     weight_name: str,
     out_name: str,
     grid: int | None = None,
-    options: CompileOptions | None = None,
     tag: str = "chunk_rs",
 ) -> list[Process]:
     """Launch chunked GEMM+RS; ``out`` receives (m/world x n) sums."""
@@ -302,7 +300,7 @@ def chunk_gemm_rs_overlapped(
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
         M=cfg.m, N=cfg.n, K=cfg.k, BM=cfg.block_m, BN=cfg.block_n,
         BK=cfg.block_k,
-    ), options=options, label=f"{tag}.gemm")
+    ), label=f"{tag}.gemm")
 
     # host DMA orchestrator per rank: as each chunk of a remote segment
     # completes locally, push that chunk alone to its owner and post the
@@ -336,7 +334,7 @@ def chunk_gemm_rs_overlapped(
         out=ctx.heap.tensors(out_name), channel=channels,
         M=cfg.m, N=cfg.n, BM=cfg.block_m, BNR=cfg.block_nr,
         NC=nc, HALF=half, PER=per, WORLD=world,
-    ), options=options, label=f"{tag}.reduce")
+    ), label=f"{tag}.reduce")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.program import CompileOptions
 from repro.errors import RuntimeLaunchError, ShapeError
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -198,7 +197,6 @@ class GemmRsConfig:
     block_mr: int = 128   # comm tile rows (decoupled from block_m)
     block_nr: int = 256   # comm tile cols
     comm_blocks: int = 20
-    channels_per_rank: int = 1
     mode: str = "hybrid"  # ring | hybrid
 
     def validate(self, world: int) -> None:
@@ -282,7 +280,6 @@ def gemm_rs_overlapped(
     weight_name: str,
     out_name: str,
     grid: int | None = None,
-    options: CompileOptions | None = None,
     tag: str = "gemm_rs",
 ) -> list[Process]:
     """Launch overlapped GEMM+RS; ``out`` receives (m/world x n) sums."""
@@ -295,8 +292,7 @@ def gemm_rs_overlapped(
 
     gemm_out = ctx.alloc(f"{tag}.gemm_out", (cfg.m, cfg.n), "float16",
                          fill=None)
-    mapping = AffineTileMapping(cfg.m, cfg.block_m, world,
-                                cfg.channels_per_rank)
+    mapping = AffineTileMapping(cfg.m, cfg.block_m, world)
     gemm_grid = TileGrid(cfg.m, cfg.n, cfg.block_m, cfg.block_n)
     reduce_grid = TileGrid(cfg.m, cfg.n, cfg.block_mr, cfg.block_nr)
 
@@ -315,7 +311,7 @@ def gemm_rs_overlapped(
             M=cfg.m, N=cfg.n, K=cfg.k, BM=cfg.block_m, BN=cfg.block_n,
             BK=cfg.block_k, BMR=cfg.block_mr, BNR=cfg.block_nr,
             COMM_BLOCKS=cfg.comm_blocks,
-        ), options=options, label=f"{tag}.ring")
+        ), label=f"{tag}.ring")
 
     # ---- hybrid: DMA scatter + SM reduce -------------------------------------
     ctx.alloc(f"{tag}.landing", (cfg.m, cfg.n), "float16", fill=None)
@@ -330,7 +326,7 @@ def gemm_rs_overlapped(
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"), channel=channels,
         M=cfg.m, N=cfg.n, K=cfg.k, BM=cfg.block_m, BN=cfg.block_n,
         BK=cfg.block_k,
-    ), options=options, label=f"{tag}.gemm")
+    ), label=f"{tag}.gemm")
 
     # host comm orchestrator per rank: wait for a remote segment's tiles,
     # DMA-push the partial to its owner, publish an arrival signal
@@ -339,11 +335,8 @@ def gemm_rs_overlapped(
         for off in range(1, world):
             q = (rank + off) % world
             # all producer tiles of segment q are done locally
-            for c in range(cfg.channels_per_rank):
-                channel_idx = q * cfg.channels_per_rank + c
-                threshold = mapping.tiles_in_channel(channel_idx) \
-                    * gemm_grid.tiles_n
-                yield from ctx.rank_wait(ch.barriers, channel_idx, threshold)
+            yield from ctx.rank_wait(
+                ch.barriers, q, mapping.tiles_in_channel(q) * gemm_grid.tiles_n)
             yield from ctx.rank_copy_data(
                 f"{tag}.landing", src_rank=rank, dst_rank=q,
                 src_ranges=((q * m_per, (q + 1) * m_per), (0, cfg.n)),
@@ -361,7 +354,7 @@ def gemm_rs_overlapped(
         gemm_out=ctx.heap.tensors(f"{tag}.gemm_out"),
         out=ctx.heap.tensors(out_name), channel=channels,
         M=cfg.m, N=cfg.n, BMR=cfg.block_mr, BNR=cfg.block_nr, WORLD=world,
-    ), options=options, label=f"{tag}.reduce")
+    ), label=f"{tag}.reduce")
 
 
 # ---------------------------------------------------------------------------

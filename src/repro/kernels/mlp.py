@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.program import CompileOptions
 from repro.errors import ShapeError
 from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_overlapped
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped
@@ -51,7 +50,6 @@ def mlp_layer_tilelink(
     w1_name: str,
     w2_name: str,
     out_name: str,
-    options: CompileOptions | None = None,
     tag: str = "mlp",
 ) -> list[Process]:
     """Launch the full overlapped MLP layer on every rank.
@@ -72,7 +70,7 @@ def mlp_layer_tilelink(
         block_n=cfg.block_n, block_k=cfg.block_k, mode="dma",
         block_mp=cfg.block_m)
     ag_gemm_overlapped(ctx, ag_cfg, x_shards_name, w1_name,
-                       f"{tag}.inter", options=options, tag=f"{tag}.p1")
+                       f"{tag}.inter", tag=f"{tag}.p1")
 
     for rank in range(world):
         silu_op(ctx, rank, inter[rank], act[rank])
@@ -82,4 +80,4 @@ def mlp_layer_tilelink(
         block_n=cfg.block_n, block_k=cfg.block_k, block_mr=cfg.block_mr,
         block_nr=cfg.block_nr, mode="hybrid")
     return gemm_rs_overlapped(ctx, rs_cfg, f"{tag}.act", w2_name, out_name,
-                              options=options, tag=f"{tag}.p2")
+                              tag=f"{tag}.p2")

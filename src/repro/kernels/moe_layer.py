@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.program import CompileOptions
 from repro.errors import ShapeError
 from repro.kernels.ag_moe import AgMoeConfig, ag_moe_overlapped
 from repro.kernels.moe_common import MoeRouting
@@ -52,7 +51,6 @@ def moe_layer_tilelink(
     w1_name: str,
     w2_name: str,
     out_name: str,
-    options: CompileOptions | None = None,
     tag: str = "moe",
 ) -> list[Process]:
     """Launch the full overlapped MoE layer on every rank.
@@ -73,7 +71,7 @@ def moe_layer_tilelink(
                      topk=cfg.topk, block_m=cfg.block_m, block_n=cfg.block_n,
                      block_k=cfg.block_k)
     ag_moe_overlapped(ctx, p1, routing, x_shards_name, w1_name,
-                      f"{tag}.grouped", options=options, tag=f"{tag}.p1")
+                      f"{tag}.grouped", tag=f"{tag}.p1")
 
     for rank in range(world):
         silu_op(ctx, rank, grouped[rank], act[rank])
@@ -82,4 +80,4 @@ def moe_layer_tilelink(
                      block_n=cfg.block_n, block_k=cfg.block_k,
                      block_mr=cfg.block_mr, block_nr=cfg.block_nr)
     return moe_rs_overlapped(ctx, p2, routing, f"{tag}.act", w2_name,
-                             out_name, options=options, tag=f"{tag}.p2")
+                             out_name, tag=f"{tag}.p2")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.program import CompileOptions
 from repro.config import H800, HardwareSpec
 from repro.errors import ShapeError
 from repro.kernels.moe_common import MoeRouting, routing_memo
@@ -191,7 +190,6 @@ def moe_rs_overlapped(
     weights_name: str,
     out_name: str,
     grid: int | None = None,
-    options: CompileOptions | None = None,
     tag: str = "moe_rs",
 ) -> list[Process]:
     """Launch the overlapped GroupGEMM+Scatter+TopkReduce+RS chain.
@@ -239,7 +237,7 @@ def moe_rs_overlapped(
         channel=channels,
         NT=routing.n_tiles, D=cfg.d, H=cfg.h,
         BM=cfg.block_m, BN=cfg.block_n, BK=cfg.block_k,
-    ), options=options, label=f"{tag}.producer")
+    ), label=f"{tag}.producer")
 
     def comm_proc(rank: int) -> ProcessGen:
         ch = channels[rank]
@@ -263,7 +261,7 @@ def moe_rs_overlapped(
         landing=ctx.heap.tensors(f"{tag}.landing"),
         out=ctx.heap.tensors(out_name), channel=channels,
         MP=m_per, H=cfg.h, BMR=cfg.block_mr, BNR=cfg.block_nr, WORLD=world,
-    ), options=options, label=f"{tag}.reduce")
+    ), label=f"{tag}.reduce")
 
 
 # ---------------------------------------------------------------------------

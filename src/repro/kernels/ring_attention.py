@@ -16,6 +16,8 @@ Numerics use the same online-softmax accumulation as the TileLink kernel.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.config import H800, HardwareSpec
 from repro.kernels.attention import (
     AgAttentionConfig,
@@ -26,6 +28,7 @@ from repro.kernels.attention import (
 from repro.ops.attention import heads_to_seq, seq_to_heads
 from repro.registry import register_family
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ring_attention_lower_bound
 from repro.tuner.search import TuneTask
@@ -74,61 +77,49 @@ def ring_attention(
     # step-completion signals: cell s on rank r == "rank r finished hop s"
     hop_done = ctx.heap.alloc_signals(f"{tag}.hop", world)
 
-    def rank_proc(rank: int) -> ProcessGen:
+    def rank_proc(rank: int, held: int) -> ProcessGen:
         device = machine.device(rank)
-        want = device.sms.capacity
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            q_t = ctx.heap.tensor(q_name, rank)
-            state = None
-            if machine.config.execute_numerics:
-                state = _OnlineSoftmax(
-                    seq_to_heads(q_t.numpy(), cfg.heads, cfg.head_dim),
-                    cfg.causal, rank * s_per)
-            nxt = (rank + 1) % world
-            for step in range(world):
-                seg = (rank - step) % world
-                # every chunk is processed with the causal mask applied
-                # *inside* the kernel — plain RingAttention neither skips
-                # masked chunks nor rebalances the causal triangle, so each
-                # lockstep slot costs a full chunk of compute
-                duration = machine.cost.flash_segment_time(
-                    cfg.heads, s_per, s_per, cfg.head_dim, want,
-                    1.0, cfg.block_q, cfg.block_kv)
-                arrival = device.reserve_hbm(kv_bytes)
-                yield Timeout(max(duration, arrival - machine.now))
-                if state is not None and (not cfg.causal or seg <= rank):
-                    k_seg = ctx.heap.tensor(k_shards_name, seg).numpy()
-                    v_seg = ctx.heap.tensor(v_shards_name, seg).numpy()
-                    state.update(
-                        seq_to_heads(k_seg, cfg.heads, cfg.head_dim),
-                        seq_to_heads(v_seg, cfg.heads, cfg.head_dim),
-                        kv_offset=seg * s_per)
-                if step < world - 1:
-                    # blocking SendRecv after the step's compute: host
-                    # dispatch, the hop itself, then wait for the
-                    # neighbour's hop — the ring-wide lockstep
-                    yield Timeout(HOP_DISPATCH_OVERHEAD)
-                    yield machine.interconnect.transfer(
-                        rank, nxt, kv_bytes, "nccl")
-                    hop_done[nxt].post_add(step, 1, from_rank=rank)
-                    yield hop_done[rank].wait_geq(step, 1)
-            if state is not None:
-                ctx.heap.tensor(out_name, rank).write_tile(
-                    ((0, s_per), (0, width)), heads_to_seq(state.output()))
-            if machine.config.trace:
-                machine.record(rank, "compute", tag, t0, machine.now)
-        finally:
-            device.sms.release(want)
+        q_t = ctx.heap.tensor(q_name, rank)
+        state = None
+        if machine.config.execute_numerics:
+            state = _OnlineSoftmax(
+                seq_to_heads(q_t.numpy(), cfg.heads, cfg.head_dim),
+                cfg.causal, rank * s_per)
+        nxt = (rank + 1) % world
+        for step in range(world):
+            seg = (rank - step) % world
+            # every chunk is processed with the causal mask applied
+            # *inside* the kernel — plain RingAttention neither skips
+            # masked chunks nor rebalances the causal triangle, so each
+            # lockstep slot costs a full chunk of compute
+            duration = machine.cost.flash_segment_time(
+                cfg.heads, s_per, s_per, cfg.head_dim, held,
+                1.0, cfg.block_q, cfg.block_kv)
+            arrival = device.reserve_hbm(kv_bytes)
+            yield Timeout(max(duration, arrival - machine.now))
+            if state is not None and (not cfg.causal or seg <= rank):
+                k_seg = ctx.heap.tensor(k_shards_name, seg).numpy()
+                v_seg = ctx.heap.tensor(v_shards_name, seg).numpy()
+                state.update(
+                    seq_to_heads(k_seg, cfg.heads, cfg.head_dim),
+                    seq_to_heads(v_seg, cfg.heads, cfg.head_dim),
+                    kv_offset=seg * s_per)
+            if step < world - 1:
+                # blocking SendRecv after the step's compute: host
+                # dispatch, the hop itself, then wait for the
+                # neighbour's hop — the ring-wide lockstep
+                yield Timeout(HOP_DISPATCH_OVERHEAD)
+                yield machine.interconnect.transfer(
+                    rank, nxt, kv_bytes, "nccl")
+                hop_done[nxt].post_add(step, 1, from_rank=rank)
+                yield hop_done[rank].wait_geq(step, 1)
+        if state is not None:
+            ctx.heap.tensor(out_name, rank).write_tile(
+                ((0, s_per), (0, width)), heads_to_seq(state.output()))
         return None
 
-    return [
-        machine.stream(rank).enqueue(
-            rank_proc(rank), name=f"{tag}[{rank}]",
-            start_delay=machine.cost.launch_overhead())
-        for rank in range(world)
-    ]
+    return [launch_native(machine, rank, tag, partial(rank_proc, rank))
+            for rank in range(world)]
 
 
 # ---------------------------------------------------------------------------

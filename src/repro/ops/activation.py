@@ -41,12 +41,12 @@ def silu_ref(x: np.ndarray) -> np.ndarray:
     return xf / (1.0 + np.exp(-xf))
 
 
-def silu_op(ctx: DistContext, rank: int, x: SimTensor, out: SimTensor,
-            stream_name: str = "default") -> Process:
+def silu_op(ctx: DistContext, rank: int, x: SimTensor,
+            out: SimTensor) -> Process:
     """Single-input SiLU (the paper's inter-GEMM activation layer)."""
     if x.shape != out.shape:
         raise ShapeError(f"silu shapes differ: {x.shape}, {out.shape}")
-    return ctx.machine.stream(rank, stream_name).enqueue(
+    return ctx.machine.stream(rank).enqueue(
         _elementwise_gen(ctx, rank, [x], out, silu_ref, "silu",
                          flops_per_element=12.0),
         name=f"silu[{rank}]",

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.memory.tensor import SimTensor
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 
 
@@ -64,9 +65,7 @@ def heads_to_seq(x: np.ndarray) -> np.ndarray:
 def flash_attention_op(ctx: DistContext, rank: int, q: SimTensor,
                        k: SimTensor, v: SimTensor, o: SimTensor,
                        heads: int, dim: int,
-                       causal: bool = False, q_offset: int = 0,
-                       stream_name: str = "default",
-                       n_sms: int | None = None) -> Process:
+                       causal: bool = False, q_offset: int = 0) -> Process:
     """Fused flash-attention launch over 2-d sequence-layout tensors,
     priced as one KV segment by
     :meth:`~repro.sim.costmodel.CostModel.flash_segment_time`."""
@@ -74,82 +73,60 @@ def flash_attention_op(ctx: DistContext, rank: int, q: SimTensor,
     sq = q.shape[0]
     skv = k.shape[0]
 
-    def gen() -> ProcessGen:
-        device = machine.device(rank)
-        want = min(n_sms or device.sms.capacity, device.sms.capacity)
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            frac = 1.0
-            if causal:
-                # queries at offset see ~(offset + sq/2) of skv keys
-                frac = min(1.0, (q_offset + sq / 2) / max(1, skv))
-            duration = machine.cost.flash_segment_time(heads, sq, skv, dim,
-                                                       want, frac)
-            kv_bytes = 2.0 * skv * heads * dim * k.itemsize
-            arrival = device.reserve_hbm(kv_bytes)
-            yield Timeout(max(duration, arrival - machine.now))
-            if machine.config.execute_numerics:
-                out = attention_ref(seq_to_heads(q.numpy(), heads, dim),
-                                    seq_to_heads(k.numpy(), heads, dim),
-                                    seq_to_heads(v.numpy(), heads, dim),
-                                    causal, q_offset)
-                o.write_tile(((0, sq), (0, heads * dim)), heads_to_seq(out))
-            if machine.config.trace:
-                machine.record(rank, "compute", "flash_attn", t0, machine.now)
-        finally:
-            device.sms.release(want)
+    def body(held: int) -> ProcessGen:
+        frac = 1.0
+        if causal:
+            # queries at offset see ~(offset + sq/2) of skv keys
+            frac = min(1.0, (q_offset + sq / 2) / max(1, skv))
+        duration = machine.cost.flash_segment_time(heads, sq, skv, dim,
+                                                   held, frac)
+        kv_bytes = 2.0 * skv * heads * dim * k.itemsize
+        arrival = machine.device(rank).reserve_hbm(kv_bytes)
+        yield Timeout(max(duration, arrival - machine.now))
+        _apply_attention(ctx, q, k, v, o, heads, dim, causal, q_offset)
         return None
 
-    return machine.stream(rank, stream_name).enqueue(
-        gen(), name=f"flash_attn[{rank}]",
-        start_delay=machine.cost.launch_overhead())
+    return launch_native(machine, rank, "flash_attn", body)
 
 
 def naive_attention_op(ctx: DistContext, rank: int, q: SimTensor,
                        k: SimTensor, v: SimTensor, o: SimTensor,
                        heads: int, dim: int,
-                       causal: bool = False, q_offset: int = 0,
-                       stream_name: str = "default",
-                       n_sms: int | None = None) -> Process:
+                       causal: bool = False, q_offset: int = 0) -> Process:
     """Unfused attention: QK^T -> HBM, softmax pass, PV — the Torch baseline."""
     machine = ctx.machine
     cost = machine.cost
     sq = q.shape[0]
     skv = k.shape[0]
 
-    def gen() -> ProcessGen:
-        device = machine.device(rank)
-        want = min(n_sms or device.sms.capacity, device.sms.capacity)
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            score_bytes = float(heads) * sq * skv * 2  # fp16 scores
-            gemm1 = _batched_gemm_time(cost, heads, sq, skv, dim, want)
-            gemm2 = _batched_gemm_time(cost, heads, sq, dim, skv, want)
-            # eager pipeline: scores written, masked_fill read+write,
-            # softmax read+write, PV read — six passes over the matrix
-            total_hbm = 6.0 * score_bytes
-            arrival = device.reserve_hbm(total_hbm)
-            hbm_time = total_hbm / cost.hbm_effective_bandwidth
-            duration = (gemm1 + gemm2 + 2 * cost.launch_overhead()
-                        + max(hbm_time, arrival - machine.now))
-            yield Timeout(duration)
-            if machine.config.execute_numerics:
-                out = attention_ref(seq_to_heads(q.numpy(), heads, dim),
-                                    seq_to_heads(k.numpy(), heads, dim),
-                                    seq_to_heads(v.numpy(), heads, dim),
-                                    causal, q_offset)
-                o.write_tile(((0, sq), (0, heads * dim)), heads_to_seq(out))
-            if machine.config.trace:
-                machine.record(rank, "compute", "naive_attn", t0, machine.now)
-        finally:
-            device.sms.release(want)
+    def body(held: int) -> ProcessGen:
+        score_bytes = float(heads) * sq * skv * 2  # fp16 scores
+        gemm1 = _batched_gemm_time(cost, heads, sq, skv, dim, held)
+        gemm2 = _batched_gemm_time(cost, heads, sq, dim, skv, held)
+        # eager pipeline: scores written, masked_fill read+write,
+        # softmax read+write, PV read — six passes over the matrix
+        total_hbm = 6.0 * score_bytes
+        arrival = machine.device(rank).reserve_hbm(total_hbm)
+        hbm_time = total_hbm / cost.hbm_effective_bandwidth
+        duration = (gemm1 + gemm2 + 2 * cost.launch_overhead()
+                    + max(hbm_time, arrival - machine.now))
+        yield Timeout(duration)
+        _apply_attention(ctx, q, k, v, o, heads, dim, causal, q_offset)
         return None
 
-    return machine.stream(rank, stream_name).enqueue(
-        gen(), name=f"naive_attn[{rank}]",
-        start_delay=machine.cost.launch_overhead())
+    return launch_native(machine, rank, "naive_attn", body)
+
+
+def _apply_attention(ctx: DistContext, q: SimTensor, k: SimTensor,
+                     v: SimTensor, o: SimTensor, heads: int, dim: int,
+                     causal: bool, q_offset: int) -> None:
+    if not ctx.machine.config.execute_numerics:
+        return
+    out = attention_ref(seq_to_heads(q.numpy(), heads, dim),
+                        seq_to_heads(k.numpy(), heads, dim),
+                        seq_to_heads(v.numpy(), heads, dim),
+                        causal, q_offset)
+    o.write_tile(((0, q.shape[0]), (0, heads * dim)), heads_to_seq(out))
 
 
 def _batched_gemm_time(cost, batch: int, m: int, n: int, k: int,

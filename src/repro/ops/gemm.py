@@ -1,9 +1,11 @@
 """cuBLAS-style dense GEMM as a simulated library kernel.
 
-One launch occupies a requested share of the SM pool for the analytic
-makespan from :meth:`repro.sim.costmodel.CostModel.gemm_time_monolithic`
-(wave quantization included) and applies the numpy matmul at completion.
-This is the compute half of every non-overlap baseline.
+One launch holds every SM of its rank for the analytic makespan from
+:meth:`repro.sim.costmodel.CostModel.gemm_time_monolithic` (wave
+quantization included) and applies the numpy matmul at completion.
+This is the compute half of every non-overlap baseline.  Async-TP's
+host-launched chunk GEMMs hold fewer SMs, leaving the rest to their
+SM-driven copies (:func:`gemm_kernel_gen`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.memory.tensor import SimTensor
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native, native_kernel
 from repro.sim.engine import Process, ProcessGen, Timeout
 
 
@@ -21,10 +24,8 @@ def gemm_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32))
 
 
-def gemm_kernel_gen(ctx: DistContext, rank: int, a: SimTensor, b: SimTensor,
-                    c: SimTensor, n_sms: int | None = None,
-                    accumulate: bool = False) -> ProcessGen:
-    """Generator form (for composition inside other orchestration code)."""
+def _gemm_body(ctx: DistContext, a: SimTensor, b: SimTensor, c: SimTensor):
+    """Timing body of ``c = a @ b`` on the SMs the kernel holds."""
     machine = ctx.machine
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm: {a.shape} x {b.shape}")
@@ -32,34 +33,25 @@ def gemm_kernel_gen(ctx: DistContext, rank: int, a: SimTensor, b: SimTensor,
     n = b.shape[1]
     if c.shape != (m, n):
         raise ShapeError(f"gemm: output {c.shape} != ({m}, {n})")
-    device = machine.device(rank)
-    want = min(n_sms or device.sms.capacity, device.sms.capacity)
-    yield device.sms.acquire(want)
-    try:
-        t0 = machine.now
-        duration = machine.cost.gemm_time_monolithic(
-            m, n, k, dtype_bytes=a.itemsize, n_sms=want)
-        yield Timeout(duration)
+
+    def body(held: int) -> ProcessGen:
+        yield Timeout(machine.cost.gemm_time_monolithic(
+            m, n, k, dtype_bytes=a.itemsize, n_sms=held))
         if machine.config.execute_numerics:
-            result = gemm_ref(a.numpy(), b.numpy())
-            if accumulate:
-                c.accumulate_tile(((0, m), (0, n)), result)
-            else:
-                c.write_tile(((0, m), (0, n)), result)
-        if machine.config.trace:
-            machine.record(rank, "compute", "gemm", t0, machine.now)
-    finally:
-        device.sms.release(want)
-    return None
+            c.write_tile(((0, m), (0, n)), gemm_ref(a.numpy(), b.numpy()))
+        return None
+
+    return body
+
+
+def gemm_kernel_gen(ctx: DistContext, rank: int, a: SimTensor, b: SimTensor,
+                    c: SimTensor, sms: int) -> ProcessGen:
+    """Generator form on ``sms`` SMs, for host-launched chunk GEMMs."""
+    return native_kernel(ctx.machine, rank, "gemm", _gemm_body(ctx, a, b, c),
+                         sms)
 
 
 def gemm_op(ctx: DistContext, rank: int, a: SimTensor, b: SimTensor,
-            c: SimTensor, stream_name: str = "default",
-            n_sms: int | None = None, accumulate: bool = False) -> Process:
+            c: SimTensor) -> Process:
     """Enqueue a library GEMM on a rank's stream (with launch overhead)."""
-    stream = ctx.machine.stream(rank, stream_name)
-    return stream.enqueue(
-        gemm_kernel_gen(ctx, rank, a, b, c, n_sms, accumulate),
-        name=f"gemm[{rank}]",
-        start_delay=ctx.machine.cost.launch_overhead(),
-    )
+    return launch_native(ctx.machine, rank, "gemm", _gemm_body(ctx, a, b, c))

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.memory.tensor import SimTensor
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 
 
@@ -56,7 +57,6 @@ def _apply_numeric(ctx: DistContext, tokens: SimTensor, weights: SimTensor,
 def per_expert_gemm_op(
     ctx: DistContext, rank: int, tokens: SimTensor, weights: SimTensor,
     out: SimTensor, sorted_token_ids: np.ndarray, expert_of_row: np.ndarray,
-    stream_name: str = "default", n_sms: int | None = None,
     gather_fused: bool = False, host_synced: bool = True,
 ) -> Process:
     """E separate GEMM launches (+ standalone gather/scatter passes).
@@ -72,58 +72,45 @@ def per_expert_gemm_op(
     n_experts, hidden, inter = weights.shape
     counts = np.bincount(expert_of_row, minlength=n_experts)
 
-    def gen() -> ProcessGen:
-        device = machine.device(rank)
-        want = min(n_sms or device.sms.capacity, device.sms.capacity)
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            total = 0.0
-            hbm_bw = cost.hbm_effective_bandwidth
-            per_op = cost.launch_overhead() + (
-                cost.host_sync_overhead() if host_synced else 0.0)
-            for e in range(n_experts):
-                rows = int(counts[e])
-                if rows == 0:
-                    continue
-                if not gather_fused:
-                    # per-expert index_select into a contiguous staging
-                    # buffer (the unfused-gather bottleneck of Figure 9)
-                    gather_bytes = 2.0 * rows * hidden * tokens.itemsize
-                    total += per_op + gather_bytes / hbm_bw
-                total += per_op  # the expert's GEMM launch (+ sync)
-                total += cost.gemm_time_monolithic(
-                    rows, inter, hidden, dtype_bytes=tokens.itemsize,
-                    n_sms=want)
-                if not gather_fused:
-                    # per-expert index_copy of the expert's output rows
-                    scatter_bytes = 2.0 * rows * inter * out.itemsize
-                    total += per_op + scatter_bytes / hbm_bw
+    def body(held: int) -> ProcessGen:
+        total = 0.0
+        hbm_bw = cost.hbm_effective_bandwidth
+        per_op = cost.launch_overhead() + (
+            cost.host_sync_overhead() if host_synced else 0.0)
+        for e in range(n_experts):
+            rows = int(counts[e])
+            if rows == 0:
+                continue
             if not gather_fused:
-                arrival = device.reserve_hbm(
-                    2.0 * len(sorted_token_ids)
-                    * (hidden * tokens.itemsize + inter * out.itemsize))
-                total = max(total, arrival - machine.now)
-            yield Timeout(total)
-            _apply_numeric(ctx, tokens, weights, out, sorted_token_ids,
-                           expert_of_row)
-            if machine.config.trace:
-                machine.record(rank, "compute", "group_gemm.per_expert",
-                               t0, machine.now)
-        finally:
-            device.sms.release(want)
+                # per-expert index_select into a contiguous staging
+                # buffer (the unfused-gather bottleneck of Figure 9)
+                gather_bytes = 2.0 * rows * hidden * tokens.itemsize
+                total += per_op + gather_bytes / hbm_bw
+            total += per_op  # the expert's GEMM launch (+ sync)
+            total += cost.gemm_time_monolithic(
+                rows, inter, hidden, dtype_bytes=tokens.itemsize,
+                n_sms=held)
+            if not gather_fused:
+                # per-expert index_copy of the expert's output rows
+                scatter_bytes = 2.0 * rows * inter * out.itemsize
+                total += per_op + scatter_bytes / hbm_bw
+        if not gather_fused:
+            arrival = machine.device(rank).reserve_hbm(
+                2.0 * len(sorted_token_ids)
+                * (hidden * tokens.itemsize + inter * out.itemsize))
+            total = max(total, arrival - machine.now)
+        yield Timeout(total)
+        _apply_numeric(ctx, tokens, weights, out, sorted_token_ids,
+                       expert_of_row)
         return None
 
-    return machine.stream(rank, stream_name).enqueue(
-        gen(), name=f"group_gemm.per_expert[{rank}]",
-        start_delay=cost.launch_overhead())
+    return launch_native(machine, rank, "group_gemm.per_expert", body)
 
 
 def fused_group_gemm_op(
     ctx: DistContext, rank: int, tokens: SimTensor, weights: SimTensor,
     out: SimTensor, sorted_token_ids: np.ndarray, expert_of_row: np.ndarray,
-    stream_name: str = "default", n_sms: int | None = None,
-    block_m: int = 128, block_n: int = 128,
+    block_m: int = 128,
 ) -> Process:
     """vLLM-style fused grouped GEMM: one launch, gather in the main loop."""
     machine = ctx.machine
@@ -131,32 +118,19 @@ def fused_group_gemm_op(
     n_experts, hidden, inter = weights.shape
     counts = np.bincount(expert_of_row, minlength=n_experts)
 
-    def gen() -> ProcessGen:
-        device = machine.device(rank)
-        want = min(n_sms or device.sms.capacity, device.sms.capacity)
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            tiles_m = int(sum(math.ceil(int(c) / block_m) for c in counts if c))
-            tiles_n = math.ceil(inter / block_n)
-            n_tiles = tiles_m * tiles_n
-            waves = math.ceil(max(1, n_tiles) / want)
-            tile = cost.gemm_tile_time(block_m, block_n, hidden,
-                                       dtype_bytes=tokens.itemsize)
-            # fused gather rides the main-loop loads: ~1.2x A-operand traffic
-            duration = waves * (tile.total * 1.08)
-            hbm_bytes = n_tiles * tile.epilogue_bytes
-            arrival = device.reserve_hbm(hbm_bytes)
-            yield Timeout(max(duration, arrival - machine.now))
-            _apply_numeric(ctx, tokens, weights, out, sorted_token_ids,
-                           expert_of_row)
-            if machine.config.trace:
-                machine.record(rank, "compute", "group_gemm.fused",
-                               t0, machine.now)
-        finally:
-            device.sms.release(want)
+    def body(held: int) -> ProcessGen:
+        tiles_m = int(sum(math.ceil(int(c) / block_m) for c in counts if c))
+        n_tiles = tiles_m * math.ceil(inter / 128)  # 128-column tiles
+        waves = math.ceil(max(1, n_tiles) / held)
+        tile = cost.gemm_tile_time(block_m, 128, hidden,
+                                   dtype_bytes=tokens.itemsize)
+        # fused gather rides the main-loop loads: ~1.2x A-operand traffic
+        duration = waves * (tile.total * 1.08)
+        arrival = machine.device(rank).reserve_hbm(
+            n_tiles * tile.epilogue_bytes)
+        yield Timeout(max(duration, arrival - machine.now))
+        _apply_numeric(ctx, tokens, weights, out, sorted_token_ids,
+                       expert_of_row)
         return None
 
-    return machine.stream(rank, stream_name).enqueue(
-        gen(), name=f"group_gemm.fused[{rank}]",
-        start_delay=cost.launch_overhead())
+    return launch_native(machine, rank, "group_gemm.fused", body)

@@ -13,12 +13,14 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.memory.tensor import SimTensor
 from repro.runtime.context import DistContext
+from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 
 
-def topk_route(logits: np.ndarray, topk: int,
-               normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Select top-k experts per token; returns (topk_ids, topk_weights).
+def topk_route(logits: np.ndarray,
+               topk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Select top-k experts per token; returns (topk_ids, topk_weights),
+    the weights a softmax over the selected logits.
 
     Deterministic: stable ordering on ties (descending logit, ascending id).
     """
@@ -31,9 +33,7 @@ def topk_route(logits: np.ndarray, topk: int,
     ids = order[:, :topk].astype(np.int64)
     picked = np.take_along_axis(logits, ids, axis=1).astype(np.float32)
     e = np.exp(picked - picked.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True) if normalize \
-        else np.ones_like(e) / topk
-    return ids, weights
+    return ids, e / e.sum(axis=1, keepdims=True)
 
 
 def topk_reduce_ref(grouped_out: np.ndarray, sorted_token_ids: np.ndarray,
@@ -47,39 +47,25 @@ def topk_reduce_ref(grouped_out: np.ndarray, sorted_token_ids: np.ndarray,
 
 def topk_reduce_op(ctx: DistContext, rank: int, grouped_out: SimTensor,
                    out: SimTensor, sorted_token_ids: np.ndarray,
-                   row_weights: np.ndarray,
-                   stream_name: str = "default",
-                   n_sms: int | None = None) -> Process:
+                   row_weights: np.ndarray) -> Process:
     """Scatter + weighted top-k reduction (memory-bound pass)."""
     machine = ctx.machine
     cost = machine.cost
     rows = len(sorted_token_ids)
     n_tokens, width = out.shape
 
-    def gen() -> ProcessGen:
-        device = machine.device(rank)
-        want = min(n_sms or device.sms.capacity, device.sms.capacity)
-        yield device.sms.acquire(want)
-        try:
-            t0 = machine.now
-            # read grouped rows + atomic read-modify-write on token rows
-            nbytes = rows * width * grouped_out.itemsize \
-                + 2.0 * rows * width * out.itemsize
-            arrival = device.reserve_hbm(nbytes)
-            duration = max(nbytes / cost.hbm_effective_bandwidth,
-                           arrival - machine.now)
-            yield Timeout(duration)
-            if machine.config.execute_numerics:
-                result = topk_reduce_ref(
-                    grouped_out.numpy()[:rows], sorted_token_ids,
-                    row_weights, n_tokens)
-                out.write_tile(((0, n_tokens), (0, width)), result)
-            if machine.config.trace:
-                machine.record(rank, "compute", "topk_reduce", t0, machine.now)
-        finally:
-            device.sms.release(want)
+    def body(_held: int) -> ProcessGen:
+        # read grouped rows + atomic read-modify-write on token rows
+        nbytes = rows * width * grouped_out.itemsize \
+            + 2.0 * rows * width * out.itemsize
+        arrival = machine.device(rank).reserve_hbm(nbytes)
+        yield Timeout(max(nbytes / cost.hbm_effective_bandwidth,
+                          arrival - machine.now))
+        if machine.config.execute_numerics:
+            result = topk_reduce_ref(
+                grouped_out.numpy()[:rows], sorted_token_ids,
+                row_weights, n_tokens)
+            out.write_tile(((0, n_tokens), (0, width)), result)
         return None
 
-    return machine.stream(rank, stream_name).enqueue(
-        gen(), name=f"topk_reduce[{rank}]",
-        start_delay=cost.launch_overhead())
+    return launch_native(machine, rank, "topk_reduce", body)

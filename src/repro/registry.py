@@ -257,6 +257,9 @@ def resolve_serve_method(name: str) -> tuple[str, dict[str, Callable]]:
 # ---------------------------------------------------------------------------
 
 def _manifest() -> dict:
+    # lazy import: the analyzer sits above the registry in the layer stack
+    from repro.analyze.registry import family_plans
+
     fams = []
     for fam in families().values():
         fams.append({
@@ -264,8 +267,7 @@ def _manifest() -> dict:
             "doc": fam.doc,
             "tile_ir": fam.tile_ir,
             "kernels": [k.name for k in fam.kernels],
-            # a family without tile IR gets one informational plan
-            "plans": len(fam.analyze_plans()) if fam.tile_ir else 1,
+            "plans": len(family_plans(fam)),
             "sweep_category": fam.sweep_category,
             "warm_cached": fam.warm_cached,
             "serve_method": (fam.serve_method.name

@@ -1,15 +1,17 @@
 """Kernel launcher: compile once, run SPMD on the simulated node.
 
-A launch spawns one simulation process per block of the grid; blocks queue
-FIFO on the device's SM pool (persistent-block kernels use ``grid <= SMs``
-and stride over tiles internally, like the paper's Figure 4 kernels).
-Launch overhead is charged on the stream, and the kernel process completes
-when all its blocks have drained.
+This module decides who holds which SMs.  A tile-IR launch spawns one
+simulation process per grid block; each block holds one SM for its
+lifetime, queueing FIFO on the device's SM pool (persistent-block kernels
+use ``grid <= SMs``, like the paper's Figure 4 kernels).  A native kernel
+(library ops, NCCL collectives, baselines, attention) runs through
+:func:`native_kernel`, which holds every SM of its rank, or a given
+count, for its whole body.  Launch overhead is charged on the stream.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.compiler.interp import run_block
 from repro.compiler.program import CompiledProgram, CompileOptions, compile_kernel
@@ -70,6 +72,41 @@ def kernel_process(program: CompiledProgram, machine: Machine, rank: int,
     ]
     yield AllOf(procs)
     return None
+
+
+def native_kernel(machine: Machine, rank: int, label: str,
+                  body: Callable[[int], ProcessGen], sms: int | None = None,
+                  category: str = "compute") -> ProcessGen:
+    """Run a native kernel's timing body while it holds SMs of ``rank``.
+
+    The kernel holds every SM (``sms=None``) or ``sms`` of them, capped
+    at the device's capacity; a count below 1 raises
+    :class:`~repro.errors.SimulationError`.  ``body(held)`` is given the
+    count it holds.  With tracing on, the held interval, from acquiring
+    the SMs to the end of the body, is recorded under ``category``.
+    """
+    device = machine.device(rank)
+    held = device.sms.capacity if sms is None \
+        else min(sms, device.sms.capacity)
+    yield device.sms.acquire(held)
+    try:
+        t0 = machine.now
+        yield from body(held)
+        if machine.config.trace:
+            machine.record(rank, category, label, t0, machine.now)
+    finally:
+        device.sms.release(held)
+    return None
+
+
+def launch_native(machine: Machine, rank: int, label: str,
+                  body: Callable[[int], ProcessGen], sms: int | None = None,
+                  category: str = "compute") -> Process:
+    """Enqueue :func:`native_kernel` on ``rank``'s default stream, behind
+    the kernel launch overhead."""
+    return machine.stream(rank).enqueue(
+        native_kernel(machine, rank, label, body, sms, category),
+        name=f"{label}[{rank}]", start_delay=machine.cost.launch_overhead())
 
 
 def launch_kernel(machine: Machine, kdef: KernelDef, grid: int, rank: int,

@@ -42,15 +42,14 @@ SM_TRANSPORT_MODES = frozenset({"pull", "push", "ring"})
 
 def gemm_wave_time(spec: HardwareSpec, m: int, n: int, k: int, *,
                    block_m: int, block_n: int, block_k: int,
-                   n_sms: int, dtype_bytes: int = 2) -> float:
-    """Wave-quantized GEMM makespan on ``n_sms`` SMs (compute floor).
+                   n_sms: int) -> float:
+    """Wave-quantized fp16 GEMM makespan on ``n_sms`` SMs (compute floor).
 
     Delegates to :meth:`CostModel.gemm_time_monolithic` so the pruner's
     floor and the simulator's calibration can never drift apart.
     """
     return CostModel(spec).gemm_time_monolithic(
-        m, n, k, dtype_bytes=dtype_bytes, n_sms=max(1, n_sms),
-        bm=block_m, bn=block_n, bk=block_k)
+        m, n, k, n_sms=max(1, n_sms), bm=block_m, bn=block_n, bk=block_k)
 
 
 def link_transfer_time(spec: HardwareSpec, nbytes: float, *,
@@ -68,8 +67,7 @@ def link_transfer_time(spec: HardwareSpec, nbytes: float, *,
 
 
 def ag_gemm_lower_bound(cand: Candidate, *, m: int, n: int, k: int,
-                        world: int, spec: HardwareSpec,
-                        dtype_bytes: int = 2) -> float:
+                        world: int, spec: HardwareSpec) -> float:
     """Closed-form lower bound for one AG+GEMM candidate.
 
     AllGather moves ``(world-1)/world`` of the gathered activation into
@@ -85,16 +83,15 @@ def ag_gemm_lower_bound(cand: Candidate, *, m: int, n: int, k: int,
         block_m=int(cand.get("block_m", 128)),
         block_n=int(cand.get("block_n", 128)),
         block_k=int(cand.get("block_k", 64)),
-        n_sms=consumer_sms, dtype_bytes=dtype_bytes)
-    comm_bytes = (world - 1) * (m // world) * k * dtype_bytes
+        n_sms=consumer_sms)
+    comm_bytes = (world - 1) * (m // world) * k * 2  # fp16
     comm = link_transfer_time(spec, comm_bytes,
                               sm_blocks=comm_blocks if sm_comm else None)
     return max(compute, comm)
 
 
 def gemm_rs_lower_bound(cand: Candidate, *, m: int, n: int, k: int,
-                        world: int, spec: HardwareSpec,
-                        dtype_bytes: int = 2) -> float:
+                        world: int, spec: HardwareSpec) -> float:
     """Closed-form lower bound for one GEMM+RS candidate.
 
     The producer GEMM covers the full (m x n) partial; ReduceScatter sends
@@ -109,8 +106,8 @@ def gemm_rs_lower_bound(cand: Candidate, *, m: int, n: int, k: int,
         block_m=int(cand.get("block_m", 128)),
         block_n=int(cand.get("block_n", 128)),
         block_k=int(cand.get("block_k", 64)),
-        n_sms=producer_sms, dtype_bytes=dtype_bytes)
-    comm_bytes = (world - 1) * (m // world) * n * dtype_bytes
+        n_sms=producer_sms)
+    comm_bytes = (world - 1) * (m // world) * n * 2  # fp16
     comm = link_transfer_time(spec, comm_bytes,
                               sm_blocks=comm_blocks if sm_comm else None)
     return max(compute, comm)
@@ -118,8 +115,7 @@ def gemm_rs_lower_bound(cand: Candidate, *, m: int, n: int, k: int,
 
 def ag_moe_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
                        world: int, spec: HardwareSpec, topk: int = 2,
-                       grouped_rows: int | None = None,
-                       dtype_bytes: int = 2) -> float:
+                       grouped_rows: int | None = None) -> float:
     """Closed-form lower bound for one AG+MoE-GroupGEMM candidate.
 
     The token AllGather rides the copy engine (no SM reservation); the
@@ -134,16 +130,15 @@ def ag_moe_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
         block_m=int(cand.get("block_m", 128)),
         block_n=int(cand.get("block_n", 128)),
         block_k=int(cand.get("block_k", 64)),
-        n_sms=spec.n_sms, dtype_bytes=dtype_bytes)
-    comm_bytes = (world - 1) * (m // world) * h * dtype_bytes
+        n_sms=spec.n_sms)
+    comm_bytes = (world - 1) * (m // world) * h * 2  # fp16
     comm = link_transfer_time(spec, comm_bytes)
     return max(compute, comm)
 
 
 def moe_rs_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
                        world: int, spec: HardwareSpec, topk: int = 2,
-                       grouped_rows: int | None = None,
-                       dtype_bytes: int = 2) -> float:
+                       grouped_rows: int | None = None) -> float:
     """Closed-form lower bound for one GroupGEMM+Scatter+TopkReduce+RS
     candidate.
 
@@ -158,7 +153,7 @@ def moe_rs_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
         block_m=int(cand.get("block_m", 128)),
         block_n=int(cand.get("block_n", 128)),
         block_k=int(cand.get("block_k", 64)),
-        n_sms=spec.n_sms, dtype_bytes=dtype_bytes)
+        n_sms=spec.n_sms)
     comm_bytes = (world - 1) * (m // world) * h * 4  # fp32 partials
     comm = link_transfer_time(spec, comm_bytes)
     return max(compute, comm)
@@ -166,8 +161,7 @@ def moe_rs_lower_bound(cand: Candidate, *, m: int, h: int, d: int,
 
 def ag_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
                              seq_len: int, world: int, spec: HardwareSpec,
-                             causal: bool = True,
-                             dtype_bytes: int = 2) -> float:
+                             causal: bool = True) -> float:
     """Closed-form lower bound for one AG-KV + flash-attention candidate.
 
     The busiest rank sets the makespan floor: under causal masking the
@@ -186,7 +180,7 @@ def ag_attention_lower_bound(cand: Candidate, *, heads: int, head_dim: int,
         compute += cm.flash_segment_time(heads, s_per, s_per, head_dim,
                                          spec.n_sms, frac, bq, bkv)
     width = heads * head_dim
-    comm_bytes = 2.0 * (world - 1) * s_per * width * dtype_bytes  # K and V
+    comm_bytes = 2.0 * (world - 1) * s_per * width * 2  # fp16 K and V
     comm = link_transfer_time(spec, comm_bytes)
     return max(compute, comm)
 

@@ -40,20 +40,6 @@ def test_gemm_op_matches_numpy(rng):
                        atol=1e-2)
 
 
-def test_gemm_op_accumulate(rng):
-    ctx = make_ctx(1)
-    a = rng.standard_normal((4, 4)).astype(np.float16)
-    b = rng.standard_normal((4, 4)).astype(np.float16)
-    ctx.bind("a", [a])
-    ctx.bind("b", [b])
-    ctx.alloc("c", (4, 4), "float32", fill=1.0)
-    gemm_op(ctx, 0, ctx.heap.tensor("a", 0), ctx.heap.tensor("b", 0),
-            ctx.heap.tensor("c", 0), accumulate=True)
-    ctx.run()
-    assert np.allclose(ctx.heap.tensor("c", 0).numpy(), gemm_ref(a, b) + 1,
-                       atol=1e-2)
-
-
 def test_gemm_op_shape_check(rng):
     ctx = make_ctx(1)
     ctx.alloc("a", (4, 4), "float16")

@@ -101,7 +101,7 @@ def test_overlapped_time_bounded_by_parts():
     def comm_only(ctx):
         ctx.alloc("x", (m // world, k), "float16")
         ctx.alloc("g", (m, k), "float16")
-        dma_all_gather(ctx, "x", "g", None, stream_name="comm")
+        dma_all_gather(ctx, "x", "g", None)
 
     def comp_only(ctx):
         ctx.alloc("g", (m, k), "float16")

@@ -11,8 +11,11 @@ tripwire; the tests here are its tier-1 shadow.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from benchmarks import refresh_warm_cache
 from repro.bench.experiments import (
     ag_gemm_builders,
     attention_builders,
@@ -21,10 +24,11 @@ from repro.bench.experiments import (
     moe_part2_builders,
     moe_sweep_tasks,
 )
+from repro.bench.harness import run_builder
 from repro.config import H800
 from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
-from repro.tuner import task_cache_key, tune
+from repro.tuner import TuneCache, task_cache_key, tune
 from repro.tuner.warm import ENV_WARM_CACHE, resolve_warm_cache, warm_cache_path
 
 WORLD = 8
@@ -192,3 +196,22 @@ def test_warm_cache_file_is_never_written_by_benches():
     cache = resolve_warm_cache()
     cache.put("scratch", {"block_m": 128}, 1.0)
     assert path.read_bytes() == before
+
+
+def test_check_replays_every_winner_bit_for_bit(tmp_path, monkeypatch,
+                                                capsys):
+    """``--check`` re-simulates each stored winner: a ``time_s`` one ulp
+    off fails and names the entry; the true time passes."""
+    task = ag_gemm_tune_task(1024, 128, 128, world=WORLD)
+    monkeypatch.setattr(refresh_warm_cache, "expected_tasks",
+                        lambda: [("tiny/ag_gemm", task)])
+    key = task_cache_key(task, world=WORLD, spec=H800)
+    true = run_builder(task.make_builder(task.default), world=WORLD)
+    for stored, code in ((math.nextafter(true, math.inf), 1), (true, 0)):
+        path = tmp_path / f"{code}.json"
+        TuneCache(path).put(key, task.default, stored)
+        assert refresh_warm_cache.main(["--check", "--out", str(path)]) \
+            == code
+    err = capsys.readouterr().err
+    assert (f"STALE: tiny/ag_gemm: stored time_s "
+            f"{math.nextafter(true, math.inf)!r}, replays to {true!r}") in err

@@ -206,9 +206,12 @@ def gemm_rs_decomposed(ctx: DistContext, m: int, n: int, k: int,
         def reduce_gen() -> ProcessGen:
             device = machine.device(rank)
             nbytes = 2.0 * m * n * 2
+            start = machine.now
             arrival = device.reserve_hbm(nbytes)
             yield Timeout(max(nbytes / machine.cost.hbm_effective_bandwidth,
                               arrival - machine.now))
+            if machine.config.trace:
+                machine.record(rank, "compute", "reduce", start, machine.now)
             if machine.config.execute_numerics:
                 slab = ctx.heap.tensor(landing, rank).numpy()
                 own = ctx.heap.tensor(computed, rank).numpy()

@@ -2,12 +2,32 @@
 
 :func:`run_block` runs one block (CTA) of a launch grid as a simulation
 process: the program's function for the launch's mode (numeric x trace),
-which :func:`generate` writes as Python source and compiles on the mode's
+which :class:`_Emitter` writes as Python source and compiles on the mode's
 first run.  Block scalars and tiles are Python locals, constants are folded
 in, scalar operators take the syntax of their ``BINARY_OPS``/``UNARY_OPS``
 function and timed ops yield their ``Timeout`` inline.  Timing variants
 carry no numpy effects, untraced ones no trace records.  A statement that
 fails to generate raises its error when it runs.
+
+Generation folds what the IR fixes.  A tile's shape and dtype are static
+on every path where the IR decides them: ``zeros``/``full`` of a constant
+shape; ``load``/``load_vec`` of a rank-less tensor (dtype: its binding's)
+whose bounds are constants or ``(lo, lo + c)``, ``c`` an int constant and
+``lo`` an int (loop variables, block ids, channel fields, int constexprs,
+``load_scalar`` results and ``+ - * // % min max cdiv`` of these); and the
+tile ops of static operands.  Bounds with ``/``, floats or ``min`` and
+``tile_pull_data`` results stay dynamic.  Shape-only code (timing variants,
+aggregable-loop probes) builds no tile and computes no address for a static
+one, and decides its shape checks here (a failing one raises when its
+statement runs); it still reads what may be unbound or may raise, and
+deletes assignments nothing reads.  The block prologue computes once what
+needs the machine or the bindings but no tile: itemsizes, byte counts and
+their seconds over ``feed``, ``mma_time``/``vector_tile_time`` of static
+shapes, channel fields, and every probe whose terms all are such values.
+Where a rank-less tensor is not its symmetric list's own-rank instance or
+a prologue value raises, the block runs the unfolded variant instead.  No
+reservation, signal operation or ``sim.now`` read moves and sums keep
+their order, so simulated times, event counts and traces do not change.
 
 Scheduling semantics (compiler/passes.py sets the annotations):
 
@@ -49,7 +69,6 @@ from repro.memory.tensor import SimTensor, resolve_dtype
 # names only the generated code uses
 from repro.compiler.values import apply_binary, apply_unary, padded_to  # noqa: F401
 from repro.errors import SimulationError  # noqa: F401
-from repro.lang.block_channel import BlockChannel  # noqa: F401
 from repro.sim.engine import Timeout  # noqa: F401
 
 #: fraction of aggregable-loop load bytes that miss L2 and hit HBM
@@ -63,6 +82,10 @@ _SYNTAX: dict[Callable, str] = {
     operator.gt: ">", operator.ge: ">=", operator.eq: "==",
     operator.ne: "!=", operator.neg: "-", operator.not_: "not ",
 }
+#: the scalar operators whose value on ints is an int
+_INT_OPS = ("+", "-", "*", "//", "%", "min", "max", "cdiv")
+_BINARY = ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile")
+_STORES = ("store", "store_vec", "atomic_add", "scatter_add_rows")
 #: a local the probe of an aggregable loop found unbound
 _UNSET = object()
 _new = object.__new__
@@ -79,12 +102,18 @@ def run_block(program, machine, rank: int, block_id: int, n_blocks: int,
               bindings: dict[str, Any], label: str = ""):
     """Build the simulation-process generator for one block, generating
     the program's function for the launch's mode on the mode's first run."""
-    mode = (machine.config.execute_numerics, machine.config.trace)
+    mode = (machine.config.execute_numerics, machine.config.trace, True)
+    fn = program.generated.get(mode) or _function(program, mode)
+    return fn(machine, rank, block_id, n_blocks, bindings,
+              label or program.name)
+
+
+def _function(program, mode: tuple) -> Callable:
+    """The program's block function for ``mode``: (numeric, trace, folded)."""
     fn = program.generated.get(mode)
     if fn is None:
         fn = program.generated[mode] = _Emitter(program, *mode).function()
-    return fn(machine, rank, block_id, n_blocks, bindings,
-              label or program.name)
+    return fn
 
 
 # -- run-time helpers the generated code calls ---------------------------------
@@ -141,6 +170,28 @@ def _binary_stub(stubs: dict, x: Any, y: Any) -> TileVal:
     return _tile(*stubs[key])
 
 
+def _prune(lines: list[str]) -> list[str]:
+    """Delete the assignments marked ``#pure`` whose target nothing reads."""
+    pure = {i: line.split(" = ", 1) for i, line in enumerate(lines)
+            if line.endswith("#pure")}
+    if not pure:
+        return lines
+    find = re.compile(r"\b(?:%s)\b" % "|".join(
+        {lhs.strip() for lhs, _ in pure.values()})).findall
+    reads = Counter(find("\n".join(lines)))
+    reads.subtract(lhs.strip() for lhs, _ in pure.values())
+    dead: set[int] = set()
+    while new := {i for i, (lhs, _) in pure.items()
+                  if i not in dead and not reads[lhs.strip()]}:
+        dead |= new
+        for i in new:
+            reads.subtract(find(pure[i][1]))
+    # a deleted first statement of a suite leaves ``pass``
+    return [line[:len(line) - len(line.lstrip())] + "pass" if i in dead
+            else line for i, line in enumerate(lines)
+            if i not in dead or lines[i - 1].endswith(":")]
+
+
 # -- the emitter -----------------------------------------------------------------
 
 
@@ -149,14 +200,16 @@ class _Emitter:
 
     Statements emit in one of three modes: ``timed`` code runs in the
     block's process and yields what it waits for; ``probe`` code adds one
-    iteration's compute seconds, load seconds and HBM bytes to the
-    accumulator locals it is given (shapes and costs only); ``replay`` code
-    applies an aggregable loop's numpy effects untimed.
+    iteration's compute seconds, load seconds and HBM bytes to the sums it
+    is given (shapes and costs only); ``replay`` code applies an aggregable
+    loop's numpy effects untimed.  ``fold=False`` writes the unfolded
+    variant, which folds nothing and computes no prologue values.
     """
 
-    def __init__(self, program, numeric: bool, trace: bool):
+    def __init__(self, program, numeric: bool, trace: bool, fold: bool):
         ir = self.ir = program.ir
         self.program, self.numeric, self.trace = program, numeric, trace
+        self.fold = fold
         self.name, self.has_channel = program.name, ir.channel_param is not None
         assigned = Counter(scalar_target(s) for s in ir.walk_stmts())
         #: constexprs no statement reassigns are constants, and so are
@@ -179,22 +232,39 @@ class _Emitter:
         self.failed: dict[int, Exception] = {}
         #: rank-less tensor argument -> its per-block (tensor, owner) locals
         self.refs: dict[str, tuple[str, str]] = {}
-        #: id(load) -> the local holding its prefetched value
-        self.slots: dict[int, str] = {}
+        #: id(load) -> the local its prefetch sets and, if that holds no
+        #: value, the static type of one
+        self.slots: dict[int, tuple[str, Any]] = {}
+        #: prologue expression -> its local, those locals, dtype constants,
+        #: and the dtype equalities the prologue checks
+        self.hoists: dict[str, str] = {}
+        self.pro: set[str] = set()
+        self.dtypes: dict[np.dtype, str] = {}
+        self.guards: dict[str, None] = {}
+        #: the locals bound on every path to the statement being emitted:
+        #: "int" (an int scalar), (shape, dtype source) (a static tile) or
+        #: None; and what was known at the end of the last block emitted
+        self.known: dict[str, Any] = {"bid": "int", "nblocks": "int", **{
+            self.local("scalar", k): "int" if isinstance(v, int) else None
+            for k, v in self.reassigned.items()}}
+        self.last: dict[str, Any] | None = None
 
     # ----------------------------------------------------------------- output
 
     def w(self, *lines: str) -> None:
         self.lines.extend(self.pad + line for line in lines)
 
-    def nest(self, emit: Callable[[], None]) -> None:
-        """Emit an indented suite (``pass`` if it comes out empty)."""
+    def nest(self, emit: Callable[[], None]) -> dict[str, Any]:
+        """Emit an indented suite (``pass`` if it comes out empty); returns
+        what is known at its end and restores what was known before it."""
         self.pad += "    "
-        mark = len(self.lines)
+        mark, known = len(self.lines), self.known
         emit()
         if len(self.lines) == mark:
             self.w("pass")
         self.pad = self.pad[:-4]
+        known, self.known = self.known, known
+        return known
 
     def fresh(self, prefix: str) -> str:
         self.n += 1
@@ -225,6 +295,18 @@ class _Emitter:
             self.names[loc] = (kind, name)
         return loc
 
+    def hoist(self, expr: str) -> str:
+        """The prologue local computing ``expr`` once per block."""
+        if expr not in self.hoists:
+            self.hoists[expr] = self.fresh("H")
+            self.pro.add(self.hoists[expr])
+        return self.hoists[expr]
+
+    def fold_expr(self, expr: str, *parts: str) -> str:
+        """``expr``, hoisted if its parts all are prologue locals or ints."""
+        return self.hoist(expr) if all(p in self.pro or p.isdigit()
+                                       for p in parts) else expr
+
     # ------------------------------------------------------------ expressions
 
     def expr(self, e: Any) -> tuple[bool, Any]:
@@ -241,7 +323,8 @@ class _Emitter:
         if isinstance(e, ChannelField):
             if not self.has_channel:
                 raise self.no_channel()
-            return False, f"ch.scalar_field({e.field_name!r})"
+            field = f"ch.scalar_field({e.field_name!r})"
+            return False, self.hoist(field) if self.fold else field
         if not isinstance(e, BinOp):
             raise LoweringError(f"cannot evaluate expression {e!r}")
         (lc, lv), op = self.expr(e.left), e.op
@@ -279,6 +362,32 @@ class _Emitter:
             raise LoweringError(f"expected (lo, hi) range, got {arg!r}")
         return f"{self.src(arg[0], True)}, {self.src(arg[1], True)}"
 
+    def is_int(self, e: Any) -> bool:
+        """Whether ``e`` is an int wherever it is bound here."""
+        if isinstance(e, Name) and e.id in self.consts or isinstance(e, Const):
+            return isinstance(self.expr(e)[1], int)
+        if isinstance(e, Name):
+            return self.known.get(self.local("scalar", e.id)) == "int"
+        if isinstance(e, (UnaryOp, BinOp)):
+            return e.op in ("-", *_INT_OPS) and all(
+                map(self.is_int, (e.operand,) if isinstance(e, UnaryOp)
+                    else (e.left, e.right)))
+        return isinstance(e, ChannelField)
+
+    def droppable(self, e: Any) -> bool:
+        """Whether ``e`` cannot raise here: a constant, or an int expression
+        of bound scalars whose divisors are nonzero constants."""
+        if isinstance(e, UnaryOp):
+            return self.is_int(e) and self.droppable(e.operand)
+        if isinstance(e, BinOp):
+            return self.is_int(e) and self.droppable(e.left) and \
+                self.droppable(e.right) and (e.op not in ("//", "%", "cdiv")
+                                             or self.expr(e.right)[1] != 0
+                                             and self.expr(e.right)[0])
+        return isinstance(e, Const) or isinstance(e, Name) and (
+            e.id in self.consts or self.is_int(e)) or \
+            isinstance(e, ChannelField) and self.fold
+
     def operand(self, arg: Any) -> str:
         """A tile op operand: tile name -> its TileVal, Expr -> scalar."""
         if isinstance(arg, str):
@@ -286,6 +395,17 @@ class _Emitter:
         if not isinstance(arg, Expr):
             raise LoweringError(f"bad tile operand {arg!r}")
         return self.src(arg)
+
+    def type_of(self, arg: Any) -> Any:
+        """A tile operand's static type here, or None."""
+        return self.known.get(self.local("tile", arg)) \
+            if isinstance(arg, str) else None
+
+    def tensor(self, name: str) -> str:
+        """The per-block local of rank-less tensor argument ``name``."""
+        if name not in self.refs:
+            self.refs[name] = (self.fresh("T"), self.fresh("O"))
+        return self.refs[name][0]
 
     def ref(self, ref: Any, local: str | None = None) -> tuple[str, str]:
         """Emit the resolution of a tensor argument; returns its tensor and
@@ -299,9 +419,9 @@ class _Emitter:
             if local is not None:
                 self.w(f"if _O != rank: raise LoweringError({local!r})")
             return "_T", "_O"
-        if ref.name not in self.refs:
-            self.refs[ref.name] = (self.fresh("T"), self.fresh("O"))
-        tensor, owner = self.refs[ref.name]
+        tensor, owner = self.tensor(ref.name), self.refs[ref.name][1]
+        if self.fold:  # the prologue checked that it is the block's rank's
+            return tensor, "rank"
         if local is None:
             self.w(f"if {owner} is None: raise {tensor}.with_traceback(None)")
         else:
@@ -313,39 +433,204 @@ class _Emitter:
         return LoweringError(f"kernel {self.name!r} uses primitives but has "
                              "no BlockChannel parameter")
 
+    # ------------------------------------------------------------ static types
+
+    def meet(self, a: Any, b: Any) -> Any:
+        """What a local is where paths on which it is ``a`` and ``b`` join;
+        tiles of one shape take ``a``'s dtype if the prologue finds it
+        ``b``'s."""
+        if a == b or not (isinstance(a, tuple) and isinstance(b, tuple)) \
+                or a[0] != b[0] or all(map(self.constant, (a[1], b[1]))):
+            return a if a == b else None
+        self.guards[f"{a[1]} == {b[1]}"] = None
+        return a
+
+    def constant(self, dtype: str) -> bool:
+        return isinstance(self.ns.get(dtype), np.dtype)
+
+    def dt(self, dtype: np.dtype) -> str:
+        """The generated constant holding ``dtype``."""
+        if dtype not in self.dtypes:
+            self.dtypes[dtype] = self.const(dtype)
+        return self.dtypes[dtype]
+
+    def extent(self, pair: Any) -> int | None:
+        """The static ``hi - lo`` of a ``(lo, hi)`` range, or None."""
+        try:
+            lo, hi = pair
+            (lc, lv), (hc, hv) = self.expr(lo), self.expr(hi)
+            if lc and hc:
+                return int(hv) - int(lv)
+            if isinstance(hi, BinOp) and hi.op == "+" and hi.left == lo \
+                    and self.is_int(lo) and self.is_int(hi.right):
+                c, v = self.expr(hi.right)
+                return int(v) if c else None
+        except Exception:  # raises where the per-tile code generates
+            pass
+        return None
+
+    def typed(self, s: TileOp) -> Any:
+        """Tile op ``s``'s static ``(shape, dtype source)``, or None; a
+        failing ``dot`` or row-op shape check raises the op's error."""
+        op, a = s.op, s.args
+        if op in ("zeros", "full"):
+            shape = tuple(int(v) if c else -1 for c, v in map(self.expr, (
+                a[0] if isinstance(a[0], tuple) else (a[0],))))
+            n = 1 if op == "zeros" else 2
+            return None if min(shape, default=0) < 0 else (shape, self.dt(
+                resolve_dtype(a[n] if len(a) > n else "float32")))
+        if op in ("load", "load_vec", "gather_rows"):
+            if not isinstance(a[0], TensorRef) or a[0].rank is not None:
+                return None
+            dtype = f"{self.tensor(a[0].name)}.dtype"
+            if op == "gather_rows":
+                x, c = self.type_of(a[1]), self.extent(a[2])
+                return None if not x or c is None or not x[0] \
+                    else ((x[0][0], c), dtype)
+            ext = tuple(map(self.extent, (a[1], a[2]) if op == "load"
+                            else (a[1],)))
+            return None if None in ext or min(ext) < 0 else (ext, dtype)
+        if op in _BINARY:
+            x, y = (((), self.dt(F32)) if isinstance(v, Expr)
+                    else self.type_of(v) for v in a[:2])
+            if not x or not y:
+                return None
+            try:
+                shape = tuple(np.broadcast_shapes(x[0], y[0]))
+            except ValueError:  # raises when it runs
+                return None
+            if self.constant(x[1]) and self.constant(y[1]):
+                return shape, self.dt(np.result_type(self.ns[x[1]],
+                                                     self.ns[y[1]]))
+            return shape, self.hoist(f"np.result_type({x[1]}, {y[1]})")
+        x = self.type_of(a[0])
+        y = self.type_of(a[1]) if op == "dot" else x
+        acc = s.kwargs.get("acc")
+        if not x or not y or acc is not None and \
+                self.local("tile", acc) not in self.known:
+            return None
+        (shape, dtype), ys = x, y[0]
+        if op == "dot":
+            if len(shape) != 2 or len(ys) != 2 or shape[1] != ys[0]:
+                raise ShapeError(f"dot shape mismatch {shape} x {ys}")
+            return (shape[0], ys[1]), self.dt(F32)
+        if op in ("row_max", "row_sum"):
+            if len(shape) != 2:
+                raise ShapeError(f"{op} expects a 2-d tile, got {shape}")
+            return (shape[0],), self.dt(F32)
+        if op in ("exp", "log", "silu", "gelu", "cast"):
+            return shape, self.dt(resolve_dtype(a[1]) if op == "cast" else F32)
+        if op == "expand_dims":
+            return (*shape, 1), dtype
+        return x if op in ("relu", "neg", "copy") else None
+
+    def nbytes(self, typ: tuple) -> str:
+        """The prologue local holding a static tile's bytes."""
+        size, dtype = math.prod(typ[0]), typ[1]
+        return self.hoist(str(size * self.ns[dtype].itemsize)
+                          if self.constant(dtype) else
+                          f"{size} * {dtype}.itemsize")
+
+    def folded(self, s: TileOp, typ: Any) -> tuple | None:
+        """Shape-only code for ``s`` that static types decide: ``(value,
+        seconds, HBM bytes)``, the costs prologue locals or None; None where
+        ``s`` needs per-tile shapes or reads a scalar that may raise."""
+        op, a = s.op, s.args
+        index = a[1] if op == "scatter_add_rows" else None
+        if not self.fold or not all(map(self.droppable, [
+                e for x in (a[1:] if op in ("zeros", "full") else a)
+                for e in (x if isinstance(x, tuple) else (x,))
+                if isinstance(e, Expr)])) or isinstance(index, str) and \
+                self.local("tile", index) not in self.known:
+            return None
+        if op in _STORES or op == "load_scalar":
+            x = self.type_of(a[-1]) if op in _STORES else ()
+            if x is None or not isinstance(a[0], TensorRef) or \
+                    a[0].rank is not None:
+                return None
+            tensor = self.tensor(a[0].name)
+            if op == "load_scalar":
+                if not isinstance(a[1], Expr):
+                    return None
+                h = self.hoist(f"{tensor}.itemsize")
+                return "0", self.hoist(f"{h} / feed"), h
+            for p in a[1 + (op == "scatter_add_rows"):
+                       2 if op == "store_vec" else 3]:
+                self.pair(p)  # raises as the per-tile code does
+            f = {"atomic_add": 2.0, "scatter_add_rows": 2.5}.get(op, 1.0)
+            nb = self.nbytes(x)
+            return None, self.hoist(f"{f!r} * {nb} / feed"), \
+                self.hoist(f"{f!r} * {nb}")
+        if typ is None:
+            return None
+        value = f"_tile({self.const(typ[0])}, {typ[1]})"
+        if op in ("load", "load_vec", "gather_rows"):
+            nb, f = self.nbytes(typ), "1.5 * " if op == "gather_rows" else ""
+            return value, self.hoist(f"{f}{nb} / feed"), \
+                self.hoist(f"{f}{nb}") if f else nb
+        if op == "dot":
+            (m, k), n = self.type_of(a[0])[0], typ[0][1]
+            return value, self.hoist(f"mma_time({m}, {n}, {k})"), None
+        if op in ("zeros", "full", "copy", "expand_dims"):
+            return value, None, None
+        size = math.prod(typ[0] if op in _BINARY else self.type_of(a[0])[0])
+        return value, self.hoist(
+            f"vtime({size}, {self.lit(ELEMENTWISE_FLOPS[op])}, 0.0)"), None
+
     # ------------------------------------------------------------- statements
 
-    def block(self, stmts: list[Stmt], mode: str, acc: tuple = ()) -> None:
+    def block(self, stmts: list[Stmt], mode: str, acc: list = ()) -> None:
         for s in stmts:
-            mark, pad = len(self.lines), self.pad
+            mark, pad, known = len(self.lines), self.pad, self.known
             try:
                 self.stmt(s, mode, acc)
             except Exception as exc:  # raises when (and only if) it runs
                 del self.lines[mark:]
-                self.pad = pad
+                self.pad, self.known = pad, known
                 self.fail(s, exc)
+        self.last = self.known
 
     def fail(self, s: Stmt, exc: Exception) -> None:
         exc = self.failed.setdefault(id(s), exc)
         self.w(f"raise {self.const(exc)}.with_traceback(None)")
 
-    def stmt(self, s: Stmt, mode: str, acc: tuple) -> None:
+    def stmt(self, s: Stmt, mode: str, acc: list) -> None:
         if isinstance(s, AssignScalar):
             c, v = self.expr(s.value)
-            self.w(f"{self.local('scalar', s.target)} = "
-                   f"{self.lit(v) if c else v}")
+            target = self.local("scalar", s.target)
+            self.w(f"{target} = {self.lit(v) if c else v}"
+                   + ("  #pure" if self.droppable(s.value) else ""))
+            self.known = {**self.known, target:
+                          "int" if self.is_int(s.value) else None}
             if c and s.target in self.once:
                 self.consts[s.target] = v
         elif isinstance(s, TileOp):
             self.tile_stmt(s, mode, acc)
         elif isinstance(s, If):
-            self.w(f"if {self.src(s.cond)}:")
-            self.nest(lambda: self.block(s.then, mode, acc))
+            cond = self.src(s.cond)
+            if mode == "probe":
+                self.settle(acc)
+            self.w(f"if {cond}:")
+            then, other = self.nest(
+                lambda: self.block(s.then, mode, acc)), self.known
             if s.orelse:
                 self.w("else:")
-                self.nest(lambda: self.block(s.orelse, mode, acc))
+                other = self.nest(lambda: self.block(s.orelse, mode, acc))
+            self.known = {k: self.meet(v, other[k])
+                          for k, v in then.items() if k in other}
         elif isinstance(s, For):
-            self.loop(s, mode, acc)
+            mark, sums = len(self.lines), [list(p) for p in acc]
+            while True:  # until no local the body assigns changes type
+                entry, self.last = self.known, None
+                self.loop(s, mode, acc)
+                head = {k: self.meet(v, self.last[k])
+                        for k, v in entry.items()} if self.last else entry
+                if head == entry:
+                    break
+                del self.lines[mark:]
+                self.known = head
+                if sums:
+                    acc[:] = [list(p) for p in sums]
         elif isinstance(s, Return):
             self.w("return")
         elif not isinstance(s, Primitive):
@@ -354,35 +639,67 @@ class _Emitter:
             raise self.no_channel()
         else:
             self.primitive(s)
+            if s.target is not None:
+                self.known = {**self.known, self.local("tile", s.target): None}
 
-    def tile_stmt(self, s: TileOp, mode: str, acc: tuple) -> None:
+    def tile_stmt(self, s: TileOp, mode: str, acc: list) -> None:
         # a result binds at once: only its own block reads it, and that
         # block stays suspended until the op's time has passed
         target = None if s.target is None else self.local(
             "scalar" if s.op == "load_scalar" else "tile", s.target)
-        slot = self.slots.get(id(s)) if mode == "timed" else None
+        typ = self.typed(s)
+        shaped = mode == "probe" or mode == "timed" and not self.numeric
+        folded = self.folded(s, typ) if shaped else None
+        slot, held = self.slots.get(id(s), (None, None)) \
+            if mode == "timed" else (None, None)
         if slot is not None:  # issued one iteration early, free to use
             self.w(f"if {slot} is not None:")
-            self.nest(lambda: self.w(f"{target}, {slot} = {slot}, None"))
+            self.nest(lambda: self.w(f"{target}, {slot} = {slot}, None")
+                      if held is None else self.w(
+                          f"{slot} = None", f"{target} = _tile("
+                          f"{self.const(held[0])}, {held[1]})  #pure"))
             self.w("else:")
             self.pad += "    "
-        sec, hbm, effect = self.tile_op(
-            s, mode == "replay" or mode == "timed" and self.numeric)
+        if folded is None:
+            (sec, hbm, effect), value = self.tile_op(s, not shaped), "_v"
+        else:
+            (value, sec, hbm), effect = folded, ()
         if target is not None:
-            self.w(f"{target} = _v")
+            self.w(f"{target} = {value}"
+                   + ("" if folded is None else "  #pure"))
+            self.known = {**self.known, target:
+                          "int" if s.op == "load_scalar" else typ}
         if mode == "timed":
             self.charge(sec, hbm, "compute", effect)
         elif mode == "replay":
             self.w(*effect)
         else:
             # the ops that move HBM bytes spend load time, the others compute
-            compute, load, nbytes = acc
             if sec is not None:
-                self.w(f"{compute if hbm is None else load} += {sec}")
+                self.add(acc, 0 if hbm is None else 1, sec)
             if hbm is not None:
-                self.w(f"{nbytes} += {hbm}")
+                self.add(acc, 2, hbm)
         if slot is not None:
             self.pad = self.pad[:-4]
+
+    def add(self, acc: list, i: int, term: str) -> None:
+        """Emit probe sum ``acc[i] += term`` (``acc[i]``: its source, None
+        once it is in its local, and its local); a sum of prologue locals
+        stays one."""
+        src, local = acc[i]
+        if src in self.pro and term in self.pro:
+            acc[i][0] = self.hoist(f"{src} + {term}")
+        else:
+            self.w(f"{local} += {term}" if src is None
+                   else f"{local} = {src} + {term}")
+            acc[i][0] = None
+
+    def settle(self, acc: list) -> None:
+        """Move a probe's sums into their locals, ahead of a branch."""
+        for pair in acc:
+            if pair[0] is not None:
+                self.w(f"{pair[1]} = {pair[0]}")
+                pair[0] = None
 
     def charge(self, sec: str | None, hbm: str | None, category: str,
                effect: tuple = ()) -> None:
@@ -477,7 +794,7 @@ class _Emitter:
             # random-access gather: 1.5x streaming cost
             return "1.5 * _nb / feed", "1.5 * _nb", ()
 
-        if op in ("store", "store_vec", "atomic_add", "scatter_add_rows"):
+        if op in _STORES:
             tensor, _ = self.ref(a[0], f"{op} requires a local tensor"
                                  if op == "scatter_add_rows" else
                                  f"{op} targets a remote tensor; use "
@@ -522,7 +839,7 @@ class _Emitter:
         if op not in ELEMENTWISE_FLOPS:
             raise LoweringError(f"unknown tile op {op!r}")
         flops, x = self.lit(ELEMENTWISE_FLOPS[op]), self.operand(a[0])
-        if op in ("add", "sub", "mul", "div", "maximum_tile", "minimum_tile"):
+        if op in _BINARY:
             w(f"_x, _y = {x}, {self.operand(a[1])}")
             w(f"_v = apply_binary({op!r}, _x, _y)" if numeric else
               f"_v = _binary_stub({self.const({})}, _x, _y)")
@@ -586,10 +903,12 @@ class _Emitter:
         if self.trace:
             w("_t0 = sim.now")
         if name == "tile_push_data":
-            w(f"_i, _j, _x = {tid_m}, {tid_n}, {self.operand(a[3])}")
+            typ = self.fold and not self.numeric and self.type_of(a[3])
+            w(f"_i, _j = {tid_m}, {tid_n}" if typ else
+              f"_i, _j, _x = {tid_m}, {tid_n}, {self.operand(a[3])}")
             w("_rg = ch.comm_tile_ranges(_i, _j)")
             tensor, owner = self.ref(a[0])
-            w("_nb = _x.nbytes")
+            w(f"_nb = {self.nbytes(typ) if typ else '_x.nbytes'}")
             write = f"{tensor}.write_tile(_rg, _x.data)"
             w(f"if {owner} == rank:")
             self.nest(lambda: self.charge("_nb / feed", "_nb", "comm",
@@ -629,7 +948,7 @@ class _Emitter:
 
     # ------------------------------------------------------------------ loops
 
-    def loop(self, s: For, mode: str, acc: tuple) -> None:
+    def loop(self, s: For, mode: str, acc: list) -> None:
         bounds = [self.expr(e) for e in (s.start, s.stop, s.step)]
         srcs = [self.lit(int(v)) if c else f"int({v})" for c, v in bounds]
         plan = self.plan(s) if s.pipelined else []
@@ -648,6 +967,7 @@ class _Emitter:
         var = self.local("scalar", s.var)
         trips = f"len({it})" if known is None else str(len(known))
         first = f"{it}[0]" if known is None or not known else str(known[0])
+        entry, self.known = self.known, {**self.known, var: "int"}
 
         def steps():
             self.w(f"for {var} in {it}:")
@@ -661,9 +981,12 @@ class _Emitter:
             # the trips times the cost of the first iteration
             def probe():
                 per, nbytes = self.probe(s, var, first)
-                self.w(f"{acc[0]} += {trips} * ({per})")
-                self.w(f"{acc[2]} += {trips} * {nbytes}")
+                self.add(acc, 0, self.fold_expr(f"{trips} * ({per})",
+                                                trips, per))
+                self.add(acc, 2, self.fold_expr(f"{trips} * {nbytes}",
+                                                trips, nbytes))
             if known is None:
+                self.settle(acc)
                 self.w(f"if {it}:")
                 self.nest(probe)
             elif known:
@@ -677,18 +1000,22 @@ class _Emitter:
             self.nest(steps)
             self.w("else:")
             self.nest(lambda: self.aggregate(s, var, it, trips, first))
+        self.known = entry
 
     def probe(self, s: For, var: str, first: str) -> tuple[str, str]:
         """Emit the probe of ``s``'s first iteration; returns the sources of
-        one iteration's seconds and HBM bytes."""
-        compute, load, nbytes = acc = \
-            self.fresh("_ac"), self.fresh("_al"), self.fresh("_ah")
-        self.w(f"{var} = {first}")
-        self.w(f"{' = '.join(acc)} = 0.0")
+        one iteration's seconds and HBM bytes, prologue locals where every
+        term of theirs is one."""
+        acc = [[self.hoist("0.0") if self.fold else "0.0", self.fresh(p)]
+               for p in ("_ac", "_al", "_ah")]
+        self.w(f"{var} = {first}  #pure")
+        known = self.known
         self.block(s.body, "probe", acc)
+        self.known = known
+        compute, load, nbytes = (src or local for src, local in acc)
         # pipelined loops overlap load and compute
-        return (f"max({load}, {compute})" if s.pipelined
-                else f"{load} + {compute}"), nbytes
+        return self.fold_expr(f"max({load}, {compute})" if s.pipelined
+                              else f"{load} + {compute}", load, compute), nbytes
 
     def aggregate(self, s: For, var: str, it: str, trips: str,
                   first: str) -> None:
@@ -704,11 +1031,16 @@ class _Emitter:
             self.w(f"{saved} = tuple(map(locals().get, {tuple(names)!r}, "
                    f"(_UNSET,) * {len(names)}))")
         per, nbytes = self.probe(s, var, first)
-        self.w(f"{nbytes} = {trips} * {nbytes} * AGG_DRAM_DISCOUNT")
+        total = self.fold_expr(f"{trips} * {nbytes} * AGG_DRAM_DISCOUNT",
+                               trips, nbytes)
+        if total not in self.pro:
+            self.w(f"_h = {total}")
+            total = "_h"
+        time = self.fold_expr(f"cost.MMA_PROLOGUE + {trips} * ({per})",
+                              trips, per)
         self.w("_t0 = sim.now")
-        self.w(f"_a = reserve_hbm({nbytes}) if {nbytes} > 0 else _t0")
-        self.w(f"yield Timeout(max(cost.MMA_PROLOGUE + {trips} * ({per}), "
-               "_a - _t0))")
+        self.w(f"_a = reserve_hbm({total}) if {total} > 0 else _t0")
+        self.w(f"yield Timeout(max({time}, _a - _t0))")
         self.record("compute")
         if self.numeric:
             self.w(f"{', '.join(names)}, = {saved}")
@@ -760,14 +1092,21 @@ class _Emitter:
             except Exception as exc:
                 self.fail(t, exc)
                 return
+            known = "int" if self.is_int(t.value) else None
             self.shadow[t.target] = "p" + self.local("scalar", t.target)
             self.w(f"{self.shadow[t.target]} = {value}")
+            self.known = {**self.known, self.shadow[t.target]: known}
             return
-        slot = None if t.target is None else \
-            self.slots.setdefault(id(t), self.fresh("pf"))
+        typ = self.typed(t)
+        folded = None if self.numeric else self.folded(t, typ)
+        slot = None if t.target is None else (
+            self.slots.get(id(t)) or (self.fresh("pf"),))[0]
+        if slot is not None:
+            self.slots[id(t)] = (slot, folded and typ)
         self.w("try:")
-        self.nest(lambda: (self.tile_op(t, self.numeric),
-                           slot and self.w(f"{slot} = _v")))
+        self.nest(lambda: (folded is None and self.tile_op(t, self.numeric),
+                           slot and self.w(f"{slot} = "
+                                           f"{'_v' if folded is None else 1}")))
         self.w("except (LoweringError, ShapeError, NameError): pass")
 
     # --------------------------------------------------------------- function
@@ -777,17 +1116,10 @@ class _Emitter:
         self.pad = "        "
         self.block(ir.body, "timed")
         body, self.lines, self.pad = self.lines, [], "    "
-        param = ir.channel_param
-        if param is not None:
-            message = f"kernel {name!r} expects a BlockChannel for " \
-                f"parameter {param!r}"
-            w(f"ch = bindings.get({param!r})")
-            w("if not isinstance(ch, BlockChannel): "
-              f"raise RuntimeLaunchError({message!r})")
+        if ir.channel_param is not None:
+            w(f"ch = bindings.get({ir.channel_param!r})")
         reads = set().union(*map(scalar_reads, ir.walk_stmts()))
         for p in self.program.tensor_params:
-            w(f"if {p!r} not in bindings: raise RuntimeLaunchError("
-              f"{f'kernel {name!r} missing argument {p!r}'!r})")
             if p in reads:
                 w(f"if isinstance(bindings[{p!r}], (int, float)): "
                   f"{self.local('scalar', p)} = bindings[{p!r}]")
@@ -801,15 +1133,32 @@ class _Emitter:
         w("mma_time, vtime = cost.mma_time, cost.vector_tile_time")
         if self.trace:
             w("record = machine.record")
-        for tensor, (t, o) in self.refs.items():
-            w(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})")
-        for slot in self.slots.values():
+        if not self.fold:
+            w(*(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
+                for tensor, (t, o) in self.refs.items()))
+        elif self.refs or self.hoists:
+            def prologue():
+                w(*(f"{t} = bindings[{tensor!r}][rank]"
+                    for tensor, (t, _) in self.refs.items()))
+                w(*(f"{h} = {e}  #pure" for e, h in self.hoists.items()))
+                if self.guards:
+                    w(f"if not ({' and '.join(self.guards)}): "
+                      "raise LookupError")
+            # unfolded where a rank-less tensor is not a list's own-rank
+            # instance, a prologue value raises or dtypes differ
+            w("try:")
+            self.nest(prologue)
+            w("except Exception:")
+            w(f"    return (yield from _function({self.const(self.program)}, "
+              f"{(self.numeric, self.trace, False)!r})(machine, rank, bid, "
+              "nblocks, bindings, label))")
+        for slot, _ in self.slots.values():
             w(f"{slot} = None")
-        source = "\n".join([
+        source = "\n".join(_prune([
             "def block(machine, rank, bid, nblocks, bindings, label):",
             *self.lines, "    try:", *(body or ["        pass"]),
             "    except NameError as exc:",
             f"        _undefined(exc, {name!r}, {self.const(self.names)})",
-            "        raise", "    if 0:", "        yield"])
+            "        raise", "    if 0:", "        yield"]))
         exec(compile(source, f"<kernel {name}>", "exec"), self.ns)
         return self.ns["block"]

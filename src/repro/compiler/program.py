@@ -57,7 +57,7 @@ class CompiledProgram:
     constexprs: dict[str, Any]
     options: CompileOptions
     #: the block functions :func:`repro.compiler.interp.run_block`
-    #: generates, by mode ``(execute_numerics, trace)``, on its first run
+    #: generates, by mode ``(execute_numerics, trace, folded)``, on first use
     generated: dict = field(default_factory=dict, repr=False)
 
     @cached_property

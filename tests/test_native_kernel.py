@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import decompose
-from repro.baselines.decompose import ag_gemm_decomposed
+from repro.baselines.decompose import ag_gemm_decomposed, gemm_rs_decomposed
 from repro.baselines.nonoverlap import ag_gemm_nonoverlap
 from repro.errors import SimulationError
 from repro.ops.gemm import gemm_kernel_gen
@@ -56,6 +56,25 @@ def test_async_tp_chunk_copies_record_their_sm_hold(monkeypatch):
     assert sources
     assert sorted(iv.rank for iv in copies) == sorted(sources)
     assert all(iv.end > iv.start for iv in copies)
+
+
+def test_async_tp_gemm_rs_records_one_compute_interval_per_launch():
+    """The host launches 16 chunk GEMMs and 4 local reductions; each
+    records one compute interval, the reductions under ``reduce``."""
+    world, m, n, k = 4, 512, 128, 256
+    ctx = make_ctx(world, numerics=False, trace=True)
+    ctx.alloc("x", (m, k), "float16", fill=None)
+    ctx.alloc("w", (k, n), "float16", fill=None)
+    ctx.alloc("y", (m // world, n), "float32", fill=None)
+    gemm_rs_decomposed(ctx, m, n, k, "x", "w", "y")
+    ctx.run()
+    intervals = ctx.machine.trace.intervals
+    launches = [iv for iv in intervals if iv.label.startswith("launch:")]
+    compute = [iv for iv in intervals if iv.category == "compute"]
+    assert len(launches) == len(compute) == world * world + world
+    reduces = [iv for iv in compute if iv.label == "reduce"]
+    assert sorted(iv.rank for iv in reduces) == list(range(world))
+    assert all(iv.end > iv.start for iv in reduces)
 
 
 @pytest.mark.parametrize("sms", [0, -3])

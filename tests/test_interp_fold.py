@@ -5,7 +5,8 @@ folded code simulates exactly what the tree-walking oracle
 (``tests/oracle_interp.py``, swapped in through
 ``repro.runtime.launcher.run_block``) does on the cases the fold must get
 right: ragged bounds, remote reads, scalars that may be unbound, negative
-extents, float bounds, malformed ranges and dtypes that differ per block.
+extents, float bounds (also one a loop makes float), malformed ranges and
+dtypes that differ per block.
 """
 
 from __future__ import annotations
@@ -135,11 +136,35 @@ def _float_bound(x, out, N: tl.constexpr):
 
 
 @kernel
-def _mixed_dtypes(x, y, out, N: tl.constexpr):
+def _mixed_dtypes(x, y, out, N: tl.constexpr, ADD: tl.constexpr):
     acc = tl.load(x, (0, N), (0, N))
-    if N > 2:
+    if ADD:
         acc = acc + tl.load(y, (0, N), (0, N))
     tl.store(out, (0, N), (0, N), acc)
+
+
+@kernel
+def _bound_turns_float(x, out, N: tl.constexpr):
+    lo = 0
+    for _ in range(2):  # the second trip: int(1.5) - int(-0.5) == 1 row
+        a = tl.load(x, (lo, lo + 2), (0, N))
+        tl.store(out, (lo, lo + 2), (0, N), a + 1.0)
+        lo = lo - 0.5
+
+
+@kernel
+def _store_bound_on_one_branch(x, out, N: tl.constexpr):
+    a = tl.load(x, (0, N), (0, N))
+    if N > 100:
+        r = 0
+    tl.store(out, (r, r + N), (0, N), a)
+
+
+@kernel
+def _unused_division(x, out, N: tl.constexpr):
+    a = tl.load(x, (0, N), (0, N))
+    q = N // tl.block_id()  # nothing reads it, but block 0 divides by 0
+    tl.store(out, (0, N), (0, N), a)
 
 
 @kernel
@@ -191,16 +216,26 @@ CASES = {
         {"N": 4}), r"negative load extent \(-4, 4\)"),
     "float_bound": (_build(_float_bound, 2, {"x": _A, "out": 0 * _A},
                            {"N": 4}), None),
+    "bound_turns_float_in_loop": (_build(
+        _bound_turns_float, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
+        {"N": 4}), None),
     "store_bad_range": (_build(
         _store_bad_range, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
         {"N": 4}), r"expected \(lo, hi\) range, got \(0, N, 1\)"),
     "store_missing_range": (_build(
         _store_missing_range, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
         {"N": 4}), r"expected \(lo, hi\) range, got 'a'"),
-    "dtypes_differ_per_block": (_build(
-        _mixed_dtypes, 1, {"x": _A[:4, :4].astype(np.float16),
-                           "y": _A[:4, :4], "out": 0 * _A[:4, :4]},
-        {"N": 4}), None),
+    "store_bound_on_one_branch": (_build(
+        _store_bound_on_one_branch, 1, {"x": _A[:4, :4],
+                                        "out": 0 * _A[:4, :4]},
+        {"N": 4}), "undefined scalar 'r'"),
+    "unused_division_by_zero": (_build(
+        _unused_division, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
+        {"N": 4}), "ZeroDivisionError"),
+    **{f"dtypes_differ_per_block/{'added' if add else 'not_added'}": (
+        _build(_mixed_dtypes, 1, {"x": _A[:4, :4].astype(np.float16),
+                                  "y": _A[:4, :4], "out": 0 * _A[:4, :4]},
+               {"N": 4, "ADD": add}), None) for add in (True, False)},
 }
 
 

@@ -96,7 +96,7 @@ def _rank_less_peer(x, out, N: tl.constexpr):
 
 @kernel
 def _indexed_peer(x, out, N: tl.constexpr):
-    for i in range(3):
+    for _ in range(3):
         a = tl.load(x[1], (0, N), (0, N))
         tl.store(out, (0, N), (0, N), a * 2.0)
 
@@ -163,7 +163,7 @@ def _store_bound_on_one_branch(x, out, N: tl.constexpr):
 @kernel
 def _unused_division(x, out, N: tl.constexpr):
     a = tl.load(x, (0, N), (0, N))
-    q = N // tl.block_id()  # nothing reads it, but block 0 divides by 0
+    q = N // tl.block_id()  # noqa: F841 -- unread, and block 0 divides by 0
     tl.store(out, (0, N), (0, N), a)
 
 

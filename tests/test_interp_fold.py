@@ -11,6 +11,7 @@ dtypes that differ per block.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ import pytest
 
 from repro.compiler import interp
 from repro.compiler.program import compile_kernel
-from repro.config import SimConfig
+from repro.config import H800, SimConfig
 from repro.kernels import ag_gemm, gemm_rs
 from repro.lang import tl
 from repro.lang.dsl import kernel
@@ -168,6 +169,14 @@ def _unused_division(x, out, N: tl.constexpr):
 
 
 @kernel
+def _priced_over_feed(x, N: tl.constexpr, LOAD: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    b = tl.exp(acc)  # noqa: F841 -- takes vector time, nothing over feed
+    if LOAD:
+        a = tl.load(x, (0, N), (0, N))  # noqa: F841
+
+
+@kernel
 def _store_bad_range(x, out, N: tl.constexpr):
     a = tl.load(x, (0, N), (0, N))
     tl.store(out, (0, N, 1), (0, N), a)
@@ -232,6 +241,14 @@ CASES = {
     "unused_division_by_zero": (_build(
         _unused_division, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
         {"N": 4}), "ZeroDivisionError"),
+    # with no shared-memory bandwidth a load's seconds divide by zero: the
+    # block raises when the load runs and only then
+    **{f"load_priced_over_zero_feed/{'loaded' if load else 'not_loaded'}": (
+        _build(_priced_over_feed, 1, {"x": _A[:4, :4]},
+               {"N": 4, "LOAD": load}),
+        "ZeroDivisionError" if load else None,
+        dataclasses.replace(H800, smem_bandwidth_per_sm=0.0))
+       for load in (True, False)},
     **{f"dtypes_differ_per_block/{'added' if add else 'not_added'}": (
         _build(_mixed_dtypes, 1, {"x": _A[:4, :4].astype(np.float16),
                                   "y": _A[:4, :4], "out": 0 * _A[:4, :4]},
@@ -239,9 +256,9 @@ CASES = {
 }
 
 
-def _simulate(build, numeric: bool, trace: bool) -> dict:
-    ctx = DistContext.create(SimConfig(world_size=2, execute_numerics=numeric,
-                                       trace=trace))
+def _simulate(build, numeric: bool, trace: bool, spec=H800) -> dict:
+    ctx = DistContext.create(SimConfig(world_size=2, spec=spec,
+                                       execute_numerics=numeric, trace=trace))
     pipes, reserves = ctx.machine.interconnect, []
     real = pipes.reserve
     pipes.reserve = lambda *args: reserves.append(args) or real(*args)
@@ -266,10 +283,10 @@ def _simulate(build, numeric: bool, trace: bool) -> dict:
 @pytest.mark.parametrize("numeric", [False, True], ids=["timing", "numeric"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_folded_code_matches_oracle(name, numeric, trace, monkeypatch):
-    build, error = CASES[name]
-    generated = _simulate(build, numeric, trace)
+    build, error, *spec = CASES[name]
+    generated = _simulate(build, numeric, trace, *spec)
     monkeypatch.setattr(launcher, "run_block", oracle_interp.run_block)
-    oracle = _simulate(build, numeric, trace)
+    oracle = _simulate(build, numeric, trace, *spec)
     tensors = generated.pop("tensors"), oracle.pop("tensors")
     assert generated == oracle
     assert tensors[0].keys() == tensors[1].keys()

@@ -1133,32 +1133,43 @@ class _Emitter:
         w("mma_time, vtime = cost.mma_time, cost.vector_tile_time")
         if self.trace:
             w("record = machine.record")
-        if not self.fold:
-            w(*(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
-                for tensor, (t, o) in self.refs.items()))
-        elif self.refs or self.hoists:
+        body = _prune(["    try:", *(body or ["        pass"])])
+        if self.fold and (self.refs or self.hoists):
+            used = set(re.findall(r"\b[TH]\d+\b", "\n".join(body)))
+            live = [n for n in (*(t for t, _ in self.refs.values()),
+                                *self.hoists.values()) if n in used]
+
             def prologue():
                 w(*(f"{t} = bindings[{tensor!r}][rank]"
                     for tensor, (t, _) in self.refs.items()))
-                w(*(f"{h} = {e}  #pure" for e, h in self.hoists.items()))
+                w(*(f"{h} = {e}" for e, h in self.hoists.items()))
                 if self.guards:
                     w(f"if not ({' and '.join(self.guards)}): "
                       "raise LookupError")
+                w(f"_P = ({''.join(n + ', ' for n in live)})")
+
+            # once per launch and rank, whose blocks share ``bindings``;
             # unfolded where a rank-less tensor is not a list's own-rank
             # instance, a prologue value raises or dtypes differ
-            w("try:")
-            self.nest(prologue)
-            w("except Exception:")
+            key = self.const(object())
+            w(f"_P = bindings.get({key})", "if _P is None:")
+            self.nest(lambda: (w("try:"), self.nest(prologue),
+                               w("except Exception:", "    _P = False",
+                                 f"bindings[{key}] = _P")))
+            w("if _P is False:")
             w(f"    return (yield from _function({self.const(self.program)}, "
               f"{(self.numeric, self.trace, False)!r})(machine, rank, bid, "
               "nblocks, bindings, label))")
+            w(*[f"{''.join(n + ', ' for n in live)}= _P"] * bool(live))
+        else:
+            w(*(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
+                for tensor, (t, o) in self.refs.items()))
         for slot, _ in self.slots.values():
             w(f"{slot} = None")
-        source = "\n".join(_prune([
+        source = "\n".join([
             "def block(machine, rank, bid, nblocks, bindings, label):",
-            *self.lines, "    try:", *(body or ["        pass"]),
-            "    except NameError as exc:",
+            *self.lines, *body, "    except NameError as exc:",
             f"        _undefined(exc, {name!r}, {self.const(self.names)})",
-            "        raise", "    if 0:", "        yield"]))
+            "        raise", "    if 0:", "        yield"])
         exec(compile(source, f"<kernel {name}>", "exec"), self.ns)
         return self.ns["block"]

@@ -20,12 +20,14 @@ tile ops of static operands.  Bounds with ``/``, floats or ``min`` and
 aggregable-loop probes) builds no tile and computes no address for a static
 one, and decides its shape checks here (a failing one raises when its
 statement runs); it still reads what may be unbound or may raise, and
-deletes assignments nothing reads.  The block prologue computes once what
-needs the machine or the bindings but no tile: itemsizes, byte counts and
-their seconds over ``feed``, ``mma_time``/``vector_tile_time`` of static
-shapes, channel fields, and every probe whose terms all are such values.
-Where a rank-less tensor is not its symmetric list's own-rank instance or
-a prologue value raises, the block runs the unfolded variant instead.  No
+deletes assignments nothing reads.  The prologue computes what needs the
+machine or the bindings but no tile, once per launch and rank (its blocks
+share ``bindings``, where the first block leaves it): itemsizes, byte
+counts and their seconds over ``feed``, ``mma_time``/``vector_tile_time``
+of static shapes, channel fields, and every probe whose terms all are such
+values.  Where a rank-less tensor is not its symmetric list's own-rank
+instance or a prologue value raises, the block runs the unfolded variant
+instead.  No
 reservation, signal operation or ``sim.now`` read moves and sums keep
 their order, so simulated times, event counts and traces do not change.
 

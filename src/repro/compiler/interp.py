@@ -1162,7 +1162,8 @@ class _Emitter:
             w(f"    return (yield from _function({self.const(self.program)}, "
               f"{(self.numeric, self.trace, False)!r})(machine, rank, bid, "
               "nblocks, bindings, label))")
-            w(*[f"{''.join(n + ', ' for n in live)}= _P"] * bool(live))
+            if live:
+                w(f"{', '.join(live)}, = _P")
         else:
             w(*(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
                 for tensor, (t, o) in self.refs.items()))

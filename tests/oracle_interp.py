@@ -5,10 +5,7 @@ and mode; this module keeps the first backend, which re-dispatched on every
 statement and expression of every block, unchanged so that
 ``tests/test_backend_oracle.py`` can swap it in through the
 ``repro.runtime.launcher.run_block`` seam and require both backends to
-produce the same simulation.  Only tests import it.  Its aggregable-loop
-numeric replay still starts from the probed state (the compiled backend
-replays from the state before the probe), which no registered kernel
-observes.
+produce the same simulation.  Only tests import it.
 
 One invocation of :func:`run_block` is one block (CTA) of the launch grid:
 a simulation process that walks the annotated IR, advancing simulated time
@@ -656,6 +653,7 @@ class BlockInterp:
         """Analytic pricing of a primitive-free loop (+ full numeric effects)."""
         # cost probe on the first iteration
         self.scalars[s.var] = iters[0]
+        saved = dict(self.scalars), dict(self.tiles)
         probe = CostRec()
         self._untimed_body(s.body, env, probe)
         trips = len(iters)
@@ -667,6 +665,7 @@ class BlockInterp:
         yield Timeout(dur)
         self._trace("compute", t0, self.machine.now)
         if self.execute:
+            self.scalars, self.tiles = saved
             for i in iters:
                 self.scalars[s.var] = i
                 self._untimed_body(s.body, env, None)

@@ -6,7 +6,8 @@ folded code simulates exactly what the tree-walking oracle
 ``repro.runtime.launcher.run_block``) does on the cases the fold must get
 right: ragged bounds, remote reads, scalars that may be unbound, negative
 extents, float bounds (also one a loop makes float), malformed ranges and
-dtypes that differ per block.
+dtypes that differ per block, and aggregable loops that carry a tile
+from one trip to the next.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ def test_gemm_and_reduce_kernels_build_no_tiles_in_timing_mode(monkeypatch):
 
 
 # -- edge cases, through both backends ------------------------------------------
-
-
-# The oracle replays an aggregable loop from its probed tiles, so no
-# aggregable loop here reads a tile it also assigns.
 
 
 @kernel
@@ -188,6 +185,25 @@ def _store_missing_range(x, out, N: tl.constexpr):
     tl.store(out, (0, N), a)
 
 
+@kernel
+def _carried_sum(x, out, N: tl.constexpr):
+    acc = tl.zeros((N, N), "float32")
+    for _ in range(3):
+        a = tl.load(x, (0, N), (0, N))
+        acc = acc + a
+    tl.store(out, (0, N), (0, N), acc)
+
+
+@kernel
+def _carried_dot(x, w, out, N: tl.constexpr, K: tl.constexpr):
+    acc = tl.load(out, (0, N), (0, N))
+    for k in range(0, K, 2):
+        a = tl.load(x, (0, N), (k, k + 2))
+        b = tl.load(w, (k, k + 2), (0, N))
+        acc = tl.dot(a, b, acc=acc)
+    tl.store(out, (0, N), (0, N), acc)
+
+
 _RNG = np.random.default_rng(11)
 _A = _RNG.standard_normal((10, 8)).astype(np.float32)
 
@@ -208,6 +224,12 @@ def _build(kdef, grid: int, arrays: dict, consts: dict, peer: str = ""):
 CASES = {
     "ragged_bounds": (_build(_ragged, 2, {"x": _A, "out": 0 * _A},
                              {"M": 10, "BM": 4, "K": 8}), None),
+    "loop_carried_sum": (_build(
+        _carried_sum, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
+        {"N": 4}), None),
+    "loop_carried_dot_from_loaded_acc": (_build(
+        _carried_dot, 1, {"x": _A[:4], "w": _A[2:, :4],
+                          "out": _A[:4, :4] + 1.0}, {"N": 4, "K": 8}), None),
     "rank_less_peer_in_aggregable_loop": (_build(
         _rank_less_peer, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
         {"N": 4}, peer="x"), None),
@@ -299,6 +321,14 @@ def test_folded_code_matches_oracle(name, numeric, trace, monkeypatch):
         assert re.search(error, generated["error"])
     if "peer" in name:  # every probe or prefetch of the load reserves a pipe
         assert generated["reserves"]
+
+
+def test_loop_carried_kernels_sit_in_aggregable_loops():
+    for kdef, consts in ((_carried_sum, {"N": 4}),
+                         (_carried_dot, {"N": 4, "K": 8})):
+        loops = [s for s in compile_kernel(kdef, consts).ir.walk_stmts()
+                 if isinstance(s, For)]
+        assert [s.aggregable for s in loops] == [True], kdef.name
 
 
 def test_rank_less_peer_load_sits_in_an_aggregable_loop():

@@ -41,7 +41,3 @@ class Device:
         """Reserve HBM traffic and return the arrival time (non-blocking)."""
         _start, arrival = self.hbm.reserve(nbytes)
         return arrival
-
-    def sm_copy_time(self, nbytes: float) -> float:
-        """Time one SM needs to drive an ld/st copy of ``nbytes``."""
-        return nbytes / self.spec.sm_copy_bandwidth

@@ -2,8 +2,8 @@
 
 A faithful, simulator-backed reproduction of *TileLink: Generating
 Efficient Compute-Communication Overlapping Kernels using Tile-Centric
-Primitives* (MLSys 2025).  See DESIGN.md for the system inventory and
-README.md for a tour.
+Primitives* (MLSys 2025).  Each subpackage's docstring describes its
+layer, and ROADMAP.md holds the system's plan and open items.
 
 Public entry points:
 
@@ -17,6 +17,8 @@ Public entry points:
   AG+MoE, MoE+RS, AG-KV+attention, full layers);
 * :mod:`repro.baselines` -- cuBLAS+NCCL / Async-TP / FLUX / vLLM baselines;
 * :mod:`repro.bench` -- the per-figure experiment drivers;
+* :mod:`repro.registry` -- kernel families and the implementation table
+  (which code runs each op under each method);
 * :mod:`repro.tuner` -- autotuning over the decoupled design space
   (``tune(ag_gemm_tune_task(...))``, persistent cache).
 """

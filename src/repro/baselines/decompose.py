@@ -15,6 +15,7 @@ paper measures are modelled directly:
 Chunk GEMMs hold ``n_sms - COPY_SMS`` SMs because the copy kernels hold
 ``COPY_SMS`` SM channels of the source rank concurrently (Async-TP's
 copies are SM-driven); each copy records its hold as a ``comm`` interval.
+These are the "Async-TP" table entries (:mod:`repro.registry`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.kernels.mlp import MlpConfig
 from repro.memory.tensor import SimTensor
 from repro.ops.activation import silu_op
 from repro.ops.gemm import gemm_kernel_gen
+from repro.registry import gemm_entry, register_impl
 from repro.runtime.context import DistContext
 from repro.runtime.launcher import native_kernel
 from repro.sim.engine import Join, Process, ProcessGen, Timeout
@@ -261,3 +263,8 @@ def mlp_decomposed(ctx: DistContext, cfg: MlpConfig, x_name: str,
         return None
 
     return [ctx.machine.spawn(coordinator(), name=f"{tag}.coord")]
+
+
+register_impl("ag_gemm", "Async-TP", gemm_entry(ag_gemm_decomposed))
+register_impl("gemm_rs", "Async-TP", gemm_entry(gemm_rs_decomposed))
+register_impl("mlp", "Async-TP", mlp_decomposed)

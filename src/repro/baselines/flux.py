@@ -14,7 +14,8 @@ FLUX hand-writes fused CUDA kernels with a *tightly coupled* design space
   penalties emerge from the simulator rather than a fudge factor.
 
 FLUX does not support MoE (Figure 9 has no FLUX bars) — no MoE entry
-points here.
+points here.  The "FLUX" table entries (:mod:`repro.registry`) take
+the GEMM tile from the caller's config.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from repro.collectives.copy_engine import dma_all_gather
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped
-from repro.kernels.mlp import MlpConfig
-from repro.ops.activation import silu_op
+from repro.kernels.mlp import mlp_layer
+from repro.registry import gemm_entry, register_impl
 from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
@@ -85,18 +86,9 @@ def gemm_rs_flux(ctx: DistContext, m: int, n: int, k: int,
     return gemm_rs_overlapped(ctx, cfg, x_name, w_name, out_name, tag=tag)
 
 
-def mlp_flux(ctx: DistContext, cfg: MlpConfig, x_name: str, w1_name: str,
-             w2_name: str, out_name: str,
-             tag: str = "flux.mlp") -> list[Process]:
-    """Full FLUX MLP: fused AG+GEMM, SiLU, coupled fused GEMM+RS."""
-    world = ctx.world_size
-    ishard = cfg.i_shard(world)
-    inter = ctx.alloc(f"{tag}.inter", (cfg.m, ishard), "float16", fill=None)
-    act = ctx.alloc(f"{tag}.act", (cfg.m, ishard), "float16", fill=None)
-    ag_gemm_flux(ctx, cfg.m, ishard, cfg.h, x_name, w1_name, f"{tag}.inter",
-                 cfg.block_m, cfg.block_n, tag=f"{tag}.p1")
-    for rank in range(world):
-        silu_op(ctx, rank, inter[rank], act[rank])
-    return gemm_rs_flux(ctx, cfg.m, cfg.h, ishard, f"{tag}.act", w2_name,
-                        out_name, cfg.block_m, cfg.block_n,
-                        tag=f"{tag}.p2")
+_ag_gemm = gemm_entry(ag_gemm_flux, "block_m", "block_n")
+_gemm_rs = gemm_entry(gemm_rs_flux, "block_m", "block_n")
+register_impl("ag_gemm", "FLUX", _ag_gemm)
+register_impl("gemm_rs", "FLUX", _gemm_rs)
+register_impl("mlp", "FLUX", partial(
+    mlp_layer, ag_gemm=_ag_gemm, gemm_rs=_gemm_rs, tag="flux.mlp"))

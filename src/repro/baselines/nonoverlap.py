@@ -2,17 +2,21 @@
 
 Communication and computation run sequentially on each rank's default
 stream — the operator-centric pattern of §2.1: system-wide sync around
-every collective, idle SMs during communication.
+every collective, idle SMs during communication.  These are the
+"cuBLAS+NCCL" (serving as ``"torch"``) and "Torch" attention table
+entries (:mod:`repro.registry`).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.collectives.nccl import NcclCollectives
 from repro.kernels.attention import AgAttentionConfig
-from repro.kernels.mlp import MlpConfig
-from repro.ops.activation import silu_op
+from repro.kernels.mlp import mlp_layer
 from repro.ops.attention import naive_attention_op
 from repro.ops.gemm import gemm_op
+from repro.registry import gemm_entry, register_impl
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 
@@ -47,22 +51,6 @@ def gemm_rs_nonoverlap(ctx: DistContext, m: int, n: int, k: int,
     return nccl.reduce_scatter(partial, out_name)
 
 
-def mlp_nonoverlap(ctx: DistContext, cfg: MlpConfig, x_name: str,
-                   w1_name: str, w2_name: str, out_name: str,
-                   tag: str = "base.mlp") -> list[Process]:
-    """Full MLP: AG -> GEMM -> SiLU -> GEMM -> RS, all sequential."""
-    world = ctx.world_size
-    ishard = cfg.i_shard(world)
-    inter = ctx.alloc(f"{tag}.inter", (cfg.m, ishard), "float16", fill=None)
-    act = ctx.alloc(f"{tag}.act", (cfg.m, ishard), "float16", fill=None)
-    ag_gemm_nonoverlap(ctx, cfg.m, ishard, cfg.h, x_name, w1_name,
-                       f"{tag}.inter", tag=f"{tag}.p1")
-    for rank in range(world):
-        silu_op(ctx, rank, inter[rank], act[rank])
-    return gemm_rs_nonoverlap(ctx, cfg.m, cfg.h, ishard, f"{tag}.act",
-                              w2_name, out_name, tag=f"{tag}.p2")
-
-
 def attention_nonoverlap(ctx: DistContext, cfg: AgAttentionConfig,
                          q_name: str, k_shards_name: str, v_shards_name: str,
                          out_name: str,
@@ -86,3 +74,12 @@ def attention_nonoverlap(ctx: DistContext, cfg: AgAttentionConfig,
             causal=cfg.causal, q_offset=rank * s_per)
         for rank in range(world)
     ]
+
+
+_ag_gemm = gemm_entry(ag_gemm_nonoverlap)
+_gemm_rs = gemm_entry(gemm_rs_nonoverlap)
+register_impl("ag_gemm", "cuBLAS+NCCL", _ag_gemm)
+register_impl("gemm_rs", "cuBLAS+NCCL", _gemm_rs)
+register_impl("mlp", "cuBLAS+NCCL", partial(
+    mlp_layer, ag_gemm=_ag_gemm, gemm_rs=_gemm_rs, tag="base.mlp"))
+register_impl("attention", "Torch", attention_nonoverlap)

@@ -12,6 +12,8 @@ overlap (NCCL collectives run first/last on the same stream):
 
 All tiers consume the shared :class:`repro.kernels.moe_common.MoeRouting`
 bundle, so they solve the identical routed problem as TileLink's kernels.
+The tiers are the "cuBLAS+NCCL", "CUTLASS+NCCL" and "vLLM-Op" MoE table
+entries (:mod:`repro.registry`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.kernels.moe_layer import MoeConfig
 from repro.ops.activation import silu_op
 from repro.ops.group_gemm import fused_group_gemm_op, per_expert_gemm_op
 from repro.ops.topk import topk_reduce_op
+from repro.registry import register_impl
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 
@@ -63,7 +66,6 @@ def moe_part1_baseline(ctx: DistContext, cfg: MoeConfig,
     """
     _check_impl(impl)
     world = ctx.world_size
-    ishard = cfg.i_shard(world)
     gathered = f"{tag}.{impl}.gathered"
     ctx.alloc(gathered, (cfg.m, cfg.h), "float16", fill=None)
     nccl = NcclCollectives(ctx)
@@ -136,3 +138,27 @@ def moe_layer_baseline(ctx: DistContext, cfg: MoeConfig,
         silu_op(ctx, rank, grouped[rank], act[rank])
     return moe_part2_baseline(ctx, cfg, routing, impl, f"{tag}.{impl}.act",
                               w2_name, out_name, tag=f"{tag}.p2")
+
+
+def _entry(launch, impl: str, roles: tuple):
+    """``launch``'s table entry for tier ``impl``: it allocates the operands
+    ``roles`` names, as (E, h, i/world) / (E, i/world, h) stacks or slots."""
+    def entry(ctx: DistContext, cfg: MoeConfig, routing, *names, **kw):
+        routed, d = routing(cfg.block_m), cfg.i_shard(ctx.world_size)
+        shapes = {"w1": (cfg.n_experts, cfg.h, d),
+                  "w2": (cfg.n_experts, d, cfg.h),
+                  "g": (len(routed.sorted_token_ids), d)}
+        for role, name in zip(roles, names):
+            if role:
+                ctx.alloc(name, shapes[role], "float16", fill=None)
+        return launch(ctx, cfg, routed, impl, *names, **kw)
+    return entry
+
+
+for _impl, _method in zip(IMPLS, ("cuBLAS+NCCL", "CUTLASS+NCCL", "vLLM-Op")):
+    register_impl("ag_moe", _method,
+                  _entry(moe_part1_baseline, _impl, (None, "w1", "g")))
+    register_impl("moe_rs", _method,
+                  _entry(moe_part2_baseline, _impl, ("g", "w2", None)))
+    register_impl("moe_layer", _method, _entry(
+        moe_layer_baseline, _impl, (None, "w1", "w2", None)))

@@ -2,42 +2,26 @@
 
 Each driver returns plain dicts of simulated times, so the benchmark
 files (``benchmarks/``), the examples and the tests share one source of
-truth.
+truth.  The figure tables' ``*_builders`` are one factory over the
+implementation table (:mod:`repro.registry`): each maps every method
+that registered the figure's op slot, in column order, to a
+fresh-context builder.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
-from repro.baselines import decompose, flux, nonoverlap, vllm_moe
 from repro.bench.harness import DEFAULT_WORLD, run_builder
 from repro.config import H800, HardwareSpec
 from repro.errors import RegistryError
-from repro.kernels.ag_gemm import (
-    AgGemmConfig,
-    ag_gemm_overlapped,
-    ag_gemm_tune_task,
-)
-from repro.kernels.ag_moe import (
-    AgMoeConfig,
-    ag_moe_overlapped,
-    ag_moe_tune_task,
-)
-from repro.kernels.attention import (
-    AgAttentionConfig,
-    ag_attention_overlapped,
-    ag_attention_tune_task,
-)
-from repro.kernels.gemm_rs import (
-    GemmRsConfig,
-    gemm_rs_overlapped,
-    gemm_rs_tune_task,
-)
-from repro.kernels.mlp import MlpConfig, mlp_layer_tilelink
+from repro.kernels.ag_gemm import AgGemmConfig
+from repro.kernels.attention import AgAttentionConfig
+from repro.kernels.gemm_rs import GemmRsConfig
+from repro.kernels.mlp import MlpConfig
 from repro.kernels.moe_common import build_moe_routing, random_router_logits
-from repro.kernels.moe_layer import MoeConfig, moe_layer_tilelink
-from repro.kernels.moe_rs import MoeRsConfig, moe_rs_overlapped, moe_rs_tune_task
-from repro.kernels.ring_attention import ring_attention
+from repro.kernels.moe_layer import MoeConfig
 from repro.models.configs import (
     ATTENTION_BENCHES,
     MLP_BENCHES,
@@ -47,201 +31,97 @@ from repro.models.configs import (
     MoeShape,
 )
 from repro.ops.attention import flash_attention_op
-from repro.registry import families, get_family
+from repro.registry import families, get_family, get_impl, launches
 from repro.runtime.context import DistContext
 from repro.tuner.cache import TuneCache
-from repro.tuner.search import TuneTask, task_cache_key, tune
-from repro.tuner.warm import resolve_warm_cache, warm_tuned_config
+from repro.tuner.search import TuneTask, tune
+from repro.tuner.warm import resolve_warm_cache, tuned_config
+
+Builder = Callable[[DistContext], None]
+F16, F32 = "float16", "float32"
 
 
 # ---------------------------------------------------------------------------
-# Shipped warm cache: makes the tuned columns the default, for free
+# Figure tables (Table 2, Figures 8-10): one factory over the method table
 # ---------------------------------------------------------------------------
-# ``benchmarks/refresh_warm_cache.py`` sweeps the Figure-8 MLP, Table-4
-# MoE and Figure-10 attention shape tables offline and checks the
-# resulting cache file into the repo.  When that file resolves, the
-# ``*_builders`` below (``tuned=None`` by default, which only looks the
-# winner up) add the TileLink-tuned column to the Figure-8/9/10 tables
-# with *zero* simulation at bench time, because every lookup is a warm
-# hit.  A builder whose task key is missing (changed space, foreign spec,
-# deleted file) silently keeps the untuned column set.
-#
-# The file location and the hit-or-None resolution step live in
-# :mod:`repro.tuner.warm` (the end-to-end runner's
-# ``method="tilelink-tuned"`` shares them).
+# The TileLink-tuned column launches TileLink's entry on its config as
+# :func:`repro.tuner.warm.tuned_config` resolves it.  ``tuned=None`` (the
+# default) only looks winners up: the column appears when a cache
+# (``tune_cache``, else the shipped warm cache over the Figure-8, Table-4
+# and Figure-10 tables) holds one for the builder's ``world`` on H800, and
+# each launch looks up its own world and spec, keeping the paper config
+# on a miss.  ``tuned=True`` tunes on a miss, through ``tune_cache`` or
+# the default persistent cache.
+
+def _table(slot: str, cfg, operands: Callable[[DistContext], list],
+           world: int, tuned: bool | None = False,
+           tune_cache: TuneCache | None = None,
+           max_trials: int | None = None) -> dict[str, Builder]:
+    """``slot``'s columns, each launching on ``cfg`` after
+    ``operands(ctx)`` allocated and returned the launch's arguments."""
+    resolve = None
+    if tuned is None:
+        cache = tune_cache if tune_cache is not None else resolve_warm_cache()
+        resolve = partial(tuned_config, cache=cache, max_trials=max_trials)
+        if resolve(get_impl(slot, "TileLink").retune, cfg, world=world,
+                   spec=H800) is None:
+            resolve = None
+    elif tuned:
+        resolve = partial(tuned_config, cache=tune_cache, search=True,
+                          max_trials=max_trials)
+
+    def column(launch: Callable) -> Builder:
+        return lambda ctx: launch(ctx, cfg, *operands(ctx))
+
+    return {method: column(launch)
+            for method, launch in launches(slot, resolve).items()}
 
 
-def _tuned_column(tuned: bool | None, tune_cache: TuneCache | None,
-                  make_task: Callable[[int, HardwareSpec], TuneTask],
-                  world: int, max_trials: int | None = None,
-                  ) -> Callable[[DistContext], object] | None:
-    """Resolve a builder's ``tuned`` flag into its TileLink-tuned column.
-
-    Returns ``None`` when the column is off, else ``config(ctx)``: the
-    tuned config for the launch's runtime world and spec, where
-    ``make_task(world, spec)`` builds the family's tune task.
-
-    ``tuned=None`` (auto) turns the column on exactly when a cache (an
-    explicit ``tune_cache``, else the shipped warm cache) already holds
-    the task's entry for the builder's ``world`` and H800 — enabling it
-    costs one key lookup, never a simulation.  The closure then launches
-    against the *runtime* ``ctx.world_size``/spec; if those diverged,
-    the key misses and ``config`` returns ``None`` (callers fall back to
-    the paper config) instead of running a search inside the timed
-    bench.  ``tuned=True`` tunes on a miss, through ``tune_cache`` or the
-    default persistent cache.
-    """
-    auto = tuned is None
-    cache = tune_cache
-    if auto:
-        cache = cache if cache is not None else resolve_warm_cache()
-        if cache is None or task_cache_key(
-                make_task(world, H800), world=world, spec=H800,
-                max_trials=max_trials) not in cache:
-            return None
-    elif not tuned:
-        return None
-
-    def config(ctx: DistContext):
-        spec = ctx.machine.config.spec
-        task = make_task(ctx.world_size, spec)
-        if auto:
-            return warm_tuned_config(cache, task, world=ctx.world_size,
-                                     spec=spec, max_trials=max_trials)
-        return tune(task, world=ctx.world_size, spec=spec,
-                    cache=cache if cache is not None else TuneCache(),
-                    max_trials=max_trials).best_config
-
-    return config
+def _alloc(ctx: DistContext, *operands) -> list[str]:
+    """Allocate each ``(name, shape, dtype)``; return the names."""
+    for op in operands:
+        ctx.alloc(*op, fill=None)
+    return [op[0] for op in operands]
 
 
-# ---------------------------------------------------------------------------
-# MLP parts (Table 2, Figure 8)
-# ---------------------------------------------------------------------------
-
-def _alloc_ag(ctx: DistContext, m: int, n: int, k: int) -> None:
-    world = ctx.world_size
-    ctx.alloc("x", (m // world, k), "float16", fill=None)
-    ctx.alloc("w", (k, n), "float16", fill=None)
-    ctx.alloc("y", (m, n), "float16", fill=None)
-
-
-def _alloc_rs(ctx: DistContext, m: int, n: int, k: int) -> None:
-    world = ctx.world_size
-    ctx.alloc("x", (m, k), "float16", fill=None)
-    ctx.alloc("w", (k, n), "float16", fill=None)
-    ctx.alloc("y", (m // world, n), "float32", fill=None)
+def _routing(shape: MoeShape, world: int) -> Callable:
+    """The Table-4 router's assignment (seed 17) at a given row tile."""
+    logits = random_router_logits(shape.s, shape.e, seed=17)
+    return lambda block_m: build_moe_routing(
+        logits, shape.s // world, world, shape.topk, block_m=block_m)
 
 
 def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
-                     ) -> dict[str, Callable[[DistContext], None]]:
-    m, k = shape.s, shape.h
-    n = shape.i // world
-    tuned_config = _tuned_column(
-        tuned, tune_cache,
-        lambda w, spec: ag_gemm_tune_task(m, n, k, world=w, spec=spec),
-        world, tune_max_trials)
-
-    def non(ctx: DistContext) -> None:
-        _alloc_ag(ctx, m, n, k)
-        nonoverlap.ag_gemm_nonoverlap(ctx, m, n, k, "x", "w", "y")
-
-    def dec(ctx: DistContext) -> None:
-        _alloc_ag(ctx, m, n, k)
-        decompose.ag_gemm_decomposed(ctx, m, n, k, "x", "w", "y")
-
-    def flx(ctx: DistContext) -> None:
-        _alloc_ag(ctx, m, n, k)
-        flux.ag_gemm_flux(ctx, m, n, k, "x", "w", "y")
-
-    def tl(ctx: DistContext) -> None:
-        _alloc_ag(ctx, m, n, k)
-        cfg = AgGemmConfig(m=m, n=n, k=k, mode="dma")
-        ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
-
-    out = {"cuBLAS+NCCL": non, "Async-TP": dec, "FLUX": flx, "TileLink": tl}
-    if tuned_config:
-        def tl_tuned(ctx: DistContext) -> None:
-            _alloc_ag(ctx, m, n, k)
-            cfg = tuned_config(ctx) or AgGemmConfig(m=m, n=n, k=k, mode="dma")
-            ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
-
-        out["TileLink-tuned"] = tl_tuned
-    return out
+                     ) -> dict[str, Builder]:
+    c = AgGemmConfig(m=shape.s, n=shape.i // world, k=shape.h)
+    return _table("ag_gemm", c, lambda ctx: _alloc(
+        ctx, ("x", (c.m // ctx.world_size, c.k), F16), ("w", (c.k, c.n), F16),
+        ("y", (c.m, c.n), F16)), world, tuned, tune_cache, tune_max_trials)
 
 
 def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
-                     ) -> dict[str, Callable[[DistContext], None]]:
-    m, n = shape.s, shape.h
-    k = shape.i // world
-    tuned_config = _tuned_column(
-        tuned, tune_cache,
-        lambda w, spec: gemm_rs_tune_task(m, n, k, world=w, spec=spec),
-        world, tune_max_trials)
-
-    def non(ctx: DistContext) -> None:
-        _alloc_rs(ctx, m, n, k)
-        nonoverlap.gemm_rs_nonoverlap(ctx, m, n, k, "x", "w", "y")
-
-    def dec(ctx: DistContext) -> None:
-        _alloc_rs(ctx, m, n, k)
-        decompose.gemm_rs_decomposed(ctx, m, n, k, "x", "w", "y")
-
-    def flx(ctx: DistContext) -> None:
-        _alloc_rs(ctx, m, n, k)
-        flux.gemm_rs_flux(ctx, m, n, k, "x", "w", "y")
-
-    def tl(ctx: DistContext) -> None:
-        _alloc_rs(ctx, m, n, k)
-        cfg = GemmRsConfig(m=m, n=n, k=k, mode="hybrid")
-        gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-    out = {"cuBLAS+NCCL": non, "Async-TP": dec, "FLUX": flx, "TileLink": tl}
-    if tuned_config:
-        def tl_tuned(ctx: DistContext) -> None:
-            _alloc_rs(ctx, m, n, k)
-            cfg = tuned_config(ctx) \
-                or GemmRsConfig(m=m, n=n, k=k, mode="hybrid")
-            gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-        out["TileLink-tuned"] = tl_tuned
-    return out
+                     ) -> dict[str, Builder]:
+    c = GemmRsConfig(m=shape.s, n=shape.h, k=shape.i // world)
+    return _table("gemm_rs", c, lambda ctx: _alloc(
+        ctx, ("x", (c.m, c.k), F16), ("w", (c.k, c.n), F16),
+        ("y", (c.m // ctx.world_size, c.n), F32)),
+        world, tuned, tune_cache, tune_max_trials)
 
 
 def mlp_builders(shape: MlpShape, world: int = DEFAULT_WORLD
-                 ) -> dict[str, Callable[[DistContext], None]]:
-    cfg = MlpConfig(m=shape.s, h=shape.h, i=shape.i)
-
-    def _alloc(ctx: DistContext) -> None:
-        ishard = cfg.i_shard(ctx.world_size)
-        ctx.alloc("x", (cfg.m // ctx.world_size, cfg.h), "float16", fill=None)
-        ctx.alloc("w1", (cfg.h, ishard), "float16", fill=None)
-        ctx.alloc("w2", (ishard, cfg.h), "float16", fill=None)
-        ctx.alloc("y", (cfg.m // ctx.world_size, cfg.h), "float32", fill=None)
-
-    def non(ctx: DistContext) -> None:
-        _alloc(ctx)
-        nonoverlap.mlp_nonoverlap(ctx, cfg, "x", "w1", "w2", "y")
-
-    def dec(ctx: DistContext) -> None:
-        _alloc(ctx)
-        decompose.mlp_decomposed(ctx, cfg, "x", "w1", "w2", "y")
-
-    def flx(ctx: DistContext) -> None:
-        _alloc(ctx)
-        flux.mlp_flux(ctx, cfg, "x", "w1", "w2", "y")
-
-    def tl(ctx: DistContext) -> None:
-        _alloc(ctx)
-        mlp_layer_tilelink(ctx, cfg, "x", "w1", "w2", "y")
-
-    return {"cuBLAS+NCCL": non, "Async-TP": dec, "FLUX": flx, "TileLink": tl}
+                 ) -> dict[str, Builder]:
+    c = MlpConfig(m=shape.s, h=shape.h, i=shape.i)
+    return _table("mlp", c, lambda ctx: _alloc(
+        ctx, ("x", (c.m // ctx.world_size, c.h), F16),
+        ("w1", (c.h, c.i_shard(ctx.world_size)), F16),
+        ("w2", (c.i_shard(ctx.world_size), c.h), F16),
+        ("y", (c.m // ctx.world_size, c.h), F32)), world)
 
 
 def run_method_times(builders: dict[str, Callable[[DistContext], None]],
@@ -370,196 +250,58 @@ def registry_sweep_tasks(world: int = DEFAULT_WORLD, *,
 
 
 # ---------------------------------------------------------------------------
-# MoE parts (Figure 9)
+# MoE parts and layer (Figure 9) and attention (Figure 10)
 # ---------------------------------------------------------------------------
 
-def _moe_setup(ctx: DistContext, shape: MoeShape, block_m: int = 128):
-    world = ctx.world_size
-    cfg = MoeConfig(m=shape.s, h=shape.h, i=shape.i, n_experts=shape.e,
-                    topk=shape.topk, block_m=block_m)
-    logits = random_router_logits(shape.s, shape.e, seed=17)
-    routing = build_moe_routing(logits, shape.s // world, world, shape.topk,
-                                block_m=block_m)
-    return cfg, routing
+def _moe(shape: MoeShape) -> MoeConfig:
+    return MoeConfig(m=shape.s, h=shape.h, i=shape.i, n_experts=shape.e,
+                     topk=shape.topk)
 
 
 def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Callable[[DistContext], None]]:
-    tuned_config = _tuned_column(
-        tuned, tune_cache,
-        lambda w, spec: ag_moe_tune_task(shape.s, shape.h, shape.i // w,
-                                         shape.e, shape.topk, world=w,
-                                         spec=spec),
-        world, tune_max_trials)
-
-    def make(impl: str) -> Callable[[DistContext], None]:
-        def build(ctx: DistContext) -> None:
-            p1 = None
-            block_m = 128
-            if impl == "tilelink-tuned":
-                # resolve the tuned config first: the routing granularity
-                # must follow the tuned row tile
-                p1 = tuned_config(ctx)
-                if p1 is not None:
-                    block_m = p1.block_m
-            cfg, routing = _moe_setup(ctx, shape, block_m=block_m)
-            ishard = cfg.i_shard(ctx.world_size)
-            ctx.alloc("x", (cfg.m // ctx.world_size, cfg.h), "float16",
-                      fill=None)
-            if impl in ("tilelink", "tilelink-tuned"):
-                ctx.alloc("w1", (cfg.n_experts * cfg.h, ishard), "float16",
-                          fill=None)
-                ctx.alloc("g", (routing.padded_rows, ishard), "float16",
-                          fill=None)
-                if p1 is None:
-                    p1 = AgMoeConfig(m=cfg.m, h=cfg.h, d=ishard,
-                                     n_experts=cfg.n_experts, topk=cfg.topk,
-                                     block_m=cfg.block_m)
-                ag_moe_overlapped(ctx, p1, routing, "x", "w1", "g")
-            else:
-                ctx.alloc("w1", (cfg.n_experts, cfg.h, ishard), "float16",
-                          fill=None)
-                ctx.alloc("g", (len(routing.sorted_token_ids), ishard),
-                          "float16", fill=None)
-                vllm_moe.moe_part1_baseline(ctx, cfg, routing, impl, "x",
-                                            "w1", "g")
-        return build
-
-    out = {"cuBLAS+NCCL": make("cublas"), "CUTLASS+NCCL": make("cutlass"),
-           "vLLM-Op": make("vllm"), "TileLink": make("tilelink")}
-    if tuned_config:
-        out["TileLink-tuned"] = make("tilelink-tuned")
-    return out
+                       ) -> dict[str, Builder]:
+    return _table("ag_moe", _moe(shape), lambda ctx: [
+        _routing(shape, ctx.world_size),
+        *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
+        "w1", "g"], world, tuned, tune_cache, tune_max_trials)
 
 
 def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Callable[[DistContext], None]]:
-    tuned_config = _tuned_column(
-        tuned, tune_cache,
-        lambda w, spec: moe_rs_tune_task(shape.s, shape.h, shape.i // w,
-                                         shape.e, shape.topk, world=w,
-                                         spec=spec),
-        world, tune_max_trials)
-
-    def make(impl: str) -> Callable[[DistContext], None]:
-        def build(ctx: DistContext) -> None:
-            p2 = None
-            block_m = 128
-            if impl == "tilelink-tuned":
-                p2 = tuned_config(ctx)
-                if p2 is not None:
-                    block_m = p2.block_m
-            cfg, routing = _moe_setup(ctx, shape, block_m=block_m)
-            ishard = cfg.i_shard(ctx.world_size)
-            ctx.alloc("y", (cfg.m // ctx.world_size, cfg.h), "float32",
-                      fill=None)
-            if impl in ("tilelink", "tilelink-tuned"):
-                ctx.alloc("g", (routing.padded_rows, ishard), "float16",
-                          fill=None)
-                ctx.alloc("w2", (cfg.n_experts * ishard, cfg.h), "float16",
-                          fill=None)
-                if p2 is None:
-                    p2 = MoeRsConfig(m=cfg.m, h=cfg.h, d=ishard,
-                                     block_m=cfg.block_m)
-                moe_rs_overlapped(ctx, p2, routing, "g", "w2", "y")
-            else:
-                ctx.alloc("g", (len(routing.sorted_token_ids), ishard),
-                          "float16", fill=None)
-                ctx.alloc("w2", (cfg.n_experts, ishard, cfg.h), "float16",
-                          fill=None)
-                vllm_moe.moe_part2_baseline(ctx, cfg, routing, impl, "g",
-                                            "w2", "y")
-        return build
-
-    out = {"cuBLAS+NCCL": make("cublas"), "CUTLASS+NCCL": make("cutlass"),
-           "vLLM-Op": make("vllm"), "TileLink": make("tilelink")}
-    if tuned_config:
-        out["TileLink-tuned"] = make("tilelink-tuned")
-    return out
+                       ) -> dict[str, Builder]:
+    return _table("moe_rs", _moe(shape), lambda ctx: [
+        _routing(shape, ctx.world_size), "g", "w2",
+        *_alloc(ctx, ("y", (shape.s // ctx.world_size, shape.h), F32))],
+        world, tuned, tune_cache, tune_max_trials)
 
 
 def moe_layer_builders(shape: MoeShape, world: int = DEFAULT_WORLD
-                       ) -> dict[str, Callable[[DistContext], None]]:
-    def make(impl: str) -> Callable[[DistContext], None]:
-        def build(ctx: DistContext) -> None:
-            cfg, routing = _moe_setup(ctx, shape)
-            ishard = cfg.i_shard(ctx.world_size)
-            ctx.alloc("x", (cfg.m // ctx.world_size, cfg.h), "float16",
-                      fill=None)
-            ctx.alloc("y", (cfg.m // ctx.world_size, cfg.h), "float32",
-                      fill=None)
-            if impl == "tilelink":
-                ctx.alloc("w1", (cfg.n_experts * cfg.h, ishard), "float16",
-                          fill=None)
-                ctx.alloc("w2", (cfg.n_experts * ishard, cfg.h), "float16",
-                          fill=None)
-                moe_layer_tilelink(ctx, cfg, routing, "x", "w1", "w2", "y")
-            else:
-                ctx.alloc("w1", (cfg.n_experts, cfg.h, ishard), "float16",
-                          fill=None)
-                ctx.alloc("w2", (cfg.n_experts, ishard, cfg.h), "float16",
-                          fill=None)
-                vllm_moe.moe_layer_baseline(ctx, cfg, routing, impl, "x",
-                                            "w1", "w2", "y")
-        return build
+                       ) -> dict[str, Builder]:
+    return _table("moe_layer", _moe(shape), lambda ctx: [
+        _routing(shape, ctx.world_size),
+        *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
+        "w1", "w2",
+        *_alloc(ctx, ("y", (shape.s // ctx.world_size, shape.h), F32))],
+        world)
 
-    return {"cuBLAS+NCCL": make("cublas"), "CUTLASS+NCCL": make("cutlass"),
-            "vLLM-Op": make("vllm"), "TileLink": make("tilelink")}
-
-
-# ---------------------------------------------------------------------------
-# Attention (Figure 10)
-# ---------------------------------------------------------------------------
 
 def attention_builders(shape: AttnShape, seq_len: int,
                        world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Callable[[DistContext], None]]:
-    cfg = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
-                            seq_len=seq_len, causal=True)
-    tuned_config = _tuned_column(
-        tuned, tune_cache,
-        lambda w, spec: ag_attention_tune_task(
-            shape.heads, shape.head_dim, seq_len, causal=True, world=w,
-            spec=spec),
-        world, tune_max_trials)
-
-    def _alloc(ctx: DistContext) -> None:
-        s_per = cfg.seq_len // ctx.world_size
-        for name in ("q", "k", "v"):
-            ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
-        ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
-
-    def torch_build(ctx: DistContext) -> None:
-        _alloc(ctx)
-        nonoverlap.attention_nonoverlap(ctx, cfg, "q", "k", "v", "o")
-
-    def ring_build(ctx: DistContext) -> None:
-        _alloc(ctx)
-        ring_attention(ctx, cfg, "q", "k", "v", "o")
-
-    def tl_build(ctx: DistContext) -> None:
-        _alloc(ctx)
-        ag_attention_overlapped(ctx, cfg, "q", "k", "v", "o")
-
-    out = {"Torch": torch_build, "RingAttn": ring_build,
-           "TileLink": tl_build}
-    if tuned_config:
-        def tl_tuned(ctx: DistContext) -> None:
-            _alloc(ctx)
-            tcfg = tuned_config(ctx) or cfg
-            ag_attention_overlapped(ctx, tcfg, "q", "k", "v", "o")
-
-        out["TileLink-tuned"] = tl_tuned
-    return out
+                       ) -> dict[str, Builder]:
+    c = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
+                          seq_len=seq_len, causal=True)
+    return _table("attention", c, lambda ctx: _alloc(ctx, *(
+        (name, (seq_len // ctx.world_size, c.width), F32 if name == "o"
+         else F16) for name in "qkvo")), world, tuned, tune_cache,
+        tune_max_trials)
 
 
 def attention_overlap_ratio(shape: AttnShape, seq_len: int,
@@ -588,13 +330,8 @@ def attention_overlap_ratio(shape: AttnShape, seq_len: int,
                 ctx.heap.tensor("o", rank), cfg.heads, cfg.head_dim,
                 causal=True, q_offset=rank * s_per)
 
-    def overlapped(ctx: DistContext) -> None:
-        for name in ("q", "k", "v"):
-            ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
-        ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
-        ag_attention_overlapped(ctx, cfg, "q", "k", "v", "o")
-
     t_comm = run_builder(comm_only, world=world)
     t_comp = run_builder(comp_only, world=world)
-    t_over = run_builder(overlapped, world=world)
+    t_over = run_builder(attention_builders(shape, seq_len, world, tuned=False)
+                         ["TileLink"], world=world)
     return (t_comp + t_comm - t_over) / t_comm

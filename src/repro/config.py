@@ -1,6 +1,6 @@
 """Hardware and simulation configuration.
 
-The reproduction runs on a *simulated* multi-GPU node (see DESIGN.md §2).
+The reproduction runs on a *simulated* multi-GPU node (:mod:`repro.sim`).
 :class:`HardwareSpec` holds the calibrated constants of one device and the
 interconnect; :class:`SimConfig` holds knobs of a single simulation run.
 

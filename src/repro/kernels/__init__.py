@@ -24,7 +24,7 @@ from repro.kernels.moe_common import MoeRouting, build_moe_routing, random_route
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_overlapped
 from repro.kernels.attention import AgAttentionConfig, ag_attention_overlapped
 from repro.kernels.ring_attention import ring_attention
-from repro.kernels.mlp import MlpConfig, mlp_layer_tilelink
+from repro.kernels.mlp import MlpConfig, mlp_layer
 from repro.kernels.moe_layer import MoeConfig, moe_layer_tilelink
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "ag_moe_overlapped",
     "build_moe_routing",
     "gemm_rs_overlapped",
-    "mlp_layer_tilelink",
+    "mlp_layer",
     "moe_layer_tilelink",
     "moe_rs_overlapped",
     "random_router_logits",

@@ -336,4 +336,7 @@ register_family(
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_cached=True,
+    slot="ag_gemm",
+    launch=ag_gemm_overlapped,
+    retune=lambda cfg, **kw: ag_gemm_tune_task(cfg.m, cfg.n, cfg.k, **kw),
 )

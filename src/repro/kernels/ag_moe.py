@@ -245,6 +245,19 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
     return [(f"{shape.name}/ag_moe", task)]
 
 
+def _launch(ctx: DistContext, cfg, routing, x_name: str, w_name: str,
+            out_name: str, *, tag: str = "ag_moe") -> list[Process]:
+    """The ``ag_moe`` table entry on the layer's ``MoeConfig``: flattened
+    (E*h x i/world) experts and ``padded_rows`` grouped rows."""
+    d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
+    ctx.alloc(w_name, (cfg.n_experts * cfg.h, d), "float16", fill=None)
+    ctx.alloc(out_name, (routed.padded_rows, d), "float16", fill=None)
+    return ag_moe_overlapped(ctx, AgMoeConfig(
+        m=cfg.m, h=cfg.h, d=d, n_experts=cfg.n_experts, topk=cfg.topk,
+        block_m=cfg.block_m, block_n=cfg.block_n, block_k=cfg.block_k),
+        routed, x_name, w_name, out_name, tag=tag)
+
+
 register_family(
     name="ag_moe",
     doc="AllGather + MoE GroupGEMM (expert-parallel MoE part 1)",
@@ -254,4 +267,9 @@ register_family(
     sweep_category="moe",
     sweep_entries=_sweep_entries,
     warm_cached=True,
+    slot="ag_moe",
+    launch=_launch,
+    retune=lambda cfg, *, world, spec: ag_moe_tune_task(
+        cfg.m, cfg.h, cfg.i // world, cfg.n_experts, cfg.topk, world=world,
+        spec=spec),
 )

@@ -280,4 +280,8 @@ register_family(
     sweep_category="attention",
     sweep_entries=attention_sweep_entries(ag_attention_tune_task),
     warm_cached=True,
+    slot="attention",
+    launch=ag_attention_overlapped,
+    retune=lambda cfg, **kw: ag_attention_tune_task(
+        cfg.heads, cfg.head_dim, cfg.seq_len, causal=cfg.causal, **kw),
 )

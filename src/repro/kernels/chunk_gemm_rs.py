@@ -31,8 +31,9 @@ Synchronization is fully tile-centric and statically analyzable:
 
 This family is also the registry's proof artifact: it is registered *only*
 from this module via :func:`repro.registry.register_family`, yet shows up
-in ``repro.analyze --all``, the tuner sweeps and the serving ``method``
-axis ("tilelink-chunk") with zero edits elsewhere.
+in ``repro.analyze --all``, the tuner sweeps, the Figure-8 GEMM+RS table
+("TileLink-chunk") and the layer and serving ``method`` axis
+("tilelink-chunk") with zero edits elsewhere.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.lang.dsl import kernel
 from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid, ceil_div
 from repro.config import H800, HardwareSpec
-from repro.registry import ServeMethod, register_family
+from repro.registry import register_family
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
@@ -338,14 +339,16 @@ def chunk_gemm_rs_overlapped(
 
 
 # ---------------------------------------------------------------------------
-# Serving method: swap the RS op of the transformer layer for this kernel
+# The "TileLink-chunk" method: this kernel in the GEMM+RS slot
 # ---------------------------------------------------------------------------
 
-def _serve_gemm_rs(ctx: DistContext, m: int, n: int, k: int, x_name: str,
-                   w_name: str, out_name: str, *, tag: str,
-                   warm=None) -> None:
-    cfg = _default_chunk_config(m, n, k, ctx.world_size)
-    chunk_gemm_rs_overlapped(ctx, cfg, x_name, w_name, out_name, tag=tag)
+def _launch(ctx: DistContext, cfg, x_name: str, w_name: str, out_name: str,
+            *, tag: str = "chunk_rs") -> list[Process]:
+    """The ``gemm_rs`` table entry: ``cfg``'s shape (a ``GemmRsConfig``)
+    at the untuned chunk config, whatever tiles the caller chose."""
+    chunk = _default_chunk_config(cfg.m, cfg.n, cfg.k, ctx.world_size)
+    return chunk_gemm_rs_overlapped(ctx, chunk, x_name, w_name, out_name,
+                                    tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +390,8 @@ register_family(
     analyze_plans=_analyze_plans,
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
-    serve_method=ServeMethod(name="tilelink-chunk", base="tilelink",
-                             op_overrides={"gemm_rs": _serve_gemm_rs}),
+    slot="gemm_rs",
+    launch=_launch,
+    method="TileLink-chunk",
+    serve="tilelink-chunk",
 )

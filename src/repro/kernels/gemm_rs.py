@@ -395,4 +395,7 @@ register_family(
     sweep_category="mlp",
     sweep_entries=_sweep_entries,
     warm_cached=True,
+    slot="gemm_rs",
+    launch=gemm_rs_overlapped,
+    retune=lambda cfg, **kw: gemm_rs_tune_task(cfg.m, cfg.n, cfg.k, **kw),
 )

@@ -15,6 +15,7 @@ from repro.kernels.ag_moe import AgMoeConfig, ag_moe_overlapped
 from repro.kernels.moe_common import MoeRouting
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_overlapped
 from repro.ops.activation import silu_op
+from repro.registry import register_impl
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 
@@ -81,3 +82,17 @@ def moe_layer_tilelink(
                      block_mr=cfg.block_mr, block_nr=cfg.block_nr)
     return moe_rs_overlapped(ctx, p2, routing, f"{tag}.act", w2_name,
                              out_name, tag=f"{tag}.p2")
+
+
+
+def _launch(ctx: DistContext, cfg: MoeConfig, routing, x_name: str,
+            w1_name: str, w2_name: str, out_name: str, *, tag: str = "moe"):
+    """The ``moe_layer`` table entry: flattened expert stacks."""
+    d = cfg.i_shard(ctx.world_size)
+    ctx.alloc(w1_name, (cfg.n_experts * cfg.h, d), "float16", fill=None)
+    ctx.alloc(w2_name, (cfg.n_experts * d, cfg.h), "float16", fill=None)
+    return moe_layer_tilelink(ctx, cfg, routing(cfg.block_m), x_name,
+                              w1_name, w2_name, out_name, tag=tag)
+
+
+register_impl("moe_layer", "TileLink", _launch)

@@ -294,6 +294,19 @@ def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
     return [(f"{shape.name}/moe_rs", task)]
 
 
+def _launch(ctx: DistContext, cfg, routing, g_name: str, w_name: str,
+            out_name: str, *, tag: str = "moe_rs") -> list[Process]:
+    """The ``moe_rs`` table entry on the layer's ``MoeConfig``:
+    ``padded_rows`` grouped rows and flattened (E*(i/world) x h) experts."""
+    d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
+    ctx.alloc(g_name, (routed.padded_rows, d), "float16", fill=None)
+    ctx.alloc(w_name, (cfg.n_experts * d, cfg.h), "float16", fill=None)
+    return moe_rs_overlapped(ctx, MoeRsConfig(
+        m=cfg.m, h=cfg.h, d=d, block_m=cfg.block_m, block_n=cfg.block_n,
+        block_k=cfg.block_k, block_mr=cfg.block_mr, block_nr=cfg.block_nr),
+        routed, g_name, w_name, out_name, tag=tag)
+
+
 register_family(
     name="moe_rs",
     doc="GroupGEMM + Scatter + TopkReduce + ReduceScatter (MoE part 2)",
@@ -303,4 +316,9 @@ register_family(
     sweep_category="moe",
     sweep_entries=_sweep_entries,
     warm_cached=True,
+    slot="moe_rs",
+    launch=_launch,
+    retune=lambda cfg, *, world, spec: moe_rs_tune_task(
+        cfg.m, cfg.h, cfg.i // world, cfg.n_experts, cfg.topk, world=world,
+        spec=spec),
 )

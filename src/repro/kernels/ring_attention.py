@@ -135,4 +135,7 @@ register_family(
     tile_ir=False,
     sweep_category="attention",
     sweep_entries=attention_sweep_entries(ring_attention_tune_task),
+    slot="attention",
+    launch=ring_attention,
+    method="RingAttn",
 )

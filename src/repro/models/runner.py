@@ -9,14 +9,14 @@ by the serving simulator's step-latency table
 (:mod:`repro.serve.latency`, which memoises it over token-count buckets
 so the request loop never touches the discrete-event engine).
 
-``method`` is one of :data:`repro.models.transformer.METHODS`:
-``"torch"`` (cuBLAS+NCCL baselines), ``"tilelink"`` (overlapped kernels,
-paper configs) or ``"tilelink-tuned"`` (overlapped kernels with each
-op's config resolved through the shipped warm tuner cache — a pure
-lookup that falls back to the paper config on a miss and never runs a
-tuning search inside the timed build) — or any extra serving method a
-kernel family contributes through the registry
-(:func:`repro.registry.serve_method_names` lists the full axis).
+``method`` names a row of the implementation table
+(:mod:`repro.registry`; :func:`repro.registry.serve_method_names` lists
+the axis): :data:`METHODS` holds the base rows ``"torch"`` (cuBLAS+NCCL
+baselines), ``"tilelink"`` (overlapped kernels, paper configs) and
+``"tilelink-tuned"`` (each op's config resolved through the shipped warm
+tuner cache, falling back to the paper config on a miss), and a kernel
+family may add one (``"tilelink-chunk"``);
+:func:`repro.models.transformer.build_layer` builds the method's row.
 
 Multi-node (16 GPU) runs model the paper's DP-across-nodes / TP-in-node
 deployment: each node runs the same TP-8 layer, plus a per-layer
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from repro.config import HardwareSpec, SimConfig
 from repro.models.configs import ModelConfig
-from repro.models.transformer import METHODS, build_layer
+from repro.models.transformer import build_layer
+from repro.registry import BASE_SERVE_METHODS as METHODS
 from repro.runtime.context import DistContext
 
 __all__ = ["METHODS", "layer_time", "inter_node_overhead", "e2e_model_time"]

@@ -1,11 +1,7 @@
-"""Declarative kernel-family registry (the single registration point).
+"""Declarative registry: kernel families and the implementation table.
 
-Adding an overlapped kernel family used to mean hand-edits in six layers:
-``kernels/``, the tuner task lists, ``analyze/registry.py``'s plan table,
-``bench/experiments.py``'s per-family builders, the warm-cache refresh
-script and the serving ``method`` strings.  This module collapses all of
-that into one declarative :class:`KernelFamily` record and a single
-:func:`register_family` call made from the family's own module:
+One :func:`register_family` call from a kernel family's own module wires
+it into every layer that once took a hand-edit:
 
 * the static analyzer (``repro.analyze``) records ``analyze_plans``
   from the family's own launcher, checks its ``kernels`` and prints its
@@ -14,15 +10,34 @@ that into one declarative :class:`KernelFamily` record and a single
   sweep drivers and the warm-cache refresh (``sweep_entries``, over the
   ``sweep_category`` paper table when it is ``warm_cached``) tune it at
   paper shapes,
-* the serving stack resolves extra ``method`` names via ``serve_method``,
+* ``slot``/``launch`` make the family's launcher ``method``'s entry in
+  the implementation table, so a figure column and a layer method,
 * the ``--list`` manifest shows all of the above.
 
-Discovery is import-driven: :func:`discover` imports every module under
-``repro.kernels`` once, and each module registers itself at import time.
-A family that lives elsewhere (e.g. an example script) can call
-:func:`register_family` directly — consumers only ever see the registry.
+The implementation table holds the one launch of each op slot
+(:data:`SLOTS`) under each method (:data:`METHODS`, the figure columns in
+order; a family may add one), registered from its own module:
+:func:`register_family` for a kernel family, :func:`register_impl` for a
+baseline or a composed layer.  Methods with a serving name form the layer
+and serving ``method`` axis.  "TileLink-tuned" registers nothing: it runs
+TileLink's entries on retuned configs (:func:`launches`).  A slot's
+entries share one signature; the caller allocates the operands an entry
+does not, and omits ``tag`` to keep the entry's labels:
 
-Module-scope imports here are restricted to the stdlib plus
+* ``ag_gemm`` / ``gemm_rs``: ``fn(ctx, cfg, x, w, out, *, tag)``, with
+  ``cfg`` an ``AgGemmConfig`` / ``GemmRsConfig``;
+* ``mlp``: ``fn(ctx, cfg: MlpConfig, x, w1, w2, out, *, tag)``;
+* ``attention``: ``fn(ctx, cfg: AgAttentionConfig, q, k, v, o, *, tag)``;
+* ``ag_moe`` ``(x, w1, g)``, ``moe_rs`` ``(g, w2, out)``, ``moe_layer``
+  ``(x, w1, w2, out)``: ``fn(ctx, cfg: MoeConfig, routing, *names,
+  tag)``, ``routing(block_m)`` being the router's assignment at a row
+  tile; each entry allocates its expert stacks and grouped buffers,
+  whose layouts differ by method.
+
+:func:`discover` imports every module under ``repro.kernels`` and
+``repro.baselines`` once, and each registers itself at import time (a
+family elsewhere, e.g. in an example script, calls :func:`register_family`
+directly).  Module-scope imports here are restricted to the stdlib plus
 ``repro.errors`` so any layer can import the registry without cycles.
 
 CLI::
@@ -37,44 +52,57 @@ import importlib
 import json
 import pkgutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import RegistryError
 
 __all__ = [
     "BASE_SERVE_METHODS",
+    "Impl",
     "KernelFamily",
-    "ServeMethod",
+    "METHODS",
+    "SLOTS",
     "discover",
     "families",
     "get_family",
+    "gemm_entry",
+    "get_impl",
+    "launches",
     "main",
     "register_family",
-    "resolve_serve_method",
+    "register_impl",
+    "serve_method",
     "serve_method_names",
 ]
 
-#: Serving methods every model variant supports without any registration
-#: (the historical ``models.transformer.METHODS`` tuple).
-BASE_SERVE_METHODS = ("torch", "tilelink", "tilelink-tuned")
+#: the op slots of the implementation table
+SLOTS = ("ag_gemm", "gemm_rs", "ag_moe", "moe_rs", "attention", "mlp",
+         "moe_layer")
+
+#: the figure methods in column order, each with its serving name or None
+METHODS: dict[str, str | None] = {
+    "cuBLAS+NCCL": "torch", "CUTLASS+NCCL": None, "Async-TP": None,
+    "FLUX": None, "vLLM-Op": None, "Torch": None, "RingAttn": None,
+    "TileLink": "tilelink", "TileLink-tuned": "tilelink-tuned",
+}
+
+#: Serving methods every model variant supports without a family
+#: registration; the shipped latency table covers exactly these.
+BASE_SERVE_METHODS = tuple(s for s in METHODS.values() if s)
 
 
 @dataclass(frozen=True)
-class ServeMethod:
-    """An extra entry on the serving ``method`` axis.
+class Impl:
+    """One entry of the implementation table."""
 
-    ``base`` names the built-in method whose layer construction is reused;
-    ``op_overrides`` swaps individual op slots (``"ag_gemm"``/``"gemm_rs"``)
-    for the family's own launcher, with signature
-    ``fn(ctx, m, n, k, x, w, out, *, tag, warm=None)``.  Registered
-    methods stay out of the shipped latency table, which covers
-    :data:`BASE_SERVE_METHODS` only.
-    """
-
-    name: str
-    base: str = "tilelink"
-    op_overrides: dict[str, Callable[..., Any]] = field(default_factory=dict)
+    #: the launch, in its slot's signature
+    launch: Callable[..., Any]
+    #: ``retune(cfg, *, world, spec) -> TuneTask`` on the TileLink
+    #: entries that "TileLink-tuned" retunes
+    retune: Callable[..., Any] | None = None
+    #: ``module:lineno`` of the registering call
+    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -99,8 +127,8 @@ class KernelFamily:
     #: True when the shipped warm cache holds this family's winners over
     #: its whole ``sweep_category`` paper table
     warm_cached: bool = False
-    #: extra serving method contributed by this family
-    serve_method: ServeMethod | None = None
+    #: the serving method this family adds, if any
+    serve: str | None = None
     #: one-line description
     doc: str = ""
     #: ``module:lineno`` of the register_family() call (filled automatically)
@@ -108,7 +136,7 @@ class KernelFamily:
 
 
 _REGISTRY: dict[str, KernelFamily] = {}
-_SERVE_METHODS: dict[str, ServeMethod] = {}
+_IMPLS: dict[tuple[str, str], Impl] = {}
 _discovered = False
 
 #: (field, human-readable requirement) — validated before insertion so a
@@ -117,6 +145,40 @@ _REQUIRED_CALLABLES = (
     ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
 )
+
+
+def _provenance() -> str:
+    caller = sys._getframe(2)
+    return f"{caller.f_globals.get('__name__', '?')}:{caller.f_lineno}"
+
+
+def _claim(slot: str, method: str, serve: str | None = None) -> None:
+    """Refuse an unknown slot, or a pair or serving name already taken."""
+    if slot not in SLOTS:
+        raise RegistryError(f"unknown op slot {slot!r}; slots: "
+                            f"{', '.join(SLOTS)}")
+    if (slot, method) in _IMPLS:
+        raise RegistryError(f"{slot!r} under {method!r} is already registered "
+                            f"(from {_IMPLS[slot, method].provenance})")
+    if serve is not None and (method in METHODS or serve in METHODS.values()):
+        raise RegistryError(f"method {method!r} or serving method {serve!r} "
+                            f"is already registered")
+
+
+def register_impl(slot: str, method: str, launch: Callable[..., Any]) -> None:
+    """Register ``launch`` as ``method``'s ``slot`` entry (a baseline or a
+    composed layer); a pair already taken raises, naming its origin."""
+    _claim(slot, method)
+    _IMPLS[slot, method] = Impl(launch, provenance=_provenance())
+    METHODS.setdefault(method, None)
+
+
+def gemm_entry(fn: Callable[..., Any], *tiles: str) -> Callable[..., Any]:
+    """``fn(ctx, m, n, k, *names, **kw)`` as an ``ag_gemm``/``gemm_rs``
+    entry, passing the config's ``tiles`` fields by keyword."""
+    return lambda ctx, cfg, *names, **kw: fn(
+        ctx, cfg.m, cfg.n, cfg.k, *names,
+        **{tile: getattr(cfg, tile) for tile in tiles}, **kw)
 
 
 def register_family(
@@ -129,13 +191,20 @@ def register_family(
     sweep_category: str | None = None,
     sweep_entries: Callable | None = None,
     warm_cached: bool = False,
-    serve_method: ServeMethod | None = None,
+    slot: str | None = None,
+    launch: Callable | None = None,
+    retune: Callable | None = None,
+    method: str = "TileLink",
+    serve: str | None = None,
     doc: str = "",
 ) -> KernelFamily:
     """Validate and insert one :class:`KernelFamily`.
 
-    Raises :class:`~repro.errors.RegistryError` naming the missing piece
-    when the record is incomplete; nothing is inserted on failure.
+    With ``slot``, ``launch`` becomes ``method``'s entry for that slot
+    (``retune`` lets "TileLink-tuned" retune it), and a new ``method`` may
+    take a ``serve`` name.  Raises :class:`~repro.errors.RegistryError`
+    naming the missing piece when the record is incomplete; nothing is
+    inserted on failure.
     """
     if not name or not isinstance(name, str):
         raise RegistryError("kernel family needs a non-empty string name")
@@ -170,42 +239,28 @@ def register_family(
                     f"'role'/'outputs' meta annotations "
                     f"(set them via <kernel>.meta.update(...))"
                 )
-    if serve_method is not None:
-        if not isinstance(serve_method, ServeMethod):
-            raise bad("serve_method (expected a ServeMethod)")
-        if serve_method.name in BASE_SERVE_METHODS:
-            raise RegistryError(
-                f"kernel family {name!r}: serving method "
-                f"{serve_method.name!r} collides with a base method"
-            )
-        if serve_method.name in _SERVE_METHODS:
-            raise RegistryError(
-                f"kernel family {name!r}: serving method "
-                f"{serve_method.name!r} is already registered"
-            )
-        if serve_method.base not in BASE_SERVE_METHODS:
-            raise RegistryError(
-                f"kernel family {name!r}: serving method base "
-                f"{serve_method.base!r} is not one of {BASE_SERVE_METHODS}"
-            )
+    if (slot is None) != (launch is None) or (slot is None and serve):
+        raise bad("table entry (slot + launch)")
+    if slot is not None:
+        _claim(slot, method, serve)
 
-    caller = sys._getframe(1)
-    provenance = f"{caller.f_globals.get('__name__', '?')}:{caller.f_lineno}"
     family = KernelFamily(
         name=name, tune_task=tune_task, analyze_plans=analyze_plans,
         kernels=tuple(kernels), tile_ir=tile_ir,
         sweep_category=sweep_category, sweep_entries=sweep_entries,
-        warm_cached=warm_cached, serve_method=serve_method,
-        doc=doc, provenance=provenance,
+        warm_cached=warm_cached, serve=serve, doc=doc,
+        provenance=_provenance(),
     )
     _REGISTRY[name] = family
-    if serve_method is not None:
-        _SERVE_METHODS[serve_method.name] = serve_method
+    if slot is not None:
+        _IMPLS[slot, method] = Impl(launch, retune, family.provenance)
+        METHODS.setdefault(method, serve)
     return family
 
 
 def discover() -> None:
-    """Import every ``repro.kernels`` module once so families self-register."""
+    """Import every ``repro.kernels`` module and the baselines once, so
+    families and table entries self-register."""
     global _discovered
     if _discovered:
         return
@@ -213,6 +268,7 @@ def discover() -> None:
     pkg = importlib.import_module("repro.kernels")
     for info in pkgutil.iter_modules(pkg.__path__):
         importlib.import_module(f"repro.kernels.{info.name}")
+    importlib.import_module("repro.baselines")
 
 
 def families() -> dict[str, KernelFamily]:
@@ -232,24 +288,54 @@ def get_family(name: str) -> KernelFamily:
         ) from None
 
 
+def get_impl(slot: str, method: str) -> Impl:
+    """``method``'s own entry for ``slot``."""
+    discover()
+    try:
+        return _IMPLS[slot, method]
+    except KeyError:
+        raise RegistryError(f"no {slot!r} entry under {method!r}") from None
+
+
+def launches(slot: str, resolve: Callable | None = None
+             ) -> dict[str, Callable[..., Any]]:
+    """Each method's launch for ``slot``, keyed by method in column order.
+
+    With ``resolve`` (:func:`repro.tuner.warm.tuned_config`, its cache
+    bound), "TileLink-tuned" launches TileLink's entry, if its family gave
+    a ``retune`` hook, on ``resolve(retune, cfg, world=, spec=) or cfg``.
+    """
+    discover()
+    base = _IMPLS.get((slot, "TileLink"))
+
+    def tuned(ctx, cfg, *args, **kw):
+        cfg = resolve(base.retune, cfg, world=ctx.world_size,
+                      spec=ctx.machine.config.spec) or cfg
+        return base.launch(ctx, cfg, *args, **kw)
+
+    out = {}
+    for method in METHODS:
+        if (slot, method) in _IMPLS:
+            out[method] = _IMPLS[slot, method].launch
+        elif method == "TileLink-tuned" and resolve and base and base.retune:
+            out[method] = tuned
+    return out
+
+
 def serve_method_names() -> tuple[str, ...]:
-    """The serving ``method`` axis: base methods + registered extras."""
+    """The serving ``method`` axis: base methods + family-added ones."""
     discover()
-    return tuple(BASE_SERVE_METHODS) + tuple(_SERVE_METHODS)
+    return tuple(s for s in METHODS.values() if s)
 
 
-def resolve_serve_method(name: str) -> tuple[str, dict[str, Callable]]:
-    """Resolve a method name to ``(base_method, op_overrides)``."""
-    if name in BASE_SERVE_METHODS:
-        return name, {}
+def serve_method(name: str) -> str:
+    """The method (figure column label) serving under ``name``."""
     discover()
-    method = _SERVE_METHODS.get(name)
-    if method is None:
-        raise RegistryError(
-            f"unknown serving method {name!r}; available: "
-            f"{', '.join(serve_method_names())}"
-        )
-    return method.base, dict(method.op_overrides)
+    for method, serve in METHODS.items():
+        if serve == name:
+            return method
+    raise RegistryError(f"unknown serving method {name!r}; available: "
+                        f"{', '.join(serve_method_names())}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +356,15 @@ def _manifest() -> dict:
             "plans": len(family_plans(fam)),
             "sweep_category": fam.sweep_category,
             "warm_cached": fam.warm_cached,
-            "serve_method": (fam.serve_method.name
-                             if fam.serve_method else None),
+            "serve_method": fam.serve,
             "provenance": fam.provenance,
         })
     return {
         "families": fams,
+        "impls": {method: {slot: impl.provenance
+                           for (slot, m), impl in _IMPLS.items()
+                           if m == method}
+                  for method in METHODS},
         "serve_methods": list(serve_method_names()),
     }
 
@@ -283,10 +372,12 @@ def _manifest() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.registry",
-        description="inspect the declarative kernel-family registry",
+        description="inspect the kernel families and the implementation "
+                    "table",
     )
     parser.add_argument("--list", action="store_true",
-                        help="list registered families (default action)")
+                        help="list families and each method's slots "
+                             "(default action)")
     parser.add_argument("--json", action="store_true",
                         help="emit the manifest as JSON")
     args = parser.parse_args(argv)
@@ -298,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     for fam in manifest["families"]:
         print(f"{fam['name']}: plans={fam['plans']} "
               f"kernels={len(fam['kernels'])} [{fam['provenance']}]")
+    for method, slots in manifest["impls"].items():
+        print(f"{method}: {', '.join(slots) or '(retuned TileLink)'}")
     print(f"serving methods: {', '.join(manifest['serve_methods'])}")
     return 0
 

@@ -154,13 +154,13 @@ def serve(requests: Sequence[Request], model: ModelConfig, method: str,
           recorder=None) -> ServeResult:
     """Run the continuous-batching loop over ``requests``.
 
-    ``method`` selects whose kernels price each step — the base methods
-    (``"torch"`` / ``"tilelink"`` / ``"tilelink-tuned"``) plus any
-    registry-contributed serving method (e.g. the chunk-centric family's
-    ``"tilelink-chunk"``; see :func:`repro.registry.serve_method_names`)
-    — through ``table``'s memoised step latencies, so the run itself
-    never simulates.  Any method with a table entry works: the entry is
-    built by ``StepLatencyTable.ensure`` and the run only interpolates.
+    ``method`` selects whose kernels price each step — a serving row of
+    the implementation table (:func:`repro.registry.serve_method_names`:
+    ``"torch"`` / ``"tilelink"`` / ``"tilelink-tuned"`` plus any a kernel
+    family adds, e.g. ``"tilelink-chunk"``) — through ``table``'s
+    memoised step latencies, so the run itself never simulates.  Any
+    method with a table entry works: the entry is built by
+    ``StepLatencyTable.ensure`` and the run only interpolates.
     ``kv`` enables the paged KV-cache pool (admission gating +
     preemption); ``None`` serves with infinite memory.
 

@@ -24,9 +24,9 @@ each:
   candidate simulation across shapes that alias in key space;
   ``workers=N`` fans the cold tasks out over forked processes and merges
   their per-worker cache files through the flock-protected flush;
-* :mod:`repro.tuner.warm` — shipped warm-cache resolution (the
-  zero-simulation hit-or-fallback step behind the tuned-by-default bench
-  columns and ``method="tilelink-tuned"``).
+* :mod:`repro.tuner.warm` — the shipped warm cache and
+  ``tuned_config``, the one tuned-config resolution behind the
+  TileLink-tuned bench columns and ``method="tilelink-tuned"``.
 
 One-call API — each kernel family's ``*_tune_task(...)`` states its
 search space, default and bound; :func:`tune` searches it::
@@ -37,8 +37,8 @@ search space, default and bound; :func:`tune` searches it::
     result = tune(task, world=8, spec=H800, cache=TuneCache(path))
     cfg = result.best_config          # an AgGemmConfig
 
-The bench builders' tuned columns make the same call; every registered
-family exposes a representative task as
+The bench builders' ``tuned=True`` columns make the same call; every
+registered family exposes a representative task as
 ``repro.registry.get_family(name).tune_task()``.
 """
 

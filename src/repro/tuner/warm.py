@@ -1,24 +1,25 @@
-"""Shipped warm-cache plumbing (tuned-by-default resolution).
+"""Tuned-config resolution and the shipped warm cache.
 
 ``benchmarks/warm_cache.json`` is a checked-in read-only
 :class:`~repro.tuner.cache.TuneCache` holding the exhaustive-search
-winners for the paper's shape tables.  Consumers — the bench builders'
-``tuned=None`` auto mode and the end-to-end runner's
-``method="tilelink-tuned"`` — resolve configs through it with **zero**
-simulation: a key hit yields the finalized tuned config, a miss falls
-back to the paper default.  This module owns the file location and the
-hit-or-None resolution step so :mod:`repro.bench.experiments` and
-:mod:`repro.models.transformer` share one implementation.
+winners for the paper's shape tables, and this module owns its
+location.  :func:`tuned_config` is the one resolution of the
+"TileLink-tuned" method, in the figure tables and the end-to-end layers
+(``method="tilelink-tuned"``): a key hit turns a launch config into the
+winner, a miss leaves the caller's config, and only an explicit search
+simulates.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.config import HardwareSpec
 from repro.tuner.cache import TuneCache
+from repro.tuner.space import TunerError
 
 #: Environment override for the shipped warm-cache location (point it at a
 #: nonexistent path to disable the tuned-by-default columns).
@@ -64,3 +65,31 @@ def warm_tuned_config(cache: TuneCache | None, task: Any, *, world: int,
     hit = cache.get(task_cache_key(task, world=world, spec=spec,
                                    max_trials=max_trials), task.space)
     return None if hit is None else task.finalize(hit["best"])
+
+
+
+def tuned_config(retune: Callable[..., Any], cfg: Any,
+                 cache: TuneCache | None, *, world: int, spec: HardwareSpec,
+                 search: bool = False,
+                 max_trials: int | None = None) -> Any | None:
+    """``cfg`` with the tuner's winning axis values, or ``None`` on a miss.
+
+    ``retune(cfg, *, world, spec)`` is the family's tune task for
+    ``cfg``'s shape; a shape outside the tuner's space misses.  A lookup
+    (the default) reads ``cache`` at ``world``/``spec`` and never
+    simulates; ``search=True`` tunes through ``cache`` (the default
+    persistent cache when ``None``).
+    """
+    try:
+        task = retune(cfg, world=world, spec=spec)
+    except TunerError:
+        return None
+    task = replace(task, finalize=lambda cand: replace(cfg, **cand))
+    if not search:
+        return warm_tuned_config(cache, task, world=world, spec=spec,
+                                 max_trials=max_trials)
+    from repro.tuner.search import tune
+
+    return tune(task, world=world, spec=spec,
+                cache=cache if cache is not None else TuneCache(),
+                max_trials=max_trials).best_config

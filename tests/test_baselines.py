@@ -5,22 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.decompose import (
-    ag_gemm_decomposed,
-    gemm_rs_decomposed,
-    mlp_decomposed,
-)
-from repro.baselines.flux import ag_gemm_flux, gemm_rs_flux, mlp_flux
-from repro.baselines.nonoverlap import (
-    ag_gemm_nonoverlap,
-    gemm_rs_nonoverlap,
-    mlp_nonoverlap,
-)
+from repro.baselines.decompose import ag_gemm_decomposed, gemm_rs_decomposed
+from repro.baselines.flux import ag_gemm_flux, gemm_rs_flux
+from repro.baselines.nonoverlap import ag_gemm_nonoverlap, gemm_rs_nonoverlap
 from repro.baselines.vllm_moe import IMPLS, moe_part1_baseline
 from repro.kernels.mlp import MlpConfig
 from repro.kernels.moe_common import build_moe_routing, random_router_logits
 from repro.kernels.moe_layer import MoeConfig
 from repro.ops.activation import silu_ref
+from repro.registry import get_impl
 from tests.conftest import make_ctx
 
 WORLD, M, N, K = 4, 128, 48, 32
@@ -73,8 +66,8 @@ def test_gemm_rs_baselines_numerics(rng, impl):
         assert np.max(np.abs(got - ref)) < 0.6, r
 
 
-@pytest.mark.parametrize("impl", [mlp_nonoverlap, mlp_decomposed, mlp_flux])
-def test_full_mlp_baselines_numerics(rng, impl):
+@pytest.mark.parametrize("method", ["cuBLAS+NCCL", "Async-TP", "FLUX"])
+def test_full_mlp_baselines_numerics(rng, method):
     world, m, h, i = 4, 64, 32, 64
     ctx = make_ctx(world)
     xs = [rng.standard_normal((m // world, h)).astype(np.float16) * 0.5
@@ -89,7 +82,7 @@ def test_full_mlp_baselines_numerics(rng, impl):
     ctx.alloc("y", (m // world, h), "float32")
     cfg = MlpConfig(m=m, h=h, i=i, block_m=16, block_n=16, block_k=16,
                     block_mr=16, block_nr=16)
-    impl(ctx, cfg, "x", "w1", "w2", "y")
+    get_impl("mlp", method).launch(ctx, cfg, "x", "w1", "w2", "y")
     ctx.run()
     full = np.concatenate(xs).astype(np.float32)
     total = np.zeros((m, h), np.float32)

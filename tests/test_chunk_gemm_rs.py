@@ -16,18 +16,22 @@ import numpy as np
 import pytest
 
 from repro.analyze import analyze_registered
-from repro.bench.experiments import mlp_sweep_tasks
+from repro.bench.experiments import gemm_rs_builders, mlp_sweep_tasks
+from repro.bench.harness import run_builder
 from repro.errors import ShapeError
 from repro.kernels.chunk_gemm_rs import (
     ChunkGemmRsConfig,
+    _default_chunk_config,
     build_chunk_mapping,
     chunk_gemm_rs_overlapped,
     chunk_gemm_rs_tune_task,
     chunk_layout,
     chunk_spans,
 )
-from repro.models.configs import MLP_BENCHES, ModelConfig
+from repro.models.configs import MLP_BENCHES, MlpShape, ModelConfig
 from repro.models.runner import layer_time
+from repro.registry import get_family, get_impl, serve_method, \
+    serve_method_names
 from repro.tuner import tune
 
 from conftest import make_ctx
@@ -155,6 +159,30 @@ def test_serving_method_via_registry():
     # overlap schedule -> a different (but same-ballpark) time
     assert chunk != base
     assert chunk < 3 * base
+
+
+def test_one_registration_yields_column_layer_and_serving_method():
+    """The family's one register_family() call appends its Figure-8
+    GEMM+RS column, which runs the default chunk config on the table's
+    shape, and adds the ``tilelink-chunk`` layer and serving method."""
+    assert list(gemm_rs_builders(MLP_BENCHES[0], tuned=False))[-1] == \
+        "TileLink-chunk"
+    world, shape = 2, MlpShape("small", 512, 128, 256, "test")
+    column = gemm_rs_builders(shape, world, tuned=False)["TileLink-chunk"]
+    m, n, k = shape.s, shape.h, shape.i // world
+
+    def direct(ctx):
+        ctx.alloc("x", (m, k), "float16", fill=None)
+        ctx.alloc("w", (k, n), "float16", fill=None)
+        ctx.alloc("y", (m // world, n), "float32", fill=None)
+        chunk_gemm_rs_overlapped(ctx, _default_chunk_config(m, n, k, world),
+                                 "x", "w", "y")
+
+    assert run_builder(column, world=world) == run_builder(direct, world=world)
+    assert "tilelink-chunk" in serve_method_names()
+    assert serve_method("tilelink-chunk") == "TileLink-chunk"
+    assert get_impl("gemm_rs", "TileLink-chunk").provenance == \
+        get_family("chunk_gemm_rs").provenance
 
 
 # ---------------------------------------------------------------------------

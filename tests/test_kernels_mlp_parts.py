@@ -8,8 +8,9 @@ import pytest
 from repro.errors import RuntimeLaunchError, ShapeError
 from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_overlapped
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_overlapped
-from repro.kernels.mlp import MlpConfig, mlp_layer_tilelink
+from repro.kernels.mlp import MlpConfig
 from repro.ops.activation import silu_ref
+from repro.registry import get_impl
 from tests.conftest import make_ctx
 
 WORLD, M, N, K = 4, 256, 96, 64
@@ -161,7 +162,7 @@ def test_full_mlp_layer_numerics(rng):
     ctx.alloc("y", (m // world, h), "float32")
     cfg = MlpConfig(m=m, h=h, i=i, block_m=16, block_n=16, block_k=16,
                     block_mr=16, block_nr=16)
-    mlp_layer_tilelink(ctx, cfg, "x", "w1", "w2", "y")
+    get_impl("mlp", "TileLink").launch(ctx, cfg, "x", "w1", "w2", "y")
     ctx.run()
 
     full = np.concatenate(xs).astype(np.float32)

@@ -1,6 +1,7 @@
 """The declarative kernel-family registry: completeness of every
-registered record, loud failure on partial registrations, the serving
-method axis, and the ``python -m repro.registry`` manifest.
+registered record, loud failure on partial registrations, the
+implementation table and its serving method axis, and the
+``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
 resolve must expose a working hook for *each* consumer — tuner (tune
@@ -15,15 +16,22 @@ import json
 import pytest
 
 from repro.analyze import analyze_registered
+from repro.bench import experiments
 from repro.errors import RegistryError
+from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
+from repro.models.transformer import layer_row
 from repro.registry import (
     BASE_SERVE_METHODS,
-    ServeMethod,
+    METHODS,
+    SLOTS,
     families,
     get_family,
+    get_impl,
+    launches,
     main as registry_main,
     register_family,
-    resolve_serve_method,
+    register_impl,
+    serve_method,
     serve_method_names,
 )
 from repro.serve.latency import resolve_latency_table
@@ -139,30 +147,104 @@ def test_serve_method_axis():
 
 
 def test_resolve_serve_method():
-    base, overrides = resolve_serve_method("tilelink")
-    assert (base, overrides) == ("tilelink", {})
-    base, overrides = resolve_serve_method("tilelink-chunk")
-    assert base == "tilelink"
-    assert set(overrides) == {"gemm_rs"}
-    assert callable(overrides["gemm_rs"])
+    assert serve_method("tilelink") == "TileLink"
+    assert serve_method("torch") == "cuBLAS+NCCL"
+    # the chunk family's method holds its GEMM+RS entry and nothing else
+    assert serve_method("tilelink-chunk") == "TileLink-chunk"
+    assert [slot for slot in SLOTS
+            if "TileLink-chunk" in launches(slot)] == ["gemm_rs"]
     with pytest.raises(RegistryError, match="unknown serving method"):
-        resolve_serve_method("triton")
+        serve_method("triton")
 
 
 def test_serve_method_validation():
     kwargs = dict(
         name="mutant_family", tune_task=lambda: None,
-        analyze_plans=lambda: [], tile_ir=False,
+        analyze_plans=lambda: [], tile_ir=False, slot="gemm_rs",
+        launch=lambda *a, **kw: None, method="Mutant",
     )
-    with pytest.raises(RegistryError, match="collides with a base method"):
-        register_family(**kwargs, serve_method=ServeMethod(name="torch"))
-    with pytest.raises(RegistryError, match="already registered"):
-        register_family(**kwargs,
-                        serve_method=ServeMethod(name="tilelink-chunk"))
-    with pytest.raises(RegistryError, match="not one of"):
-        register_family(**kwargs, serve_method=ServeMethod(
-            name="mutant-method", base="triton"))
+    for taken in ("torch", "tilelink-chunk"):
+        with pytest.raises(RegistryError, match="already registered"):
+            register_family(**kwargs, serve=taken)
+    with pytest.raises(RegistryError, match="table entry"):
+        register_family(**{**kwargs, "slot": None}, serve="mutant")
     assert "mutant_family" not in families()
+    assert "Mutant" not in METHODS
+
+
+# ---------------------------------------------------------------------------
+# the implementation table
+# ---------------------------------------------------------------------------
+
+_TABLES = (
+    ("ag_gemm", experiments.ag_gemm_builders(MLP_BENCHES[0])),
+    ("gemm_rs", experiments.gemm_rs_builders(MLP_BENCHES[0])),
+    ("mlp", experiments.mlp_builders(MLP_BENCHES[0])),
+    ("ag_moe", experiments.moe_part1_builders(MOE_BENCHES[0])),
+    ("moe_rs", experiments.moe_part2_builders(MOE_BENCHES[0])),
+    ("moe_layer", experiments.moe_layer_builders(MOE_BENCHES[0])),
+    ("attention", experiments.attention_builders(ATTENTION_BENCHES[0],
+                                                 16384)),
+)
+
+
+def _entries(slot: str, method: str) -> list:
+    """The registered entries a column stands on: its own, or for the
+    tuned column TileLink's retunable one."""
+    if method == "TileLink-tuned":
+        method, ok = "TileLink", lambda impl: impl.retune is not None
+    else:
+        ok = bool
+    impl = get_impl(slot, method)
+    return [impl] if ok(impl) else []
+
+
+@pytest.mark.parametrize("slot,columns", _TABLES, ids=[t[0] for t in _TABLES])
+def test_every_column_is_one_table_entry(slot, columns):
+    """Each label of the seven figure tables names one method, in the
+    table's column order, backed by exactly one registered entry."""
+    assert list(columns) == [m for m in METHODS if m in columns]
+    for method in columns:
+        assert len(_entries(slot, method)) == 1, method
+
+
+def test_every_serving_method_is_one_row():
+    """Each serving name names one method, and its layer row has exactly
+    one launch per layer slot: the method's own entry, else TileLink's
+    (an MLP composed over the row's halves)."""
+    names = serve_method_names()
+    assert len(set(names)) == len(names)
+    assert len({serve_method(name) for name in names}) == len(names)
+    for name in names:
+        row = layer_row(name)
+        assert sorted(row) == ["ag_gemm", "gemm_rs", "mlp", "moe_layer"]
+        assert all(callable(launch) for launch in row.values())
+    torch = layer_row("torch")
+    for slot in ("ag_gemm", "gemm_rs", "mlp", "moe_layer"):
+        assert torch[slot] is get_impl(slot, "cuBLAS+NCCL").launch
+    assert layer_row("tilelink-chunk")["gemm_rs"] is \
+        get_impl("gemm_rs", "TileLink-chunk").launch
+
+
+def test_duplicate_impl_names_the_incumbent():
+    """A (slot, method) pair is registered once: a second entry, from a
+    baseline or a family, raises naming where the first came from, and
+    inserts nothing."""
+    incumbent = get_impl("gemm_rs", "TileLink")
+    with pytest.raises(RegistryError,
+                       match=r"already registered.*repro\.kernels\.gemm_rs"):
+        register_impl("gemm_rs", "TileLink", lambda *a, **kw: None)
+    with pytest.raises(RegistryError,
+                       match=r"already registered.*repro\.baselines\.flux"):
+        register_family(name="mutant_family", tune_task=lambda: None,
+                        analyze_plans=lambda: [], tile_ir=False,
+                        slot="mlp", launch=lambda *a, **kw: None,
+                        method="FLUX")
+    with pytest.raises(RegistryError, match="unknown op slot"):
+        register_impl("all_to_all", "Mutant", lambda *a, **kw: None)
+    assert get_impl("gemm_rs", "TileLink") is incumbent
+    assert "mutant_family" not in families()
+    assert "Mutant" not in METHODS
 
 
 def test_cli_manifest_json(capsys):

@@ -12,6 +12,7 @@ tripwire; the tests here are its tier-1 shadow.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,9 @@ from repro.bench.experiments import (
     ag_gemm_builders,
     attention_builders,
     attention_sweep_tasks,
+    gemm_rs_builders,
     mlp_sweep_tasks,
+    moe_part1_builders,
     moe_part2_builders,
     moe_sweep_tasks,
 )
@@ -116,6 +119,23 @@ def test_foreign_shape_keeps_untuned_columns(monkeypatch):
     odd = MlpShape("odd", 2048, 512, 2048, "not-in-the-tables")
     builders = ag_gemm_builders(odd, WORLD)
     assert "TileLink-tuned" not in builders
+
+
+def test_shape_outside_the_tuner_space_keeps_untuned_columns():
+    """Per-rank rows below every searchable tile leave the tuner's space
+    empty, so the shape can have no cache entry: the default builders
+    keep their untuned columns instead of raising TunerError."""
+    from repro.models.configs import MlpShape
+
+    tiny_mlp = MlpShape("tiny", 64, 128, 512, "below-every-tile")
+    tiny_moe = replace(MOE_BENCHES[0], s=64)
+    for builders_fn, shape in ((ag_gemm_builders, tiny_mlp),
+                               (gemm_rs_builders, tiny_mlp),
+                               (moe_part1_builders, tiny_moe),
+                               (moe_part2_builders, tiny_moe)):
+        columns = list(builders_fn(shape, WORLD))       # tuned=None
+        assert columns == list(builders_fn(shape, WORLD, tuned=False))
+        assert "TileLink-tuned" not in columns
 
 
 # ---------------------------------------------------------------------------

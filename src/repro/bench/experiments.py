@@ -37,7 +37,6 @@ from repro.tuner.cache import TuneCache
 from repro.tuner.search import TuneTask, tune
 from repro.tuner.warm import resolve_warm_cache, tuned_config
 
-Builder = Callable[[DistContext], None]
 F16, F32 = "float16", "float32"
 
 
@@ -55,8 +54,8 @@ F16, F32 = "float16", "float32"
 
 def _table(slot: str, cfg, operands: Callable[[DistContext], list],
            world: int, tuned: bool | None = False,
-           tune_cache: TuneCache | None = None,
-           max_trials: int | None = None) -> dict[str, Builder]:
+           tune_cache: TuneCache | None = None, max_trials: int | None = None
+           ) -> dict[str, Callable[[DistContext], None]]:
     """``slot``'s columns, each launching on ``cfg`` after
     ``operands(ctx)`` allocated and returned the launch's arguments."""
     resolve = None
@@ -70,7 +69,7 @@ def _table(slot: str, cfg, operands: Callable[[DistContext], list],
         resolve = partial(tuned_config, cache=tune_cache, search=True,
                           max_trials=max_trials)
 
-    def column(launch: Callable) -> Builder:
+    def column(launch: Callable) -> Callable[[DistContext], None]:
         return lambda ctx: launch(ctx, cfg, *operands(ctx))
 
     return {method: column(launch)
@@ -95,7 +94,7 @@ def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
-                     ) -> dict[str, Builder]:
+                     ) -> dict[str, Callable[[DistContext], None]]:
     c = AgGemmConfig(m=shape.s, n=shape.i // world, k=shape.h)
     return _table("ag_gemm", c, lambda ctx: _alloc(
         ctx, ("x", (c.m // ctx.world_size, c.k), F16), ("w", (c.k, c.n), F16),
@@ -106,7 +105,7 @@ def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
-                     ) -> dict[str, Builder]:
+                     ) -> dict[str, Callable[[DistContext], None]]:
     c = GemmRsConfig(m=shape.s, n=shape.h, k=shape.i // world)
     return _table("gemm_rs", c, lambda ctx: _alloc(
         ctx, ("x", (c.m, c.k), F16), ("w", (c.k, c.n), F16),
@@ -115,7 +114,7 @@ def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
 
 
 def mlp_builders(shape: MlpShape, world: int = DEFAULT_WORLD
-                 ) -> dict[str, Builder]:
+                 ) -> dict[str, Callable[[DistContext], None]]:
     c = MlpConfig(m=shape.s, h=shape.h, i=shape.i)
     return _table("mlp", c, lambda ctx: _alloc(
         ctx, ("x", (c.m // ctx.world_size, c.h), F16),
@@ -262,7 +261,7 @@ def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Builder]:
+                       ) -> dict[str, Callable[[DistContext], None]]:
     return _table("ag_moe", _moe(shape), lambda ctx: [
         _routing(shape, ctx.world_size),
         *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
@@ -273,7 +272,7 @@ def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Builder]:
+                       ) -> dict[str, Callable[[DistContext], None]]:
     return _table("moe_rs", _moe(shape), lambda ctx: [
         _routing(shape, ctx.world_size), "g", "w2",
         *_alloc(ctx, ("y", (shape.s // ctx.world_size, shape.h), F32))],
@@ -281,7 +280,7 @@ def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
 
 
 def moe_layer_builders(shape: MoeShape, world: int = DEFAULT_WORLD
-                       ) -> dict[str, Builder]:
+                       ) -> dict[str, Callable[[DistContext], None]]:
     return _table("moe_layer", _moe(shape), lambda ctx: [
         _routing(shape, ctx.world_size),
         *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
@@ -295,7 +294,7 @@ def attention_builders(shape: AttnShape, seq_len: int,
                        tuned: bool | None = None,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
-                       ) -> dict[str, Builder]:
+                       ) -> dict[str, Callable[[DistContext], None]]:
     c = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
                           seq_len=seq_len, causal=True)
     return _table("attention", c, lambda ctx: _alloc(ctx, *(

@@ -252,10 +252,8 @@ def _launch(ctx: DistContext, cfg, routing, x_name: str, w_name: str,
     d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
     ctx.alloc(w_name, (cfg.n_experts * cfg.h, d), "float16", fill=None)
     ctx.alloc(out_name, (routed.padded_rows, d), "float16", fill=None)
-    return ag_moe_overlapped(ctx, AgMoeConfig(
-        m=cfg.m, h=cfg.h, d=d, n_experts=cfg.n_experts, topk=cfg.topk,
-        block_m=cfg.block_m, block_n=cfg.block_n, block_k=cfg.block_k),
-        routed, x_name, w_name, out_name, tag=tag)
+    return ag_moe_overlapped(ctx, cfg.part1(ctx.world_size), routed, x_name,
+                             w_name, out_name, tag=tag)
 
 
 register_family(

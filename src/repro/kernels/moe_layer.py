@@ -43,6 +43,20 @@ class MoeConfig:
     def i_shard(self, world: int) -> int:
         return self.i // world
 
+    def part1(self, world: int) -> AgMoeConfig:
+        """The AG + GroupGEMM config at this layer's shape and tiles."""
+        return AgMoeConfig(
+            m=self.m, h=self.h, d=self.i_shard(world),
+            n_experts=self.n_experts, topk=self.topk, block_m=self.block_m,
+            block_n=self.block_n, block_k=self.block_k)
+
+    def part2(self, world: int) -> MoeRsConfig:
+        """The GroupGEMM + RS config at this layer's shape and tiles."""
+        return MoeRsConfig(
+            m=self.m, h=self.h, d=self.i_shard(world), block_m=self.block_m,
+            block_n=self.block_n, block_k=self.block_k,
+            block_mr=self.block_mr, block_nr=self.block_nr)
+
 
 def moe_layer_tilelink(
     ctx: DistContext,
@@ -68,21 +82,14 @@ def moe_layer_tilelink(
     act = ctx.alloc(f"{tag}.act", (routing.padded_rows, ishard), "float16",
                     fill=None)
 
-    p1 = AgMoeConfig(m=cfg.m, h=cfg.h, d=ishard, n_experts=cfg.n_experts,
-                     topk=cfg.topk, block_m=cfg.block_m, block_n=cfg.block_n,
-                     block_k=cfg.block_k)
-    ag_moe_overlapped(ctx, p1, routing, x_shards_name, w1_name,
-                      f"{tag}.grouped", tag=f"{tag}.p1")
+    ag_moe_overlapped(ctx, cfg.part1(world), routing, x_shards_name,
+                      w1_name, f"{tag}.grouped", tag=f"{tag}.p1")
 
     for rank in range(world):
         silu_op(ctx, rank, grouped[rank], act[rank])
 
-    p2 = MoeRsConfig(m=cfg.m, h=cfg.h, d=ishard, block_m=cfg.block_m,
-                     block_n=cfg.block_n, block_k=cfg.block_k,
-                     block_mr=cfg.block_mr, block_nr=cfg.block_nr)
-    return moe_rs_overlapped(ctx, p2, routing, f"{tag}.act", w2_name,
-                             out_name, tag=f"{tag}.p2")
-
+    return moe_rs_overlapped(ctx, cfg.part2(world), routing, f"{tag}.act",
+                             w2_name, out_name, tag=f"{tag}.p2")
 
 
 def _launch(ctx: DistContext, cfg: MoeConfig, routing, x_name: str,

@@ -301,10 +301,8 @@ def _launch(ctx: DistContext, cfg, routing, g_name: str, w_name: str,
     d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
     ctx.alloc(g_name, (routed.padded_rows, d), "float16", fill=None)
     ctx.alloc(w_name, (cfg.n_experts * d, cfg.h), "float16", fill=None)
-    return moe_rs_overlapped(ctx, MoeRsConfig(
-        m=cfg.m, h=cfg.h, d=d, block_m=cfg.block_m, block_n=cfg.block_n,
-        block_k=cfg.block_k, block_mr=cfg.block_mr, block_nr=cfg.block_nr),
-        routed, g_name, w_name, out_name, tag=tag)
+    return moe_rs_overlapped(ctx, cfg.part2(ctx.world_size), routed, g_name,
+                             w_name, out_name, tag=tag)
 
 
 register_family(

@@ -84,6 +84,7 @@ def tuned_config(retune: Callable[..., Any], cfg: Any,
         task = retune(cfg, world=world, spec=spec)
     except TunerError:
         return None
+    # the winner in the caller's config type (an MoE slot's is MoeConfig)
     task = replace(task, finalize=lambda cand: replace(cfg, **cand))
     if not search:
         return warm_tuned_config(cache, task, world=world, spec=spec,

@@ -67,7 +67,6 @@ def warm_tuned_config(cache: TuneCache | None, task: Any, *, world: int,
     return None if hit is None else task.finalize(hit["best"])
 
 
-
 def tuned_config(retune: Callable[..., Any], cfg: Any,
                  cache: TuneCache | None, *, world: int, spec: HardwareSpec,
                  search: bool = False,

@@ -67,9 +67,8 @@ def warm_tuned_config(cache: TuneCache | None, task: Any, *, world: int,
     return None if hit is None else task.finalize(hit["best"])
 
 
-def tuned_config(retune: Callable[..., Any], cfg: Any,
-                 cache: TuneCache | None, *, world: int, spec: HardwareSpec,
-                 search: bool = False,
+def tuned_config(retune: Callable[..., Any], cfg: Any, cache: TuneCache | None,
+                 *, world: int, spec: HardwareSpec, search: bool = False,
                  max_trials: int | None = None) -> Any | None:
     """``cfg`` with the tuner's winning axis values, or ``None`` on a miss.
 
@@ -79,6 +78,8 @@ def tuned_config(retune: Callable[..., Any], cfg: Any,
     simulates; ``search=True`` tunes through ``cache`` (the default
     persistent cache when ``None``).
     """
+    if cache is None and not search:
+        return None
     try:
         task = retune(cfg, world=world, spec=spec)
     except TunerError:

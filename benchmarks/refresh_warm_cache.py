@@ -41,9 +41,9 @@ DEFAULT_PATH = Path(__file__).resolve().parent / "warm_cache.json"
 
 
 def expected_tasks():
-    """The task table the warm cache must cover (and nothing else),
-    derived from the kernel-family registry: every family registered
-    with ``warm_cached=True`` contributes its shape table (Figure-8 MLP,
+    """The task table the warm cache must cover (and nothing else): the
+    keys the TileLink-tuned columns look up, i.e. each TileLink table
+    entry's ``retune`` hook over its slot's paper table (Figure-8 MLP,
     Table-4 MoE and Figure-10 attention shapes)."""
     return registry_sweep_tasks(world=WORLD, spec=H800)
 

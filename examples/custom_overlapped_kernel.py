@@ -22,13 +22,13 @@ Quickstart — the fastest path to your own kernel family:
 After step 4 the registry's consumers find the family with zero edits
 anywhere else: ``python -m repro.registry --list`` shows it, and
 ``repro.analyze`` records its plans from the launcher itself and proves
-them deadlock/race-free.  A family that also declares a paper-table
-sweep (``sweep_category``/``sweep_entries``) joins the tuner sweeps, and
-one that declares a serving ``method`` joins the serving axis (see
-``repro/kernels/chunk_gemm_rs.py``, which registers ``"tilelink-chunk"``
-the same way and appears in ``models.runner``).  The launcher, the tune
-task and the bench builders are plain functions; this script calls them
-directly.
+them deadlock/race-free.  A family that also registers a table entry
+(``slot``/``launch``) with a ``retune`` hook joins its slot's paper-table
+sweep, and one that declares a serving ``method`` joins the serving axis
+(see ``repro/kernels/chunk_gemm_rs.py``, which registers
+``"tilelink-chunk"`` the same way and appears in ``models.runner``).  The
+launcher, the tune task and the bench builders are plain functions; this
+script calls them directly.
 
 Run:  python examples/custom_overlapped_kernel.py
 """

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 from repro.bench.harness import DEFAULT_WORLD, run_builder
 from repro.config import H800, HardwareSpec
-from repro.errors import RegistryError
 from repro.kernels.ag_gemm import AgGemmConfig
 from repro.kernels.attention import AgAttentionConfig
 from repro.kernels.gemm_rs import GemmRsConfig
@@ -31,7 +30,7 @@ from repro.models.configs import (
     MoeShape,
 )
 from repro.ops.attention import flash_attention_op
-from repro.registry import families, get_family, get_impl, launches
+from repro.registry import families, get_impl, launches
 from repro.runtime.context import DistContext
 from repro.tuner.cache import TuneCache
 from repro.tuner.search import TuneTask, tune
@@ -90,12 +89,34 @@ def _routing(shape: MoeShape, world: int) -> Callable:
         logits, shape.s // world, world, shape.topk, block_m=block_m)
 
 
+# Each tunable slot's paper config at one point of its figure table: what
+# the table's columns run, what its TileLink-tuned column retunes, and what
+# the paper-table sweeps below tune.
+
+def _ag_gemm(shape: MlpShape, world: int) -> AgGemmConfig:
+    return AgGemmConfig(m=shape.s, n=shape.i // world, k=shape.h)
+
+
+def _gemm_rs(shape: MlpShape, world: int) -> GemmRsConfig:
+    return GemmRsConfig(m=shape.s, n=shape.h, k=shape.i // world)
+
+
+def _moe(shape: MoeShape) -> MoeConfig:
+    return MoeConfig(m=shape.s, h=shape.h, i=shape.i, n_experts=shape.e,
+                     topk=shape.topk)
+
+
+def _attention(shape: AttnShape, seq_len: int) -> AgAttentionConfig:
+    return AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
+                             seq_len=seq_len, causal=True)
+
+
 def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tuned: bool | None = None,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
-    c = AgGemmConfig(m=shape.s, n=shape.i // world, k=shape.h)
+    c = _ag_gemm(shape, world)
     return _table("ag_gemm", c, lambda ctx: _alloc(
         ctx, ("x", (c.m // ctx.world_size, c.k), F16), ("w", (c.k, c.n), F16),
         ("y", (c.m, c.n), F16)), world, tuned, tune_cache, tune_max_trials)
@@ -106,7 +127,7 @@ def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
-    c = GemmRsConfig(m=shape.s, n=shape.h, k=shape.i // world)
+    c = _gemm_rs(shape, world)
     return _table("gemm_rs", c, lambda ctx: _alloc(
         ctx, ("x", (c.m, c.k), F16), ("w", (c.k, c.n), F16),
         ("y", (c.m // ctx.world_size, c.n), F32)),
@@ -144,11 +165,11 @@ def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
     full :class:`repro.tuner.TuneResult` (prune statistics, trial log,
     cache provenance).
 
-    Dispatch is registry-driven: any family whose ``sweep_entries`` hook
-    turns ``shape`` into exactly one tune task is tunable here.
+    Dispatch is registry-driven: any family whose table entry has a
+    ``retune`` hook is tunable here, on its slot's one paper config at
+    ``shape``.
     """
-    fam = _sweep_family(kernel)
-    tasks = fam.sweep_entries(shape, world=world)
+    tasks = _sweep([shape], [_retune_hook(kernel)], world, H800)
     if len(tasks) != 1:
         raise ValueError(f"{kernel!r} sweeps {len(tasks)} tasks on "
                          f"{shape.name}; tuned_vs_paper needs one")
@@ -168,37 +189,50 @@ def tuned_vs_paper(shape: MlpShape | MoeShape, kernel: str = "ag_gemm",
 # table, so the tuned columns of Figures 8/9 cost one offline sweep instead
 # of a tuning run per bench invocation.
 #
-# Task construction is registry-driven: each family's ``sweep_entries``
-# hook builds its own (name, task) pairs, and the per-table functions
-# below only gate on the family's ``sweep_category``.
+# Task construction is registry-driven: a family's table entry's
+# ``retune`` hook, the one the TileLink-tuned column calls, tunes the
+# paper configs its slot's figure table runs.
 
-#: the paper shape table of each ``sweep_category``
-_PAPER_TABLES = {"mlp": MLP_BENCHES, "moe": MOE_BENCHES,
-                 "attention": ATTENTION_BENCHES}
+#: each tunable slot's sweep table (label and paper shapes) and its paper
+#: configs at one shape, each named by its table point
+_PAPER_SLOTS = {
+    "ag_gemm": ("MLP", MLP_BENCHES,
+                lambda shape, world: [(shape.name, _ag_gemm(shape, world))]),
+    "gemm_rs": ("MLP", MLP_BENCHES,
+                lambda shape, world: [(shape.name, _gemm_rs(shape, world))]),
+    "ag_moe": ("MoE", MOE_BENCHES,
+               lambda shape, world: [(shape.name, _moe(shape))]),
+    "moe_rs": ("MoE", MOE_BENCHES,
+               lambda shape, world: [(shape.name, _moe(shape))]),
+    "attention": ("attention", ATTENTION_BENCHES, lambda shape, world: [
+        (f"{shape.name}/s{n}", _attention(shape, n))
+        for n in shape.seq_lens]),
+}
 
 
-def _sweep_family(kernel: str, category: str | None = None,
-                  label: str = "tunable"):
-    """Resolve a sweep kernel name, enforcing its table membership."""
-    try:
-        fam = get_family(kernel)
-    except RegistryError:
-        fam = None
-    if fam is None or fam.sweep_entries is None or (
-            category is not None and fam.sweep_category != category):
-        raise ValueError(f"unknown {label} sweep kernel {kernel!r}")
-    return fam
+def _retune_hook(kernel: str, table: str | None = None
+                 ) -> tuple[Callable, Callable]:
+    """Family ``kernel``'s paper configs and ``retune`` hook; its slot
+    must be one of sweep table ``table`` (of any sweep table if None)."""
+    fam = families().get(kernel)
+    if fam and fam.entry and fam.entry[0] in _PAPER_SLOTS:
+        label, _shapes, configs = _PAPER_SLOTS[fam.entry[0]]
+        retune = get_impl(*fam.entry).retune
+        if retune is not None and table in (None, label):
+            return configs, retune
+    raise ValueError(f"unknown {table or 'tunable'} sweep kernel {kernel!r}")
 
 
-def _table_tasks(shapes: Sequence, kernels: Sequence[str], category: str,
-                 label: str, world: int, spec: HardwareSpec,
-                 **kw) -> list[tuple[str, TuneTask]]:
+def _sweep(shapes: Sequence, hooks: Sequence[tuple[Callable, Callable]],
+           world: int, spec: HardwareSpec) -> list[tuple[str, TuneTask]]:
+    """Each ``(configs, retune)`` hook's task at each paper config of each
+    shape, named ``<table point>/<kernel>``."""
     tasks: list[tuple[str, TuneTask]] = []
     for shape in shapes:
-        for kernel in kernels:
-            fam = _sweep_family(kernel, category, label)
-            tasks.extend(fam.sweep_entries(shape, world=world, spec=spec,
-                                           **kw))
+        for configs, retune in hooks:
+            for point, cfg in configs(shape, world):
+                task = retune(cfg, world=world, spec=spec)
+                tasks.append((f"{point}/{task.kernel}", task))
     return tasks
 
 
@@ -207,55 +241,49 @@ def mlp_sweep_tasks(shapes: Sequence[MlpShape],
                     world: int = DEFAULT_WORLD, *, spec: HardwareSpec = H800,
                     ) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Figure-8 MLP shape table."""
-    return _table_tasks(shapes, kernels, "mlp", "MLP", world, spec)
+    return _sweep(shapes, [_retune_hook(k, "MLP") for k in kernels], world,
+                  spec)
 
 
 def moe_sweep_tasks(shapes: Sequence[MoeShape],
                     kernels: Sequence[str] = ("ag_moe", "moe_rs"),
                     world: int = DEFAULT_WORLD, *, spec: HardwareSpec = H800,
-                    router_seed: int = 17) -> list[tuple[str, TuneTask]]:
+                    ) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Table-4 MoE shape table."""
-    return _table_tasks(shapes, kernels, "moe", "MoE", world, spec,
-                        router_seed=router_seed)
+    return _sweep(shapes, [_retune_hook(k, "MoE") for k in kernels], world,
+                  spec)
 
 
 def attention_sweep_tasks(shapes: Sequence[AttnShape],
                           kernels: Sequence[str] = ("ag_attention",),
                           world: int = DEFAULT_WORLD, *,
                           spec: HardwareSpec = H800,
-                          causal: bool = True) -> list[tuple[str, TuneTask]]:
+                          ) -> list[tuple[str, TuneTask]]:
     """(name, task) pairs covering the Figure-10 attention sweep."""
-    return _table_tasks(shapes, kernels, "attention", "attention", world,
-                        spec, causal=causal)
+    return _sweep(shapes, [_retune_hook(k, "attention") for k in kernels],
+                  world, spec)
 
 
 def registry_sweep_tasks(world: int = DEFAULT_WORLD, *,
                          spec: HardwareSpec = H800,
                          ) -> list[tuple[str, TuneTask]]:
-    """Every warm-cached family's sweep tasks over its whole paper table.
+    """The tasks whose winners the TileLink-tuned columns look up.
 
     This is the warm-cache refresh script's expected task set: each
-    family registered with ``warm_cached=True`` contributes its
-    ``sweep_entries`` over its ``sweep_category`` table, in registry
-    order.
+    slot's TileLink entry that has a ``retune`` hook, over its slot's
+    paper table.
     """
     tasks: list[tuple[str, TuneTask]] = []
-    for fam in families().values():
-        if fam.warm_cached:
-            for shape in _PAPER_TABLES[fam.sweep_category]:
-                tasks.extend(fam.sweep_entries(shape, world=world,
-                                               spec=spec))
+    for slot, (_label, shapes, configs) in _PAPER_SLOTS.items():
+        retune = get_impl(slot, "TileLink").retune
+        if retune is not None:
+            tasks += _sweep(shapes, [(configs, retune)], world, spec)
     return tasks
 
 
 # ---------------------------------------------------------------------------
 # MoE parts and layer (Figure 9) and attention (Figure 10)
 # ---------------------------------------------------------------------------
-
-def _moe(shape: MoeShape) -> MoeConfig:
-    return MoeConfig(m=shape.s, h=shape.h, i=shape.i, n_experts=shape.e,
-                     topk=shape.topk)
-
 
 def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tuned: bool | None = None,
@@ -295,8 +323,7 @@ def attention_builders(shape: AttnShape, seq_len: int,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    c = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
-                          seq_len=seq_len, causal=True)
+    c = _attention(shape, seq_len)
     return _table("attention", c, lambda ctx: _alloc(ctx, *(
         (name, (seq_len // ctx.world_size, c.width), F32 if name == "o"
          else F16) for name in "qkvo")), world, tuned, tune_cache,
@@ -306,8 +333,7 @@ def attention_builders(shape: AttnShape, seq_len: int,
 def attention_overlap_ratio(shape: AttnShape, seq_len: int,
                             world: int = DEFAULT_WORLD) -> float:
     """ratio = (comp_only + comm_only - overlap) / comm_only (Figure 10)."""
-    cfg = AgAttentionConfig(heads=shape.heads, head_dim=shape.head_dim,
-                            seq_len=seq_len, causal=True)
+    cfg = _attention(shape, seq_len)
     s_per = cfg.seq_len // world
 
     def comm_only(ctx: DistContext) -> None:

@@ -321,21 +321,12 @@ def _analyze_plans():
     ]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
-    task = ag_gemm_tune_task(shape.s, shape.i // world, shape.h,
-                             world=world, spec=spec)
-    return [(f"{shape.name}/ag_gemm", task)]
-
-
 register_family(
     name="ag_gemm",
     doc="AllGather + GEMM (tensor-parallel MLP part 1)",
     kernels=(_ag_consumer_gemm, _ag_pull_producer, _ag_push_producer),
     tune_task=lambda: ag_gemm_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    sweep_category="mlp",
-    sweep_entries=_sweep_entries,
-    warm_cached=True,
     slot="ag_gemm",
     launch=ag_gemm_overlapped,
     retune=lambda cfg, **kw: ag_gemm_tune_task(cfg.m, cfg.n, cfg.k, **kw),

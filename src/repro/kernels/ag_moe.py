@@ -237,14 +237,6 @@ def _analyze_plans():
     return [plan(2), plan(4)]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   router_seed: int = 17, **_kw):
-    task = ag_moe_tune_task(shape.s, shape.h, shape.i // world, shape.e,
-                            shape.topk, world=world, spec=spec,
-                            router_seed=router_seed)
-    return [(f"{shape.name}/ag_moe", task)]
-
-
 def _launch(ctx: DistContext, cfg, routing, x_name: str, w_name: str,
             out_name: str, *, tag: str = "ag_moe") -> list[Process]:
     """The ``ag_moe`` table entry on the layer's ``MoeConfig``: flattened
@@ -262,9 +254,6 @@ register_family(
     kernels=(_ag_moe_group_gemm,),
     tune_task=lambda: ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
-    sweep_category="moe",
-    sweep_entries=_sweep_entries,
-    warm_cached=True,
     slot="ag_moe",
     launch=_launch,
     retune=lambda cfg, *, world, spec: ag_moe_tune_task(

@@ -113,21 +113,6 @@ def attention_tune_task(kernel: str, launch: Callable,
     )
 
 
-def attention_sweep_entries(task_fn: Callable[..., TuneTask]):
-    """A family's ``sweep_entries`` hook: ``task_fn``'s task at each
-    sequence length of one Figure-10 shape."""
-    def entries(shape, *, world: int, spec: HardwareSpec = H800,
-                causal: bool = True, **_kw):
-        tasks = []
-        for seq_len in shape.seq_lens:
-            task = task_fn(shape.heads, shape.head_dim, seq_len,
-                           causal=causal, world=world, spec=spec)
-            tasks.append((f"{shape.name}/s{seq_len}/{task.kernel}", task))
-        return tasks
-
-    return entries
-
-
 def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                            causal: bool = True, world: int = 8,
                            spec: HardwareSpec = H800,
@@ -277,9 +262,6 @@ register_family(
     # analyzer gives the family one informational plan, nothing to record
     analyze_plans=lambda: [],
     tile_ir=False,
-    sweep_category="attention",
-    sweep_entries=attention_sweep_entries(ag_attention_tune_task),
-    warm_cached=True,
     slot="attention",
     launch=ag_attention_overlapped,
     retune=lambda cfg, **kw: ag_attention_tune_task(

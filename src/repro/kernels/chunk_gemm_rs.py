@@ -376,22 +376,16 @@ def _analyze_plans():
     ]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
-    task = chunk_gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                                   world=world, spec=spec)
-    return [(f"{shape.name}/chunk_gemm_rs", task)]
-
-
 register_family(
     name="chunk_gemm_rs",
     doc="chunk-centric GEMM + ReduceScatter (variable-size chunk overlap)",
     kernels=(_gemm_producer, _chunk_rs_reduce),
     tune_task=lambda: chunk_gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    sweep_category="mlp",
-    sweep_entries=_sweep_entries,
     slot="gemm_rs",
     launch=_launch,
+    retune=lambda cfg, **kw: chunk_gemm_rs_tune_task(cfg.m, cfg.n, cfg.k,
+                                                     **kw),
     method="TileLink-chunk",
     serve="tilelink-chunk",
 )

@@ -380,21 +380,12 @@ def _analyze_plans():
             plan(2, "hybrid"), plan(4, "hybrid")]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800, **_kw):
-    task = gemm_rs_tune_task(shape.s, shape.h, shape.i // world,
-                             world=world, spec=spec)
-    return [(f"{shape.name}/gemm_rs", task)]
-
-
 register_family(
     name="gemm_rs",
     doc="GEMM + ReduceScatter (tensor-parallel MLP part 2)",
     kernels=(_gemm_rs_ring, _gemm_producer, _rs_reduce),
     tune_task=lambda: gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
-    sweep_category="mlp",
-    sweep_entries=_sweep_entries,
-    warm_cached=True,
     slot="gemm_rs",
     launch=gemm_rs_overlapped,
     retune=lambda cfg, **kw: gemm_rs_tune_task(cfg.m, cfg.n, cfg.k, **kw),

@@ -286,14 +286,6 @@ def _analyze_plans():
     return [plan(2), plan(4)]
 
 
-def _sweep_entries(shape, *, world: int, spec: HardwareSpec = H800,
-                   router_seed: int = 17, **_kw):
-    task = moe_rs_tune_task(shape.s, shape.h, shape.i // world, shape.e,
-                            shape.topk, world=world, spec=spec,
-                            router_seed=router_seed)
-    return [(f"{shape.name}/moe_rs", task)]
-
-
 def _launch(ctx: DistContext, cfg, routing, g_name: str, w_name: str,
             out_name: str, *, tag: str = "moe_rs") -> list[Process]:
     """The ``moe_rs`` table entry on the layer's ``MoeConfig``:
@@ -311,9 +303,6 @@ register_family(
     kernels=(_moe_rs_producer, _moe_rs_reduce),
     tune_task=lambda: moe_rs_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
-    sweep_category="moe",
-    sweep_entries=_sweep_entries,
-    warm_cached=True,
     slot="moe_rs",
     launch=_launch,
     retune=lambda cfg, *, world, spec: moe_rs_tune_task(

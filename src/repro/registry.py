@@ -6,10 +6,10 @@ it into every layer that once took a hand-edit:
 * the static analyzer (``repro.analyze``) records ``analyze_plans``
   from the family's own launcher, checks its ``kernels`` and prints its
   ``doc`` beside a native (``tile_ir=False``) plan,
-* ``tune_task`` is the family's representative tuning task, and the
-  sweep drivers and the warm-cache refresh (``sweep_entries``, over the
-  ``sweep_category`` paper table when it is ``warm_cached``) tune it at
-  paper shapes,
+* ``tune_task`` is the family's representative tuning task, and its
+  table entry's ``retune`` hook is its task at a figure table's config:
+  the one hook the paper-table sweeps tune and, on a TileLink entry, the
+  TileLink-tuned column and the shipped warm cache look up,
 * ``slot``/``launch`` make the family's launcher ``method``'s entry in
   the implementation table, so a figure column and a layer method,
 * the ``--list`` manifest shows all of the above.
@@ -98,8 +98,9 @@ class Impl:
 
     #: the launch, in its slot's signature
     launch: Callable[..., Any]
-    #: ``retune(cfg, *, world, spec) -> TuneTask`` on the TileLink
-    #: entries that "TileLink-tuned" retunes
+    #: ``retune(cfg, *, world, spec) -> TuneTask``, the tune task at
+    #: ``cfg``'s shape: the paper-table sweeps tune it, and on a TileLink
+    #: entry "TileLink-tuned" looks its winner up
     retune: Callable[..., Any] | None = None
     #: ``module:lineno`` of the registering call
     provenance: str = ""
@@ -120,13 +121,8 @@ class KernelFamily:
     kernels: tuple = ()
     #: False for natively-simulated families with no tile IR to analyze
     tile_ir: bool = True
-    #: which sweep table the family belongs to ("mlp" / "moe" / "attention")
-    sweep_category: str | None = None
-    #: ``fn(shape, *, world, spec, **kw) -> [(task_name, TuneTask)]``
-    sweep_entries: Callable[..., list] | None = None
-    #: True when the shipped warm cache holds this family's winners over
-    #: its whole ``sweep_category`` paper table
-    warm_cached: bool = False
+    #: ``(slot, method)`` of the family's implementation-table entry, if any
+    entry: tuple[str, str] | None = None
     #: the serving method this family adds, if any
     serve: str | None = None
     #: one-line description
@@ -188,9 +184,6 @@ def register_family(
     analyze_plans: Callable | None = None,
     kernels: tuple = (),
     tile_ir: bool = True,
-    sweep_category: str | None = None,
-    sweep_entries: Callable | None = None,
-    warm_cached: bool = False,
     slot: str | None = None,
     launch: Callable | None = None,
     retune: Callable | None = None,
@@ -200,11 +193,12 @@ def register_family(
 ) -> KernelFamily:
     """Validate and insert one :class:`KernelFamily`.
 
-    With ``slot``, ``launch`` becomes ``method``'s entry for that slot
-    (``retune`` lets "TileLink-tuned" retune it), and a new ``method`` may
-    take a ``serve`` name.  Raises :class:`~repro.errors.RegistryError`
-    naming the missing piece when the record is incomplete; nothing is
-    inserted on failure.
+    With ``slot``, ``launch`` becomes ``method``'s entry for that slot,
+    ``retune`` is the entry's tuning hook (:class:`Impl`), and a new
+    ``method`` may take a ``serve`` name; without a ``slot``, any of the
+    four names a missing table entry.  Raises
+    :class:`~repro.errors.RegistryError` naming the missing piece when
+    the record is incomplete; nothing is inserted on failure.
     """
     if not name or not isinstance(name, str):
         raise RegistryError("kernel family needs a non-empty string name")
@@ -224,9 +218,6 @@ def register_family(
     for fname, piece in _REQUIRED_CALLABLES:
         if not callable(locals()[fname]):
             raise bad(f"{piece} ({fname})")
-    if warm_cached and (sweep_category is None or sweep_entries is None):
-        raise bad("paper-table sweep (sweep_category + sweep_entries) "
-                  "that warm_cached needs")
     if tile_ir:
         if not kernels:
             raise bad("@kernel entry points (kernels)")
@@ -239,7 +230,8 @@ def register_family(
                     f"'role'/'outputs' meta annotations "
                     f"(set them via <kernel>.meta.update(...))"
                 )
-    if (slot is None) != (launch is None) or (slot is None and serve):
+    if (slot is None) != (launch is None) or (slot is None and (
+            serve or retune or method != "TileLink")):
         raise bad("table entry (slot + launch)")
     if slot is not None:
         _claim(slot, method, serve)
@@ -247,9 +239,8 @@ def register_family(
     family = KernelFamily(
         name=name, tune_task=tune_task, analyze_plans=analyze_plans,
         kernels=tuple(kernels), tile_ir=tile_ir,
-        sweep_category=sweep_category, sweep_entries=sweep_entries,
-        warm_cached=warm_cached, serve=serve, doc=doc,
-        provenance=_provenance(),
+        entry=None if slot is None else (slot, method), serve=serve,
+        doc=doc, provenance=_provenance(),
     )
     _REGISTRY[name] = family
     if slot is not None:
@@ -354,8 +345,6 @@ def _manifest() -> dict:
             "tile_ir": fam.tile_ir,
             "kernels": [k.name for k in fam.kernels],
             "plans": len(family_plans(fam)),
-            "sweep_category": fam.sweep_category,
-            "warm_cached": fam.warm_cached,
             "serve_method": fam.serve,
             "provenance": fam.provenance,
         })

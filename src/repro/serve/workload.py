@@ -146,6 +146,30 @@ def _wave_arrivals(n: int, sc: Scenario) -> list[float]:
     return [(i // sc.wave_size) * sc.wave_gap_s for i in range(n)]
 
 
+#: the fields each arrival process reads, beyond the length distributions
+_ARRIVAL_FIELDS = {"poisson": ("rate_rps",),
+                   "bursty": ("rate_rps", "burst_factor", "burst_cycle_s",
+                              "burst_duty"),
+                   "waves": ("wave_size", "wave_gap_s")}
+#: the fields that may be zero (a flat burst, one wave, exact lengths)
+_MAY_BE_ZERO = ("burst_duty", "wave_gap_s", "prompt_sigma", "output_sigma")
+
+
+def _check_fields(sc: Scenario) -> None:
+    """Refuse a field ``sc``'s processes read that is not finite, or is
+    negative (zero too, where only a positive value makes sense)."""
+    if sc.arrival not in _ARRIVAL_FIELDS:
+        raise ServeError(f"unknown arrival process {sc.arrival!r}")
+    for name in _ARRIVAL_FIELDS[sc.arrival] + (
+            "prompt_mean", "prompt_sigma", "output_mean", "output_sigma"):
+        value = getattr(sc, name)
+        floor_ok = value >= 0 if name in _MAY_BE_ZERO else value > 0
+        if not (math.isfinite(value) and floor_ok):
+            kind = "non-negative" if name in _MAY_BE_ZERO else "positive"
+            raise ServeError(f"scenario {sc.name!r}: {name} must be finite "
+                             f"and {kind}, got {value!r}")
+
+
 def generate_requests(scenario: str | Scenario, n_requests: int,
                       seed: int = 0,
                       rate_rps: float | None = None) -> list[Request]:
@@ -166,20 +190,15 @@ def generate_requests(scenario: str | Scenario, n_requests: int,
         scenario = replace(scenario, rate_rps=float(rate_rps))
     if n_requests <= 0:
         raise ServeError(f"n_requests must be positive, got {n_requests}")
-    if scenario.arrival in ("poisson", "bursty") and \
-            not scenario.rate_rps > 0:
-        raise ServeError(f"rate_rps must be positive, got "
-                         f"{scenario.rate_rps}")
+    _check_fields(scenario)
     rng = random.Random(seed)
     if scenario.arrival == "poisson":
         arrivals = _poisson_arrivals(rng, n_requests, scenario.rate_rps)
     elif scenario.arrival == "bursty":
         arrivals = _bursty_arrivals(rng, n_requests, scenario,
                                     scenario.rate_rps)
-    elif scenario.arrival == "waves":
-        arrivals = _wave_arrivals(n_requests, scenario)
     else:
-        raise ServeError(f"unknown arrival process {scenario.arrival!r}")
+        arrivals = _wave_arrivals(n_requests, scenario)
     return [Request(rid=i, arrival_s=arrivals[i],
                     prompt_tokens=_lognormal_tokens(
                         rng, scenario.prompt_mean, scenario.prompt_sigma,
@@ -202,6 +221,9 @@ def replay_trace(arrival_s: Sequence[float], prompt_tokens: Sequence[int],
             for i, (t, p, o) in enumerate(
                 zip(arrival_s, prompt_tokens, output_tokens))]
     for r in reqs:
+        if not math.isfinite(r.arrival_s):
+            raise ServeError(f"request {r.rid}: arrival_s must be finite, "
+                             f"got {r.arrival_s!r}")
         if r.prompt_tokens < 1 or r.output_tokens < 1:
             raise ServeError(f"request {r.rid}: token counts must be >= 1")
     return sorted(reqs, key=lambda r: (r.arrival_s, r.rid))

@@ -18,9 +18,12 @@ tuner:
    :class:`SearchSpace` whose axis names are fields of the kernel's
    config dataclass; its ``default`` is ``space.project(MyConfig(m, n,
    k))``, the shipped config's values on those axes;
-2. pass ``tune_task=lambda: my_kernel_tune_task(<small shape>)`` (plus
-   ``sweep_entries``/``sweep_category`` to join a paper-table sweep) to
-   the family's one ``register_family()`` call;
+2. pass ``tune_task=lambda: my_kernel_tune_task(<small shape>)`` to the
+   family's one ``register_family()`` call, plus, beside its table entry
+   (``slot``/``launch``), ``retune=lambda cfg, **kw:
+   my_kernel_tune_task(cfg.m, cfg.n, cfg.k, **kw)``, its task at a
+   figure table's config, to join that table's sweep (and, for a
+   TileLink entry, its TileLink-tuned column and the warm cache);
 3. tune with ``tune(my_kernel_tune_task(m, n, k, world=8), world=8)``.
 """
 

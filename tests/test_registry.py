@@ -70,12 +70,9 @@ def test_family_record_is_complete(name):
         for kdef in fam.kernels:
             assert kdef.meta.get("role") in ("producer", "consumer", "fused")
             assert "outputs" in kdef.meta
-    # sweep hooks come in pairs: a category implies entries, and a
-    # warm-cached family sweeps a paper table
-    if fam.sweep_category is not None:
-        assert fam.sweep_entries is not None
-    if fam.warm_cached:
-        assert fam.sweep_category is not None
+    # a table entry is the family's own: registered by the same call
+    if fam.entry is not None:
+        assert get_impl(*fam.entry).provenance == fam.provenance
 
 
 @pytest.mark.parametrize("drop,piece", [
@@ -111,15 +108,20 @@ def test_tile_ir_family_requires_annotated_kernels():
     assert "mutant_family" not in families()
 
 
-def test_warm_cached_family_requires_a_sweep_table():
-    """The warm-cache task set is each warm-cached family's sweep over
-    its paper table, so the flag without a table is a partial record."""
-    with pytest.raises(RegistryError, match="sweep_category"):
-        register_family(
-            name="mutant_family", tune_task=lambda: None,
-            analyze_plans=lambda: [], tile_ir=False, warm_cached=True,
-        )
+def test_table_hook_without_a_table_entry_raises():
+    """``retune``, a method and a serving name each describe a table
+    entry; without a ``slot`` the record would silently drop them (a
+    family whose ``retune`` no sweep can reach)."""
+    methods = dict(METHODS)
+    for hook in ({"retune": lambda cfg, **kw: None},
+                 {"method": "Mutant"}, {"serve": "mutant"}):
+        with pytest.raises(RegistryError, match="table entry"):
+            register_family(
+                name="mutant_family", tune_task=lambda: None,
+                analyze_plans=lambda: [], tile_ir=False, **hook,
+            )
     assert "mutant_family" not in families()
+    assert METHODS == methods
 
 
 def test_duplicate_registration_names_the_incumbent():

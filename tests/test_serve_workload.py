@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ServeError
@@ -110,6 +112,10 @@ def test_replay_trace_rejects_bad_input():
         replay_trace([0.0, 1.0], [10], [1, 1])
     with pytest.raises(ServeError, match="must be >= 1"):
         replay_trace([0.0], [0], [1])
+    # a NaN arrival hung serve(), an infinite one crashed it
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ServeError, match="request 1: arrival_s"):
+            replay_trace([0.0, bad, 1.0], [100] * 3, [10] * 3)
 
 
 def test_unknown_scenario_and_bad_params_raise():
@@ -123,3 +129,13 @@ def test_unknown_scenario_and_bad_params_raise():
         generate_requests("chat", 10, rate_rps=0.0)
     with pytest.raises(ServeError, match="rate_rps"):
         generate_requests("rag", 10, rate_rps=-1.0)
+    # each field an arrival process or a length distribution reads
+    for arrival, field, value in (
+            ("waves", "wave_size", 0), ("bursty", "burst_cycle_s", 0.0),
+            ("bursty", "burst_factor", float("inf")),
+            ("waves", "wave_gap_s", float("nan")),
+            ("poisson", "prompt_mean", 0), ("poisson", "output_mean", -1),
+            ("poisson", "prompt_sigma", float("inf"))):
+        sc = replace(Scenario("x", arrival=arrival), **{field: value})
+        with pytest.raises(ServeError, match=f"'x': {field} must be"):
+            generate_requests(sc, 10)

@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from benchmarks import refresh_warm_cache
+from repro.bench import experiments
 from repro.bench.experiments import (
     ag_gemm_builders,
     attention_builders,
@@ -32,16 +33,32 @@ from repro.config import H800
 from repro.kernels.ag_gemm import ag_gemm_tune_task
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
 from repro.tuner import TuneCache, task_cache_key, tune
-from repro.tuner.warm import ENV_WARM_CACHE, resolve_warm_cache, warm_cache_path
+from repro.tuner.warm import (
+    ENV_WARM_CACHE,
+    resolve_warm_cache,
+    tuned_config,
+    warm_cache_path,
+)
 
 WORLD = 8
+
+#: the 32 paper tables with a TileLink-tuned column, as (builders, args):
+#: both MLP halves at each Figure-8 shape, both MoE parts at each Table-4
+#: shape and attention at each Figure-10 shape and sequence length
+TUNED_TABLES = (
+    [(fn, (shape,)) for fn in (ag_gemm_builders, gemm_rs_builders)
+     for shape in MLP_BENCHES]
+    + [(fn, (shape,)) for fn in (moe_part1_builders, moe_part2_builders)
+       for shape in MOE_BENCHES]
+    + [(attention_builders, (shape, seq_len)) for shape in ATTENTION_BENCHES
+       for seq_len in shape.seq_lens])
 
 
 def test_warm_cache_ships_and_covers_the_paper_tables():
     """The checked-in cache must hold a current-fingerprint entry for
-    every Figure-8 MLP, Table-4 MoE and Figure-10 attention tuning task
-    (else it is stale — CI runs refresh_warm_cache.py --check for the
-    same contract)."""
+    every Figure-8 MLP, Table-4 MoE and Figure-10 attention tuning task,
+    and no other (else it is stale — CI runs refresh_warm_cache.py
+    --check for the same contract)."""
     cache = resolve_warm_cache()
     assert cache is not None, \
         f"{warm_cache_path()} must ship with the repo"
@@ -49,9 +66,12 @@ def test_warm_cache_ships_and_covers_the_paper_tables():
     tasks = (mlp_sweep_tasks(MLP_BENCHES, world=WORLD)
              + moe_sweep_tasks(MOE_BENCHES, world=WORLD)
              + attention_sweep_tasks(ATTENTION_BENCHES, world=WORLD))
-    missing = [name for name, task in tasks
-               if task_cache_key(task, world=WORLD, spec=H800) not in cache]
+    expected = {task_cache_key(task, world=WORLD, spec=H800): name
+                for name, task in tasks}
+    missing = [name for key, name in expected.items() if key not in cache]
     assert not missing, f"warm cache is stale; missing: {missing}"
+    orphaned = sorted(set(cache.keys()) - set(expected))
+    assert not orphaned, f"warm cache holds orphaned keys: {orphaned}"
 
 
 def test_warm_cache_resolution_performs_zero_simulations():
@@ -62,11 +82,22 @@ def test_warm_cache_resolution_performs_zero_simulations():
     assert res.best_time <= res.default_time
 
 
-def test_builders_default_to_tuned_column_when_warm():
-    for shape, builders_fn in ((MLP_BENCHES[0], ag_gemm_builders),
-                               (MOE_BENCHES[0], moe_part2_builders)):
-        builders = builders_fn(shape, WORLD)       # tuned=None -> auto
-        assert "TileLink-tuned" in builders, builders_fn.__name__
+def test_builders_default_to_tuned_column_when_warm(monkeypatch):
+    """Every paper table grows a TileLink-tuned column by default, and
+    the keys those columns look up are exactly the shipped cache's."""
+    looked_up = set()
+
+    def recording(retune, cfg, cache, *, world, spec, **kw):
+        task = retune(cfg, world=world, spec=spec)
+        looked_up.add(task_cache_key(task, world=world, spec=spec))
+        return tuned_config(retune, cfg, cache, world=world, spec=spec, **kw)
+
+    monkeypatch.setattr(experiments, "tuned_config", recording)
+    assert len(TUNED_TABLES) == 32
+    for builders_fn, args in TUNED_TABLES:
+        builders = builders_fn(*args, WORLD)       # tuned=None -> auto
+        assert "TileLink-tuned" in builders, (builders_fn.__name__, args)
+    assert looked_up == set(resolve_warm_cache().keys())
     # explicit opt-out still wins
     assert "TileLink-tuned" not in ag_gemm_builders(MLP_BENCHES[0], WORLD,
                                                     tuned=False)

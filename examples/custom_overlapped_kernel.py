@@ -16,7 +16,7 @@ Quickstart — the fastest path to your own kernel family:
    ``SearchSpace``, the config's default and a bound) so the autotuner
    can search it;
 4. make ONE ``repro.registry.register_family()`` call from this module,
-   naming the tune task and a few tiny analyzer instantiations of the
+   naming the kernels and a few tiny analyzer instantiations of the
    launcher.
 
 After step 4 the registry's consumers find the family with zero edits
@@ -205,7 +205,6 @@ register_family(
     name="ag_softmax",
     doc="example: fused AllGather + row softmax (tile-pull producer)",
     kernels=(ag_softmax,),
-    tune_task=lambda: ag_softmax_tune_task(256, 64),
     analyze_plans=ag_softmax_analyze_plans,
 )
 

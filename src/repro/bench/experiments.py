@@ -19,7 +19,7 @@ from repro.kernels.ag_gemm import AgGemmConfig
 from repro.kernels.attention import AgAttentionConfig
 from repro.kernels.gemm_rs import GemmRsConfig
 from repro.kernels.mlp import MlpConfig
-from repro.kernels.moe_common import build_moe_routing, random_router_logits
+from repro.kernels.moe_common import routing_memo
 from repro.kernels.moe_layer import MoeConfig
 from repro.models.configs import (
     ATTENTION_BENCHES,
@@ -30,13 +30,17 @@ from repro.models.configs import (
     MoeShape,
 )
 from repro.ops.attention import flash_attention_op
-from repro.registry import families, get_impl, launches
+from repro.registry import (
+    alloc_operands,
+    families,
+    get_impl,
+    launches,
+    slot_builder,
+)
 from repro.runtime.context import DistContext
 from repro.tuner.cache import TuneCache
 from repro.tuner.search import TuneTask, tune
 from repro.tuner.warm import resolve_warm_cache, tuned_config
-
-F16, F32 = "float16", "float32"
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +55,11 @@ F16, F32 = "float16", "float32"
 # on a miss.  ``tuned=True`` tunes on a miss, through ``tune_cache`` or
 # the default persistent cache.
 
-def _table(slot: str, cfg, operands: Callable[[DistContext], list],
-           world: int, tuned: bool | None = False,
-           tune_cache: TuneCache | None = None, max_trials: int | None = None
-           ) -> dict[str, Callable[[DistContext], None]]:
-    """``slot``'s columns, each launching on ``cfg`` after
-    ``operands(ctx)`` allocated and returned the launch's arguments."""
+def _table(slot: str, cfg, world: int, tuned: bool | None = False,
+           tune_cache: TuneCache | None = None, max_trials: int | None = None,
+           routing: tuple = ()) -> dict[str, Callable[[DistContext], None]]:
+    """``slot``'s columns, each launching on ``cfg`` (and ``routing``) on
+    the slot's freshly allocated operands."""
     resolve = None
     if tuned is None:
         cache = tune_cache if tune_cache is not None else resolve_warm_cache()
@@ -68,25 +71,14 @@ def _table(slot: str, cfg, operands: Callable[[DistContext], list],
         resolve = partial(tuned_config, cache=tune_cache, search=True,
                           max_trials=max_trials)
 
-    def column(launch: Callable) -> Callable[[DistContext], None]:
-        return lambda ctx: launch(ctx, cfg, *operands(ctx))
-
-    return {method: column(launch)
+    return {method: slot_builder(slot, launch, cfg, *routing)
             for method, launch in launches(slot, resolve).items()}
 
 
-def _alloc(ctx: DistContext, *operands) -> list[str]:
-    """Allocate each ``(name, shape, dtype)``; return the names."""
-    for op in operands:
-        ctx.alloc(*op, fill=None)
-    return [op[0] for op in operands]
-
-
-def _routing(shape: MoeShape, world: int) -> Callable:
-    """The Table-4 router's assignment (seed 17) at a given row tile."""
-    logits = random_router_logits(shape.s, shape.e, seed=17)
-    return lambda block_m: build_moe_routing(
-        logits, shape.s // world, world, shape.topk, block_m=block_m)
+def _routing(shape: MoeShape, world: int) -> tuple:
+    """An MoE table's routing arguments: the Table-4 router's assignment
+    (seed 17) over ``world`` ranks."""
+    return (routing_memo(shape.s, shape.e, shape.topk, world),)
 
 
 # Each tunable slot's paper config at one point of its figure table: what
@@ -116,10 +108,8 @@ def ag_gemm_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
-    c = _ag_gemm(shape, world)
-    return _table("ag_gemm", c, lambda ctx: _alloc(
-        ctx, ("x", (c.m // ctx.world_size, c.k), F16), ("w", (c.k, c.n), F16),
-        ("y", (c.m, c.n), F16)), world, tuned, tune_cache, tune_max_trials)
+    return _table("ag_gemm", _ag_gemm(shape, world), world, tuned, tune_cache,
+                  tune_max_trials)
 
 
 def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
@@ -127,21 +117,13 @@ def gemm_rs_builders(shape: MlpShape, world: int = DEFAULT_WORLD, *,
                      tune_cache: TuneCache | None = None,
                      tune_max_trials: int | None = None,
                      ) -> dict[str, Callable[[DistContext], None]]:
-    c = _gemm_rs(shape, world)
-    return _table("gemm_rs", c, lambda ctx: _alloc(
-        ctx, ("x", (c.m, c.k), F16), ("w", (c.k, c.n), F16),
-        ("y", (c.m // ctx.world_size, c.n), F32)),
-        world, tuned, tune_cache, tune_max_trials)
+    return _table("gemm_rs", _gemm_rs(shape, world), world, tuned, tune_cache,
+                  tune_max_trials)
 
 
 def mlp_builders(shape: MlpShape, world: int = DEFAULT_WORLD
                  ) -> dict[str, Callable[[DistContext], None]]:
-    c = MlpConfig(m=shape.s, h=shape.h, i=shape.i)
-    return _table("mlp", c, lambda ctx: _alloc(
-        ctx, ("x", (c.m // ctx.world_size, c.h), F16),
-        ("w1", (c.h, c.i_shard(ctx.world_size)), F16),
-        ("w2", (c.i_shard(ctx.world_size), c.h), F16),
-        ("y", (c.m // ctx.world_size, c.h), F32)), world)
+    return _table("mlp", MlpConfig(m=shape.s, h=shape.h, i=shape.i), world)
 
 
 def run_method_times(builders: dict[str, Callable[[DistContext], None]],
@@ -211,25 +193,31 @@ _PAPER_SLOTS = {
 
 
 def _retune_hook(kernel: str, table: str | None = None
-                 ) -> tuple[Callable, Callable]:
-    """Family ``kernel``'s paper configs and ``retune`` hook; its slot
-    must be one of sweep table ``table`` (of any sweep table if None)."""
+                 ) -> tuple[str, Callable]:
+    """Family ``kernel``'s slot and ``retune`` hook; its slot must be one
+    of sweep table ``table`` (of any sweep table if None)."""
     fam = families().get(kernel)
-    if fam and fam.entry and fam.entry[0] in _PAPER_SLOTS:
-        label, _shapes, configs = _PAPER_SLOTS[fam.entry[0]]
+    slot = fam.entry[0] if fam and fam.entry else None
+    if slot in _PAPER_SLOTS:
         retune = get_impl(*fam.entry).retune
-        if retune is not None and table in (None, label):
-            return configs, retune
+        if retune is not None and table in (None, _PAPER_SLOTS[slot][0]):
+            return slot, retune
     raise ValueError(f"unknown {table or 'tunable'} sweep kernel {kernel!r}")
 
 
-def _sweep(shapes: Sequence, hooks: Sequence[tuple[Callable, Callable]],
+def _sweep(shapes: Sequence, hooks: Sequence[tuple[str, Callable]],
            world: int, spec: HardwareSpec) -> list[tuple[str, TuneTask]]:
-    """Each ``(configs, retune)`` hook's task at each paper config of each
-    shape, named ``<table point>/<kernel>``."""
+    """Each ``(slot, retune)`` hook's task at each paper config of each
+    shape, named ``<table point>/<kernel>``; a shape of another table
+    than the slot's raises."""
     tasks: list[tuple[str, TuneTask]] = []
     for shape in shapes:
-        for configs, retune in hooks:
+        for slot, retune in hooks:
+            label, table, configs = _PAPER_SLOTS[slot]
+            if not isinstance(shape, type(table[0])):
+                raise ValueError(
+                    f"{shape.name!r} ({type(shape).__name__}) is not a shape "
+                    f"of the {label} table, which {slot!r} sweeps")
             for point, cfg in configs(shape, world):
                 task = retune(cfg, world=world, spec=spec)
                 tasks.append((f"{point}/{task.kernel}", task))
@@ -274,10 +262,10 @@ def registry_sweep_tasks(world: int = DEFAULT_WORLD, *,
     paper table.
     """
     tasks: list[tuple[str, TuneTask]] = []
-    for slot, (_label, shapes, configs) in _PAPER_SLOTS.items():
+    for slot, (_label, shapes, _configs) in _PAPER_SLOTS.items():
         retune = get_impl(slot, "TileLink").retune
         if retune is not None:
-            tasks += _sweep(shapes, [(configs, retune)], world, spec)
+            tasks += _sweep(shapes, [(slot, retune)], world, spec)
     return tasks
 
 
@@ -290,10 +278,8 @@ def moe_part1_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    return _table("ag_moe", _moe(shape), lambda ctx: [
-        _routing(shape, ctx.world_size),
-        *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
-        "w1", "g"], world, tuned, tune_cache, tune_max_trials)
+    return _table("ag_moe", _moe(shape), world, tuned, tune_cache,
+                  tune_max_trials, _routing(shape, world))
 
 
 def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
@@ -301,20 +287,14 @@ def moe_part2_builders(shape: MoeShape, world: int = DEFAULT_WORLD, *,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    return _table("moe_rs", _moe(shape), lambda ctx: [
-        _routing(shape, ctx.world_size), "g", "w2",
-        *_alloc(ctx, ("y", (shape.s // ctx.world_size, shape.h), F32))],
-        world, tuned, tune_cache, tune_max_trials)
+    return _table("moe_rs", _moe(shape), world, tuned, tune_cache,
+                  tune_max_trials, _routing(shape, world))
 
 
 def moe_layer_builders(shape: MoeShape, world: int = DEFAULT_WORLD
                        ) -> dict[str, Callable[[DistContext], None]]:
-    return _table("moe_layer", _moe(shape), lambda ctx: [
-        _routing(shape, ctx.world_size),
-        *_alloc(ctx, ("x", (shape.s // ctx.world_size, shape.h), F16)),
-        "w1", "w2",
-        *_alloc(ctx, ("y", (shape.s // ctx.world_size, shape.h), F32))],
-        world)
+    return _table("moe_layer", _moe(shape), world,
+                  routing=_routing(shape, world))
 
 
 def attention_builders(shape: AttnShape, seq_len: int,
@@ -323,11 +303,8 @@ def attention_builders(shape: AttnShape, seq_len: int,
                        tune_cache: TuneCache | None = None,
                        tune_max_trials: int | None = None,
                        ) -> dict[str, Callable[[DistContext], None]]:
-    c = _attention(shape, seq_len)
-    return _table("attention", c, lambda ctx: _alloc(ctx, *(
-        (name, (seq_len // ctx.world_size, c.width), F32 if name == "o"
-         else F16) for name in "qkvo")), world, tuned, tune_cache,
-        tune_max_trials)
+    return _table("attention", _attention(shape, seq_len), world, tuned,
+                  tune_cache, tune_max_trials)
 
 
 def attention_overlap_ratio(shape: AttnShape, seq_len: int,
@@ -338,21 +315,20 @@ def attention_overlap_ratio(shape: AttnShape, seq_len: int,
 
     def comm_only(ctx: DistContext) -> None:
         from repro.collectives.copy_engine import dma_all_gather
-        for name in ("k", "v"):
-            ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
+        _q, *kv, _o = alloc_operands(ctx, "attention", cfg)
+        for name in kv:
             ctx.alloc(f"{name}.full", (cfg.seq_len, cfg.width), "float16",
                       fill=None)
             dma_all_gather(ctx, name, f"{name}.full", None)
 
     def comp_only(ctx: DistContext) -> None:
-        ctx.alloc("q", (s_per, cfg.width), "float16", fill=None)
-        ctx.alloc("k", (cfg.seq_len, cfg.width), "float16", fill=None)
-        ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
+        q, _k, _v, o = alloc_operands(ctx, "attention", cfg)
+        kv = ctx.alloc("kv.full", (cfg.seq_len, cfg.width), "float16",
+                       fill=None)
         for rank in range(ctx.world_size):
             flash_attention_op(
-                ctx, rank, ctx.heap.tensor("q", rank),
-                ctx.heap.tensor("k", rank), ctx.heap.tensor("k", rank),
-                ctx.heap.tensor("o", rank), cfg.heads, cfg.head_dim,
+                ctx, rank, ctx.heap.tensor(q, rank), kv[rank], kv[rank],
+                ctx.heap.tensor(o, rank), cfg.heads, cfg.head_dim,
                 causal=True, q_offset=rank * s_per)
 
     t_comm = run_builder(comm_only, world=world)

@@ -30,7 +30,7 @@ from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_gemm_lower_bound
@@ -197,31 +197,23 @@ def ag_gemm_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
 
 
 def ag_gemm_tune_task(m: int, n: int, k: int, *, world: int = 8,
-                      spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None) -> TuneTask:
+                      spec: HardwareSpec = H800) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+GEMM on a shape."""
-    space = space or ag_gemm_search_space(m, n, k, world)
+    space = ag_gemm_search_space(m, n, k, world)
 
-    def make_builder(cand: dict):
-        cfg = AgGemmConfig(m=m, n=n, k=k, **cand)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m // world, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m, n), "float16", fill=None)
-            ag_gemm_overlapped(ctx, cfg, "x", "w", "y")
-
-        return build
+    def finalize(cand: dict) -> AgGemmConfig:
+        return AgGemmConfig(m=m, n=n, k=k, **cand)
 
     return TuneTask(
         kernel="ag_gemm",
         shape_key=f"m{m}n{n}k{k}",
         space=space,
-        default=space.project(AgGemmConfig(m=m, n=n, k=k)),
-        make_builder=make_builder,
+        default=space.project(finalize({})),
+        make_builder=lambda c: slot_builder("ag_gemm", ag_gemm_overlapped,
+                                            finalize(c)),
         bound=lambda c: ag_gemm_lower_bound(c, m=m, n=n, k=k, world=world,
                                             spec=spec),
-        finalize=lambda c: AgGemmConfig(m=m, n=n, k=k, **c),
+        finalize=finalize,
     )
 
 
@@ -300,17 +292,11 @@ def ag_gemm_overlapped(
 
 def _analyze_plans():
     def plan(world: int, mode: str, block_m: int = 16, suffix: str = ""):
-        m, n, k = world * 32, 32, 32
-        cfg = AgGemmConfig(m=m, n=n, k=k, block_m=block_m, block_n=16,
-                           block_k=16, block_mp=16, comm_blocks=2, mode=mode)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m // world, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m, n), "float16", fill=None)
-            ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=4)
-
-        return f"ag_gemm/{mode}/w{world}{suffix}", world, build
+        cfg = AgGemmConfig(m=world * 32, n=32, k=32, block_m=block_m,
+                           block_n=16, block_k=16, block_mp=16,
+                           comm_blocks=2, mode=mode)
+        return (f"ag_gemm/{mode}/w{world}{suffix}", world,
+                slot_builder("ag_gemm", ag_gemm_overlapped, cfg, grid=4))
 
     return [
         plan(2, "dma"), plan(4, "dma"), plan(8, "dma"),
@@ -325,7 +311,6 @@ register_family(
     name="ag_gemm",
     doc="AllGather + GEMM (tensor-parallel MLP part 1)",
     kernels=(_ag_consumer_gemm, _ag_pull_producer, _ag_push_producer),
-    tune_task=lambda: ag_gemm_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     slot="ag_gemm",
     launch=ag_gemm_overlapped,

@@ -28,7 +28,7 @@ from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process
 from repro.tuner.costprune import ag_moe_lower_bound
@@ -114,34 +114,27 @@ def ag_moe_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
 
 def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None,
                      router_seed: int = 17) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+MoE on a shape.
 
     Routing is block_m-dependent (the grouped layout pads per expert to
     the row tile), so the task rebuilds — and memoises — one
-    :class:`MoeRouting` per (token count, ``block_m``) from seeded router
-    logits; the seed is part of the shape key so differently-routed
-    problems never alias in the cache.
+    :class:`MoeRouting` per ``block_m`` from seeded router logits; the
+    seed is part of the shape key so differently-routed problems never
+    alias in the cache.  A candidate runs through the ``ag_moe`` table
+    entry on the layer config whose part 1 it is.
     """
-    space = space or ag_moe_search_space(m, h, d, world)
-    routing_for = routing_memo(n_experts, topk, world, router_seed)
+    from repro.kernels.moe_layer import MoeConfig  # it imports this module
 
-    def make_builder(cand: dict):
-        routing = routing_for(m, int(cand["block_m"]))
-        cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts, topk=topk,
-                          **cand)
+    space = ag_moe_search_space(m, h, d, world)
+    routing = routing_memo(m, n_experts, topk, world, router_seed)
 
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m // world, h), "float16", fill=None)
-            ctx.alloc("w1", (n_experts * h, d), "float16", fill=None)
-            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
-            ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g")
-
-        return build
+    def layer(cand: dict) -> MoeConfig:
+        return MoeConfig(m=m, h=h, i=d * world, n_experts=n_experts,
+                         topk=topk, **cand)
 
     def bound(cand: dict) -> float:
-        rows = routing_for(m, int(cand["block_m"])).padded_rows
+        rows = routing(int(cand["block_m"])).padded_rows
         return ag_moe_lower_bound(cand, m=m, h=h, d=d, world=world,
                                   spec=spec, topk=topk, grouped_rows=rows)
 
@@ -149,12 +142,11 @@ def ag_moe_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
         kernel="ag_moe",
         shape_key=f"m{m}h{h}d{d}e{n_experts}t{topk}r{router_seed}",
         space=space,
-        default=space.project(AgMoeConfig(m=m, h=h, d=d,
-                                          n_experts=n_experts, topk=topk)),
-        make_builder=make_builder,
+        default=space.project(layer({})),
+        make_builder=lambda c: slot_builder("ag_moe", _launch, layer(c),
+                                            routing),
         bound=bound,
-        finalize=lambda c: AgMoeConfig(m=m, h=h, d=d, n_experts=n_experts,
-                                       topk=topk, **c),
+        finalize=lambda c: layer(c).part1(world),
     )
 
 
@@ -220,39 +212,33 @@ def ag_moe_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
+    from repro.kernels.moe_layer import MoeConfig  # it imports this module
+
     def plan(world: int):
-        m, h, d = world * 32, 32, 32
-        cfg = AgMoeConfig(m=m, h=h, d=d, n_experts=4, topk=2, block_m=16,
-                          block_n=16, block_k=16)
-
-        def build(ctx: DistContext) -> None:
-            routing = routing_memo(4, 2, world)(m, cfg.block_m)
-            ctx.alloc("x", (m // world, h), "float16", fill=None)
-            ctx.alloc("w1", (4 * h, d), "float16", fill=None)
-            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
-            ag_moe_overlapped(ctx, cfg, routing, "x", "w1", "g", grid=4)
-
-        return f"ag_moe/w{world}", world, build
+        cfg = MoeConfig(m=world * 32, h=32, i=world * 32, n_experts=4,
+                        topk=2, block_m=16, block_n=16, block_k=16)
+        return f"ag_moe/w{world}", world, slot_builder(
+            "ag_moe", _launch, cfg, routing_memo(cfg.m, 4, 2, world), grid=4)
 
     return [plan(2), plan(4)]
 
 
 def _launch(ctx: DistContext, cfg, routing, x_name: str, w_name: str,
-            out_name: str, *, tag: str = "ag_moe") -> list[Process]:
+            out_name: str, *, grid: int | None = None,
+            tag: str = "ag_moe") -> list[Process]:
     """The ``ag_moe`` table entry on the layer's ``MoeConfig``: flattened
     (E*h x i/world) experts and ``padded_rows`` grouped rows."""
     d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
     ctx.alloc(w_name, (cfg.n_experts * cfg.h, d), "float16", fill=None)
     ctx.alloc(out_name, (routed.padded_rows, d), "float16", fill=None)
     return ag_moe_overlapped(ctx, cfg.part1(ctx.world_size), routed, x_name,
-                             w_name, out_name, tag=tag)
+                             w_name, out_name, grid=grid, tag=tag)
 
 
 register_family(
     name="ag_moe",
     doc="AllGather + MoE GroupGEMM (expert-parallel MoE part 1)",
     kernels=(_ag_moe_group_gemm,),
-    tune_task=lambda: ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
     slot="ag_moe",
     launch=_launch,

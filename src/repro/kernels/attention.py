@@ -27,7 +27,7 @@ import numpy as np
 from repro.config import H800, HardwareSpec
 from repro.errors import ShapeError
 from repro.ops.attention import heads_to_seq, seq_to_heads
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
@@ -77,37 +77,25 @@ def attention_search_space(heads: int, head_dim: int, seq_len: int,
 def attention_tune_task(kernel: str, launch: Callable,
                         bound: Callable[[Candidate], float], heads: int,
                         head_dim: int, seq_len: int, *, causal: bool,
-                        world: int, space: SearchSpace | None) -> TuneTask:
+                        world: int) -> TuneTask:
     """The :class:`~repro.tuner.TuneTask` of one attention family.
 
     Both kernels share the flash-tile space, default, shape key, operands
-    and config; only the kernel name, the launcher (called as
-    ``launch(ctx, cfg, "q", "k", "v", "o")``) and the pruner bound differ.
+    and config; only the kernel name, the ``attention`` slot launcher and
+    the pruner bound differ.
     """
-    space = space or attention_search_space(heads, head_dim, seq_len, world)
+    space = attention_search_space(heads, head_dim, seq_len, world)
 
     def finalize(cand: Candidate) -> AgAttentionConfig:
         return AgAttentionConfig(heads=heads, head_dim=head_dim,
                                  seq_len=seq_len, causal=causal, **cand)
-
-    def make_builder(cand: Candidate):
-        cfg = finalize(cand)
-
-        def build(ctx: DistContext) -> None:
-            s_per = seq_len // world
-            for name in ("q", "k", "v"):
-                ctx.alloc(name, (s_per, cfg.width), "float16", fill=None)
-            ctx.alloc("o", (s_per, cfg.width), "float32", fill=None)
-            launch(ctx, cfg, "q", "k", "v", "o")
-
-        return build
 
     return TuneTask(
         kernel=kernel,
         shape_key=f"h{heads}d{head_dim}s{seq_len}c{int(causal)}",
         space=space,
         default=space.project(finalize({})),
-        make_builder=make_builder,
+        make_builder=lambda c: slot_builder("attention", launch, finalize(c)),
         bound=bound,
         finalize=finalize,
     )
@@ -115,15 +103,14 @@ def attention_tune_task(kernel: str, launch: Callable,
 
 def ag_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                            causal: bool = True, world: int = 8,
-                           spec: HardwareSpec = H800,
-                           space: SearchSpace | None = None) -> TuneTask:
+                           spec: HardwareSpec = H800) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning AG+flash attention."""
     return attention_tune_task(
         "ag_attention", ag_attention_overlapped,
         lambda c: ag_attention_lower_bound(
             c, heads=heads, head_dim=head_dim, seq_len=seq_len, world=world,
             spec=spec, causal=causal),
-        heads, head_dim, seq_len, causal=causal, world=world, space=space)
+        heads, head_dim, seq_len, causal=causal, world=world)
 
 
 class _OnlineSoftmax:
@@ -257,7 +244,6 @@ def ag_attention_overlapped(
 register_family(
     name="ag_attention",
     doc="KV AllGather + flash attention (sequence parallel)",
-    tune_task=lambda: ag_attention_tune_task(4, 32, 512, world=2),
     # the flash consumer is a native simulated kernel with no tile IR: the
     # analyzer gives the family one informational plan, nothing to record
     analyze_plans=lambda: [],

@@ -47,7 +47,7 @@ from repro.lang.dsl import kernel
 from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid, ceil_div
 from repro.config import H800, HardwareSpec
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
@@ -230,21 +230,12 @@ def chunk_gemm_rs_search_space(m: int, n: int, k: int,
 
 
 def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
-                            spec: HardwareSpec = H800,
-                            space: SearchSpace | None = None) -> TuneTask:
+                            spec: HardwareSpec = H800) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning chunked GEMM+RS."""
-    space = space or chunk_gemm_rs_search_space(m, n, k, world)
+    space = chunk_gemm_rs_search_space(m, n, k, world)
 
-    def make_builder(cand: dict):
-        cfg = ChunkGemmRsConfig(m=m, n=n, k=k, **cand)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m // world, n), "float32", fill=None)
-            chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-        return build
+    def finalize(cand: dict) -> ChunkGemmRsConfig:
+        return ChunkGemmRsConfig(m=m, n=n, k=k, **cand)
 
     # the GEMM+RS floor is chunk-agnostic: same producer flops, same
     # scattered bytes — chunking only reshapes *when* they move
@@ -253,10 +244,11 @@ def chunk_gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
         shape_key=f"m{m}n{n}k{k}",
         space=space,
         default=space.project(_default_chunk_config(m, n, k, world)),
-        make_builder=make_builder,
+        make_builder=lambda c: slot_builder(
+            "gemm_rs", chunk_gemm_rs_overlapped, finalize(c)),
         bound=lambda c: gemm_rs_lower_bound(c, m=m, n=n, k=k, world=world,
                                             spec=spec),
-        finalize=lambda c: ChunkGemmRsConfig(m=m, n=n, k=k, **c),
+        finalize=finalize,
     )
 
 
@@ -357,17 +349,12 @@ def _launch(ctx: DistContext, cfg, x_name: str, w_name: str, out_name: str,
 
 def _analyze_plans():
     def plan(world: int, n_chunks: int, block_m: int = 16, suffix: str = ""):
-        m, n, k = world * 32, 32, 32
-        cfg = ChunkGemmRsConfig(m=m, n=n, k=k, block_m=block_m, block_n=16,
-                                block_k=16, block_nr=32, n_chunks=n_chunks)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m // world, n), "float32", fill=None)
-            chunk_gemm_rs_overlapped(ctx, cfg, "x", "w", "y", grid=4)
-
-        return f"chunk_gemm_rs/w{world}{suffix}", world, build
+        cfg = ChunkGemmRsConfig(m=world * 32, n=32, k=32, block_m=block_m,
+                                block_n=16, block_k=16, block_nr=32,
+                                n_chunks=n_chunks)
+        return (f"chunk_gemm_rs/w{world}{suffix}", world,
+                slot_builder("gemm_rs", chunk_gemm_rs_overlapped, cfg,
+                             grid=4))
 
     return [
         plan(2, 2), plan(4, 2),
@@ -380,7 +367,6 @@ register_family(
     name="chunk_gemm_rs",
     doc="chunk-centric GEMM + ReduceScatter (variable-size chunk overlap)",
     kernels=(_gemm_producer, _chunk_rs_reduce),
-    tune_task=lambda: chunk_gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     slot="gemm_rs",
     launch=_launch,

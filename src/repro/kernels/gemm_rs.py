@@ -30,7 +30,7 @@ from repro.lang.dsl import kernel
 from repro.mapping.layout import TileGrid
 from repro.mapping.static import AffineTileMapping
 from repro.config import H800, HardwareSpec
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import gemm_rs_lower_bound
@@ -245,31 +245,23 @@ def gemm_rs_search_space(m: int, n: int, k: int, world: int) -> SearchSpace:
 
 
 def gemm_rs_tune_task(m: int, n: int, k: int, *, world: int = 8,
-                      spec: HardwareSpec = H800,
-                      space: SearchSpace | None = None) -> TuneTask:
+                      spec: HardwareSpec = H800) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning GEMM+RS on a shape."""
-    space = space or gemm_rs_search_space(m, n, k, world)
+    space = gemm_rs_search_space(m, n, k, world)
 
-    def make_builder(cand: dict):
-        cfg = GemmRsConfig(m=m, n=n, k=k, **cand)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m // world, n), "float32", fill=None)
-            gemm_rs_overlapped(ctx, cfg, "x", "w", "y")
-
-        return build
+    def finalize(cand: dict) -> GemmRsConfig:
+        return GemmRsConfig(m=m, n=n, k=k, **cand)
 
     return TuneTask(
         kernel="gemm_rs",
         shape_key=f"m{m}n{n}k{k}",
         space=space,
-        default=space.project(GemmRsConfig(m=m, n=n, k=k)),
-        make_builder=make_builder,
+        default=space.project(finalize({})),
+        make_builder=lambda c: slot_builder("gemm_rs", gemm_rs_overlapped,
+                                            finalize(c)),
         bound=lambda c: gemm_rs_lower_bound(c, m=m, n=n, k=k, world=world,
                                             spec=spec),
-        finalize=lambda c: GemmRsConfig(m=m, n=n, k=k, **c),
+        finalize=finalize,
     )
 
 
@@ -363,18 +355,11 @@ def gemm_rs_overlapped(
 
 def _analyze_plans():
     def plan(world: int, mode: str):
-        m, n, k = world * 32, 32, 32
-        cfg = GemmRsConfig(m=m, n=n, k=k, block_m=16, block_n=16,
+        cfg = GemmRsConfig(m=world * 32, n=32, k=32, block_m=16, block_n=16,
                            block_k=16, block_mr=16, block_nr=32,
                            comm_blocks=2, mode=mode)
-
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("x", (m, k), "float16", fill=None)
-            ctx.alloc("w", (k, n), "float16", fill=None)
-            ctx.alloc("y", (m // world, n), "float32", fill=None)
-            gemm_rs_overlapped(ctx, cfg, "x", "w", "y", grid=4)
-
-        return f"gemm_rs/{mode}/w{world}", world, build
+        return (f"gemm_rs/{mode}/w{world}", world,
+                slot_builder("gemm_rs", gemm_rs_overlapped, cfg, grid=4))
 
     return [plan(2, "ring"), plan(4, "ring"),
             plan(2, "hybrid"), plan(4, "hybrid")]
@@ -384,7 +369,6 @@ register_family(
     name="gemm_rs",
     doc="GEMM + ReduceScatter (tensor-parallel MLP part 2)",
     kernels=(_gemm_rs_ring, _gemm_producer, _rs_reduce),
-    tune_task=lambda: gemm_rs_tune_task(512, 128, 128, world=2),
     analyze_plans=_analyze_plans,
     slot="gemm_rs",
     launch=gemm_rs_overlapped,

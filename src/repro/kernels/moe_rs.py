@@ -34,7 +34,7 @@ from repro.lang import tl
 from repro.lang.dsl import kernel
 from repro.mapping.dynamic import TableTileMapping
 from repro.mapping.layout import TileGrid
-from repro.registry import register_family
+from repro.registry import register_family, slot_builder
 from repro.runtime.context import DistContext
 from repro.sim.engine import Process, ProcessGen
 from repro.tuner.costprune import moe_rs_lower_bound
@@ -143,31 +143,25 @@ def moe_rs_search_space(m: int, h: int, d: int, world: int) -> SearchSpace:
 
 def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
                      world: int = 8, spec: HardwareSpec = H800,
-                     space: SearchSpace | None = None,
                      router_seed: int = 17) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning MoE+RS on a shape.
 
     Like :func:`repro.kernels.ag_moe.ag_moe_tune_task`, routing is
-    rebuilt (and memoised) per (token count, ``block_m``); the router seed
-    joins the shape key.
+    rebuilt (and memoised) per ``block_m``; the router seed joins the
+    shape key, and a candidate runs through the ``moe_rs`` table entry on
+    the layer config whose part 2 it is.
     """
-    space = space or moe_rs_search_space(m, h, d, world)
-    routing_for = routing_memo(n_experts, topk, world, router_seed)
+    from repro.kernels.moe_layer import MoeConfig  # it imports this module
 
-    def make_builder(cand: dict):
-        routing = routing_for(m, int(cand["block_m"]))
-        cfg = MoeRsConfig(m=m, h=h, d=d, **cand)
+    space = moe_rs_search_space(m, h, d, world)
+    routing = routing_memo(m, n_experts, topk, world, router_seed)
 
-        def build(ctx: DistContext) -> None:
-            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
-            ctx.alloc("w2", (n_experts * d, h), "float16", fill=None)
-            ctx.alloc("y", (m // world, h), "float32", fill=None)
-            moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y")
-
-        return build
+    def layer(cand: dict) -> MoeConfig:
+        return MoeConfig(m=m, h=h, i=d * world, n_experts=n_experts,
+                         topk=topk, **cand)
 
     def bound(cand: dict) -> float:
-        rows = routing_for(m, int(cand["block_m"])).padded_rows
+        rows = routing(int(cand["block_m"])).padded_rows
         return moe_rs_lower_bound(cand, m=m, h=h, d=d, world=world,
                                   spec=spec, topk=topk, grouped_rows=rows)
 
@@ -175,10 +169,11 @@ def moe_rs_tune_task(m: int, h: int, d: int, n_experts: int, topk: int, *,
         kernel="moe_rs",
         shape_key=f"m{m}h{h}d{d}e{n_experts}t{topk}r{router_seed}",
         space=space,
-        default=space.project(MoeRsConfig(m=m, h=h, d=d)),
-        make_builder=make_builder,
+        default=space.project(layer({})),
+        make_builder=lambda c: slot_builder("moe_rs", _launch, layer(c),
+                                            routing),
         bound=bound,
-        finalize=lambda c: MoeRsConfig(m=m, h=h, d=d, **c),
+        finalize=lambda c: layer(c).part2(world),
     )
 
 
@@ -269,39 +264,34 @@ def moe_rs_overlapped(
 # ---------------------------------------------------------------------------
 
 def _analyze_plans():
+    from repro.kernels.moe_layer import MoeConfig  # it imports this module
+
     def plan(world: int):
-        m, h, d = world * 32, 32, 32
-        cfg = MoeRsConfig(m=m, h=h, d=d, block_m=16, block_n=16, block_k=16,
-                          block_mr=16, block_nr=32)
-
-        def build(ctx: DistContext) -> None:
-            routing = routing_memo(4, 2, world)(m, cfg.block_m)
-            ctx.alloc("g", (routing.padded_rows, d), "float16", fill=None)
-            ctx.alloc("w2", (4 * d, h), "float16", fill=None)
-            ctx.alloc("y", (m // world, h), "float32", fill=None)
-            moe_rs_overlapped(ctx, cfg, routing, "g", "w2", "y", grid=4)
-
-        return f"moe_rs/w{world}", world, build
+        cfg = MoeConfig(m=world * 32, h=32, i=world * 32, n_experts=4,
+                        topk=2, block_m=16, block_n=16, block_k=16,
+                        block_mr=16, block_nr=32)
+        return f"moe_rs/w{world}", world, slot_builder(
+            "moe_rs", _launch, cfg, routing_memo(cfg.m, 4, 2, world), grid=4)
 
     return [plan(2), plan(4)]
 
 
 def _launch(ctx: DistContext, cfg, routing, g_name: str, w_name: str,
-            out_name: str, *, tag: str = "moe_rs") -> list[Process]:
+            out_name: str, *, grid: int | None = None,
+            tag: str = "moe_rs") -> list[Process]:
     """The ``moe_rs`` table entry on the layer's ``MoeConfig``:
     ``padded_rows`` grouped rows and flattened (E*(i/world) x h) experts."""
     d, routed = cfg.i_shard(ctx.world_size), routing(cfg.block_m)
     ctx.alloc(g_name, (routed.padded_rows, d), "float16", fill=None)
     ctx.alloc(w_name, (cfg.n_experts * d, cfg.h), "float16", fill=None)
     return moe_rs_overlapped(ctx, cfg.part2(ctx.world_size), routed, g_name,
-                             w_name, out_name, tag=tag)
+                             w_name, out_name, grid=grid, tag=tag)
 
 
 register_family(
     name="moe_rs",
     doc="GroupGEMM + Scatter + TopkReduce + ReduceScatter (MoE part 2)",
     kernels=(_moe_rs_producer, _moe_rs_reduce),
-    tune_task=lambda: moe_rs_tune_task(512, 128, 128, 4, 2, world=2),
     analyze_plans=_analyze_plans,
     slot="moe_rs",
     launch=_launch,

@@ -31,15 +31,13 @@ from repro.runtime.launcher import launch_native
 from repro.sim.engine import Process, ProcessGen, Timeout
 from repro.tuner.costprune import ring_attention_lower_bound
 from repro.tuner.search import TuneTask
-from repro.tuner.space import SearchSpace
 
 #: per-step host cost of the torch.distributed SendRecv pair
 HOP_DISPATCH_OVERHEAD = 30e-6
 
 def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
                              causal: bool = True, world: int = 8,
-                             spec: HardwareSpec = H800,
-                             space: SearchSpace | None = None) -> TuneTask:
+                             spec: HardwareSpec = H800) -> TuneTask:
     """Build the :class:`~repro.tuner.TuneTask` tuning RingAttention.
 
     The ring shares the AG kernel's flash-tile axes — the searched
@@ -53,7 +51,7 @@ def ring_attention_tune_task(heads: int, head_dim: int, seq_len: int, *,
         lambda c: ring_attention_lower_bound(
             c, heads=heads, head_dim=head_dim, seq_len=seq_len, world=world,
             spec=spec),
-        heads, head_dim, seq_len, causal=causal, world=world, space=space)
+        heads, head_dim, seq_len, causal=causal, world=world)
 
 
 def ring_attention(
@@ -128,7 +126,6 @@ def ring_attention(
 register_family(
     name="ring_attention",
     doc="RingAttention baseline (rotating-KV lockstep ring)",
-    tune_task=lambda: ring_attention_tune_task(4, 32, 512, world=2),
     # native host-process ring, no tile IR: one informational plan
     analyze_plans=lambda: [],
     tile_ir=False,

@@ -35,11 +35,16 @@ from repro.errors import RegistryError
 from repro.kernels.ag_gemm import AgGemmConfig
 from repro.kernels.gemm_rs import GemmRsConfig
 from repro.kernels.mlp import MlpConfig, mlp_layer
-from repro.kernels.moe_common import build_moe_routing, random_router_logits
+from repro.kernels.moe_common import routing_memo
 from repro.kernels.moe_layer import MoeConfig
 from repro.models.configs import ModelConfig
 from repro.ops.attention import flash_attention_op
-from repro.registry import launches, serve_method, serve_method_names
+from repro.registry import (
+    alloc_operands,
+    launches,
+    serve_method,
+    serve_method_names,
+)
 from repro.runtime.context import DistContext
 from repro.tuner.warm import resolve_warm_cache, tuned_config
 
@@ -76,6 +81,14 @@ def layer_row(method: str) -> dict[str, Callable]:
     return row
 
 
+def _op(ctx: DistContext, row: dict[str, Callable], slot: str, cfg,
+        tag: str, *routing) -> None:
+    """Run ``row``'s ``slot`` launch as op ``tag`` on its own operands,
+    named ``<tag>.<operand>``."""
+    row[slot](ctx, cfg, *routing, *alloc_operands(ctx, slot, cfg, f"{tag}."),
+              tag=tag)
+
+
 def build_attention_block(ctx: DistContext, model: ModelConfig,
                           row: dict[str, Callable],
                           tag: str = "attn") -> None:
@@ -87,13 +100,9 @@ def build_attention_block(ctx: DistContext, model: ModelConfig,
     heads_local = max(1, model.heads // world)
     bm = _row_tile(BM, tokens, world)
 
-    ctx.alloc(f"{tag}.x", (tokens // world, h), "float16", fill=None)
-    ctx.alloc(f"{tag}.w_qkv", (h, qkv_width), "float16", fill=None)
-    ctx.alloc(f"{tag}.qkv", (tokens, qkv_width), "float16", fill=None)
-    row["ag_gemm"](ctx, AgGemmConfig(
+    _op(ctx, row, "ag_gemm", AgGemmConfig(
         m=tokens, n=qkv_width, k=h, block_m=bm, block_n=BN, block_k=BK,
-        block_mp=bm, mode="dma"), f"{tag}.x", f"{tag}.w_qkv", f"{tag}.qkv",
-        tag=f"{tag}.qkv_proj")
+        block_mp=bm, mode="dma"), f"{tag}.qkv_proj")
 
     # core attention: per (batch x local head).  kv_len == 0 is the
     # prefill form (queries attend causally over themselves); kv_len > 0
@@ -121,14 +130,10 @@ def build_attention_block(ctx: DistContext, model: ModelConfig,
                 heads=model.batch * heads_local, dim=model.head_dim,
                 causal=True)
 
-    ctx.alloc(f"{tag}.ctx", (tokens, attn_w), "float16", fill=None)
-    ctx.alloc(f"{tag}.w_o", (attn_w, h), "float16", fill=None)
-    ctx.alloc(f"{tag}.out", (tokens // world, h), "float32", fill=None)
-    row["gemm_rs"](ctx, GemmRsConfig(
+    _op(ctx, row, "gemm_rs", GemmRsConfig(
         m=tokens, n=h, k=attn_w, block_m=bm, block_n=BN, block_k=BK,
         block_mr=_row_tile(BMR, tokens, world), block_nr=BNR,
-        mode="hybrid"), f"{tag}.ctx", f"{tag}.w_o", f"{tag}.out",
-        tag=f"{tag}.o_proj")
+        mode="hybrid"), f"{tag}.o_proj")
 
 
 def build_ffn_block(ctx: DistContext, model: ModelConfig,
@@ -141,14 +146,9 @@ def build_ffn_block(ctx: DistContext, model: ModelConfig,
     bmr = _row_tile(BMR, tokens, world)
 
     def dense(i: int, sub: str) -> None:
-        ctx.alloc(f"{sub}.x", (tokens // world, h), "float16", fill=None)
-        ctx.alloc(f"{sub}.w1", (h, i // world), "float16", fill=None)
-        ctx.alloc(f"{sub}.w2", (i // world, h), "float16", fill=None)
-        ctx.alloc(f"{sub}.out", (tokens // world, h), "float32", fill=None)
-        row["mlp"](ctx, MlpConfig(m=tokens, h=h, i=i, block_m=bm, block_n=BN,
-                                  block_k=BK, block_mr=bmr, block_nr=BNR),
-                   f"{sub}.x", f"{sub}.w1", f"{sub}.w2", f"{sub}.out",
-                   tag=sub)
+        _op(ctx, row, "mlp", MlpConfig(
+            m=tokens, h=h, i=i, block_m=bm, block_n=BN, block_k=BK,
+            block_mr=bmr, block_nr=BNR), sub)
 
     if not model.moe:
         dense(model.intermediate, f"{tag}.mlp")
@@ -157,17 +157,12 @@ def build_ffn_block(ctx: DistContext, model: ModelConfig,
     if model.shared_intermediate > 0:
         dense(model.shared_intermediate, f"{tag}.shared")
 
-    logits = random_router_logits(tokens, model.n_experts,
-                                  seed=ctx.machine.config.seed)
-    cfg = MoeConfig(m=tokens, h=h, i=model.intermediate,
-                    n_experts=model.n_experts, topk=model.topk,
-                    block_m=_row_tile(MOE_BLOCK_M, tokens, world),
-                    block_n=BN, block_k=BK, block_mr=bmr, block_nr=BNR)
-    ctx.alloc(f"{tag}.x", (tokens // world, h), "float16", fill=None)
-    ctx.alloc(f"{tag}.out", (tokens // world, h), "float32", fill=None)
-    row["moe_layer"](ctx, cfg, lambda block_m: build_moe_routing(
-        logits, tokens // world, world, model.topk, block_m=block_m),
-        f"{tag}.x", f"{tag}.w1", f"{tag}.w2", f"{tag}.out", tag=f"{tag}.moe")
+    _op(ctx, row, "moe_layer", MoeConfig(
+        m=tokens, h=h, i=model.intermediate, n_experts=model.n_experts,
+        topk=model.topk, block_m=_row_tile(MOE_BLOCK_M, tokens, world),
+        block_n=BN, block_k=BK, block_mr=bmr, block_nr=BNR), f"{tag}.moe",
+        routing_memo(tokens, model.n_experts, model.topk, world,
+                     router_seed=ctx.machine.config.seed))
 
 
 def build_layer(ctx: DistContext, model: ModelConfig, method: str) -> None:

@@ -86,20 +86,15 @@ def _record_serve(args) -> int:
 def _record_sim(args) -> int:
     from repro.bench.harness import run_builder_traced
     from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_overlapped
+    from repro.registry import slot_builder
 
     m, n, k = 256, 96, 64
     world = 4
-
-    def builder(ctx) -> None:
-        ctx.alloc("x", (m // world, k), "float16", fill=None)
-        ctx.alloc("w", (k, n), "float16", fill=None)
-        ctx.alloc("y", (m, n), "float16", fill=None)
-        cfg = AgGemmConfig(m=m, n=n, k=k, block_m=32, block_n=32,
-                           block_k=32, block_mp=32, comm_blocks=4,
-                           mode="dma")
-        ag_gemm_overlapped(ctx, cfg, "x", "w", "y", grid=16)
-
-    total, ctx = run_builder_traced(builder, world=world, seed=args.seed)
+    cfg = AgGemmConfig(m=m, n=n, k=k, block_m=32, block_n=32, block_k=32,
+                       block_mp=32, comm_blocks=4, mode="dma")
+    total, ctx = run_builder_traced(
+        slot_builder("ag_gemm", ag_gemm_overlapped, cfg, grid=16),
+        world=world, seed=args.seed)
     trace = ctx.machine.trace
     save_sim_recording(args.out, trace, meta={
         "kernel": "ag_gemm", "shape": f"m{m}n{n}k{k}", "world": world,

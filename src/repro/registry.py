@@ -6,10 +6,9 @@ it into every layer that once took a hand-edit:
 * the static analyzer (``repro.analyze``) records ``analyze_plans``
   from the family's own launcher, checks its ``kernels`` and prints its
   ``doc`` beside a native (``tile_ir=False``) plan,
-* ``tune_task`` is the family's representative tuning task, and its
-  table entry's ``retune`` hook is its task at a figure table's config:
-  the one hook the paper-table sweeps tune and, on a TileLink entry, the
-  TileLink-tuned column and the shipped warm cache look up,
+* its table entry's ``retune`` hook is its task at a figure table's
+  config: the one hook the paper-table sweeps tune and, on a TileLink
+  entry, the TileLink-tuned column and the shipped warm cache look up,
 * ``slot``/``launch`` make the family's launcher ``method``'s entry in
   the implementation table, so a figure column and a layer method,
 * the ``--list`` manifest shows all of the above.
@@ -20,19 +19,16 @@ order; a family may add one), registered from its own module:
 :func:`register_family` for a kernel family, :func:`register_impl` for a
 baseline or a composed layer.  Methods with a serving name form the layer
 and serving ``method`` axis.  "TileLink-tuned" registers nothing: it runs
-TileLink's entries on retuned configs (:func:`launches`).  A slot's
-entries share one signature; the caller allocates the operands an entry
-does not, and omits ``tag`` to keep the entry's labels:
+TileLink's entries on retuned configs (:func:`launches`).
 
-* ``ag_gemm`` / ``gemm_rs``: ``fn(ctx, cfg, x, w, out, *, tag)``, with
-  ``cfg`` an ``AgGemmConfig`` / ``GemmRsConfig``;
-* ``mlp``: ``fn(ctx, cfg: MlpConfig, x, w1, w2, out, *, tag)``;
-* ``attention``: ``fn(ctx, cfg: AgAttentionConfig, q, k, v, o, *, tag)``;
-* ``ag_moe`` ``(x, w1, g)``, ``moe_rs`` ``(g, w2, out)``, ``moe_layer``
-  ``(x, w1, w2, out)``: ``fn(ctx, cfg: MoeConfig, routing, *names,
-  tag)``, ``routing(block_m)`` being the router's assignment at a row
-  tile; each entry allocates its expert stacks and grouped buffers,
-  whose layouts differ by method.
+A slot's entries share one signature, ``fn(ctx, cfg, *routing,
+*operands, tag=)``; the caller omits ``tag`` to keep the entry's labels.
+:data:`SLOTS` states each slot's config and the operands its caller
+allocates, and :func:`alloc_operands` / :func:`slot_builder` allocate
+them, so no caller writes that layout again.  The MoE slots take
+``routing(block_m)``, the router's assignment at a row tile, and their
+entries allocate the expert stacks and grouped rows, whose layouts
+differ by method.
 
 :func:`discover` imports every module under ``repro.kernels`` and
 ``repro.baselines`` once, and each registers itself at import time (a
@@ -63,6 +59,7 @@ __all__ = [
     "KernelFamily",
     "METHODS",
     "SLOTS",
+    "alloc_operands",
     "discover",
     "families",
     "get_family",
@@ -74,11 +71,38 @@ __all__ = [
     "register_impl",
     "serve_method",
     "serve_method_names",
+    "slot_builder",
 ]
 
-#: the op slots of the implementation table
-SLOTS = ("ag_gemm", "gemm_rs", "ag_moe", "moe_rs", "attention", "mlp",
-         "moe_layer")
+F16, F32 = "float16", "float32"
+
+#: The op slots of the implementation table, each with the operands its
+#: caller allocates at config ``c`` (the class named beside it) and world
+#: size ``w``, in launch order: ``(name, shape, dtype)``, or a bare name
+#: for a buffer that each method's entry allocates itself.
+SLOTS: dict[str, Callable[[Any, int], tuple]] = {
+    # AgGemmConfig
+    "ag_gemm": lambda c, w: (("x", (c.m // w, c.k), F16),
+                             ("w", (c.k, c.n), F16), ("y", (c.m, c.n), F16)),
+    # GemmRsConfig
+    "gemm_rs": lambda c, w: (("x", (c.m, c.k), F16), ("w", (c.k, c.n), F16),
+                             ("y", (c.m // w, c.n), F32)),
+    # MoeConfig, after routing
+    "ag_moe": lambda c, w: (("x", (c.m // w, c.h), F16), "w1", "g"),
+    "moe_rs": lambda c, w: ("g", "w2", ("y", (c.m // w, c.h), F32)),
+    # AgAttentionConfig
+    "attention": lambda c, w: tuple(
+        (name, (c.seq_len // w, c.width), F32 if name == "o" else F16)
+        for name in "qkvo"),
+    # MlpConfig
+    "mlp": lambda c, w: (("x", (c.m // w, c.h), F16),
+                         ("w1", (c.h, c.i_shard(w)), F16),
+                         ("w2", (c.i_shard(w), c.h), F16),
+                         ("y", (c.m // w, c.h), F32)),
+    # MoeConfig, after routing
+    "moe_layer": lambda c, w: (("x", (c.m // w, c.h), F16), "w1", "w2",
+                               ("y", (c.m // w, c.h), F32)),
+}
 
 #: the figure methods in column order, each with its serving name or None
 METHODS: dict[str, str | None] = {
@@ -112,8 +136,6 @@ class KernelFamily:
 
     #: registry key; also the tuner kernel name and analyzer family name
     name: str
-    #: zero-arg factory -> ``TuneTask`` for a representative small shape
-    tune_task: Callable[[], Any]
     #: zero-arg factory -> analyzer ``(plan name, world, build)`` entries;
     #: ``build(ctx)`` allocates tiny inputs and calls the family's launcher
     analyze_plans: Callable[[], list]
@@ -134,13 +156,6 @@ class KernelFamily:
 _REGISTRY: dict[str, KernelFamily] = {}
 _IMPLS: dict[tuple[str, str], Impl] = {}
 _discovered = False
-
-#: (field, human-readable requirement) — validated before insertion so a
-#: partial registration fails loudly, naming the missing piece.
-_REQUIRED_CALLABLES = (
-    ("tune_task", "tune_task factory"),
-    ("analyze_plans", "analyze_plans factory"),
-)
 
 
 def _provenance() -> str:
@@ -169,6 +184,28 @@ def register_impl(slot: str, method: str, launch: Callable[..., Any]) -> None:
     METHODS.setdefault(method, None)
 
 
+def alloc_operands(ctx: Any, slot: str, cfg: Any, prefix: str = ""
+                   ) -> list[str]:
+    """Allocate ``slot``'s caller-side operands at ``cfg`` on ``ctx``'s
+    world, each named ``prefix`` + its table name; return every operand's
+    name in launch order."""
+    names = []
+    for op in SLOTS[slot](cfg, ctx.world_size):
+        name = prefix + (op if isinstance(op, str) else op[0])
+        if not isinstance(op, str):
+            ctx.alloc(name, *op[1:], fill=None)
+        names.append(name)
+    return names
+
+
+def slot_builder(slot: str, launch: Callable[..., Any], cfg: Any, *routing,
+                 **kw) -> Callable[[Any], Any]:
+    """A fresh-context builder running ``launch(ctx, cfg, *routing,
+    *operands, **kw)`` on newly allocated ``slot`` operands."""
+    return lambda ctx: launch(ctx, cfg, *routing,
+                              *alloc_operands(ctx, slot, cfg), **kw)
+
+
 def gemm_entry(fn: Callable[..., Any], *tiles: str) -> Callable[..., Any]:
     """``fn(ctx, m, n, k, *names, **kw)`` as an ``ag_gemm``/``gemm_rs``
     entry, passing the config's ``tiles`` fields by keyword."""
@@ -180,7 +217,6 @@ def gemm_entry(fn: Callable[..., Any], *tiles: str) -> Callable[..., Any]:
 def register_family(
     *,
     name: str,
-    tune_task: Callable | None = None,
     analyze_plans: Callable | None = None,
     kernels: tuple = (),
     tile_ir: bool = True,
@@ -206,18 +242,15 @@ def register_family(
     def bad(piece: str) -> RegistryError:
         return RegistryError(
             f"kernel family {name!r} is missing its {piece}; "
-            f"register_family() needs every consumer hook (tuner, analyzer) "
-            f"to be provided"
-        )
+            f"register_family() needs every consumer hook to be provided")
 
     if name in _REGISTRY:
         raise RegistryError(
             f"kernel family {name!r} is already registered "
             f"(from {_REGISTRY[name].provenance})"
         )
-    for fname, piece in _REQUIRED_CALLABLES:
-        if not callable(locals()[fname]):
-            raise bad(f"{piece} ({fname})")
+    if not callable(analyze_plans):
+        raise bad("analyze_plans factory (analyze_plans)")
     if tile_ir:
         if not kernels:
             raise bad("@kernel entry points (kernels)")
@@ -237,7 +270,7 @@ def register_family(
         _claim(slot, method, serve)
 
     family = KernelFamily(
-        name=name, tune_task=tune_task, analyze_plans=analyze_plans,
+        name=name, analyze_plans=analyze_plans,
         kernels=tuple(kernels), tile_ir=tile_ir,
         entry=None if slot is None else (slot, method), serve=serve,
         doc=doc, provenance=_provenance(),

@@ -57,7 +57,7 @@ from repro.models.configs import ModelConfig
 from repro.serve.kv import KVCacheConfig
 from repro.serve.latency import StepLatencyTable
 from repro.serve.samples import StepStats
-from repro.serve.workload import Request
+from repro.serve.workload import Request, check_requests
 
 __all__ = ["ServerConfig", "RequestLog", "ServeResult", "serve"]
 
@@ -173,8 +173,13 @@ def serve(requests: Sequence[Request], model: ModelConfig, method: str,
     off) captures the request-lifecycle event log for the
     observability layer without perturbing the run — see
     :func:`serve_events` for the contract.
+
+    A request with a non-finite arrival or a token count below 1 raises
+    :class:`~repro.errors.ServeError` before the engine runs.
     """
     from repro.serve.engine import serve_events
+
+    check_requests(requests)
 
     return serve_events(requests, model, method, table, server=server,
                         world=world, spec=spec, seed=seed, kv=kv,

@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ServeError
 
-__all__ = ["Request", "Scenario", "SCENARIOS", "generate_requests",
-           "replay_trace"]
+__all__ = ["Request", "Scenario", "SCENARIOS", "check_requests",
+           "generate_requests", "replay_trace"]
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,16 @@ def replay_trace(arrival_s: Sequence[float], prompt_tokens: Sequence[int],
                     output_tokens=int(o))
             for i, (t, p, o) in enumerate(
                 zip(arrival_s, prompt_tokens, output_tokens))]
-    for r in reqs:
+    check_requests(reqs)
+    return sorted(reqs, key=lambda r: (r.arrival_s, r.rid))
+
+
+def check_requests(requests: Iterable[Request]) -> None:
+    """Raise :class:`ServeError` naming the first request the engine
+    cannot serve: a non-finite arrival or a token count below 1."""
+    for r in requests:
         if not math.isfinite(r.arrival_s):
             raise ServeError(f"request {r.rid}: arrival_s must be finite, "
                              f"got {r.arrival_s!r}")
         if r.prompt_tokens < 1 or r.output_tokens < 1:
             raise ServeError(f"request {r.rid}: token counts must be >= 1")
-    return sorted(reqs, key=lambda r: (r.arrival_s, r.rid))

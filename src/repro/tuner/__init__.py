@@ -37,9 +37,8 @@ search space, default and bound; :func:`tune` searches it::
     result = tune(task, world=8, spec=H800, cache=TuneCache(path))
     cfg = result.best_config          # an AgGemmConfig
 
-The bench builders' ``tuned=True`` columns make the same call; every
-registered family exposes a representative task as
-``repro.registry.get_family(name).tune_task()``.
+The bench builders' ``tuned=True`` columns make the same call, on the
+task a family's table entry ``retune`` hook builds at a figure config.
 """
 
 from repro.tuner.cache import TuneCache, default_cache_path, make_key

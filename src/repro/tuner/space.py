@@ -13,14 +13,14 @@ factory (see ``repro.kernels.ag_gemm``), and reached through its
 :func:`repro.registry.register_family` record.  To add a kernel to the
 tuner:
 
-1. write ``def my_kernel_tune_task(m, n, k, *, world, spec, space=None)``
-   returning a :class:`repro.tuner.search.TuneTask` over a
-   :class:`SearchSpace` whose axis names are fields of the kernel's
-   config dataclass; its ``default`` is ``space.project(MyConfig(m, n,
-   k))``, the shipped config's values on those axes;
-2. pass ``tune_task=lambda: my_kernel_tune_task(<small shape>)`` to the
-   family's one ``register_family()`` call, plus, beside its table entry
-   (``slot``/``launch``), ``retune=lambda cfg, **kw:
+1. write ``def my_kernel_tune_task(m, n, k, *, world, spec)`` returning
+   a :class:`repro.tuner.search.TuneTask` over a :class:`SearchSpace`
+   whose axis names are fields of the kernel's config dataclass; its
+   ``default`` is ``space.project(MyConfig(m, n, k))``, the shipped
+   config's values on those axes, and a kernel that fills an op slot
+   builds each candidate with :func:`repro.registry.slot_builder`;
+2. pass, beside the family's table entry (``slot``/``launch``) in its
+   one ``register_family()`` call, ``retune=lambda cfg, **kw:
    my_kernel_tune_task(cfg.m, cfg.n, cfg.k, **kw)``, its task at a
    figure table's config, to join that table's sweep (and, for a
    TileLink entry, its TileLink-tuned column and the warm cache);

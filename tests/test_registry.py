@@ -4,20 +4,29 @@ implementation table and its serving method axis, and the
 ``python -m repro.registry`` manifest.
 
 The meta-test is the registry's contract: every family a consumer can
-resolve must expose a working hook for *each* consumer — tuner (tune
-task) and analyzer (plans recorded from its launcher) — so a family can
-never be half-wired into the stack.
+resolve must expose a working hook for *each* consumer — the analyzer
+(plans recorded from its launcher) and, through its table entry, the
+figure tables and layers — so a family can never be half-wired into the
+stack.  Every table entry also runs once on its slot's operands.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.analyze import analyze_registered
 from repro.bench import experiments
+from repro.bench.harness import run_builder
 from repro.errors import RegistryError
+from repro.kernels.ag_gemm import AgGemmConfig
+from repro.kernels.attention import AgAttentionConfig
+from repro.kernels.gemm_rs import GemmRsConfig
+from repro.kernels.mlp import MlpConfig
+from repro.kernels.moe_common import routing_memo
+from repro.kernels.moe_layer import MoeConfig
 from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
 from repro.models.transformer import layer_row
 from repro.registry import (
@@ -33,6 +42,7 @@ from repro.registry import (
     register_impl,
     serve_method,
     serve_method_names,
+    slot_builder,
 )
 from repro.serve.latency import resolve_latency_table
 
@@ -52,12 +62,6 @@ def test_family_record_is_complete(name):
     assert fam.doc, "family needs a one-line doc"
     assert fam.provenance and ":" in fam.provenance
 
-    # tuner: the representative task resolves, routes back to this
-    # family and searches a non-empty space
-    task = fam.tune_task()
-    assert task.kernel == name
-    assert len(list(task.space.candidates())) >= 1
-
     # analyzer: plans recorded from the family's own launcher (a native
     # family gets one note plan)
     plans = [plan for plan, _report in analyze_registered([name])]
@@ -76,15 +80,13 @@ def test_family_record_is_complete(name):
 
 
 @pytest.mark.parametrize("drop,piece", [
-    ("tune_task", "tune_task factory"),
     ("analyze_plans", "analyze_plans factory"),
 ])
 def test_partial_registration_raises_naming_the_piece(drop, piece):
     """A registration missing any consumer hook fails loudly, names the
     missing piece, and inserts nothing."""
     kwargs = dict(
-        name="mutant_family", tune_task=lambda: None,
-        analyze_plans=lambda: [], tile_ir=False,
+        name="mutant_family", analyze_plans=lambda: [], tile_ir=False,
     )
     kwargs[drop] = None
     with pytest.raises(RegistryError, match=piece):
@@ -93,10 +95,7 @@ def test_partial_registration_raises_naming_the_piece(drop, piece):
 
 
 def test_tile_ir_family_requires_annotated_kernels():
-    kwargs = dict(
-        name="mutant_family", tune_task=lambda: None,
-        analyze_plans=lambda: [],
-    )
+    kwargs = dict(name="mutant_family", analyze_plans=lambda: [])
     with pytest.raises(RegistryError, match="kernel entry points"):
         register_family(**kwargs)
 
@@ -117,8 +116,8 @@ def test_table_hook_without_a_table_entry_raises():
                  {"method": "Mutant"}, {"serve": "mutant"}):
         with pytest.raises(RegistryError, match="table entry"):
             register_family(
-                name="mutant_family", tune_task=lambda: None,
-                analyze_plans=lambda: [], tile_ir=False, **hook,
+                name="mutant_family", analyze_plans=lambda: [],
+                tile_ir=False, **hook,
             )
     assert "mutant_family" not in families()
     assert METHODS == methods
@@ -128,8 +127,7 @@ def test_duplicate_registration_names_the_incumbent():
     with pytest.raises(RegistryError,
                        match=r"already registered.*repro\.kernels\.ag_gemm"):
         register_family(
-            name="ag_gemm", tune_task=lambda: None,
-            analyze_plans=lambda: [], tile_ir=False,
+            name="ag_gemm", analyze_plans=lambda: [], tile_ir=False,
         )
 
 
@@ -161,9 +159,8 @@ def test_resolve_serve_method():
 
 def test_serve_method_validation():
     kwargs = dict(
-        name="mutant_family", tune_task=lambda: None,
-        analyze_plans=lambda: [], tile_ir=False, slot="gemm_rs",
-        launch=lambda *a, **kw: None, method="Mutant",
+        name="mutant_family", analyze_plans=lambda: [], tile_ir=False,
+        slot="gemm_rs", launch=lambda *a, **kw: None, method="Mutant",
     )
     for taken in ("torch", "tilelink-chunk"):
         with pytest.raises(RegistryError, match="already registered"):
@@ -202,6 +199,37 @@ def test_every_column_is_one_table_entry(slot, columns):
         assert impl.retune is not None or not tuned, slot
 
 
+#: a tiny world-2 config of each slot, with tiles dividing its shapes
+_TINY = {
+    "ag_gemm": AgGemmConfig(m=64, n=32, k=32, block_m=16, block_n=16,
+                            block_k=16, block_mp=16, comm_blocks=2),
+    "gemm_rs": GemmRsConfig(m=64, n=32, k=32, block_m=16, block_n=16,
+                            block_k=16, block_mr=16, block_nr=32,
+                            comm_blocks=2),
+    "mlp": MlpConfig(m=64, h=32, i=64, block_m=16, block_n=16, block_k=16,
+                     block_mr=16, block_nr=32),
+    "attention": AgAttentionConfig(heads=2, head_dim=16, seq_len=256,
+                                   block_q=64, block_kv=64),
+    **dict.fromkeys(("ag_moe", "moe_rs", "moe_layer"), MoeConfig(
+        m=64, h=32, i=64, n_experts=4, topk=2, block_m=16, block_n=16,
+        block_k=16, block_mr=16, block_nr=32)),
+}
+_ENTRIES = [(slot, method) for slot in SLOTS for method in launches(slot)]
+
+
+@pytest.mark.parametrize("slot,method", _ENTRIES,
+                         ids=[f"{slot}/{method}" for slot, method in _ENTRIES])
+def test_every_entry_runs_on_its_slot_operands(slot, method):
+    """Each registered entry launches on the operands :data:`SLOTS` states
+    for its slot, allocating the rest itself."""
+    cfg = _TINY[slot]
+    routing = ((routing_memo(cfg.m, cfg.n_experts, cfg.topk, 2),)
+               if isinstance(cfg, MoeConfig) else ())
+    t = run_builder(slot_builder(slot, get_impl(slot, method).launch, cfg,
+                                 *routing), world=2)
+    assert math.isfinite(t) and t > 0
+
+
 def test_every_serving_method_is_one_row():
     """Each serving name names one method, and its layer row has exactly
     one launch per layer slot: the method's own entry, else TileLink's
@@ -230,10 +258,9 @@ def test_duplicate_impl_names_the_incumbent():
         register_impl("gemm_rs", "TileLink", lambda *a, **kw: None)
     with pytest.raises(RegistryError,
                        match=r"already registered.*repro\.baselines\.flux"):
-        register_family(name="mutant_family", tune_task=lambda: None,
-                        analyze_plans=lambda: [], tile_ir=False,
-                        slot="mlp", launch=lambda *a, **kw: None,
-                        method="FLUX")
+        register_family(name="mutant_family", analyze_plans=lambda: [],
+                        tile_ir=False, slot="mlp",
+                        launch=lambda *a, **kw: None, method="FLUX")
     with pytest.raises(RegistryError, match="unknown op slot"):
         register_impl("all_to_all", "Mutant", lambda *a, **kw: None)
     assert get_impl("gemm_rs", "TileLink") is incumbent

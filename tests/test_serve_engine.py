@@ -214,6 +214,22 @@ def test_engine_rejects_what_the_reference_rejects():
               kv=KVCacheConfig(block_tokens=16, pool_blocks=4))
 
 
+def test_serve_checks_every_request_before_the_engine(monkeypatch):
+    """Hand-built requests get replay_trace's check: an infinite arrival
+    used to raise a bare IndexError from the engine, a NaN one sent it
+    down the path that hung it, and a 0-token prompt was served."""
+    import repro.serve.engine as engine_mod
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("serve() reached the engine")
+
+    monkeypatch.setattr(engine_mod, "serve_events", unreached)
+    for bad in (_req(1, float("inf"), 100, 10),
+                _req(1, float("nan"), 100, 10), _req(1, 0.0, 0, 10)):
+        with pytest.raises(ServeError, match="request 1: "):
+            serve([_req(0, 0.0, 100, 10), bad], TINY, "tilelink", TABLE)
+
+
 # ----------------------------------------------------- ttft_s regression
 
 def test_ttft_before_first_token_raises_serve_error():

@@ -10,6 +10,7 @@ from the persistent cache without re-simulating.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.config import H800
 from repro.kernels.ag_gemm import AgGemmConfig, ag_gemm_tune_task
 from repro.kernels.ag_moe import ag_moe_tune_task
 from repro.kernels.attention import ag_attention_tune_task
+from repro.kernels.chunk_gemm_rs import chunk_gemm_rs_tune_task
 from repro.kernels.gemm_rs import GemmRsConfig, gemm_rs_tune_task
 from repro.kernels.moe_rs import moe_rs_tune_task
 from repro.kernels.ring_attention import ring_attention_tune_task
@@ -93,11 +95,19 @@ def test_kernel_registry():
     assert len({c["comm_blocks"] for c in dma}) == 1
 
 
-#: every registered family's representative task, the small world-4
+#: one small world-2 task of every registered family, the small world-4
 #: shapes the search tests tune, then the 32 tasks the shipped warm cache
 #: covers (Figure-8 MLP, Table-4 MoE, Figure-10 attention)
+FAMILY_TASKS = [(task.kernel, task) for task in (
+    ag_gemm_tune_task(512, 128, 128, world=2),
+    gemm_rs_tune_task(512, 128, 128, world=2),
+    chunk_gemm_rs_tune_task(512, 128, 128, world=2),
+    ag_moe_tune_task(512, 128, 128, 4, 2, world=2),
+    moe_rs_tune_task(512, 128, 128, 4, 2, world=2),
+    ag_attention_tune_task(4, 32, 512, world=2),
+    ring_attention_tune_task(4, 32, 512, world=2))]
 DEFAULT_TASKS = (
-    [(name, fam.tune_task()) for name, fam in families().items()]
+    FAMILY_TASKS
     + [(f"{task.kernel}/{task.shape_key}/w{SMALL_WORLD}", task) for task in (
         small_task(),
         gemm_rs_tune_task(1024, 512, 512, world=SMALL_WORLD),
@@ -106,6 +116,10 @@ DEFAULT_TASKS = (
         ag_attention_tune_task(4, 64, 4096, world=SMALL_WORLD),
         ring_attention_tune_task(4, 64, 4096, world=SMALL_WORLD))]
     + registry_sweep_tasks(world=8))
+
+
+def test_every_family_has_a_default_task():
+    assert sorted(name for name, _ in FAMILY_TASKS) == sorted(families())
 
 
 @pytest.mark.parametrize("task", [task for _, task in DEFAULT_TASKS],
@@ -539,7 +553,8 @@ def test_tune_start_tile_non_divisible_shape():
               Axis("comm_blocks", (4, 20)),
               Axis("mode", ("dma", "pull", "push"))),
         constraint=lambda c: c["mode"] != "dma" or c["comm_blocks"] == 20)
-    task = ag_gemm_tune_task(m, 256, 256, world=world, space=space)
+    task = replace(ag_gemm_tune_task(m, 256, 256, world=world), space=space)
+    assert task.default in list(space.candidates())
     res = tune(task, world=world)
     # the non-divisible candidates really were simulated, not rejected
     assert any(c["block_m"] == 256 for c, _ in res.trials)

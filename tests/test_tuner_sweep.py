@@ -14,12 +14,13 @@ from repro.bench.experiments import (
     attention_sweep_tasks,
     mlp_sweep_tasks,
     moe_sweep_tasks,
+    tuned_vs_paper,
 )
 from repro.kernels.ag_moe import AgMoeConfig, ag_moe_tune_task
 from repro.kernels.attention import AgAttentionConfig, ag_attention_tune_task
 from repro.kernels.moe_rs import MoeRsConfig, moe_rs_tune_task
 from repro.kernels.ring_attention import ring_attention_tune_task
-from repro.models.configs import ATTENTION_BENCHES, MOE_BENCHES
+from repro.models.configs import ATTENTION_BENCHES, MLP_BENCHES, MOE_BENCHES
 from repro.registry import families
 from repro.tuner import TuneCache, TunerError, tune
 from repro.tuner.sweep import sweep
@@ -167,6 +168,18 @@ def test_sweep_task_table_helpers():
     assert all(t.kernel == "ag_attention" for _, t in attn)
     with pytest.raises(ValueError):
         moe_sweep_tasks(MOE_BENCHES[:1], kernels=("bogus",), world=8)
+
+
+def test_sweeps_reject_a_shape_of_another_table():
+    """A paper-table sweep takes only its slot's table's shapes: an MoE
+    shape used to sweep as an MLP one without a word, and an MLP shape
+    died in the MoE sweep with a bare AttributeError."""
+    with pytest.raises(ValueError, match="'MoE-1' .* the MLP table"):
+        mlp_sweep_tasks(MOE_BENCHES[:1])
+    with pytest.raises(ValueError, match="'MLP-1' .* the MoE table"):
+        moe_sweep_tasks(MLP_BENCHES[:1])
+    with pytest.raises(ValueError, match="'MLP-1' .* the MoE table"):
+        tuned_vs_paper(MLP_BENCHES[0], kernel="ag_moe")
 
 
 def test_format_prefers_dedup_label_over_cache(tmp_path):

@@ -7,6 +7,7 @@ Pipeline (paper §4, Figure 7)::
       -> pipelining: mark pipelined loops/prefetch    (passes.pipeline_loops)
       -> memory consistency: pin guarded loads        (passes.enforce_consistency)
       -> CompiledProgram                              (program.compile_kernel)
+      -> the blocks with work, per launch and rank    (interp.active_blocks)
       -> Python source per mode, compiled on first run (interp.run_block):
          static tile shapes and dtypes folded, shape
          checks decided, costs computed once per launch

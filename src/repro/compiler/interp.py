@@ -31,6 +31,17 @@ instead.  No
 reservation, signal operation or ``sim.now`` read moves and sums keep
 their order, so simulated times, event counts and traces do not change.
 
+Beside the block functions each program gets an *activity function*,
+written from the same statements on the program's first launch.
+:func:`active_blocks` runs it once per launch and rank over every block
+id: it follows the block's scalar statements and control flow, with the
+channel fields computed once, and names the blocks that reach a tile op
+or a primitive, or a scalar that raises, before they return.  An
+aggregable or prefetching loop counts as reached from its first trip, as
+it prices or loads before its body runs.  Any other block would return
+on its first resume having scheduled nothing, so the launcher spawns only
+the named blocks.
+
 Scheduling semantics (compiler/passes.py sets the annotations):
 
 * **aggregable loops** of two or more trips are priced analytically: inline
@@ -108,6 +119,17 @@ def run_block(program, machine, rank: int, block_id: int, n_blocks: int,
     fn = program.generated.get(mode) or _function(program, mode)
     return fn(machine, rank, block_id, n_blocks, bindings,
               label or program.name)
+
+
+def active_blocks(program, n_blocks: int,
+                  bindings: dict[str, Any]) -> list[int] | range:
+    """The ids of one rank's launch blocks that can do anything, by the
+    program's activity function (generated on its first launch)."""
+    fn = program.generated.get("active")
+    if fn is None:
+        fn = program.generated["active"] = _Emitter(
+            program, False, False, True).activity()
+    return fn(n_blocks, bindings)
 
 
 def _function(program, mode: tuple) -> Callable:
@@ -200,12 +222,14 @@ def _prune(lines: list[str]) -> list[str]:
 class _Emitter:
     """Writes one program's block function for one mode.
 
-    Statements emit in one of three modes: ``timed`` code runs in the
+    Statements emit in one of four modes: ``timed`` code runs in the
     block's process and yields what it waits for; ``probe`` code adds one
     iteration's compute seconds, load seconds and HBM bytes to the sums it
     is given (shapes and costs only); ``replay`` code applies an aggregable
-    loop's numpy effects untimed.  ``fold=False`` writes the unfolded
-    variant, which folds nothing and computes no prologue values.
+    loop's numpy effects untimed; ``active`` code runs only the scalar
+    statements and returns whether the block has work.  ``fold=False``
+    writes the unfolded variant, which folds nothing and computes no
+    prologue values.
     """
 
     def __init__(self, program, numeric: bool, trace: bool, fold: bool):
@@ -583,6 +607,10 @@ class _Emitter:
 
     def block(self, stmts: list[Stmt], mode: str, acc: list = ()) -> None:
         for s in stmts:
+            if mode == "active" and isinstance(s, (TileOp, Primitive, Return)):
+                # a block that reaches a tile op or primitive has work
+                self.w(f"return {not isinstance(s, Return)}")
+                break
             mark, pad, known = len(self.lines), self.pad, self.known
             try:
                 self.stmt(s, mode, acc)
@@ -976,9 +1004,12 @@ class _Emitter:
             self.nest(lambda: (self.prefetch(plan),
                                self.block(s.body, "timed")))
 
-        if mode == "replay":
+        if mode == "active" and (s.aggregable or plan):
+            # priced as a whole, or loading ahead, from its first trip
+            self.w(f"if {trips}: return True")
+        elif mode in ("replay", "active"):
             self.w(f"for {var} in {it}:")
-            self.nest(lambda: self.block(s.body, "replay"))
+            self.nest(lambda: self.block(s.body, mode))
         elif mode == "probe":
             # the trips times the cost of the first iteration
             def probe():
@@ -1113,6 +1144,45 @@ class _Emitter:
 
     # --------------------------------------------------------------- function
 
+    def arguments(self) -> None:
+        """Emit the scalars a block starts with: tensor parameters bound to
+        numbers and the constexprs a statement reassigns."""
+        reads = set().union(*map(scalar_reads, self.ir.walk_stmts()))
+        for p in self.program.tensor_params:
+            if p in reads:
+                self.w(f"if isinstance(bindings[{p!r}], (int, float)): "
+                       f"{self.local('scalar', p)} = bindings[{p!r}]")
+        for k, v in self.reassigned.items():
+            self.w(f"{self.local('scalar', k)} = {self.lit(v)}")
+
+    def activity(self) -> Callable:
+        """The activity function: ``(nblocks, bindings)`` -> the ids of the
+        blocks whose scalar code reaches a tile op or a primitive, or
+        raises, before it returns."""
+        w = self.w
+        self.pad = "            "
+        self.block(self.ir.body, "active")
+        body, self.lines, self.pad = self.lines, [], "    "
+        if self.hoists:  # channel fields, once per launch and rank
+            w("try:")
+            self.nest(lambda: w(
+                f"ch = bindings.get({self.ir.channel_param!r})",
+                *(f"{h} = {e}" for e, h in self.hoists.items())))
+            w("except Exception:  # each block raises where it reads one",
+              "    return range(nblocks)")
+        w("def active(bid):")
+        self.pad += "    "
+        self.arguments()
+        source = "\n".join([
+            "def activity(nblocks, bindings):", *self.lines,
+            *_prune(["        try:", *(body or ["            pass"])]),
+            "        except Exception:  # it raises when it runs",
+            "            return True",
+            "        return False",
+            "    return [bid for bid in range(nblocks) if active(bid)]"])
+        exec(compile(source, f"<kernel {self.name}>", "exec"), self.ns)
+        return self.ns["activity"]
+
     def function(self) -> Callable:
         ir, name, w = self.ir, self.name, self.w
         self.pad = "        "
@@ -1120,13 +1190,7 @@ class _Emitter:
         body, self.lines, self.pad = self.lines, [], "    "
         if ir.channel_param is not None:
             w(f"ch = bindings.get({ir.channel_param!r})")
-        reads = set().union(*map(scalar_reads, ir.walk_stmts()))
-        for p in self.program.tensor_params:
-            if p in reads:
-                w(f"if isinstance(bindings[{p!r}], (int, float)): "
-                  f"{self.local('scalar', p)} = bindings[{p!r}]")
-        for k, v in self.reassigned.items():
-            w(f"{self.local('scalar', k)} = {self.lit(v)}")
+        self.arguments()
         w("sim, cost, device = machine.sim, machine.cost, "
           "machine.device(rank)")
         w("feed = cost.spec.smem_bandwidth_per_sm")

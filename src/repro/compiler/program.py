@@ -56,8 +56,9 @@ class CompiledProgram:
     ir: KernelIR
     constexprs: dict[str, Any]
     options: CompileOptions
-    #: the block functions :func:`repro.compiler.interp.run_block`
-    #: generates, by mode ``(execute_numerics, trace, folded)``, on first use
+    #: what :mod:`repro.compiler.interp` generates on first use: the block
+    #: functions, by mode ``(execute_numerics, trace, folded)``, and the
+    #: activity function, under ``"active"``
     generated: dict = field(default_factory=dict, repr=False)
 
     @cached_property

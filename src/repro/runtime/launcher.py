@@ -1,19 +1,24 @@
 """Kernel launcher: compile once, run SPMD on the simulated node.
 
 This module decides who holds which SMs.  A tile-IR launch spawns one
-simulation process per grid block; each block holds one SM for its
-lifetime, queueing FIFO on the device's SM pool (persistent-block kernels
-use ``grid <= SMs``, like the paper's Figure 4 kernels).  A native kernel
-(library ops, NCCL collectives, baselines, attention) runs through
-:func:`native_kernel`, which holds every SM of its rank, or a given
-count, for its whole body.  Launch overhead is charged on the stream.
+simulation process per grid block that has work, as the program's
+activity function (:func:`repro.compiler.interp.active_blocks`) names them
+for the launch and rank; a spawned block keeps its id and sees the whole
+grid.  Each holds one SM for its lifetime, queueing FIFO on the device's
+SM pool (persistent-block kernels use ``grid <= SMs``, like the paper's
+Figure 4 kernels).  An idle block holds no SM; a launch with no working
+block spawns its block 0 alone, so it still waits for a free SM.  A
+native kernel (library ops, NCCL collectives, baselines, attention) runs
+through :func:`native_kernel`, which holds every SM of its rank, or a
+given count, for its whole body.  Launch overhead is charged on the
+stream.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.compiler.interp import run_block
+from repro.compiler.interp import active_blocks, run_block
 from repro.compiler.program import CompiledProgram, CompileOptions, compile_kernel
 from repro.errors import RuntimeLaunchError
 from repro.lang.block_channel import BlockChannel
@@ -52,8 +57,6 @@ def kernel_process(program: CompiledProgram, machine: Machine, rank: int,
                    grid: int, bindings: dict[str, Any],
                    label: str | None = None) -> ProcessGen:
     """Generator running one rank's grid (usable inside stream enqueues)."""
-    if grid < 1:
-        raise RuntimeLaunchError(f"grid must be >= 1, got {grid}")
     device = machine.device(rank)
     label = label or program.name
 
@@ -66,9 +69,10 @@ def kernel_process(program: CompiledProgram, machine: Machine, rank: int,
             device.sms.release()
         return None
 
+    # a launch with no working block still waits for a free SM
     procs = [
         machine.spawn(block(bid), name=f"{label}[r{rank}b{bid}]")
-        for bid in range(grid)
+        for bid in active_blocks(program, grid, bindings) or range(1)
     ]
     yield AllOf(procs)
     return None

@@ -86,6 +86,7 @@ def _record(monkeypatch) -> dict:
                          ids=[name for name, _, _ in BUILDS + PROXIES])
 def test_spawned_blocks_are_the_working_blocks(name, world, build,
                                                monkeypatch):
+    # numeric where it is cheap; which blocks work does not depend on it
     numeric = world < 8 and name not in PROXY_SKIPS
     ctx = DistContext.create(SimConfig(world_size=world,
                                        execute_numerics=numeric))

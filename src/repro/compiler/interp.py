@@ -5,7 +5,8 @@ process: the program's function for the launch's mode (numeric x trace),
 which :class:`_Emitter` writes as Python source and compiles on the mode's
 first run.  Block scalars and tiles are Python locals, constants are folded
 in, scalar operators take the syntax of their ``BINARY_OPS``/``UNARY_OPS``
-function and timed ops yield their ``Timeout`` inline.  Timing variants
+function and timed ops yield their delay inline, as a bare float the
+event loop schedules without building an awaitable.  Timing variants
 carry no numpy effects, untraced ones no trace records.  A statement that
 fails to generate raises its error when it runs.
 
@@ -82,7 +83,6 @@ from repro.memory.tensor import SimTensor, resolve_dtype
 # names only the generated code uses
 from repro.compiler.values import apply_binary, apply_unary, padded_to  # noqa: F401
 from repro.errors import SimulationError  # noqa: F401
-from repro.sim.engine import Timeout  # noqa: F401
 
 #: fraction of aggregable-loop load bytes that miss L2 and hit HBM
 AGG_DRAM_DISCOUNT = 0.22
@@ -751,7 +751,7 @@ class _Emitter:
             self.nest(lambda: self.w(*effect))
 
     def timeout(self, dur: str, category: str, effect: tuple = ()) -> None:
-        self.w(f"yield Timeout({dur})")
+        self.w(f"yield {dur}")
         self.record(category)
         self.w(*effect)
 
@@ -1073,7 +1073,7 @@ class _Emitter:
                               trips, per)
         self.w("_t0 = sim.now")
         self.w(f"_a = reserve_hbm({total}) if {total} > 0 else _t0")
-        self.w(f"yield Timeout(max({time}, _a - _t0))")
+        self.w(f"yield max({time}, _a - _t0)")
         self.record("compute")
         if self.numeric:
             self.w(f"{', '.join(names)}, = {saved}")

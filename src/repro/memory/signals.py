@@ -21,11 +21,9 @@ when the event queue drains with waiters still parked.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import Awaitable, Process, Simulator, Timeout
+from repro.sim.engine import Awaitable, Process, Simulator
 
 
 class _WaitGeq(Awaitable):
@@ -51,7 +49,7 @@ class SignalArray:
         self.cost = cost
         self.rank = rank
         self.name = name
-        self.values = np.zeros(n, dtype=np.int64)
+        self.values = [0] * n
         self._waiters: dict[int, list[tuple[int, Process]]] = {}
         #: Count of posts, for tests/ablations.
         self.posts = 0
@@ -92,15 +90,16 @@ class SignalArray:
         self._check(index)
         return int(self.values[index])
 
-    def wait_geq(self, index: int, threshold: int) -> Awaitable:
-        """Awaitable: resumes once ``values[index] >= threshold``.
+    def wait_geq(self, index: int, threshold: int) -> Awaitable | float:
+        """What to yield to resume once ``values[index] >= threshold``.
 
         An already-satisfied wait still costs one poll interval (the acquire
-        load), matching a single spin iteration on hardware.
+        load), matching a single spin iteration on hardware: it returns
+        that delay as a bare float.
         """
         self._check(index)
         if self.values[index] >= threshold:
-            return Timeout(self.cost.spin_wait_quantum())
+            return self.cost.spin_wait_quantum()
         return _WaitGeq(self, index, threshold)
 
     def _arm_wait(self, sim: Simulator, proc: Process, index: int,

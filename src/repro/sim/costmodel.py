@@ -195,7 +195,8 @@ class CostModel:
                 else self.spec.local_atomic_latency)
 
     def spin_wait_quantum(self) -> float:
-        return self.spec.spin_poll_interval
+        # a float even from an int-valued spec: satisfied waits yield it bare
+        return float(self.spec.spin_poll_interval)
 
     # -- host ---------------------------------------------------------------------
 

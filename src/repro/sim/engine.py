@@ -5,13 +5,26 @@ simpy): processes are Python generators that ``yield`` *awaitables* and are
 resumed by the event loop.  Sub-routines compose with ``yield from``.
 
 Awaitables implement :meth:`Awaitable.arm`, which registers the suspended
-process wherever it will later be resumed (the time heap for
+process wherever it will later be resumed (the event queue for
 :class:`Timeout`, a waiter list for signals/resources, a completion list for
-:class:`Join`).
+:class:`Join`).  A process may also yield a bare ``float`` (a subclass such
+as ``numpy.float64`` counts too): it resumes, with ``None``, after that many
+seconds, exactly as if it had yielded a :class:`Timeout` of that delay.
+Generated kernels and satisfied signal waits yield their delays this way,
+so the commonest event builds no object.
 
-Determinism: events at equal timestamps fire in FIFO order of scheduling
-(a monotonically increasing sequence number breaks ties), so simulations are
-fully reproducible.
+The queue is a heap of the distinct pending times, each with a FIFO list
+of ``(process or None, value)`` entries in the order they were scheduled.
+:meth:`Simulator.run` pops the earliest time and drains its list,
+including the entries appended to it while it drains, before it pops the
+next.  Persistent blocks run in lockstep, so several events share each
+instant and the heap holds far fewer entries than there are events.
+
+Determinism: events at equal timestamps fire in FIFO order of scheduling.
+``Simulator._seq`` counts every scheduled resumption and only grows, so the
+order is the ``(time, seq)`` order of a heap of single events: an event
+scheduled for the instant being drained lands behind everything already
+queued for it.  Simulations are fully reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from typing import Any, Callable
 from repro.errors import DeadlockError, SimulationError
 
 #: Type of the generators the engine runs.
-ProcessGen = Generator["Awaitable", Any, Any]
+ProcessGen = Generator["Awaitable | float", Any, Any]
 
 
 class Awaitable:
@@ -34,7 +47,10 @@ class Awaitable:
 
 
 class Timeout(Awaitable):
-    """Suspend the process for ``delay`` simulated seconds."""
+    """Suspend the process for ``delay`` simulated seconds.
+
+    Without a ``value`` it is the same as yielding the bare float ``delay``.
+    """
 
     __slots__ = ("delay", "value")
 
@@ -140,11 +156,12 @@ class Process:
 
 
 class Simulator:
-    """The event loop: a time-ordered heap of process resumptions."""
+    """The event loop: a heap of pending times, a FIFO of events at each."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Process, Any]] = []
+        self._times: list[float] = []
+        self._at: dict[float, list[tuple[Process | None, Any]]] = {}
         self._seq = 0
         self._live = 0
         self._procs: list[Process] = []
@@ -159,12 +176,20 @@ class Simulator:
         self.schedule(0.0, proc, None)
         return proc
 
-    def schedule(self, delay: float, proc: Process, value: Any = None) -> None:
-        """Resume ``proc`` with ``value`` after ``delay`` seconds."""
+    def schedule(self, delay: float, proc: Process | None,
+                 value: Any = None) -> None:
+        """Resume ``proc`` with ``value`` after ``delay`` seconds (``proc``
+        None: call ``value`` then)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, proc, value))
+        t = self.now + delay
+        events = self._at.get(t)
+        if events is None:
+            self._at[t] = [(proc, value)]
+            heapq.heappush(self._times, t)
+        else:
+            events.append((proc, value))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callback after ``delay`` seconds.
@@ -173,52 +198,83 @@ class Simulator:
         signal increments (release semantics — the SM does not wait for the
         remote atomic to land) and data-arrival application in numeric mode.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, None, fn))
+        self.schedule(delay, None, fn)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:
         """Drain the event queue; return the final simulated time.
 
-        Raises :class:`DeadlockError` if live processes remain blocked when
-        the queue drains — the signature of a lost notify in a fused kernel.
+        With ``until``, run the events up to and including that time; if
+        later ones remain, stop with the clock at ``until``.  ``until``
+        may not lie before the clock.  Raises
+        :class:`DeadlockError` if live processes remain blocked when the
+        queue drains — the signature of a lost notify in a fused kernel.
+        An exception a process raises leaves the events not yet run queued.
         """
-        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
-        while heap:
-            t, _seq, proc, value = pop(heap)
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) would move the clock back from "
+                f"{self.now}")
+        times, at, push = self._times, self._at, heapq.heappush
+        while times:
+            t = times[0]
             if until is not None and t > until:
-                # push back and stop at the horizon
-                push(heap, (t, _seq, proc, value))
                 self.now = until
-                return self.now
+                return until
+            heapq.heappop(times)
             if t < self.now - 1e-18:
                 raise SimulationError("time went backwards")
             self.now = t
-            if proc is None:
-                value()  # plain callback from call_later
-                continue
-            if proc.done:
-                continue
-            # resume the process by one yield and arm what it awaits; a
-            # Timeout, by far the most common, is scheduled in place
+            events = at[t]
+            ran = 0
             try:
-                awaited = proc.gen.send(value)
-            except StopIteration as stop:
-                proc._finish(stop.value)
-                continue
-            if awaited.__class__ is Timeout:
-                self._seq += 1
-                push(heap, (t + awaited.delay, self._seq, proc, awaited.value))
-            elif isinstance(awaited, Awaitable):
-                awaited.arm(self, proc)
-            else:
-                raise SimulationError(
-                    f"process {proc.name!r} yielded {type(awaited).__name__}, "
-                    "expected an Awaitable (Timeout, Join, resource/signal "
-                    "wait)")
+                for proc, value in events:
+                    ran += 1
+                    if proc is None:
+                        value()  # plain callback from call_later
+                        continue
+                    if proc.done:
+                        continue
+                    # resume the process by one yield and arm what it
+                    # awaits; a float delay, by far the most common, is
+                    # scheduled in place
+                    try:
+                        awaited = proc.gen.send(value)
+                    except StopIteration as stop:
+                        proc._finish(stop.value)
+                        continue
+                    if awaited.__class__ is not float:
+                        if isinstance(awaited, Awaitable):
+                            awaited.arm(self, proc)
+                            continue
+                        if not isinstance(awaited, float):
+                            raise SimulationError(
+                                f"process {proc.name!r} yielded "
+                                f"{type(awaited).__name__}, expected an "
+                                "Awaitable (Timeout, Join, resource/signal "
+                                "wait) or a float delay")
+                    if awaited < 0:
+                        raise SimulationError(
+                            f"process {proc.name!r} yielded a negative "
+                            f"timeout: {awaited}")
+                    self._seq += 1
+                    later = t + awaited
+                    queued = at.get(later)
+                    if queued is None:
+                        at[later] = [(proc, None)]
+                        push(times, later)
+                    else:
+                        queued.append((proc, None))
+            except BaseException:
+                # keep the rest of this instant queued for the next run()
+                del events[:ran]
+                if events:
+                    push(times, t)
+                else:
+                    del at[t]
+                raise
+            del at[t]
         if self._live > 0 and until is None:
             blocked = [p.name for p in self._procs if not p.done]
             raise DeadlockError(

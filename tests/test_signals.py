@@ -72,6 +72,30 @@ def test_satisfied_wait_costs_one_poll():
     assert p.result == pytest.approx(spec.spin_poll_interval)
 
 
+def test_satisfied_wait_is_a_bare_delay():
+    sim, bank = make_bank()
+    bank.post_add(0, 2, from_rank=0)
+    sim.run()
+    assert type(bank.read(0)) is int
+    assert bank.wait_geq(0, 2) == bank.cost.spin_wait_quantum()
+    assert type(bank.wait_geq(0, 2)) is float
+    assert not isinstance(bank.wait_geq(0, 3), float)
+
+
+def test_int_poll_interval_still_yields_a_float():
+    sim = Simulator()
+    spec = SimConfig(world_size=2).spec.scaled(spin_poll_interval=1)
+    bank = SignalArray(sim, CostModel(spec), 0, 1)
+
+    def waiter():
+        yield bank.wait_geq(0, 0)
+        return sim.now
+
+    p = sim.spawn(waiter())
+    sim.run()
+    assert p.result == 1.0
+
+
 def test_lost_notify_deadlocks():
     sim, bank = make_bank()
 

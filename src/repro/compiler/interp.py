@@ -21,14 +21,24 @@ tile ops of static operands.  Bounds with ``/``, floats or ``min`` and
 aggregable-loop probes) builds no tile and computes no address for a static
 one, and decides its shape checks here (a failing one raises when its
 statement runs); it still reads what may be unbound or may raise, and
-deletes assignments nothing reads.  The prologue computes what needs the
-machine or the bindings but no tile, once per launch and rank (its blocks
-share ``bindings``, where the first block leaves it): itemsizes, byte
-counts and their seconds over ``feed``, ``mma_time``/``vector_tile_time``
-of static shapes, channel fields, and every probe whose terms all are such
-values.  Where a rank-less tensor is not its symmetric list's own-rank
-instance or a prologue value raises, the block runs the unfolded variant
-instead.  No
+deletes assignments nothing reads.  A scalar assigned once, from a
+constant, is that constant for the rest of the suite that assigns it.
+
+What a launch fixes is resolved once per launch and rank: the first block
+leaves it in ``bindings``, which the rank's blocks share, and the others
+unpack it.  Every variant resolves the machine's handles (simulator,
+device, ``reserve_hbm``, ``feed``, the cost model's prices), the tensor
+arguments and the launch's channel tables: one
+:class:`ChannelTable` per ``BlockChannel`` method that a wait, notify,
+push or pull site reads (``consumer_wait_list``, ``notify_posts``,
+``comm_tile_ranges``, ``pull_source``), which calls the method on a
+tile's first use in the launch and answers from its entry after that.
+The folded variant's prologue adds what needs the machine or the
+bindings but no tile: itemsizes, byte counts and their seconds over
+``feed``, ``mma_time``/``vector_tile_time`` of static shapes, channel
+fields, and every probe whose terms all are such values.  Where a
+rank-less tensor is not its symmetric list's own-rank instance or a
+prologue value raises, the block runs the unfolded variant instead.  No
 reservation, signal operation or ``sim.now`` read moves and sums keep
 their order, so simulated times, event counts and traces do not change.
 
@@ -111,14 +121,44 @@ def _tile(shape: tuple[int, ...], dtype: np.dtype, data=None) -> TileVal:
     return v
 
 
+#: where a launch's ``bindings`` keep its block function and channel tables
+_BLOCK, _TABLES = object(), object()
+
+
 def run_block(program, machine, rank: int, block_id: int, n_blocks: int,
               bindings: dict[str, Any], label: str = ""):
     """Build the simulation-process generator for one block, generating
-    the program's function for the launch's mode on the mode's first run."""
-    mode = (machine.config.execute_numerics, machine.config.trace, True)
-    fn = program.generated.get(mode) or _function(program, mode)
+    the program's function for the launch's mode on the mode's first run;
+    the launch's first block looks the function up for all of them."""
+    fn = bindings.get(_BLOCK)
+    if fn is None:
+        mode = (machine.config.execute_numerics, machine.config.trace, True)
+        fn = bindings[_BLOCK] = program.generated.get(mode) \
+            or _function(program, mode)
     return fn(machine, rank, block_id, n_blocks, bindings,
               label or program.name)
+
+
+class ChannelTable(dict):
+    """One launch's answers of one ``BlockChannel`` method on one rank, by
+    argument tuple: a key's first lookup calls the method, later ones
+    read what it answered."""
+
+    __slots__ = ("method",)
+
+    def __init__(self, method: Callable) -> None:
+        super().__init__()
+        self.method = method
+
+    def __missing__(self, args: tuple) -> Any:
+        value = self[args] = self.method(*args)
+        return value
+
+
+def channel_tables(bindings: dict[str, Any]) -> dict[str, ChannelTable]:
+    """The channel tables of the launch and rank that own ``bindings``, by
+    method name (empty before its first block ran)."""
+    return bindings.get(_TABLES, {})
 
 
 def active_blocks(program, n_blocks: int,
@@ -146,8 +186,9 @@ def _function(program, mode: tuple) -> Callable:
 def _ref(bindings: dict, name: str, rank: int, kernel: str,
          index: int | None = None) -> tuple:
     """Tensor argument ``name`` as ``(tensor, owning rank)``: rank
-    ``index``'s instance, or, resolved once per block, the block's own
-    rank's, returning ``(error, None)`` for the op that needs it to raise."""
+    ``index``'s instance, or, resolved once per launch and rank, the
+    launch's own rank's, returning ``(error, None)`` for the op that needs
+    it to raise."""
     bound = bindings.get(name)
     try:
         if isinstance(bound, list):
@@ -170,6 +211,15 @@ def _ref(bindings: dict, name: str, rank: int, kernel: str,
         if index is not None:
             raise
         return exc, None
+
+
+def _tables(bindings: dict, ch: Any, *methods: str) -> list[ChannelTable]:
+    """The launch's tables of ``ch``'s ``methods``, made on first need."""
+    tables = bindings.setdefault(_TABLES, {})
+    for method in methods:
+        if method not in tables:
+            tables[method] = ChannelTable(getattr(ch, method))
+    return [tables[method] for method in methods]
 
 
 def _undefined(exc: NameError, kernel: str, names: dict[str, tuple]) -> None:
@@ -238,12 +288,15 @@ class _Emitter:
         self.fold = fold
         self.name, self.has_channel = program.name, ir.channel_param is not None
         assigned = Counter(scalar_target(s) for s in ir.walk_stmts())
-        #: constexprs no statement reassigns are constants, and so are
-        #: top-level scalars assigned once, after their constant assignment
+        #: constexprs no statement reassigns are constants, and so is a
+        #: scalar assigned once, from its constant assignment to the end of
+        #: the suite that makes it (``scope``: the ones the suite being
+        #: emitted made)
         self.consts = {k: v for k, v in program.constexprs.items()
                        if k not in assigned}
-        self.once = {s.target for s in ir.body if isinstance(s, AssignScalar)
-                     and assigned[s.target] == 1}
+        self.once = {s.target for s in ir.walk_stmts()
+                     if isinstance(s, AssignScalar) and assigned[s.target] == 1}
+        self.scope: list[str] = []
         self.reassigned = {k: v for k, v in program.constexprs.items()
                            if k in assigned}
         self.ns: dict[str, Any] = dict(globals())
@@ -256,8 +309,10 @@ class _Emitter:
         #: scalar -> the local a prefetch assigned it to
         self.shadow: dict[str, str] = {}
         self.failed: dict[int, Exception] = {}
-        #: rank-less tensor argument -> its per-block (tensor, owner) locals
+        #: rank-less tensor argument -> its (tensor, owner) locals
         self.refs: dict[str, tuple[str, str]] = {}
+        #: BlockChannel method -> the local of the launch's table of it
+        self.tables: dict[str, str] = {}
         #: id(load) -> the local its prefetch sets and, if that holds no
         #: value, the static type of one
         self.slots: dict[int, tuple[str, Any]] = {}
@@ -322,7 +377,7 @@ class _Emitter:
         return loc
 
     def hoist(self, expr: str) -> str:
-        """The prologue local computing ``expr`` once per block."""
+        """The prologue local computing ``expr`` once per launch and rank."""
         if expr not in self.hoists:
             self.hoists[expr] = self.fresh("H")
             self.pro.add(self.hoists[expr])
@@ -427,8 +482,14 @@ class _Emitter:
         return self.known.get(self.local("tile", arg)) \
             if isinstance(arg, str) else None
 
+    def table(self, method: str) -> str:
+        """The local of the launch's table of ``ch.<method>``."""
+        if method not in self.tables:
+            self.tables[method] = self.fresh("C")
+        return self.tables[method]
+
     def tensor(self, name: str) -> str:
-        """The per-block local of rank-less tensor argument ``name``."""
+        """The local of rank-less tensor argument ``name``."""
         if name not in self.refs:
             self.refs[name] = (self.fresh("T"), self.fresh("O"))
         return self.refs[name][0]
@@ -606,18 +667,27 @@ class _Emitter:
     # ------------------------------------------------------------- statements
 
     def block(self, stmts: list[Stmt], mode: str, acc: list = ()) -> None:
-        for s in stmts:
-            if mode == "active" and isinstance(s, (TileOp, Primitive, Return)):
-                # a block that reaches a tile op or primitive has work
-                self.w(f"return {not isinstance(s, Return)}")
-                break
-            mark, pad, known = len(self.lines), self.pad, self.known
-            try:
-                self.stmt(s, mode, acc)
-            except Exception as exc:  # raises when (and only if) it runs
-                del self.lines[mark:]
-                self.pad, self.known = pad, known
-                self.fail(s, exc)
+        outer, self.scope = self.scope, []
+        try:
+            for s in stmts:
+                if mode == "active" and isinstance(s, (TileOp, Primitive,
+                                                       Return)):
+                    # a block that reaches a tile op or primitive has work
+                    self.w(f"return {not isinstance(s, Return)}")
+                    break
+                mark, pad, known = len(self.lines), self.pad, self.known
+                try:
+                    self.stmt(s, mode, acc)
+                except Exception as exc:  # raises when (and only if) it runs
+                    del self.lines[mark:]
+                    self.pad, self.known = pad, known
+                    self.fail(s, exc)
+        finally:
+            # a path that skipped the suite reads the local, and may not
+            # have bound it
+            for name in self.scope:
+                del self.consts[name]
+            self.scope = outer
         self.last = self.known
 
     def fail(self, s: Stmt, exc: Exception) -> None:
@@ -632,8 +702,9 @@ class _Emitter:
                    + ("  #pure" if self.droppable(s.value) else ""))
             self.known = {**self.known, target:
                           "int" if self.is_int(s.value) else None}
-            if c and s.target in self.once:
+            if c and s.target in self.once and s.target not in self.consts:
                 self.consts[s.target] = v
+                self.scope.append(s.target)
         elif isinstance(s, TileOp):
             self.tile_stmt(s, mode, acc)
         elif isinstance(s, If):
@@ -901,9 +972,9 @@ class _Emitter:
             tid = self.src(a[0], True)
             mode = a[1] if len(a) > 1 else kw.get("mode", "p2p")
             to = "None" if kw.get("to") is None else self.src(kw["to"], True)
-            w(f"for _b, _c, _n in ch.notify_posts({tid}, {self.lit(mode)}, "
-              f"{to}):")
-            self.nest(lambda: w("_b.post_add(_c, _n, from_rank=rank)"))
+            w(f"for _b, _c, _n in {self.table('notify_posts')}[{tid}, "
+              f"{self.lit(mode)}, {to}]:")
+            self.nest(lambda: w("_b.post_add(_c, _n, rank)"))
             return
         if name == "peer_tile_notify":
             cell, dst = self.src(a[0], True), self.src(a[1], True)
@@ -916,7 +987,8 @@ class _Emitter:
             if self.trace:
                 w("_t0 = sim.now")
             if rank is None:
-                w(f"for _c, _n in ch.consumer_wait_list({cell}):")
+                w(f"for _c, _n in {self.table('consumer_wait_list')}"
+                  f"[{cell},]:")
                 self.nest(lambda: w("yield ch.barriers.wait_geq(_c, _n)"))
             else:
                 w(f"_c, _r, _n = {cell}, {rank}, {count}")
@@ -936,7 +1008,7 @@ class _Emitter:
             typ = self.fold and not self.numeric and self.type_of(a[3])
             w(f"_i, _j = {tid_m}, {tid_n}" if typ else
               f"_i, _j, _x = {tid_m}, {tid_n}, {self.operand(a[3])}")
-            w("_rg = ch.comm_tile_ranges(_i, _j)")
+            w(f"_rg = {self.table('comm_tile_ranges')}[_i, _j]")
             tensor, owner = self.ref(a[0])
             w(f"_nb = {self.nbytes(typ) if typ else '_x.nbytes'}")
             write = f"{tensor}.write_tile(_rg, _x.data)"
@@ -956,7 +1028,7 @@ class _Emitter:
         # the payload is snapshotted at issue time on the source rank,
         # matching NVSHMEM get semantics
         w(f"_i = {tid_m}")
-        w(f"_src, _rows, _cols = ch.pull_source(_i, {tid_n})")
+        w(f"_src, _rows, _cols = {self.table('pull_source')}[_i, {tid_n}]")
         w(f"_B = bindings.get({a[0].name!r})")
         w("if not isinstance(_B, list): raise LoweringError("
           "'tile_pull_data source must be symmetric')")
@@ -1187,50 +1259,59 @@ class _Emitter:
         ir, name, w = self.ir, self.name, self.w
         self.pad = "        "
         self.block(ir.body, "timed")
-        body, self.lines, self.pad = self.lines, [], "    "
-        if ir.channel_param is not None:
-            w(f"ch = bindings.get({ir.channel_param!r})")
-        self.arguments()
-        w("sim, cost, device = machine.sim, machine.cost, "
-          "machine.device(rank)")
-        w("feed = cost.spec.smem_bandwidth_per_sm")
-        w("reserve_hbm, reserve = device.reserve_hbm, "
-          "machine.interconnect.reserve")
-        w("mma_time, vtime = cost.mma_time, cost.vector_tile_time")
+        body = _prune(["    try:", *(self.lines or ["        pass"])])
+        self.lines, self.pad = [], "    "
+        # what a launch fixes, once per launch and rank (its blocks share
+        # ``bindings``): the machine's handles, the channel tables, the
+        # tensor arguments and, folded, the prologue values
+        setup = [f"ch = bindings.get({ir.channel_param!r})"] \
+            if self.has_channel else []
+        setup += ["sim, cost, device = machine.sim, machine.cost, "
+                  "machine.device(rank)",
+                  "feed = cost.spec.smem_bandwidth_per_sm",
+                  "reserve_hbm, reserve = device.reserve_hbm, "
+                  "machine.interconnect.reserve",
+                  "mma_time, vtime = cost.mma_time, cost.vector_tile_time"]
         if self.trace:
-            w("record = machine.record")
-        body = _prune(["    try:", *(body or ["        pass"])])
-        if self.fold and (self.refs or self.hoists):
-            used = set(re.findall(r"\b[TH]\d+\b", "\n".join(body)))
-            live = [n for n in (*(t for t, _ in self.refs.values()),
-                                *self.hoists.values()) if n in used]
-
-            def prologue():
-                w(*(f"{t} = bindings[{tensor!r}][rank]"
-                    for tensor, (t, _) in self.refs.items()))
-                w(*(f"{h} = {e}" for e, h in self.hoists.items()))
-                if self.guards:
-                    w(f"if not ({' and '.join(self.guards)}): "
-                      "raise LookupError")
-                w(f"_P = ({''.join(n + ', ' for n in live)})")
-
-            # once per launch and rank, whose blocks share ``bindings``;
+            setup.append("record = machine.record")
+        if self.tables:
+            setup.append(f"{', '.join(self.tables.values())}, = _tables("
+                         f"bindings, ch, {', '.join(map(repr, self.tables))})")
+        if self.fold:
+            setup += [f"{t} = bindings[{tensor!r}][rank]"
+                      for tensor, (t, _) in self.refs.items()]
+            setup += [f"{h} = {e}" for e, h in self.hoists.items()]
+            if self.guards:
+                setup.append(f"if not ({' and '.join(self.guards)}): "
+                             "raise LookupError")
+        else:
+            setup += [f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
+                      for tensor, (t, o) in self.refs.items()]
+        used = set(re.findall(r"\w+", "\n".join(body)))
+        live = [n for n in (
+            "ch", "sim", "cost", "feed", "reserve_hbm", "reserve",
+            "mma_time", "vtime", "record", *self.tables.values(),
+            *(n for pair in self.refs.values() for n in pair),
+            *self.hoists.values()) if n in used]
+        key = self.const(object())
+        launch = f"({''.join(n + ', ' for n in live)})"
+        w(f"_P = bindings.get({key})", "if _P is None:")
+        if self.fold:
             # unfolded where a rank-less tensor is not a list's own-rank
             # instance, a prologue value raises or dtypes differ
-            key = self.const(object())
-            w(f"_P = bindings.get({key})", "if _P is None:")
-            self.nest(lambda: (w("try:"), self.nest(prologue),
-                               w("except Exception:", "    _P = False",
-                                 f"bindings[{key}] = _P")))
+            self.nest(lambda: (w("try:"), self.nest(lambda: w(
+                *setup, f"_P = {launch}")), w("except Exception:",
+                                              "    _P = False",
+                                              f"bindings[{key}] = _P")))
             w("if _P is False:")
             w(f"    return (yield from _function({self.const(self.program)}, "
               f"{(self.numeric, self.trace, False)!r})(machine, rank, bid, "
               "nblocks, bindings, label))")
-            if live:
-                w(f"{', '.join(live)}, = _P")
         else:
-            w(*(f"{t}, {o} = _ref(bindings, {tensor!r}, rank, {name!r})"
-                for tensor, (t, o) in self.refs.items()))
+            self.nest(lambda: w(*setup, f"_P = bindings[{key}] = {launch}"))
+        if live:
+            w(f"{', '.join(live)}, = _P")
+        self.arguments()
         for slot, _ in self.slots.values():
             w(f"{slot} = None")
         source = "\n".join([

@@ -9,7 +9,12 @@ primitive lowering, and the signal banks are the physical barriers.
 
 Primitive resolution (which bank and cell a notify or wait touches, which
 rows a data primitive moves) lives here once; the backend interpreter and
-the static analyzer both call it.
+the static analyzer both call it.  The methods read the channel's fields
+live, on every call.  Generated kernel code calls each one only on a
+tile's first use in a launch and reads the answer from a per-launch,
+per-rank table after that
+(:class:`repro.compiler.interp.ChannelTable`), so a field changed between
+two launches reaches the second one.
 """
 
 from __future__ import annotations

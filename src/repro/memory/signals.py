@@ -53,6 +53,10 @@ class SignalArray:
         self._waiters: dict[int, list[tuple[int, Process]]] = {}
         #: Count of posts, for tests/ablations.
         self.posts = 0
+        # the cost model's prices, read once: every post and wait needs one
+        self._latency = (cost.atomic_latency(remote=False),
+                         cost.atomic_latency(remote=True))
+        self._quantum = cost.spin_wait_quantum()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -72,17 +76,19 @@ class SignalArray:
         The increment becomes visible after the atomic latency (remote if
         the poster is on a different rank than the array's owner).
         """
-        self._check(index)
+        values, waiters = self.values, self._waiters
+        if not 0 <= index < len(values):
+            self._check(index)  # raises
         if amount < 1:
             raise SimulationError("signal increments must be positive")
-        latency = self.cost.atomic_latency(remote=(from_rank != self.rank))
         self.posts += 1
 
         def apply() -> None:
-            self.values[index] += amount
-            self._wake(index)
+            values[index] += amount
+            if index in waiters:
+                self._wake(index)
 
-        self.sim.call_later(latency, apply)
+        self.sim.schedule(self._latency[from_rank != self.rank], None, apply)
 
     # -- consumer side ---------------------------------------------------------
 
@@ -97,15 +103,17 @@ class SignalArray:
         load), matching a single spin iteration on hardware: it returns
         that delay as a bare float.
         """
-        self._check(index)
-        if self.values[index] >= threshold:
-            return self.cost.spin_wait_quantum()
+        values = self.values
+        if not 0 <= index < len(values):
+            self._check(index)  # raises
+        if values[index] >= threshold:
+            return self._quantum
         return _WaitGeq(self, index, threshold)
 
     def _arm_wait(self, sim: Simulator, proc: Process, index: int,
                   threshold: int) -> None:
         if self.values[index] >= threshold:  # raced with a post
-            sim.schedule(self.cost.spin_wait_quantum(), proc, None)
+            sim.schedule(self._quantum, proc, None)
             return
         self._waiters.setdefault(index, []).append((threshold, proc))
 
@@ -118,7 +126,7 @@ class SignalArray:
         for threshold, proc in waiters:
             if current >= threshold:
                 # One poll interval to observe the new value.
-                self.sim.schedule(self.cost.spin_wait_quantum(), proc, None)
+                self.sim.schedule(self._quantum, proc, None)
             else:
                 still_blocked.append((threshold, proc))
         if still_blocked:

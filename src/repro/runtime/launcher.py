@@ -57,23 +57,24 @@ def kernel_process(program: CompiledProgram, machine: Machine, rank: int,
                    grid: int, bindings: dict[str, Any],
                    label: str | None = None) -> ProcessGen:
     """Generator running one rank's grid (usable inside stream enqueues)."""
-    device = machine.device(rank)
+    sms = machine.device(rank).sms
+    # one SM each: every block of the launch yields the same request
+    acquire, release = sms.acquire(), sms.release
     label = label or program.name
 
     def block(bid: int) -> ProcessGen:
-        yield device.sms.acquire()
+        yield acquire
         try:
             yield from run_block(program, machine, rank, bid, grid,
                                  bindings, label=label)
         finally:
-            device.sms.release()
+            release()
         return None
 
     # a launch with no working block still waits for a free SM
-    procs = [
-        machine.spawn(block(bid), name=f"{label}[r{rank}b{bid}]")
-        for bid in active_blocks(program, grid, bindings) or range(1)
-    ]
+    spawn, name = machine.sim.spawn, f"{label}[r{rank}b"
+    procs = [spawn(block(bid), f"{name}{bid}]")
+             for bid in active_blocks(program, grid, bindings) or range(1)]
     yield AllOf(procs)
     return None
 

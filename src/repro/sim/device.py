@@ -31,13 +31,9 @@ class Device:
         #: Shared HBM bandwidth pipe (effective bandwidth after efficiency).
         self.hbm = Pipe(sim, spec.hbm_bandwidth * spec.hbm_efficiency,
                         latency=0.0, name=f"hbm[{rank}]")
+        #: ``reserve_hbm(nbytes)``: reserve HBM traffic and return the
+        #: arrival time (non-blocking), in one call
+        self.reserve_hbm = self.hbm.arrival
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Device rank={self.rank} sms={self.sms.available}/{self.spec.n_sms}>"
-
-    # -- timed work -----------------------------------------------------------
-
-    def reserve_hbm(self, nbytes: float) -> float:
-        """Reserve HBM traffic and return the arrival time (non-blocking)."""
-        _start, arrival = self.hbm.reserve(nbytes)
-        return arrival

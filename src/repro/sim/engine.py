@@ -55,7 +55,7 @@ class Timeout(Awaitable):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
         self.value = value
@@ -180,7 +180,7 @@ class Simulator:
                  value: Any = None) -> None:
         """Resume ``proc`` with ``value`` after ``delay`` seconds (``proc``
         None: call ``value`` then)."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         t = self.now + delay
@@ -254,7 +254,7 @@ class Simulator:
                                 f"{type(awaited).__name__}, expected an "
                                 "Awaitable (Timeout, Join, resource/signal "
                                 "wait) or a float delay")
-                    if awaited < 0:
+                    if not awaited >= 0:  # NaN too
                         raise SimulationError(
                             f"process {proc.name!r} yielded a negative "
                             f"timeout: {awaited}")

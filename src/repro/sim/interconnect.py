@@ -45,6 +45,10 @@ class Interconnect:
             Pipe(sim, spec.inter_node_bandwidth, spec.inter_node_latency, f"nic.in[{r}]")
             for r in range(config.world_size)
         ]
+        #: (src, dst, protocol) -> the path, its bandwidth and its latency,
+        #: resolved on the route's first transfer
+        self._routes: dict[tuple[int, int, str],
+                           tuple[list[Pipe], float, float]] = {}
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.config.world_size:
@@ -78,20 +82,24 @@ class Interconnect:
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
+        now = self.sim.now
         if src == dst:
-            return self.sim.now, self.sim.now
-        eff = self.protocol_efficiency(protocol)
-        chain = self.pipes(src, dst)
-        bandwidth = min(p.bandwidth for p in chain) * eff
+            return now, now
+        route = self._routes.get((src, dst, protocol))
+        if route is None:
+            eff = self.protocol_efficiency(protocol)
+            chain = self.pipes(src, dst)
+            route = self._routes[src, dst, protocol] = (
+                chain, min(p.bandwidth for p in chain) * eff,
+                max(p.latency for p in chain))
+        chain, bandwidth, latency = route
         occupancy = nbytes / bandwidth
-        latency = max(p.latency for p in chain)
         # pipes are reserved independently (links multiplex transfers, so a
         # slot on the egress side need not align with the ingress slot);
         # the data has arrived once it cleared every pipe on the path
-        start = self.sim.now
-        arrival = self.sim.now
+        start = arrival = now
         for p in chain:
-            p_start = max(self.sim.now, p.free_at)
+            p_start = max(now, p.free_at)
             p.free_at = p_start + occupancy
             p.total_bytes += nbytes
             p.busy_time += occupancy

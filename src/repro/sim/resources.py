@@ -112,8 +112,8 @@ class Pipe:
         #: Total seconds of occupancy (for utilization accounting).
         self.busy_time = 0.0
 
-    def reserve(self, nbytes: float) -> tuple[float, float]:
-        """Reserve the pipe for ``nbytes``; returns ``(start, arrival)``.
+    def arrival(self, nbytes: float) -> float:
+        """Reserve the pipe for ``nbytes``; returns the arrival time.
 
         ``arrival`` is the absolute simulated time at which the data is
         visible at the far end.  The caller is expected to ``yield`` a
@@ -121,12 +121,14 @@ class Pipe:
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
-        start = max(self.sim.now, self.free_at)
+        now, free_at = self.sim.now, self.free_at
+        # max(now, free_at), without the builtin call on this hot path
+        start = free_at if free_at > now else now
         occupancy = nbytes / self.bandwidth
         self.free_at = start + occupancy
         self.total_bytes += nbytes
         self.busy_time += occupancy
-        return start, self.free_at + self.latency
+        return self.free_at + self.latency
 
     @property
     def utilization(self) -> float:

@@ -258,6 +258,37 @@ def test_negative_float_delay_raises():
         sim.run()
 
 
+# -- NaN delays: every comparison with NaN is false, so each check tests
+# ``not delay >= 0`` ------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def test_nan_timeout_rejected():
+    with pytest.raises(SimulationError, match="negative timeout"):
+        Timeout(NAN)
+
+
+def test_nan_float_delay_raises_and_keeps_the_clock():
+    sim = Simulator()
+
+    def bad():
+        yield 1.0
+        yield NAN
+
+    sim.spawn(bad(), name="bad")
+    with pytest.raises(SimulationError, match="negative timeout"):
+        sim.run()
+    assert sim.now == 1.0
+
+
+def test_nan_schedule_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="cannot schedule into the past"):
+        sim.schedule(NAN, None, lambda: None)
+    assert sim._seq == 0 and not sim._times
+
+
 def test_numpy_float_delay_shares_the_instant():
     sim = Simulator()
     order = []

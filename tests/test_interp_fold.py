@@ -204,6 +204,27 @@ def _carried_dot(x, w, out, N: tl.constexpr, K: tl.constexpr):
     tl.store(out, (0, N), (0, N), acc)
 
 
+@kernel
+def _const_under_branch(x, out, N: tl.constexpr):
+    if tl.block_id() >= 0:
+        tiles = 2
+        for t in range(4):
+            i = t // tiles
+            j = t % tiles
+            a = tl.load(x, (i, i + 1), (j, j + 1))
+            tl.store(out, (i, i + 1), (j, j + 1), a)
+
+
+@kernel
+def _const_read_past_its_branch(x, out, N: tl.constexpr, WIDE: tl.constexpr):
+    if WIDE:
+        w = 2
+        a = tl.load(x, (0, w), (0, N))
+        tl.store(out, (0, w), (0, N), a * 2.0)
+    b = tl.load(x, (0, w), (0, N))  # unbound where the branch was skipped
+    tl.store(out, (0, w), (0, N), b)
+
+
 _RNG = np.random.default_rng(11)
 _A = _RNG.standard_normal((10, 8)).astype(np.float32)
 
@@ -256,6 +277,14 @@ CASES = {
     "store_missing_range": (_build(
         _store_missing_range, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
         {"N": 4}), r"expected \(lo, hi\) range, got 'a'"),
+    "const_under_branch": (_build(
+        _const_under_branch, 1, {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
+        {"N": 4}), None),
+    **{f"const_read_past_its_branch/{'taken' if wide else 'skipped'}": (
+        _build(_const_read_past_its_branch, 1,
+               {"x": _A[:4, :4], "out": 0 * _A[:4, :4]},
+               {"N": 4, "WIDE": wide}),
+        None if wide else "undefined scalar 'w'") for wide in (1, 0)},
     "store_bound_on_one_branch": (_build(
         _store_bound_on_one_branch, 1, {"x": _A[:4, :4],
                                         "out": 0 * _A[:4, :4]},
@@ -335,3 +364,54 @@ def test_rank_less_peer_load_sits_in_an_aggregable_loop():
     loops = [s for s in compile_kernel(_rank_less_peer, {"N": 4}).ir.walk_stmts()
              if isinstance(s, For)]
     assert [s.aggregable for s in loops] == [True]
+
+
+def _sources(monkeypatch, kdefs, run) -> dict[str, list[str]]:
+    """The source of every function ``run()`` generates for ``kdefs``, by
+    kernel name."""
+    sources: dict[str, list[str]] = {}
+
+    def recorded(source, filename, mode):
+        sources.setdefault(filename[8:-1], []).append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(interp, "compile", recorded, raising=False)
+    for kdef in kdefs:  # generate afresh
+        monkeypatch.setattr(kdef, "_programs", {})
+    run()
+    return sources
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["timing", "numeric"])
+def test_a_constant_assigned_under_a_branch_folds_in_its_suite(numeric,
+                                                               monkeypatch):
+    """``tiles = 2`` under ``if bid >= 0:`` is a constant for the rest of
+    its suite, so ``t // tiles`` and ``t % tiles`` divide by a literal and
+    no generated function reads ``tiles``."""
+    build = CASES["const_under_branch"][0]
+    sources = _sources(monkeypatch, [_const_under_branch],
+                       lambda: _simulate(build, numeric, False))
+    activity, block = sources[_const_under_branch.name]
+    assert "s_tiles" not in activity and "s_tiles" not in block
+    if numeric:  # the addresses need the quotients
+        assert "(s_t // (2))" in block and "(s_t % (2))" in block
+
+
+def test_ag_consumer_tiles_n_folds_in_both_functions(monkeypatch):
+    """``_ag_consumer_gemm`` assigns ``tiles_n = tl.cdiv(N, BN)`` under
+    ``if cid >= 0:``; neither its activity nor its block function reads it."""
+    def run():
+        ctx = DistContext.create(SimConfig(world_size=2,
+                                           execute_numerics=False))
+        ctx.alloc("xs", (64, 64), "float16", fill=None)
+        ctx.alloc("w", (64, 64), "float16", fill=None)
+        ctx.alloc("z", (128, 64), "float16", fill=None)
+        ag_gemm.ag_gemm_overlapped(ctx, ag_gemm.AgGemmConfig(
+            m=128, n=64, k=64, block_m=16, block_n=16, block_k=16,
+            block_mp=16, mode="dma"), "xs", "w", "z", grid=4)
+        assert ctx.run() > 0
+
+    sources = _sources(monkeypatch, [ag_gemm._ag_consumer_gemm], run)
+    consumer = sources[ag_gemm._ag_consumer_gemm.name]
+    assert len(consumer) == 2
+    assert not any("s_tiles_n" in source for source in consumer)

@@ -85,7 +85,7 @@ def test_pipe_serializes_transfers():
     done = []
 
     def proc(i):
-        _start, arrival = pipe.reserve(100.0)  # 1 second each
+        arrival = pipe.arrival(100.0)  # 1 second each
         yield Timeout(arrival - sim.now)
         done.append((i, sim.now))
 
@@ -101,7 +101,7 @@ def test_pipe_latency_added_after_occupancy():
     pipe = Pipe(sim, bandwidth=10.0, latency=0.5)
 
     def proc():
-        _start, arrival = pipe.reserve(10.0)
+        arrival = pipe.arrival(10.0)
         yield Timeout(arrival - sim.now)
         return sim.now
 
@@ -120,7 +120,7 @@ def test_pipe_rejects_bad_construction():
         Pipe(sim, bandwidth=1.0, latency=-1.0)
     pipe = Pipe(sim, bandwidth=1.0)
     with pytest.raises(SimulationError):
-        pipe.reserve(-5.0)
+        pipe.arrival(-5.0)
 
 
 def test_pipe_utilization_and_totals():
@@ -128,7 +128,7 @@ def test_pipe_utilization_and_totals():
     pipe = Pipe(sim, bandwidth=50.0)
 
     def proc():
-        _start, arrival = pipe.reserve(100.0)
+        arrival = pipe.arrival(100.0)
         yield Timeout(arrival - sim.now)
         yield Timeout(2.0)  # idle time
 
@@ -147,7 +147,7 @@ def test_pipe_conserves_throughput(sizes):
     pipe = Pipe(sim, bandwidth=123.0)
 
     def proc(n):
-        _start, arrival = pipe.reserve(n)
+        arrival = pipe.arrival(n)
         yield Timeout(arrival - sim.now)
 
     for n in sizes:
